@@ -39,6 +39,7 @@ from .io import (
     load_income,
     load_singles,
     marginals_of_unit,
+    units,
 )
 from .tables import merge_with_singles
 from .trend import score
@@ -320,12 +321,9 @@ def trend(**params):
 
     series_rows = []
     if config.resolved_measure in METHOD_MEASURES:
-        for unit, lookup in _series_units(panel):
-            tables = {
-                year: lookup(year)
-                for year in config.waves
-                if lookup(year) is not None
-            }
+        for unit, lookup in units(panel):
+            tables = {year: lookup(year) for year in config.waves}
+            tables = {year: t for year, t in tables.items() if t is not None}
             if len(tables) < 2:
                 continue
             cut = {
@@ -363,12 +361,6 @@ def trend(**params):
         series_rows,
     )
     click.echo(f"wrote {out / 'trend_stats.json'} and {out / 'trend_series.csv'}")
-
-
-def _series_units(panel):
-    yield "US", (lambda year: panel.national(year))
-    for state in panel.states:
-        yield state, (lambda year, s=state: panel.table(s, year))
 
 
 @main.command()

@@ -34,7 +34,13 @@ from .errors import (
     ShapeError,
     UndefinedWeightError,
 )
-from .indicators import PAPER_INTEGER, ROUNDING_MODES, gll, splits, surplus_matrix
+from .indicators import (
+    PAPER_INTEGER,
+    ROUNDING_MODES,
+    _ll_benchmark,
+    gll,
+    surplus_matrix,
+)
 from .tables import (
     ContingencyTable,
     Marginals,
@@ -78,9 +84,7 @@ class SurvivalGrid:
     def from_table(cls, table: ContingencyTable) -> "SurvivalGrid":
         n, m = table.n_rows, table.n_cols
         values = np.zeros((n + 1, m + 1))
-        for j in range(n + 1):
-            for k in range(m + 1):
-                values[j, k] = table.counts[j:, k:].sum()
+        values[:n, :m] = table.counts[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1]
         return cls(values=values)
 
     def to_cells(self) -> np.ndarray:
@@ -270,8 +274,11 @@ def nm_fit(
 
     For every ordered split the LL value of the target aggregation is forced
     to equal the source's, which pins the top-right survival sum at that
-    split; the full survival grid (boundaries come from the target marginals
-    alone) then yields the cells by inclusion-exclusion. ``rounding`` selects
+    split: ``d = level * (d_max - rho) + rho``, with the random benchmark
+    ``rho`` and the ceiling ``d_max`` taken from the same helper the LL
+    kernel of ``gll`` uses, evaluated on all splits at once. The full
+    survival grid (boundaries come from the target marginals alone) then
+    yields the cells by inclusion-exclusion. ``rounding`` selects
     how the random benchmark is treated inside each split: floored as in the
     integer-count formula (``paper-integer``) or kept exact (``continuous``,
     the well-posed choice on non-integer marginals and the mode that commutes
@@ -293,13 +300,10 @@ def nm_fit(
     grid[:, 0] = row_tail
     grid[0, :] = col_tail
     grid[0, 0] = total
-    for split in splits(n, m):
-        cd = row_tail[split.j]
-        bd = col_tail[split.k]
-        r = cd * bd / total
-        rho = np.floor(r) if rounding == PAPER_INTEGER else r
-        d_max = min(bd, cd)
-        grid[split.j, split.k] = levels[split.j - 1, split.k - 1] * (d_max - rho) + rho
+    _, rho, d_max = _ll_benchmark(
+        row_tail[1:n, None], col_tail[None, 1:m], total, rounding
+    )
+    grid[1:n, 1:m] = levels * (d_max - rho) + rho
 
     counts = SurvivalGrid(values=grid).to_cells()
     counts = _clamp_tiny_negatives(counts, "LL-preserving fit")

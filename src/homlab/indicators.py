@@ -212,6 +212,48 @@ def v_value(table: ContingencyTable) -> float:
     return (a * d - b * c) / denom
 
 
+_LL_UNDEFINED = "LL indicator undefined: zero denominator"
+
+
+def _check_rounding(rounding: str):
+    if rounding not in ROUNDING_MODES:
+        raise ValueError(f"unknown rounding mode: {rounding!r}")
+
+
+def _ll_benchmark(cd, bd, total, rounding: str):
+    """Random-matching benchmark and ceiling of the high-high count.
+
+    Returns ``(r, rho, d_max)``: ``r = cd * bd / total`` is the high-high
+    count expected under random matching, ``rho`` is its floor in
+    ``paper-integer`` mode and ``r`` itself in ``continuous`` mode, and
+    ``d_max = min(bd, cd)`` is the largest feasible high-high count. Works
+    elementwise on arrays of splits; ``nm_fit`` inverts LL through the same
+    two numbers.
+    """
+    r = cd * bd / total
+    rho = np.floor(r) if rounding == PAPER_INTEGER else r
+    return r, rho, np.minimum(bd, cd)
+
+
+def _ll(a, b, c, d, rounding: str):
+    """LL on 2x2 block sums, elementwise over equal-shape arrays of splits.
+
+    Returns ``(r, rho, d_max, value, undefined)`` with ``value = (d - rho) /
+    (d_max - rho)``; ``undefined`` marks the splits where that denominator is
+    zero, and ``value`` is NaN there. The operation order is the one of the
+    scalar formula, so a split gives the same bits whether it is evaluated
+    alone or with the others.
+    """
+    cd = c + d
+    bd = b + d
+    total = a + b + c + d
+    r, rho, d_max = _ll_benchmark(cd, bd, total, rounding)
+    denom = d_max - rho
+    undefined = denom == 0
+    value = (d - rho) / np.where(undefined, np.nan, denom)
+    return r, rho, d_max, value, undefined
+
+
 def ll_simplified(
     table: ContingencyTable, rounding: str = PAPER_INTEGER
 ) -> LiuLuDecomposition:
@@ -227,24 +269,19 @@ def ll_simplified(
     are flagged.
     """
     _require_2x2(table, "LL indicator")
-    if rounding not in ROUNDING_MODES:
-        raise ValueError(f"unknown rounding mode: {rounding!r}")
-    a, b, c, d, ab, cd, ac, bd = _marginal_products(table)
-    total = a + b + c + d
-    r = cd * bd / total
-    int_r = math.floor(r) if rounding == PAPER_INTEGER else r
-    d_max = min(bd, cd)
-    denom = d_max - int_r
-    if denom == 0:
-        raise UndefinedIndicatorError("LL indicator undefined: zero denominator")
+    _check_rounding(rounding)
+    a, b, c, d = _abcd(table)
+    r, int_r, d_max, value, undefined = _ll(a, b, c, d, rounding)
+    if undefined:
+        raise UndefinedIndicatorError(_LL_UNDEFINED)
     return LiuLuDecomposition(
-        r=r,
+        r=float(r),
         int_r=float(int_r),
         d_obs=d,
-        d_max=d_max,
-        value=(d - int_r) / denom,
+        d_max=float(d_max),
+        value=float(value),
         rounding=rounding,
-        negative_sorting=d < int_r,
+        negative_sorting=bool(d < int_r),
     )
 
 
@@ -260,27 +297,46 @@ def aggregate_2x2(table: ContingencyTable, j: int, k: int) -> ContingencyTable:
     )
 
 
+def _split_sums(counts: np.ndarray) -> np.ndarray:
+    """Block sums ``a, b, c, d`` of every ordered split, shape ``(4, n-1, m-1)``.
+
+    Each block is summed as a contiguous copy, the way ``merge_categories``
+    sums it, so every split's sums equal the cells of its merged 2x2 table
+    bit for bit (a running cumulative sum rounds differently on non-integer
+    counts).
+    """
+    n, m = counts.shape
+    sums = np.empty((4, n - 1, m - 1))
+    for j in range(1, n):
+        top, bottom = counts[:j], counts[j:]
+        for k in range(1, m):
+            sums[0, j - 1, k - 1] = top[:, :k].copy().sum()
+            sums[1, j - 1, k - 1] = top[:, k:].copy().sum()
+            sums[2, j - 1, k - 1] = bottom[:, :k].copy().sum()
+            sums[3, j - 1, k - 1] = bottom[:, k:].copy().sum()
+    return sums
+
+
 def gll(table: ContingencyTable, rounding: str = PAPER_INTEGER) -> np.ndarray:
     """Matrix of LL values over every ordered 2x2 coarsening.
 
     Entry ``(j, k)`` (0-based) is ``ll_simplified`` of the aggregation that
     groups rows ``1..j+1`` against the rest and columns ``1..k+1`` against
-    the rest. A 2x2 input yields the 1x1 matrix of its scalar value. Entries
-    are computed independently; if any are undefined, a
+    the rest; a 2x2 input yields the 1x1 matrix of its scalar value. The
+    split sums are read straight off the counts and one LL kernel, shared
+    with ``ll_simplified`` and the NM inversion, evaluates every split at
+    once, bit for bit equal to ``ll_simplified(aggregate_2x2(...))``.
+    Entries are independent; if any are undefined, a
     :class:`~homlab.errors.GllUndefinedError` reports every failing split and
     carries the partial matrix.
     """
-    n, m = table.n_rows, table.n_cols
-    out = np.full((n - 1, m - 1), np.nan)
-    failures = []
-    for split in splits(n, m):
-        try:
-            out[split.j - 1, split.k - 1] = ll_simplified(
-                aggregate_2x2(table, split.j, split.k), rounding
-            ).value
-        except UndefinedIndicatorError as exc:
-            failures.append((split.j, split.k, str(exc)))
-    if failures:
+    _check_rounding(rounding)
+    *_, out, undefined = _ll(*_split_sums(table.counts), rounding)
+    if undefined.any():
+        failures = [
+            (int(j) + 1, int(k) + 1, _LL_UNDEFINED)
+            for j, k in zip(*np.nonzero(undefined))
+        ]
         raise GllUndefinedError(failures, out)
     return out
 

@@ -29,9 +29,12 @@ import numpy as np
 from . import indicators as ind
 from .decomposition import SEQUENTIAL, WITH_INTERACTION, decade_label, decompose
 from .errors import (
+    ConvergenceError,
     DataError,
+    GllUndefinedError,
     HomlabError,
     InfeasibilityError,
+    ShapeError,
     UndefinedIndicatorError,
 )
 from .tables import (
@@ -352,7 +355,8 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
 
     Two-level divides carry the scalar indicator battery; the three-level
     scheme carries the homogamy share and every split of the matrix-valued
-    measure. Undefined values come through as empty strings.
+    measure. Undefined values, including single undefined splits of the
+    matrix, come through as empty strings.
     """
     rows = []
     for unit, lookup in units(panel):
@@ -369,11 +373,10 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
             if config.categories == THREE_LEVEL:
                 try:
                     values = ind.gll(cut, config.rounding)
-                    for j in range(values.shape[0]):
-                        for k in range(values.shape[1]):
-                            row[f"gll_{j + 1}_{k + 1}"] = values[j, k]
-                except HomlabError:
-                    pass
+                except GllUndefinedError as exc:
+                    values = exc.partial
+                for (j, k), value in np.ndenumerate(values):
+                    row[f"gll_{j + 1}_{k + 1}"] = "" if np.isnan(value) else value
             else:
                 for tag in SCALAR_INDICATORS:
                     try:
@@ -444,9 +447,10 @@ def _measure_delta(
 def decade_changes(panel: PanelDataset, config: RunConfig):
     """Per-state decade changes of the configured measure.
 
-    Pairs with a missing endpoint wave, an undefined measure, or an
-    infeasible counterfactual are returned invalid with the reason attached,
-    never silently dropped.
+    Pairs with a missing endpoint wave, an undefined measure, an infeasible
+    or non-converging counterfactual, or tables of the wrong shape for the
+    method are returned invalid with the reason attached, never silently
+    dropped.
     """
     changes: list[DecadeChange] = []
     details: dict[tuple[str, str], object] = {}
@@ -464,7 +468,13 @@ def decade_changes(panel: PanelDataset, config: RunConfig):
                 delta, detail = _measure_delta(
                     panel, config, state, early_year, late_year
                 )
-            except (UndefinedIndicatorError, InfeasibilityError, DataError) as exc:
+            except (
+                UndefinedIndicatorError,
+                InfeasibilityError,
+                ConvergenceError,
+                ShapeError,
+                DataError,
+            ) as exc:
                 changes.append(
                     DecadeChange(
                         state, decade, None, False,

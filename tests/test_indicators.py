@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from homlab.errors import GllUndefinedError, ShapeError, UndefinedIndicatorError
+from homlab.counterfactual import nm_fit
+from homlab.errors import (
+    GllUndefinedError,
+    InfeasibilityError,
+    ShapeError,
+    UndefinedIndicatorError,
+)
 from homlab.indicators import (
     CONTINUOUS,
     PAPER_INTEGER,
@@ -20,7 +26,13 @@ from homlab.indicators import (
     surplus_matrix,
     v_value,
 )
-from homlab.tables import ContingencyTable, Marginals, TableWithSingles, random_match
+from homlab.tables import (
+    ContingencyTable,
+    Marginals,
+    TableWithSingles,
+    marginals,
+    random_match,
+)
 
 
 def table(counts):
@@ -101,6 +113,9 @@ def test_ll_simplified_values():
     assert dec.int_r == 20
     assert dec.value == pytest.approx(0.5)
     assert not dec.negative_sorting
+    # plain Python scalars, not NumPy ones from the shared kernel
+    assert {type(x) for x in (dec.r, dec.int_r, dec.d_max, dec.value)} == {float}
+    assert type(dec.negative_sorting) is bool
 
     perfect = ll_simplified(DIAG)
     assert perfect.r == pytest.approx(25.0)
@@ -140,6 +155,85 @@ def test_gll_reports_each_undefined_split():
     partial = err.value.partial
     assert np.isnan(partial[0, 0]) and np.isnan(partial[1, 0])
     assert np.isfinite(partial[:, 1]).all()
+
+
+def random_tables(rng, shape, count):
+    """Integer and non-integer tables, some with zero rows or columns."""
+    out = []
+    for i in range(count):
+        if i % 2:
+            counts = rng.integers(0, 4 if i % 4 == 1 else 3000, size=shape)
+        else:
+            counts = rng.random(shape) * 10.0 ** rng.integers(-3, 4)
+            counts *= rng.random(shape) > 0.2
+        counts = counts.astype(float)
+        if i % 5 == 0:
+            counts[rng.integers(shape[0])] = 0.0
+        if counts.any():
+            out.append(table(counts))
+    return out
+
+
+def reference_gll(t, rounding):
+    """``ll_simplified`` of every merged 2x2 aggregation, one split at a time."""
+    out = np.full((t.n_rows - 1, t.n_cols - 1), np.nan)
+    failures = []
+    for j in range(1, t.n_rows):
+        for k in range(1, t.n_cols):
+            try:
+                out[j - 1, k - 1] = ll_simplified(aggregate_2x2(t, j, k), rounding).value
+            except UndefinedIndicatorError as exc:
+                failures.append((j, k, str(exc)))
+    return out, failures
+
+
+def reference_nm_counts(source, target, rounding):
+    """The LL inversion of ``nm_fit`` written one split at a time."""
+    levels = gll(source, rounding)
+    n, m = source.n_rows, source.n_cols
+    total = target.total
+    row_tail = np.concatenate([np.cumsum(target.row_sums[::-1])[::-1], [0.0]])
+    col_tail = np.concatenate([np.cumsum(target.col_sums[::-1])[::-1], [0.0]])
+    grid = np.zeros((n + 1, m + 1))
+    grid[:, 0] = row_tail
+    grid[0, :] = col_tail
+    grid[0, 0] = total
+    for j in range(1, n):
+        for k in range(1, m):
+            cd, bd = row_tail[j], col_tail[k]
+            r = cd * bd / total
+            rho = np.floor(r) if rounding == PAPER_INTEGER else r
+            grid[j, k] = levels[j - 1, k - 1] * (min(bd, cd) - rho) + rho
+    return grid[:-1, :-1] - grid[1:, :-1] - grid[:-1, 1:] + grid[1:, 1:]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (3, 5), (5, 3)])
+def test_gll_and_nm_inversion_match_the_split_by_split_reference_bitwise(shape):
+    rng = np.random.default_rng(sum(shape) * 7 + shape[0])
+    undefined = 0
+    for i, t in enumerate(random_tables(rng, shape, 120)):
+        drawn = rng.integers(1, 3000, size=shape) if i % 2 else rng.random(shape) * 50
+        target = marginals(table(drawn))
+        for rounding in (PAPER_INTEGER, CONTINUOUS):
+            expected, failures = reference_gll(t, rounding)
+            try:
+                got = gll(t, rounding)
+            except GllUndefinedError as exc:
+                undefined += 1
+                assert exc.entries == failures
+                assert np.array_equal(exc.partial, expected, equal_nan=True)
+                continue
+            assert not failures
+            assert np.array_equal(got, expected, equal_nan=True)
+
+            counts = reference_nm_counts(t, target, rounding)
+            if counts.min() < -1e-9:
+                with pytest.raises(InfeasibilityError):
+                    nm_fit(t, target, rounding)
+                continue
+            fitted = nm_fit(t, target, rounding).table.counts
+            assert np.array_equal(fitted, np.where(counts < 0, 0.0, counts))
+    assert undefined > 0
 
 
 def test_aggregate_2x2_matches_manual_blocks():

@@ -8,11 +8,13 @@ from click.testing import CliRunner
 from homlab.cli import main
 from homlab.errors import DataError
 from homlab.io import (
+    PanelDataset,
     RunConfig,
     decade_changes,
     dichotomize,
     format_number,
     income_decade_deltas,
+    indicator_rows,
     load_couples,
     load_income,
     load_singles,
@@ -247,6 +249,35 @@ def test_missing_wave_reduces_totals_exactly():
     assert all(c.reason == "missing wave" for c in excluded)
 
 
+def test_indicator_rows_keep_the_defined_gll_splits():
+    # an empty top row with non-integer counts: in paper-integer mode only
+    # split (1,1) has a zero denominator, the other three are defined
+    t = ContingencyTable([[0, 0, 0], [4.5, 3.5, 3.0], [2.5, 3.0, 4.5]])
+    panel = PanelDataset({("A", 1960): t}, waves=(1960,), states=("A",))
+    rows = indicator_rows(panel, RunConfig(waves=(1960,)))
+    assert [row["state"] for row in rows] == ["US", "A"]
+    for row in rows:
+        assert row["gll_1_1"] == ""
+        assert row["gll_1_2"] == pytest.approx(1.0)
+        assert row["gll_2_1"] == pytest.approx(0.375)
+        assert row["gll_2_2"] == pytest.approx(1 / 3)
+
+
+def test_decade_changes_report_mis_shaped_pairs():
+    small = ContingencyTable([[5, 1], [1, 5]])
+    large = ContingencyTable([[5, 1, 1], [1, 5, 1], [1, 1, 5]])
+    panel = PanelDataset(
+        {("A", 1960): small, ("A", 1970): large}, waves=(1960, 1970), states=("A",)
+    )
+    changes, details = decade_changes(
+        panel, RunConfig(waves=(1960, 1970), method="ipf")
+    )
+    assert not details
+    assert [(c.valid, c.reason.split(":")[0]) for c in changes] == [
+        (False, "ShapeError")
+    ]
+
+
 def test_measure_can_be_an_indicator(tmp_path):
     panel, config = synthetic_panel()
     config = config.with_overrides(measure="ll")
@@ -314,6 +345,24 @@ def test_cli_decompose_divergence(tmp_path):
         raise AssertionError("no valid decade row")
 
     assert effect(out_ipf) < 0 < effect(out_nm)
+
+
+def test_cli_decompose_and_trend_report_non_converging_fits(tmp_path):
+    cfg = config_file(tmp_path, method="ipf", max_iter=2)
+    out = tmp_path / "out"
+    for command in ("decompose", "trend"):
+        cli(command, "--config", cfg,
+            "--couples", FIXTURES / "divergence_couples.csv", "--out", out)
+    lines = (out / "decomposition.csv").read_text().strip().splitlines()
+    row = next(line for line in lines if line.startswith("Example,1980s,"))
+    assert row.endswith(
+        ",excluded: ConvergenceError: IPF did not reach tol=1e-10 in 2 sweeps "
+        "(residual 2.77)"
+    )
+    stats = json.loads((out / "trend_stats.json").read_text())
+    assert stats["N"] == 0
+    assert any(p.startswith("Example/1980s: ConvergenceError:")
+               for p in stats["excluded_pairs"])
 
 
 def test_cli_trend_on_synthetic_panel(tmp_path):
