@@ -36,7 +36,6 @@ from .indicators import (
     aggregate_msp,
     correlation,
     covariance,
-    det_family,
     determinant,
     gll,
     ll_simplified,
@@ -86,7 +85,6 @@ __all__ = [
     "csa_solve",
     "cumulative_series",
     "decompose",
-    "det_family",
     "determinant",
     "enumerate_tables",
     "fit",

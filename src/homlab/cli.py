@@ -27,7 +27,6 @@ from .errors import (
     UndefinedIndicatorError,
 )
 from .io import (
-    METHOD_MEASURES,
     RunConfig,
     cut_partition,
     decade_changes,
@@ -102,7 +101,7 @@ def _common_options(fn):
         click.option("--out", type=click.Path(file_okay=False), default=".",
                      help="Output directory (created if missing)."),
         click.option("--method",
-                     type=click.Choice(["ipf", "mdba", "meda", "csa", "nm"]),
+                     type=click.Choice(cf.METHOD_TAGS),
                      default=None),
         click.option("--measure", default=None,
                      help="Trend measure: an indicator tag (or, det, cov, corr, "
@@ -246,7 +245,7 @@ def _counterfactual_subject(panel, config, state, year):
 def decompose(**params):
     """Per-(state, decade) decomposition of the homogamy change."""
     config = _config_from(params)
-    if config.resolved_measure not in METHOD_MEASURES:
+    if config.resolved_measure not in cf.METHOD_TAGS:
         raise click.UsageError("decompose needs a method measure (use --method)")
     panel = _panel_from(params, config)
     out = Path(params["out"])
@@ -320,7 +319,7 @@ def trend(**params):
     _write_json(out / "trend_stats.json", payload)
 
     series_rows = []
-    if config.resolved_measure in METHOD_MEASURES:
+    if config.resolved_measure in cf.METHOD_TAGS:
         for unit, lookup in units(panel):
             tables = {year: lookup(year) for year in config.waves}
             tables = {year: t for year, t in tables.items() if t is not None}

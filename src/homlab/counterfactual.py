@@ -50,7 +50,9 @@ from .tables import (
     random_match,
 )
 
-METHOD_TAGS = ("IPF", "MDbA", "MEDA", "CSA", "NM")
+# The method registry. Its order fixes the criteria RNG stream of each
+# method and the column order of the method criteria matrix.
+METHOD_TAGS = ("ipf", "mdba", "meda", "csa", "nm")
 
 _NEG_TOL = 1e-9
 

@@ -64,7 +64,7 @@ NOT_AUTOMATED = "not-automated"
 VIOLATION_TOL = 1e-7
 
 INDICATOR_TAGS = ("or", "det", "cov", "corr", "reg", "msp", "v", "msm", "ll", "gll")
-METHOD_TAGS = ("ipf", "mdba", "meda", "csa", "nm")
+METHOD_TAGS = cf.METHOD_TAGS
 
 INDICATOR_CRITERIA = (
     "AC1", "AC2", "AC3", "AC4", "AC5.1", "AC5.2", "AC5.3",
@@ -92,23 +92,17 @@ NA_CELLS = frozenset(
 
 @dataclass(frozen=True)
 class MarginalPerturbation:
-    """A structured change of a table's margins or singles pools.
+    """A structured change of a table's margins.
 
     ``kind`` selects the transformation; ``alpha`` is its parameter (the
-    scale factor, the category rescaling factor, or the reclassified share);
-    ``singles_delta`` carries the four added singles counts
-    (low men, high men, low women, high women) for the singles kinds.
+    scale factor, the category rescaling factor, or the reclassified share).
     """
 
     kind: str
     alpha: float = 1.0
-    singles_delta: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        kinds = (
-            "scale", "type1-row", "type1-col", "type2-row", "type2-col",
-            "vs-singles", "is-singles",
-        )
+        kinds = ("scale", "type1-row", "type1-col", "type2-row", "type2-col")
         if self.kind not in kinds:
             raise ValueError(f"unknown perturbation kind: {self.kind!r}")
         if self.kind == "scale" and not self.alpha > 0:
@@ -117,11 +111,6 @@ class MarginalPerturbation:
             raise ValueError("type-1 factor must be positive")
         if self.kind.startswith("type2") and not 0 < self.alpha < 1:
             raise ValueError("type-2 share must lie strictly between 0 and 1")
-        if self.kind.endswith("singles"):
-            if self.singles_delta is None or len(self.singles_delta) != 4:
-                raise ValueError("singles perturbations need four delta counts")
-            if any(d < 0 for d in self.singles_delta):
-                raise ValueError("singles deltas must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -139,19 +128,10 @@ class CriterionReport:
 def apply_perturbation(
     table: ContingencyTable | TableWithSingles, p: MarginalPerturbation
 ):
-    """Apply a marginal or singles perturbation, preserving the input type."""
+    """Apply a marginal perturbation, preserving the input type."""
     if p.kind == "scale":
         return table.scaled(p.alpha)
-    if p.kind.endswith("singles"):
-        if not isinstance(table, TableWithSingles):
-            raise ShapeError("singles perturbations need a table with singles")
-        e, f, g, h = p.singles_delta
-        return TableWithSingles(
-            table.couples,
-            table.single_men + np.array([e, f]),
-            table.single_women + np.array([g, h]),
-        )
-    couples = table.couples if isinstance(table, TableWithSingles) else table
+    couples = _couples(table)
     if couples.n_rows != 2 or couples.n_cols != 2:
         raise ShapeError("type-1/type-2 perturbations are defined for 2x2 tables")
     (a, b), (c, d) = couples.counts
@@ -164,10 +144,27 @@ def apply_perturbation(
         counts = [[(1 - al) * a, (1 - al) * b], [c + al * a, d + al * b]]
     else:  # type2-col
         counts = [[(1 - al) * a, b + al * a], [(1 - al) * c, d + al * c]]
-    new = couples.with_counts(np.array(counts, dtype=float))
-    if isinstance(table, TableWithSingles):
-        return TableWithSingles(new, table.single_men, table.single_women)
-    return new
+    return _with_couples(table, couples.with_counts(np.array(counts, dtype=float)))
+
+
+def _couples(subject) -> ContingencyTable:
+    """The couples table of a plain table or of a table with singles."""
+    return subject.couples if isinstance(subject, TableWithSingles) else subject
+
+
+def _with_couples(subject, couples: ContingencyTable):
+    """``couples`` in place of ``subject``'s couples, singles kept."""
+    if isinstance(subject, TableWithSingles):
+        return TableWithSingles(couples, subject.single_men, subject.single_women)
+    return couples
+
+
+def _bump_diagonal(subject, diagonal):
+    """``subject`` with ``diagonal`` same-type couples added, singles kept."""
+    couples = _couples(subject)
+    return _with_couples(
+        subject, couples.with_counts(couples.counts + np.diag(diagonal))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,36 +195,33 @@ def indicator_evaluator(tag: str, criterion: str) -> Callable[[object], np.ndarr
     checks feed real-valued (rescaled, reclassified or raked) tables, where
     flooring the random benchmark is ill-posed.
     """
-    def as_couples(subject):
-        return subject.couples if isinstance(subject, TableWithSingles) else subject
-
     if tag == "or":
-        return lambda s: np.array([ind.odds_ratio(as_couples(s))])
+        return lambda s: np.array([ind.odds_ratio(_couples(s))])
     if tag == "det":
-        return lambda s: np.array([_det_any(as_couples(s))])
+        return lambda s: np.array([_det_any(_couples(s))])
     if tag == "cov":
-        return lambda s: np.array([ind.covariance(as_couples(s))])
+        return lambda s: np.array([ind.covariance(_couples(s))])
     if tag == "corr":
-        return lambda s: np.array([ind.correlation(as_couples(s))])
+        return lambda s: np.array([ind.correlation(_couples(s))])
     if tag == "reg":
         def _reg(s):
-            pair = ind.regression(as_couples(s))
+            pair = ind.regression(_couples(s))
             return np.array([pair.beta_wm, pair.beta_mw])
         return _reg
     if tag == "msp":
         local = criterion in _MSP_LOCAL_CRITERIA
         def _msp(s):
-            parts = ind.aggregate_msp(as_couples(s))
+            parts = ind.aggregate_msp(_couples(s))
             return np.array([parts.msp_l if local else parts.aggregate])
         return _msp
     if tag == "v":
-        return lambda s: np.array([ind.v_value(as_couples(s))])
+        return lambda s: np.array([ind.v_value(_couples(s))])
     if tag == "ll":
         return lambda s: np.array(
-            [ind.ll_simplified(as_couples(s), ind.CONTINUOUS).value]
+            [ind.ll_simplified(_couples(s), ind.CONTINUOUS).value]
         )
     if tag == "gll":
-        return lambda s: ind.gll(as_couples(s), ind.CONTINUOUS).ravel()
+        return lambda s: ind.gll(_couples(s), ind.CONTINUOUS).ravel()
     if tag == "msm":
         def _msm(s):
             if not isinstance(s, TableWithSingles):
@@ -345,7 +339,7 @@ def _rebuild_subject(payload: Mapping[str, object]):
 def _equality_check(
     criterion: str,
     tag: str,
-    transforms: Callable[[np.random.Generator, object], list[tuple[str, object, dict]]],
+    transforms: Callable[[np.random.Generator, object], list[tuple[str, dict]]],
     sample_count: int,
     seed: int,
     shapes: Sequence[tuple[int, int]] = ((2, 2),),
@@ -361,17 +355,13 @@ def _equality_check(
         shape = shapes[i % len(shapes)]
         subject = _random_table(rng, evaluator, shape, with_singles)
         base = evaluator(subject)
-        for label, variant, params in transforms(rng, subject):
+        for label, params in transforms(rng, subject):
             try:
-                other = evaluator(variant)
-            except UndefinedIndicatorError:
+                violation = _equality_violation(
+                    evaluator, tag, subject, base, label, params, compare_transposed
+                )
+            except HomlabError:  # undefined on the variant, or an unreachable rake
                 continue
-            if compare_transposed:
-                side = base.reshape(_matrix_shape(tag, subject))
-                base_cmp = side.T.ravel()
-            else:
-                base_cmp = base
-            violation = _difference(base_cmp, other)
             if violation > VIOLATION_TOL:
                 witness = {
                     "kind": "equality",
@@ -389,8 +379,34 @@ def _equality_check(
     return _report(criterion, tag, SATISFIED, None, sample_count, notes)
 
 
+def _equality_violation(
+    evaluator, tag, subject, base, label, params, compare_transposed
+) -> float:
+    """How far the evaluator moves from ``base``, its value on ``subject``,
+    when ``subject`` is transformed; matrix-valued measures may compare
+    against their transposed base."""
+    other = evaluator(_transform(subject, label, params))
+    if compare_transposed:
+        base = base.reshape(_matrix_shape(tag, subject)).T.ravel()
+    return _difference(base, other)
+
+
+def _transform(subject, label: str, params: Mapping[str, object]):
+    """The variant of ``subject`` that the transform ``label`` builds."""
+    if label == "transpose":
+        return subject.transposed()
+    if label == "rotate-categories":
+        couples = _couples(subject)
+        (a, b), (c, d) = couples.counts
+        return couples.with_counts(np.array([[d, c], [b, a]]))
+    if label == "rake":
+        target = Marginals(params["rows"], params["cols"])
+        return cf.ipf_fit(_couples(subject), target, tol=1e-12).table
+    return apply_perturbation(subject, MarginalPerturbation(label, params["alpha"]))
+
+
 def _matrix_shape(tag: str, subject) -> tuple[int, int]:
-    couples = subject.couples if isinstance(subject, TableWithSingles) else subject
+    couples = _couples(subject)
     if tag == "msm":
         return couples.n_rows, couples.n_cols
     if tag == "gll":
@@ -398,58 +414,49 @@ def _matrix_shape(tag: str, subject) -> tuple[int, int]:
     return (1, -1)
 
 
+def _no_params(rng, subject) -> dict:
+    return {}
+
+
+def _scale_params(rng, subject) -> dict:
+    return {"alpha": float(rng.uniform(0.2, 5.0))}
+
+
+def _diagonal_params(rng, subject) -> dict:
+    diagonal = rng.integers(1, 51, size=_couples(subject).n_rows).astype(float)
+    return {"diagonal": diagonal.tolist()}
+
+
 def _scale_transforms(rng, subject):
-    r = float(rng.uniform(0.2, 5.0))
-    return [("scale", apply_perturbation(subject, MarginalPerturbation("scale", r)),
-             {"alpha": r})]
+    return [("scale", _scale_params(rng, subject))]
 
 
 def _transpose_transforms(rng, subject):
-    return [("transpose", subject.transposed(), {})]
+    return [("transpose", {})]
 
 
 def _rotation_transforms(rng, subject):
-    couples = subject.couples if isinstance(subject, TableWithSingles) else subject
-    (a, b), (c, d) = couples.counts
-    rotated = couples.with_counts(np.array([[d, c], [b, a]]))
-    return [("rotate-categories", rotated, {})]
+    return [("rotate-categories", {})]
 
 
 def _type1_transforms(rng, subject):
     alpha = float(rng.uniform(0.2, 3.0))
-    out = []
-    for kind in ("type1-row", "type1-col"):
-        out.append(
-            (kind, apply_perturbation(subject, MarginalPerturbation(kind, alpha)),
-             {"alpha": alpha})
-        )
-    return out
+    return [(kind, {"alpha": alpha}) for kind in ("type1-row", "type1-col")]
 
 
 def _type2_transforms(rng, subject):
     alpha = float(rng.uniform(0.05, 0.95))
-    out = []
-    for kind in ("type2-row", "type2-col"):
-        out.append(
-            (kind, apply_perturbation(subject, MarginalPerturbation(kind, alpha)),
-             {"alpha": alpha})
-        )
-    return out
+    return [(kind, {"alpha": alpha}) for kind in ("type2-row", "type2-col")]
 
 
 def _raking_transforms(rng, subject):
-    couples = subject.couples if isinstance(subject, TableWithSingles) else subject
+    couples = _couples(subject)
     if np.any(couples.counts.sum(axis=1) == 0) or np.any(couples.counts.sum(axis=0) == 0):
         return []
     total = int(rng.integers(40, 200))
     rows = _random_positive_split(rng, total, couples.n_rows)
     cols = _random_positive_split(rng, total, couples.n_cols)
-    target = Marginals(rows, cols)
-    try:
-        fitted = cf.ipf_fit(couples, target, tol=1e-12).table
-    except HomlabError:
-        return []
-    return [("rake", fitted, {"rows": rows, "cols": cols})]
+    return [("rake", {"rows": rows, "cols": cols})]
 
 
 def _random_positive_split(rng, total: int, parts: int) -> list[int]:
@@ -485,10 +492,9 @@ def _max_criterion_check(
         checked += 1
         for candidate in enumerate_tables(marg, cap=20):
             try:
-                value = evaluator(candidate)
+                drop = _maximum_violation(evaluator, ref_value, candidate)
             except UndefinedIndicatorError:
                 continue
-            drop = _one_sided_drop(value, ref_value)
             if drop > VIOLATION_TOL:
                 witness = {
                     "kind": "maximum",
@@ -505,6 +511,11 @@ def _max_criterion_check(
             notes="indicator undefined on every sampled reference matching",
         )
     return _report(criterion, tag, SATISFIED, None, checked)
+
+
+def _maximum_violation(evaluator, ref_value, candidate) -> float:
+    """How far ``candidate`` scores above the reference matching's value."""
+    return _one_sided_drop(evaluator(candidate), ref_value)
 
 
 def _random_small_marginals(rng, n: int) -> Marginals:
@@ -533,39 +544,31 @@ def _monotonicity_check(
     evaluator = indicator_evaluator(tag, criterion)
     rng = _rng_for(seed, criterion, tag)
     with_singles = tag == "msm"
-    shapes = ((2, 2),)
     for i in range(sample_count):
-        shape = shapes[i % len(shapes)]
-        subject = _random_table(rng, evaluator, shape, with_singles)
-        diag = rng.integers(1, 51, size=shape[0]).astype(float)
-        bumped_counts = (
-            subject.couples.counts if with_singles else subject.counts
-        ) + np.diag(diag)
-        if with_singles:
-            bumped = TableWithSingles(
-                subject.couples.with_counts(bumped_counts),
-                subject.single_men,
-                subject.single_women,
-            )
-        else:
-            bumped = subject.with_counts(bumped_counts)
+        subject = _random_table(rng, evaluator, (2, 2), with_singles)
+        diagonal = _diagonal_params(rng, subject)["diagonal"]
         try:
-            before = evaluator(subject)
-            after = evaluator(bumped)
+            drop = _monotonicity_violation(evaluator, subject, diagonal)
         except UndefinedIndicatorError:
             continue
-        drop = _one_sided_drop(before, after)
         if drop > VIOLATION_TOL:
             witness = {
                 "kind": "monotonicity",
                 "criterion": criterion,
                 "indicator": tag,
                 "subject": _table_payload(subject),
-                "diagonal": diag.tolist(),
+                "diagonal": diagonal,
                 "violation": drop,
             }
             return _report(criterion, tag, COUNTEREXAMPLE, witness, i + 1)
     return _report(criterion, tag, SATISFIED, None, sample_count)
+
+
+def _monotonicity_violation(evaluator, subject, diagonal) -> float:
+    """How far the evaluator drops when same-type couples are added."""
+    return _one_sided_drop(
+        evaluator(subject), evaluator(_bump_diagonal(subject, diagonal))
+    )
 
 
 def check_indicator(
@@ -715,23 +718,188 @@ def _feasible_method_instance(rng, method, shape=(2, 2)):
     raise RuntimeError("could not draw a feasible method instance")  # pragma: no cover
 
 
-def _method_equality_report(criterion, method, violation_at, sample_count, seed,
-                            notes=""):
-    rng = _rng_for(seed, criterion, method)
-    for i in range(sample_count):
-        outcome = violation_at(rng)
-        if outcome is None:
-            continue
-        violation, witness = outcome
-        if violation > VIOLATION_TOL:
-            witness.update({"criterion": criterion, "method": method,
-                            "violation": violation})
-            return _report(criterion, method, COUNTEREXAMPLE, witness, i + 1, notes)
-    return _report(criterion, method, SATISFIED, None, sample_count, notes)
-
-
 def _relative_cell_gap(a: np.ndarray, b: np.ndarray, scale: float) -> float:
     return float(np.abs(a - b).max() / max(scale, 1.0))
+
+
+# Gap functions: how far a method's fit departs from what the criterion
+# demands. The sampled checks and ``replay_witness`` call the same function;
+# ``base`` is the method's fit of (source, target, target_singles).
+
+def _scale_gap(method, source, target, target_singles, base, params) -> float:
+    """AC2: the fit of the ``alpha``-scaled problem is ``alpha`` times the fit."""
+    r = params["alpha"]
+    scaled_target = Marginals(target.row_sums * r, target.col_sums * r)
+    scaled_singles = None if target_singles is None else (
+        target_singles[0] * r, target_singles[1] * r
+    )
+    scaled = _run_method(method, source.scaled(r), scaled_target,
+                         target_singles=scaled_singles)
+    return _relative_cell_gap(
+        scaled.table.counts, base.table.counts * r, scaled_target.total
+    )
+
+
+def _transpose_gap(method, source, target, target_singles, base, params) -> float:
+    """AC3: the fit of the transposed problem is the transposed fit."""
+    target_t = Marginals(target.col_sums, target.row_sums)
+    singles_t = None if target_singles is None else (
+        target_singles[1], target_singles[0]
+    )
+    swapped = _run_method(method, source.transposed(), target_t,
+                          target_singles=singles_t)
+    return _relative_cell_gap(
+        swapped.table.counts, base.table.counts.T, target.total
+    )
+
+
+def _marginals_gap(method, source, target, target_singles, base, params) -> float:
+    """AC5: the fit reproduces the target margins; for the surplus-based
+    method, the target populations of couples plus singles."""
+    if method == "csa":
+        men = target.row_sums + target_singles[0]
+        women = target.col_sums + target_singles[1]
+        mu_m = np.array(base.diagnostics["single_men"])
+        mu_w = np.array(base.diagnostics["single_women"])
+        men_gap = np.abs(mu_m + base.table.counts.sum(axis=1) - men).max()
+        women_gap = np.abs(mu_w + base.table.counts.sum(axis=0) - women).max()
+        return max(men_gap, women_gap) / max(target.total, 1.0)
+    return cf._marginal_error(base.table.counts, target) / max(target.total, 1.0)
+
+
+def _monotonicity_gap(method, source, target, target_singles, base,
+                      params) -> float:
+    """AC8.1: adding same-type couples to the source never lowers the
+    fit's homogamy share."""
+    bumped = _run_method(method, _bump_diagonal(source, params["diagonal"]),
+                         target, target_singles=target_singles)
+    return homogamy_share(base.table) - homogamy_share(bumped.table)
+
+
+def _merge_gap(method, source, target, target_singles, row_part,
+               col_part) -> float:
+    """AC10: merging categories of the fit equals fitting the merged problem."""
+    def merged(values, partition):
+        return np.array([values[list(block)].sum() for block in partition])
+
+    full = _run_method(method, source, target, target_singles=target_singles)
+    merge = merge_with_singles if method == "csa" else merge_categories
+    merged_target = Marginals(
+        merged(target.row_sums, row_part), merged(target.col_sums, col_part)
+    )
+    merged_singles = None if target_singles is None else (
+        merged(target_singles[0], row_part), merged(target_singles[1], col_part)
+    )
+    coarse = _run_method(method, merge(source, row_part, col_part),
+                         merged_target, target_singles=merged_singles)
+    return _relative_cell_gap(
+        merge_categories(full.table, row_part, col_part).counts,
+        coarse.table.counts,
+        target.total,
+    )
+
+
+@dataclass(frozen=True)
+class _MethodCheck:
+    """One sampled method criterion: witness kind, gap function, the draw
+    of its own parameters after the instance (None for AC10, which draws
+    its instance and partitions itself), and the report notes."""
+
+    kind: str
+    gap: Callable[..., float]
+    params: Callable[[np.random.Generator, object], dict] | None
+    notes: str = ""
+
+
+_METHOD_CHECKS = {
+    "AC2": _MethodCheck("method-scale", _scale_gap, _scale_params),
+    "AC3": _MethodCheck("method-transpose", _transpose_gap, _no_params),
+    "AC5": _MethodCheck(
+        "method-marginals", _marginals_gap, _no_params,
+        notes="each method controls for marginal changes by construction; "
+        "checked as reproduction of the target margins",
+    ),
+    "AC8.1": _MethodCheck(
+        "method-monotonicity", _monotonicity_gap, _diagonal_params,
+        notes="checked on the implied counterfactual homogamy share",
+    ),
+    "AC10": _MethodCheck(
+        "method-merge", _merge_gap, None,
+        notes="merge commutation on random 3x3 and 4x3 tables; the "
+        "LL-preserving method runs in continuous rounding mode",
+    ),
+}
+
+
+def _target_of(target_table):
+    """Target margins and target singles (None without singles) of a table."""
+    if isinstance(target_table, TableWithSingles):
+        return marginals(target_table.couples), (
+            target_table.single_men, target_table.single_women
+        )
+    return marginals(target_table), None
+
+
+def _draw_instance(rng, method, check: _MethodCheck):
+    """Draw one sample: the gap function's arguments and the witness payload
+    they are rebuilt from."""
+    if check.params is None:
+        shape = (3, 3) if rng.integers(0, 2) else (4, 3)
+        with_singles = method == "csa"
+        source = _method_source(rng, shape, with_singles)
+        target_table = _method_source(rng, shape, with_singles)
+        row_part = _random_two_block_partition(rng, shape[0])
+        col_part = _random_two_block_partition(rng, shape[1])
+        payload = {
+            "source": _table_payload(source),
+            "target": _table_payload(target_table),
+            "row_partition": [list(b) for b in row_part],
+            "col_partition": [list(b) for b in col_part],
+        }
+        return (source, *_target_of(target_table), row_part, col_part), payload
+    source, target, singles, base = _feasible_method_instance(rng, method)
+    params = check.params(rng, source)
+    payload = {
+        "source": _table_payload(source),
+        "target_rows": target.row_sums.tolist(),
+        "target_cols": target.col_sums.tolist(),
+        **params,
+    }
+    if singles is not None:
+        payload["target_singles"] = [s.tolist() for s in singles]
+    return (source, target, singles, base, params), payload
+
+
+def _rebuild_instance(w: Mapping[str, object]) -> tuple:
+    """The gap function's arguments, rebuilt from a witness payload."""
+    source = _rebuild_subject(w["source"])
+    if w["kind"] == "method-merge":
+        target_table = _rebuild_subject(w["target"])
+        return (source, *_target_of(target_table),
+                w["row_partition"], w["col_partition"])
+    target = Marginals(np.array(w["target_rows"]), np.array(w["target_cols"]))
+    singles = w.get("target_singles")
+    if singles is not None:
+        singles = (np.array(singles[0]), np.array(singles[1]))
+    base = _run_method(w["method"], source, target, target_singles=singles)
+    return source, target, singles, base, w
+
+
+def _method_gap_check(criterion, method, sample_count, seed) -> CriterionReport:
+    check = _METHOD_CHECKS[criterion]
+    rng = _rng_for(seed, criterion, method)
+    for i in range(sample_count):
+        args, payload = _draw_instance(rng, method, check)
+        try:
+            violation = check.gap(method, *args)
+        except (InfeasibilityError, UndefinedIndicatorError):
+            continue
+        if violation > VIOLATION_TOL:
+            witness = {"kind": check.kind, **payload, "criterion": criterion,
+                       "method": method, "violation": violation}
+            return _report(criterion, method, COUNTEREXAMPLE, witness, i + 1,
+                           check.notes)
+    return _report(criterion, method, SATISFIED, None, sample_count, check.notes)
 
 
 def check_method(
@@ -759,177 +927,8 @@ def check_method(
             criterion, method, NOT_APPLICABLE,
             notes="undefined above 2x2, so merge commutation cannot be posed",
         )
-
-    if criterion == "AC2":
-        def violation_at(rng):
-            source, target, singles, base = _feasible_method_instance(rng, method)
-            r = float(rng.uniform(0.2, 5.0))
-            scaled_target = Marginals(target.row_sums * r, target.col_sums * r)
-            scaled_singles = None if singles is None else (
-                singles[0] * r, singles[1] * r
-            )
-            try:
-                scaled = _run_method(
-                    method, source.scaled(r), scaled_target,
-                    target_singles=scaled_singles,
-                )
-            except InfeasibilityError:
-                return None
-            gap = _relative_cell_gap(
-                scaled.table.counts, base.table.counts * r, scaled_target.total
-            )
-            return gap, {
-                "kind": "method-scale",
-                "source": _table_payload(source),
-                "target_rows": target.row_sums.tolist(),
-                "target_cols": target.col_sums.tolist(),
-                "alpha": r,
-            }
-        return _method_equality_report("AC2", method, violation_at,
-                                       sample_count, seed)
-
-    if criterion == "AC3":
-        def violation_at(rng):
-            source, target, singles, base = _feasible_method_instance(rng, method)
-            target_t = Marginals(target.col_sums, target.row_sums)
-            singles_t = None if singles is None else (singles[1], singles[0])
-            try:
-                swapped = _run_method(
-                    method, source.transposed(), target_t,
-                    target_singles=singles_t,
-                )
-            except InfeasibilityError:
-                return None
-            gap = _relative_cell_gap(
-                swapped.table.counts, base.table.counts.T, target.total
-            )
-            return gap, {
-                "kind": "method-transpose",
-                "source": _table_payload(source),
-                "target_rows": target.row_sums.tolist(),
-                "target_cols": target.col_sums.tolist(),
-            }
-        return _method_equality_report("AC3", method, violation_at,
-                                       sample_count, seed)
-
-    if criterion == "AC5":
-        def violation_at(rng):
-            source, target, singles, base = _feasible_method_instance(rng, method)
-            if method == "csa":
-                men = target.row_sums + singles[0]
-                women = target.col_sums + singles[1]
-                mu_m = np.array(base.diagnostics["single_men"])
-                mu_w = np.array(base.diagnostics["single_women"])
-                men_gap = np.abs(
-                    mu_m + base.table.counts.sum(axis=1) - men
-                ).max()
-                women_gap = np.abs(
-                    mu_w + base.table.counts.sum(axis=0) - women
-                ).max()
-                gap = max(men_gap, women_gap) / max(target.total, 1.0)
-            else:
-                gap = cf._marginal_error(base.table.counts, target) / max(
-                    target.total, 1.0
-                )
-            return gap, {
-                "kind": "method-marginals",
-                "source": _table_payload(source),
-                "target_rows": target.row_sums.tolist(),
-                "target_cols": target.col_sums.tolist(),
-            }
-        return _method_equality_report(
-            "AC5", method, violation_at, sample_count, seed,
-            notes="each method controls for marginal changes by construction; "
-            "checked as reproduction of the target margins",
-        )
-
-    if criterion == "AC8.1":
-        def violation_at(rng):
-            source, target, singles, base = _feasible_method_instance(rng, method)
-            couples = source.couples if isinstance(source, TableWithSingles) else source
-            diag = rng.integers(1, 51, size=couples.n_rows).astype(float)
-            bumped_counts = couples.counts + np.diag(diag)
-            bumped = (
-                TableWithSingles(couples.with_counts(bumped_counts),
-                                 source.single_men, source.single_women)
-                if isinstance(source, TableWithSingles)
-                else couples.with_counts(bumped_counts)
-            )
-            try:
-                bumped_fit = _run_method(method, bumped, target,
-                                         target_singles=singles)
-            except InfeasibilityError:
-                return None
-            drop = homogamy_share(base.table) - homogamy_share(bumped_fit.table)
-            return drop, {
-                "kind": "method-monotonicity",
-                "source": _table_payload(source),
-                "target_rows": target.row_sums.tolist(),
-                "target_cols": target.col_sums.tolist(),
-                "diagonal": diag.tolist(),
-            }
-        return _method_equality_report(
-            "AC8.1", method, violation_at, sample_count, seed,
-            notes="checked on the implied counterfactual homogamy share",
-        )
-
-    if criterion == "AC10":
-        def violation_at(rng):
-            shape = (3, 3) if rng.integers(0, 2) else (4, 3)
-            with_singles = method == "csa"
-            source = _method_source(rng, shape, with_singles)
-            target_table = _method_source(rng, shape, with_singles)
-            target = marginals(
-                target_table.couples if with_singles else target_table
-            )
-            singles = None
-            if with_singles:
-                singles = (target_table.single_men, target_table.single_women)
-            row_part = _random_two_block_partition(rng, shape[0])
-            col_part = _random_two_block_partition(rng, shape[1])
-            try:
-                full = _run_method(method, source, target, target_singles=singles)
-            except (InfeasibilityError, UndefinedIndicatorError):
-                return None
-            merged_source = (
-                merge_with_singles(source, row_part, col_part)
-                if with_singles else merge_categories(source, row_part, col_part)
-            )
-            merged_target_table = (
-                merge_with_singles(target_table, row_part, col_part)
-                if with_singles
-                else merge_categories(target_table, row_part, col_part)
-            )
-            merged_target = marginals(
-                merged_target_table.couples if with_singles else merged_target_table
-            )
-            merged_singles = None
-            if with_singles:
-                merged_singles = (
-                    merged_target_table.single_men,
-                    merged_target_table.single_women,
-                )
-            try:
-                coarse = _run_method(method, merged_source, merged_target,
-                                     target_singles=merged_singles)
-            except (InfeasibilityError, UndefinedIndicatorError):
-                return None
-            fine_then_merged = merge_categories(full.table, row_part, col_part)
-            gap = _relative_cell_gap(
-                fine_then_merged.counts, coarse.table.counts, target.total
-            )
-            return gap, {
-                "kind": "method-merge",
-                "source": _table_payload(source),
-                "target": _table_payload(target_table),
-                "row_partition": [list(b) for b in row_part],
-                "col_partition": [list(b) for b in col_part],
-            }
-        return _method_equality_report(
-            "AC10", method, violation_at, sample_count, seed,
-            notes="merge commutation on random 3x3 and 4x3 tables; the "
-            "LL-preserving method runs in continuous rounding mode",
-        )
+    if criterion in _METHOD_CHECKS:
+        return _method_gap_check(criterion, method, sample_count, seed)
 
     if criterion == "AC12":
         source = ContingencyTable(np.array(SIC_SOURCE))
@@ -990,9 +989,13 @@ def _random_two_block_partition(rng, size: int):
 def replay_witness(report: CriterionReport) -> float:
     """Recompute a counterexample witness's violation from its raw inputs.
 
-    Supports the numeric witness kinds; the crafted impossible-counterfactual
-    witness replays to infinity when the method failed to signal (there is no
-    defining equation to measure against) and the metadata kind to 1.
+    Replay rebuilds the inputs from the witness payload and runs the same
+    violation function as the check that drew them, so a numeric witness
+    replays to exactly the violation it records. Method witnesses of the
+    surplus-based method carry the drawn ``target_singles``. The crafted
+    impossible-counterfactual witness replays to infinity when the method
+    failed to signal (there is no defining equation to measure against)
+    and the metadata kind to 1.
     """
     w = report.witness
     if w is None:
@@ -1000,139 +1003,27 @@ def replay_witness(report: CriterionReport) -> float:
     kind = w["kind"]
     if kind == "metadata":
         return 1.0
-    if kind == "equality":
-        evaluator = indicator_evaluator(w["indicator"], w["criterion"])
-        subject = _rebuild_subject(w["subject"])
-        base = evaluator(subject)
-        variant = _replay_transform(subject, w)
-        other = evaluator(variant)
-        if w.get("compare_transposed"):
-            side = base.reshape(_matrix_shape(w["indicator"], subject))
-            base = side.T.ravel()
-        return _difference(base, other)
-    if kind == "maximum":
-        evaluator = indicator_evaluator(w["indicator"], w["criterion"])
-        return _one_sided_drop(
-            evaluator(_rebuild_subject(w["better"])),
-            evaluator(_rebuild_subject(w["reference"])),
-        )
-    if kind == "monotonicity":
-        evaluator = indicator_evaluator(w["indicator"], w["criterion"])
-        subject = _rebuild_subject(w["subject"])
-        couples = subject.couples if isinstance(subject, TableWithSingles) else subject
-        bumped_counts = couples.counts + np.diag(np.array(w["diagonal"]))
-        bumped = (
-            TableWithSingles(couples.with_counts(bumped_counts),
-                             subject.single_men, subject.single_women)
-            if isinstance(subject, TableWithSingles)
-            else couples.with_counts(bumped_counts)
-        )
-        return _one_sided_drop(evaluator(subject), evaluator(bumped))
     if kind == "sic":
         return 0.0 if w["signaled"] else math.inf
-    if kind.startswith("method-"):
-        return _replay_method_witness(w)
-    raise ValueError(f"unknown witness kind: {kind!r}")
-
-
-def _replay_transform(subject, w):
-    label = w["transform"]
-    params = w["params"]
-    if label == "scale":
-        return apply_perturbation(subject, MarginalPerturbation("scale", params["alpha"]))
-    if label == "transpose":
-        return subject.transposed()
-    if label == "rotate-categories":
-        couples = subject.couples if isinstance(subject, TableWithSingles) else subject
-        (a, b), (c, d) = couples.counts
-        return couples.with_counts(np.array([[d, c], [b, a]]))
-    if label.startswith("type"):
-        return apply_perturbation(subject, MarginalPerturbation(label, params["alpha"]))
-    if label == "rake":
-        couples = subject.couples if isinstance(subject, TableWithSingles) else subject
-        return cf.ipf_fit(
-            couples, Marginals(params["rows"], params["cols"]), tol=1e-12
-        ).table
-    raise ValueError(f"unknown transform: {label!r}")
-
-
-def _replay_method_witness(w) -> float:
-    method = w["method"]
-    source = _rebuild_subject(w["source"])
-    kind = w["kind"]
-    if kind == "method-merge":
-        target_table = _rebuild_subject(w["target"])
-        row_part = [tuple(b) for b in w["row_partition"]]
-        col_part = [tuple(b) for b in w["col_partition"]]
-        with_singles = isinstance(source, TableWithSingles)
-        target = marginals(
-            target_table.couples if with_singles else target_table
+    method_checks = {c.kind: c for c in _METHOD_CHECKS.values()}
+    if kind in method_checks:
+        return method_checks[kind].gap(w["method"], *_rebuild_instance(w))
+    if kind not in ("equality", "maximum", "monotonicity"):
+        raise ValueError(f"unknown witness kind: {kind!r}")
+    evaluator = indicator_evaluator(w["indicator"], w["criterion"])
+    if kind == "maximum":
+        return _maximum_violation(
+            evaluator,
+            evaluator(_rebuild_subject(w["reference"])),
+            _rebuild_subject(w["better"]),
         )
-        singles = None
-        if with_singles:
-            singles = (target_table.single_men, target_table.single_women)
-        full = _run_method(method, source, target, target_singles=singles)
-        merged_source = (
-            merge_with_singles(source, row_part, col_part)
-            if with_singles else merge_categories(source, row_part, col_part)
-        )
-        merged_target_table = (
-            merge_with_singles(target_table, row_part, col_part)
-            if with_singles else merge_categories(target_table, row_part, col_part)
-        )
-        merged_target = marginals(
-            merged_target_table.couples if with_singles else merged_target_table
-        )
-        merged_singles = None
-        if with_singles:
-            merged_singles = (
-                merged_target_table.single_men, merged_target_table.single_women
-            )
-        coarse = _run_method(method, merged_source, merged_target,
-                             target_singles=merged_singles)
-        return _relative_cell_gap(
-            merge_categories(full.table, row_part, col_part).counts,
-            coarse.table.counts,
-            target.total,
-        )
-    target = Marginals(np.array(w["target_rows"]), np.array(w["target_cols"]))
-    singles = None
-    if isinstance(source, TableWithSingles):
-        singles = (source.single_men, source.single_women)
-    base = _run_method(method, source, target, target_singles=singles)
-    if kind == "method-scale":
-        r = w["alpha"]
-        scaled_target = Marginals(target.row_sums * r, target.col_sums * r)
-        scaled_singles = None if singles is None else (
-            singles[0] * r, singles[1] * r
-        )
-        scaled = _run_method(method, source.scaled(r), scaled_target,
-                             target_singles=scaled_singles)
-        return _relative_cell_gap(
-            scaled.table.counts, base.table.counts * r, scaled_target.total
-        )
-    if kind == "method-transpose":
-        target_t = Marginals(target.col_sums, target.row_sums)
-        singles_t = None if singles is None else (singles[1], singles[0])
-        swapped = _run_method(method, source.transposed(), target_t,
-                              target_singles=singles_t)
-        return _relative_cell_gap(
-            swapped.table.counts, base.table.counts.T, target.total
-        )
-    if kind == "method-monotonicity":
-        couples = source.couples if isinstance(source, TableWithSingles) else source
-        bumped_counts = couples.counts + np.diag(np.array(w["diagonal"]))
-        bumped = (
-            TableWithSingles(couples.with_counts(bumped_counts),
-                             source.single_men, source.single_women)
-            if isinstance(source, TableWithSingles)
-            else couples.with_counts(bumped_counts)
-        )
-        bumped_fit = _run_method(method, bumped, target, target_singles=singles)
-        return homogamy_share(base.table) - homogamy_share(bumped_fit.table)
-    if kind == "method-marginals":
-        return cf._marginal_error(base.table.counts, target) / max(target.total, 1.0)
-    raise ValueError(f"unknown method witness kind: {kind!r}")
+    subject = _rebuild_subject(w["subject"])
+    if kind == "monotonicity":
+        return _monotonicity_violation(evaluator, subject, w["diagonal"])
+    return _equality_violation(
+        evaluator, w["indicator"], subject, evaluator(subject),
+        w["transform"], w["params"], w["compare_transposed"],
+    )
 
 
 def indicator_matrix(

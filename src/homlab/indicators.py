@@ -161,24 +161,6 @@ def regression(table: ContingencyTable) -> RegressionPair:
     return RegressionPair(beta_wm=det / (ab * cd), beta_mw=det / (ac * bd))
 
 
-def det_family(kind: str, table: ContingencyTable):
-    """Dispatch over the determinant-based measures.
-
-    ``kind`` is one of ``determinant``, ``covariance``, ``correlation`` or
-    ``regression``; the last returns a :class:`RegressionPair`, the others a
-    float.
-    """
-    funcs = {
-        "determinant": determinant,
-        "covariance": covariance,
-        "correlation": correlation,
-        "regression": regression,
-    }
-    if kind not in funcs:
-        raise ValueError(f"unknown det-family kind: {kind!r}")
-    return funcs[kind](table)
-
-
 def aggregate_msp(table: ContingencyTable) -> MspComponents:
     """Marital sorting parameters relative to random matching."""
     _require_2x2(table, "marital sorting parameter")

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import indicators as ind
+from .counterfactual import METHOD_TAGS
 from .decomposition import SEQUENTIAL, WITH_INTERACTION, decade_label, decompose
 from .errors import (
     ConvergenceError,
@@ -56,7 +57,6 @@ DEFAULT_LABELS = ("no_high_school", "high_school", "college")
 UNKNOWN_STATE = "UNKNOWN"
 
 SCALAR_INDICATORS = ("or", "det", "cov", "corr", "reg", "msp", "v", "ll")
-METHOD_MEASURES = ("ipf", "mdba", "meda", "csa", "nm")
 
 _ROUNDING_ALIASES = {
     "paper": ind.PAPER_INTEGER,
@@ -402,7 +402,7 @@ def _measure_delta(
     measure = config.resolved_measure
     early = panel.table(state, early_year)
     late = panel.table(state, late_year)
-    if measure in METHOD_MEASURES:
+    if measure in METHOD_TAGS:
         if measure == "csa":
             tws_early = panel.with_singles(state, early_year)
             tws_late = panel.with_singles(state, late_year)

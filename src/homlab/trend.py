@@ -46,7 +46,7 @@ class TrendStats:
     ``n_alpha``/``n_omega``: income-trend-consistent pairs in the first and
     second half of the alphabetically ordered states; ``n_s`` is their sum.
     ``n_total`` (with the per-half ``n_alpha_total``/``n_omega_total``)
-    counts all valid pairs.
+    counts all valid pairs. A quotient whose denominator is 0 is None.
     """
 
     n_u: int
@@ -62,20 +62,20 @@ class TrendStats:
             raise ValueError("income-consistent halves must add up")
 
     @property
-    def u_share(self) -> float:
-        return self.n_u / self.n_total if self.n_total else float("nan")
+    def u_share(self) -> float | None:
+        return self.n_u / self.n_total if self.n_total else None
 
     @property
-    def income_share(self) -> float:
-        return self.n_s / self.n_total if self.n_total else float("nan")
+    def income_share(self) -> float | None:
+        return self.n_s / self.n_total if self.n_total else None
 
     @property
-    def alpha_share(self) -> float:
-        return self.n_alpha / self.n_alpha_total if self.n_alpha_total else float("nan")
+    def alpha_share(self) -> float | None:
+        return self.n_alpha / self.n_alpha_total if self.n_alpha_total else None
 
     @property
-    def omega_share(self) -> float:
-        return self.n_omega / self.n_omega_total if self.n_omega_total else float("nan")
+    def omega_share(self) -> float | None:
+        return self.n_omega / self.n_omega_total if self.n_omega_total else None
 
 
 def _sign(x: float) -> int:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homlab import criteria
 from homlab.criteria import (
     COUNTEREXAMPLE,
     INDICATOR_CRITERIA,
@@ -20,7 +21,7 @@ from homlab.criteria import (
     replay_witness,
 )
 from homlab.errors import ShapeError
-from homlab.tables import ContingencyTable, TableWithSingles
+from homlab.tables import ContingencyTable
 
 
 def table(counts):
@@ -41,10 +42,6 @@ def test_perturbation_validation():
         MarginalPerturbation("scale", 0.0)
     with pytest.raises(ValueError):
         MarginalPerturbation("type2-row", 1.5)
-    with pytest.raises(ValueError):
-        MarginalPerturbation("vs-singles", singles_delta=(1, 2, 3))
-    with pytest.raises(ValueError):
-        MarginalPerturbation("is-singles", singles_delta=(1, -2, 3, 4))
 
 
 def test_apply_scale():
@@ -67,19 +64,6 @@ def test_apply_type_needs_2x2():
         apply_perturbation(
             table([[1, 2, 3], [4, 5, 6]]), MarginalPerturbation("type1-row", 2.0)
         )
-
-
-def test_apply_singles_kinds():
-    tws = TableWithSingles(BASE, [1, 2], [3, 4])
-    for kind in ("vs-singles", "is-singles"):
-        out = apply_perturbation(
-            tws, MarginalPerturbation(kind, singles_delta=(1, 2, 3, 4))
-        )
-        assert out.single_men.tolist() == [2, 4]
-        assert out.single_women.tolist() == [6, 8]
-        assert np.array_equal(out.couples.counts, BASE.counts)
-    with pytest.raises(ShapeError):
-        apply_perturbation(BASE, MarginalPerturbation("vs-singles", singles_delta=(1, 1, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +153,41 @@ def test_counterexample_witnesses_replay():
                     replay_witness(report), rel=1e-9, abs=1e-12
                 ) or math.isinf(replay_witness(report))
     assert flagged >= 15
+
+
+def _assert_witness_replays_exactly(report):
+    assert report.verdict == COUNTEREXAMPLE, report
+    recorded = report.witness["violation"]
+    replayed = replay_witness(report)
+    assert recorded == replayed or (math.isinf(recorded) and math.isinf(replayed)), (
+        report.criterion, report.subject, recorded, replayed
+    )
+
+
+def test_every_sampled_indicator_witness_replays_to_its_drawn_violation(monkeypatch):
+    # with no tolerance left every finite violation is a witness, including
+    # the large negative drops of a determinant that rises as it should
+    monkeypatch.setattr(criteria, "VIOLATION_TOL", -math.inf)
+    for criterion in ("AC2", "AC3", "AC4", "AC5.1", "AC5.2", "AC5.3",
+                      "AC6", "AC7", "AC8.1"):
+        for tag in INDICATOR_TAGS:
+            report = check_indicator(criterion, tag, sample_count=3, seed=0)
+            if report.verdict != NOT_APPLICABLE:
+                _assert_witness_replays_exactly(report)
+
+
+def test_every_sampled_method_witness_replays_to_its_drawn_violation(monkeypatch):
+    monkeypatch.setattr(criteria, "VIOLATION_TOL", -math.inf)
+    for criterion in ("AC2", "AC3", "AC5", "AC8.1", "AC10"):
+        for tag in METHOD_TAGS:
+            report = check_method(criterion, tag, sample_count=3, seed=0)
+            if (criterion, tag) == ("AC10", "mdba"):
+                assert report.verdict == NOT_APPLICABLE
+                continue
+            _assert_witness_replays_exactly(report)
+            assert ("target_singles" in report.witness) == (
+                tag == "csa" and criterion != "AC10"
+            )
 
 
 def test_reports_are_deterministic():

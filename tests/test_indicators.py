@@ -17,7 +17,6 @@ from homlab.indicators import (
     aggregate_msp,
     correlation,
     covariance,
-    det_family,
     determinant,
     gll,
     ll_simplified,
@@ -65,17 +64,12 @@ def test_odds_ratio_zero_and_undefined_cases():
 
 
 def test_det_family_values():
-    assert det_family("determinant", BASE) == 1000
-    assert det_family("correlation", BASE) == pytest.approx(0.40825, abs=1e-5)
-    assert det_family("covariance", INDEP) == 0
-    pair = det_family("regression", BASE)
+    assert determinant(BASE) == 1000
+    assert correlation(BASE) == pytest.approx(0.40825, abs=1e-5)
+    assert covariance(INDEP) == 0
+    pair = regression(BASE)
     assert pair.beta_wm == pytest.approx(1000 / (50 * 50))
     assert pair.beta_mw == pytest.approx(1000 / (60 * 40))
-
-
-def test_det_family_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        det_family("slope", BASE)
 
 
 def test_indicators_require_2x2():

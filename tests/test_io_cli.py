@@ -347,6 +347,10 @@ def test_cli_decompose_divergence(tmp_path):
     assert effect(out_ipf) < 0 < effect(out_nm)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_cli_decompose_and_trend_report_non_converging_fits(tmp_path):
     cfg = config_file(tmp_path, method="ipf", max_iter=2)
     out = tmp_path / "out"
@@ -359,8 +363,10 @@ def test_cli_decompose_and_trend_report_non_converging_fits(tmp_path):
         ",excluded: ConvergenceError: IPF did not reach tol=1e-10 in 2 sweeps "
         "(residual 2.77)"
     )
-    stats = json.loads((out / "trend_stats.json").read_text())
+    stats = json.loads((out / "trend_stats.json").read_text(),
+                       parse_constant=_reject_constant)
     assert stats["N"] == 0
+    assert stats["n_u_over_N"] is None and stats["n_s_over_N"] is None
     assert any(p.startswith("Example/1980s: ConvergenceError:")
                for p in stats["excluded_pairs"])
 
