@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import groupby
 from pathlib import Path
 
 import click
@@ -18,15 +19,15 @@ import numpy as np
 
 from . import counterfactual as cf
 from . import criteria as cr
-from .decomposition import cumulative_series, decade_label
+from .decomposition import cumulate, decade_label
 from .errors import (
     ConvergenceError,
     DataError,
-    HomlabError,
     InfeasibilityError,
     UndefinedIndicatorError,
 )
 from .io import (
+    NATIONAL,
     RunConfig,
     cut_partition,
     decade_changes,
@@ -38,9 +39,9 @@ from .io import (
     load_income,
     load_singles,
     marginals_of_unit,
-    units,
+    unit_decade_changes,
 )
-from .tables import merge_with_singles
+from .tables import homogamy_share, merge_with_singles
 from .trend import score
 
 
@@ -222,7 +223,7 @@ def _counterfactual_subject(panel, config, state, year):
     if config.method.lower() == "csa":
         subject = (
             panel.with_singles(state, year)
-            if state != "US"
+            if state != NATIONAL
             else None
         )
         if subject is None:
@@ -233,7 +234,7 @@ def _counterfactual_subject(panel, config, state, year):
             parts = cut_partition(config.categories)
             subject = merge_with_singles(subject, parts, parts)
         return subject
-    table = panel.national(year) if state == "US" else panel.table(state, year)
+    table = panel.unit_table(state, year)
     if table is None:
         raise DataError(f"no table for ({state}, {year})")
     return dichotomize(table, config.categories)
@@ -320,31 +321,24 @@ def trend(**params):
 
     series_rows = []
     if config.resolved_measure in cf.METHOD_TAGS:
-        for unit, lookup in units(panel):
-            tables = {year: lookup(year) for year in config.waves}
-            tables = {year: t for year, t in tables.items() if t is not None}
-            if len(tables) < 2:
+        national, _ = unit_decade_changes(panel, config, NATIONAL)
+        for unit, unit_changes in groupby(national + changes, lambda c: c.state):
+            tables = {year: panel.unit_table(unit, year) for year in config.waves}
+            present = [year for year, table in tables.items() if table is not None]
+            if len(present) < 2:
                 continue
-            cut = {
-                year: dichotomize(table, config.categories)
-                for year, table in tables.items()
-            }
-            try:
-                series = cumulative_series(
-                    config.waves, cut, config.resolved_measure,
-                    config.resolved_scheme, config.rounding, config.tol,
-                    config.max_iter,
-                )
-            except HomlabError:
-                continue
+            anchor = homogamy_share(dichotomize(tables[present[0]], config.categories))
+            series = cumulate(
+                config.waves, present[0], anchor,
+                {c.decade: c.delta if c.valid else None for c in unit_changes},
+            )
             for year in config.waves:
-                if year in series.cumulative:
-                    series_rows.append({
-                        "state": unit,
-                        "year": year,
-                        "cumulative": series.cumulative[year],
-                        "effect": series.effects.get(decade_label(year), ""),
-                    })
+                series_rows.append({
+                    "state": unit,
+                    "year": year,
+                    "cumulative": series.cumulative[year],
+                    "effect": series.effects.get(decade_label(year), ""),
+                })
     else:
         for row in indicator_rows(panel, config):
             value = row.get(config.resolved_measure, "")

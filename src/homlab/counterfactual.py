@@ -45,6 +45,7 @@ from .tables import (
     ContingencyTable,
     Marginals,
     TableWithSingles,
+    couples_of,
     marginals,
     pam_match,
     random_match,
@@ -446,7 +447,7 @@ def fit(
         men = np.asarray(target.row_sums, dtype=float) + np.asarray(singles[0], float)
         women = np.asarray(target.col_sums, dtype=float) + np.asarray(singles[1], float)
         return csa_fit(source, men, women, tol=min(tol, 1e-11), max_iter=max_iter)
-    couples = source.couples if isinstance(source, TableWithSingles) else source
+    couples = couples_of(source)
     if tag == "ipf":
         return ipf_fit(couples, target, tol=tol, max_iter=max_iter)
     if tag == "mdba":

@@ -48,6 +48,7 @@ from .tables import (
     ContingencyTable,
     Marginals,
     TableWithSingles,
+    couples_of,
     enumerate_tables,
     homogamy_share,
     marginals,
@@ -131,7 +132,7 @@ def apply_perturbation(
     """Apply a marginal perturbation, preserving the input type."""
     if p.kind == "scale":
         return table.scaled(p.alpha)
-    couples = _couples(table)
+    couples = couples_of(table)
     if couples.n_rows != 2 or couples.n_cols != 2:
         raise ShapeError("type-1/type-2 perturbations are defined for 2x2 tables")
     (a, b), (c, d) = couples.counts
@@ -147,11 +148,6 @@ def apply_perturbation(
     return _with_couples(table, couples.with_counts(np.array(counts, dtype=float)))
 
 
-def _couples(subject) -> ContingencyTable:
-    """The couples table of a plain table or of a table with singles."""
-    return subject.couples if isinstance(subject, TableWithSingles) else subject
-
-
 def _with_couples(subject, couples: ContingencyTable):
     """``couples`` in place of ``subject``'s couples, singles kept."""
     if isinstance(subject, TableWithSingles):
@@ -161,7 +157,7 @@ def _with_couples(subject, couples: ContingencyTable):
 
 def _bump_diagonal(subject, diagonal):
     """``subject`` with ``diagonal`` same-type couples added, singles kept."""
-    couples = _couples(subject)
+    couples = couples_of(subject)
     return _with_couples(
         subject, couples.with_counts(couples.counts + np.diag(diagonal))
     )
@@ -196,32 +192,32 @@ def indicator_evaluator(tag: str, criterion: str) -> Callable[[object], np.ndarr
     flooring the random benchmark is ill-posed.
     """
     if tag == "or":
-        return lambda s: np.array([ind.odds_ratio(_couples(s))])
+        return lambda s: np.array([ind.odds_ratio(couples_of(s))])
     if tag == "det":
-        return lambda s: np.array([_det_any(_couples(s))])
+        return lambda s: np.array([_det_any(couples_of(s))])
     if tag == "cov":
-        return lambda s: np.array([ind.covariance(_couples(s))])
+        return lambda s: np.array([ind.covariance(couples_of(s))])
     if tag == "corr":
-        return lambda s: np.array([ind.correlation(_couples(s))])
+        return lambda s: np.array([ind.correlation(couples_of(s))])
     if tag == "reg":
         def _reg(s):
-            pair = ind.regression(_couples(s))
+            pair = ind.regression(couples_of(s))
             return np.array([pair.beta_wm, pair.beta_mw])
         return _reg
     if tag == "msp":
         local = criterion in _MSP_LOCAL_CRITERIA
         def _msp(s):
-            parts = ind.aggregate_msp(_couples(s))
+            parts = ind.aggregate_msp(couples_of(s))
             return np.array([parts.msp_l if local else parts.aggregate])
         return _msp
     if tag == "v":
-        return lambda s: np.array([ind.v_value(_couples(s))])
+        return lambda s: np.array([ind.v_value(couples_of(s))])
     if tag == "ll":
         return lambda s: np.array(
-            [ind.ll_simplified(_couples(s), ind.CONTINUOUS).value]
+            [ind.ll_simplified(couples_of(s), ind.CONTINUOUS).value]
         )
     if tag == "gll":
-        return lambda s: ind.gll(_couples(s), ind.CONTINUOUS).ravel()
+        return lambda s: ind.gll(couples_of(s), ind.CONTINUOUS).ravel()
     if tag == "msm":
         def _msm(s):
             if not isinstance(s, TableWithSingles):
@@ -396,17 +392,17 @@ def _transform(subject, label: str, params: Mapping[str, object]):
     if label == "transpose":
         return subject.transposed()
     if label == "rotate-categories":
-        couples = _couples(subject)
+        couples = couples_of(subject)
         (a, b), (c, d) = couples.counts
         return couples.with_counts(np.array([[d, c], [b, a]]))
     if label == "rake":
         target = Marginals(params["rows"], params["cols"])
-        return cf.ipf_fit(_couples(subject), target, tol=1e-12).table
+        return cf.ipf_fit(couples_of(subject), target, tol=1e-12).table
     return apply_perturbation(subject, MarginalPerturbation(label, params["alpha"]))
 
 
 def _matrix_shape(tag: str, subject) -> tuple[int, int]:
-    couples = _couples(subject)
+    couples = couples_of(subject)
     if tag == "msm":
         return couples.n_rows, couples.n_cols
     if tag == "gll":
@@ -423,7 +419,7 @@ def _scale_params(rng, subject) -> dict:
 
 
 def _diagonal_params(rng, subject) -> dict:
-    diagonal = rng.integers(1, 51, size=_couples(subject).n_rows).astype(float)
+    diagonal = rng.integers(1, 51, size=couples_of(subject).n_rows).astype(float)
     return {"diagonal": diagonal.tolist()}
 
 
@@ -450,7 +446,7 @@ def _type2_transforms(rng, subject):
 
 
 def _raking_transforms(rng, subject):
-    couples = _couples(subject)
+    couples = couples_of(subject)
     if np.any(couples.counts.sum(axis=1) == 0) or np.any(couples.counts.sum(axis=0) == 0):
         return []
     total = int(rng.integers(40, 200))

@@ -23,7 +23,13 @@ from typing import Mapping, Sequence
 from .counterfactual import fit
 from .errors import InsufficientDataError, ShapeError
 from .indicators import PAPER_INTEGER
-from .tables import ContingencyTable, TableWithSingles, homogamy_share, marginals
+from .tables import (
+    ContingencyTable,
+    TableWithSingles,
+    couples_of,
+    homogamy_share,
+    marginals,
+)
 
 SEQUENTIAL = "sequential"
 WITH_INTERACTION = "with-interaction"
@@ -49,10 +55,10 @@ class TrendSeries:
     """Observed anchor level plus cumulated sorting-only effects per wave.
 
     ``effects[decade]`` is the non-structural effect of that decade's
-    generation change (None when a wave is missing). ``cumulative[year]`` is
-    the anchor value plus all effects up to that wave; once a decade is
-    missing, later waves cannot be anchored and stay None (gaps are not
-    interpolated).
+    generation change (None when the decade is missing or excluded).
+    ``cumulative[year]`` is the anchor value plus all effects up to that
+    wave; once a decade is missing or excluded, later waves cannot be
+    anchored and stay None (gaps are not interpolated).
     """
 
     anchor_year: int
@@ -61,12 +67,8 @@ class TrendSeries:
     cumulative: Mapping[int, float | None]
 
 
-def _couples(table: ContingencyTable | TableWithSingles) -> ContingencyTable:
-    return table.couples if isinstance(table, TableWithSingles) else table
-
-
 def _fit_onto(source, target_table, method: str, rounding: str, tol, max_iter):
-    target = marginals(_couples(target_table))
+    target = marginals(couples_of(target_table))
     if method.lower() == "csa":
         if not isinstance(source, TableWithSingles) or not isinstance(
             target_table, TableWithSingles
@@ -100,7 +102,7 @@ def decompose(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
-    early_c, late_c = _couples(early), _couples(late)
+    early_c, late_c = couples_of(early), couples_of(late)
     if early_c.row_labels != late_c.row_labels or early_c.col_labels != late_c.col_labels:
         raise ShapeError("generation tables must share category labels")
 
@@ -159,32 +161,44 @@ def cumulative_series(
     present = [y for y in waves if y in tables]
     if len(present) < 2:
         raise InsufficientDataError("need at least two waves to build a trend series")
-    anchor_year = present[0]
-    anchor_value = homogamy_share(_couples(tables[anchor_year]))
+    effects = {
+        decade_label(prev): (
+            decompose(
+                tables[prev], tables[cur], method, scheme, rounding, tol, max_iter
+            ).nonstructural_effect
+            if prev in tables and cur in tables
+            else None
+        )
+        for prev, cur in zip(waves, waves[1:])
+    }
+    anchor_value = homogamy_share(couples_of(tables[present[0]]))
+    return cumulate(waves, present[0], anchor_value, effects)
 
-    effects: dict[str, float | None] = {}
-    cumulative: dict[int, float | None] = {}
+
+def cumulate(
+    waves: Sequence[int],
+    anchor_year: int,
+    anchor_value: float,
+    effects: Mapping[str, float | None],
+) -> TrendSeries:
+    """Add up per-decade effects on top of the anchor wave's share.
+
+    ``effects`` maps each decade label of the ``waves`` grid to its effect,
+    None for a missing or excluded decade. Waves before the anchor, and
+    every wave from the end of a gap on, get a None cumulative value.
+    """
+    cumulative: dict[int, float | None] = {waves[0]: None}
     running: float | None = None
     for prev, cur in zip(waves, waves[1:]):
-        label = decade_label(prev)
         if prev == anchor_year:
             running = anchor_value
             cumulative[prev] = anchor_value
-        elif prev not in tables:
-            cumulative.setdefault(prev, None)
-        if prev in tables and cur in tables:
-            effect = decompose(
-                tables[prev], tables[cur], method, scheme, rounding, tol, max_iter
-            ).nonstructural_effect
-            effects[label] = effect
-            running = None if running is None else running + effect
-        else:
-            effects[label] = None
-            running = None
+        effect = effects[decade_label(prev)]
+        running = None if running is None or effect is None else running + effect
         cumulative[cur] = running
     return TrendSeries(
         anchor_year=anchor_year,
         anchor_value=anchor_value,
-        effects=effects,
+        effects=dict(effects),
         cumulative=cumulative,
     )

@@ -55,6 +55,7 @@ CATEGORY_SCHEMES = (THREE_LEVEL, HS_CUT, COLLEGE_CUT)
 DEFAULT_WAVES = (1960, 1970, 1980, 1990, 2000, 2010)
 DEFAULT_LABELS = ("no_high_school", "high_school", "college")
 UNKNOWN_STATE = "UNKNOWN"
+NATIONAL = "US"
 
 SCALAR_INDICATORS = ("or", "det", "cov", "corr", "reg", "msp", "v", "ll")
 
@@ -151,6 +152,10 @@ class PanelDataset:
         return ContingencyTable(
             np.sum(parts, axis=0), reference.row_labels, reference.col_labels
         )
+
+    def unit_table(self, unit: str, year: int) -> ContingencyTable | None:
+        """One wave of a state, or of the national aggregate ``US``."""
+        return self.national(year) if unit == NATIONAL else self.table(unit, year)
 
     def with_singles(self, state: str, year: int) -> TableWithSingles | None:
         table = self.table(state, year)
@@ -343,11 +348,9 @@ def _scalar_indicator(tag: str, table: ContingencyTable, rounding: str) -> float
     raise ValueError(f"unknown scalar indicator tag: {tag!r}")
 
 
-def units(panel: PanelDataset):
+def units(panel: PanelDataset) -> tuple[str, ...]:
     """National aggregate first, then states in sorted order."""
-    yield "US", (lambda year: panel.national(year))
-    for state in panel.states:
-        yield state, (lambda year, s=state: panel.table(s, year))
+    return (NATIONAL, *panel.states)
 
 
 def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
@@ -359,9 +362,9 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
     matrix, come through as empty strings.
     """
     rows = []
-    for unit, lookup in units(panel):
+    for unit in units(panel):
         for year in config.waves:
-            table = lookup(year)
+            table = panel.unit_table(unit, year)
             if table is None:
                 continue
             row: dict[str, object] = {"state": unit, "year": year}
@@ -387,43 +390,51 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
     return rows
 
 
-def _measure_delta(
-    panel: PanelDataset,
-    config: RunConfig,
-    state: str,
-    early_year: int,
-    late_year: int,
-):
-    """Signed change of the configured measure over one decade.
+# pairs that these errors make impossible are reported, not raised
+_EXCLUDED = (
+    UndefinedIndicatorError,
+    InfeasibilityError,
+    ConvergenceError,
+    ShapeError,
+    DataError,
+)
+
+
+def _cut(panel: PanelDataset, config: RunConfig, unit: str, year: int, table):
+    """One present wave on the configured divide.
+
+    For ``csa`` it is the table with its singles, or None without them.
+    """
+    if config.resolved_measure != "csa":
+        return dichotomize(table, config.categories)
+    with_singles = panel.with_singles(unit, year)
+    if with_singles is None or config.categories == THREE_LEVEL:
+        return with_singles
+    parts = cut_partition(config.categories)
+    return merge_with_singles(with_singles, parts, parts)
+
+
+def _measure_delta(config: RunConfig, early, late):
+    """Signed change of the configured measure between two cut waves.
 
     Returns ``(delta, decomposition-or-None)``; raises package errors when
-    the measure is undefined or the counterfactual infeasible.
+    a wave could not be cut, the measure is undefined or the counterfactual
+    infeasible.
     """
     measure = config.resolved_measure
-    early = panel.table(state, early_year)
-    late = panel.table(state, late_year)
+    if measure == "csa" and (early is None or late is None):
+        raise DataError("the surplus-based method needs singles counts")
+    if measure not in METHOD_TAGS and measure not in SCALAR_INDICATORS:
+        raise DataError(f"unknown measure: {measure!r}")
+    for cut in (early, late):
+        if isinstance(cut, Exception):
+            raise cut
     if measure in METHOD_TAGS:
-        if measure == "csa":
-            tws_early = panel.with_singles(state, early_year)
-            tws_late = panel.with_singles(state, late_year)
-            if tws_early is None or tws_late is None:
-                raise DataError("the surplus-based method needs singles counts")
-            if config.categories == THREE_LEVEL:
-                cut_early, cut_late = tws_early, tws_late
-            else:
-                parts = cut_partition(config.categories)
-                cut_early = merge_with_singles(tws_early, parts, parts)
-                cut_late = merge_with_singles(tws_late, parts, parts)
-        else:
-            cut_early = dichotomize(early, config.categories)
-            cut_late = dichotomize(late, config.categories)
-            if measure == "mdba" and cut_early.n_rows != 2:
-                raise DataError(
-                    "the determinant-based method needs a two-level divide"
-                )
+        if measure == "mdba" and early.n_rows != 2:
+            raise DataError("the determinant-based method needs a two-level divide")
         result = decompose(
-            cut_early,
-            cut_late,
+            early,
+            late,
             method=measure,
             scheme=config.resolved_scheme,
             rounding=config.rounding,
@@ -431,60 +442,69 @@ def _measure_delta(
             max_iter=config.max_iter,
         )
         return result.nonstructural_effect, result
-    if measure not in SCALAR_INDICATORS:
-        raise DataError(f"unknown measure: {measure!r}")
-    cut_early = dichotomize(early, config.categories)
-    cut_late = dichotomize(late, config.categories)
-    if cut_early.n_rows != 2:
+    if early.n_rows != 2:
         raise DataError("scalar indicators need a two-level divide")
     return (
-        _scalar_indicator(measure, cut_late, config.rounding)
-        - _scalar_indicator(measure, cut_early, config.rounding),
+        _scalar_indicator(measure, late, config.rounding)
+        - _scalar_indicator(measure, early, config.rounding),
         None,
     )
+
+
+def unit_decade_changes(panel: PanelDataset, config: RunConfig, unit: str):
+    """One unit's decade changes of the configured measure, each computed once.
+
+    ``unit`` is a state or the national aggregate ``US``. Each present wave
+    is cut once, then each adjacent pair is decomposed or evaluated once.
+    Pairs with a missing endpoint wave, an undefined measure, an infeasible
+    or non-converging counterfactual, or tables of the wrong shape for the
+    method are returned invalid with the reason attached, never silently
+    dropped. Returns the changes in decade order and the decompositions of
+    the valid pairs, keyed by ``(unit, decade)``.
+    """
+    cuts = {}
+    for year in config.waves:
+        table = panel.unit_table(unit, year)
+        if table is None:
+            continue
+        try:
+            cuts[year] = _cut(panel, config, unit, year, table)
+        except _EXCLUDED as exc:
+            cuts[year] = exc
+    changes: list[DecadeChange] = []
+    details: dict[tuple[str, str], object] = {}
+    for early_year, late_year in zip(config.waves, config.waves[1:]):
+        decade = decade_label(early_year)
+        if early_year not in cuts or late_year not in cuts:
+            changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
+            continue
+        try:
+            delta, detail = _measure_delta(config, cuts[early_year], cuts[late_year])
+        except _EXCLUDED as exc:
+            changes.append(
+                DecadeChange(
+                    unit, decade, None, False, f"{type(exc).__name__}: {exc}"
+                )
+            )
+            continue
+        changes.append(DecadeChange(unit, decade, float(delta)))
+        if detail is not None:
+            details[(unit, decade)] = detail
+    return changes, details
 
 
 def decade_changes(panel: PanelDataset, config: RunConfig):
     """Per-state decade changes of the configured measure.
 
-    Pairs with a missing endpoint wave, an undefined measure, an infeasible
-    or non-converging counterfactual, or tables of the wrong shape for the
-    method are returned invalid with the reason attached, never silently
-    dropped.
+    :func:`unit_decade_changes` over every state in order; the national
+    aggregate is not included.
     """
     changes: list[DecadeChange] = []
     details: dict[tuple[str, str], object] = {}
     for state in panel.states:
-        for early_year, late_year in zip(config.waves, config.waves[1:]):
-            decade = decade_label(early_year)
-            if panel.table(state, early_year) is None or panel.table(
-                state, late_year
-            ) is None:
-                changes.append(
-                    DecadeChange(state, decade, None, False, "missing wave")
-                )
-                continue
-            try:
-                delta, detail = _measure_delta(
-                    panel, config, state, early_year, late_year
-                )
-            except (
-                UndefinedIndicatorError,
-                InfeasibilityError,
-                ConvergenceError,
-                ShapeError,
-                DataError,
-            ) as exc:
-                changes.append(
-                    DecadeChange(
-                        state, decade, None, False,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            changes.append(DecadeChange(state, decade, float(delta)))
-            if detail is not None:
-                details[(state, decade)] = detail
+        state_changes, state_details = unit_decade_changes(panel, config, state)
+        changes += state_changes
+        details.update(state_details)
     return changes, details
 
 
@@ -492,7 +512,7 @@ def marginals_of_unit(panel: PanelDataset, config: RunConfig, state: str, year: 
     """Marginals of one unit's table on the configured divide."""
     from .tables import marginals
 
-    table = panel.national(year) if state == "US" else panel.table(state, year)
+    table = panel.unit_table(state, year)
     if table is None:
         raise DataError(f"no table for ({state}, {year})")
     return marginals(dichotomize(table, config.categories))

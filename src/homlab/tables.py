@@ -144,6 +144,11 @@ class TableWithSingles:
         )
 
 
+def couples_of(subject: ContingencyTable | TableWithSingles) -> ContingencyTable:
+    """The couples table of a table with or without singles."""
+    return subject.couples if isinstance(subject, TableWithSingles) else subject
+
+
 @dataclass(frozen=True)
 class Marginals:
     """Row sums, column sums and grand total of a table (the structural factor)."""

@@ -91,11 +91,17 @@ def classify_u_shape(deltas: Mapping[str, float]) -> dict[str, bool]:
     """
     flags = {}
     for decade, delta in deltas.items():
-        expected = U_SHAPE_SIGNS.get(decade)
-        if expected is None:
-            continue
-        flags[decade] = _sign(delta) == expected
+        flag = _u_shape_flag(decade, delta)
+        if flag is not None:
+            flags[decade] = flag
     return flags
+
+
+def _u_shape_flag(decade: str, delta: float) -> bool | None:
+    """Whether ``delta`` has the template's sign for ``decade``; None for a
+    decade outside the template."""
+    expected = U_SHAPE_SIGNS.get(decade)
+    return None if expected is None else _sign(delta) == expected
 
 
 def income_consistency(
@@ -151,8 +157,7 @@ def score(
             n_alpha_total += 1
         else:
             n_omega_total += 1
-        expected = U_SHAPE_SIGNS.get(change.decade)
-        if expected is not None and _sign(change.delta) == expected:
+        if _u_shape_flag(change.decade, change.delta):
             n_u += 1
         if income_flags.get((change.state, change.decade)):
             if first_half:

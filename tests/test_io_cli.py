@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -464,3 +465,98 @@ def test_cli_decompose_rejects_indicator_measure(tmp_path):
         "--out", str(tmp_path / "x"),
     ])
     assert result.exit_code != 0
+
+
+def read_rows(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_cli_trend_csa_series_covers_every_unit(tmp_path):
+    lines = ["year,state,sex,edu,count"]
+    for year in (1960, 1970, 1980, 1990, 2000, 2010):
+        for i, state in enumerate(("Alabama", "Missouri", "Texas")):
+            for sex, edu, count in (("m", "L", 12), ("m", "H", 9),
+                                    ("w", "L", 10), ("w", "H", 11)):
+                lines.append(f"{year},{state},{sex},{edu},{count + i + year % 7}")
+    singles = write(tmp_path / "singles.csv", "\n".join(lines) + "\n")
+    cfg = config_file(tmp_path, method="csa")
+    out = tmp_path / "out"
+    for command in ("decompose", "trend"):
+        cli(command, "--config", cfg,
+            "--couples", FIXTURES / "synthetic_panel.csv", "--singles", singles,
+            "--out", out)
+    decomposition = read_rows(out / "decomposition.csv")
+    assert {row["status"] for row in decomposition} == {"ok"}
+    series = read_rows(out / "trend_series.csv")
+    # one row per (unit, wave), the national aggregate first
+    assert [(row["state"], row["year"]) for row in series] == [
+        (unit, str(year))
+        for unit in ("US", "Alabama", "Missouri", "Texas")
+        for year in (1960, 1970, 1980, 1990, 2000, 2010)
+    ]
+    effects = {(row["state"], f"{row['year']}s"): row["effect"] for row in series}
+    for row in decomposition:
+        assert effects[(row["state"], row["decade"])] == row["nonstructural"]
+    # the national aggregate has no singles: its decades are gaps
+    national = [row for row in series if row["state"] == "US"]
+    assert national[0]["cumulative"] != ""
+    assert all(row["effect"] == "" for row in national)
+    assert all(row["cumulative"] == "" for row in national[1:])
+
+
+def test_cli_trend_series_keeps_a_unit_with_an_infeasible_decade(tmp_path):
+    # 1970 -> 1980 carries a negative-sorting table onto skewed margins,
+    # which the LL-preserving fit cannot do; the decades around it can
+    tables = {
+        1960: [[30, 10], [10, 50]],
+        1970: [[1, 9], [9, 81]],
+        1980: [[10, 30], [30, 30]],
+        1990: [[30, 20], [20, 30]],
+    }
+    lines = ["year,state,husband_edu,wife_edu,count"]
+    for year, ((a, b), (c, d)) in tables.items():
+        lines += [f"{year},Example,L,L,{a}", f"{year},Example,L,H,{b}",
+                  f"{year},Example,H,L,{c}", f"{year},Example,H,H,{d}"]
+    couples = write(tmp_path / "couples.csv", "\n".join(lines) + "\n")
+    cfg = config_file(tmp_path, method="nm", waves=list(tables))
+    out = tmp_path / "out"
+    for command in ("decompose", "trend"):
+        cli(command, "--config", cfg, "--couples", couples, "--out", out)
+    status = {row["decade"]: row for row in read_rows(out / "decomposition.csv")}
+    assert status["1970s"]["status"].startswith("excluded: InfeasibilityError")
+    series = [row for row in read_rows(out / "trend_series.csv")
+              if row["state"] == "Example"]
+    assert [row["year"] for row in series] == ["1960", "1970", "1980", "1990"]
+    assert [row["effect"] for row in series] == [
+        status["1960s"]["nonstructural"], "", status["1980s"]["nonstructural"], "",
+    ]
+    assert float(series[0]["cumulative"]) == pytest.approx(0.8)
+    assert float(series[1]["cumulative"]) == pytest.approx(
+        0.8 + float(status["1960s"]["nonstructural"])
+    )
+    assert series[2]["cumulative"] == series[3]["cumulative"] == ""
+
+
+def test_cli_trend_decomposes_each_unit_decade_once(tmp_path, monkeypatch):
+    import homlab.decomposition
+    import homlab.io
+
+    calls = []
+    original = homlab.decomposition.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(homlab.io, "decompose", counting)
+    monkeypatch.setattr(homlab.decomposition, "decompose", counting)
+    rows = (FIXTURES / "synthetic_panel.csv").read_text().splitlines()
+    couples = write(
+        tmp_path / "couples.csv",
+        "\n".join(row for row in rows if not row.startswith("1970,Texas,")) + "\n",
+    )
+    cfg = config_file(tmp_path, method="nm")
+    cli("trend", "--config", cfg, "--couples", couples, "--out", tmp_path / "out")
+    # 5 decades for US, Alabama and Missouri; Texas lacks 1970, so 3
+    assert len(calls) == 3 * 5 + 3
