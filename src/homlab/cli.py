@@ -19,29 +19,25 @@ import numpy as np
 
 from . import counterfactual as cf
 from . import criteria as cr
-from .decomposition import cumulate, decade_label
-from .errors import (
-    ConvergenceError,
-    DataError,
-    InfeasibilityError,
-    UndefinedIndicatorError,
-)
+from .decomposition import SCHEMES, cumulate, decade_label
+from .errors import DataError
+from .indicators import SCALAR_TAGS
 from .io import (
+    CATEGORY_SCHEMES,
+    EXCLUDED,
     NATIONAL,
     RunConfig,
-    cut_partition,
+    cut_wave,
     decade_changes,
-    dichotomize,
     format_number,
     income_decade_deltas,
     indicator_rows,
     load_couples,
     load_income,
     load_singles,
-    marginals_of_unit,
     unit_decade_changes,
 )
-from .tables import homogamy_share, merge_with_singles
+from .tables import couples_of, homogamy_share, marginals
 from .trend import score
 
 
@@ -105,15 +101,14 @@ def _common_options(fn):
                      type=click.Choice(cf.METHOD_TAGS),
                      default=None),
         click.option("--measure", default=None,
-                     help="Trend measure: an indicator tag (or, det, cov, corr, "
-                          "reg, msp, v, ll) or a method tag; defaults to the "
-                          "configured method."),
-        click.option("--categories", type=click.Choice(["three", "hs", "college"]),
+                     help="Trend measure: an indicator tag "
+                          f"({', '.join(SCALAR_TAGS)}) or a method tag; "
+                          "defaults to the configured method."),
+        click.option("--categories", type=click.Choice(CATEGORY_SCHEMES),
                      default=None),
         click.option("--rounding", type=click.Choice(["paper", "continuous"]),
                      default=None),
-        click.option("--scheme",
-                     type=click.Choice(["auto", "sequential", "with-interaction"]),
+        click.option("--scheme", type=click.Choice(("auto", *SCHEMES)),
                      default=None),
         click.option("--seed", type=int, default=None),
         click.option("--samples", type=int, default=None,
@@ -174,14 +169,12 @@ def counterfactual(**params):
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
     state = params["state"]
-    early = marginals_of_unit(panel, config, state, params["early_year"])
-    late_subject = _counterfactual_subject(panel, config, state, params["late_year"])
-    target_singles = None
-    if config.method.lower() == "csa":
-        early_subject = _counterfactual_subject(
-            panel, config, state, params["early_year"]
-        )
-        target_singles = (early_subject.single_men, early_subject.single_women)
+    method = config.method.lower()
+    years = (params["early_year"], params["late_year"])
+    tables = [panel.unit_table(state, year) for year in years]
+    for year, table in zip(years, tables):
+        if table is None:
+            raise DataError(f"no table for ({state}, {year})")
     payload = {
         "method": config.method.upper(),
         "state": state,
@@ -189,17 +182,23 @@ def counterfactual(**params):
         "late_year": params["late_year"],
     }
     try:
+        early, late = (
+            cut_wave(panel, config, state, year, table, method)
+            for year, table in zip(years, tables)
+        )
         result = cf.fit(
             config.method,
-            late_subject,
-            early,
+            late,
+            marginals(couples_of(early)),
             rounding=config.rounding,
             tol=config.tol,
             max_iter=config.max_iter,
-            target_singles=target_singles,
+            target_singles=(
+                (early.single_men, early.single_women) if method == "csa" else None
+            ),
         )
-    except (ConvergenceError, InfeasibilityError, UndefinedIndicatorError) as exc:
-        # an impossible counterfactual is a result, not a crash
+    except EXCLUDED as exc:
+        # a pair that decompose would exclude is a result, not a crash
         payload.update(
             feasible=False,
             error={"type": type(exc).__name__, "detail": str(exc)},
@@ -217,27 +216,6 @@ def counterfactual(**params):
         )
     _write_json(out / "counterfactual.json", payload)
     click.echo(f"wrote {out / 'counterfactual.json'}")
-
-
-def _counterfactual_subject(panel, config, state, year):
-    if config.method.lower() == "csa":
-        subject = (
-            panel.with_singles(state, year)
-            if state != NATIONAL
-            else None
-        )
-        if subject is None:
-            raise DataError(
-                "the surplus-based method needs --singles data for the state"
-            )
-        if config.categories != "three":
-            parts = cut_partition(config.categories)
-            subject = merge_with_singles(subject, parts, parts)
-        return subject
-    table = panel.unit_table(state, year)
-    if table is None:
-        raise DataError(f"no table for ({state}, {year})")
-    return dichotomize(table, config.categories)
 
 
 @main.command()
@@ -327,7 +305,12 @@ def trend(**params):
             present = [year for year, table in tables.items() if table is not None]
             if len(present) < 2:
                 continue
-            anchor = homogamy_share(dichotomize(tables[present[0]], config.categories))
+            try:
+                anchor = homogamy_share(
+                    cut_wave(panel, config, unit, present[0], tables[present[0]])
+                )
+            except EXCLUDED:
+                anchor = None  # an uncut unit's series is all gaps
             series = cumulate(
                 config.waves, present[0], anchor,
                 {c.decade: c.delta if c.valid else None for c in unit_changes},

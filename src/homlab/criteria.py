@@ -64,7 +64,7 @@ NOT_AUTOMATED = "not-automated"
 
 VIOLATION_TOL = 1e-7
 
-INDICATOR_TAGS = ("or", "det", "cov", "corr", "reg", "msp", "v", "msm", "ll", "gll")
+INDICATOR_TAGS = ind.INDICATOR_TAGS
 METHOD_TAGS = cf.METHOD_TAGS
 
 INDICATOR_CRITERIA = (
@@ -175,56 +175,18 @@ def _bump_diagonal(subject, diagonal):
 _MSP_LOCAL_CRITERIA = frozenset({"AC4", "AC5.1", "AC5.2", "AC5.3"})
 
 
-def _det_any(table: ContingencyTable) -> float:
-    if table.n_rows == 2 and table.n_cols == 2:
-        return ind.determinant(table)
-    if not table.is_square():
-        raise UndefinedIndicatorError("determinant needs a square table")
-    return float(np.linalg.det(table.counts))
-
-
 def indicator_evaluator(tag: str, criterion: str) -> Callable[[object], np.ndarray]:
     """Vector-valued evaluation of an indicator, as compared by a criterion.
 
-    Matrix-valued indicators flatten; the regression returns both slopes.
-    The LL family is evaluated in continuous rounding mode because the
-    checks feed real-valued (rescaled, reclassified or raked) tables, where
-    flooring the random benchmark is ill-posed.
+    :func:`~homlab.indicators.evaluate` in continuous rounding mode, because
+    the checks feed real-valued (rescaled, reclassified or raked) tables,
+    where flooring the LL family's random benchmark is ill-posed. ``msp``
+    reads its local low-type facet under the criteria that discriminate on
+    it.
     """
-    if tag == "or":
-        return lambda s: np.array([ind.odds_ratio(couples_of(s))])
-    if tag == "det":
-        return lambda s: np.array([_det_any(couples_of(s))])
-    if tag == "cov":
-        return lambda s: np.array([ind.covariance(couples_of(s))])
-    if tag == "corr":
-        return lambda s: np.array([ind.correlation(couples_of(s))])
-    if tag == "reg":
-        def _reg(s):
-            pair = ind.regression(couples_of(s))
-            return np.array([pair.beta_wm, pair.beta_mw])
-        return _reg
-    if tag == "msp":
-        local = criterion in _MSP_LOCAL_CRITERIA
-        def _msp(s):
-            parts = ind.aggregate_msp(couples_of(s))
-            return np.array([parts.msp_l if local else parts.aggregate])
-        return _msp
-    if tag == "v":
-        return lambda s: np.array([ind.v_value(couples_of(s))])
-    if tag == "ll":
-        return lambda s: np.array(
-            [ind.ll_simplified(couples_of(s), ind.CONTINUOUS).value]
-        )
-    if tag == "gll":
-        return lambda s: ind.gll(couples_of(s), ind.CONTINUOUS).ravel()
-    if tag == "msm":
-        def _msm(s):
-            if not isinstance(s, TableWithSingles):
-                raise UndefinedIndicatorError("surplus matrix needs singles counts")
-            return ind.surplus_matrix(s).values.ravel()
-        return _msm
-    raise ValueError(f"unknown indicator tag: {tag!r}")
+    if tag == "msp" and criterion in _MSP_LOCAL_CRITERIA:
+        return lambda s: np.array([ind.aggregate_msp(couples_of(s)).msp_l])
+    return lambda s: ind.evaluate(tag, s, ind.CONTINUOUS)
 
 
 def _difference(x: np.ndarray, y: np.ndarray) -> float:

@@ -62,7 +62,7 @@ class TrendSeries:
     """
 
     anchor_year: int
-    anchor_value: float
+    anchor_value: float | None  # None when the anchor wave cannot be cut
     effects: Mapping[str, float | None]
     cumulative: Mapping[int, float | None]
 
@@ -178,14 +178,15 @@ def cumulative_series(
 def cumulate(
     waves: Sequence[int],
     anchor_year: int,
-    anchor_value: float,
+    anchor_value: float | None,
     effects: Mapping[str, float | None],
 ) -> TrendSeries:
     """Add up per-decade effects on top of the anchor wave's share.
 
     ``effects`` maps each decade label of the ``waves`` grid to its effect,
     None for a missing or excluded decade. Waves before the anchor, and
-    every wave from the end of a gap on, get a None cumulative value.
+    every wave from the end of a gap on, get a None cumulative value, as
+    every wave does when the anchor's share is None.
     """
     cumulative: dict[int, float | None] = {waves[0]: None}
     running: float | None = None

@@ -9,7 +9,8 @@ table the cells are referred to as::
 
 The scalar measures are defined on 2x2 tables; the matrix-valued measure
 aggregates an n-by-m table into every ordered 2x2 coarsening and evaluates
-the scalar ratio measure on each.
+the scalar ratio measure on each. ``evaluate`` is the one map from a tag of
+``INDICATOR_TAGS`` to its measure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GllUndefinedError, ShapeError, UndefinedIndicatorError
-from .tables import ContingencyTable, TableWithSingles, merge_categories
+from .tables import ContingencyTable, TableWithSingles, couples_of, merge_categories
 
 PAPER_INTEGER = "paper-integer"
 CONTINUOUS = "continuous"
@@ -333,3 +334,62 @@ def surplus_matrix(tws: TableWithSingles) -> SurplusMatrix:
         raise UndefinedIndicatorError("surplus matrix undefined: zero singles count")
     denom = np.sqrt(np.outer(tws.single_men, tws.single_women))
     return SurplusMatrix(values=tws.couples.counts / denom)
+
+
+# ---------------------------------------------------------------------------
+# the tag registry
+# ---------------------------------------------------------------------------
+
+def _square_determinant(table: ContingencyTable) -> float:
+    if table.n_rows == 2 and table.n_cols == 2:
+        return determinant(table)
+    if not table.is_square():
+        raise UndefinedIndicatorError("determinant needs a square table")
+    return float(np.linalg.det(table.counts))
+
+
+def _slopes(table: ContingencyTable) -> tuple[float, float]:
+    pair = regression(table)
+    return pair.beta_wm, pair.beta_mw
+
+
+def _surplus_values(subject) -> np.ndarray:
+    if not isinstance(subject, TableWithSingles):
+        raise UndefinedIndicatorError("surplus matrix needs singles counts")
+    return surplus_matrix(subject).values
+
+
+# Each tag's measure of (subject, couples, rounding). The lambdas look the
+# measures up when they are called, so a wrapper installed on this module's
+# attribute sees every call.
+_MEASURES = {
+    "or": lambda s, t, rounding: odds_ratio(t),
+    "det": lambda s, t, rounding: _square_determinant(t),
+    "cov": lambda s, t, rounding: covariance(t),
+    "corr": lambda s, t, rounding: correlation(t),
+    "reg": lambda s, t, rounding: _slopes(t),
+    "msp": lambda s, t, rounding: aggregate_msp(t).aggregate,
+    "v": lambda s, t, rounding: v_value(t),
+    "msm": lambda s, t, rounding: _surplus_values(s),
+    "ll": lambda s, t, rounding: ll_simplified(t, rounding).value,
+    "gll": lambda s, t, rounding: gll(t, rounding),
+}
+INDICATOR_TAGS = tuple(_MEASURES)
+# one value per 2x2 couples table (``reg`` reports ``beta_wm`` first)
+SCALAR_TAGS = tuple(tag for tag in INDICATOR_TAGS if tag not in ("msm", "gll"))
+
+
+def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
+    """The indicator ``tag`` of a table, or a table with singles, as a flat
+    vector.
+
+    Matrix-valued measures flatten row-major; ``reg`` gives ``(beta_wm,
+    beta_mw)``, ``msp`` the aggregate parameter, and ``det`` works on any
+    square table. ``msm`` needs the singles of a
+    :class:`~homlab.tables.TableWithSingles`; every other tag reads its
+    couples. ``rounding`` applies to the LL family.
+    """
+    measure = _MEASURES.get(tag)
+    if measure is None:
+        raise ValueError(f"unknown indicator tag: {tag!r}")
+    return np.ravel(measure(subject, couples_of(subject), rounding))

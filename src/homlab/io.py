@@ -28,7 +28,7 @@ import numpy as np
 
 from . import indicators as ind
 from .counterfactual import METHOD_TAGS
-from .decomposition import SEQUENTIAL, WITH_INTERACTION, decade_label, decompose
+from .decomposition import SCHEMES, SEQUENTIAL, WITH_INTERACTION, decade_label, decompose
 from .errors import (
     ConvergenceError,
     DataError,
@@ -56,8 +56,6 @@ DEFAULT_WAVES = (1960, 1970, 1980, 1990, 2000, 2010)
 DEFAULT_LABELS = ("no_high_school", "high_school", "college")
 UNKNOWN_STATE = "UNKNOWN"
 NATIONAL = "US"
-
-SCALAR_INDICATORS = ("or", "det", "cov", "corr", "reg", "msp", "v", "ll")
 
 _ROUNDING_ALIASES = {
     "paper": ind.PAPER_INTEGER,
@@ -94,7 +92,7 @@ class RunConfig:
         object.__setattr__(self, "rounding", rounding)
         object.__setattr__(self, "waves", tuple(int(y) for y in self.waves))
         object.__setattr__(self, "labels", tuple(self.labels))
-        if self.scheme not in ("auto", SEQUENTIAL, WITH_INTERACTION):
+        if self.scheme not in ("auto", *SCHEMES):
             raise DataError(f"unknown decomposition scheme: {self.scheme!r}")
 
     @property
@@ -328,29 +326,43 @@ def dichotomize(table: ContingencyTable, scheme: str) -> ContingencyTable:
 # pipeline helpers
 # ---------------------------------------------------------------------------
 
-def _scalar_indicator(tag: str, table: ContingencyTable, rounding: str) -> float:
-    if tag == "or":
-        return ind.odds_ratio(table)
-    if tag == "det":
-        return ind.determinant(table)
-    if tag == "cov":
-        return ind.covariance(table)
-    if tag == "corr":
-        return ind.correlation(table)
-    if tag == "reg":
-        return ind.regression(table).beta_wm
-    if tag == "msp":
-        return ind.aggregate_msp(table).aggregate
-    if tag == "v":
-        return ind.v_value(table)
-    if tag == "ll":
-        return ind.ll_simplified(table, rounding).value
-    raise ValueError(f"unknown scalar indicator tag: {tag!r}")
-
-
 def units(panel: PanelDataset) -> tuple[str, ...]:
     """National aggregate first, then states in sorted order."""
     return (NATIONAL, *panel.states)
+
+
+# pairs that these errors make impossible are reported, not raised
+EXCLUDED = (
+    UndefinedIndicatorError,
+    InfeasibilityError,
+    ConvergenceError,
+    ShapeError,
+    DataError,
+)
+
+
+def cut_wave(panel: PanelDataset, config: RunConfig, unit: str, year: int,
+             table: ContingencyTable, method: str = ""):
+    """``unit``'s present wave ``table`` on the configured divide, as
+    ``method`` takes it: with its singles for ``csa`` (a DataError without
+    them), alone for any other method or indicator and for the share.
+    """
+    if method != "csa":
+        return dichotomize(table, config.categories)
+    with_singles = panel.with_singles(unit, year)
+    if with_singles is None:
+        raise DataError("the surplus-based method needs singles counts")
+    if config.categories == THREE_LEVEL:
+        return with_singles
+    parts = cut_partition(config.categories)
+    return merge_with_singles(with_singles, parts, parts)
+
+
+def _scalar_value(tag: str, cut: ContingencyTable, rounding: str) -> float:
+    """A scalar indicator's reported value, the first of its 2x2 measure."""
+    if cut.n_rows != 2:
+        raise DataError("scalar indicators need a two-level divide")
+    return float(ind.evaluate(tag, cut, rounding)[0])
 
 
 def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
@@ -369,7 +381,7 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
                 continue
             row: dict[str, object] = {"state": unit, "year": year}
             try:
-                cut = dichotomize(table, config.categories)
+                cut = cut_wave(panel, config, unit, year, table)
             except DataError:
                 cut = table
             row["share"] = homogamy_share(cut) if cut.is_square() else ""
@@ -381,37 +393,13 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
                 for (j, k), value in np.ndenumerate(values):
                     row[f"gll_{j + 1}_{k + 1}"] = "" if np.isnan(value) else value
             else:
-                for tag in SCALAR_INDICATORS:
+                for tag in ind.SCALAR_TAGS:
                     try:
-                        row[tag] = _scalar_indicator(tag, cut, config.rounding)
+                        row[tag] = _scalar_value(tag, cut, config.rounding)
                     except HomlabError:
                         row[tag] = ""
             rows.append(row)
     return rows
-
-
-# pairs that these errors make impossible are reported, not raised
-_EXCLUDED = (
-    UndefinedIndicatorError,
-    InfeasibilityError,
-    ConvergenceError,
-    ShapeError,
-    DataError,
-)
-
-
-def _cut(panel: PanelDataset, config: RunConfig, unit: str, year: int, table):
-    """One present wave on the configured divide.
-
-    For ``csa`` it is the table with its singles, or None without them.
-    """
-    if config.resolved_measure != "csa":
-        return dichotomize(table, config.categories)
-    with_singles = panel.with_singles(unit, year)
-    if with_singles is None or config.categories == THREE_LEVEL:
-        return with_singles
-    parts = cut_partition(config.categories)
-    return merge_with_singles(with_singles, parts, parts)
 
 
 def _measure_delta(config: RunConfig, early, late):
@@ -422,9 +410,7 @@ def _measure_delta(config: RunConfig, early, late):
     infeasible.
     """
     measure = config.resolved_measure
-    if measure == "csa" and (early is None or late is None):
-        raise DataError("the surplus-based method needs singles counts")
-    if measure not in METHOD_TAGS and measure not in SCALAR_INDICATORS:
+    if measure not in METHOD_TAGS and measure not in ind.SCALAR_TAGS:
         raise DataError(f"unknown measure: {measure!r}")
     for cut in (early, late):
         if isinstance(cut, Exception):
@@ -442,11 +428,9 @@ def _measure_delta(config: RunConfig, early, late):
             max_iter=config.max_iter,
         )
         return result.nonstructural_effect, result
-    if early.n_rows != 2:
-        raise DataError("scalar indicators need a two-level divide")
     return (
-        _scalar_indicator(measure, late, config.rounding)
-        - _scalar_indicator(measure, early, config.rounding),
+        _scalar_value(measure, late, config.rounding)
+        - _scalar_value(measure, early, config.rounding),
         None,
     )
 
@@ -468,8 +452,10 @@ def unit_decade_changes(panel: PanelDataset, config: RunConfig, unit: str):
         if table is None:
             continue
         try:
-            cuts[year] = _cut(panel, config, unit, year, table)
-        except _EXCLUDED as exc:
+            cuts[year] = cut_wave(
+                panel, config, unit, year, table, config.resolved_measure
+            )
+        except EXCLUDED as exc:
             cuts[year] = exc
     changes: list[DecadeChange] = []
     details: dict[tuple[str, str], object] = {}
@@ -480,7 +466,7 @@ def unit_decade_changes(panel: PanelDataset, config: RunConfig, unit: str):
             continue
         try:
             delta, detail = _measure_delta(config, cuts[early_year], cuts[late_year])
-        except _EXCLUDED as exc:
+        except EXCLUDED as exc:
             changes.append(
                 DecadeChange(
                     unit, decade, None, False, f"{type(exc).__name__}: {exc}"
@@ -506,16 +492,6 @@ def decade_changes(panel: PanelDataset, config: RunConfig):
         changes += state_changes
         details.update(state_details)
     return changes, details
-
-
-def marginals_of_unit(panel: PanelDataset, config: RunConfig, state: str, year: int):
-    """Marginals of one unit's table on the configured divide."""
-    from .tables import marginals
-
-    table = panel.unit_table(state, year)
-    if table is None:
-        raise DataError(f"no table for ({state}, {year})")
-    return marginals(dichotomize(table, config.categories))
 
 
 def income_decade_deltas(

@@ -10,14 +10,18 @@ from homlab.errors import (
     ShapeError,
     UndefinedIndicatorError,
 )
+from homlab import criteria
 from homlab.indicators import (
     CONTINUOUS,
+    INDICATOR_TAGS,
     PAPER_INTEGER,
+    SCALAR_TAGS,
     aggregate_2x2,
     aggregate_msp,
     correlation,
     covariance,
     determinant,
+    evaluate,
     gll,
     ll_simplified,
     odds_ratio,
@@ -25,6 +29,7 @@ from homlab.indicators import (
     surplus_matrix,
     v_value,
 )
+from homlab.io import RunConfig, indicator_rows, load_couples
 from homlab.tables import (
     ContingencyTable,
     Marginals,
@@ -408,3 +413,91 @@ def test_covariance_diagonal_addition_can_decrease():
     t = table([[45, 5], [5, 45]])
     bumped = table([[95, 5], [5, 46]])
     assert covariance(bumped) < covariance(t) - 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the tag registry
+# ---------------------------------------------------------------------------
+
+DIRECT = {
+    "or": lambda s, rounding: [odds_ratio(s)],
+    "det": lambda s, rounding: (
+        [determinant(s)] if s.n_rows == 2 else [float(np.linalg.det(s.counts))]
+    ),
+    "cov": lambda s, rounding: [covariance(s)],
+    "corr": lambda s, rounding: [correlation(s)],
+    "reg": lambda s, rounding: [regression(s).beta_wm, regression(s).beta_mw],
+    "msp": lambda s, rounding: [aggregate_msp(s).aggregate],
+    "v": lambda s, rounding: [v_value(s)],
+    "msm": lambda s, rounding: surplus_matrix(s).values.ravel(),
+    "ll": lambda s, rounding: [ll_simplified(s, rounding).value],
+    "gll": lambda s, rounding: gll(s, rounding).ravel(),
+}
+
+
+def outcome(fn, *args):
+    """Bytes of the float vector ``fn`` returns, or the class it raises."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except Exception as exc:  # the registry must raise exactly what the measure raises
+        return type(exc)
+
+
+def registry_subjects(rng, tag):
+    for i in range(60):
+        shapes = [(2, 2), (3, 3)] if tag in ("det", "gll") else [(2, 2)]
+        for shape in shapes:
+            counts = rng.integers(1, 60, size=shape) if i % 2 else rng.random(shape) * 40
+            subject = table(counts)
+            if tag == "msm":
+                men, women = rng.integers(1, 30, size=(2, shape[0]))
+                subject = TableWithSingles(subject, men, women)
+            yield subject
+
+
+@pytest.mark.parametrize("tag", INDICATOR_TAGS)
+def test_registry_matches_the_direct_measure_bit_for_bit(tag):
+    rng = np.random.default_rng(INDICATOR_TAGS.index(tag))
+    for subject in registry_subjects(rng, tag):
+        for rounding in (PAPER_INTEGER, CONTINUOUS):
+            got = outcome(evaluate, tag, subject, rounding)
+            assert got == outcome(DIRECT[tag], subject, rounding)
+            assert not isinstance(got, type)
+
+
+def test_registry_edge_cases():
+    assert evaluate("or", DIAG).tolist() == [math.inf]
+    with pytest.raises(UndefinedIndicatorError):
+        evaluate("msm", BASE)  # no singles
+    with pytest.raises(UndefinedIndicatorError):
+        evaluate("det", table([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(ShapeError):
+        evaluate("or", table(np.ones((3, 3))))
+    with pytest.raises(ValueError):
+        evaluate("unknown", BASE)
+
+
+def test_registry_is_the_one_criteria_reads():
+    assert criteria.INDICATOR_TAGS is INDICATOR_TAGS
+    assert tuple(criteria.CARDINAL) == INDICATOR_TAGS
+    assert SCALAR_TAGS == ("or", "det", "cov", "corr", "reg", "msp", "v", "ll")
+
+
+def test_indicator_rows_leave_the_battery_blank_on_an_uncut_four_level_panel(
+    tmp_path,
+):
+    labels = ("A", "B", "C", "D")
+    rng = np.random.default_rng(4)
+    lines = ["year,state,husband_edu,wife_edu,count"]
+    for year in (1980, 1990):
+        for h in labels:
+            for w in labels:
+                lines.append(f"{year},Example,{h},{w},{rng.integers(1, 40)}")
+    path = tmp_path / "couples.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = RunConfig(labels=labels, categories="hs", waves=(1980, 1990))
+    rows = indicator_rows(load_couples(path, config), config)
+    assert len(rows) == 4  # US and Example, two waves
+    for row in rows:
+        assert isinstance(row["share"], float)  # the uncut 4x4 table's share
+        assert [row[tag] for tag in SCALAR_TAGS] == [""] * len(SCALAR_TAGS)

@@ -560,3 +560,63 @@ def test_cli_trend_decomposes_each_unit_decade_once(tmp_path, monkeypatch):
     cli("trend", "--config", cfg, "--couples", couples, "--out", tmp_path / "out")
     # 5 decades for US, Alabama and Missouri; Texas lacks 1970, so 3
     assert len(calls) == 3 * 5 + 3
+
+
+def test_cli_trend_keeps_an_uncut_unit_as_gaps(tmp_path):
+    # two-level labels cannot be cut at the college divide: every pair is
+    # excluded, and the series anchor no longer crashes the run
+    cfg = config_file(tmp_path, categories="college", method="ipf")
+    out = tmp_path / "out"
+    for command in ("decompose", "trend"):
+        cli(command, "--config", cfg,
+            "--couples", FIXTURES / "synthetic_panel.csv", "--out", out)
+    with open(out / "decomposition.csv", newline="") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert len(statuses) == 3 * 5
+    assert all(s.startswith("excluded: DataError: ") for s in statuses)
+    stats = json.loads((out / "trend_stats.json").read_text())
+    assert stats["N"] == 0
+    assert len(stats["excluded_pairs"]) == 3 * 5
+    assert all(": DataError: " in pair for pair in stats["excluded_pairs"])
+    with open(out / "trend_series.csv", newline="") as fh:
+        series = list(csv.DictReader(fh))
+    assert len(series) == 4 * 6  # US + 3 states keep their rows
+    assert all(row["cumulative"] == row["effect"] == "" for row in series)
+
+
+THREE_LEVEL_COUPLES = "".join(
+    f"{year},Example,{h},{w},{count}\n"
+    for year, counts in ((1980, (30, 12, 5, 10, 40, 9, 4, 11, 25)),
+                         (1990, (22, 14, 8, 9, 45, 12, 3, 10, 35)))
+    for (h, w), count in zip(
+        [(h, w) for h in ("no_high_school", "high_school", "college")
+         for w in ("no_high_school", "high_school", "college")],
+        counts,
+    )
+)
+
+
+def test_cli_counterfactual_reports_a_method_divide_mismatch(tmp_path):
+    couples = write(tmp_path / "couples.csv",
+                    "year,state,husband_edu,wife_edu,count\n" + THREE_LEVEL_COUPLES)
+    out = tmp_path / "out"
+    cli("counterfactual", "--method", "mdba", "--categories", "three",
+        "--couples", couples, "--state", "Example",
+        "--early-year", 1980, "--late-year", 1990, "--out", out)
+    payload = json.loads((out / "counterfactual.json").read_text())
+    assert payload["feasible"] is False
+    assert payload["error"]["type"] == "ShapeError"
+    # the same pair is an excluded row of decompose
+    cli("decompose", "--method", "mdba", "--categories", "three",
+        "--couples", couples, "--out", out)
+    lines = (out / "decomposition.csv").read_text().splitlines()
+    assert lines[3].startswith("Example,1980s,mdba,")
+    assert ",excluded: " in lines[3]
+
+    # a missing state-year is an input failure, not a result
+    result = CliRunner().invoke(main, [
+        "counterfactual", "--method", "ipf", "--couples", str(couples),
+        "--state", "Example", "--early-year", "1980", "--late-year", "2000",
+        "--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, DataError)
