@@ -326,17 +326,25 @@ def csa_solve(
     target_women: np.ndarray,
     tol: float = 1e-11,
     max_iter: int = 10000,
-    damping: float = 0.5,
 ):
     """Core fixed point of the surplus-preserving re-matching.
 
     Finds singles vectors ``mu_m, mu_w`` and couples
     ``mu[i, j] = msm[i, j] * sqrt(mu_m[i] * mu_w[j])`` such that singles plus
-    spouses add up to the target population of every category and sex. Given
-    one side's singles the other side's follow from per-category quadratics,
-    so the solver alternates the two closed-form updates, damped on the log
-    scale (plain iteration oscillates on asymmetric populations). Convergence
-    is measured by the largest relative population-identity residual.
+    spouses add up to the target population of every category and sex. In
+    ``x = sqrt(mu_m)``, ``y = sqrt(mu_w)`` that is the 2k-dimensional system
+
+        F(x, y) = [x**2 + x * (msm @ y) - men, y**2 + y * (msm.T @ x) - women]
+
+    whose root in the positive orthant is unique. Newton's method solves it
+    from ``x = sqrt(men)``, ``y = sqrt(women)`` with the Jacobian
+
+        [[diag(2x + msm @ y), diag(x) msm], [diag(y) msm.T, diag(2y + msm.T @ x)]]
+
+    (one linear solve per step). A step that would leave the positive
+    orthant is halved until ``x`` and ``y`` stay strictly positive.
+    Convergence is measured by the largest relative population-identity
+    residual; ``iterations`` counts Newton steps.
 
     Returns ``(couples, mu_m, mu_w, iterations, residual)``.
     """
@@ -350,38 +358,41 @@ def csa_solve(
     if np.any(msm < 0) or not np.all(np.isfinite(msm)):
         raise DegenerateInputError("surplus matrix must be finite and nonnegative")
 
-    def solve_side(coupling: np.ndarray, other_sqrt: np.ndarray, pop: np.ndarray):
-        # x^2 + x * (coupling @ other_sqrt) = pop, positive root
-        s = coupling @ other_sqrt
-        return 0.5 * (-s + np.sqrt(s * s + 4.0 * pop))
-
-    x = np.sqrt(men)
-    y = np.sqrt(women)
-    residual = np.inf
+    k = men.shape[0]
+    scale = np.concatenate([np.maximum(men, 1.0), np.maximum(women, 1.0)])
+    jacobian = np.zeros((k + women.shape[0],) * 2)
+    x, y = np.sqrt(men), np.sqrt(women)
     iteration = 0
-    for iteration in range(1, max_iter + 1):
-        x_new = solve_side(msm, y, men)
-        x = np.exp((1.0 - damping) * np.log(x) + damping * np.log(x_new))
-        y_new = solve_side(msm.T, x, women)
-        y = np.exp((1.0 - damping) * np.log(y) + damping * np.log(y_new))
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))) or np.any(
-            x <= 0
-        ) or np.any(y <= 0):
+    while True:
+        my, mx = msm @ y, msm.T @ x
+        excess = np.concatenate([x * (x + my) - men, y * (y + mx) - women])
+        residual = float((np.abs(excess) / scale).max())
+        if residual <= tol:
+            break
+        if iteration == max_iter:
+            raise ConvergenceError(
+                f"surplus-preserving fit did not reach tol={tol:g} in {max_iter} "
+                f"iterations (residual {residual:.3g})"
+            )
+        iteration += 1
+        np.fill_diagonal(jacobian, np.concatenate([2.0 * x + my, 2.0 * y + mx]))
+        jacobian[:k, k:] = x[:, None] * msm
+        jacobian[k:, :k] = y[:, None] * msm.T
+        step = np.linalg.solve(jacobian, -excess)
+        t = 1.0
+        while np.any(x + t * step[:k] <= 0) or np.any(y + t * step[k:] <= 0):
+            t *= 0.5
+            if t < 1e-12:
+                raise InfeasibilityError(
+                    "surplus-preserving fit cannot stay in the positive orthant",
+                    context={"iteration": iteration},
+                )
+        x, y = x + t * step[:k], y + t * step[k:]
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise InfeasibilityError(
                 "surplus-preserving fit left the positive orthant",
                 context={"iteration": iteration},
             )
-        couples = msm * np.outer(x, y)
-        men_resid = np.abs(x * x + couples.sum(axis=1) - men) / np.maximum(men, 1.0)
-        women_resid = np.abs(y * y + couples.sum(axis=0) - women) / np.maximum(women, 1.0)
-        residual = float(max(men_resid.max(), women_resid.max()))
-        if residual <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"surplus-preserving fit did not reach tol={tol:g} in {max_iter} "
-            f"iterations (residual {residual:.3g})"
-        )
 
     return msm * np.outer(x, y), x * x, y * y, iteration, residual
 
@@ -392,7 +403,6 @@ def csa_fit(
     target_women: np.ndarray,
     tol: float = 1e-11,
     max_iter: int = 10000,
-    damping: float = 0.5,
 ) -> CounterfactualResult:
     """Re-match target populations holding the source's surplus matrix fixed.
 
@@ -401,7 +411,7 @@ def csa_fit(
     """
     msm = surplus_matrix(source).values
     couples, mu_m, mu_w, iterations, residual = csa_solve(
-        msm, target_men, target_women, tol=tol, max_iter=max_iter, damping=damping
+        msm, target_men, target_women, tol=tol, max_iter=max_iter
     )
     table = ContingencyTable(
         np.where(couples < 0, 0.0, couples),

@@ -382,8 +382,9 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
             row: dict[str, object] = {"state": unit, "year": year}
             try:
                 cut = cut_wave(panel, config, unit, year, table)
-            except DataError:
-                cut = table
+            except DataError:  # no divide to report on: every value blank
+                rows.append({**row, "share": "", **dict.fromkeys(ind.SCALAR_TAGS, "")})
+                continue
             row["share"] = homogamy_share(cut) if cut.is_square() else ""
             if config.categories == THREE_LEVEL:
                 try:
@@ -416,8 +417,6 @@ def _measure_delta(config: RunConfig, early, late):
         if isinstance(cut, Exception):
             raise cut
     if measure in METHOD_TAGS:
-        if measure == "mdba" and early.n_rows != 2:
-            raise DataError("the determinant-based method needs a two-level divide")
         result = decompose(
             early,
             late,

@@ -1,6 +1,12 @@
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from homlab.cli import main
 from homlab.counterfactual import (
     SurvivalGrid,
     csa_fit,
@@ -384,6 +390,127 @@ def test_csa_rejects_nonpositive_targets():
     tws = couples_with_singles()
     with pytest.raises(DegenerateInputError):
         csa_fit(tws, np.array([0.0, 5.0]), np.array([5.0, 5.0]))
+
+
+def test_csa_newton_takes_few_steps():
+    tws = couples_with_singles()
+    for scale in (1, 2, 1000):
+        result = csa_fit(
+            tws, scale * tws.men_population(), tws.women_population()
+        )
+        assert 1 <= result.iterations <= 10
+
+
+def test_csa_nonconvergence_names_the_residual():
+    tws = couples_with_singles()
+    with pytest.raises(ConvergenceError, match=r"in 1 iterations \(residual "):
+        csa_solve(
+            surplus_matrix(tws).values,
+            2 * tws.men_population(),
+            tws.women_population(),
+            max_iter=1,
+        )
+
+
+def test_csa_zero_surplus_row_leaves_that_category_single():
+    msm = np.array([[0.5, 1.2, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 2.0]])
+    men = np.array([40.0, 25.0, 60.0])
+    women = np.array([35.0, 50.0, 45.0])
+    couples, mu_m, mu_w, _, _ = csa_solve(msm, men, women)
+    assert np.all(couples[1] == 0.0)
+    assert mu_m[1] == pytest.approx(men[1], rel=1e-12)
+    kept = [0, 2]
+    sub_couples, sub_m, sub_w, _, _ = csa_solve(msm[kept], men[kept], women)
+    assert np.allclose(couples[kept], sub_couples, rtol=1e-10, atol=0)
+    assert np.allclose(mu_m[kept], sub_m, rtol=1e-10, atol=0)
+    assert np.allclose(mu_w, sub_w, rtol=1e-10, atol=0)
+
+
+def _refined_csa_couples(msm, men, women, mu_m, mu_w, steps=3):
+    """Iterative refinement of a CSA root: the population excess is taken in
+    extended precision, the Newton correction solved in float64."""
+    k = len(men)
+    big = np.longdouble
+    x, y = np.sqrt(mu_m.astype(big)), np.sqrt(mu_w.astype(big))
+    msm_big = msm.astype(big)
+    for _ in range(steps):
+        excess = np.concatenate([
+            x * x + x * (msm_big @ y) - men.astype(big),
+            y * y + y * (msm_big.T @ x) - women.astype(big),
+        ])
+        xf, yf = x.astype(float), y.astype(float)
+        jacobian = np.block([
+            [np.diag(2 * xf + msm @ yf), xf[:, None] * msm],
+            [yf[:, None] * msm.T, np.diag(2 * yf + msm.T @ xf)],
+        ])
+        step = np.linalg.solve(jacobian, -excess.astype(float)).astype(big)
+        x, y = x + step[:k], y + step[k:]
+    return msm_big * np.outer(x, y)
+
+
+def test_csa_matches_an_extended_precision_reference():
+    rng = np.random.default_rng(2013)
+    tol = 1e-11
+    for _ in range(240):
+        k = int(rng.integers(2, 5))
+        msm = rng.gamma(1.0, 1.0, (k, k)) * rng.choice([0.05, 1.0, 20.0])
+        msm[rng.random((k, k)) < 0.15] = 0.0
+        men = rng.integers(1, 100_000, k).astype(float)
+        women = rng.integers(1, 100_000, k).astype(float)
+        couples, mu_m, mu_w, _, residual = csa_solve(msm, men, women, tol=tol)
+        assert residual <= tol
+        ref = _refined_csa_couples(msm, men, women, mu_m, mu_w)
+        assert np.allclose(couples, ref.astype(float), rtol=1e-10, atol=0)
+        big = np.longdouble
+        identity = np.concatenate([
+            (mu_m.astype(big) + couples.astype(big).sum(axis=1) - men)
+            / np.maximum(men, 1.0),
+            (mu_w.astype(big) + couples.astype(big).sum(axis=0) - women)
+            / np.maximum(women, 1.0),
+        ])
+        assert float(np.abs(identity).max()) <= tol
+
+
+def test_csa_converges_on_extreme_ranges():
+    # surplus and populations spanning ten orders of magnitude and more
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        k = int(rng.integers(2, 7))
+        msm = np.exp(rng.uniform(-12, 12, (k, k))) * (rng.random((k, k)) > 0.2)
+        men = np.exp(rng.uniform(0, 18, k))
+        women = np.exp(rng.uniform(0, 18, k))
+        *_, iterations, residual = csa_solve(msm, men, women)
+        assert iterations <= 50 and residual <= 1e-11
+
+
+def test_cli_decompose_reports_non_converging_csa_pairs(tmp_path):
+    lines = ["year,state,sex,edu,count"]
+    for year in (1960, 1970, 1980, 1990, 2000, 2010):
+        for i, state in enumerate(("Alabama", "Missouri", "Texas")):
+            for sex, edu, count in (("m", "L", 12), ("m", "H", 9),
+                                    ("w", "L", 10), ("w", "H", 11)):
+                lines.append(f"{year},{state},{sex},{edu},{count + i + year % 7}")
+    singles = tmp_path / "singles.csv"
+    singles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"labels": ["L", "H"], "categories": "three",
+                                  "method": "csa", "max_iter": 1}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "decompose", "--config", str(config), "--couples",
+        str(Path(__file__).parent / "fixtures" / "synthetic_panel.csv"),
+        "--singles", str(singles), "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    with open(out / "decomposition.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    states = [row for row in rows if row["state"] != "US"]
+    assert len(states) == 15
+    for row in states:
+        assert row["status"].startswith(
+            "excluded: ConvergenceError: surplus-preserving fit did not reach "
+            "tol=1e-11 in 1 iterations (residual "
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -499,5 +499,5 @@ def test_indicator_rows_leave_the_battery_blank_on_an_uncut_four_level_panel(
     rows = indicator_rows(load_couples(path, config), config)
     assert len(rows) == 4  # US and Example, two waves
     for row in rows:
-        assert isinstance(row["share"], float)  # the uncut 4x4 table's share
+        assert row["share"] == ""  # no share of the uncut 4x4 table
         assert [row[tag] for tag in SCALAR_TAGS] == [""] * len(SCALAR_TAGS)

@@ -611,7 +611,7 @@ def test_cli_counterfactual_reports_a_method_divide_mismatch(tmp_path):
         "--couples", couples, "--out", out)
     lines = (out / "decomposition.csv").read_text().splitlines()
     assert lines[3].startswith("Example,1980s,mdba,")
-    assert ",excluded: " in lines[3]
+    assert ",excluded: ShapeError: " in lines[3]
 
     # a missing state-year is an input failure, not a result
     result = CliRunner().invoke(main, [
