@@ -49,8 +49,8 @@ from .tables import (
     Marginals,
     TableWithSingles,
     couples_of,
-    enumerate_tables,
     homogamy_share,
+    lattice,
     marginals,
     merge_categories,
     merge_with_singles,
@@ -203,8 +203,9 @@ def _difference(x: np.ndarray, y: np.ndarray) -> float:
     return float(diff.max()) if diff.size else 0.0
 
 
-def _one_sided_drop(before: np.ndarray, after: np.ndarray) -> float:
-    """How far any component decreased; matching infinities count as equal."""
+def _one_sided_drop(before: np.ndarray, after: np.ndarray):
+    """How far any component decreased, along the last axis; matching
+    infinities count as equal."""
     before = np.asarray(before, dtype=float)
     after = np.asarray(after, dtype=float)
     both_inf = np.isinf(before) & np.isinf(after) & (np.sign(before) == np.sign(after))
@@ -212,7 +213,7 @@ def _one_sided_drop(before: np.ndarray, after: np.ndarray) -> float:
         drop = before - after
     drop[both_inf] = 0.0
     drop[np.isnan(drop)] = np.inf
-    return float(np.max(drop)) if drop.size else 0.0
+    return np.max(drop, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +259,11 @@ def _random_table(
             continue
         return subject
     raise RuntimeError("could not draw a valid random table")  # pragma: no cover
+
+
+def _check_sample_count(sample_count: int):
+    if sample_count < 1:
+        raise ValueError(f"sample count must be at least 1, got {sample_count}")
 
 
 def _report(criterion, subject, verdict, witness=None, sample_size=0, notes=""):
@@ -427,7 +433,11 @@ def _max_criterion_check(
     criterion: str, tag: str, sample_count: int, seed: int
 ) -> CriterionReport:
     """AC6/AC7: the reference matching must attain the sample maximum of the
-    indicator over the whole transportation polytope (brute-force oracle)."""
+    indicator over the whole transportation polytope (brute-force oracle).
+
+    The lattice is evaluated as one stack; the witness is its first point,
+    in enumeration order, that is defined and scores above the reference.
+    """
     evaluator = indicator_evaluator(tag, criterion)
     rng = _rng_for(seed, criterion, tag)
     sizes = (2, 3) if tag in ("det", "gll") else (2,)
@@ -448,21 +458,19 @@ def _max_criterion_check(
         except UndefinedIndicatorError:
             continue
         checked += 1
-        for candidate in enumerate_tables(marg, cap=20):
-            try:
-                drop = _maximum_violation(evaluator, ref_value, candidate)
-            except UndefinedIndicatorError:
-                continue
-            if drop > VIOLATION_TOL:
-                witness = {
-                    "kind": "maximum",
-                    "criterion": criterion,
-                    "indicator": tag,
-                    "reference": _table_payload(reference),
-                    "better": _table_payload(candidate),
-                    "violation": drop,
-                }
-                return _report(criterion, tag, COUNTEREXAMPLE, witness, checked)
+        points = lattice(marg, cap=20)
+        drops = _maximum_violation(tag, ref_value, points)
+        above = np.flatnonzero(drops > VIOLATION_TOL)
+        if above.size:
+            witness = {
+                "kind": "maximum",
+                "criterion": criterion,
+                "indicator": tag,
+                "reference": _table_payload(reference),
+                "better": _table_payload(ContingencyTable(points[above[0]])),
+                "violation": float(drops[above[0]]),
+            }
+            return _report(criterion, tag, COUNTEREXAMPLE, witness, checked)
     if checked == 0:
         return _report(
             criterion, tag, NOT_APPLICABLE,
@@ -471,9 +479,11 @@ def _max_criterion_check(
     return _report(criterion, tag, SATISFIED, None, checked)
 
 
-def _maximum_violation(evaluator, ref_value, candidate) -> float:
-    """How far ``candidate`` scores above the reference matching's value."""
-    return _one_sided_drop(evaluator(candidate), ref_value)
+def _maximum_violation(tag: str, ref_value, candidates) -> np.ndarray:
+    """How far each table of the stack ``candidates`` scores above the
+    reference matching's value; NaN where the indicator is undefined."""
+    values, undefined = ind.evaluate_stack(tag, candidates, ind.CONTINUOUS)
+    return np.where(undefined, np.nan, _one_sided_drop(values, ref_value))
 
 
 def _random_small_marginals(rng, n: int) -> Marginals:
@@ -524,9 +534,9 @@ def _monotonicity_check(
 
 def _monotonicity_violation(evaluator, subject, diagonal) -> float:
     """How far the evaluator drops when same-type couples are added."""
-    return _one_sided_drop(
+    return float(_one_sided_drop(
         evaluator(subject), evaluator(_bump_diagonal(subject, diagonal))
-    )
+    ))
 
 
 def check_indicator(
@@ -541,6 +551,7 @@ def check_indicator(
         raise ValueError(f"unknown indicator criterion: {criterion!r}")
     if indicator not in INDICATOR_TAGS:
         raise ValueError(f"unknown indicator tag: {indicator!r}")
+    _check_sample_count(sample_count)
     if (criterion, indicator) in NA_CELLS:
         return _report(criterion, indicator, NOT_APPLICABLE)
     if criterion in ("AC8.3", "AC9"):
@@ -874,6 +885,7 @@ def check_method(
     method = method.lower()
     if method not in METHOD_TAGS:
         raise ValueError(f"unknown method tag: {method!r}")
+    _check_sample_count(sample_count)
     if criterion == "AC11":
         return _report(
             criterion, method, NOT_AUTOMATED,
@@ -970,11 +982,15 @@ def replay_witness(report: CriterionReport) -> float:
         raise ValueError(f"unknown witness kind: {kind!r}")
     evaluator = indicator_evaluator(w["indicator"], w["criterion"])
     if kind == "maximum":
-        return _maximum_violation(
-            evaluator,
+        better = _rebuild_subject(w["better"]).counts
+        (drop,) = _maximum_violation(
+            w["indicator"],
             evaluator(_rebuild_subject(w["reference"])),
-            _rebuild_subject(w["better"]),
+            better[None],
         )
+        if math.isnan(drop):
+            raise UndefinedIndicatorError("indicator undefined on the better table")
+        return float(drop)
     subject = _rebuild_subject(w["subject"])
     if kind == "monotonicity":
         return _monotonicity_violation(evaluator, subject, w["diagonal"])

@@ -112,72 +112,120 @@ def _abcd(table: ContingencyTable) -> tuple[float, float, float, float]:
     return float(a), float(b), float(c), float(d)
 
 
+# Kernels: each 2x2 formula once, elementwise over the block sums ``a, b, c,
+# d`` (floats, or equal-shape arrays of a stack of tables). Each returns its
+# value(s) and then ``undefined``, the mask of the tables where the measure
+# is undefined; values there carry no meaning. No kernel divides by zero.
+
+def _over(num, den, undefined):
+    """``num / den``, NaN where ``undefined`` (which must cover ``den == 0``)."""
+    if not isinstance(undefined, np.ndarray):  # one table: skip the array round trip
+        return math.nan if undefined else num / den
+    return num / np.where(undefined, np.nan, den)
+
+
+def _margins(a, b, c, d):
+    return a + b, c + d, a + c, b + d
+
+
+def _or(a, b, c, d):
+    ad, bc = a * d, b * c
+    return np.where(bc == 0, np.inf, _over(ad, bc, bc == 0)), (bc == 0) & (ad == 0)
+
+
+def _det(a, b, c, d):
+    return a * d - b * c, np.zeros(np.shape(a), dtype=bool)
+
+
+def _cov(a, b, c, d):
+    total = a + b + c + d
+    undefined = total == 0
+    return _over(a * d - b * c, total ** 2, undefined), undefined
+
+
+def _corr(a, b, c, d):
+    ab, cd, ac, bd = _margins(a, b, c, d)
+    denom = ab * cd * ac * bd
+    undefined = denom == 0
+    return _over(a * d - b * c, np.sqrt(denom), undefined), undefined
+
+
+def _reg(a, b, c, d):
+    ab, cd, ac, bd = _margins(a, b, c, d)
+    rows, cols = ab * cd, ac * bd
+    undefined = (rows == 0) | (cols == 0)
+    det = a * d - b * c
+    return _over(det, rows, undefined), _over(det, cols, undefined), undefined
+
+
+def _msp(a, b, c, d):
+    ab, cd, ac, bd = _margins(a, b, c, d)
+    total = a + b + c + d
+    undefined = (a + d == 0) | (ab * cd * ac * bd == 0)
+    msp_l = _over(a * total, ab * ac, undefined)
+    msp_h = _over(d * total, cd * bd, undefined)
+    return msp_l, msp_h, _over(msp_l * a + msp_h * d, a + d, undefined), undefined
+
+
+def _v(a, b, c, d):
+    ab, cd, ac, bd = _margins(a, b, c, d)
+    denom = np.where(b >= c, cd * ac, bd * ab)
+    undefined = denom == 0
+    return _over(a * d - b * c, denom, undefined), undefined
+
+
+def _scalar(kernel, table: ContingencyTable, what: str, reason: str) -> list[float]:
+    """The outputs of ``kernel`` on a 2x2 table, as floats."""
+    _require_2x2(table, what)
+    *values, undefined = kernel(*_abcd(table))
+    if undefined:
+        raise UndefinedIndicatorError(reason)
+    return [float(v) for v in values]
+
+
 def odds_ratio(table: ContingencyTable) -> float:
     """``ad / bc``; positive infinity when ``bc = 0`` while ``ad > 0``."""
-    _require_2x2(table, "odds ratio")
-    a, b, c, d = _abcd(table)
-    if b * c == 0:
-        if a * d == 0:
-            raise UndefinedIndicatorError("odds ratio undefined: ad = bc = 0")
-        return math.inf
-    return (a * d) / (b * c)
+    return _scalar(_or, table, "odds ratio", "odds ratio undefined: ad = bc = 0")[0]
 
 
 def determinant(table: ContingencyTable) -> float:
     """``ad - bc``. Scales with the square of the population size."""
-    _require_2x2(table, "matrix determinant")
-    a, b, c, d = _abcd(table)
-    return a * d - b * c
+    return _scalar(_det, table, "matrix determinant", "")[0]
 
 
 def covariance(table: ContingencyTable) -> float:
     """Determinant normalized by the squared total; scale free."""
-    _require_2x2(table, "covariance coefficient")
-    a, b, c, d = _abcd(table)
-    return (a * d - b * c) / (a + b + c + d) ** 2
-
-
-def _marginal_products(table: ContingencyTable):
-    a, b, c, d = _abcd(table)
-    return a, b, c, d, a + b, c + d, a + c, b + d
+    return _scalar(
+        _cov, table, "covariance coefficient", "covariance undefined: zero total"
+    )[0]
 
 
 def correlation(table: ContingencyTable) -> float:
     """Determinant normalized by the geometric mean of the marginal products."""
-    _require_2x2(table, "correlation coefficient")
-    a, b, c, d, ab, cd, ac, bd = _marginal_products(table)
-    denom = ab * cd * ac * bd
-    if denom == 0:
-        raise UndefinedIndicatorError("correlation undefined: zero marginal sum")
-    return (a * d - b * c) / math.sqrt(denom)
+    return _scalar(
+        _corr, table, "correlation coefficient",
+        "correlation undefined: zero marginal sum",
+    )[0]
 
 
 def regression(table: ContingencyTable) -> RegressionPair:
     """Slopes of regressing one partner's 0/1 education on the other's."""
-    _require_2x2(table, "regression coefficient")
-    a, b, c, d, ab, cd, ac, bd = _marginal_products(table)
-    if ab * cd == 0 or ac * bd == 0:
-        raise UndefinedIndicatorError("regression undefined: zero marginal sum")
-    det = a * d - b * c
-    return RegressionPair(beta_wm=det / (ab * cd), beta_mw=det / (ac * bd))
+    beta_wm, beta_mw = _scalar(
+        _reg, table, "regression coefficient",
+        "regression undefined: zero marginal sum",
+    )
+    return RegressionPair(beta_wm=beta_wm, beta_mw=beta_mw)
 
 
 def aggregate_msp(table: ContingencyTable) -> MspComponents:
     """Marital sorting parameters relative to random matching."""
     _require_2x2(table, "marital sorting parameter")
-    a, b, c, d, ab, cd, ac, bd = _marginal_products(table)
-    total = a + b + c + d
-    if a + d == 0:
-        raise UndefinedIndicatorError("sorting parameter undefined: empty diagonal")
-    if ab * cd * ac * bd == 0:
-        raise UndefinedIndicatorError("sorting parameter undefined: zero marginal sum")
-    msp_l = a * total / (ab * ac)
-    msp_h = d * total / (cd * bd)
-    return MspComponents(
-        msp_l=msp_l,
-        msp_h=msp_h,
-        aggregate=(msp_l * a + msp_h * d) / (a + d),
-    )
+    a, b, c, d = _abcd(table)
+    msp_l, msp_h, aggregate, undefined = _msp(a, b, c, d)
+    if undefined:
+        reason = "empty diagonal" if a + d == 0 else "zero marginal sum"
+        raise UndefinedIndicatorError(f"sorting parameter undefined: {reason}")
+    return MspComponents(float(msp_l), float(msp_h), float(aggregate))
 
 
 def v_value(table: ContingencyTable) -> float:
@@ -187,12 +235,9 @@ def v_value(table: ContingencyTable) -> float:
     random-matching and perfectly-assortative benchmarks, so it reads as a
     position between no sorting (0) and maximal sorting (1).
     """
-    _require_2x2(table, "V-value")
-    a, b, c, d, ab, cd, ac, bd = _marginal_products(table)
-    denom = cd * ac if b >= c else bd * ab
-    if denom == 0:
-        raise UndefinedIndicatorError("V-value undefined: zero denominator branch")
-    return (a * d - b * c) / denom
+    return _scalar(
+        _v, table, "V-value", "V-value undefined: zero denominator branch"
+    )[0]
 
 
 _LL_UNDEFINED = "LL indicator undefined: zero denominator"
@@ -233,8 +278,7 @@ def _ll(a, b, c, d, rounding: str):
     r, rho, d_max = _ll_benchmark(cd, bd, total, rounding)
     denom = d_max - rho
     undefined = denom == 0
-    value = (d - rho) / np.where(undefined, np.nan, denom)
-    return r, rho, d_max, value, undefined
+    return r, rho, d_max, _over(d - rho, denom, undefined), undefined
 
 
 def ll_simplified(
@@ -281,22 +325,24 @@ def aggregate_2x2(table: ContingencyTable, j: int, k: int) -> ContingencyTable:
 
 
 def _split_sums(counts: np.ndarray) -> np.ndarray:
-    """Block sums ``a, b, c, d`` of every ordered split, shape ``(4, n-1, m-1)``.
+    """Block sums ``a, b, c, d`` of every ordered split.
 
-    Each block is summed as a contiguous copy, the way ``merge_categories``
-    sums it, so every split's sums equal the cells of its merged 2x2 table
-    bit for bit (a running cumulative sum rounds differently on non-integer
-    counts).
+    ``counts`` of shape ``(..., n, m)``, a table or a stack of tables, gives
+    shape ``(4, ..., n-1, m-1)``. Each block is summed as a contiguous copy,
+    the way ``merge_categories`` sums it, so every split's sums equal the
+    cells of its merged 2x2 table bit for bit, with or without a stack axis
+    (a running cumulative sum rounds differently on non-integer counts).
     """
-    n, m = counts.shape
-    sums = np.empty((4, n - 1, m - 1))
+    *lead, n, m = counts.shape
+    flat = (*lead, -1)
+    sums = np.empty((4, *lead, n - 1, m - 1))
     for j in range(1, n):
-        top, bottom = counts[:j], counts[j:]
+        top, bottom = counts[..., :j, :], counts[..., j:, :]
         for k in range(1, m):
-            sums[0, j - 1, k - 1] = top[:, :k].copy().sum()
-            sums[1, j - 1, k - 1] = top[:, k:].copy().sum()
-            sums[2, j - 1, k - 1] = bottom[:, :k].copy().sum()
-            sums[3, j - 1, k - 1] = bottom[:, k:].copy().sum()
+            blocks = (top[..., :k], top[..., k:], bottom[..., :k], bottom[..., k:])
+            sums[:, ..., j - 1, k - 1] = [
+                np.add.reduce(block.reshape(flat), axis=-1) for block in blocks
+            ]
     return sums
 
 
@@ -393,3 +439,50 @@ def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
     if measure is None:
         raise ValueError(f"unknown indicator tag: {tag!r}")
     return np.ravel(measure(subject, couples_of(subject), rounding))
+
+
+# The kernel of each 2x2 tag of the registry (``_ll`` also takes the
+# rounding mode), and which of its outputs ``evaluate`` reports.
+_KERNELS = {
+    "or": (_or, (0,)),
+    "det": (_det, (0,)),
+    "cov": (_cov, (0,)),
+    "corr": (_corr, (0,)),
+    "reg": (_reg, (0, 1)),
+    "msp": (_msp, (2,)),
+    "v": (_v, (0,)),
+    "ll": (_ll, (3,)),
+}
+
+
+def evaluate_stack(
+    tag: str, counts, rounding: str = PAPER_INTEGER
+) -> tuple[np.ndarray, np.ndarray]:
+    """The couples-only indicator ``tag`` of every table in a stack.
+
+    ``counts`` has shape ``(T, n, m)``. Returns ``(values, undefined)``:
+    ``values[t]``, of shape ``(k,)``, equals ``evaluate(tag,
+    ContingencyTable(counts[t]), rounding)`` bit for bit, and
+    ``undefined[t]`` is true exactly where that call raises
+    :class:`~homlab.errors.UndefinedIndicatorError` (``values[t]`` then
+    carries no meaning). The kernels are the ones the single-table measures
+    call, so each formula exists once.
+    """
+    _check_rounding(rounding)
+    counts = np.asarray(counts, dtype=float)
+    size, n, m = counts.shape
+    if tag == "gll":
+        *_, values, undefined = _ll(*_split_sums(counts), rounding)
+        return values.reshape(size, -1), undefined.reshape(size, -1).any(axis=1)
+    if tag == "det" and (n, m) != (2, 2):
+        if n != m:
+            return np.full((size, 1), np.nan), np.ones(size, dtype=bool)
+        return np.linalg.det(counts)[:, None], np.zeros(size, dtype=bool)
+    if tag not in _KERNELS:
+        raise ValueError(f"no stacked evaluation of indicator tag {tag!r}")
+    if (n, m) != (2, 2):
+        raise ShapeError(f"{tag} is defined for 2x2 tables, got {n}x{m}")
+    kernel, reported = _KERNELS[tag]
+    blocks = counts.reshape(size, 4).T
+    *outputs, undefined = kernel(*blocks, rounding) if tag == "ll" else kernel(*blocks)
+    return np.array([outputs[i] for i in reported]).T, undefined

@@ -94,6 +94,8 @@ class RunConfig:
         object.__setattr__(self, "labels", tuple(self.labels))
         if self.scheme not in ("auto", *SCHEMES):
             raise DataError(f"unknown decomposition scheme: {self.scheme!r}")
+        if self.sample_count < 1:
+            raise DataError(f"sample count must be at least 1, got {self.sample_count}")
 
     @property
     def resolved_measure(self) -> str:

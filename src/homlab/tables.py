@@ -307,23 +307,33 @@ def homogamy_share(table: ContingencyTable) -> float:
 
 def _integer_vector(values: np.ndarray, what: str) -> list[int]:
     rounded = np.rint(values)
-    if np.any(np.abs(values - rounded) > 1e-9):
+    if (np.abs(values - rounded) > 1e-9).any():
         raise DegenerateInputError(f"{what} must be integers for enumeration")
     return [int(v) for v in rounded]
 
 
-def enumerate_tables(
-    marg: Marginals,
-    cap: int = 40,
-    row_labels: Sequence[str] = (),
-    col_labels: Sequence[str] = (),
-) -> list[ContingencyTable]:
-    """All nonnegative integer tables with the given marginals.
+def _compositions(amount: int, parts: int) -> np.ndarray:
+    """Every way to write ``amount`` as ``parts`` nonnegative integers, in
+    lexicographic order, shape ``(C, parts)``."""
+    heads = np.indices((amount + 1,) * (parts - 1)).reshape(
+        parts - 1, (amount + 1) ** (parts - 1)
+    ).T
+    sums = heads.sum(axis=1)
+    keep = sums <= amount
+    return np.concatenate([heads[keep], (amount - sums[keep])[:, None]], axis=1)
 
-    Exhaustively lists the lattice points of the transportation polytope,
-    recursing row by row over bounded compositions. Intended as a brute-force
-    oracle for criteria checks on tiny instances; totals above ``cap``
-    (default 40) are refused because the polytope size explodes.
+
+def lattice(marg: Marginals, cap: int = 40) -> np.ndarray:
+    """All nonnegative integer tables with the given marginals, stacked.
+
+    The lattice points of the transportation polytope as one integer array
+    of shape ``(T, n, m)``, in lexicographic order of their row-major cells.
+    The lattice grows row by row: each partial table is extended by every
+    composition of the next row sum that fits its remaining column sums, and
+    the last row is what remains. Intended as a brute-force oracle for
+    criteria checks on tiny instances; totals above ``cap`` (default 40) are
+    refused because the polytope size explodes, and a zero total is refused
+    because its only point is not a table.
     """
     rows = _integer_vector(marg.row_sums, "row sums")
     cols = _integer_vector(marg.col_sums, "column sums")
@@ -334,32 +344,35 @@ def enumerate_tables(
         raise EnumerationCapError(
             f"total {total} exceeds the enumeration cap {cap}"
         )
+    if total == 0:
+        raise DegenerateInputError("enumeration requires a positive total")
+    points = np.zeros((1, 0, len(cols)), dtype=np.int64)
+    remaining = np.array([cols], dtype=np.int64)
+    for amount in rows[:-1]:
+        comps = _compositions(amount, len(cols))
+        fits = (comps[None, :, :] <= remaining[:, None, :]).all(axis=2)
+        # row-major nonzero keeps the points in lexicographic order
+        point_ix, comp_ix = np.nonzero(fits)
+        points = np.concatenate([points[point_ix], comps[comp_ix, None, :]], axis=1)
+        remaining = remaining[point_ix] - comps[comp_ix]
+    return np.concatenate([points, remaining[:, None, :]], axis=1)
 
-    m = len(cols)
-    results: list[ContingencyTable] = []
-    current = np.zeros((len(rows), m))
 
-    def compositions(amount: int, bounds: list[int], j: int, row_out: list[int]):
-        if j == m - 1:
-            if amount <= bounds[j]:
-                row_out[j] = amount
-                yield row_out
-            return
-        upper = min(amount, bounds[j])
-        for v in range(upper + 1):
-            row_out[j] = v
-            yield from compositions(amount - v, bounds, j + 1, row_out)
+def enumerate_tables(
+    marg: Marginals,
+    cap: int = 40,
+    row_labels: Sequence[str] = (),
+    col_labels: Sequence[str] = (),
+) -> list[ContingencyTable]:
+    """All nonnegative integer tables with the given marginals.
 
-    def recurse(i: int, remaining: list[int]):
-        if i == len(rows):
-            results.append(
-                ContingencyTable(current.copy(), tuple(row_labels), tuple(col_labels))
-            )
-            return
-        for row in compositions(rows[i], remaining, 0, [0] * m):
-            current[i, :] = row
-            reduced = [remaining[j] - row[j] for j in range(m)]
-            recurse(i + 1, reduced)
-
-    recurse(0, cols)
-    return results
+    The points of :func:`lattice`, in its order, each as a validated
+    :class:`ContingencyTable`; the same cap, integer and positive-total
+    checks apply. Callers that only evaluate the points should take the
+    integer array from :func:`lattice` instead of building a table per
+    point.
+    """
+    return [
+        ContingencyTable(point, tuple(row_labels), tuple(col_labels))
+        for point in lattice(marg, cap)
+    ]

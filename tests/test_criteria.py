@@ -96,6 +96,15 @@ def test_unknown_pairs_rejected():
         check_method("AC2", "gs")
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sample_counts_below_one_are_refused(samples):
+    # a zero-sample check would report every cell satisfied on no evidence
+    with pytest.raises(ValueError):
+        check_indicator("AC6", "det", sample_count=samples)
+    with pytest.raises(ValueError):
+        check_method("AC2", "ipf", sample_count=samples)
+
+
 @pytest.mark.parametrize("criterion,expected_y", [
     ("AC5.1", {"or"}),
     ("AC5.2", {"msp"}),

@@ -22,6 +22,7 @@ from homlab.indicators import (
     covariance,
     determinant,
     evaluate,
+    evaluate_stack,
     gll,
     ll_simplified,
     odds_ratio,
@@ -475,6 +476,59 @@ def test_registry_edge_cases():
         evaluate("or", table(np.ones((3, 3))))
     with pytest.raises(ValueError):
         evaluate("unknown", BASE)
+
+
+COUPLES_TAGS = tuple(tag for tag in INDICATOR_TAGS if tag != "msm")
+
+
+def stacks(rng, shape):
+    """Seeded stacks of one shape: small integer counts, which hit every
+    undefined case (a zero margin, ``ad = bc = 0``, an empty diagonal, a
+    zero LL denominator), and real-valued counts."""
+    small = rng.integers(0, 3, size=(300, *shape))
+    if shape == (2, 2):
+        small[:3] = [[[0, 0], [3, 4]], [[0, 3], [0, 2]], [[0, 3], [4, 0]]]
+    small = small[small.reshape(len(small), -1).any(axis=1)]
+    yield small
+    yield rng.integers(0, 60, size=(100, *shape))
+    yield rng.random((100, *shape)) * 40
+
+
+@pytest.mark.parametrize("tag", COUPLES_TAGS)
+def test_stacked_evaluation_matches_the_single_table_call_bit_for_bit(tag):
+    rng = np.random.default_rng(100 + INDICATOR_TAGS.index(tag))
+    shapes = [(2, 2), (3, 3)] if tag in ("det", "gll") else [(2, 2)]
+    flagged = 0
+    for shape in shapes:
+        for stack in stacks(rng, shape):
+            for rounding in (CONTINUOUS, PAPER_INTEGER):
+                values, undefined = evaluate_stack(tag, stack, rounding)
+                assert values.shape[0] == undefined.shape[0] == len(stack)
+                for counts, value, is_undefined in zip(stack, values, undefined):
+                    try:
+                        expected = evaluate(tag, table(counts), rounding)
+                    except UndefinedIndicatorError:
+                        assert is_undefined, (tag, counts)
+                        continue
+                    assert not is_undefined, (tag, counts)
+                    assert value.tobytes() == expected.tobytes(), (tag, counts)
+                flagged += int(undefined.sum())
+    # a determinant and a covariance exist on every table
+    assert (flagged > 0) == (tag not in ("det", "cov"))
+
+
+def test_stacked_evaluation_edge_cases():
+    square = np.ones((2, 3, 3))
+    with pytest.raises(ShapeError):
+        evaluate_stack("or", square)
+    with pytest.raises(ValueError):
+        evaluate_stack("msm", square)
+    with pytest.raises(ValueError):
+        evaluate_stack("ll", np.ones((2, 2, 2)), "nearest")
+    values, undefined = evaluate_stack("det", np.ones((2, 2, 3)))
+    assert undefined.tolist() == [True, True]
+    values, undefined = evaluate_stack("gll", np.ones((1, 2, 3)), PAPER_INTEGER)
+    assert values.shape == (1, 2)
 
 
 def test_registry_is_the_one_criteria_reads():

@@ -72,6 +72,8 @@ def test_config_rejects_bad_values():
         RunConfig(rounding="nearest")
     with pytest.raises(DataError):
         RunConfig(scheme="shapley")
+    with pytest.raises(DataError):
+        RunConfig(sample_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +400,14 @@ def test_cli_criteria_outputs_are_deterministic(tmp_path):
     matrix = (out_a / "criteria_indicators.csv").read_text().strip().splitlines()
     assert matrix[0] == "criterion,or,det,cov,corr,reg,msp,v,msm,ll,gll"
     assert len(matrix) == 1 + 13
+
+
+def test_cli_criteria_refuses_a_negative_sample_count(tmp_path):
+    result = CliRunner().invoke(main, [
+        "criteria", "--samples", "-5", "--out", str(tmp_path)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, DataError)
+    assert not (tmp_path / "criteria_indicators.csv").exists()
 
 
 def test_cli_counterfactual_reports_infeasibility_in_output(tmp_path):

@@ -14,6 +14,7 @@ from homlab.tables import (
     TableWithSingles,
     enumerate_tables,
     homogamy_share,
+    lattice,
     marginals,
     merge_categories,
     merge_with_singles,
@@ -300,6 +301,73 @@ def test_enumerate_count_matches_generating_function():
             got = marginals(t)
             assert got.row_sums.tolist() == rows.tolist()
             assert got.col_sums.tolist() == cols.tolist()
+
+
+def recursive_enumeration(rows, cols):
+    """The recursive row-by-row enumeration that ``lattice`` replaced: every
+    bounded composition of a row sum, then the next row on what remains."""
+    m = len(cols)
+    results = []
+    current = np.zeros((len(rows), m), dtype=int)
+
+    def compositions(amount, bounds, j, row_out):
+        if j == m - 1:
+            if amount <= bounds[j]:
+                row_out[j] = amount
+                yield row_out
+            return
+        for v in range(min(amount, bounds[j]) + 1):
+            row_out[j] = v
+            yield from compositions(amount - v, bounds, j + 1, row_out)
+
+    def recurse(i, remaining):
+        if i == len(rows):
+            results.append(current.copy())
+            return
+        for row in compositions(rows[i], remaining, 0, [0] * m):
+            current[i, :] = row
+            recurse(i + 1, [remaining[j] - row[j] for j in range(m)])
+
+    recurse(0, list(cols))
+    return results
+
+
+def test_lattice_is_the_recursive_enumeration_in_its_order():
+    rng = np.random.default_rng(11)
+    shapes = [(n, m) for n in range(2, 5) for m in range(2, 5)]
+    zero_margins = 0
+    for i in range(120):
+        n, m = shapes[i % len(shapes)]
+        rows = rng.integers(0, 5, size=n)
+        cols = rng.integers(0, 5, size=m)
+        diff = int(rows.sum() - cols.sum())
+        if diff > 0:
+            cols[int(rng.integers(0, m))] += diff
+        elif diff < 0:
+            rows[int(rng.integers(0, n))] += -diff
+        if rows.sum() == 0:
+            continue
+        zero_margins += (rows == 0).any() or (cols == 0).any()
+        marg = Marginals(rows.astype(float), cols.astype(float))
+        points = lattice(marg, cap=40)
+        expected = recursive_enumeration(rows.tolist(), cols.tolist())
+        assert points.dtype.kind == "i"
+        assert points.shape == (len(expected), n, m)
+        assert [p.tolist() for p in points] == [e.tolist() for e in expected]
+        tables = enumerate_tables(marg, cap=40)
+        assert [t.counts.tolist() for t in tables] == [e.tolist() for e in expected]
+    assert zero_margins > 10
+
+
+@pytest.mark.parametrize("enumerate_", [lattice, enumerate_tables])
+def test_enumeration_guards(enumerate_):
+    with pytest.raises(EnumerationCapError):
+        enumerate_(Marginals([3, 3], [3, 3]), cap=5)
+    assert len(enumerate_(Marginals([3, 2], [2, 3]), cap=5)) == 3
+    with pytest.raises(DegenerateInputError):
+        enumerate_(Marginals([1.5, 0.5], [1.0, 1.0]))
+    with pytest.raises(DegenerateInputError):
+        enumerate_(Marginals([0, 0], [0, 0]))
 
 
 def test_pam_maximizes_homogamy_when_distributions_coincide():
