@@ -57,6 +57,10 @@ METHOD_TAGS = ("ipf", "mdba", "meda", "csa", "nm")
 
 _NEG_TOL = 1e-9
 
+# the reachability check enumerates every subset of the shorter axis, so
+# wider tables are left to the sweep loop
+_REACH_MAX_CATEGORIES = 12
+
 
 @dataclass(frozen=True)
 class CounterfactualResult:
@@ -122,6 +126,37 @@ def _clamp_tiny_negatives(counts: np.ndarray, context: str) -> np.ndarray:
     return np.where(counts < 0, 0.0, counts)
 
 
+def _reject_unreachable_target(support: np.ndarray, target: Marginals, tol: float):
+    """Raise when no table on ``support`` comes within ``tol`` of ``target``.
+
+    Hall's condition for a transportation problem (Gale 1957): a set of rows
+    ``R`` can only send its target mass to the columns ``N(R)`` that its
+    support cells reach. If ``rows(R) - cols(N(R))`` exceeds ``(n + m) * tol``,
+    then every table on this support misses some marginal by more than
+    ``tol``, because the row and column errors over ``R`` and ``N(R)`` add up
+    to at least that gap. Subsets are enumerated over the shorter axis.
+    """
+    need, have, axis, other = target.row_sums, target.col_sums, "rows", "columns"
+    if support.shape[0] > support.shape[1]:
+        support, need, have = support.T, have, need
+        axis, other = other, axis
+    k = support.shape[0]
+    if k > _REACH_MAX_CATEGORIES:
+        return
+    subsets = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1
+    reached = (subsets @ support) > 0
+    gaps = subsets @ need - reached @ have
+    worst = int(np.argmax(gaps))
+    if gaps[worst] > sum(support.shape) * tol:
+        members = np.flatnonzero(subsets[worst]).tolist()
+        reachable = np.flatnonzero(reached[worst]).tolist()
+        raise InfeasibilityError(
+            f"target unreachable: source {axis} {members} reach only {other} "
+            f"{reachable}, whose target falls short by {gaps[worst]:.6g}",
+            context={axis: members, other: reachable, "gap": float(gaps[worst])},
+        )
+
+
 def ipf_fit(
     source: ContingencyTable,
     target: Marginals,
@@ -135,18 +170,25 @@ def ipf_fit(
     marginal discrepancy falls below ``tol``. Rescaling never changes cross
     ratios, so on a strictly positive 2x2 source the odds ratio of the result
     equals that of the source; zero cells of the source are structural and
-    stay zero.
+    stay zero. A target that the source's zero pattern cannot reach raises
+    :class:`InfeasibilityError` before any sweep; a target reachable only in
+    the limit (a support cell tending to zero) still sweeps until ``max_iter``
+    and raises :class:`ConvergenceError`.
     """
     _check_dims(source.n_rows, source.n_cols, target)
     counts = source.counts.astype(float).copy()
-    row_mass = counts.sum(axis=1)
-    col_mass = counts.sum(axis=0)
-    if np.any((row_mass == 0) & (target.row_sums > 0)):
+    row_target, col_target = target.row_sums, target.col_sums
+    rs = counts.sum(axis=1)
+    cs = counts.sum(axis=0)
+    if np.any((rs == 0) & (row_target > 0)):
         raise InfeasibilityError("a target row is positive but the source row is all zeros")
-    if np.any((col_mass == 0) & (target.col_sums > 0)):
+    if np.any((cs == 0) & (col_target > 0)):
         raise InfeasibilityError("a target column is positive but the source column is all zeros")
+    if counts.min() == 0:
+        _reject_unreachable_target(counts > 0, target, tol)
 
-    err = _marginal_error(counts, target)
+    n, m = counts.shape
+    err = max(np.abs(rs - row_target).max(), np.abs(cs - col_target).max())
     iterations = 0
     while err > tol:
         if iterations >= max_iter:
@@ -154,24 +196,19 @@ def ipf_fit(
                 f"IPF did not reach tol={tol:g} in {max_iter} sweeps "
                 f"(residual {err:.3g})"
             )
-        rs = counts.sum(axis=1)
-        factors = np.divide(
-            target.row_sums, rs, out=np.zeros_like(rs), where=rs > 0
-        )
-        counts *= factors[:, None]
+        counts *= np.divide(row_target, rs, out=np.zeros(n), where=rs > 0)[:, None]
         cs = counts.sum(axis=0)
-        factors = np.divide(
-            target.col_sums, cs, out=np.zeros_like(cs), where=cs > 0
-        )
-        counts *= factors[None, :]
+        counts *= np.divide(col_target, cs, out=np.zeros(m), where=cs > 0)[None, :]
         iterations += 1
-        err = _marginal_error(counts, target)
+        # these row sums are also the next sweep's divisors
+        rs = counts.sum(axis=1)
+        err = max(np.abs(rs - row_target).max(), np.abs(counts.sum(axis=0) - col_target).max())
 
     return CounterfactualResult(
         table=source.with_counts(counts),
         method="IPF",
         iterations=iterations,
-        max_marginal_error=err,
+        max_marginal_error=float(err),
         feasible=True,
         diagnostics={"tol": tol},
     )

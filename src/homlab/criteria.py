@@ -324,7 +324,9 @@ def _equality_check(
                 violation = _equality_violation(
                     evaluator, tag, subject, base, label, params, compare_transposed
                 )
-            except HomlabError:  # undefined on the variant, or an unreachable rake
+            except HomlabError:
+                # undefined on the variant, or an unreachable rake, which
+                # ipf_fit rejects as InfeasibilityError before sweeping
                 continue
             if violation > VIOLATION_TOL:
                 witness = {

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
 _REL_TOL = 1e-9
 
 
+@lru_cache(maxsize=None)
 def _default_labels(prefix: str, k: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(k))
 
@@ -63,11 +65,14 @@ class ContingencyTable:
         n, m = counts.shape
         if n < 2 or m < 2:
             raise TableError(f"table must be at least 2x2, got {n}x{m}")
-        if not np.all(np.isfinite(counts)):
-            raise TableError("counts must be finite")
-        if np.any(counts < 0):
-            raise TableError("counts must be nonnegative")
-        if not np.any(counts > 0):
+        lo, hi = counts.min(), counts.max()
+        # one pass accepts every valid table (NaN fails both comparisons);
+        # the others replay the checks in order, for their message
+        if not (lo >= 0 and 0 < hi < np.inf):
+            if not np.all(np.isfinite(counts)):
+                raise TableError("counts must be finite")
+            if lo < 0:
+                raise TableError("counts must be nonnegative")
             raise TableError("at least one count must be positive")
         rows = tuple(self.row_labels) or _default_labels("r", n)
         cols = tuple(self.col_labels) or _default_labels("c", m)
@@ -162,13 +167,16 @@ class Marginals:
         cols = _frozen_array(self.col_sums)
         if rows.ndim != 1 or cols.ndim != 1:
             raise TableError("marginal sums must be vectors")
-        if np.any(rows < 0) or np.any(cols < 0):
+        # fmin skips NaN and the initial 0 covers empty vectors, so this is
+        # the elementwise sign test in one reduction per vector
+        if np.fmin.reduce(rows, initial=0.0) < 0 or np.fmin.reduce(cols, initial=0.0) < 0:
             raise TableError("marginal sums must be nonnegative")
-        total = self.total if self.total is not None else float(rows.sum())
+        row_total, col_total = rows.sum(), cols.sum()
+        total = self.total if self.total is not None else float(row_total)
         scale = max(abs(total), 1.0)
-        if abs(rows.sum() - total) > _REL_TOL * scale:
+        if abs(row_total - total) > _REL_TOL * scale:
             raise TableError("row sums do not add up to the total")
-        if abs(cols.sum() - total) > _REL_TOL * scale:
+        if abs(col_total - total) > _REL_TOL * scale:
             raise TableError("column sums do not add up to the total")
         object.__setattr__(self, "row_sums", rows)
         object.__setattr__(self, "col_sums", cols)

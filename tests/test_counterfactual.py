@@ -18,6 +18,7 @@ from homlab.counterfactual import (
     meda_weight,
     nm_fit,
 )
+from homlab.criteria import _random_positive_split
 from homlab.errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -105,10 +106,97 @@ def test_ipf_zero_pattern_infeasible():
 
 def test_ipf_nonconvergence_guard():
     # a diagonal zero pattern cannot hold row and column targets that
-    # disagree cell by cell; the raking loop must hit the iteration cap
+    # disagree cell by cell; that is known before the first sweep
     src = table([[5, 0, 0], [0, 5, 0], [0, 0, 5]])
+    for max_iter in (50, 0):
+        with pytest.raises(InfeasibilityError, match=r"rows \[0\] reach only columns \[0\]"):
+            ipf_fit(src, Marginals([10, 5, 5], [5, 10, 5]), tol=1e-12, max_iter=max_iter)
+    # reachable only as cell (0,1) tends to zero: the raking loop must hit
+    # the iteration cap
+    src = table([[5, 5], [0, 5]])
     with pytest.raises(ConvergenceError):
-        ipf_fit(src, Marginals([10, 5, 5], [5, 10, 5]), tol=1e-12, max_iter=50)
+        ipf_fit(src, Marginals([5, 10], [5, 10]), tol=1e-12, max_iter=50)
+
+
+@pytest.mark.parametrize("k,error", [(12, InfeasibilityError), (13, ConvergenceError)])
+def test_ipf_reachability_check_stops_at_twelve_categories(k, error):
+    # row 0 wants 10 couples but its only support cell is column 0, which
+    # wants 5; past 12 categories the subsets are not enumerated
+    src = table(5 * np.eye(k))
+    rows = [10] + [5] * (k - 2) + [0]
+    cols = [5] * (k - 2) + [10, 0]
+    with pytest.raises(error):
+        ipf_fit(src, Marginals(rows, cols), max_iter=5)
+
+
+def reference_ipf(source, target, tol, max_iter):
+    """The sweep loop before unreachable targets were rejected up front:
+    every sweep recomputes the row sums it divides by."""
+    counts = source.counts.astype(float).copy()
+    if np.any((counts.sum(axis=1) == 0) & (target.row_sums > 0)):
+        raise InfeasibilityError("a target row is positive but the source row is all zeros")
+    if np.any((counts.sum(axis=0) == 0) & (target.col_sums > 0)):
+        raise InfeasibilityError("a target column is positive but the source column is all zeros")
+
+    def marginal_error():
+        row_err = np.abs(counts.sum(axis=1) - target.row_sums).max()
+        col_err = np.abs(counts.sum(axis=0) - target.col_sums).max()
+        return float(max(row_err, col_err))
+
+    err = marginal_error()
+    iterations = 0
+    while err > tol:
+        if iterations >= max_iter:
+            raise ConvergenceError(f"residual {err:.3g}")
+        rs = counts.sum(axis=1)
+        counts *= np.divide(target.row_sums, rs, out=np.zeros_like(rs), where=rs > 0)[:, None]
+        cs = counts.sum(axis=0)
+        counts *= np.divide(target.col_sums, cs, out=np.zeros_like(cs), where=cs > 0)[None, :]
+        iterations += 1
+        err = marginal_error()
+    return counts, iterations, err
+
+
+def test_ipf_matches_the_sweep_loop_reference_with_zero_cells():
+    rng = np.random.default_rng(17)
+    shapes = [(2, 2), (2, 3), (3, 2), (3, 3)]
+    outcomes = {"same": 0, "rejected": 0, "capped": 0}
+    for i in range(300):
+        shape = shapes[i % len(shapes)]
+        counts = rng.integers(1, 51, size=shape) * (rng.random(shape) >= 0.25)
+        if not counts.any():
+            continue
+        total = int(rng.integers(40, 200))
+        target = Marginals(
+            _random_positive_split(rng, total, shape[0]),
+            _random_positive_split(rng, total, shape[1]),
+        )
+        src = table(counts)
+        try:
+            expected = reference_ipf(src, target, tol=1e-12, max_iter=300)
+        except ConvergenceError:
+            expected = None
+        except InfeasibilityError as exc:
+            with pytest.raises(InfeasibilityError, match=str(exc)):
+                ipf_fit(src, target, tol=1e-12, max_iter=300)
+            continue
+        try:
+            result = ipf_fit(src, target, tol=1e-12, max_iter=300)
+        except InfeasibilityError:
+            assert expected is None
+            outcomes["rejected"] += 1
+            continue
+        except ConvergenceError:
+            assert expected is None
+            outcomes["capped"] += 1
+            continue
+        assert expected is not None
+        counts_ref, iterations, err = expected
+        assert result.table.counts.tobytes() == counts_ref.tobytes()
+        assert result.iterations == iterations
+        assert result.max_marginal_error == err
+        outcomes["same"] += 1
+    assert outcomes["same"] > 100 and outcomes["rejected"] > 50 and outcomes["capped"], outcomes
 
 
 def test_ipf_matches_marginals_on_random_pairs():

@@ -431,6 +431,36 @@ def test_cli_counterfactual_reports_infeasibility_in_output(tmp_path):
     assert payload["error"]["type"] == "InfeasibilityError"
 
 
+def test_cli_reports_an_unreachable_ipf_target_as_infeasible(tmp_path):
+    # the 1990 table is diagonal, so its L husbands can only be raked onto
+    # L wives: 30 of them in 1980 against 20 L wives
+    couples = write(
+        tmp_path / "couples.csv",
+        "year,state,husband_edu,wife_edu,count\n"
+        "1980,Example,L,L,20\n1980,Example,L,H,10\n"
+        "1980,Example,H,L,0\n1980,Example,H,H,10\n"
+        "1990,Example,L,L,10\n1990,Example,L,H,0\n"
+        "1990,Example,H,L,0\n1990,Example,H,H,10\n",
+    )
+    cfg = config_file(tmp_path, method="ipf")
+    out = tmp_path / "out"
+    cli("counterfactual", "--config", cfg, "--couples", couples,
+        "--state", "Example", "--early-year", 1980, "--late-year", 1990,
+        "--out", out)
+    payload = json.loads((out / "counterfactual.json").read_text())
+    assert payload["feasible"] is False
+    assert payload["error"]["type"] == "InfeasibilityError"
+    cli("decompose", "--config", cfg, "--couples", couples, "--out", out)
+    with open(out / "decomposition.csv", newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["decade"] == "1980s"]
+    assert [row["state"] for row in rows] == ["Example"]
+    for row in rows:
+        assert row["status"].startswith(
+            "excluded: InfeasibilityError: target unreachable: "
+            "source rows [0] reach only columns [0]"
+        ), row["status"]
+
+
 def test_cli_counterfactual_with_singles(tmp_path):
     singles = write(
         tmp_path / "singles.csv",

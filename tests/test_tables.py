@@ -69,6 +69,47 @@ def test_marginals_consistency_checked():
         Marginals([10, 10], [5, 5])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        ([[1, NAN], [2, 3]], "counts must be finite"),
+        ([[1, INF], [2, 3]], "counts must be finite"),
+        ([[1, -INF], [2, 3]], "counts must be finite"),
+        ([[1, -1], [2, 3]], "counts must be nonnegative"),
+        ([[NAN, -1], [2, 3]], "counts must be finite"),
+        ([[0, 0], [0, 0]], "at least one count must be positive"),
+        ([[-1, 0], [0, 0]], "counts must be nonnegative"),
+        ([[1, 2, 3]], "table must be at least 2x2, got 1x3"),
+        ([[[1, 2], [3, 4]]] * 2, "counts must be 2-dimensional, got ndim=3"),
+    ],
+)
+def test_table_validation_messages(counts, message):
+    with pytest.raises(TableError) as info:
+        ContingencyTable(np.array(counts, dtype=float))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows,cols,message",
+    [
+        ([1, -INF], [1, 1], "marginal sums must be nonnegative"),
+        ([3, -1], [1, 1], "marginal sums must be nonnegative"),
+        ([NAN, -1], [1, 1], "marginal sums must be nonnegative"),
+        ([1, 1], [NAN, -1], "marginal sums must be nonnegative"),
+        ([[1, 1]], [2], "marginal sums must be vectors"),
+        ([[[1]]], [1], "marginal sums must be vectors"),
+        ([1, 1], [1, 2], "column sums do not add up to the total"),
+    ],
+)
+def test_marginals_validation_messages(rows, cols, message):
+    with pytest.raises(TableError) as info:
+        Marginals(rows, cols)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # marginals
 # ---------------------------------------------------------------------------
