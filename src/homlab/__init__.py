@@ -27,7 +27,6 @@ from .decomposition import (
 from .indicators import (
     CONTINUOUS,
     PAPER_INTEGER,
-    AggregationSplit,
     LiuLuDecomposition,
     MspComponents,
     RegressionPair,
@@ -41,7 +40,6 @@ from .indicators import (
     ll_simplified,
     odds_ratio,
     regression,
-    splits,
     surplus_matrix,
     v_value,
 )
@@ -60,7 +58,6 @@ from .tables import (
 from .trend import DecadeChange, TrendStats, classify_u_shape, income_consistency, score
 
 __all__ = [
-    "AggregationSplit",
     "CONTINUOUS",
     "ContingencyTable",
     "CounterfactualResult",
@@ -105,7 +102,6 @@ __all__ = [
     "random_match",
     "regression",
     "score",
-    "splits",
     "surplus_matrix",
     "v_value",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import counterfactual as cf
 from . import criteria as cr
-from .decomposition import SCHEMES, cumulate, decade_label
+from .decomposition import SCHEMES, cumulate, decade_label, fit_onto
 from .errors import DataError
 from .indicators import SCALAR_TAGS
 from .io import (
@@ -37,7 +37,7 @@ from .io import (
     load_singles,
     unit_decade_changes,
 )
-from .tables import couples_of, homogamy_share, marginals
+from .tables import homogamy_share
 from .trend import score
 
 
@@ -186,16 +186,8 @@ def counterfactual(**params):
             cut_wave(panel, config, state, year, table, method)
             for year, table in zip(years, tables)
         )
-        result = cf.fit(
-            config.method,
-            late,
-            marginals(couples_of(early)),
-            rounding=config.rounding,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            target_singles=(
-                (early.single_men, early.single_women) if method == "csa" else None
-            ),
+        result = fit_onto(
+            late, early, method, config.rounding, config.tol, config.max_iter
         )
     except EXCLUDED as exc:
         # a pair that decompose would exclude is a result, not a crash

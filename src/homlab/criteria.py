@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -190,29 +190,25 @@ def indicator_evaluator(tag: str, criterion: str) -> Callable[[object], np.ndarr
 
 
 def _difference(x: np.ndarray, y: np.ndarray) -> float:
-    """Largest absolute elementwise difference; matching infinities agree."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
+    """Largest absolute elementwise difference, the larger of the two
+    one-sided drops; vectors of different shapes are infinitely far."""
+    if np.shape(x) != np.shape(y):
         return math.inf
-    both_inf = np.isinf(x) & np.isinf(y) & (np.sign(x) == np.sign(y))
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(x - y)
-    diff[both_inf] = 0.0
-    diff[np.isnan(diff)] = np.inf
-    return float(diff.max()) if diff.size else 0.0
+    # 0.0 first, so that equal zeros of opposite sign read +0.0
+    return float(max(0.0, _one_sided_drop(x, y), _one_sided_drop(y, x)))
 
 
 def _one_sided_drop(before: np.ndarray, after: np.ndarray):
     """How far any component decreased, along the last axis; matching
-    infinities count as equal."""
+    infinities count as equal and a NaN as an infinite drop."""
     before = np.asarray(before, dtype=float)
     after = np.asarray(after, dtype=float)
-    both_inf = np.isinf(before) & np.isinf(after) & (np.sign(before) == np.sign(after))
     with np.errstate(invalid="ignore"):
         drop = before - after
-    drop[both_inf] = 0.0
-    drop[np.isnan(drop)] = np.inf
+    nan = np.isnan(drop)
+    if nan.any():  # matching infinities subtract to NaN, as do NaN inputs
+        drop[nan] = np.inf
+        drop[np.isinf(before) & (before == after)] = 0.0
     return np.max(drop, axis=-1)
 
 
@@ -300,18 +296,40 @@ def _rebuild_subject(payload: Mapping[str, object]):
 # indicator checks
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _EqualityCheck:
+    """One sampled invariance criterion: the transforms of a drawn table,
+    the matrix-valued tags that also draw 3x3 tables (compared against
+    their transposed base when ``transposed``), the criterion's note after
+    the tag's own, and the note that stands in when neither has one."""
+
+    transforms: Callable[[np.random.Generator, object], list[tuple[str, dict]]]
+    matrix_tags: tuple[str, ...] = ()
+    transposed: bool = False
+    notes: str = ""
+    fallback_notes: str = ""
+
+
 def _equality_check(
-    criterion: str,
-    tag: str,
-    transforms: Callable[[np.random.Generator, object], list[tuple[str, dict]]],
-    sample_count: int,
-    seed: int,
-    shapes: Sequence[tuple[int, int]] = ((2, 2),),
-    compare_transposed: bool = False,
-    notes: str = "",
+    criterion: str, tag: str, sample_count: int, seed: int
 ) -> CriterionReport:
     """Generic invariance check: the evaluator must agree on the original
     subject and on every transformed variant, across the sample."""
+    check = _EQUALITY_CHECKS[criterion]
+    msp_note = (
+        "marginal-immunity and reversal checks read the low-type sorting "
+        "parameter; other checks read the aggregate"
+        if tag == "msp" else ""
+    )
+    ll_note = (
+        "evaluated in continuous rounding mode (floored benchmark is "
+        "ill-posed on the non-integer tables these checks construct)"
+        if tag in ("ll", "gll") else ""
+    )
+    notes = "; ".join(x for x in (msp_note, ll_note, check.notes) if x)
+    notes = notes or check.fallback_notes
+    shapes = ((2, 2), (3, 3)) if tag in check.matrix_tags else ((2, 2),)
+    compare_transposed = check.transposed and tag in check.matrix_tags
     evaluator = indicator_evaluator(tag, criterion)
     rng = _rng_for(seed, criterion, tag)
     with_singles = tag == "msm"
@@ -319,7 +337,7 @@ def _equality_check(
         shape = shapes[i % len(shapes)]
         subject = _random_table(rng, evaluator, shape, with_singles)
         base = evaluator(subject)
-        for label, params in transforms(rng, subject):
+        for label, params in check.transforms(rng, subject):
             try:
                 violation = _equality_violation(
                     evaluator, tag, subject, base, label, params, compare_transposed
@@ -429,6 +447,25 @@ def _random_positive_split(rng, total: int, parts: int) -> list[int]:
     cuts = sorted(rng.choice(np.arange(1, total), size=parts - 1, replace=False))
     bounds = [0] + [int(c) for c in cuts] + [total]
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
+
+
+_EQUALITY_CHECKS = {
+    "AC2": _EqualityCheck(_scale_transforms, ("gll",)),
+    "AC3": _EqualityCheck(
+        _transpose_transforms, ("gll", "msm"), transposed=True,
+        fallback_notes="matrix-valued measures compare against the "
+        "transposed original",
+    ),
+    "AC4": _EqualityCheck(_rotation_transforms),
+    "AC5.1": _EqualityCheck(_type1_transforms),
+    "AC5.2": _EqualityCheck(_type2_transforms),
+    "AC5.3": _EqualityCheck(
+        _raking_transforms,
+        notes="read as raking immunity: the indicator is recomputed after "
+        "refitting the table onto fresh marginals (an interpretation; "
+        "the catalog's own row is not reproduced)",
+    ),
+}
 
 
 def _max_criterion_check(
@@ -556,8 +593,6 @@ def check_indicator(
     _check_sample_count(sample_count)
     if (criterion, indicator) in NA_CELLS:
         return _report(criterion, indicator, NOT_APPLICABLE)
-    if criterion in ("AC8.3", "AC9"):
-        return _report(criterion, indicator, NOT_APPLICABLE)
     if criterion == "AC8.2":
         return _report(
             criterion, indicator, NOT_AUTOMATED,
@@ -571,64 +606,11 @@ def check_indicator(
             SATISFIED if cardinal else COUNTEREXAMPLE,
             witness, 0, notes="metadata lookup, not a runtime check",
         )
-
-    msp_note = (
-        "marginal-immunity and reversal checks read the low-type sorting "
-        "parameter; other checks read the aggregate"
-        if indicator == "msp" else ""
-    )
-    ll_note = (
-        "evaluated in continuous rounding mode (floored benchmark is "
-        "ill-posed on the non-integer tables these checks construct)"
-        if indicator in ("ll", "gll") else ""
-    )
-    notes = "; ".join(x for x in (msp_note, ll_note) if x)
-
-    if criterion == "AC2":
-        shapes = ((2, 2), (3, 3)) if indicator == "gll" else ((2, 2),)
-        return _equality_check(
-            criterion, indicator, _scale_transforms, sample_count, seed,
-            shapes=shapes, notes=notes,
-        )
-    if criterion == "AC3":
-        shapes = ((2, 2), (3, 3)) if indicator in ("gll", "msm") else ((2, 2),)
-        return _equality_check(
-            criterion, indicator, _transpose_transforms, sample_count, seed,
-            shapes=shapes,
-            compare_transposed=indicator in ("gll", "msm"),
-            notes=notes or "matrix-valued measures compare against the "
-            "transposed original",
-        )
-    if criterion == "AC4":
-        return _equality_check(
-            criterion, indicator, _rotation_transforms, sample_count, seed,
-            notes=notes,
-        )
-    if criterion == "AC5.1":
-        return _equality_check(
-            criterion, indicator, _type1_transforms, sample_count, seed,
-            notes=notes,
-        )
-    if criterion == "AC5.2":
-        return _equality_check(
-            criterion, indicator, _type2_transforms, sample_count, seed,
-            notes=notes,
-        )
-    if criterion == "AC5.3":
-        raking_note = (
-            "read as raking immunity: the indicator is recomputed after "
-            "refitting the table onto fresh marginals (an interpretation; "
-            "the catalog's own row is not reproduced)"
-        )
-        return _equality_check(
-            criterion, indicator, _raking_transforms, sample_count, seed,
-            notes="; ".join(x for x in (notes, raking_note) if x),
-        )
     if criterion in ("AC6", "AC7"):
         return _max_criterion_check(criterion, indicator, sample_count, seed)
     if criterion == "AC8.1":
         return _monotonicity_check(criterion, indicator, sample_count, seed)
-    raise AssertionError("unreachable")  # pragma: no cover
+    return _equality_check(criterion, indicator, sample_count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -912,34 +894,25 @@ def check_method(
                 source, np.array(SIC_SINGLES), np.array(SIC_SINGLES)
             )
             singles = (np.array(SIC_SINGLES), np.array(SIC_SINGLES))
-        try:
-            # floored mode here: the crafted case is integer census-like data
-            result = cf.fit(method, subject, target,
-                            rounding=ind.PAPER_INTEGER, tol=1e-12,
-                            target_singles=singles)
-        except InfeasibilityError as exc:
-            witness = {
-                "kind": "sic",
-                "method": method,
-                "source": _table_payload(subject),
-                "target_rows": list(SIC_TARGET_ROWS),
-                "target_cols": list(SIC_TARGET_COLS),
-                "signaled": True,
-                "detail": str(exc),
-            }
-            return _report(
-                "AC12", method, SATISFIED, witness, 1,
-                notes="infeasibility error raised on the crafted impossible case",
-            )
         witness = {
             "kind": "sic",
             "method": method,
             "source": _table_payload(subject),
             "target_rows": list(SIC_TARGET_ROWS),
             "target_cols": list(SIC_TARGET_COLS),
-            "signaled": False,
-            "returned": result.table.counts.tolist(),
         }
+        try:
+            # floored mode here: the crafted case is integer census-like data
+            result = cf.fit(method, subject, target,
+                            rounding=ind.PAPER_INTEGER, tol=1e-12,
+                            target_singles=singles)
+        except InfeasibilityError as exc:
+            witness.update(signaled=True, detail=str(exc))
+            return _report(
+                "AC12", method, SATISFIED, witness, 1,
+                notes="infeasibility error raised on the crafted impossible case",
+            )
+        witness.update(signaled=False, returned=result.table.counts.tolist())
         return _report(
             "AC12", method, COUNTEREXAMPLE, witness, 1,
             notes="returned a table without signaling on the crafted "

@@ -67,7 +67,9 @@ class TrendSeries:
     cumulative: Mapping[int, float | None]
 
 
-def _fit_onto(source, target_table, method: str, rounding: str, tol, max_iter):
+def fit_onto(source, target_table, method: str, rounding: str, tol, max_iter):
+    """``method``'s fit of ``source`` onto ``target_table``'s couple margins
+    and, for ``csa``, onto its singles as well."""
     target = marginals(couples_of(target_table))
     if method.lower() == "csa":
         if not isinstance(source, TableWithSingles) or not isinstance(
@@ -108,7 +110,7 @@ def decompose(
 
     share_early = homogamy_share(early_c)
     share_late = homogamy_share(late_c)
-    counter = _fit_onto(late, early, method, rounding, tol, max_iter)
+    counter = fit_onto(late, early, method, rounding, tol, max_iter)
     share_cf = homogamy_share(counter.table)
     nonstructural = share_cf - share_early
     delta = share_late - share_early
@@ -124,7 +126,7 @@ def decompose(
             structural_effect=share_late - share_cf,
         )
 
-    reverse = _fit_onto(early, late, method, rounding, tol, max_iter)
+    reverse = fit_onto(early, late, method, rounding, tol, max_iter)
     structural = homogamy_share(reverse.table) - share_early
     return DecompositionResult(
         method=counter.method,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -77,23 +78,6 @@ class LiuLuDecomposition:
 
 
 @dataclass(frozen=True)
-class AggregationSplit:
-    """A 2x2 coarsening point: rows 1..j vs j+1..n, columns 1..k vs k+1..m."""
-
-    j: int
-    k: int
-
-
-def splits(n_rows: int, n_cols: int) -> list[AggregationSplit]:
-    """Every ordered 2x2 coarsening point of an n-by-m table, row-major."""
-    return [
-        AggregationSplit(j, k)
-        for j in range(1, n_rows)
-        for k in range(1, n_cols)
-    ]
-
-
-@dataclass(frozen=True)
 class SurplusMatrix:
     """Couple counts normalized by the geometric mean of the singles pools."""
 
@@ -113,9 +97,10 @@ def _abcd(table: ContingencyTable) -> tuple[float, float, float, float]:
 
 
 # Kernels: each 2x2 formula once, elementwise over the block sums ``a, b, c,
-# d`` (floats, or equal-shape arrays of a stack of tables). Each returns its
-# value(s) and then ``undefined``, the mask of the tables where the measure
-# is undefined; values there carry no meaning. No kernel divides by zero.
+# d`` (floats, or equal-shape arrays of a stack of tables). Each takes the
+# rounding mode last, which only LL reads, and returns its value(s) and then
+# ``undefined``, the mask of the tables where the measure is undefined;
+# values there carry no meaning. No kernel divides by zero.
 
 def _over(num, den, undefined):
     """``num / den``, NaN where ``undefined`` (which must cover ``den == 0``)."""
@@ -128,29 +113,29 @@ def _margins(a, b, c, d):
     return a + b, c + d, a + c, b + d
 
 
-def _or(a, b, c, d):
+def _or(a, b, c, d, rounding):
     ad, bc = a * d, b * c
     return np.where(bc == 0, np.inf, _over(ad, bc, bc == 0)), (bc == 0) & (ad == 0)
 
 
-def _det(a, b, c, d):
+def _det(a, b, c, d, rounding):
     return a * d - b * c, np.zeros(np.shape(a), dtype=bool)
 
 
-def _cov(a, b, c, d):
+def _cov(a, b, c, d, rounding):
     total = a + b + c + d
     undefined = total == 0
     return _over(a * d - b * c, total ** 2, undefined), undefined
 
 
-def _corr(a, b, c, d):
+def _corr(a, b, c, d, rounding):
     ab, cd, ac, bd = _margins(a, b, c, d)
     denom = ab * cd * ac * bd
     undefined = denom == 0
     return _over(a * d - b * c, np.sqrt(denom), undefined), undefined
 
 
-def _reg(a, b, c, d):
+def _reg(a, b, c, d, rounding):
     ab, cd, ac, bd = _margins(a, b, c, d)
     rows, cols = ab * cd, ac * bd
     undefined = (rows == 0) | (cols == 0)
@@ -158,7 +143,7 @@ def _reg(a, b, c, d):
     return _over(det, rows, undefined), _over(det, cols, undefined), undefined
 
 
-def _msp(a, b, c, d):
+def _msp(a, b, c, d, rounding):
     ab, cd, ac, bd = _margins(a, b, c, d)
     total = a + b + c + d
     undefined = (a + d == 0) | (ab * cd * ac * bd == 0)
@@ -167,80 +152,11 @@ def _msp(a, b, c, d):
     return msp_l, msp_h, _over(msp_l * a + msp_h * d, a + d, undefined), undefined
 
 
-def _v(a, b, c, d):
+def _v(a, b, c, d, rounding):
     ab, cd, ac, bd = _margins(a, b, c, d)
     denom = np.where(b >= c, cd * ac, bd * ab)
     undefined = denom == 0
     return _over(a * d - b * c, denom, undefined), undefined
-
-
-def _scalar(kernel, table: ContingencyTable, what: str, reason: str) -> list[float]:
-    """The outputs of ``kernel`` on a 2x2 table, as floats."""
-    _require_2x2(table, what)
-    *values, undefined = kernel(*_abcd(table))
-    if undefined:
-        raise UndefinedIndicatorError(reason)
-    return [float(v) for v in values]
-
-
-def odds_ratio(table: ContingencyTable) -> float:
-    """``ad / bc``; positive infinity when ``bc = 0`` while ``ad > 0``."""
-    return _scalar(_or, table, "odds ratio", "odds ratio undefined: ad = bc = 0")[0]
-
-
-def determinant(table: ContingencyTable) -> float:
-    """``ad - bc``. Scales with the square of the population size."""
-    return _scalar(_det, table, "matrix determinant", "")[0]
-
-
-def covariance(table: ContingencyTable) -> float:
-    """Determinant normalized by the squared total; scale free."""
-    return _scalar(
-        _cov, table, "covariance coefficient", "covariance undefined: zero total"
-    )[0]
-
-
-def correlation(table: ContingencyTable) -> float:
-    """Determinant normalized by the geometric mean of the marginal products."""
-    return _scalar(
-        _corr, table, "correlation coefficient",
-        "correlation undefined: zero marginal sum",
-    )[0]
-
-
-def regression(table: ContingencyTable) -> RegressionPair:
-    """Slopes of regressing one partner's 0/1 education on the other's."""
-    beta_wm, beta_mw = _scalar(
-        _reg, table, "regression coefficient",
-        "regression undefined: zero marginal sum",
-    )
-    return RegressionPair(beta_wm=beta_wm, beta_mw=beta_mw)
-
-
-def aggregate_msp(table: ContingencyTable) -> MspComponents:
-    """Marital sorting parameters relative to random matching."""
-    _require_2x2(table, "marital sorting parameter")
-    a, b, c, d = _abcd(table)
-    msp_l, msp_h, aggregate, undefined = _msp(a, b, c, d)
-    if undefined:
-        reason = "empty diagonal" if a + d == 0 else "zero marginal sum"
-        raise UndefinedIndicatorError(f"sorting parameter undefined: {reason}")
-    return MspComponents(float(msp_l), float(msp_h), float(aggregate))
-
-
-def v_value(table: ContingencyTable) -> float:
-    """Determinant over one marginal product, the branch picked by ``b >= c``.
-
-    Equals the weight that projects the table onto the segment between its
-    random-matching and perfectly-assortative benchmarks, so it reads as a
-    position between no sorting (0) and maximal sorting (1).
-    """
-    return _scalar(
-        _v, table, "V-value", "V-value undefined: zero denominator branch"
-    )[0]
-
-
-_LL_UNDEFINED = "LL indicator undefined: zero denominator"
 
 
 def _check_rounding(rounding: str):
@@ -272,6 +188,7 @@ def _ll(a, b, c, d, rounding: str):
     scalar formula, so a split gives the same bits whether it is evaluated
     alone or with the others.
     """
+    _check_rounding(rounding)
     cd = c + d
     bd = b + d
     total = a + b + c + d
@@ -279,6 +196,110 @@ def _ll(a, b, c, d, rounding: str):
     denom = d_max - rho
     undefined = denom == 0
     return r, rho, d_max, _over(d - rho, denom, undefined), undefined
+
+
+_LL_UNDEFINED = "LL indicator undefined: zero denominator"
+
+
+def _msp_undefined(a, b, c, d) -> str:
+    reason = "empty diagonal" if a + d == 0 else "zero marginal sum"
+    return f"sorting parameter undefined: {reason}"
+
+
+@dataclass(frozen=True)
+class _Measure:
+    """A 2x2 tag: its kernel, the kernel outputs ``evaluate`` reports, the
+    measure's name in its ShapeError, and its UndefinedIndicatorError
+    message (a function of the block sums where it names the cause)."""
+
+    kernel: Callable
+    reported: tuple[int, ...]
+    name: str
+    undefined: str | Callable[..., str]
+
+
+_TWO_BY_TWO = {
+    "or": _Measure(_or, (0,), "odds ratio", "odds ratio undefined: ad = bc = 0"),
+    "det": _Measure(_det, (0,), "matrix determinant", ""),
+    "cov": _Measure(
+        _cov, (0,), "covariance coefficient", "covariance undefined: zero total"
+    ),
+    "corr": _Measure(
+        _corr, (0,), "correlation coefficient",
+        "correlation undefined: zero marginal sum",
+    ),
+    "reg": _Measure(
+        _reg, (0, 1), "regression coefficient",
+        "regression undefined: zero marginal sum",
+    ),
+    "msp": _Measure(_msp, (2,), "marital sorting parameter", _msp_undefined),
+    "v": _Measure(_v, (0,), "V-value", "V-value undefined: zero denominator branch"),
+    "ll": _Measure(_ll, (3,), "LL indicator", _LL_UNDEFINED),
+}
+# Written out: this order seeds each criteria cell's random stream and
+# orders the criteria matrix columns.
+INDICATOR_TAGS = ("or", "det", "cov", "corr", "reg", "msp", "v", "msm", "ll", "gll")
+# one value per 2x2 couples table (``reg`` reports ``beta_wm`` first)
+SCALAR_TAGS = tuple(tag for tag in INDICATOR_TAGS if tag in _TWO_BY_TWO)
+
+
+def _outputs(tag: str, table: ContingencyTable, rounding: str) -> list[float]:
+    """Every output of ``tag``'s kernel on a 2x2 table, as floats.
+
+    The kernel runs on the four cells as Python floats, the fast path for
+    one table. Raises the tag's ShapeError off 2x2, before any rounding
+    check, and its UndefinedIndicatorError where the measure is undefined.
+    """
+    measure = _TWO_BY_TWO[tag]
+    _require_2x2(table, measure.name)
+    abcd = _abcd(table)
+    *values, undefined = measure.kernel(*abcd, rounding)
+    if undefined:
+        message = measure.undefined
+        raise UndefinedIndicatorError(
+            message if isinstance(message, str) else message(*abcd)
+        )
+    return [float(v) for v in values]
+
+
+def odds_ratio(table: ContingencyTable) -> float:
+    """``ad / bc``; positive infinity when ``bc = 0`` while ``ad > 0``."""
+    return _outputs("or", table, PAPER_INTEGER)[0]
+
+
+def determinant(table: ContingencyTable) -> float:
+    """``ad - bc``. Scales with the square of the population size."""
+    return _outputs("det", table, PAPER_INTEGER)[0]
+
+
+def covariance(table: ContingencyTable) -> float:
+    """Determinant normalized by the squared total; scale free."""
+    return _outputs("cov", table, PAPER_INTEGER)[0]
+
+
+def correlation(table: ContingencyTable) -> float:
+    """Determinant normalized by the geometric mean of the marginal products."""
+    return _outputs("corr", table, PAPER_INTEGER)[0]
+
+
+def regression(table: ContingencyTable) -> RegressionPair:
+    """Slopes of regressing one partner's 0/1 education on the other's."""
+    return RegressionPair(*_outputs("reg", table, PAPER_INTEGER))
+
+
+def aggregate_msp(table: ContingencyTable) -> MspComponents:
+    """Marital sorting parameters relative to random matching."""
+    return MspComponents(*_outputs("msp", table, PAPER_INTEGER))
+
+
+def v_value(table: ContingencyTable) -> float:
+    """Determinant over one marginal product, the branch picked by ``b >= c``.
+
+    Equals the weight that projects the table onto the segment between its
+    random-matching and perfectly-assortative benchmarks, so it reads as a
+    position between no sorting (0) and maximal sorting (1).
+    """
+    return _outputs("v", table, PAPER_INTEGER)[0]
 
 
 def ll_simplified(
@@ -295,20 +316,16 @@ def ll_simplified(
     high-high couples than the random benchmark yield the signed value and
     are flagged.
     """
-    _require_2x2(table, "LL indicator")
-    _check_rounding(rounding)
-    a, b, c, d = _abcd(table)
-    r, int_r, d_max, value, undefined = _ll(a, b, c, d, rounding)
-    if undefined:
-        raise UndefinedIndicatorError(_LL_UNDEFINED)
+    r, int_r, d_max, value = _outputs("ll", table, rounding)
+    d = float(table.counts[1, 1])
     return LiuLuDecomposition(
-        r=float(r),
-        int_r=float(int_r),
+        r=r,
+        int_r=int_r,
         d_obs=d,
-        d_max=float(d_max),
-        value=float(value),
+        d_max=d_max,
+        value=value,
         rounding=rounding,
-        negative_sorting=bool(d < int_r),
+        negative_sorting=d < int_r,
     )
 
 
@@ -359,7 +376,7 @@ def gll(table: ContingencyTable, rounding: str = PAPER_INTEGER) -> np.ndarray:
     :class:`~homlab.errors.GllUndefinedError` reports every failing split and
     carries the partial matrix.
     """
-    _check_rounding(rounding)
+    _check_rounding(rounding)  # before the table is read
     *_, out, undefined = _ll(*_split_sums(table.counts), rounding)
     if undefined.any():
         failures = [
@@ -382,49 +399,6 @@ def surplus_matrix(tws: TableWithSingles) -> SurplusMatrix:
     return SurplusMatrix(values=tws.couples.counts / denom)
 
 
-# ---------------------------------------------------------------------------
-# the tag registry
-# ---------------------------------------------------------------------------
-
-def _square_determinant(table: ContingencyTable) -> float:
-    if table.n_rows == 2 and table.n_cols == 2:
-        return determinant(table)
-    if not table.is_square():
-        raise UndefinedIndicatorError("determinant needs a square table")
-    return float(np.linalg.det(table.counts))
-
-
-def _slopes(table: ContingencyTable) -> tuple[float, float]:
-    pair = regression(table)
-    return pair.beta_wm, pair.beta_mw
-
-
-def _surplus_values(subject) -> np.ndarray:
-    if not isinstance(subject, TableWithSingles):
-        raise UndefinedIndicatorError("surplus matrix needs singles counts")
-    return surplus_matrix(subject).values
-
-
-# Each tag's measure of (subject, couples, rounding). The lambdas look the
-# measures up when they are called, so a wrapper installed on this module's
-# attribute sees every call.
-_MEASURES = {
-    "or": lambda s, t, rounding: odds_ratio(t),
-    "det": lambda s, t, rounding: _square_determinant(t),
-    "cov": lambda s, t, rounding: covariance(t),
-    "corr": lambda s, t, rounding: correlation(t),
-    "reg": lambda s, t, rounding: _slopes(t),
-    "msp": lambda s, t, rounding: aggregate_msp(t).aggregate,
-    "v": lambda s, t, rounding: v_value(t),
-    "msm": lambda s, t, rounding: _surplus_values(s),
-    "ll": lambda s, t, rounding: ll_simplified(t, rounding).value,
-    "gll": lambda s, t, rounding: gll(t, rounding),
-}
-INDICATOR_TAGS = tuple(_MEASURES)
-# one value per 2x2 couples table (``reg`` reports ``beta_wm`` first)
-SCALAR_TAGS = tuple(tag for tag in INDICATOR_TAGS if tag not in ("msm", "gll"))
-
-
 def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
     """The indicator ``tag`` of a table, or a table with singles, as a flat
     vector.
@@ -435,24 +409,22 @@ def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
     :class:`~homlab.tables.TableWithSingles`; every other tag reads its
     couples. ``rounding`` applies to the LL family.
     """
-    measure = _MEASURES.get(tag)
+    if tag == "msm":
+        if not isinstance(subject, TableWithSingles):
+            raise UndefinedIndicatorError("surplus matrix needs singles counts")
+        return surplus_matrix(subject).values.ravel()
+    couples = couples_of(subject)
+    if tag == "gll":
+        return gll(couples, rounding).ravel()
+    if tag == "det" and (couples.n_rows, couples.n_cols) != (2, 2):
+        if not couples.is_square():
+            raise UndefinedIndicatorError("determinant needs a square table")
+        return np.linalg.det(couples.counts).ravel()
+    measure = _TWO_BY_TWO.get(tag)
     if measure is None:
         raise ValueError(f"unknown indicator tag: {tag!r}")
-    return np.ravel(measure(subject, couples_of(subject), rounding))
-
-
-# The kernel of each 2x2 tag of the registry (``_ll`` also takes the
-# rounding mode), and which of its outputs ``evaluate`` reports.
-_KERNELS = {
-    "or": (_or, (0,)),
-    "det": (_det, (0,)),
-    "cov": (_cov, (0,)),
-    "corr": (_corr, (0,)),
-    "reg": (_reg, (0, 1)),
-    "msp": (_msp, (2,)),
-    "v": (_v, (0,)),
-    "ll": (_ll, (3,)),
-}
+    values = _outputs(tag, couples, rounding)
+    return np.array([values[i] for i in measure.reported])
 
 
 def evaluate_stack(
@@ -478,11 +450,10 @@ def evaluate_stack(
         if n != m:
             return np.full((size, 1), np.nan), np.ones(size, dtype=bool)
         return np.linalg.det(counts)[:, None], np.zeros(size, dtype=bool)
-    if tag not in _KERNELS:
+    measure = _TWO_BY_TWO.get(tag)
+    if measure is None:
         raise ValueError(f"no stacked evaluation of indicator tag {tag!r}")
     if (n, m) != (2, 2):
         raise ShapeError(f"{tag} is defined for 2x2 tables, got {n}x{m}")
-    kernel, reported = _KERNELS[tag]
-    blocks = counts.reshape(size, 4).T
-    *outputs, undefined = kernel(*blocks, rounding) if tag == "ll" else kernel(*blocks)
-    return np.array([outputs[i] for i in reported]).T, undefined
+    *outputs, undefined = measure.kernel(*counts.reshape(size, 4).T, rounding)
+    return np.array([outputs[i] for i in measure.reported]).T, undefined

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -173,6 +174,9 @@ class Marginals:
             raise TableError("marginal sums must be nonnegative")
         row_total, col_total = rows.sum(), cols.sum()
         total = self.total if self.total is not None else float(row_total)
+        # one scalar: NaN or inf anywhere makes the sum non-finite
+        if not math.isfinite(row_total + col_total + total):
+            raise TableError("marginal sums must be finite")
         scale = max(abs(total), 1.0)
         if abs(row_total - total) > _REL_TOL * scale:
             raise TableError("row sums do not add up to the total")

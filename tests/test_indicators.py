@@ -437,11 +437,12 @@ DIRECT = {
 
 
 def outcome(fn, *args):
-    """Bytes of the float vector ``fn`` returns, or the class it raises."""
+    """Bytes of the float vector ``fn`` returns, or the class and message of
+    what it raises (``trend --measure`` reports the message)."""
     try:
         return np.asarray(fn(*args), dtype=float).tobytes()
     except Exception as exc:  # the registry must raise exactly what the measure raises
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def registry_subjects(rng, tag):
@@ -463,19 +464,75 @@ def test_registry_matches_the_direct_measure_bit_for_bit(tag):
         for rounding in (PAPER_INTEGER, CONTINUOUS):
             got = outcome(evaluate, tag, subject, rounding)
             assert got == outcome(DIRECT[tag], subject, rounding)
-            assert not isinstance(got, type)
+            assert not isinstance(got, tuple)
+
+
+# 2x2 tables with zero cells. Together they reach every undefined branch a
+# table can reach; the covariance's, a zero total, is not a valid table.
+ZERO_CELL_TABLES = (
+    [[0, 0], [3, 4]],  # a zero row
+    [[0, 3], [0, 2]],  # a zero column
+    [[0, 3], [4, 0]],  # an empty diagonal
+    [[0, 1], [1, 0]],
+    [[3, 0], [0, 0]],  # one nonzero cell
+    [[0, 2], [0, 0]],
+    [[0, 0], [0, 5]],
+    [[2, 0], [0, 1]],  # perfect sorting
+    [[4, 1], [0, 3]],
+)
+UNDEFINED_MESSAGES = {
+    "or": {"odds ratio undefined: ad = bc = 0"},
+    "det": set(),
+    "cov": set(),
+    "corr": {"correlation undefined: zero marginal sum"},
+    "reg": {"regression undefined: zero marginal sum"},
+    "msp": {
+        "sorting parameter undefined: empty diagonal",
+        "sorting parameter undefined: zero marginal sum",
+    },
+    "v": {"V-value undefined: zero denominator branch"},
+    "msm": {"surplus matrix undefined: zero singles count"},
+    "ll": {"LL indicator undefined: zero denominator"},
+    "gll": {"undefined at splits (1,1): LL indicator undefined: zero denominator"},
+}
+
+
+@pytest.mark.parametrize("tag", INDICATOR_TAGS)
+def test_registry_raises_what_the_direct_measure_raises(tag):
+    raised = set()
+    for i, counts in enumerate(ZERO_CELL_TABLES):
+        subject = table(counts)
+        if tag == "msm":
+            subject = TableWithSingles(subject, [i % 2, 1], [1, 2])
+        for rounding in (PAPER_INTEGER, CONTINUOUS):
+            got = outcome(evaluate, tag, subject, rounding)
+            assert got == outcome(DIRECT[tag], subject, rounding)
+            if isinstance(got, tuple):
+                raised.add(got[1])
+    assert raised == UNDEFINED_MESSAGES[tag]
 
 
 def test_registry_edge_cases():
     assert evaluate("or", DIAG).tolist() == [math.inf]
-    with pytest.raises(UndefinedIndicatorError):
-        evaluate("msm", BASE)  # no singles
-    with pytest.raises(UndefinedIndicatorError):
-        evaluate("det", table([[1, 2, 3], [4, 5, 6]]))
-    with pytest.raises(ShapeError):
-        evaluate("or", table(np.ones((3, 3))))
-    with pytest.raises(ValueError):
-        evaluate("unknown", BASE)
+    wide = table(np.ones((3, 3)))
+    cases = [
+        ("msm", BASE, PAPER_INTEGER, UndefinedIndicatorError,
+         "surplus matrix needs singles counts"),
+        ("det", table([[1, 2, 3], [4, 5, 6]]), PAPER_INTEGER,
+         UndefinedIndicatorError, "determinant needs a square table"),
+        ("or", wide, PAPER_INTEGER, ShapeError,
+         "odds ratio is defined for 2x2 tables, got 3x3"),
+        ("unknown", BASE, PAPER_INTEGER, ValueError,
+         "unknown indicator tag: 'unknown'"),
+        # the shape is checked before the rounding mode
+        ("ll", wide, "bogus", ShapeError,
+         "LL indicator is defined for 2x2 tables, got 3x3"),
+        ("ll", BASE, "bogus", ValueError, "unknown rounding mode: 'bogus'"),
+    ]
+    for tag, subject, rounding, error, message in cases:
+        with pytest.raises(error) as info:
+            evaluate(tag, subject, rounding)
+        assert str(info.value) == message
 
 
 COUPLES_TAGS = tuple(tag for tag in INDICATOR_TAGS if tag != "msm")

@@ -102,12 +102,20 @@ def test_table_validation_messages(counts, message):
         ([[1, 1]], [2], "marginal sums must be vectors"),
         ([[[1]]], [1], "marginal sums must be vectors"),
         ([1, 1], [1, 2], "column sums do not add up to the total"),
+        ([1, NAN], [1, 1], "marginal sums must be finite"),
+        ([1, INF], [1, 1], "marginal sums must be finite"),
     ],
 )
 def test_marginals_validation_messages(rows, cols, message):
     with pytest.raises(TableError) as info:
         Marginals(rows, cols)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("total", [NAN, INF])
+def test_marginals_refuse_a_non_finite_total(total):
+    with pytest.raises(TableError, match="marginal sums must be finite"):
+        Marginals([1, 1], [1, 1], total)
 
 
 # ---------------------------------------------------------------------------
