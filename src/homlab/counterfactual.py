@@ -17,12 +17,18 @@ CSA       marital surplus matrix (needs singles counts)
 NM        full matrix of split-wise LL values
 ========  =====================================================
 
-All fits are pure and deterministic given their parameters.
+Each method's arithmetic is written once, as a kernel over a leading stack
+axis of problems that returns a :class:`FitStack`: per instance, the fitted
+counts, iterations, residual and the error its fit raises, if any.
+:func:`fit_stack` runs a kernel on a whole stack; ``ipf_fit``, ``mdba_fit``,
+``meda_fit``, ``nm_fit``, ``csa_solve`` and ``fit`` run it on a stack of one
+and raise that error. All fits are pure and deterministic given their
+parameters, and an instance gives the same bits alone or in a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -32,13 +38,18 @@ from .errors import (
     DegenerateInputError,
     InfeasibilityError,
     ShapeError,
+    UndefinedIndicatorError,
     UndefinedWeightError,
 )
 from .indicators import (
+    _SURPLUS_UNDEFINED,
     PAPER_INTEGER,
-    ROUNDING_MODES,
+    _check_rounding,
+    _gll_error,
+    _ll,
     _ll_benchmark,
-    gll,
+    _split_sums,
+    _surplus,
     surplus_matrix,
 )
 from .tables import (
@@ -46,9 +57,8 @@ from .tables import (
     Marginals,
     TableWithSingles,
     couples_of,
-    marginals,
-    pam_match,
-    random_match,
+    pam_counts,
+    random_counts,
 )
 
 # The method registry. Its order fixes the criteria RNG stream of each
@@ -75,6 +85,21 @@ class CounterfactualResult:
 
 
 @dataclass(frozen=True)
+class FitStack:
+    """A kernel's outcome on T problems: fitted ``counts`` (T, n, m), the
+    ``iterations`` and the ``residual`` (largest marginal error) of each, and
+    ``errors[t]``, None or what the single-table fit raises on problem ``t``
+    (whose counts and residual are NaN then). ``extra`` holds MDbA's
+    ``det_target``, MEDA's ``v`` or CSA's ``single_men`` and ``single_women``."""
+
+    counts: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    errors: tuple
+    extra: Mapping[str, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class SurvivalGrid:
     """Top-right cumulative sums of a table, the inversion device for NM.
 
@@ -94,40 +119,123 @@ class SurvivalGrid:
         values[:n, :m] = table.counts[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1]
         return cls(values=values)
 
-    def to_cells(self) -> np.ndarray:
+    def to_cells(self) -> np.ndarray:  # also on a stack of grids
         s = self.values
-        return s[:-1, :-1] - s[1:, :-1] - s[:-1, 1:] + s[1:, 1:]
+        return s[..., :-1, :-1] - s[..., 1:, :-1] - s[..., :-1, 1:] + s[..., 1:, 1:]
 
 
-def _check_dims(source_rows: int, source_cols: int, target: Marginals):
+# ---------------------------------------------------------------------------
+# kernel plumbing: ``errors`` holds a status per instance, which fails at its
+# first failing check, as a single-table fit raises at its first
+# ---------------------------------------------------------------------------
+
+def _check_shape(source_rows: int, source_cols: int, target: Marginals):
     if target.n_rows != source_rows or target.n_cols != source_cols:
         raise ShapeError(
             f"target marginals are {target.n_rows}x{target.n_cols}, "
             f"source table is {source_rows}x{source_cols}"
         )
-    if target.total <= 0:
-        raise DegenerateInputError("target total must be positive")
 
 
-def _marginal_error(counts: np.ndarray, target: Marginals) -> float:
-    row_err = np.abs(counts.sum(axis=1) - target.row_sums).max()
-    col_err = np.abs(counts.sum(axis=0) - target.col_sums).max()
-    return float(max(row_err, col_err))
+def _fail(errors: list, mask, make):
+    """Fail each instance ``i`` of ``mask`` with ``make(i)``, unless it has
+    failed already."""
+    if np.count_nonzero(mask):
+        for i in np.flatnonzero(mask):
+            errors[i] = errors[i] or make(i)
 
 
-def _clamp_tiny_negatives(counts: np.ndarray, context: str) -> np.ndarray:
-    worst = counts.min()
-    if worst < -_NEG_TOL:
-        i, j = np.unravel_index(np.argmin(counts), counts.shape)
-        raise InfeasibilityError(
-            f"{context}: cell ({i},{j}) would be {worst:.6g} < 0",
-            context={"cell": (int(i), int(j)), "value": float(worst)},
-        )
+def _target_errors(total: np.ndarray):
+    """Statuses failing nonpositive target totals, and the totals with NaN
+    there, so that no kernel divides by them."""
+    errors, bad = [None] * len(total), total <= 0
+    _fail(errors, bad, lambda i: DegenerateInputError("target total must be positive"))
+    return errors, (np.where(bad, np.nan, total) if any(errors) else total)
+
+
+def _worst_gap(counts, row_sums, rows, cols) -> np.ndarray:
+    """Each instance's largest absolute marginal error, given its row sums;
+    ``counts`` is a table (n, m) or a stack (T, n, m)."""
+    n = rows.shape[-1]
+    gaps = np.empty((*rows.shape[:-1], n + cols.shape[-1]))
+    np.subtract(row_sums, rows, out=gaps[..., :n])
+    col_gaps = np.add.reduce(counts, axis=-2, out=gaps[..., n:])
+    np.subtract(col_gaps, cols, out=col_gaps)
+    return np.maximum.reduce(np.abs(gaps, out=gaps), axis=-1)
+
+
+def _clamp_negatives(counts: np.ndarray, errors: list, describe) -> np.ndarray:
+    """``counts`` with negative cells set to 0; an instance with a cell below
+    ``-_NEG_TOL`` fails with ``InfeasibilityError(*describe(i, cell, value))``."""
+    if not counts.min() >= -_NEG_TOL:
+        worst = counts.min(axis=(-2, -1))
+        for i in np.flatnonzero(worst < -_NEG_TOL):
+            cell = np.unravel_index(np.argmin(counts[i]), counts.shape[-2:])
+            cell, value = (int(cell[0]), int(cell[1])), float(worst[i])
+            errors[i] = errors[i] or InfeasibilityError(*describe(i, cell, value))
     return np.where(counts < 0, 0.0, counts)
 
 
-def _reject_unreachable_target(support: np.ndarray, target: Marginals, tol: float):
-    """Raise when no table on ``support`` comes within ``tol`` of ``target``.
+def _would_be(fit: str):
+    return lambda i, cell, value: (
+        f"{fit}: cell ({cell[0]},{cell[1]}) would be {value:.6g} < 0",
+        {"cell": cell, "value": value},
+    )
+
+
+def _stack(counts, errors, iterations=None, residual=None, rows=None, cols=None,
+           **extra) -> FitStack:
+    """The kernel's result; a closed form's residual is measured here."""
+    if residual is None:
+        residual = _worst_gap(counts, np.add.reduce(counts, axis=-1), rows, cols)
+    iterations = np.zeros(len(counts), dtype=int) if iterations is None else iterations
+    failed = [i for i, error in enumerate(errors) if error is not None]
+    if failed:
+        counts[failed], residual[failed] = np.nan, np.nan
+    return FitStack(counts, iterations, residual, tuple(errors), extra)
+
+
+def _single(fits: FitStack) -> np.ndarray:
+    """The counts of a stack of one, or the error its fit raised."""
+    if fits.errors[0] is not None:
+        raise fits.errors[0]
+    return fits.counts[0]
+
+
+def _one(target: Marginals):
+    """A target as the rows, columns and total of a stack of one."""
+    return target.row_sums[None], target.col_sums[None], np.array([target.total])
+
+
+def _result(source: ContingencyTable, fits: FitStack, method: str,
+            diagnostics) -> CounterfactualResult:
+    return CounterfactualResult(
+        table=source.with_counts(_single(fits)),
+        method=method,
+        iterations=int(fits.iterations[0]),
+        max_marginal_error=float(fits.residual[0]),
+        feasible=True,
+        diagnostics=diagnostics,
+    )
+
+
+# ---------------------------------------------------------------------------
+# IPF
+# ---------------------------------------------------------------------------
+
+def _zero_pattern_error(counts, rows, cols, tol: float):
+    """Why a source's zero pattern cannot carry the target margins, or None."""
+    for axis, name in ((1, "row"), (0, "column")):
+        if np.any((counts.sum(axis=axis) == 0) & ((rows, cols)[1 - axis] > 0)):
+            return InfeasibilityError(
+                f"a target {name} is positive but the source {name} is all zeros"
+            )
+    return _unreachable_target(counts > 0, rows, cols, tol)
+
+
+def _unreachable_target(support: np.ndarray, rows, cols, tol: float):
+    """The error when no table on ``support`` comes within ``tol`` of the
+    target margins, else None.
 
     Hall's condition for a transportation problem (Gale 1957): a set of rows
     ``R`` can only send its target mass to the columns ``N(R)`` that its
@@ -136,25 +244,80 @@ def _reject_unreachable_target(support: np.ndarray, target: Marginals, tol: floa
     ``tol``, because the row and column errors over ``R`` and ``N(R)`` add up
     to at least that gap. Subsets are enumerated over the shorter axis.
     """
-    need, have, axis, other = target.row_sums, target.col_sums, "rows", "columns"
+    need, have, axis, other = rows, cols, "rows", "columns"
     if support.shape[0] > support.shape[1]:
         support, need, have = support.T, have, need
         axis, other = other, axis
     k = support.shape[0]
     if k > _REACH_MAX_CATEGORIES:
-        return
+        return None
     subsets = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1
     reached = (subsets @ support) > 0
     gaps = subsets @ need - reached @ have
     worst = int(np.argmax(gaps))
-    if gaps[worst] > sum(support.shape) * tol:
-        members = np.flatnonzero(subsets[worst]).tolist()
-        reachable = np.flatnonzero(reached[worst]).tolist()
-        raise InfeasibilityError(
-            f"target unreachable: source {axis} {members} reach only {other} "
-            f"{reachable}, whose target falls short by {gaps[worst]:.6g}",
-            context={axis: members, other: reachable, "gap": float(gaps[worst])},
-        )
+    if gaps[worst] <= sum(support.shape) * tol:
+        return None
+    members = np.flatnonzero(subsets[worst]).tolist()
+    reachable = np.flatnonzero(reached[worst]).tolist()
+    return InfeasibilityError(
+        f"target unreachable: source {axis} {members} reach only {other} "
+        f"{reachable}, whose target falls short by {gaps[worst]:.6g}",
+        context={axis: members, other: reachable, "gap": float(gaps[worst])},
+    )
+
+
+def _sweep(work, rows, cols, rs):
+    """One IPF sweep, in place, of a table (n, m) or a stack (T, n, m) with
+    row sums ``rs``; returns the new row sums and marginal errors."""
+    work *= np.divide(rows, rs, out=np.zeros(rs.shape), where=rs > 0)[..., None]
+    cs = np.add.reduce(work, axis=-2)
+    work *= np.divide(cols, cs, out=np.zeros(cs.shape), where=cs > 0)[..., None, :]
+    # these row sums are also the next sweep's divisors
+    rs = np.add.reduce(work, axis=-1)
+    return rs, _worst_gap(work, rs, rows, cols)
+
+
+def _ipf_kernel(counts, rows, cols, total, tol: float, max_iter: int) -> FitStack:
+    counts = np.array(counts, dtype=float, order="C")
+    errors, _ = _target_errors(total)
+    if not counts.min() > 0:
+        for i in np.flatnonzero(counts.min(axis=(-2, -1)) == 0):
+            errors[i] = errors[i] or _zero_pattern_error(counts[i], rows[i], cols[i], tol)
+    rs = np.add.reduce(counts, axis=-1)
+    residual = _worst_gap(counts, rs, rows, cols)
+    iterations = np.zeros(len(counts), dtype=int)
+    live = [i for i, error in enumerate(errors) if error is None and residual[i] > tol]
+    # The live instances sweep together, in place while all are live; the
+    # stack is compacted only when one finishes. One live instance sweeps
+    # as a plain table, which numpy reduces faster, and never compacts.
+    if len(live) == 1:
+        (i,) = live
+        work, rows, cols, rs, err = counts[i], rows[i], cols[i], rs[i], residual[i]
+    else:
+        live = np.array(live, dtype=int)
+        work, rows, cols, rs, err = (a[live] for a in (counts, rows, cols, rs, residual))
+    sweeps = 0
+    while len(live):
+        if sweeps >= max_iter:
+            for i, left in zip(live, np.atleast_1d(err)):
+                errors[i] = ConvergenceError(
+                    f"IPF did not reach tol={tol:g} in {max_iter} sweeps "
+                    f"(residual {left:.3g})"
+                )
+            break
+        rs, err = _sweep(work, rows, cols, rs)
+        sweeps += 1
+        going = err > tol
+        if work.ndim == 2:
+            if not going:
+                iterations[i], residual[i], live = sweeps, err, ()
+        elif np.count_nonzero(going) < live.size:
+            done = live[~going]
+            counts[done], iterations[done], residual[done] = work[~going], sweeps, err[~going]
+            live, work, rows, cols, rs, err = (
+                a[going] for a in (live, work, rows, cols, rs, err)
+            )
+    return _stack(counts, errors, iterations, residual)
 
 
 def ipf_fit(
@@ -173,45 +336,33 @@ def ipf_fit(
     stay zero. A target that the source's zero pattern cannot reach raises
     :class:`InfeasibilityError` before any sweep; a target reachable only in
     the limit (a support cell tending to zero) still sweeps until ``max_iter``
-    and raises :class:`ConvergenceError`.
+    and raises :class:`ConvergenceError`. This is the stacked IPF kernel on
+    a stack of one; in a stack, each instance stops at its own sweep.
     """
-    _check_dims(source.n_rows, source.n_cols, target)
-    counts = source.counts.astype(float).copy()
-    row_target, col_target = target.row_sums, target.col_sums
-    rs = counts.sum(axis=1)
-    cs = counts.sum(axis=0)
-    if np.any((rs == 0) & (row_target > 0)):
-        raise InfeasibilityError("a target row is positive but the source row is all zeros")
-    if np.any((cs == 0) & (col_target > 0)):
-        raise InfeasibilityError("a target column is positive but the source column is all zeros")
-    if counts.min() == 0:
-        _reject_unreachable_target(counts > 0, target, tol)
+    _check_shape(source.n_rows, source.n_cols, target)
+    fits = _ipf_kernel(source.counts[None], *_one(target), tol, max_iter)
+    return _result(source, fits, "IPF", {"tol": tol})
 
-    n, m = counts.shape
-    err = max(np.abs(rs - row_target).max(), np.abs(cs - col_target).max())
-    iterations = 0
-    while err > tol:
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"IPF did not reach tol={tol:g} in {max_iter} sweeps "
-                f"(residual {err:.3g})"
-            )
-        counts *= np.divide(row_target, rs, out=np.zeros(n), where=rs > 0)[:, None]
-        cs = counts.sum(axis=0)
-        counts *= np.divide(col_target, cs, out=np.zeros(m), where=cs > 0)[None, :]
-        iterations += 1
-        # these row sums are also the next sweep's divisors
-        rs = counts.sum(axis=1)
-        err = max(np.abs(rs - row_target).max(), np.abs(counts.sum(axis=0) - col_target).max())
 
-    return CounterfactualResult(
-        table=source.with_counts(counts),
-        method="IPF",
-        iterations=iterations,
-        max_marginal_error=float(err),
-        feasible=True,
-        diagnostics={"tol": tol},
-    )
+# ---------------------------------------------------------------------------
+# closed forms: MDbA, MEDA and NM
+# ---------------------------------------------------------------------------
+
+def _mdba_kernel(counts, rows, cols, total) -> FitStack:
+    errors, total = _target_errors(total)
+    a, b, c, d = counts.reshape(-1, 4).T
+    scale = total / counts.sum(axis=(-2, -1))
+    det_target = (a * d - b * c) * scale * scale
+    row_h, col_h = rows[:, 1], cols[:, 1]
+    # det = d*T - col_h*row_h once the marginals are substituted in
+    d_new = (det_target + col_h * row_h) / total
+    fitted = np.empty(counts.shape)
+    fitted[:, 0, 1] = col_h - d_new
+    fitted[:, 0, 0] = rows[:, 0] - fitted[:, 0, 1]
+    fitted[:, 1, 0] = row_h - d_new
+    fitted[:, 1, 1] = d_new
+    fitted = _clamp_negatives(fitted, errors, _would_be("determinant-preserving fit"))
+    return _stack(fitted, errors, rows=rows, cols=cols, det_target=det_target)
 
 
 def mdba_fit(source: ContingencyTable, target: Marginals) -> CounterfactualResult:
@@ -222,34 +373,32 @@ def mdba_fit(source: ContingencyTable, target: Marginals) -> CounterfactualResul
     is the source determinant rescaled to the target total (the determinant
     grows with the square of the population, so the raw value would mix
     sorting with population size). A solution with a negative cell does not
-    exist as a table and raises.
+    exist as a table and raises. This is the stacked MDbA kernel on a stack
+    of one.
     """
     if source.n_rows != 2 or source.n_cols != 2:
         raise ShapeError("the determinant-based method needs dichotomous traits")
-    _check_dims(2, 2, target)
-    (a, b), (c, d) = source.counts
-    det_source = float(a * d - b * c)
-    scale = target.total / source.total
-    det_target = det_source * scale * scale
-    row_h = float(target.row_sums[1])
-    col_h = float(target.col_sums[1])
-    # det = d*T - col_h*row_h once the marginals are substituted in
-    d_new = (det_target + col_h * row_h) / target.total
-    counts = np.array(
-        [
-            [target.row_sums[0] - (col_h - d_new), col_h - d_new],
-            [row_h - d_new, d_new],
-        ]
-    )
-    counts = _clamp_tiny_negatives(counts, "determinant-preserving fit")
-    return CounterfactualResult(
-        table=source.with_counts(counts),
-        method="MDbA",
-        iterations=0,
-        max_marginal_error=_marginal_error(counts, target),
-        feasible=True,
-        diagnostics={"det_target": det_target},
-    )
+    _check_shape(2, 2, target)
+    fits = _mdba_kernel(source.counts[None], *_one(target))
+    return _result(source, fits, "MDbA", {"det_target": float(fits.extra["det_target"][0])})
+
+
+def _meda_weights(counts, errors: list) -> np.ndarray:
+    """The projection weight of each source table of a stack; an instance
+    whose two benchmarks coincide fails and gets NaN."""
+    rows, cols = counts.sum(axis=-1), counts.sum(axis=-2)
+    total = rows.sum(axis=-1)
+    rnd = random_counts(rows, cols, total)
+    direction = pam_counts(rows, cols) - rnd
+    dd = (direction * direction).sum(axis=(-2, -1))
+    undefined = dd <= (1e-9 * total) ** 2
+    if np.count_nonzero(undefined):
+        _fail(errors, undefined, lambda i: UndefinedWeightError(
+            "projection weight undefined: the random and assortative "
+            "benchmarks coincide for these marginals"))
+        dd = np.where(undefined, np.nan, dd)
+    offset = counts - rnd
+    return (offset * direction).sum(axis=(-2, -1)) / dd
 
 
 def meda_weight(source: ContingencyTable) -> float:
@@ -259,18 +408,24 @@ def meda_weight(source: ContingencyTable) -> float:
     combination ``(1 - v) * random + v * assortative`` built on the source's
     own marginals; in closed form it is the ratio of two inner products.
     """
-    m = marginals(source)
-    rnd = random_match(m).counts
-    pam = pam_match(m).counts
-    direction = pam - rnd
-    dd = float((direction * direction).sum())
-    if dd <= (1e-9 * m.total) ** 2:
-        raise UndefinedWeightError(
-            "projection weight undefined: the random and assortative "
-            "benchmarks coincide for these marginals"
-        )
-    offset = source.counts - rnd
-    return float((offset * direction).sum() / dd)
+    errors = [None]
+    (v,) = _meda_weights(source.counts[None], errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(v)
+
+
+def _meda_kernel(counts, rows, cols, total) -> FitStack:
+    errors, total = _target_errors(total)
+    v = _meda_weights(counts, errors)
+    w = v[:, None, None]
+    fitted = (1.0 - w) * random_counts(rows, cols, total) + w * pam_counts(rows, cols)
+    fitted = _clamp_negatives(fitted, errors, lambda i, cell, value: (
+        f"projection fit: weight v={v[i]:.6g} drives cell ({cell[0]},{cell[1]}) "
+        f"to {value:.6g}",
+        {"v": float(v[i]), "cell": cell, "value": value},
+    ))
+    return _stack(fitted, errors, rows=rows, cols=cols, v=v)
 
 
 def meda_fit(source: ContingencyTable, target: Marginals) -> CounterfactualResult:
@@ -280,29 +435,33 @@ def meda_fit(source: ContingencyTable, target: Marginals) -> CounterfactualResul
     target marginals, with ``v`` estimated from the source. ``v`` is not
     clamped to [0, 1]: a weight outside that range that produces a negative
     cell is exactly the impossible-counterfactual signal and raises, with the
-    unclamped weight reported.
+    unclamped weight reported. This is the stacked MEDA kernel on a stack of
+    one.
     """
-    _check_dims(source.n_rows, source.n_cols, target)
-    v = meda_weight(source)
-    rnd = random_match(target, source.row_labels, source.col_labels).counts
-    pam = pam_match(target, source.row_labels, source.col_labels).counts
-    counts = (1.0 - v) * rnd + v * pam
-    worst = counts.min()
-    if worst < -_NEG_TOL:
-        i, j = np.unravel_index(np.argmin(counts), counts.shape)
-        raise InfeasibilityError(
-            f"projection fit: weight v={v:.6g} drives cell ({i},{j}) to {worst:.6g}",
-            context={"v": float(v), "cell": (int(i), int(j)), "value": float(worst)},
-        )
-    counts = np.where(counts < 0, 0.0, counts)
-    return CounterfactualResult(
-        table=source.with_counts(counts),
-        method="MEDA",
-        iterations=0,
-        max_marginal_error=_marginal_error(counts, target),
-        feasible=True,
-        diagnostics={"v": v},
+    _check_shape(source.n_rows, source.n_cols, target)
+    fits = _meda_kernel(source.counts[None], *_one(target))
+    return _result(source, fits, "MEDA", {"v": float(fits.extra["v"][0])})
+
+
+def _nm_kernel(counts, rows, cols, total, rounding: str) -> FitStack:
+    errors, total = _target_errors(total)
+    *_, levels, undefined = _ll(*_split_sums(counts), rounding)
+    if np.count_nonzero(undefined):
+        _fail(errors, undefined.any(axis=(-2, -1)),
+              lambda i: _gll_error(levels[i], undefined[i]))
+    size, n, m = counts.shape
+    grid = np.zeros((size, n + 1, m + 1))
+    grid[:, :n, 0] = np.cumsum(rows[:, ::-1], axis=-1)[:, ::-1]
+    grid[:, 0, :m] = np.cumsum(cols[:, ::-1], axis=-1)[:, ::-1]
+    grid[:, 0, 0] = total
+    _, rho, d_max = _ll_benchmark(
+        grid[:, 1:n, :1], grid[:, :1, 1:m], total[:, None, None], rounding
     )
+    grid[:, 1:n, 1:m] = levels * (d_max - rho) + rho
+    fitted = _clamp_negatives(
+        SurvivalGrid(values=grid).to_cells(), errors, _would_be("LL-preserving fit")
+    )
+    return _stack(fitted, errors, rows=rows, cols=cols)
 
 
 def nm_fit(
@@ -324,37 +483,91 @@ def nm_fit(
     the well-posed choice on non-integer marginals and the mode that commutes
     with category merging). A negative recovered cell means no table with the
     target marginals carries this much sorting; that raises, carrying the
-    offending cell.
+    offending cell. This is the stacked NM kernel on a stack of one.
     """
-    if rounding not in ROUNDING_MODES:
-        raise ValueError(f"unknown rounding mode: {rounding!r}")
-    _check_dims(source.n_rows, source.n_cols, target)
-    levels = gll(source, rounding)
+    _check_rounding(rounding)
+    _check_shape(source.n_rows, source.n_cols, target)
+    fits = _nm_kernel(source.counts[None], *_one(target), rounding)
+    return _result(source, fits, "NM", {"rounding": rounding})
 
-    n, m = source.n_rows, source.n_cols
-    total = target.total
-    row_tail = np.concatenate([np.cumsum(target.row_sums[::-1])[::-1], [0.0]])
-    col_tail = np.concatenate([np.cumsum(target.col_sums[::-1])[::-1], [0.0]])
 
-    grid = np.zeros((n + 1, m + 1))
-    grid[:, 0] = row_tail
-    grid[0, :] = col_tail
-    grid[0, 0] = total
-    _, rho, d_max = _ll_benchmark(
-        row_tail[1:n, None], col_tail[None, 1:m], total, rounding
-    )
-    grid[1:n, 1:m] = levels * (d_max - rho) + rho
+# ---------------------------------------------------------------------------
+# CSA
+# ---------------------------------------------------------------------------
 
-    counts = SurvivalGrid(values=grid).to_cells()
-    counts = _clamp_tiny_negatives(counts, "LL-preserving fit")
-    return CounterfactualResult(
-        table=source.with_counts(counts),
-        method="NM",
-        iterations=0,
-        max_marginal_error=_marginal_error(counts, target),
-        feasible=True,
-        diagnostics={"rounding": rounding},
-    )
+def _csa_kernel(msm, men, women, tol: float, max_iter: int) -> FitStack:
+    size, k, l = msm.shape
+    errors = [None] * size
+    # z = (x, y) of each instance side by side, as are its target populations
+    populations = np.concatenate([men, women], axis=-1)
+    _fail(errors, (populations <= 0).any(axis=-1), lambda i: DegenerateInputError(
+        "target populations must be strictly positive"))
+    _fail(errors, (msm < 0).any(axis=(-2, -1)) | ~np.isfinite(msm).all(axis=(-2, -1)),
+          lambda i: DegenerateInputError("surplus matrix must be finite and nonnegative"))
+    couples, singles = np.zeros(msm.shape), np.zeros(populations.shape)
+    iterations, residual = np.zeros(size, dtype=int), np.zeros(size)
+    live = np.flatnonzero(np.equal(errors, None))
+    msm, populations = msm[live], populations[live]
+    scale, z = np.maximum(populations, 1.0), np.sqrt(populations)
+    jacobian = np.zeros((live.size, k + l, k + l))
+    steps = 0
+    # The live instances step together; the stack is compacted only when one
+    # finishes or fails.
+    while live.size:
+        x, y = z[:, :k], z[:, k:]
+        mz = np.concatenate([(msm @ y[..., None])[..., 0],
+                             (np.swapaxes(msm, -1, -2) @ x[..., None])[..., 0]], axis=-1)
+        excess = z * (z + mz) - populations
+        res = (np.abs(excess) / scale).max(axis=-1)
+        done = res <= tol
+        if np.count_nonzero(done) or steps == max_iter:
+            ix = live[done]
+            couples[ix] = msm[done] * (x[done][:, :, None] * y[done][:, None, :])
+            singles[ix], iterations[ix], residual[ix] = z[done] * z[done], steps, res[done]
+            for i, left in zip(live[~done], res[~done]) if steps == max_iter else ():
+                errors[i] = ConvergenceError(
+                    f"surplus-preserving fit did not reach tol={tol:g} in "
+                    f"{max_iter} iterations (residual {left:.3g})"
+                )
+            going = ~done & (steps < max_iter)
+            live, msm, populations, scale, jacobian, z, mz, excess = (
+                a[going] for a in (live, msm, populations, scale, jacobian, z, mz, excess)
+            )
+            if not live.size:
+                break
+            x, y = z[:, :k], z[:, k:]
+        steps += 1
+        jacobian.reshape(live.size, -1)[:, :: k + l + 1] = 2.0 * z + mz
+        jacobian[:, :k, k:] = x[..., None] * msm
+        jacobian[:, k:, :k] = y[..., None] * np.swapaxes(msm, -1, -2)
+        # b as a stack of (M, 1) matrices: numpy >= 2 reads a (T, M) b as
+        # one (M, K) matrix. The Jacobian times diag(z) is strictly
+        # diagonally dominant for positive z, so no solve is singular.
+        step = np.linalg.solve(jacobian, -excess[..., None])[..., 0]
+        trial = z + step
+        if not (trial.min() > 0 and trial.max() < np.inf):
+            # halve a step that would leave the positive orthant
+            t, stuck = np.ones((live.size, 1)), np.zeros(live.size, dtype=bool)
+            blocked = (trial <= 0).any(axis=-1)
+            while np.count_nonzero(blocked):
+                t[blocked] *= 0.5
+                stuck |= blocked & (t[:, 0] < 1e-12)
+                blocked = ~stuck & (z + t * step <= 0).any(axis=-1)
+            trial = z + t * step
+            escaped = ~np.isfinite(trial).all(axis=-1)
+            for failed, verb in ((stuck, "cannot stay in"), (escaped, "left")):
+                for i in live[failed]:
+                    errors[i] = errors[i] or InfeasibilityError(
+                        f"surplus-preserving fit {verb} the positive orthant",
+                        context={"iteration": steps},
+                    )
+            going = ~(stuck | escaped)
+            live, msm, populations, scale, jacobian, trial = (
+                a[going] for a in (live, msm, populations, scale, jacobian, trial)
+            )
+        z = trial
+    return _stack(couples, errors, iterations, residual,
+                  single_men=singles[:, :k], single_women=singles[:, k:])
 
 
 def csa_solve(
@@ -381,7 +594,9 @@ def csa_solve(
     (one linear solve per step). A step that would leave the positive
     orthant is halved until ``x`` and ``y`` stay strictly positive.
     Convergence is measured by the largest relative population-identity
-    residual; ``iterations`` counts Newton steps.
+    residual; ``iterations`` counts Newton steps. This is the stacked CSA
+    kernel on a stack of one; in a stack, each step is one stacked solve and
+    the step is halved per instance.
 
     Returns ``(couples, mu_m, mu_w, iterations, residual)``.
     """
@@ -390,48 +605,9 @@ def csa_solve(
     women = np.asarray(target_women, dtype=float)
     if msm.shape != (men.shape[0], women.shape[0]):
         raise ShapeError("surplus matrix and target populations disagree in shape")
-    if np.any(men <= 0) or np.any(women <= 0):
-        raise DegenerateInputError("target populations must be strictly positive")
-    if np.any(msm < 0) or not np.all(np.isfinite(msm)):
-        raise DegenerateInputError("surplus matrix must be finite and nonnegative")
-
-    k = men.shape[0]
-    scale = np.concatenate([np.maximum(men, 1.0), np.maximum(women, 1.0)])
-    jacobian = np.zeros((k + women.shape[0],) * 2)
-    x, y = np.sqrt(men), np.sqrt(women)
-    iteration = 0
-    while True:
-        my, mx = msm @ y, msm.T @ x
-        excess = np.concatenate([x * (x + my) - men, y * (y + mx) - women])
-        residual = float((np.abs(excess) / scale).max())
-        if residual <= tol:
-            break
-        if iteration == max_iter:
-            raise ConvergenceError(
-                f"surplus-preserving fit did not reach tol={tol:g} in {max_iter} "
-                f"iterations (residual {residual:.3g})"
-            )
-        iteration += 1
-        np.fill_diagonal(jacobian, np.concatenate([2.0 * x + my, 2.0 * y + mx]))
-        jacobian[:k, k:] = x[:, None] * msm
-        jacobian[k:, :k] = y[:, None] * msm.T
-        step = np.linalg.solve(jacobian, -excess)
-        t = 1.0
-        while np.any(x + t * step[:k] <= 0) or np.any(y + t * step[k:] <= 0):
-            t *= 0.5
-            if t < 1e-12:
-                raise InfeasibilityError(
-                    "surplus-preserving fit cannot stay in the positive orthant",
-                    context={"iteration": iteration},
-                )
-        x, y = x + t * step[:k], y + t * step[k:]
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InfeasibilityError(
-                "surplus-preserving fit left the positive orthant",
-                context={"iteration": iteration},
-            )
-
-    return msm * np.outer(x, y), x * x, y * y, iteration, residual
+    fits = _csa_kernel(msm[None], men[None], women[None], tol, max_iter)
+    return (_single(fits), fits.extra["single_men"][0], fits.extra["single_women"][0],
+            int(fits.iterations[0]), float(fits.residual[0]))
 
 
 def csa_fit(
@@ -450,13 +626,8 @@ def csa_fit(
     couples, mu_m, mu_w, iterations, residual = csa_solve(
         msm, target_men, target_women, tol=tol, max_iter=max_iter
     )
-    table = ContingencyTable(
-        np.where(couples < 0, 0.0, couples),
-        source.couples.row_labels,
-        source.couples.col_labels,
-    )
     return CounterfactualResult(
-        table=table,
+        table=source.couples.with_counts(couples),
         method="CSA",
         iterations=iterations,
         max_marginal_error=residual,
@@ -481,7 +652,9 @@ def fit(
 
     For ``csa`` the source must carry singles counts and the target
     populations are the target couple marginals plus ``target_singles``
-    (falling back to the source's own singles when not provided).
+    (falling back to the source's own singles when not provided). Every
+    method runs its stacked kernel on a stack of one; :func:`fit_stack`
+    runs it on many problems at once.
     """
     tag = method.strip().lower()
     if tag == "csa":
@@ -503,4 +676,50 @@ def fit(
         return meda_fit(couples, target)
     if tag == "nm":
         return nm_fit(couples, target, rounding=rounding)
+    raise ValueError(f"unknown method tag: {method!r}")
+
+
+def fit_stack(
+    method: str,
+    counts: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    rounding: str = PAPER_INTEGER,
+    tol: float = 1e-10,
+    max_iter: int = 10000,
+    singles: tuple[np.ndarray, np.ndarray] | None = None,
+    target_singles: tuple[np.ndarray, np.ndarray] | None = None,
+) -> FitStack:
+    """:func:`fit` on a stack of T >= 1 problems, in one kernel call.
+
+    ``counts`` (T, n, m) holds valid source tables, ``rows`` (T, n) and
+    ``cols`` (T, m) the target margins, whose total is their row sum as in
+    :class:`~homlab.tables.Marginals`. For ``csa``, ``singles`` holds the
+    sources' single men (T, n) and women (T, m), and ``target_singles`` the
+    targets' (the sources' when None). Instance ``t`` of the result is what
+    ``fit`` returns on problem ``t``, bit for bit, or the error it raises.
+    """
+    tag = method.strip().lower()
+    if tag == "csa":
+        if singles is None:
+            raise ShapeError("the surplus-based method needs singles counts")
+        msm, undefined = _surplus(counts, *singles)
+        men, women = target_singles or singles
+        fits = _csa_kernel(msm, rows + men, cols + women, min(tol, 1e-11), max_iter)
+        return replace(fits, errors=tuple(
+            UndefinedIndicatorError(_SURPLUS_UNDEFINED) if bad else error
+            for bad, error in zip(undefined, fits.errors)
+        ))
+    total = rows.sum(axis=-1)
+    if tag == "ipf":
+        return _ipf_kernel(counts, rows, cols, total, tol, max_iter)
+    if tag == "mdba":
+        if counts.shape[-2:] != (2, 2):
+            raise ShapeError("the determinant-based method needs dichotomous traits")
+        return _mdba_kernel(counts, rows, cols, total)
+    if tag == "meda":
+        return _meda_kernel(counts, rows, cols, total)
+    if tag == "nm":
+        _check_rounding(rounding)
+        return _nm_kernel(counts, rows, cols, total, rounding)
     raise ValueError(f"unknown method tag: {method!r}")

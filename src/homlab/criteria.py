@@ -31,7 +31,7 @@ AC12   signaling impossible counterfactuals (methods)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,7 +49,7 @@ from .tables import (
     Marginals,
     TableWithSingles,
     couples_of,
-    homogamy_share,
+    homogamy_shares,
     lattice,
     marginals,
     merge_categories,
@@ -398,21 +398,23 @@ def _matrix_shape(tag: str, subject) -> tuple[int, int]:
     return (1, -1)
 
 
-def _no_params(rng, subject) -> dict:
+# Parameter draws of a criterion, given the row count of the drawn table.
+
+def _no_params(rng, n_rows: int) -> dict:
     return {}
 
 
-def _scale_params(rng, subject) -> dict:
+def _scale_params(rng, n_rows: int) -> dict:
     return {"alpha": float(rng.uniform(0.2, 5.0))}
 
 
-def _diagonal_params(rng, subject) -> dict:
-    diagonal = rng.integers(1, 51, size=couples_of(subject).n_rows).astype(float)
+def _diagonal_params(rng, n_rows: int) -> dict:
+    diagonal = rng.integers(1, 51, size=n_rows).astype(float)
     return {"diagonal": diagonal.tolist()}
 
 
 def _scale_transforms(rng, subject):
-    return [("scale", _scale_params(rng, subject))]
+    return [("scale", _scale_params(rng, couples_of(subject).n_rows))]
 
 
 def _transpose_transforms(rng, subject):
@@ -553,7 +555,7 @@ def _monotonicity_check(
     with_singles = tag == "msm"
     for i in range(sample_count):
         subject = _random_table(rng, evaluator, (2, 2), with_singles)
-        diagonal = _diagonal_params(rng, subject)["diagonal"]
+        diagonal = _diagonal_params(rng, couples_of(subject).n_rows)["diagonal"]
         try:
             drop = _monotonicity_violation(evaluator, subject, diagonal)
         except UndefinedIndicatorError:
@@ -626,107 +628,143 @@ SIC_TARGET_COLS = (10.0, 90.0)
 SIC_SINGLES = (10.0, 10.0)
 
 
-def _method_source(rng, shape=(2, 2), with_singles=False):
+def _draw_counts(rng, shape, with_singles: bool):
+    """One method source or target: cells uniform on [1, 50] and, with
+    singles, (single men, single women) per category, else None."""
     counts = rng.integers(1, 51, size=shape).astype(float)
+    if not with_singles:
+        return counts, None
+    return counts, tuple(rng.integers(1, 51, size=k).astype(float) for k in shape)
+
+
+def _method_source(rng, shape, with_singles: bool):
+    counts, singles = _draw_counts(rng, shape, with_singles)
     table = ContingencyTable(counts)
-    if with_singles:
-        return TableWithSingles(
-            table,
-            rng.integers(1, 51, size=shape[0]).astype(float),
-            rng.integers(1, 51, size=shape[1]).astype(float),
-        )
-    return table
+    return table if singles is None else TableWithSingles(table, *singles)
 
 
-def _method_target(rng, shape=(2, 2)) -> Marginals:
-    counts = rng.integers(1, 51, size=shape).astype(float)
-    return marginals(ContingencyTable(counts))
-
-
-def _run_method(method, source, target, rounding=ind.CONTINUOUS,
-                target_singles=None):
+def _run_method(method, source, target, target_singles=None):
     return cf.fit(
-        method, source, target, rounding=rounding, tol=1e-12,
+        method, source, target, rounding=ind.CONTINUOUS, tol=1e-12,
         target_singles=target_singles,
     )
 
 
-def _feasible_method_instance(rng, method, shape=(2, 2)):
-    """Draw (source, target) on which the method returns a feasible table."""
-    with_singles = method == "csa"
-    for _ in range(200):
-        source = _method_source(rng, shape, with_singles)
-        target = _method_target(rng, shape)
-        singles = None
-        if with_singles:
-            singles = (
-                rng.integers(1, 51, size=shape[0]).astype(float),
-                rng.integers(1, 51, size=shape[1]).astype(float),
-            )
-        try:
-            result = _run_method(method, source, target, target_singles=singles)
-        except (InfeasibilityError, UndefinedIndicatorError):
-            continue
-        return source, target, singles, result
-    raise RuntimeError("could not draw a feasible method instance")  # pragma: no cover
+# Base and variant fits that raise these are rejected or skipped samples;
+# any other error ends the check.
+_SKIPPED = (InfeasibilityError, UndefinedIndicatorError)
 
 
-def _relative_cell_gap(a: np.ndarray, b: np.ndarray, scale: float) -> float:
-    return float(np.abs(a - b).max() / max(scale, 1.0))
+@dataclass(frozen=True)
+class _MethodStack:
+    """Sampled method problems as arrays: source couples (T, n, m), target
+    margins (T, n) and (T, m), the sources' and the targets' (single men,
+    single women) for the surplus-based method (else None), and the
+    criterion's parameters, one array per name."""
+
+    counts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    singles: tuple | None = None
+    target_singles: tuple | None = None
+    params: Mapping[str, np.ndarray] = field(default_factory=dict)
+
+    def fit(self, method: str) -> cf.FitStack:
+        return cf.fit_stack(
+            method, self.counts, self.rows, self.cols, rounding=ind.CONTINUOUS,
+            tol=1e-12, singles=self.singles, target_singles=self.target_singles,
+        )
+
+    def payload(self, t: int) -> dict:
+        """Problem ``t`` as a witness payload; :func:`_stack_of_one` reads it."""
+        source = {"counts": self.counts[t].tolist()}
+        if self.singles is not None:
+            source.update(single_men=self.singles[0][t].tolist(),
+                          single_women=self.singles[1][t].tolist())
+            payload = {"target_singles": [s[t].tolist() for s in self.target_singles]}
+        else:
+            payload = {}
+        return {"source": source, "target_rows": self.rows[t].tolist(),
+                "target_cols": self.cols[t].tolist(), **payload,
+                **{name: values[t].tolist() for name, values in self.params.items()}}
 
 
-# Gap functions: how far a method's fit departs from what the criterion
-# demands. The sampled checks and ``replay_witness`` call the same function;
-# ``base`` is the method's fit of (source, target, target_singles).
+def _stack_of_one(w: Mapping[str, object]) -> _MethodStack:
+    """A sampled method witness's problem as a stack of one."""
+    def one(*values):
+        return tuple(np.array([v], dtype=float) for v in values)
 
-def _scale_gap(method, source, target, target_singles, base, params) -> float:
+    source, singles = w["source"], None
+    if "single_men" in source:
+        singles = one(source["single_men"], source["single_women"])
+    return _MethodStack(
+        *one(source["counts"], w["target_rows"], w["target_cols"]), singles,
+        one(*w["target_singles"]) if singles else None,
+        {name: one(w[name])[0] for name in ("alpha", "diagonal") if name in w},
+    )
+
+
+def _relative_cell_gap(a: np.ndarray, b: np.ndarray, scale):
+    return np.abs(a - b).max(axis=(-2, -1)) / np.maximum(scale, 1.0)
+
+
+# Gap functions: how far a method's fits depart from what the criterion
+# demands, on a stack of problems whose fits are ``base``. Each returns the
+# gaps and the errors of the variant fits it makes. The sampled checks and
+# ``replay_witness`` call the same function, the latter on a stack of one.
+
+def _scale_gap(method, inst: _MethodStack, base: cf.FitStack):
     """AC2: the fit of the ``alpha``-scaled problem is ``alpha`` times the fit."""
-    r = params["alpha"]
-    scaled_target = Marginals(target.row_sums * r, target.col_sums * r)
-    scaled_singles = None if target_singles is None else (
-        target_singles[0] * r, target_singles[1] * r
+    r = inst.params["alpha"]
+
+    def scaled(pair):
+        return None if pair is None else (pair[0] * r[:, None], pair[1] * r[:, None])
+
+    problem = _MethodStack(
+        inst.counts * r[:, None, None], inst.rows * r[:, None], inst.cols * r[:, None],
+        scaled(inst.singles), scaled(inst.target_singles),
     )
-    scaled = _run_method(method, source.scaled(r), scaled_target,
-                         target_singles=scaled_singles)
-    return _relative_cell_gap(
-        scaled.table.counts, base.table.counts * r, scaled_target.total
+    fits = problem.fit(method)
+    gaps = _relative_cell_gap(
+        fits.counts, base.counts * r[:, None, None], problem.rows.sum(axis=-1)
     )
+    return gaps, fits.errors
 
 
-def _transpose_gap(method, source, target, target_singles, base, params) -> float:
+def _transpose_gap(method, inst: _MethodStack, base: cf.FitStack):
     """AC3: the fit of the transposed problem is the transposed fit."""
-    target_t = Marginals(target.col_sums, target.row_sums)
-    singles_t = None if target_singles is None else (
-        target_singles[1], target_singles[0]
+    def swapped(pair):
+        return None if pair is None else pair[::-1]
+
+    problem = _MethodStack(
+        np.swapaxes(inst.counts, -1, -2), inst.cols, inst.rows,
+        swapped(inst.singles), swapped(inst.target_singles),
     )
-    swapped = _run_method(method, source.transposed(), target_t,
-                          target_singles=singles_t)
-    return _relative_cell_gap(
-        swapped.table.counts, base.table.counts.T, target.total
+    fits = problem.fit(method)
+    gaps = _relative_cell_gap(
+        fits.counts, np.swapaxes(base.counts, -1, -2), inst.rows.sum(axis=-1)
     )
+    return gaps, fits.errors
 
 
-def _marginals_gap(method, source, target, target_singles, base, params) -> float:
+def _marginals_gap(method, inst: _MethodStack, base: cf.FitStack):
     """AC5: the fit reproduces the target margins; for the surplus-based
     method, the target populations of couples plus singles."""
+    gaps = base.residual
     if method == "csa":
-        men = target.row_sums + target_singles[0]
-        women = target.col_sums + target_singles[1]
-        mu_m = np.array(base.diagnostics["single_men"])
-        mu_w = np.array(base.diagnostics["single_women"])
-        men_gap = np.abs(mu_m + base.table.counts.sum(axis=1) - men).max()
-        women_gap = np.abs(mu_w + base.table.counts.sum(axis=0) - women).max()
-        return max(men_gap, women_gap) / max(target.total, 1.0)
-    return cf._marginal_error(base.table.counts, target) / max(target.total, 1.0)
+        men, women = inst.rows + inst.target_singles[0], inst.cols + inst.target_singles[1]
+        men_gap = np.abs(base.extra["single_men"] + base.counts.sum(axis=-1) - men)
+        women_gap = np.abs(base.extra["single_women"] + base.counts.sum(axis=-2) - women)
+        gaps = np.maximum(men_gap.max(axis=-1), women_gap.max(axis=-1))
+    return gaps / np.maximum(inst.rows.sum(axis=-1), 1.0), (None,) * len(gaps)
 
 
-def _monotonicity_gap(method, source, target, target_singles, base,
-                      params) -> float:
+def _monotonicity_gap(method, inst: _MethodStack, base: cf.FitStack):
     """AC8.1: adding same-type couples to the source never lowers the
     fit's homogamy share."""
-    bumped = _run_method(method, _bump_diagonal(source, params["diagonal"]),
-                         target, target_singles=target_singles)
-    return homogamy_share(base.table) - homogamy_share(bumped.table)
+    diagonal = inst.params["diagonal"][:, :, None] * np.eye(inst.counts.shape[-1])
+    fits = replace(inst, counts=inst.counts + diagonal).fit(method)
+    return homogamy_shares(base.counts) - homogamy_shares(fits.counts), fits.errors
 
 
 def _merge_gap(method, source, target, target_singles, row_part,
@@ -745,22 +783,23 @@ def _merge_gap(method, source, target, target_singles, row_part,
     )
     coarse = _run_method(method, merge(source, row_part, col_part),
                          merged_target, target_singles=merged_singles)
-    return _relative_cell_gap(
+    return float(_relative_cell_gap(
         merge_categories(full.table, row_part, col_part).counts,
         coarse.table.counts,
         target.total,
-    )
+    ))
 
 
 @dataclass(frozen=True)
 class _MethodCheck:
     """One sampled method criterion: witness kind, gap function, the draw
     of its own parameters after the instance (None for AC10, which draws
-    its instance and partitions itself), and the report notes."""
+    its instance and partitions itself, one sample at a time), and the
+    report notes."""
 
     kind: str
-    gap: Callable[..., float]
-    params: Callable[[np.random.Generator, object], dict] | None
+    gap: Callable
+    params: Callable[[np.random.Generator, int], dict] | None
     notes: str = ""
 
 
@@ -793,65 +832,111 @@ def _target_of(target_table):
     return marginals(target_table), None
 
 
-def _draw_instance(rng, method, check: _MethodCheck):
-    """Draw one sample: the gap function's arguments and the witness payload
-    they are rebuilt from."""
-    if check.params is None:
-        shape = (3, 3) if rng.integers(0, 2) else (4, 3)
-        with_singles = method == "csa"
-        source = _method_source(rng, shape, with_singles)
-        target_table = _method_source(rng, shape, with_singles)
-        row_part = _random_two_block_partition(rng, shape[0])
-        col_part = _random_two_block_partition(rng, shape[1])
-        payload = {
-            "source": _table_payload(source),
-            "target": _table_payload(target_table),
-            "row_partition": [list(b) for b in row_part],
-            "col_partition": [list(b) for b in col_part],
-        }
-        return (source, *_target_of(target_table), row_part, col_part), payload
-    source, target, singles, base = _feasible_method_instance(rng, method)
-    params = check.params(rng, source)
+def _draw_merge_instance(rng, method):
+    """Draw one AC10 sample: the gap function's arguments and the witness
+    payload they are rebuilt from."""
+    shape = (3, 3) if rng.integers(0, 2) else (4, 3)
+    with_singles = method == "csa"
+    source = _method_source(rng, shape, with_singles)
+    target_table = _method_source(rng, shape, with_singles)
+    row_part = _random_two_block_partition(rng, shape[0])
+    col_part = _random_two_block_partition(rng, shape[1])
     payload = {
         "source": _table_payload(source),
-        "target_rows": target.row_sums.tolist(),
-        "target_cols": target.col_sums.tolist(),
-        **params,
+        "target": _table_payload(target_table),
+        "row_partition": [list(b) for b in row_part],
+        "col_partition": [list(b) for b in col_part],
     }
-    if singles is not None:
-        payload["target_singles"] = [s.tolist() for s in singles]
-    return (source, target, singles, base, params), payload
+    return (source, *_target_of(target_table), row_part, col_part), payload
 
 
-def _rebuild_instance(w: Mapping[str, object]) -> tuple:
-    """The gap function's arguments, rebuilt from a witness payload."""
-    source = _rebuild_subject(w["source"])
-    if w["kind"] == "method-merge":
-        target_table = _rebuild_subject(w["target"])
-        return (source, *_target_of(target_table),
-                w["row_partition"], w["col_partition"])
-    target = Marginals(np.array(w["target_rows"]), np.array(w["target_cols"]))
-    singles = w.get("target_singles")
-    if singles is not None:
-        singles = (np.array(singles[0]), np.array(singles[1]))
-    base = _run_method(w["method"], source, target, target_singles=singles)
-    return source, target, singles, base, w
+def _draw_samples(rng, method, check: _MethodCheck, size: int):
+    """Draw ``size`` 2x2 samples in stream order, as if every base fit were
+    feasible: their stack, and the generator state before each sample's
+    parameter draw, where a rejected sample's redraw starts."""
+    with_singles = method == "csa"
+    drawn, states = [], []
+    for _ in range(size):
+        problem = (*_draw_counts(rng, (2, 2), with_singles),
+                   *_draw_counts(rng, (2, 2), with_singles))
+        states.append(rng.bit_generator.state)
+        drawn.append((*problem, check.params(rng, 2)))
+    counts, singles, targets, target_singles, params = zip(*drawn)
+
+    def pairs(stacked):
+        return None if stacked[0] is None else tuple(np.array(s) for s in zip(*stacked))
+
+    targets = np.array(targets)
+    inst = _MethodStack(
+        np.array(counts), targets.sum(axis=-1), targets.sum(axis=-2),
+        pairs(singles), pairs(target_singles),
+        {name: np.array([p[name] for p in params]) for name in params[0]},
+    )
+    return inst, states
 
 
-def _method_gap_check(criterion, method, sample_count, seed) -> CriterionReport:
+def _method_witness(check, criterion, method, payload, violation, sample_size):
+    witness = {"kind": check.kind, **payload, "criterion": criterion,
+               "method": method, "violation": violation}
+    return _report(criterion, method, COUNTEREXAMPLE, witness, sample_size,
+                   check.notes)
+
+
+def _merge_check(criterion, method, sample_count, seed) -> CriterionReport:
+    """AC10, one sample at a time."""
     check = _METHOD_CHECKS[criterion]
     rng = _rng_for(seed, criterion, method)
     for i in range(sample_count):
-        args, payload = _draw_instance(rng, method, check)
+        args, payload = _draw_merge_instance(rng, method)
         try:
-            violation = check.gap(method, *args)
-        except (InfeasibilityError, UndefinedIndicatorError):
+            violation = _merge_gap(method, *args)
+        except _SKIPPED:
             continue
         if violation > VIOLATION_TOL:
-            witness = {"kind": check.kind, **payload, "criterion": criterion,
-                       "method": method, "violation": violation}
-            return _report(criterion, method, COUNTEREXAMPLE, witness, i + 1,
-                           check.notes)
+            return _method_witness(check, criterion, method, payload, violation, i + 1)
+    return _report(criterion, method, SATISFIED, None, sample_count, check.notes)
+
+
+def _sampled_method_check(criterion, method, sample_count, seed) -> CriterionReport:
+    """AC2, AC3, AC5 and AC8.1 on stacks of samples, with the stream, verdict
+    and witness of a loop over single samples.
+
+    That loop draws a problem, redrawing after each infeasible or undefined
+    base fit (200 times at most), draws the criterion's parameters, fits the
+    variant and stops at the first gap above ``VIOLATION_TOL``. Here a round
+    draws samples as if every base fit were feasible and fits their bases,
+    then their variants, as stacks. The samples before the first rejected
+    base are scanned in order, and the generator goes back to where the
+    loop would redraw. An error the loop would raise is raised at its
+    sample, and none from past the loop's stop. Rounds double while no base
+    is rejected, so a witness at the first sample costs one draw.
+    """
+    check = _METHOD_CHECKS[criterion]
+    rng = _rng_for(seed, criterion, method)
+    done, size, rejected = 0, 1, 0
+    while done < sample_count:
+        inst, states = _draw_samples(rng, method, check, min(size, sample_count - done))
+        base = inst.fit(method)
+        gaps, errors = check.gap(method, inst, base)
+        failed = [t for t, error in enumerate(base.errors) if error is not None]
+        accepted = failed[0] if failed else len(states)
+        for t in range(accepted):
+            if isinstance(errors[t], _SKIPPED):
+                continue
+            if errors[t] is not None:
+                raise errors[t]
+            if gaps[t] > VIOLATION_TOL:
+                return _method_witness(check, criterion, method, inst.payload(t),
+                                       float(gaps[t]), done + t + 1)
+        done, size = done + accepted, 2 * size
+        if failed:
+            if not isinstance(base.errors[accepted], _SKIPPED):
+                raise base.errors[accepted]
+            rejected = rejected + 1 if accepted == 0 else 1
+            if rejected == 200:
+                raise RuntimeError("could not draw a feasible method instance")  # pragma: no cover
+            rng.bit_generator.state = states[accepted]
+            size = max(2 * accepted, 1)
     return _report(criterion, method, SATISFIED, None, sample_count, check.notes)
 
 
@@ -881,8 +966,10 @@ def check_method(
             criterion, method, NOT_APPLICABLE,
             notes="undefined above 2x2, so merge commutation cannot be posed",
         )
+    if criterion == "AC10":
+        return _merge_check(criterion, method, sample_count, seed)
     if criterion in _METHOD_CHECKS:
-        return _method_gap_check(criterion, method, sample_count, seed)
+        return _sampled_method_check(criterion, method, sample_count, seed)
 
     if criterion == "AC12":
         source = ContingencyTable(np.array(SIC_SOURCE))
@@ -922,6 +1009,13 @@ def check_method(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def _rebuild_merge_instance(w: Mapping[str, object]) -> tuple:
+    """The AC10 gap function's arguments, rebuilt from a witness payload."""
+    target_table = _rebuild_subject(w["target"])
+    return (_rebuild_subject(w["source"]), *_target_of(target_table),
+            w["row_partition"], w["col_partition"])
+
+
 def _random_two_block_partition(rng, size: int):
     cut = int(rng.integers(1, size))
     return [tuple(range(cut)), tuple(range(cut, size))]
@@ -950,9 +1044,17 @@ def replay_witness(report: CriterionReport) -> float:
         return 1.0
     if kind == "sic":
         return 0.0 if w["signaled"] else math.inf
+    if kind == "method-merge":
+        return _merge_gap(w["method"], *_rebuild_merge_instance(w))
     method_checks = {c.kind: c for c in _METHOD_CHECKS.values()}
     if kind in method_checks:
-        return method_checks[kind].gap(w["method"], *_rebuild_instance(w))
+        inst = _stack_of_one(w)
+        base = inst.fit(w["method"])
+        gaps, errors = method_checks[kind].gap(w["method"], inst, base)
+        for error in (*base.errors, *errors):
+            if error is not None:
+                raise error
+        return float(gaps[0])
     if kind not in ("equality", "maximum", "monotonicity"):
         raise ValueError(f"unknown witness kind: {kind!r}")
     evaluator = indicator_evaluator(w["indicator"], w["criterion"])

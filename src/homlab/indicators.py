@@ -84,11 +84,10 @@ class SurplusMatrix:
     values: np.ndarray
 
 
-def _require_2x2(table: ContingencyTable, what: str):
-    if table.n_rows != 2 or table.n_cols != 2:
-        raise ShapeError(
-            f"{what} is defined for 2x2 tables, got {table.n_rows}x{table.n_cols}"
-        )
+def _require_2x2(shape: tuple[int, ...], what: str):
+    n, m = shape[-2:]  # a table's or a stack's
+    if (n, m) != (2, 2):
+        raise ShapeError(f"{what} is defined for 2x2 tables, got {n}x{m}")
 
 
 def _abcd(table: ContingencyTable) -> tuple[float, float, float, float]:
@@ -247,11 +246,13 @@ def _outputs(tag: str, table: ContingencyTable, rounding: str) -> list[float]:
     """Every output of ``tag``'s kernel on a 2x2 table, as floats.
 
     The kernel runs on the four cells as Python floats, the fast path for
-    one table. Raises the tag's ShapeError off 2x2, before any rounding
-    check, and its UndefinedIndicatorError where the measure is undefined.
+    one table. Raises the tag's ShapeError off 2x2, then ValueError on an
+    unknown rounding mode, then its UndefinedIndicatorError where the
+    measure is undefined.
     """
     measure = _TWO_BY_TWO[tag]
-    _require_2x2(table, measure.name)
+    _require_2x2(table.counts.shape, measure.name)
+    _check_rounding(rounding)
     abcd = _abcd(table)
     *values, undefined = measure.kernel(*abcd, rounding)
     if undefined:
@@ -379,12 +380,26 @@ def gll(table: ContingencyTable, rounding: str = PAPER_INTEGER) -> np.ndarray:
     _check_rounding(rounding)  # before the table is read
     *_, out, undefined = _ll(*_split_sums(table.counts), rounding)
     if undefined.any():
-        failures = [
-            (int(j) + 1, int(k) + 1, _LL_UNDEFINED)
-            for j, k in zip(*np.nonzero(undefined))
-        ]
-        raise GllUndefinedError(failures, out)
+        raise _gll_error(out, undefined)
     return out
+
+
+def _gll_error(values: np.ndarray, undefined: np.ndarray) -> GllUndefinedError:
+    """The error of a GLL matrix with undefined splits, naming each one."""
+    spots = zip(*np.nonzero(undefined))
+    return GllUndefinedError([(int(j) + 1, int(k) + 1, _LL_UNDEFINED) for j, k in spots], values)
+
+
+_SURPLUS_UNDEFINED = "surplus matrix undefined: zero singles count"
+
+
+def _surplus(counts, single_men, single_women):
+    """``counts[i, j] / sqrt(single_men[i] * single_women[j])`` for one
+    table or a stack, and the mask of the tables with a nonpositive singles
+    count, where the values are NaN."""
+    undefined = (single_men <= 0).any(axis=-1) | (single_women <= 0).any(axis=-1)
+    denom = np.sqrt(single_men[..., :, None] * single_women[..., None, :])
+    return counts / np.where(undefined[..., None, None], np.nan, denom), undefined
 
 
 def surplus_matrix(tws: TableWithSingles) -> SurplusMatrix:
@@ -393,10 +408,10 @@ def surplus_matrix(tws: TableWithSingles) -> SurplusMatrix:
     ``values[i, j] = couples[i, j] / sqrt(single_men[i] * single_women[j])``.
     Requires every singles count to be positive.
     """
-    if np.any(tws.single_men <= 0) or np.any(tws.single_women <= 0):
-        raise UndefinedIndicatorError("surplus matrix undefined: zero singles count")
-    denom = np.sqrt(np.outer(tws.single_men, tws.single_women))
-    return SurplusMatrix(values=tws.couples.counts / denom)
+    values, undefined = _surplus(tws.couples.counts, tws.single_men, tws.single_women)
+    if undefined:
+        raise UndefinedIndicatorError(_SURPLUS_UNDEFINED)
+    return SurplusMatrix(values=values)
 
 
 def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
@@ -407,11 +422,13 @@ def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
     beta_mw)``, ``msp`` the aggregate parameter, and ``det`` works on any
     square table. ``msm`` needs the singles of a
     :class:`~homlab.tables.TableWithSingles`; every other tag reads its
-    couples. ``rounding`` applies to the LL family.
+    couples. ``rounding`` applies to the LL family, and every tag refuses
+    an unknown mode after its shape checks, as :func:`evaluate_stack` does.
     """
     if tag == "msm":
         if not isinstance(subject, TableWithSingles):
             raise UndefinedIndicatorError("surplus matrix needs singles counts")
+        _check_rounding(rounding)
         return surplus_matrix(subject).values.ravel()
     couples = couples_of(subject)
     if tag == "gll":
@@ -419,6 +436,7 @@ def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
     if tag == "det" and (couples.n_rows, couples.n_cols) != (2, 2):
         if not couples.is_square():
             raise UndefinedIndicatorError("determinant needs a square table")
+        _check_rounding(rounding)
         return np.linalg.det(couples.counts).ravel()
     measure = _TWO_BY_TWO.get(tag)
     if measure is None:
@@ -438,22 +456,23 @@ def evaluate_stack(
     ``undefined[t]`` is true exactly where that call raises
     :class:`~homlab.errors.UndefinedIndicatorError` (``values[t]`` then
     carries no meaning). The kernels are the ones the single-table measures
-    call, so each formula exists once.
+    call, so each formula exists once, and the errors are the ones
+    :func:`evaluate` raises: the shape first, then the rounding mode.
     """
-    _check_rounding(rounding)
     counts = np.asarray(counts, dtype=float)
     size, n, m = counts.shape
     if tag == "gll":
         *_, values, undefined = _ll(*_split_sums(counts), rounding)
         return values.reshape(size, -1), undefined.reshape(size, -1).any(axis=1)
     if tag == "det" and (n, m) != (2, 2):
+        _check_rounding(rounding)
         if n != m:
             return np.full((size, 1), np.nan), np.ones(size, dtype=bool)
         return np.linalg.det(counts)[:, None], np.zeros(size, dtype=bool)
     measure = _TWO_BY_TWO.get(tag)
     if measure is None:
         raise ValueError(f"no stacked evaluation of indicator tag {tag!r}")
-    if (n, m) != (2, 2):
-        raise ShapeError(f"{tag} is defined for 2x2 tables, got {n}x{m}")
+    _require_2x2(counts.shape, measure.name)
+    _check_rounding(rounding)
     *outputs, undefined = measure.kernel(*counts.reshape(size, 4).T, rounding)
     return np.array([outputs[i] for i in measure.reported]).T, undefined

@@ -258,6 +258,15 @@ def merge_with_singles(
     return TableWithSingles(merged, men, women)
 
 
+def random_counts(row_sums, col_sums, total) -> np.ndarray:
+    """Cells of random matching, ``row_sums[i] * col_sums[j] / total``.
+
+    Works on one set of margins or on a stack: ``row_sums`` (..., n),
+    ``col_sums`` (..., m) and ``total`` (...) give cells (..., n, m).
+    """
+    return row_sums[..., :, None] * col_sums[..., None, :] / np.asarray(total)[..., None, None]
+
+
 def random_match(
     marg: Marginals,
     row_labels: Sequence[str] = (),
@@ -270,8 +279,32 @@ def random_match(
     """
     if marg.total <= 0:
         raise DegenerateInputError("random matching requires a positive total")
-    counts = np.outer(marg.row_sums, marg.col_sums) / marg.total
+    counts = random_counts(marg.row_sums, marg.col_sums, marg.total)
     return ContingencyTable(counts, tuple(row_labels), tuple(col_labels))
+
+
+def pam_counts(row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
+    """Cells of perfectly assortative matching for a stack of margins.
+
+    ``row_sums`` (T, n) and ``col_sums`` (T, m) give cells (T, n, m). Each
+    instance runs the greedy descent of :func:`pam_match` on Python floats,
+    which round as numpy's float64 does.
+    """
+    out = np.zeros((*row_sums.shape, col_sums.shape[-1]))
+    for cells, rows, cols in zip(out, row_sums.tolist(), col_sums.tolist()):
+        i, j = len(rows) - 1, len(cols) - 1
+        while i >= 0 and j >= 0:
+            take = min(rows[i], cols[j])
+            cells[i, j] = take
+            rows[i] -= take
+            cols[j] -= take
+            # subtracting the min leaves an exact zero on at least one side;
+            # advance past every exhausted category
+            if rows[i] == 0:
+                i -= 1
+            if cols[j] == 0:
+                j -= 1
+    return out
 
 
 def pam_match(
@@ -289,23 +322,14 @@ def pam_match(
     """
     if marg.total <= 0:
         raise DegenerateInputError("assortative matching requires a positive total")
-    rows = marg.row_sums.astype(float).copy()
-    cols = marg.col_sums.astype(float).copy()
-    out = np.zeros((rows.shape[0], cols.shape[0]))
-    i = rows.shape[0] - 1
-    j = cols.shape[0] - 1
-    while i >= 0 and j >= 0:
-        take = min(rows[i], cols[j])
-        out[i, j] = take
-        rows[i] -= take
-        cols[j] -= take
-        # subtracting the min leaves an exact zero on at least one side;
-        # advance past every exhausted category
-        if rows[i] == 0:
-            i -= 1
-        if cols[j] == 0:
-            j -= 1
-    return ContingencyTable(out, tuple(row_labels), tuple(col_labels))
+    counts = pam_counts(marg.row_sums[None], marg.col_sums[None])[0]
+    return ContingencyTable(counts, tuple(row_labels), tuple(col_labels))
+
+
+def homogamy_shares(counts: np.ndarray) -> np.ndarray:
+    """Diagonal share of a square table's cells, or of each table of a
+    stack (..., n, n)."""
+    return np.trace(counts, axis1=-2, axis2=-1) / counts.sum(axis=(-2, -1))
 
 
 def homogamy_share(table: ContingencyTable) -> float:
@@ -314,7 +338,7 @@ def homogamy_share(table: ContingencyTable) -> float:
         raise ShapeError(
             f"homogamy share needs a square table, got {table.n_rows}x{table.n_cols}"
         )
-    return float(np.trace(table.counts) / table.total)
+    return float(homogamy_shares(table.counts))
 
 
 def _integer_vector(values: np.ndarray, what: str) -> list[int]:

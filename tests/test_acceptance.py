@@ -286,9 +286,12 @@ def test_criteria_matrix_matches_golden(tmp_path):
 
     result = CliRunner().invoke(main, ["criteria", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    for name in ("criteria_indicators", "criteria_methods"):
-        got = (tmp_path / f"{name}.csv").read_bytes()
-        want = (FIXTURES / f"{name}_golden.csv").read_bytes()
+    # the witnesses pin every sampled cell's random stream, not only its verdict
+    for name in ("criteria_indicators.csv", "criteria_methods.csv",
+                 "criteria_witnesses.json"):
+        got = (tmp_path / name).read_bytes()
+        stem, suffix = name.split(".")
+        want = (FIXTURES / f"{stem}_golden.{suffix}").read_bytes()
         assert got == want, f"{name} diverged from the golden file"
 
 

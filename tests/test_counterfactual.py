@@ -8,10 +8,12 @@ from click.testing import CliRunner
 
 from homlab.cli import main
 from homlab.counterfactual import (
+    METHOD_TAGS,
     SurvivalGrid,
     csa_fit,
     csa_solve,
     fit,
+    fit_stack,
     ipf_fit,
     mdba_fit,
     meda_fit,
@@ -22,8 +24,10 @@ from homlab.criteria import _random_positive_split
 from homlab.errors import (
     ConvergenceError,
     DegenerateInputError,
+    GllUndefinedError,
     InfeasibilityError,
     ShapeError,
+    UndefinedIndicatorError,
     UndefinedWeightError,
 )
 from homlab.indicators import CONTINUOUS, PAPER_INTEGER, gll, odds_ratio, surplus_matrix
@@ -670,3 +674,101 @@ def test_nm_meda_coincide_on_integer_benchmarks():
             continue
         assert np.allclose(nm.table.counts, meda.table.counts, atol=1e-9)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against the single-table fits
+# ---------------------------------------------------------------------------
+
+def _problems(rng, shape, size):
+    """Seeded stacks of one shape: small integer sources, full of zero cells,
+    zero rows (an all-zero surplus row for csa) and infeasible targets, and
+    real-valued ones; each with target margins, source singles (some zero)
+    and target singles."""
+    for counts in (rng.integers(0, 3, size=(size, *shape)), rng.random((size, *shape)) * 40):
+        counts = counts[counts.reshape(size, -1).any(axis=1)].astype(float)
+        targets = rng.integers(0, 40, size=counts.shape).astype(float)
+        targets[:, 0, 0] += 1
+        singles = tuple(rng.integers(0, 30, size=(len(counts), k)).astype(float) for k in shape)
+        target_singles = tuple(rng.random((len(counts), k)) * 30 + 1 for k in shape)
+        yield counts, targets.sum(axis=-1), targets.sum(axis=-2), singles, target_singles
+
+
+def _assert_stack_matches_single_fits(method, counts, rows, cols, singles,
+                                      target_singles, **options):
+    """Compare every instance of a stacked fit with ``fit`` on it alone, bit
+    for bit, or by error class and message; return the errors seen."""
+    stack = fit_stack(method, counts, rows, cols, singles=singles,
+                      target_singles=target_singles, **options)
+    raised = set()
+    for t in range(len(counts)):
+        source = table(counts[t])
+        if method == "csa":
+            source = TableWithSingles(source, singles[0][t], singles[1][t])
+        ts = (target_singles[0][t], target_singles[1][t])
+        try:
+            single = fit(method, source, Marginals(rows[t], cols[t]),
+                         target_singles=ts, **options)
+        except Exception as exc:  # the outcome is the class and the message
+            assert type(stack.errors[t]) is type(exc), (method, t, exc)
+            assert str(stack.errors[t]) == str(exc)
+            raised.add(type(exc))
+            continue
+        assert stack.errors[t] is None, (method, t, stack.errors[t])
+        assert stack.counts[t].tobytes() == single.table.counts.tobytes()
+        assert stack.iterations[t] == single.iterations
+        assert stack.residual[t] == single.max_marginal_error
+        for name, value in single.diagnostics.items():
+            if name in stack.extra:
+                assert np.array(value).tobytes() == stack.extra[name][t].tobytes()
+    return raised
+
+
+@pytest.mark.parametrize("method", METHOD_TAGS)
+def test_stacked_kernels_match_the_single_table_fits_bit_for_bit(method):
+    rng = np.random.default_rng(300 + METHOD_TAGS.index(method))
+    shapes = [(2, 2)] if method == "mdba" else [(2, 2), (3, 3), (4, 3)]
+    # a small max_iter leaves the iterative fits unconverged
+    settings = [{}, {"max_iter": 3}]
+    if method == "nm":
+        settings = [{}, {"rounding": CONTINUOUS}]
+    raised = set()
+    for shape in shapes:
+        for problem in _problems(rng, shape, 80):
+            for options in settings:
+                raised |= _assert_stack_matches_single_fits(method, *problem, **options)
+    expected = {
+        "ipf": {InfeasibilityError, ConvergenceError},
+        "mdba": {InfeasibilityError},
+        "meda": {InfeasibilityError, UndefinedWeightError},
+        "csa": {UndefinedIndicatorError, ConvergenceError},
+        "nm": {InfeasibilityError, GllUndefinedError},
+    }[method]
+    assert raised == expected
+
+
+def test_stacked_ipf_refuses_what_the_single_fit_refuses():
+    # zero cells: an all-zero source row, and a support that Hall's
+    # condition rules out before any sweep
+    counts = np.array([[[0.0, 0.0], [3.0, 4.0]], [[5.0, 0.0], [0.0, 2.0]],
+                       [[1.0, 2.0], [3.0, 4.0]]])
+    rows, cols = np.array([[2.0, 5.0], [4.0, 3.0], [3.0, 7.0]]), np.array(
+        [[3.0, 4.0], [3.0, 4.0], [5.0, 5.0]])
+    stack = fit_stack("ipf", counts, rows, cols)
+    assert str(stack.errors[0]) == "a target row is positive but the source row is all zeros"
+    assert str(stack.errors[1]).startswith("target unreachable")
+    assert stack.errors[2] is None
+    assert np.isnan(stack.counts[:2]).all()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_stacked_csa_solves_a_stack_as_long_as_the_system(k):
+    # T = 2k systems of size 2k: a solve that read the right-hand sides as
+    # one (2k, T) matrix would broadcast instead of failing
+    rng = np.random.default_rng(40 + k)
+    counts = rng.random((2 * k, k, k)) * 40 + 1
+    rows, cols = rng.random((2 * k, k)) * 50 + 1, rng.random((2 * k, k)) * 50 + 1
+    cols *= (rows.sum(axis=1) / cols.sum(axis=1))[:, None]
+    singles = tuple(rng.random((2 * k, k)) * 30 + 1 for _ in range(2))
+    raised = _assert_stack_matches_single_fits("csa", counts, rows, cols, singles, singles)
+    assert not raised

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homlab import counterfactual as cf
 from homlab import criteria
 from homlab.criteria import (
     COUNTEREXAMPLE,
@@ -14,14 +15,22 @@ from homlab.criteria import (
     NOT_AUTOMATED,
     SATISFIED,
     VIOLATION_TOL,
+    CriterionReport,
     MarginalPerturbation,
     apply_perturbation,
     check_indicator,
     check_method,
     replay_witness,
 )
-from homlab.errors import ShapeError
-from homlab.tables import ContingencyTable
+from homlab.errors import InfeasibilityError, ShapeError, UndefinedIndicatorError
+from homlab.indicators import CONTINUOUS
+from homlab.tables import (
+    ContingencyTable,
+    Marginals,
+    TableWithSingles,
+    homogamy_share,
+    marginals,
+)
 
 
 def table(counts):
@@ -261,3 +270,127 @@ def test_catalog_is_covered():
     }
     assert len(INDICATOR_TAGS) == 10
     assert len(METHOD_TAGS) == 5
+
+
+# ---------------------------------------------------------------------------
+# stacked method cells against the per-sample loop they replace
+# ---------------------------------------------------------------------------
+
+
+def _ref_fit(method, source, target, singles):
+    return cf.fit(method, source, target, rounding=CONTINUOUS, tol=1e-12,
+                  target_singles=singles)
+
+
+def _ref_instance(rng, method):
+    """A feasible (source, target, target singles, base fit), redrawn from
+    the same stream after every infeasible or undefined base fit."""
+    with_singles = method == "csa"
+    for _ in range(200):
+        source = table(rng.integers(1, 51, size=(2, 2)))
+        if with_singles:
+            source = TableWithSingles(source, rng.integers(1, 51, size=2) * 1.0,
+                                      rng.integers(1, 51, size=2) * 1.0)
+        target = marginals(table(rng.integers(1, 51, size=(2, 2))))
+        singles = None
+        if with_singles:
+            singles = (rng.integers(1, 51, size=2) * 1.0, rng.integers(1, 51, size=2) * 1.0)
+        try:
+            return source, target, singles, _ref_fit(method, source, target, singles)
+        except (InfeasibilityError, UndefinedIndicatorError):
+            continue
+    raise RuntimeError("could not draw a feasible method instance")
+
+
+def _ref_gap(criterion, method, source, target, singles, base, params):
+    couples = base.table.counts
+    if criterion == "AC2":
+        r = params["alpha"]
+        scaled = _ref_fit(method, source.scaled(r),
+                          Marginals(target.row_sums * r, target.col_sums * r),
+                          None if singles is None else (singles[0] * r, singles[1] * r))
+        total = max(float((target.row_sums * r).sum()), 1.0)
+        return float(np.abs(scaled.table.counts - couples * r).max() / total)
+    if criterion == "AC3":
+        swapped = _ref_fit(method, source.transposed(),
+                           Marginals(target.col_sums, target.row_sums),
+                           None if singles is None else singles[::-1])
+        return float(np.abs(swapped.table.counts - couples.T).max() / max(target.total, 1.0))
+    if criterion == "AC5":
+        if method == "csa":
+            men_gap = np.abs(np.array(base.diagnostics["single_men"]) + couples.sum(axis=1)
+                             - target.row_sums - singles[0]).max()
+            women_gap = np.abs(np.array(base.diagnostics["single_women"])
+                               + couples.sum(axis=0) - target.col_sums - singles[1]).max()
+            return max(men_gap, women_gap) / max(target.total, 1.0)
+        err = max(np.abs(couples.sum(axis=1) - target.row_sums).max(),
+                  np.abs(couples.sum(axis=0) - target.col_sums).max())
+        return float(err) / max(target.total, 1.0)
+    bumped_couples = criteria.couples_of(source).counts + np.diag(params["diagonal"])
+    bumped = table(bumped_couples)
+    if singles is not None:
+        bumped = TableWithSingles(bumped, source.single_men, source.single_women)
+    bumped_fit = _ref_fit(method, bumped, target, singles)
+    return homogamy_share(base.table) - homogamy_share(bumped_fit.table)
+
+
+def _reference_method_check(criterion, method, sample_count, seed):
+    """check_method as a loop over single samples and single-table fits."""
+    rng = criteria._rng_for(seed, criterion, method)
+    notes = criteria._METHOD_CHECKS[criterion].notes
+    for i in range(sample_count):
+        source, target, singles, base = _ref_instance(rng, method)
+        params = {}
+        if criterion == "AC2":
+            params = {"alpha": float(rng.uniform(0.2, 5.0))}
+        if criterion == "AC8.1":
+            params = {"diagonal": rng.integers(1, 51, size=2).astype(float).tolist()}
+        try:
+            violation = _ref_gap(criterion, method, source, target, singles, base, params)
+        except (InfeasibilityError, UndefinedIndicatorError):
+            continue
+        if violation > criteria.VIOLATION_TOL:
+            payload = {"source": criteria._table_payload(source),
+                       "target_rows": target.row_sums.tolist(),
+                       "target_cols": target.col_sums.tolist(), **params}
+            if singles is not None:
+                payload["target_singles"] = [s.tolist() for s in singles]
+            witness = {"kind": criteria._METHOD_CHECKS[criterion].kind, **payload,
+                       "criterion": criterion, "method": method, "violation": violation}
+            return CriterionReport(criterion, method, COUNTEREXAMPLE, witness, i + 1, notes)
+    return CriterionReport(criterion, method, SATISFIED, None, sample_count, notes)
+
+
+STACKED_CRITERIA = ("AC2", "AC3", "AC5", "AC8.1")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_method_cells_keep_the_per_sample_stream(seed):
+    for criterion in STACKED_CRITERIA:
+        for tag in METHOD_TAGS:
+            for samples in (1, 7, 60):
+                got = check_method(criterion, tag, samples, seed)
+                want = _reference_method_check(criterion, tag, samples, seed)
+                assert got == want, (criterion, tag, samples, seed)
+
+
+@pytest.mark.parametrize("seed,first_hit", [(1, 151), (3, 114)])
+def test_stacked_monotonicity_cell_finds_the_late_witness_after_rejections(seed, first_hit):
+    # AC8.1|mdba rejects 8 and 16 infeasible bases at these seeds before
+    # its first counterexample, so every rejection must restore the stream
+    got = check_method("AC8.1", "mdba", 200, seed)
+    assert got == _reference_method_check("AC8.1", "mdba", 200, seed)
+    assert got.verdict == COUNTEREXAMPLE and got.sample_size == first_hit
+    assert replay_witness(got) == got.witness["violation"]
+
+
+def test_stacked_method_cells_keep_witnesses_when_every_gap_counts(monkeypatch):
+    # with no tolerance left every sample is a witness: the first one must
+    # be the loop's, at any round size
+    monkeypatch.setattr(criteria, "VIOLATION_TOL", -math.inf)
+    for criterion in STACKED_CRITERIA:
+        for tag in METHOD_TAGS:
+            for seed in range(3):
+                assert check_method(criterion, tag, 5, seed) == (
+                    _reference_method_check(criterion, tag, 5, seed)
+                )

@@ -588,6 +588,30 @@ def test_stacked_evaluation_edge_cases():
     assert values.shape == (1, 2)
 
 
+@pytest.mark.parametrize("tag", SCALAR_TAGS)
+def test_single_and_stacked_evaluation_raise_alike(tag):
+    # the shape is checked before the rounding mode, by both entry points
+    def raised(call, *args):
+        try:
+            call(*args)
+        except Exception as exc:  # the outcome is the class and the message
+            return type(exc), str(exc)
+        return None
+
+    wide = np.arange(1.0, 10.0).reshape(3, 3)
+    for counts in (BASE.counts, wide):
+        for rounding in ("bogus", PAPER_INTEGER):
+            single = raised(evaluate, tag, table(counts), rounding)
+            stacked = raised(evaluate_stack, tag, counts[None], rounding)
+            assert single == stacked, (tag, counts.shape, rounding)
+            # a determinant exists on every square table
+            if rounding == "bogus" or (counts is wide and tag != "det"):
+                assert single is not None
+    assert raised(evaluate, tag, BASE, "bogus") == (
+        ValueError, "unknown rounding mode: 'bogus'"
+    )
+
+
 def test_registry_is_the_one_criteria_reads():
     assert criteria.INDICATOR_TAGS is INDICATOR_TAGS
     assert tuple(criteria.CARDINAL) == INDICATOR_TAGS
