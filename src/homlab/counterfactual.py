@@ -20,10 +20,11 @@ NM        full matrix of split-wise LL values
 Each method's arithmetic is written once, as a kernel over a leading stack
 axis of problems that returns a :class:`FitStack`: per instance, the fitted
 counts, iterations, residual and the error its fit raises, if any.
-:func:`fit_stack` runs a kernel on a whole stack; ``ipf_fit``, ``mdba_fit``,
-``meda_fit``, ``nm_fit``, ``csa_solve`` and ``fit`` run it on a stack of one
-and raise that error. All fits are pure and deterministic given their
-parameters, and an instance gives the same bits alone or in a stack.
+:func:`fit_stack` checks a stack and runs its method's kernel on it; ``fit``
+is ``fit_stack`` on a stack of one that raises that error, and ``ipf_fit``,
+``mdba_fit``, ``meda_fit`` and ``nm_fit`` are one call to ``fit`` each.
+All fits are pure and deterministic given their parameters, and an instance
+gives the same bits alone or in a stack.
 """
 
 from __future__ import annotations
@@ -61,9 +62,17 @@ from .tables import (
     random_counts,
 )
 
-# The method registry. Its order fixes the criteria RNG stream of each
-# method and the column order of the method criteria matrix.
-METHOD_TAGS = ("ipf", "mdba", "meda", "csa", "nm")
+# The method registry: each tag's name in results and the fit options its
+# results report. Its order fixes the criteria RNG stream of each method and
+# the column order of the method criteria matrix.
+_METHODS = {
+    "ipf": ("IPF", ("tol",)),
+    "mdba": ("MDbA", ()),
+    "meda": ("MEDA", ()),
+    "csa": ("CSA", ()),
+    "nm": ("NM", ("rounding",)),
+}
+METHOD_TAGS = tuple(_METHODS)
 
 _NEG_TOL = 1e-9
 
@@ -128,14 +137,6 @@ class SurvivalGrid:
 # kernel plumbing: ``errors`` holds a status per instance, which fails at its
 # first failing check, as a single-table fit raises at its first
 # ---------------------------------------------------------------------------
-
-def _check_shape(source_rows: int, source_cols: int, target: Marginals):
-    if target.n_rows != source_rows or target.n_cols != source_cols:
-        raise ShapeError(
-            f"target marginals are {target.n_rows}x{target.n_cols}, "
-            f"source table is {source_rows}x{source_cols}"
-        )
-
 
 def _fail(errors: list, mask, make):
     """Fail each instance ``i`` of ``mask`` with ``make(i)``, unless it has
@@ -202,19 +203,22 @@ def _single(fits: FitStack) -> np.ndarray:
     return fits.counts[0]
 
 
-def _one(target: Marginals):
-    """A target as the rows, columns and total of a stack of one."""
-    return target.row_sums[None], target.col_sums[None], np.array([target.total])
+def _as_stack(*arrays):
+    """Each array as a float stack of one."""
+    return tuple(np.asarray(a, dtype=float)[None] for a in arrays)
 
 
-def _result(source: ContingencyTable, fits: FitStack, method: str,
-            diagnostics) -> CounterfactualResult:
+def _result(source: ContingencyTable, tag: str, fits: FitStack, **options):
+    """A stack of one's fit as a result, or the error it raised; the
+    diagnostics are the options ``tag`` reports and the kernel's ``extra``."""
+    name, reported = _METHODS[tag]
+    diagnostics = {key: options[key] for key in reported}
+    diagnostics.update((key, value[0].tolist()) for key, value in fits.extra.items())
     return CounterfactualResult(
         table=source.with_counts(_single(fits)),
-        method=method,
+        method=name,
         iterations=int(fits.iterations[0]),
         max_marginal_error=float(fits.residual[0]),
-        feasible=True,
         diagnostics=diagnostics,
     )
 
@@ -336,12 +340,10 @@ def ipf_fit(
     stay zero. A target that the source's zero pattern cannot reach raises
     :class:`InfeasibilityError` before any sweep; a target reachable only in
     the limit (a support cell tending to zero) still sweeps until ``max_iter``
-    and raises :class:`ConvergenceError`. This is the stacked IPF kernel on
-    a stack of one; in a stack, each instance stops at its own sweep.
+    and raises :class:`ConvergenceError`. This is :func:`fit` with the
+    ``ipf`` tag; in a stack, each instance stops at its own sweep.
     """
-    _check_shape(source.n_rows, source.n_cols, target)
-    fits = _ipf_kernel(source.counts[None], *_one(target), tol, max_iter)
-    return _result(source, fits, "IPF", {"tol": tol})
+    return fit("ipf", source, target, tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +375,9 @@ def mdba_fit(source: ContingencyTable, target: Marginals) -> CounterfactualResul
     is the source determinant rescaled to the target total (the determinant
     grows with the square of the population, so the raw value would mix
     sorting with population size). A solution with a negative cell does not
-    exist as a table and raises. This is the stacked MDbA kernel on a stack
-    of one.
+    exist as a table and raises. This is :func:`fit` with the ``mdba`` tag.
     """
-    if source.n_rows != 2 or source.n_cols != 2:
-        raise ShapeError("the determinant-based method needs dichotomous traits")
-    _check_shape(2, 2, target)
-    fits = _mdba_kernel(source.counts[None], *_one(target))
-    return _result(source, fits, "MDbA", {"det_target": float(fits.extra["det_target"][0])})
+    return fit("mdba", source, target)
 
 
 def _meda_weights(counts, errors: list) -> np.ndarray:
@@ -435,12 +432,9 @@ def meda_fit(source: ContingencyTable, target: Marginals) -> CounterfactualResul
     target marginals, with ``v`` estimated from the source. ``v`` is not
     clamped to [0, 1]: a weight outside that range that produces a negative
     cell is exactly the impossible-counterfactual signal and raises, with the
-    unclamped weight reported. This is the stacked MEDA kernel on a stack of
-    one.
+    unclamped weight reported. This is :func:`fit` with the ``meda`` tag.
     """
-    _check_shape(source.n_rows, source.n_cols, target)
-    fits = _meda_kernel(source.counts[None], *_one(target))
-    return _result(source, fits, "MEDA", {"v": float(fits.extra["v"][0])})
+    return fit("meda", source, target)
 
 
 def _nm_kernel(counts, rows, cols, total, rounding: str) -> FitStack:
@@ -483,12 +477,9 @@ def nm_fit(
     the well-posed choice on non-integer marginals and the mode that commutes
     with category merging). A negative recovered cell means no table with the
     target marginals carries this much sorting; that raises, carrying the
-    offending cell. This is the stacked NM kernel on a stack of one.
+    offending cell. This is :func:`fit` with the ``nm`` tag.
     """
-    _check_rounding(rounding)
-    _check_shape(source.n_rows, source.n_cols, target)
-    fits = _nm_kernel(source.counts[None], *_one(target), rounding)
-    return _result(source, fits, "NM", {"rounding": rounding})
+    return fit("nm", source, target, rounding=rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +561,14 @@ def _csa_kernel(msm, men, women, tol: float, max_iter: int) -> FitStack:
                   single_men=singles[:, :k], single_women=singles[:, k:])
 
 
+def _csa_populations(msm, men, women, tol: float, max_iter: int) -> FitStack:
+    """The CSA kernel on one surplus matrix and its target populations."""
+    msm, men, women = _as_stack(msm, men, women)
+    if msm.shape[1:] != (men.shape[1], women.shape[1]):
+        raise ShapeError("surplus matrix and target populations disagree in shape")
+    return _csa_kernel(msm, men, women, tol, max_iter)
+
+
 def csa_solve(
     msm: np.ndarray,
     target_men: np.ndarray,
@@ -600,12 +599,7 @@ def csa_solve(
 
     Returns ``(couples, mu_m, mu_w, iterations, residual)``.
     """
-    msm = np.asarray(msm, dtype=float)
-    men = np.asarray(target_men, dtype=float)
-    women = np.asarray(target_women, dtype=float)
-    if msm.shape != (men.shape[0], women.shape[0]):
-        raise ShapeError("surplus matrix and target populations disagree in shape")
-    fits = _csa_kernel(msm[None], men[None], women[None], tol, max_iter)
+    fits = _csa_populations(msm, target_men, target_women, tol, max_iter)
     return (_single(fits), fits.extra["single_men"][0], fits.extra["single_women"][0],
             int(fits.iterations[0]), float(fits.residual[0]))
 
@@ -622,21 +616,55 @@ def csa_fit(
     See :func:`csa_solve` for the fixed point. The result table holds the
     fitted couples; the fitted singles vectors travel in the diagnostics.
     """
-    msm = surplus_matrix(source).values
-    couples, mu_m, mu_w, iterations, residual = csa_solve(
-        msm, target_men, target_women, tol=tol, max_iter=max_iter
-    )
-    return CounterfactualResult(
-        table=source.couples.with_counts(couples),
-        method="CSA",
-        iterations=iterations,
-        max_marginal_error=residual,
-        feasible=True,
-        diagnostics={
-            "single_men": [float(v) for v in mu_m],
-            "single_women": [float(v) for v in mu_w],
-        },
-    )
+    fits = _csa_populations(surplus_matrix(source).values, target_men, target_women,
+                            tol, max_iter)
+    return _result(source.couples, "csa", fits)
+
+
+def _check(method: str, shape, rows, cols, rounding, singles, target_singles) -> str:
+    """The tag of ``method`` on sources of ``shape`` (n, m), target margins
+    ``rows`` (..., n) and ``cols`` (..., m) and, for ``csa``, the sources'
+    and the targets' singles, or the error a fit raises before any kernel."""
+    tag = method.strip().lower()
+    if tag not in _METHODS:
+        raise ValueError(f"unknown method tag: {method!r}")
+    if tag == "mdba" and shape != (2, 2):
+        raise ShapeError("the determinant-based method needs dichotomous traits")
+    if tag == "nm":
+        _check_rounding(rounding)
+    lengths = [rows.shape[-1], cols.shape[-1]]
+    if tag == "csa":
+        if singles is None:
+            raise ShapeError("the surplus-based method needs singles counts")
+        for men, women in (singles, target_singles or singles):
+            lengths += [men.shape[-1], women.shape[-1]]
+        if lengths != [*shape] * 3:
+            raise ShapeError("surplus matrix and target populations disagree in shape")
+    elif lengths != [*shape]:
+        raise ShapeError(f"target marginals are {lengths[0]}x{lengths[1]}, "
+                         f"source table is {shape[0]}x{shape[1]}")
+    return tag
+
+
+def _run(tag, counts, rows, cols, total, rounding, tol, max_iter, singles, target_singles):
+    """The kernel of a checked problem stack: the one branch over the tags."""
+    if tag == "ipf":
+        return _ipf_kernel(counts, rows, cols, total, tol, max_iter)
+    if tag == "mdba":
+        return _mdba_kernel(counts, rows, cols, total)
+    if tag == "meda":
+        return _meda_kernel(counts, rows, cols, total)
+    if tag == "nm":
+        return _nm_kernel(counts, rows, cols, total, rounding)
+    # CSA fits the target populations, couples plus singles, with the
+    # source's surplus matrix, which a zero singles count leaves undefined
+    msm, undefined = _surplus(counts, *singles)
+    men, women = target_singles or singles
+    fits = _csa_kernel(msm, rows + men, cols + women, min(tol, 1e-11), max_iter)
+    return replace(fits, errors=tuple(
+        UndefinedIndicatorError(_SURPLUS_UNDEFINED) if bad else error
+        for bad, error in zip(undefined, fits.errors)
+    ))
 
 
 def fit(
@@ -652,31 +680,19 @@ def fit(
 
     For ``csa`` the source must carry singles counts and the target
     populations are the target couple marginals plus ``target_singles``
-    (falling back to the source's own singles when not provided). Every
-    method runs its stacked kernel on a stack of one; :func:`fit_stack`
-    runs it on many problems at once.
+    (falling back to the source's own singles when not provided). This is
+    :func:`fit_stack` on a stack of one, with the target's own total, and
+    it raises the error of the fit.
     """
-    tag = method.strip().lower()
-    if tag == "csa":
-        if not isinstance(source, TableWithSingles):
-            raise ShapeError("the surplus-based method needs singles counts")
-        singles = target_singles if target_singles is not None else (
-            source.single_men,
-            source.single_women,
-        )
-        men = np.asarray(target.row_sums, dtype=float) + np.asarray(singles[0], float)
-        women = np.asarray(target.col_sums, dtype=float) + np.asarray(singles[1], float)
-        return csa_fit(source, men, women, tol=min(tol, 1e-11), max_iter=max_iter)
     couples = couples_of(source)
-    if tag == "ipf":
-        return ipf_fit(couples, target, tol=tol, max_iter=max_iter)
-    if tag == "mdba":
-        return mdba_fit(couples, target)
-    if tag == "meda":
-        return meda_fit(couples, target)
-    if tag == "nm":
-        return nm_fit(couples, target, rounding=rounding)
-    raise ValueError(f"unknown method tag: {method!r}")
+    singles = _as_stack(source.single_men, source.single_women) if isinstance(
+        source, TableWithSingles) else None
+    targets = None if target_singles is None else _as_stack(*target_singles)
+    rows, cols = target.row_sums[None], target.col_sums[None]
+    tag = _check(method, couples.counts.shape, rows, cols, rounding, singles, targets)
+    fits = _run(tag, couples.counts[None], rows, cols, np.array([target.total]),
+                rounding, tol, max_iter, singles, targets)
+    return _result(couples, tag, fits, tol=tol, rounding=rounding)
 
 
 def fit_stack(
@@ -696,30 +712,10 @@ def fit_stack(
     ``cols`` (T, m) the target margins, whose total is their row sum as in
     :class:`~homlab.tables.Marginals`. For ``csa``, ``singles`` holds the
     sources' single men (T, n) and women (T, m), and ``target_singles`` the
-    targets' (the sources' when None). Instance ``t`` of the result is what
+    targets' (the sources' when None). Mis-shaped margins or singles raise
+    :class:`ShapeError`, as in ``fit``. Instance ``t`` of the result is what
     ``fit`` returns on problem ``t``, bit for bit, or the error it raises.
     """
-    tag = method.strip().lower()
-    if tag == "csa":
-        if singles is None:
-            raise ShapeError("the surplus-based method needs singles counts")
-        msm, undefined = _surplus(counts, *singles)
-        men, women = target_singles or singles
-        fits = _csa_kernel(msm, rows + men, cols + women, min(tol, 1e-11), max_iter)
-        return replace(fits, errors=tuple(
-            UndefinedIndicatorError(_SURPLUS_UNDEFINED) if bad else error
-            for bad, error in zip(undefined, fits.errors)
-        ))
-    total = rows.sum(axis=-1)
-    if tag == "ipf":
-        return _ipf_kernel(counts, rows, cols, total, tol, max_iter)
-    if tag == "mdba":
-        if counts.shape[-2:] != (2, 2):
-            raise ShapeError("the determinant-based method needs dichotomous traits")
-        return _mdba_kernel(counts, rows, cols, total)
-    if tag == "meda":
-        return _meda_kernel(counts, rows, cols, total)
-    if tag == "nm":
-        _check_rounding(rounding)
-        return _nm_kernel(counts, rows, cols, total, rounding)
-    raise ValueError(f"unknown method tag: {method!r}")
+    tag = _check(method, counts.shape[-2:], rows, cols, rounding, singles, target_singles)
+    return _run(tag, counts, rows, cols, rows.sum(axis=-1), rounding, tol, max_iter,
+                singles, target_singles)

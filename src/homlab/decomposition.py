@@ -70,15 +70,13 @@ class TrendSeries:
 def fit_onto(source, target_table, method: str, rounding: str, tol, max_iter):
     """``method``'s fit of ``source`` onto ``target_table``'s couple margins
     and, for ``csa``, onto its singles as well."""
-    target = marginals(couples_of(target_table))
-    if method.lower() == "csa":
-        if not isinstance(source, TableWithSingles) or not isinstance(
-            target_table, TableWithSingles
-        ):
-            raise ShapeError("the surplus-based method needs singles on both sides")
+    singles = None
+    if isinstance(target_table, TableWithSingles):
         singles = (target_table.single_men, target_table.single_women)
-        return fit("csa", source, target, target_singles=singles, tol=tol, max_iter=max_iter)
-    return fit(method, source, target, rounding=rounding, tol=tol, max_iter=max_iter)
+    elif method.strip().lower() == "csa":
+        raise ShapeError("the surplus-based method needs singles on both sides")
+    return fit(method, source, marginals(couples_of(target_table)), rounding=rounding,
+               tol=tol, max_iter=max_iter, target_singles=singles)
 
 
 def decompose(

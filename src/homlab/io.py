@@ -105,7 +105,7 @@ class RunConfig:
     def resolved_scheme(self) -> str:
         if self.scheme != "auto":
             return self.scheme
-        return WITH_INTERACTION if self.method.lower() == "nm" else SEQUENTIAL
+        return WITH_INTERACTION if self.resolved_measure == "nm" else SEQUENTIAL
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -200,6 +200,13 @@ def _parse_year(value: str, waves, path, lineno) -> int:
     return year
 
 
+def _parse_state(value, path, lineno) -> str:
+    state = (value or "").strip()
+    if not state:
+        raise DataError(f"{path}: line {lineno}: empty state")
+    return state
+
+
 def load_couples(path: str | Path, config: RunConfig | None = None) -> PanelDataset:
     """Assemble per-(state, year) tables from a couples CSV."""
     config = config or RunConfig()
@@ -208,9 +215,7 @@ def load_couples(path: str | Path, config: RunConfig | None = None) -> PanelData
     cells: dict[tuple[str, int], np.ndarray] = {}
     for lineno, row in _read_rows(path, {"year", "state", "husband_edu", "wife_edu", "count"}):
         year = _parse_year(row["year"], config.waves, path, lineno)
-        state = (row["state"] or "").strip()
-        if not state:
-            raise DataError(f"{path}: line {lineno}: empty state")
+        state = _parse_state(row["state"], path, lineno)
         for col in ("husband_edu", "wife_edu"):
             if row[col] not in index:
                 raise DataError(
@@ -251,7 +256,7 @@ def load_income(path: str | Path) -> dict[tuple[str, int], float]:
                 f"{path}: line {lineno}: top10_share must be strictly between "
                 f"0 and 1, got {share}"
             )
-        shares[(row["state"].strip(), year)] = share
+        shares[(_parse_state(row["state"], path, lineno), year)] = share
     return shares
 
 
@@ -265,7 +270,7 @@ def load_singles(
     pools: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
     for lineno, row in _read_rows(path, {"year", "state", "sex", "edu", "count"}):
         year = _parse_year(row["year"], config.waves, path, lineno)
-        state = row["state"].strip()
+        state = _parse_state(row["state"], path, lineno)
         sex = row["sex"].strip().lower()
         if sex not in ("m", "w"):
             raise DataError(f"{path}: line {lineno}: sex must be 'm' or 'w'")

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -745,6 +746,32 @@ def test_stacked_kernels_match_the_single_table_fits_bit_for_bit(method):
         "nm": {InfeasibilityError, GllUndefinedError},
     }[method]
     assert raised == expected
+
+
+@pytest.mark.parametrize("method", METHOD_TAGS)
+def test_mis_shaped_problems_raise_shape_error_in_fit_and_fit_stack(method):
+    counts = np.array([[[10.0, 5.0], [5.0, 10.0]]])
+    even, short = np.array([[15.0, 15.0]]), np.array([[30.0]])
+    singles = (np.array([[3.0, 4.0]]), np.array([[5.0, 6.0]]))
+    source = TableWithSingles(table(counts[0]), singles[0][0], singles[1][0])
+    # (target rows, target cols, target singles)
+    problems = [(short, even, None), (even, short, None)]
+    if method == "csa":
+        problems.append((even, even, (short, singles[1])))
+    for rows, cols, target_singles in problems:
+        message = re.escape(
+            "surplus matrix and target populations disagree in shape" if method == "csa"
+            else f"target marginals are {rows.size}x{cols.size}, source table is 2x2"
+        )
+        with pytest.raises(ShapeError, match=message):
+            fit_stack(method, counts, rows, cols, singles=singles,
+                      target_singles=target_singles)
+        with pytest.raises(ShapeError, match=message):
+            fit(method, source, Marginals(rows[0], cols[0]), target_singles=(
+                None if target_singles is None else tuple(s[0] for s in target_singles)))
+    if method == "csa":  # the sources' singles too
+        with pytest.raises(ShapeError, match="disagree in shape"):
+            fit_stack("csa", counts, even, even, singles=(singles[0], np.ones((1, 3))))
 
 
 def test_stacked_ipf_refuses_what_the_single_fit_refuses():

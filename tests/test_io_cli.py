@@ -188,6 +188,19 @@ def test_load_singles(tmp_path):
     assert women.tolist() == [5, 6]
 
 
+@pytest.mark.parametrize("loader,header,row", [
+    (load_couples, "year,state,husband_edu,wife_edu,count", "1960,{},L,L,10"),
+    (load_income, "state,year,top10_share", "{},1960,0.31"),
+    (load_singles, "year,state,sex,edu,count", "1960,{},m,L,3"),
+], ids=["couples", "income", "singles"])
+@pytest.mark.parametrize("state", ["", "   "], ids=["empty", "blank"])
+def test_loaders_refuse_a_row_without_a_state(tmp_path, loader, header, row, state):
+    path = write(tmp_path / "rows.csv", f"{header}\n{row.format(state)}\n")
+    options = () if loader is load_income else (RunConfig(**TWO_LEVEL),)
+    with pytest.raises(DataError, match="line 2: empty state"):
+        loader(path, *options)
+
+
 # ---------------------------------------------------------------------------
 # dichotomization
 # ---------------------------------------------------------------------------
@@ -494,6 +507,18 @@ def test_cli_trend_outputs_are_byte_stable(tmp_path):
             "--income", FIXTURES / "synthetic_income.csv", "--out", out)
     for name in ("trend_stats.json", "trend_series.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_decompose_measure_picks_the_scheme_of_that_method(tmp_path):
+    # the default method is nm, whose default scheme is with-interaction;
+    # --measure ipf must decompose as --method ipf does
+    cfg = config_file(tmp_path)
+    outs = [tmp_path / "measure", tmp_path / "method"]
+    for option, out in zip(("--measure", "--method"), outs):
+        cli("decompose", "--config", cfg, option, "ipf",
+            "--couples", FIXTURES / "synthetic_panel.csv", "--out", out)
+    assert (outs[0] / "decomposition.csv").read_bytes() == (
+        outs[1] / "decomposition.csv").read_bytes()
 
 
 def test_cli_decompose_rejects_indicator_measure(tmp_path):
