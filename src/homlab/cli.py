@@ -10,7 +10,9 @@ configuration failures exit nonzero.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
+import sys
 from itertools import groupby
 from pathlib import Path
 
@@ -18,7 +20,6 @@ import click
 import numpy as np
 
 from . import counterfactual as cf
-from . import criteria as cr
 from .decomposition import SCHEMES, cumulate, decade_label, fit_onto
 from .errors import DataError
 from .indicators import SCALAR_TAGS
@@ -39,6 +40,22 @@ from .io import (
 )
 from .tables import homogamy_share
 from .trend import score
+
+
+def _lazy(name: str):
+    """The module ``name``, registered in ``sys.modules`` but run only when
+    an attribute is first read (the ``importlib`` lazy-import recipe)."""
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+# Only the criteria subcommand runs this module, so no other one pays for
+# its import; bench/tracer.py still finds it in sys.modules.
+cr = _lazy("homlab.criteria")
 
 
 def _fmt(value) -> str:

@@ -39,7 +39,6 @@ import numpy as np
 from . import counterfactual as cf
 from . import indicators as ind
 from .errors import (
-    HomlabError,
     InfeasibilityError,
     ShapeError,
     UndefinedIndicatorError,
@@ -54,7 +53,7 @@ from .tables import (
     marginals,
     merge_categories,
     merge_with_singles,
-    pam_match,
+    pam_counts,
 )
 
 SATISFIED = "satisfied-on-sample"
@@ -106,12 +105,13 @@ class MarginalPerturbation:
         kinds = ("scale", "type1-row", "type1-col", "type2-row", "type2-col")
         if self.kind not in kinds:
             raise ValueError(f"unknown perturbation kind: {self.kind!r}")
-        if self.kind == "scale" and not self.alpha > 0:
-            raise ValueError("scale factor must be positive")
-        if self.kind.startswith("type1") and not self.alpha > 0:
-            raise ValueError("type-1 factor must be positive")
+        name = "scale factor" if self.kind == "scale" else "type-1 factor"
         if self.kind.startswith("type2") and not 0 < self.alpha < 1:
             raise ValueError("type-2 share must lie strictly between 0 and 1")
+        if not self.alpha > 0:
+            raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -135,32 +135,26 @@ def apply_perturbation(
     couples = couples_of(table)
     if couples.n_rows != 2 or couples.n_cols != 2:
         raise ShapeError("type-1/type-2 perturbations are defined for 2x2 tables")
-    (a, b), (c, d) = couples.counts
-    al = p.alpha
-    if p.kind == "type1-row":
-        counts = [[a, b], [al * c, al * d]]
-    elif p.kind == "type1-col":
-        counts = [[a, al * b], [c, al * d]]
-    elif p.kind == "type2-row":
-        counts = [[(1 - al) * a, (1 - al) * b], [c + al * a, d + al * b]]
-    else:  # type2-col
-        counts = [[(1 - al) * a, b + al * a], [(1 - al) * c, d + al * c]]
-    return _with_couples(table, couples.with_counts(np.array(counts, dtype=float)))
+    counts = _perturbed(p.kind, p.alpha, couples.counts)
+    if isinstance(table, TableWithSingles):
+        return TableWithSingles(couples.with_counts(counts), table.single_men,
+                                table.single_women)
+    return couples.with_counts(counts)
 
 
-def _with_couples(subject, couples: ContingencyTable):
-    """``couples`` in place of ``subject``'s couples, singles kept."""
-    if isinstance(subject, TableWithSingles):
-        return TableWithSingles(couples, subject.single_men, subject.single_women)
-    return couples
-
-
-def _bump_diagonal(subject, diagonal):
-    """``subject`` with ``diagonal`` same-type couples added, singles kept."""
-    couples = couples_of(subject)
-    return _with_couples(
-        subject, couples.with_counts(couples.counts + np.diag(diagonal))
-    )
+def _perturbed(kind: str, alpha, counts: np.ndarray) -> np.ndarray:
+    """A type-1 or type-2 perturbation of a 2x2 table's cells, or of a
+    stack's (T, 2, 2) with one ``alpha`` per table: type 1 scales the high
+    row (column) by ``alpha``, type 2 moves the share ``alpha`` of the low
+    row (column) to the high one."""
+    if kind.endswith("-col"):
+        rows = _perturbed(kind[:-4] + "-row", alpha, np.swapaxes(counts, -1, -2))
+        return np.swapaxes(rows, -1, -2)
+    al = np.asarray(alpha, dtype=float)[..., None]
+    low, high = counts[..., 0, :], counts[..., 1, :]
+    if kind == "type1-row":
+        return np.stack([low, al * high], axis=-2)
+    return np.stack([(1 - al) * low, high + al * low], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +169,31 @@ def _bump_diagonal(subject, diagonal):
 _MSP_LOCAL_CRITERIA = frozenset({"AC4", "AC5.1", "AC5.2", "AC5.3"})
 
 
-def indicator_evaluator(tag: str, criterion: str) -> Callable[[object], np.ndarray]:
-    """Vector-valued evaluation of an indicator, as compared by a criterion.
+def _evaluator(tag: str, criterion: str) -> Callable:
+    """Stacked evaluation of an indicator, as compared by a criterion.
 
-    :func:`~homlab.indicators.evaluate` in continuous rounding mode, because
-    the checks feed real-valued (rescaled, reclassified or raked) tables,
-    where flooring the LL family's random benchmark is ill-posed. ``msp``
-    reads its local low-type facet under the criteria that discriminate on
-    it.
+    The function maps couples (T, n, m) and singles (single men (T, n) and
+    women (T, m), or None) to ``(values, undefined)`` of
+    :func:`~homlab.indicators.evaluate_stack` in continuous rounding mode,
+    because the checks feed real-valued (rescaled, reclassified or raked)
+    tables, where flooring the LL family's random benchmark is ill-posed.
+    ``msp`` reads its local low-type facet, the ``msp_l`` output of its
+    kernel, under the criteria that discriminate on it.
     """
     if tag == "msp" and criterion in _MSP_LOCAL_CRITERIA:
-        return lambda s: np.array([ind.aggregate_msp(couples_of(s)).msp_l])
-    return lambda s: ind.evaluate(tag, s, ind.CONTINUOUS)
+        def local(counts, singles):
+            msp_l, _, _, undefined = ind._msp(*counts.reshape(-1, 4).T, ind.CONTINUOUS)
+            return msp_l[:, None], undefined
+        return local
+    return lambda counts, singles: ind.evaluate_stack(tag, counts, ind.CONTINUOUS, singles)
 
 
-def _difference(x: np.ndarray, y: np.ndarray) -> float:
-    """Largest absolute elementwise difference, the larger of the two
-    one-sided drops; vectors of different shapes are infinitely far."""
-    if np.shape(x) != np.shape(y):
-        return math.inf
-    # 0.0 first, so that equal zeros of opposite sign read +0.0
-    return float(max(0.0, _one_sided_drop(x, y), _one_sided_drop(y, x)))
+def _difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest absolute difference along the last axis of two equal-shape
+    stacks of vectors, the larger of the two one-sided drops (+0.0 where
+    neither is positive)."""
+    drop = np.maximum(_one_sided_drop(x, y), _one_sided_drop(y, x))
+    return np.where(drop > 0.0, drop, 0.0)
 
 
 def _one_sided_drop(before: np.ndarray, after: np.ndarray):
@@ -213,7 +211,7 @@ def _one_sided_drop(before: np.ndarray, after: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# random instance generation
+# random instance generation and sampling rounds
 # ---------------------------------------------------------------------------
 
 def _rng_for(seed: int, criterion: str, subject: str) -> np.random.Generator:
@@ -225,177 +223,255 @@ def _rng_for(seed: int, criterion: str, subject: str) -> np.random.Generator:
     return np.random.default_rng([seed, crit_ix, subj_ix])
 
 
-def _random_table(
-    rng: np.random.Generator,
-    evaluator: Callable,
-    shape: tuple[int, int] = (2, 2),
-    with_singles: bool = False,
-    max_tries: int = 200,
-):
-    """Integer-cell table (cells uniform on [0, 50]) on which the evaluator
-    is defined; resamples to dodge undefined-indicator preconditions."""
-    for _ in range(max_tries):
-        counts = rng.integers(0, 51, size=shape)
-        if not counts.any():
-            continue
-        try:
-            table = ContingencyTable(counts)
-        except HomlabError:
-            continue
-        subject = table
-        if with_singles:
-            subject = TableWithSingles(
-                table,
-                rng.integers(1, 51, size=shape[0]),
-                rng.integers(1, 51, size=shape[1]),
-            )
-        try:
-            evaluator(subject)
-        except UndefinedIndicatorError:
-            continue
-        return subject
-    raise RuntimeError("could not draw a valid random table")  # pragma: no cover
-
-
 def _check_sample_count(sample_count: int):
     if sample_count < 1:
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
 
 
-def _report(criterion, subject, verdict, witness=None, sample_size=0, notes=""):
-    return CriterionReport(
-        criterion=criterion,
-        subject=subject,
-        verdict=verdict,
-        witness=witness,
-        sample_size=sample_size,
-        notes=notes,
-    )
+_report = CriterionReport
+
+
+def _payload(counts: np.ndarray, singles=None) -> dict:
+    """Cells and, with singles, (single men, single women) as a witness
+    payload."""
+    payload = {"counts": counts.tolist()}
+    if singles is not None:
+        payload.update(single_men=singles[0].tolist(), single_women=singles[1].tolist())
+    return payload
 
 
 def _table_payload(subject) -> dict:
     if isinstance(subject, TableWithSingles):
-        return {
-            "counts": subject.couples.counts.tolist(),
-            "single_men": subject.single_men.tolist(),
-            "single_women": subject.single_women.tolist(),
-        }
-    return {"counts": subject.counts.tolist()}
+        return _payload(subject.couples.counts, (subject.single_men, subject.single_women))
+    return _payload(subject.counts)
 
 
 def _rebuild_subject(payload: Mapping[str, object]):
     table = ContingencyTable(payload["counts"])
-    if "single_men" in payload:
-        return TableWithSingles(
-            table, payload["single_men"], payload["single_women"]
-        )
-    return table
+    if "single_men" not in payload:
+        return table
+    return TableWithSingles(table, payload["single_men"], payload["single_women"])
+
+
+def _first_hit(rng, sample_count: int, draw, bases, scan):
+    """``(sample_size, hit)`` of the first violating sample, or None, found
+    on stacks with the stream of a loop over single samples.
+
+    That loop redraws a sample while its base is rejected (200 times at
+    most), draws the criterion's parameters and stops at the first
+    violation. A round draws samples in stream order as if every base were
+    accepted: ``draw(rng, start, size)`` gives them and the generator state
+    where each one's redraw starts. ``bases(batch)`` gives the bases and one
+    error per sample (None if accepted); ``scan(batch, base, accepted)``
+    gives ``(t, hit)`` of the first violation among the accepted samples,
+    or None, raising what the loop would raise there. At the first rejected
+    base the generator goes back to the redraw; a base error the loop would
+    not skip is raised. Rounds start at one sample and double while no base
+    is rejected.
+    """
+    done, size, rejected = 0, 1, 0
+    while done < sample_count:
+        batch, states = draw(rng, done, min(size, sample_count - done))
+        base, errors = bases(batch)
+        failed = [t for t, error in enumerate(errors) if error is not None]
+        accepted = failed[0] if failed else len(states)
+        found = scan(batch, base, accepted)
+        if found is not None:
+            return done + found[0] + 1, found[1]
+        done, size = done + accepted, 2 * size
+        if failed:
+            if not isinstance(errors[accepted], _SKIPPED):
+                raise errors[accepted]
+            rejected = rejected + 1 if accepted == 0 else 1
+            if rejected == 200:
+                raise RuntimeError("could not draw a valid random instance")  # pragma: no cover
+            rng.bit_generator.state = states[accepted]
+            size = max(2 * accepted, 1)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # indicator checks
 # ---------------------------------------------------------------------------
 
+# A drawn indicator sample is a tuple: its couples (n, m), its (single men,
+# single women) for ``msm`` or None, and the criterion's transforms of it,
+# each a label and its parameters.
+
+def _draw_tables(rng, start, size, shapes, with_singles, transforms):
+    """Samples ``start`` to ``start + size - 1``, drawn in stream order as if
+    the indicator were defined on every table: cells uniform on [0, 50] (an
+    all-zero table is redrawn at once), for ``msm`` singles uniform on
+    [1, 50], then the transforms; and the state after each table, where a
+    rejected table's redraw starts."""
+    drawn, states = [], []
+    for i in range(start, start + size):
+        shape = shapes[i % len(shapes)]
+        counts = rng.integers(0, 51, size=shape)
+        while not counts.any():
+            counts = rng.integers(0, 51, size=shape)
+        singles = None
+        if with_singles:
+            singles = tuple(rng.integers(1, 51, size=k).astype(float) for k in shape)
+        states.append(rng.bit_generator.state)
+        drawn.append((counts.astype(float), singles, transforms(rng, counts)))
+    return drawn, states
+
+
+def _stacks(drawn: list[tuple], ix: list[int]):
+    """Couples and singles (or None) stacks of the samples ``ix``, all of
+    one shape."""
+    counts = np.array([drawn[t][0] for t in ix])
+    if drawn[ix[0]][1] is None:
+        return counts, None
+    return counts, tuple(np.array(s) for s in zip(*(drawn[t][1] for t in ix)))
+
+
+def _variants(label: str, counts, singles, params: list[dict]):
+    """The transform ``label`` of a stack of samples of one shape, with one
+    parameter dict per sample: the variants' couples and singles (None
+    without), and per sample None or the error of a rake whose fit fails."""
+    errors = [None] * len(counts)
+    if label == "transpose":
+        return np.swapaxes(counts, -1, -2), singles and singles[::-1], errors
+    if label == "rotate-categories":  # the couples alone, as a plain table
+        return counts[:, ::-1, ::-1], None, errors
+    if label == "diagonal":
+        diagonal = np.array([p["diagonal"] for p in params])
+        return counts + diagonal[:, :, None] * np.eye(counts.shape[-1]), singles, errors
+    if label == "rake":
+        rows, cols = (np.array([p[k] for p in params], dtype=float) for k in ("rows", "cols"))
+        fits = cf.fit_stack("ipf", counts, rows, cols, tol=1e-12)
+        failed = np.array([e is not None for e in fits.errors])
+        return np.where(failed[:, None, None], counts, fits.counts), None, list(fits.errors)
+    alpha = np.array([p["alpha"] for p in params])
+    if label == "scale":
+        r = alpha[:, None]
+        return counts * r[..., None], singles and (singles[0] * r, singles[1] * r), errors
+    return _perturbed(label, alpha, counts), singles, errors
+
+
+def _indicator_violations(evaluate, label, counts, singles, base, params):
+    """How far the indicator moves from ``base``, the values a stack of
+    samples of one shape must keep, under the transform ``label`` (for
+    AC8.1's added couples, the one-sided drop), and per sample None or the
+    error that skips it: an undefined variant, or a failed rake. The checks
+    and ``replay_witness`` call this, the latter on a stack of one."""
+    variant, variant_singles, errors = _variants(label, counts, singles, params)
+    values, undefined = evaluate(variant, variant_singles)
+    errors = [error or (UndefinedIndicatorError("indicator undefined on the variant")
+                        if bad else None) for error, bad in zip(errors, undefined)]
+    if label == "diagonal":
+        return _one_sided_drop(base, values), errors
+    return _difference(base, values), errors
+
+
+def _base_values(evaluate, tag: str, transposed: bool, counts, singles):
+    """The values of a stack of samples of one shape that its variants must
+    keep, and where the indicator is undefined: for the matrix-valued tags
+    under AC3, the transposed matrix."""
+    values, undefined = evaluate(counts, singles)
+    if transposed:
+        n, m = counts.shape[1:]
+        shape = (n, m) if tag == "msm" else (n - 1, m - 1)
+        values = values.reshape(-1, *shape).swapaxes(1, 2).reshape(len(values), -1)
+    return values, undefined
+
+
 @dataclass(frozen=True)
-class _EqualityCheck:
-    """One sampled invariance criterion: the transforms of a drawn table,
+class _IndicatorCheck:
+    """One sampled indicator criterion: the draw of a table's transforms,
     the matrix-valued tags that also draw 3x3 tables (compared against
     their transposed base when ``transposed``), the criterion's note after
-    the tag's own, and the note that stands in when neither has one."""
+    the tag's own, the note that stands in when neither has one, and the
+    witness kind (a ``monotonicity`` check carries no notes)."""
 
-    transforms: Callable[[np.random.Generator, object], list[tuple[str, dict]]]
+    transforms: Callable[[np.random.Generator, np.ndarray], list[tuple[str, dict]]]
     matrix_tags: tuple[str, ...] = ()
     transposed: bool = False
     notes: str = ""
     fallback_notes: str = ""
+    kind: str = "equality"
 
 
-def _equality_check(
-    criterion: str, tag: str, sample_count: int, seed: int
-) -> CriterionReport:
-    """Generic invariance check: the evaluator must agree on the original
-    subject and on every transformed variant, across the sample."""
-    check = _EQUALITY_CHECKS[criterion]
-    msp_note = (
-        "marginal-immunity and reversal checks read the low-type sorting "
-        "parameter; other checks read the aggregate"
-        if tag == "msp" else ""
-    )
-    ll_note = (
-        "evaluated in continuous rounding mode (floored benchmark is "
-        "ill-posed on the non-integer tables these checks construct)"
-        if tag in ("ll", "gll") else ""
-    )
-    notes = "; ".join(x for x in (msp_note, ll_note, check.notes) if x)
-    notes = notes or check.fallback_notes
+_LL_NOTE = ("evaluated in continuous rounding mode (floored benchmark is "
+            "ill-posed on the non-integer tables these checks construct)")
+# each tag's note on the invariance criteria, before the criterion's own
+_TAG_NOTES = {
+    "msp": "marginal-immunity and reversal checks read the low-type sorting "
+    "parameter; other checks read the aggregate",
+    "ll": _LL_NOTE,
+    "gll": _LL_NOTE,
+}
+
+
+def _indicator_notes(check: _IndicatorCheck, tag: str) -> str:
+    if check.kind == "monotonicity":
+        return ""
+    notes = "; ".join(x for x in (_TAG_NOTES.get(tag), check.notes) if x)
+    return notes or check.fallback_notes
+
+
+def _grouped(keys) -> list[list[int]]:
+    """The positions of equal keys, in order of first appearance."""
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _sampled_indicator_check(criterion, tag, sample_count, seed) -> CriterionReport:
+    """AC2 to AC5.3 and AC8.1 in the rounds of :func:`_first_hit`: a table
+    is redrawn while the indicator is undefined on it, and the witness is
+    the first (sample, transform), in loop order, whose violation exceeds
+    ``VIOLATION_TOL``; a variant on which the indicator is undefined, or a
+    rake whose fit fails, is skipped."""
+    check = _INDICATOR_CHECKS[criterion]
+    evaluate = _evaluator(tag, criterion)
+    transposed = check.transposed and tag in check.matrix_tags
     shapes = ((2, 2), (3, 3)) if tag in check.matrix_tags else ((2, 2),)
-    compare_transposed = check.transposed and tag in check.matrix_tags
-    evaluator = indicator_evaluator(tag, criterion)
-    rng = _rng_for(seed, criterion, tag)
-    with_singles = tag == "msm"
-    for i in range(sample_count):
-        shape = shapes[i % len(shapes)]
-        subject = _random_table(rng, evaluator, shape, with_singles)
-        base = evaluator(subject)
-        for label, params in check.transforms(rng, subject):
-            try:
-                violation = _equality_violation(
-                    evaluator, tag, subject, base, label, params, compare_transposed
-                )
-            except HomlabError:
-                # undefined on the variant, or an unreachable rake, which
-                # ipf_fit rejects as InfeasibilityError before sweeping
-                continue
-            if violation > VIOLATION_TOL:
-                witness = {
-                    "kind": "equality",
-                    "criterion": criterion,
-                    "indicator": tag,
-                    "subject": _table_payload(subject),
-                    "transform": label,
-                    "params": params,
-                    "violation": violation,
-                    "compare_transposed": compare_transposed,
-                }
-                return _report(
-                    criterion, tag, COUNTEREXAMPLE, witness, i + 1, notes
-                )
-    return _report(criterion, tag, SATISFIED, None, sample_count, notes)
 
+    def draw(rng, start, size):
+        return _draw_tables(rng, start, size, shapes, tag == "msm", check.transforms)
 
-def _equality_violation(
-    evaluator, tag, subject, base, label, params, compare_transposed
-) -> float:
-    """How far the evaluator moves from ``base``, its value on ``subject``,
-    when ``subject`` is transformed; matrix-valued measures may compare
-    against their transposed base."""
-    other = evaluator(_transform(subject, label, params))
-    if compare_transposed:
-        base = base.reshape(_matrix_shape(tag, subject)).T.ravel()
-    return _difference(base, other)
+    def bases(drawn):
+        values, errors = [None] * len(drawn), [None] * len(drawn)
+        for ix in _grouped(counts.shape for counts, _, _ in drawn):
+            stacked, undefined = _base_values(evaluate, tag, transposed, *_stacks(drawn, ix))
+            for t, value, bad in zip(ix, stacked, undefined):
+                values[t] = value
+                errors[t] = UndefinedIndicatorError("indicator undefined") if bad else None
+        return values, errors
 
+    def scan(drawn, values, accepted):
+        items = [(t, j, label, params) for t in range(accepted)
+                 for j, (label, params) in enumerate(drawn[t][2])]
+        hits = []
+        for group in _grouped((drawn[t][0].shape, label) for t, _, label, _ in items):
+            ix = [items[i][0] for i in group]
+            violations, errors = _indicator_violations(
+                evaluate, items[group[0]][2], *_stacks(drawn, ix),
+                np.array([values[t] for t in ix]), [items[i][3] for i in group],
+            )
+            hits += [(*items[i], float(v)) for i, v, error in zip(group, violations, errors)
+                     if error is None and v > VIOLATION_TOL]
+        if not hits:
+            return None
+        t, _, label, params, violation = min(hits)
+        return t, (_payload(*drawn[t][:2]), label, params, violation)
 
-def _transform(subject, label: str, params: Mapping[str, object]):
-    """The variant of ``subject`` that the transform ``label`` builds."""
-    if label == "transpose":
-        return subject.transposed()
-    if label == "rotate-categories":
-        couples = couples_of(subject)
-        (a, b), (c, d) = couples.counts
-        return couples.with_counts(np.array([[d, c], [b, a]]))
-    if label == "rake":
-        target = Marginals(params["rows"], params["cols"])
-        return cf.ipf_fit(couples_of(subject), target, tol=1e-12).table
-    return apply_perturbation(subject, MarginalPerturbation(label, params["alpha"]))
-
-
-def _matrix_shape(tag: str, subject) -> tuple[int, int]:
-    couples = couples_of(subject)
-    if tag == "msm":
-        return couples.n_rows, couples.n_cols
-    if tag == "gll":
-        return couples.n_rows - 1, couples.n_cols - 1
-    return (1, -1)
+    notes = _indicator_notes(check, tag)
+    found = _first_hit(_rng_for(seed, criterion, tag), sample_count, draw, bases, scan)
+    if found is None:
+        return _report(criterion, tag, SATISFIED, None, sample_count, notes)
+    sample_size, (subject, label, params, violation) = found
+    witness = {"kind": check.kind, "criterion": criterion, "indicator": tag,
+               "subject": subject, "violation": violation}
+    if check.kind == "monotonicity":
+        witness["diagonal"] = params["diagonal"]
+    else:
+        witness.update(transform=label, params=params, compare_transposed=transposed)
+    return _report(criterion, tag, COUNTEREXAMPLE, witness, sample_size, notes)
 
 
 # Parameter draws of a criterion, given the row count of the drawn table.
@@ -413,35 +489,21 @@ def _diagonal_params(rng, n_rows: int) -> dict:
     return {"diagonal": diagonal.tolist()}
 
 
-def _scale_transforms(rng, subject):
-    return [("scale", _scale_params(rng, couples_of(subject).n_rows))]
+def _alpha_transforms(kind: str, low: float, high: float):
+    """The draw of one ``alpha`` on [low, high), shared by the row and the
+    column variant of the perturbation ``kind``."""
+    def draw(rng, counts):
+        alpha = float(rng.uniform(low, high))
+        return [(f"{kind}-{axis}", {"alpha": alpha}) for axis in ("row", "col")]
+    return draw
 
 
-def _transpose_transforms(rng, subject):
-    return [("transpose", {})]
-
-
-def _rotation_transforms(rng, subject):
-    return [("rotate-categories", {})]
-
-
-def _type1_transforms(rng, subject):
-    alpha = float(rng.uniform(0.2, 3.0))
-    return [(kind, {"alpha": alpha}) for kind in ("type1-row", "type1-col")]
-
-
-def _type2_transforms(rng, subject):
-    alpha = float(rng.uniform(0.05, 0.95))
-    return [(kind, {"alpha": alpha}) for kind in ("type2-row", "type2-col")]
-
-
-def _raking_transforms(rng, subject):
-    couples = couples_of(subject)
-    if np.any(couples.counts.sum(axis=1) == 0) or np.any(couples.counts.sum(axis=0) == 0):
+def _raking_transforms(rng, counts):
+    if np.any(counts.sum(axis=1) == 0) or np.any(counts.sum(axis=0) == 0):
         return []
     total = int(rng.integers(40, 200))
-    rows = _random_positive_split(rng, total, couples.n_rows)
-    cols = _random_positive_split(rng, total, couples.n_cols)
+    rows = _random_positive_split(rng, total, len(counts))
+    cols = _random_positive_split(rng, total, counts.shape[1])
     return [("rake", {"rows": rows, "cols": cols})]
 
 
@@ -451,21 +513,29 @@ def _random_positive_split(rng, total: int, parts: int) -> list[int]:
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
-_EQUALITY_CHECKS = {
-    "AC2": _EqualityCheck(_scale_transforms, ("gll",)),
-    "AC3": _EqualityCheck(
-        _transpose_transforms, ("gll", "msm"), transposed=True,
+_INDICATOR_CHECKS = {
+    "AC2": _IndicatorCheck(
+        lambda rng, counts: [("scale", _scale_params(rng, len(counts)))], ("gll",)),
+    "AC3": _IndicatorCheck(
+        lambda rng, counts: [("transpose", {})], ("gll", "msm"), transposed=True,
         fallback_notes="matrix-valued measures compare against the "
         "transposed original",
     ),
-    "AC4": _EqualityCheck(_rotation_transforms),
-    "AC5.1": _EqualityCheck(_type1_transforms),
-    "AC5.2": _EqualityCheck(_type2_transforms),
-    "AC5.3": _EqualityCheck(
+    "AC4": _IndicatorCheck(lambda rng, counts: [("rotate-categories", {})]),
+    "AC5.1": _IndicatorCheck(_alpha_transforms("type1", 0.2, 3.0)),
+    "AC5.2": _IndicatorCheck(_alpha_transforms("type2", 0.05, 0.95)),
+    "AC5.3": _IndicatorCheck(
         _raking_transforms,
         notes="read as raking immunity: the indicator is recomputed after "
         "refitting the table onto fresh marginals (an interpretation; "
         "the catalog's own row is not reproduced)",
+    ),
+    # checked on 2x2 tables, where the claim lives for every measure (on
+    # finer tables an added same-type couple can land off the diagonal of
+    # an asymmetric coarsening and genuinely lower that split's value)
+    "AC8.1": _IndicatorCheck(
+        lambda rng, counts: [("diagonal", _diagonal_params(rng, len(counts)))],
+        kind="monotonicity",
     ),
 }
 
@@ -476,42 +546,43 @@ def _max_criterion_check(
     """AC6/AC7: the reference matching must attain the sample maximum of the
     indicator over the whole transportation polytope (brute-force oracle).
 
-    The lattice is evaluated as one stack; the witness is its first point,
-    in enumeration order, that is defined and scores above the reference.
+    A sample is a pair of margins, drawn in the rounds of
+    :func:`_first_hit`. No sample is redrawn: a reference (the diagonal
+    table, or the perfectly assortative matching) on which the indicator is
+    undefined is skipped and not counted. Each distinct pair's reference
+    and lattice are scored once, as stacks. The witness is the first
+    lattice point, in enumeration order, that is defined and scores above
+    the reference.
     """
-    evaluator = indicator_evaluator(tag, criterion)
-    rng = _rng_for(seed, criterion, tag)
+    evaluate = _evaluator(tag, criterion)
     sizes = (2, 3) if tag in ("det", "gll") else (2,)
-    checked = 0
-    for i in range(sample_count):
-        n = sizes[i % len(sizes)]
-        if criterion == "AC6":
-            diag = rng.integers(1, 9, size=n)
-            while diag.sum() > 20:
-                diag = rng.integers(1, 9, size=n)
-            reference = ContingencyTable(np.diag(diag).astype(float))
-            marg = marginals(reference)
-        else:
-            marg = _random_small_marginals(rng, n)
-            reference = pam_match(marg)
-        try:
-            ref_value = evaluator(reference)
-        except UndefinedIndicatorError:
-            continue
-        checked += 1
-        points = lattice(marg, cap=20)
-        drops = _maximum_violation(tag, ref_value, points)
-        above = np.flatnonzero(drops > VIOLATION_TOL)
-        if above.size:
-            witness = {
-                "kind": "maximum",
-                "criterion": criterion,
-                "indicator": tag,
-                "reference": _table_payload(reference),
-                "better": _table_payload(ContingencyTable(points[above[0]])),
-                "violation": float(drops[above[0]]),
-            }
-            return _report(criterion, tag, COUNTEREXAMPLE, witness, checked)
+    drawn: list[tuple] = []
+    scored: dict[tuple, tuple | None] = {}
+
+    def draw(rng, start, size):
+        keys = [_draw_margins(rng, criterion, sizes[i % len(sizes)])
+                for i in range(start, start + size)]
+        drawn.extend(keys)
+        return keys, [None] * size
+
+    def bases(keys):
+        new = [key for key in dict.fromkeys(keys) if key not in scored]
+        for ix in _grouped(len(key[0]) for key in new):
+            scored.update(_score_lattices(evaluate, criterion, [new[i] for i in ix]))
+        return None, [None] * len(keys)
+
+    def scan(keys, _, accepted):
+        hits = [t for t, key in enumerate(keys) if scored[key] and scored[key][1]]
+        return (hits[0], scored[keys[hits[0]]]) if hits else None
+
+    found = _first_hit(_rng_for(seed, criterion, tag), sample_count, draw, bases, scan)
+    checked = sum(scored[key] is not None for key in drawn[:found[0] if found else None])
+    if found:
+        reference, (better, violation) = found[1]
+        witness = {"kind": "maximum", "criterion": criterion, "indicator": tag,
+                   "reference": _payload(reference), "better": _payload(better),
+                   "violation": violation}
+        return _report(criterion, tag, COUNTEREXAMPLE, witness, checked)
     if checked == 0:
         return _report(
             criterion, tag, NOT_APPLICABLE,
@@ -520,15 +591,15 @@ def _max_criterion_check(
     return _report(criterion, tag, SATISFIED, None, checked)
 
 
-def _maximum_violation(tag: str, ref_value, candidates) -> np.ndarray:
-    """How far each table of the stack ``candidates`` scores above the
-    reference matching's value; NaN where the indicator is undefined."""
-    values, undefined = ind.evaluate_stack(tag, candidates, ind.CONTINUOUS)
-    return np.where(undefined, np.nan, _one_sided_drop(values, ref_value))
-
-
-def _random_small_marginals(rng, n: int) -> Marginals:
-    total_cap = 20 if n == 2 else 12
+def _draw_margins(rng, criterion: str, n: int) -> tuple:
+    """One AC6/AC7 sample's (rows, cols), as tuples of integers: those of a
+    diagonal table of at most 20 couples, or small random margins (totals
+    at most 20 for 2x2, 12 for 3x3)."""
+    if criterion == "AC6":
+        diag = rng.integers(1, 9, size=n)
+        while diag.sum() > 20:
+            diag = rng.integers(1, 9, size=n)
+        return tuple(diag.tolist()), tuple(diag.tolist())
     while True:
         rows = rng.integers(1, 8, size=n)
         cols = rng.integers(1, 8, size=n)
@@ -537,47 +608,43 @@ def _random_small_marginals(rng, n: int) -> Marginals:
             cols[int(rng.integers(0, n))] += diff
         elif diff < 0:
             rows[int(rng.integers(0, n))] += -diff
-        if rows.sum() <= total_cap and np.all(rows > 0) and np.all(cols > 0):
-            return Marginals(rows.astype(float), cols.astype(float))
+        if rows.sum() <= (20 if n == 2 else 12) and np.all(rows > 0) and np.all(cols > 0):
+            return tuple(rows.tolist()), tuple(cols.tolist())
 
 
-def _monotonicity_check(
-    criterion: str, tag: str, sample_count: int, seed: int
-) -> CriterionReport:
-    """AC8.1: adding same-type couples must never lower the indicator.
-
-    Checked on 2x2 instances, where the claim lives for every measure (on
-    finer tables an added same-type couple can land off the diagonal of an
-    asymmetric coarsening and genuinely lower that split's value).
-    """
-    evaluator = indicator_evaluator(tag, criterion)
-    rng = _rng_for(seed, criterion, tag)
-    with_singles = tag == "msm"
-    for i in range(sample_count):
-        subject = _random_table(rng, evaluator, (2, 2), with_singles)
-        diagonal = _diagonal_params(rng, couples_of(subject).n_rows)["diagonal"]
-        try:
-            drop = _monotonicity_violation(evaluator, subject, diagonal)
-        except UndefinedIndicatorError:
-            continue
-        if drop > VIOLATION_TOL:
-            witness = {
-                "kind": "monotonicity",
-                "criterion": criterion,
-                "indicator": tag,
-                "subject": _table_payload(subject),
-                "diagonal": diagonal,
-                "violation": drop,
-            }
-            return _report(criterion, tag, COUNTEREXAMPLE, witness, i + 1)
-    return _report(criterion, tag, SATISFIED, None, sample_count)
+def _score_lattices(evaluate, criterion: str, keys: list[tuple]) -> dict:
+    """Each margin pair of ``keys`` (all of one size) mapped to its reference
+    and its hit, the first lattice point that scores above the reference by
+    more than ``VIOLATION_TOL`` with that violation (None without one), or
+    to None where the indicator is undefined on the reference."""
+    rows, cols = (np.array([k[i] for k in keys], dtype=float) for i in (0, 1))
+    if criterion == "AC6":
+        references = rows[:, :, None] * np.eye(rows.shape[1])
+    else:
+        references = pam_counts(rows, cols)
+    values, undefined = evaluate(references, None)
+    scored: dict[tuple, tuple | None] = {key: None for key in keys}
+    defined = np.flatnonzero(~undefined)
+    if not defined.size:
+        return scored
+    lattices = [lattice(Marginals(rows[i], cols[i]), cap=20) for i in defined]
+    sizes = [len(points) for points in lattices]
+    drops = _maximum_violation(
+        evaluate, np.repeat(values[defined], sizes, axis=0), np.concatenate(lattices)
+    )
+    for i, points, part in zip(defined, lattices, np.split(drops, np.cumsum(sizes)[:-1])):
+        above = np.flatnonzero(part > VIOLATION_TOL)
+        hit = (points[above[0]].astype(float), float(part[above[0]])) if above.size else None
+        scored[keys[i]] = (references[i], hit)
+    return scored
 
 
-def _monotonicity_violation(evaluator, subject, diagonal) -> float:
-    """How far the evaluator drops when same-type couples are added."""
-    return float(_one_sided_drop(
-        evaluator(subject), evaluator(_bump_diagonal(subject, diagonal))
-    ))
+def _maximum_violation(evaluate, references, points) -> np.ndarray:
+    """How far each table of the stack ``points`` scores above the value of
+    its reference matching, a row of ``references``; NaN where the
+    indicator is undefined on the table."""
+    values, undefined = evaluate(points, None)
+    return np.where(undefined, np.nan, _one_sided_drop(values, references))
 
 
 def check_indicator(
@@ -610,9 +677,7 @@ def check_indicator(
         )
     if criterion in ("AC6", "AC7"):
         return _max_criterion_check(criterion, indicator, sample_count, seed)
-    if criterion == "AC8.1":
-        return _monotonicity_check(criterion, indicator, sample_count, seed)
-    return _equality_check(criterion, indicator, sample_count, seed)
+    return _sampled_indicator_check(criterion, indicator, sample_count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -677,30 +742,34 @@ class _MethodStack:
 
     def payload(self, t: int) -> dict:
         """Problem ``t`` as a witness payload; :func:`_stack_of_one` reads it."""
-        source = {"counts": self.counts[t].tolist()}
+        payload = {}
         if self.singles is not None:
-            source.update(single_men=self.singles[0][t].tolist(),
-                          single_women=self.singles[1][t].tolist())
             payload = {"target_singles": [s[t].tolist() for s in self.target_singles]}
-        else:
-            payload = {}
-        return {"source": source, "target_rows": self.rows[t].tolist(),
+        singles = self.singles and tuple(s[t] for s in self.singles)
+        return {"source": _payload(self.counts[t], singles), "target_rows": self.rows[t].tolist(),
                 "target_cols": self.cols[t].tolist(), **payload,
                 **{name: values[t].tolist() for name, values in self.params.items()}}
 
 
+def _one(*values) -> tuple:
+    """Each of ``values`` as a float stack of one."""
+    return tuple(np.array([v], dtype=float) for v in values)
+
+
+def _singles_of_one(payload: Mapping[str, object]):
+    """A witness table's singles as stacks of one, or None without."""
+    if "single_men" not in payload:
+        return None
+    return _one(payload["single_men"], payload["single_women"])
+
+
 def _stack_of_one(w: Mapping[str, object]) -> _MethodStack:
     """A sampled method witness's problem as a stack of one."""
-    def one(*values):
-        return tuple(np.array([v], dtype=float) for v in values)
-
-    source, singles = w["source"], None
-    if "single_men" in source:
-        singles = one(source["single_men"], source["single_women"])
+    source, singles = w["source"], _singles_of_one(w["source"])
     return _MethodStack(
-        *one(source["counts"], w["target_rows"], w["target_cols"]), singles,
-        one(*w["target_singles"]) if singles else None,
-        {name: one(w[name])[0] for name in ("alpha", "diagonal") if name in w},
+        *_one(source["counts"], w["target_rows"], w["target_cols"]), singles,
+        _one(*w["target_singles"]) if singles else None,
+        {name: _one(w[name])[0] for name in ("alpha", "diagonal") if name in w},
     )
 
 
@@ -898,46 +967,36 @@ def _merge_check(criterion, method, sample_count, seed) -> CriterionReport:
 
 
 def _sampled_method_check(criterion, method, sample_count, seed) -> CriterionReport:
-    """AC2, AC3, AC5 and AC8.1 on stacks of samples, with the stream, verdict
-    and witness of a loop over single samples.
-
-    That loop draws a problem, redrawing after each infeasible or undefined
-    base fit (200 times at most), draws the criterion's parameters, fits the
-    variant and stops at the first gap above ``VIOLATION_TOL``. Here a round
-    draws samples as if every base fit were feasible and fits their bases,
-    then their variants, as stacks. The samples before the first rejected
-    base are scanned in order, and the generator goes back to where the
-    loop would redraw. An error the loop would raise is raised at its
-    sample, and none from past the loop's stop. Rounds double while no base
-    is rejected, so a witness at the first sample costs one draw.
-    """
+    """AC2, AC3, AC5 and AC8.1 in the rounds of :func:`_first_hit`: a
+    problem is redrawn after each infeasible or undefined base fit, and the
+    witness is the first accepted sample whose gap exceeds
+    ``VIOLATION_TOL``; a variant fit that is infeasible or undefined is
+    skipped, and any other fit error is raised."""
     check = _METHOD_CHECKS[criterion]
-    rng = _rng_for(seed, criterion, method)
-    done, size, rejected = 0, 1, 0
-    while done < sample_count:
-        inst, states = _draw_samples(rng, method, check, min(size, sample_count - done))
+
+    def draw(rng, start, size):
+        return _draw_samples(rng, method, check, size)
+
+    def bases(inst):
         base = inst.fit(method)
+        return base, base.errors
+
+    def scan(inst, base, accepted):
         gaps, errors = check.gap(method, inst, base)
-        failed = [t for t, error in enumerate(base.errors) if error is not None]
-        accepted = failed[0] if failed else len(states)
         for t in range(accepted):
             if isinstance(errors[t], _SKIPPED):
                 continue
             if errors[t] is not None:
                 raise errors[t]
             if gaps[t] > VIOLATION_TOL:
-                return _method_witness(check, criterion, method, inst.payload(t),
-                                       float(gaps[t]), done + t + 1)
-        done, size = done + accepted, 2 * size
-        if failed:
-            if not isinstance(base.errors[accepted], _SKIPPED):
-                raise base.errors[accepted]
-            rejected = rejected + 1 if accepted == 0 else 1
-            if rejected == 200:
-                raise RuntimeError("could not draw a feasible method instance")  # pragma: no cover
-            rng.bit_generator.state = states[accepted]
-            size = max(2 * accepted, 1)
-    return _report(criterion, method, SATISFIED, None, sample_count, check.notes)
+                return t, (inst.payload(t), float(gaps[t]))
+        return None
+
+    found = _first_hit(_rng_for(seed, criterion, method), sample_count, draw, bases, scan)
+    if found is None:
+        return _report(criterion, method, SATISFIED, None, sample_count, check.notes)
+    sample_size, (payload, violation) = found
+    return _method_witness(check, criterion, method, payload, violation, sample_size)
 
 
 def check_method(
@@ -971,42 +1030,34 @@ def check_method(
     if criterion in _METHOD_CHECKS:
         return _sampled_method_check(criterion, method, sample_count, seed)
 
-    if criterion == "AC12":
-        source = ContingencyTable(np.array(SIC_SOURCE))
-        target = Marginals(np.array(SIC_TARGET_ROWS), np.array(SIC_TARGET_COLS))
-        singles = None
-        subject: ContingencyTable | TableWithSingles = source
-        if method == "csa":
-            subject = TableWithSingles(
-                source, np.array(SIC_SINGLES), np.array(SIC_SINGLES)
-            )
-            singles = (np.array(SIC_SINGLES), np.array(SIC_SINGLES))
-        witness = {
-            "kind": "sic",
-            "method": method,
-            "source": _table_payload(subject),
-            "target_rows": list(SIC_TARGET_ROWS),
-            "target_cols": list(SIC_TARGET_COLS),
-        }
-        try:
-            # floored mode here: the crafted case is integer census-like data
-            result = cf.fit(method, subject, target,
-                            rounding=ind.PAPER_INTEGER, tol=1e-12,
-                            target_singles=singles)
-        except InfeasibilityError as exc:
-            witness.update(signaled=True, detail=str(exc))
-            return _report(
-                "AC12", method, SATISFIED, witness, 1,
-                notes="infeasibility error raised on the crafted impossible case",
-            )
-        witness.update(signaled=False, returned=result.table.counts.tolist())
+    # AC12, on the crafted case; the surplus-based method's target singles
+    # default to its source's
+    subject: ContingencyTable | TableWithSingles = ContingencyTable(SIC_SOURCE)
+    if method == "csa":
+        subject = TableWithSingles(subject, SIC_SINGLES, SIC_SINGLES)
+    witness = {
+        "kind": "sic",
+        "method": method,
+        "source": _table_payload(subject),
+        "target_rows": list(SIC_TARGET_ROWS),
+        "target_cols": list(SIC_TARGET_COLS),
+    }
+    try:
+        # floored mode here: the crafted case is integer census-like data
+        result = cf.fit(method, subject, Marginals(SIC_TARGET_ROWS, SIC_TARGET_COLS),
+                        rounding=ind.PAPER_INTEGER, tol=1e-12)
+    except InfeasibilityError as exc:
+        witness.update(signaled=True, detail=str(exc))
         return _report(
-            "AC12", method, COUNTEREXAMPLE, witness, 1,
-            notes="returned a table without signaling on the crafted "
-            "impossible case",
+            "AC12", method, SATISFIED, witness, 1,
+            notes="infeasibility error raised on the crafted impossible case",
         )
-
-    raise AssertionError("unreachable")  # pragma: no cover
+    witness.update(signaled=False, returned=result.table.counts.tolist())
+    return _report(
+        "AC12", method, COUNTEREXAMPLE, witness, 1,
+        notes="returned a table without signaling on the crafted "
+        "impossible case",
+    )
 
 
 def _rebuild_merge_instance(w: Mapping[str, object]) -> tuple:
@@ -1057,24 +1108,30 @@ def replay_witness(report: CriterionReport) -> float:
         return float(gaps[0])
     if kind not in ("equality", "maximum", "monotonicity"):
         raise ValueError(f"unknown witness kind: {kind!r}")
-    evaluator = indicator_evaluator(w["indicator"], w["criterion"])
+    tag = w["indicator"]
+    evaluate = _evaluator(tag, w["criterion"])
     if kind == "maximum":
-        better = _rebuild_subject(w["better"]).counts
-        (drop,) = _maximum_violation(
-            w["indicator"],
-            evaluator(_rebuild_subject(w["reference"])),
-            better[None],
-        )
+        reference, better = _one(w["reference"]["counts"], w["better"]["counts"])
+        values, undefined = evaluate(reference, None)
+        if undefined[0]:
+            raise UndefinedIndicatorError("indicator undefined on the reference")
+        (drop,) = _maximum_violation(evaluate, values, better)
         if math.isnan(drop):
             raise UndefinedIndicatorError("indicator undefined on the better table")
         return float(drop)
-    subject = _rebuild_subject(w["subject"])
+    (counts,), singles = _one(w["subject"]["counts"]), _singles_of_one(w["subject"])
+    base, undefined = _base_values(evaluate, tag, w.get("compare_transposed", False),
+                                   counts, singles)
+    if undefined[0]:
+        raise UndefinedIndicatorError("indicator undefined on the table")
     if kind == "monotonicity":
-        return _monotonicity_violation(evaluator, subject, w["diagonal"])
-    return _equality_violation(
-        evaluator, w["indicator"], subject, evaluator(subject),
-        w["transform"], w["params"], w["compare_transposed"],
-    )
+        label, params = "diagonal", {"diagonal": w["diagonal"]}
+    else:
+        label, params = w["transform"], w["params"]
+    violations, errors = _indicator_violations(evaluate, label, counts, singles, base, [params])
+    if errors[0] is not None:
+        raise errors[0]
+    return float(violations[0])
 
 
 def indicator_matrix(

@@ -446,21 +446,34 @@ def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
 
 
 def evaluate_stack(
-    tag: str, counts, rounding: str = PAPER_INTEGER
+    tag: str, counts, rounding: str = PAPER_INTEGER, singles=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The couples-only indicator ``tag`` of every table in a stack.
+    """The indicator ``tag`` of every table in a stack.
 
-    ``counts`` has shape ``(T, n, m)``. Returns ``(values, undefined)``:
-    ``values[t]``, of shape ``(k,)``, equals ``evaluate(tag,
-    ContingencyTable(counts[t]), rounding)`` bit for bit, and
-    ``undefined[t]`` is true exactly where that call raises
-    :class:`~homlab.errors.UndefinedIndicatorError` (``values[t]`` then
-    carries no meaning). The kernels are the ones the single-table measures
-    call, so each formula exists once, and the errors are the ones
-    :func:`evaluate` raises: the shape first, then the rounding mode.
+    ``counts`` has shape ``(T, n, m)``; ``msm`` also needs ``singles``, the
+    single men ``(T, n)`` and single women ``(T, m)`` of each table, which
+    every other tag ignores. Returns ``(values, undefined)``: ``values[t]``,
+    of shape ``(k,)``, equals :func:`evaluate` of table ``t`` (with its
+    singles) bit for bit, and ``undefined[t]`` is true exactly where that
+    call raises :class:`~homlab.errors.UndefinedIndicatorError`
+    (``values[t]`` then carries no meaning). The kernels are the ones the
+    single-table measures call, so each formula exists once, and the errors
+    are the ones :func:`evaluate` raises: the shape first, then the
+    rounding mode. A stack of any other shape, or mis-shaped singles, raise
+    :class:`ShapeError` before the tag is read.
     """
     counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 3:
+        raise ShapeError(f"a stack of tables has shape (T, n, m), got {counts.shape}")
     size, n, m = counts.shape
+    if tag == "msm":
+        men, women = (np.asarray(s, dtype=float) for s in singles or ((), ()))
+        if men.shape != (size, n) or women.shape != (size, m):
+            raise ShapeError(f"surplus matrix needs singles stacks of shapes "
+                             f"({size}, {n}) and ({size}, {m})")
+        _check_rounding(rounding)
+        values, undefined = _surplus(counts, men, women)
+        return values.reshape(size, -1), undefined
     if tag == "gll":
         *_, values, undefined = _ll(*_split_sums(counts), rounding)
         return values.reshape(size, -1), undefined.reshape(size, -1).any(axis=1)

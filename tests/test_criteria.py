@@ -22,14 +22,21 @@ from homlab.criteria import (
     check_method,
     replay_witness,
 )
-from homlab.errors import InfeasibilityError, ShapeError, UndefinedIndicatorError
-from homlab.indicators import CONTINUOUS
+from homlab.errors import (
+    HomlabError,
+    InfeasibilityError,
+    ShapeError,
+    UndefinedIndicatorError,
+)
+from homlab.indicators import CONTINUOUS, aggregate_msp, evaluate, evaluate_stack
 from homlab.tables import (
     ContingencyTable,
     Marginals,
     TableWithSingles,
     homogamy_share,
+    lattice,
     marginals,
+    pam_match,
 )
 
 
@@ -51,6 +58,16 @@ def test_perturbation_validation():
         MarginalPerturbation("scale", 0.0)
     with pytest.raises(ValueError):
         MarginalPerturbation("type2-row", 1.5)
+    # a non-finite factor is refused at construction, not later as a table
+    # that cannot be built
+    for kind in ("scale", "type1-row", "type1-col"):
+        with pytest.raises(ValueError, match="must be finite"):
+            MarginalPerturbation(kind, math.inf)
+        with pytest.raises(ValueError, match="must be positive"):
+            MarginalPerturbation(kind, math.nan)
+    for kind in ("type2-row", "type2-col"):
+        with pytest.raises(ValueError, match="strictly between"):
+            MarginalPerturbation(kind, math.inf)
 
 
 def test_apply_scale():
@@ -394,3 +411,222 @@ def test_stacked_method_cells_keep_witnesses_when_every_gap_counts(monkeypatch):
                 assert check_method(criterion, tag, 5, seed) == (
                     _reference_method_check(criterion, tag, 5, seed)
                 )
+
+
+# ---------------------------------------------------------------------------
+# stacked indicator cells against the per-sample loops they replace
+# ---------------------------------------------------------------------------
+
+
+def _ref_evaluator(tag, criterion):
+    if tag == "msp" and criterion in ("AC4", "AC5.1", "AC5.2", "AC5.3"):
+        return lambda s: np.array([aggregate_msp(criteria.couples_of(s)).msp_l])
+    return lambda s: evaluate(tag, s, CONTINUOUS)
+
+
+def _ref_random_table(rng, evaluator, shape, with_singles):
+    """A table (with singles for msm) on which the evaluator is defined,
+    redrawn from the same stream while it is not."""
+    for _ in range(200):
+        counts = rng.integers(0, 51, size=shape)
+        if not counts.any():
+            continue
+        subject = table(counts)
+        if with_singles:
+            subject = TableWithSingles(subject, rng.integers(1, 51, size=shape[0]),
+                                       rng.integers(1, 51, size=shape[1]))
+        try:
+            evaluator(subject)
+        except UndefinedIndicatorError:
+            continue
+        return subject
+    raise RuntimeError("could not draw a valid random table")
+
+
+def _ref_split(rng, total, parts):
+    cuts = sorted(rng.choice(np.arange(1, total), size=parts - 1, replace=False))
+    bounds = [0] + [int(c) for c in cuts] + [total]
+    return [bounds[i + 1] - bounds[i] for i in range(parts)]
+
+
+def _ref_transforms(criterion, rng, counts):
+    if criterion == "AC2":
+        return [("scale", {"alpha": float(rng.uniform(0.2, 5.0))})]
+    if criterion == "AC3":
+        return [("transpose", {})]
+    if criterion == "AC4":
+        return [("rotate-categories", {})]
+    if criterion in ("AC5.1", "AC5.2"):
+        kind, low, high = ("type1", 0.2, 3.0) if criterion == "AC5.1" else ("type2", 0.05, 0.95)
+        alpha = float(rng.uniform(low, high))
+        return [(f"{kind}-{axis}", {"alpha": alpha}) for axis in ("row", "col")]
+    if (counts.sum(axis=1) == 0).any() or (counts.sum(axis=0) == 0).any():
+        return []
+    total = int(rng.integers(40, 200))
+    return [("rake", {"rows": _ref_split(rng, total, counts.shape[0]),
+                      "cols": _ref_split(rng, total, counts.shape[1])})]
+
+
+def _ref_variant(subject, label, params):
+    couples = criteria.couples_of(subject)
+    if label == "transpose":
+        return subject.transposed()
+    if label == "scale":
+        return subject.scaled(params["alpha"])
+    if label == "rake":
+        target = Marginals(params["rows"], params["cols"])
+        return cf.ipf_fit(couples, target, tol=1e-12).table
+    (a, b), (c, d) = couples.counts
+    if label == "rotate-categories":
+        return table([[d, c], [b, a]])
+    al = params["alpha"]
+    cells = {
+        "type1-row": [[a, b], [al * c, al * d]],
+        "type1-col": [[a, al * b], [c, al * d]],
+        "type2-row": [[(1 - al) * a, (1 - al) * b], [c + al * a, d + al * b]],
+        "type2-col": [[(1 - al) * a, b + al * a], [(1 - al) * c, d + al * c]],
+    }[label]
+    if isinstance(subject, TableWithSingles):
+        return TableWithSingles(table(cells), subject.single_men, subject.single_women)
+    return table(cells)
+
+
+def _ref_small_marginals(rng, n):
+    total_cap = 20 if n == 2 else 12
+    while True:
+        rows = rng.integers(1, 8, size=n)
+        cols = rng.integers(1, 8, size=n)
+        diff = int(rows.sum() - cols.sum())
+        if diff > 0:
+            cols[int(rng.integers(0, n))] += diff
+        elif diff < 0:
+            rows[int(rng.integers(0, n))] += -diff
+        if rows.sum() <= total_cap and np.all(rows > 0) and np.all(cols > 0):
+            return Marginals(rows.astype(float), cols.astype(float))
+
+
+def _ref_max_check(criterion, tag, sample_count, rng, evaluator):
+    sizes = (2, 3) if tag in ("det", "gll") else (2,)
+    checked = 0
+    for i in range(sample_count):
+        n = sizes[i % len(sizes)]
+        if criterion == "AC6":
+            diag = rng.integers(1, 9, size=n)
+            while diag.sum() > 20:
+                diag = rng.integers(1, 9, size=n)
+            reference = table(np.diag(diag))
+        else:
+            reference = pam_match(_ref_small_marginals(rng, n))
+        try:
+            ref_value = evaluator(reference)
+        except UndefinedIndicatorError:
+            continue
+        checked += 1
+        points = lattice(marginals(reference), cap=20)
+        values, undefined = evaluate_stack(tag, points, CONTINUOUS)
+        drops = np.where(undefined, np.nan, criteria._one_sided_drop(values, ref_value))
+        above = np.flatnonzero(drops > criteria.VIOLATION_TOL)
+        if above.size:
+            witness = {"kind": "maximum", "criterion": criterion, "indicator": tag,
+                       "reference": {"counts": reference.counts.tolist()},
+                       "better": {"counts": table(points[above[0]]).counts.tolist()},
+                       "violation": float(drops[above[0]])}
+            return CriterionReport(criterion, tag, COUNTEREXAMPLE, witness, checked)
+    if checked == 0:
+        return CriterionReport(criterion, tag, NOT_APPLICABLE, notes=(
+            "indicator undefined on every sampled reference matching"))
+    return CriterionReport(criterion, tag, SATISFIED, None, checked)
+
+
+def _reference_indicator_check(criterion, tag, sample_count, seed):
+    """check_indicator as a loop over single samples and single tables."""
+    rng = criteria._rng_for(seed, criterion, tag)
+    evaluator = _ref_evaluator(tag, criterion)
+    if criterion in ("AC6", "AC7"):
+        return _ref_max_check(criterion, tag, sample_count, rng, evaluator)
+    check = criteria._INDICATOR_CHECKS[criterion]
+    notes = criteria._indicator_notes(check, tag)
+    shapes = ((2, 2), (3, 3)) if tag in check.matrix_tags else ((2, 2),)
+    transposed = check.transposed and tag in check.matrix_tags
+    drop = criteria._one_sided_drop
+    for i in range(sample_count):
+        subject = _ref_random_table(rng, evaluator, shapes[i % len(shapes)], tag == "msm")
+        couples = criteria.couples_of(subject)
+        base = evaluator(subject)
+        witness = {"criterion": criterion, "indicator": tag,
+                   "subject": criteria._table_payload(subject)}
+        if criterion == "AC8.1":
+            diagonal = rng.integers(1, 51, size=2).astype(float).tolist()
+            bumped = table(couples.counts + np.diag(diagonal))
+            if isinstance(subject, TableWithSingles):
+                bumped = TableWithSingles(bumped, subject.single_men, subject.single_women)
+            try:
+                violation = float(drop(base, evaluator(bumped)))
+            except UndefinedIndicatorError:
+                continue
+            if violation > criteria.VIOLATION_TOL:
+                witness.update(kind="monotonicity", diagonal=diagonal, violation=violation)
+                return CriterionReport(criterion, tag, COUNTEREXAMPLE, witness, i + 1, notes)
+            continue
+        if transposed:
+            n, m = couples.counts.shape
+            base = base.reshape((n, m) if tag == "msm" else (n - 1, m - 1)).T.ravel()
+        for label, params in _ref_transforms(criterion, rng, couples.counts):
+            try:
+                other = evaluator(_ref_variant(subject, label, params))
+            except HomlabError:
+                continue
+            violation = float(max(0.0, drop(base, other), drop(other, base)))
+            if violation > criteria.VIOLATION_TOL:
+                witness.update(kind="equality", transform=label, params=params,
+                               violation=violation, compare_transposed=transposed)
+                return CriterionReport(criterion, tag, COUNTEREXAMPLE, witness, i + 1, notes)
+    return CriterionReport(criterion, tag, SATISFIED, None, sample_count, notes)
+
+
+SAMPLED_INDICATOR_CELLS = [
+    (criterion, tag)
+    for criterion in ("AC2", "AC3", "AC4", "AC5.1", "AC5.2", "AC5.3", "AC6", "AC7", "AC8.1")
+    for tag in INDICATOR_TAGS
+    if (criterion, tag) not in criteria.NA_CELLS
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_indicator_cells_keep_the_per_sample_stream(seed):
+    for criterion, tag in SAMPLED_INDICATOR_CELLS:
+        for samples in (1, 7, 60):
+            got = check_indicator(criterion, tag, samples, seed)
+            want = _reference_indicator_check(criterion, tag, samples, seed)
+            assert got == want, (criterion, tag, samples, seed)
+
+
+def test_stacked_indicator_cells_keep_witnesses_when_every_violation_counts(monkeypatch):
+    # with no tolerance left every evaluated sample is a witness: the first
+    # (sample, transform) must be the loop's, at any round size
+    monkeypatch.setattr(criteria, "VIOLATION_TOL", -math.inf)
+    for criterion, tag in SAMPLED_INDICATOR_CELLS:
+        for seed in range(3):
+            assert check_indicator(criterion, tag, 5, seed) == (
+                _reference_indicator_check(criterion, tag, 5, seed)
+            ), (criterion, tag, seed)
+
+
+def test_stacked_monotonicity_indicator_cell_finds_the_late_witness():
+    # AC8.1|cov first lowers the covariance at sample 180 of seed 0, after
+    # seven rounds without a hit
+    got = check_indicator("AC8.1", "cov", 200, 0)
+    assert got == _reference_indicator_check("AC8.1", "cov", 200, 0)
+    assert got.verdict == COUNTEREXAMPLE and got.sample_size == 180
+    assert replay_witness(got) == got.witness["violation"]
+
+
+def test_stacked_indicator_cell_finds_a_late_witness_after_rejections(monkeypatch):
+    # counting a rise of the V-value below 0.01 as a violation, AC8.1|v at
+    # seed 4 rejects sample 56 (a zero margin) and hits on its redraw, so
+    # the rejection must restore the stream
+    monkeypatch.setattr(criteria, "VIOLATION_TOL", -0.01)
+    got = check_indicator("AC8.1", "v", 200, 4)
+    assert got == _reference_indicator_check("AC8.1", "v", 200, 4)
+    assert got.verdict == COUNTEREXAMPLE and got.sample_size == 56
+    assert replay_witness(got) == got.witness["violation"]

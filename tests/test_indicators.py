@@ -588,6 +588,50 @@ def test_stacked_evaluation_edge_cases():
     assert values.shape == (1, 2)
 
 
+@pytest.mark.parametrize("tag", INDICATOR_TAGS)
+def test_stacked_evaluation_refuses_anything_but_a_stack_of_tables(tag):
+    # a single table, a bare vector or a stack of stacks is refused before
+    # the tag is read, not left to fail inside a kernel
+    for counts in (np.ones((2, 2)), np.ones(4), np.ones((1, 2, 2, 2))):
+        with pytest.raises(ShapeError, match=r"shape \(T, n, m\)"):
+            evaluate_stack(tag, counts)
+    with pytest.raises(ShapeError, match=r"shape \(T, n, m\)"):
+        evaluate_stack("bogus", np.ones((2, 2)))
+
+
+def test_stacked_surplus_matrix_matches_the_single_table_call_bit_for_bit():
+    # singles counts of 0 leave some tables undefined
+    rng = np.random.default_rng(7)
+    for shape in ((2, 2), (3, 3), (2, 3)):
+        counts = rng.random((50, *shape)) * 40
+        men = rng.integers(0, 4, size=(50, shape[0])).astype(float)
+        women = rng.integers(0, 4, size=(50, shape[1])).astype(float)
+        values, undefined = evaluate_stack("msm", counts, CONTINUOUS, (men, women))
+        assert values.shape == (50, shape[0] * shape[1])
+        for t in range(50):
+            subject = TableWithSingles(table(counts[t]), men[t], women[t])
+            try:
+                expected = evaluate("msm", subject, CONTINUOUS)
+            except UndefinedIndicatorError:
+                assert undefined[t]
+                continue
+            assert not undefined[t]
+            assert values[t].tobytes() == expected.tobytes()
+        assert undefined.any() and not undefined.all()
+
+
+def test_stacked_surplus_matrix_needs_singles_stacks_of_the_table_shapes():
+    counts = np.ones((4, 2, 3))
+    good = (np.ones((4, 2)), np.ones((4, 3)))
+    assert evaluate_stack("msm", counts, CONTINUOUS, good)[0].shape == (4, 6)
+    for singles in (None, good[::-1], (np.ones(2), np.ones(3)),
+                    (np.ones((3, 2)), np.ones((3, 3)))):
+        with pytest.raises(ShapeError, match="singles stacks"):
+            evaluate_stack("msm", counts, CONTINUOUS, singles)
+    with pytest.raises(ValueError, match="unknown rounding mode"):
+        evaluate_stack("msm", counts, "bogus", good)
+
+
 @pytest.mark.parametrize("tag", SCALAR_TAGS)
 def test_single_and_stacked_evaluation_raise_alike(tag):
     # the shape is checked before the rounding mode, by both entry points

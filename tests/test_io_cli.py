@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -685,3 +688,20 @@ def test_cli_counterfactual_reports_a_method_divide_mismatch(tmp_path):
         "--out", str(out)])
     assert result.exit_code != 0
     assert isinstance(result.exception, DataError)
+
+
+def test_importing_the_cli_does_not_run_the_criteria_module():
+    # only the criteria subcommand pays for importing homlab.criteria: the
+    # module is registered in sys.modules, but its body runs on first use
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = (
+        "import sys, homlab.cli\n"
+        "module = sys.modules['homlab.criteria']\n"
+        "print('check_indicator' in object.__getattribute__(module, '__dict__'))\n"
+        "print(homlab.cli.cr.VIOLATION_TOL, module is sys.modules['homlab.criteria'])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["False", "1e-07", "True"]
