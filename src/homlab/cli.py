@@ -12,9 +12,15 @@ from __future__ import annotations
 import csv
 import importlib.util
 import json
+import os
 import sys
 from itertools import groupby
 from pathlib import Path
+
+# Set before numpy loads: OpenBLAS would otherwise start one thread per core,
+# which the CLI's small tables never use but every start pays for. An
+# explicit setting in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np

@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .counterfactual import fit
-from .errors import InsufficientDataError, ShapeError
+import numpy as np
+
+from .counterfactual import _METHODS, fit, fit_stack
+from .errors import HomlabError, InsufficientDataError, ShapeError
 from .indicators import PAPER_INTEGER
 from .tables import (
     ContingencyTable,
@@ -67,16 +69,115 @@ class TrendSeries:
     cumulative: Mapping[int, float | None]
 
 
+def _target_singles(target_table, method: str):
+    """The singles a fit onto ``target_table`` targets: its own, or None for
+    a table without them, which ``csa`` refuses."""
+    if isinstance(target_table, TableWithSingles):
+        return target_table.single_men, target_table.single_women
+    if method.strip().lower() == "csa":
+        raise ShapeError("the surplus-based method needs singles on both sides")
+    return None
+
+
 def fit_onto(source, target_table, method: str, rounding: str, tol, max_iter):
     """``method``'s fit of ``source`` onto ``target_table``'s couple margins
     and, for ``csa``, onto its singles as well."""
-    singles = None
-    if isinstance(target_table, TableWithSingles):
-        singles = (target_table.single_men, target_table.single_women)
-    elif method.strip().lower() == "csa":
-        raise ShapeError("the surplus-based method needs singles on both sides")
     return fit(method, source, marginals(couples_of(target_table)), rounding=rounding,
-               tol=tol, max_iter=max_iter, target_singles=singles)
+               tol=tol, max_iter=max_iter,
+               target_singles=_target_singles(target_table, method))
+
+
+def _stacked_singles(tables):
+    """The singles of ``tables`` as (T, n) men and (T, m) women stacks, or
+    None unless every table carries them."""
+    if not all(isinstance(t, TableWithSingles) for t in tables):
+        return None
+    return (np.stack([t.single_men for t in tables]),
+            np.stack([t.single_women for t in tables]))
+
+
+def _fit_all(method, sources, targets, rounding, tol, max_iter):
+    """One ``fit_stack`` of ``sources`` onto the margins and singles of
+    ``targets``, or the error it raises for the whole stack."""
+    counts = np.stack([couples_of(t).counts for t in sources])
+    target = np.stack([couples_of(t).counts for t in targets])
+    try:
+        return fit_stack(method, counts, target.sum(axis=2), target.sum(axis=1),
+                         rounding, tol, max_iter, _stacked_singles(sources),
+                         _stacked_singles(targets))
+    except ValueError as exc:  # ShapeError too: a check that fails every problem
+        return exc
+
+
+def _fitted_share(fits, k: int, source) -> float:
+    """Problem ``k``'s counterfactual share, or the error its fit raised."""
+    error = fits if isinstance(fits, Exception) else fits.errors[k]
+    if error is not None:
+        raise error
+    return homogamy_share(couples_of(source).with_counts(fits.counts[k]))
+
+
+def decompose_stack(
+    pairs: Sequence[tuple[ContingencyTable | TableWithSingles,
+                          ContingencyTable | TableWithSingles]],
+    method: str = "nm",
+    scheme: str = SEQUENTIAL,
+    rounding: str = PAPER_INTEGER,
+    tol: float = 1e-10,
+    max_iter: int = 10000,
+) -> list[DecompositionResult | Exception]:
+    """:func:`decompose` on every ``(early, late)`` pair, fitted as stacks.
+
+    The pairs are grouped by source shape; each group takes one
+    :func:`~homlab.counterfactual.fit_stack` call that fits the late tables
+    onto the early margins and, under ``with-interaction``, a second one
+    that fits the early tables onto the late margins. Entry ``i`` of the
+    result is what ``decompose`` returns on pair ``i``, bit for bit, or the
+    error it raises there, with the same class and message.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme: {scheme!r}")
+    outcomes: list = [None] * len(pairs)
+    shares: dict[int, tuple[float, float]] = {}
+    groups: dict[tuple, list[int]] = {}
+    for i, (early, late) in enumerate(pairs):
+        early_c, late_c = couples_of(early), couples_of(late)
+        try:
+            if (early_c.row_labels != late_c.row_labels
+                    or early_c.col_labels != late_c.col_labels):
+                raise ShapeError("generation tables must share category labels")
+            shares[i] = homogamy_share(early_c), homogamy_share(late_c)
+            _target_singles(early, method)  # fit_onto's check: csa needs early singles
+        except HomlabError as exc:
+            outcomes[i] = exc
+            continue
+        key = (late_c.counts.shape, isinstance(late, TableWithSingles))
+        groups.setdefault(key, []).append(i)
+
+    for members in groups.values():
+        early = [pairs[i][0] for i in members]
+        late = [pairs[i][1] for i in members]
+        forward = _fit_all(method, late, early, rounding, tol, max_iter)
+        reverse = (_fit_all(method, early, late, rounding, tol, max_iter)
+                   if scheme == WITH_INTERACTION else None)
+        for k, i in enumerate(members):
+            share_early, share_late = shares[i]
+            try:
+                share_cf = _fitted_share(forward, k, late[k])
+                nonstructural = share_cf - share_early
+                if reverse is None:
+                    structural, interaction = share_late - share_cf, None
+                else:
+                    structural = _fitted_share(reverse, k, early[k]) - share_early
+                    delta = share_late - share_early
+                    interaction = delta - nonstructural - structural
+            except (HomlabError, ValueError) as exc:
+                outcomes[i] = exc
+                continue
+            outcomes[i] = DecompositionResult(
+                _METHODS[method.strip().lower()][0], scheme, share_early, share_late,
+                share_cf, nonstructural, structural, interaction)
+    return outcomes
 
 
 def decompose(
@@ -99,43 +200,14 @@ def decompose(
     * ``with-interaction``: ``structural_effect`` is instead evaluated at the
       early sorting (fitting the early table onto the late marginals) and
       ``interaction_effect`` is the residual cross term.
+
+    This is :func:`decompose_stack` on one pair, and it raises that pair's
+    error.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme: {scheme!r}")
-    early_c, late_c = couples_of(early), couples_of(late)
-    if early_c.row_labels != late_c.row_labels or early_c.col_labels != late_c.col_labels:
-        raise ShapeError("generation tables must share category labels")
-
-    share_early = homogamy_share(early_c)
-    share_late = homogamy_share(late_c)
-    counter = fit_onto(late, early, method, rounding, tol, max_iter)
-    share_cf = homogamy_share(counter.table)
-    nonstructural = share_cf - share_early
-    delta = share_late - share_early
-
-    if scheme == SEQUENTIAL:
-        return DecompositionResult(
-            method=counter.method,
-            scheme=scheme,
-            share_early=share_early,
-            share_late=share_late,
-            share_counterfactual=share_cf,
-            nonstructural_effect=nonstructural,
-            structural_effect=share_late - share_cf,
-        )
-
-    reverse = fit_onto(early, late, method, rounding, tol, max_iter)
-    structural = homogamy_share(reverse.table) - share_early
-    return DecompositionResult(
-        method=counter.method,
-        scheme=scheme,
-        share_early=share_early,
-        share_late=share_late,
-        share_counterfactual=share_cf,
-        nonstructural_effect=nonstructural,
-        structural_effect=structural,
-        interaction_effect=delta - nonstructural - structural,
-    )
+    (result,) = decompose_stack([(early, late)], method, scheme, rounding, tol, max_iter)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def decade_label(start_year: int) -> str:
@@ -155,22 +227,23 @@ def cumulative_series(
 
     ``waves`` is the configured census-year grid; ``tables`` maps the years
     that are actually present. Effects are computed between adjacent grid
-    years; a missing wave leaves that decade's effect (and every later
+    years, in one :func:`decompose_stack` call that raises the first failing
+    pair's error; a missing wave leaves that decade's effect (and every later
     cumulative value) as a gap.
     """
     present = [y for y in waves if y in tables]
     if len(present) < 2:
         raise InsufficientDataError("need at least two waves to build a trend series")
-    effects = {
-        decade_label(prev): (
-            decompose(
-                tables[prev], tables[cur], method, scheme, rounding, tol, max_iter
-            ).nonstructural_effect
-            if prev in tables and cur in tables
-            else None
-        )
-        for prev, cur in zip(waves, waves[1:])
-    }
+    adjacent = [(prev, cur) for prev, cur in zip(waves, waves[1:])
+                if prev in tables and cur in tables]
+    results = decompose_stack([(tables[prev], tables[cur]) for prev, cur in adjacent],
+                              method, scheme, rounding, tol, max_iter)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    effect_of = {prev: result.nonstructural_effect
+                 for (prev, _), result in zip(adjacent, results)}
+    effects = {decade_label(prev): effect_of.get(prev) for prev in waves[:-1]}
     anchor_value = homogamy_share(couples_of(tables[present[0]]))
     return cumulate(waves, present[0], anchor_value, effects)
 

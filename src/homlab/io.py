@@ -28,7 +28,7 @@ import numpy as np
 
 from . import indicators as ind
 from .counterfactual import METHOD_TAGS
-from .decomposition import SCHEMES, SEQUENTIAL, WITH_INTERACTION, decade_label, decompose
+from .decomposition import SCHEMES, SEQUENTIAL, WITH_INTERACTION, decade_label, decompose_stack
 from .errors import (
     ConvergenceError,
     DataError,
@@ -410,35 +410,67 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
     return rows
 
 
-def _measure_delta(config: RunConfig, early, late):
-    """Signed change of the configured measure between two cut waves.
+def _excluded(unit: str, decade: str, exc: Exception) -> DecadeChange:
+    return DecadeChange(unit, decade, None, False, f"{type(exc).__name__}: {exc}")
 
-    Returns ``(delta, decomposition-or-None)``; raises package errors when
-    a wave could not be cut, the measure is undefined or the counterfactual
-    infeasible.
+
+def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
+    """The decade changes of every unit in ``unit_list``, in order.
+
+    Each present wave is cut once. A scalar measure is evaluated per pair;
+    the pairs of a method measure go to one :func:`decompose_stack` call.
     """
     measure = config.resolved_measure
-    if measure not in METHOD_TAGS and measure not in ind.SCALAR_TAGS:
-        raise DataError(f"unknown measure: {measure!r}")
-    for cut in (early, late):
-        if isinstance(cut, Exception):
-            raise cut
-    if measure in METHOD_TAGS:
-        result = decompose(
-            early,
-            late,
-            method=measure,
-            scheme=config.resolved_scheme,
-            rounding=config.rounding,
-            tol=config.tol,
-            max_iter=config.max_iter,
-        )
-        return result.nonstructural_effect, result
-    return (
-        _scalar_value(measure, late, config.rounding)
-        - _scalar_value(measure, early, config.rounding),
-        None,
-    )
+    changes: list = []
+    pending = []  # (index in changes, unit, decade, early cut, late cut)
+    for unit in unit_list:
+        cuts = {}
+        for year in config.waves:
+            table = panel.unit_table(unit, year)
+            if table is None:
+                continue
+            try:
+                cuts[year] = cut_wave(panel, config, unit, year, table, measure)
+            except EXCLUDED as exc:
+                cuts[year] = exc
+        for early_year, late_year in zip(config.waves, config.waves[1:]):
+            decade = decade_label(early_year)
+            if early_year not in cuts or late_year not in cuts:
+                changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
+                continue
+            early, late = cuts[early_year], cuts[late_year]
+            try:
+                if measure not in METHOD_TAGS and measure not in ind.SCALAR_TAGS:
+                    raise DataError(f"unknown measure: {measure!r}")
+                for cut in (early, late):
+                    if isinstance(cut, Exception):
+                        raise cut
+                if measure in METHOD_TAGS:
+                    pending.append((len(changes), unit, decade, early, late))
+                    changes.append(None)  # filled in from the stacked pass
+                    continue
+                delta = (_scalar_value(measure, late, config.rounding)
+                         - _scalar_value(measure, early, config.rounding))
+            except EXCLUDED as exc:
+                changes.append(_excluded(unit, decade, exc))
+                continue
+            changes.append(DecadeChange(unit, decade, float(delta)))
+
+    details: dict[tuple[str, str], object] = {}
+    if not pending:
+        return changes, details
+    results = decompose_stack([(early, late) for *_, early, late in pending], measure,
+                              config.resolved_scheme, config.rounding, config.tol,
+                              config.max_iter)
+    for (index, unit, decade, _, _), result in zip(pending, results):
+        if isinstance(result, EXCLUDED):
+            changes[index] = _excluded(unit, decade, result)
+        elif isinstance(result, Exception):
+            raise result
+        else:
+            changes[index] = DecadeChange(unit, decade, float(result.nonstructural_effect))
+            details[(unit, decade)] = result
+    return changes, details
 
 
 def unit_decade_changes(panel: PanelDataset, config: RunConfig, unit: str):
@@ -452,52 +484,17 @@ def unit_decade_changes(panel: PanelDataset, config: RunConfig, unit: str):
     dropped. Returns the changes in decade order and the decompositions of
     the valid pairs, keyed by ``(unit, decade)``.
     """
-    cuts = {}
-    for year in config.waves:
-        table = panel.unit_table(unit, year)
-        if table is None:
-            continue
-        try:
-            cuts[year] = cut_wave(
-                panel, config, unit, year, table, config.resolved_measure
-            )
-        except EXCLUDED as exc:
-            cuts[year] = exc
-    changes: list[DecadeChange] = []
-    details: dict[tuple[str, str], object] = {}
-    for early_year, late_year in zip(config.waves, config.waves[1:]):
-        decade = decade_label(early_year)
-        if early_year not in cuts or late_year not in cuts:
-            changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
-            continue
-        try:
-            delta, detail = _measure_delta(config, cuts[early_year], cuts[late_year])
-        except EXCLUDED as exc:
-            changes.append(
-                DecadeChange(
-                    unit, decade, None, False, f"{type(exc).__name__}: {exc}"
-                )
-            )
-            continue
-        changes.append(DecadeChange(unit, decade, float(delta)))
-        if detail is not None:
-            details[(unit, decade)] = detail
-    return changes, details
+    return _decade_pass(panel, config, (unit,))
 
 
 def decade_changes(panel: PanelDataset, config: RunConfig):
     """Per-state decade changes of the configured measure.
 
-    :func:`unit_decade_changes` over every state in order; the national
-    aggregate is not included.
+    :func:`unit_decade_changes` over every state in order, with the pairs
+    of all states decomposed in one :func:`decompose_stack` call; the
+    national aggregate is not included.
     """
-    changes: list[DecadeChange] = []
-    details: dict[tuple[str, str], object] = {}
-    for state in panel.states:
-        state_changes, state_details = unit_decade_changes(panel, config, state)
-        changes += state_changes
-        details.update(state_details)
-    return changes, details
+    return _decade_pass(panel, config, panel.states)
 
 
 def income_decade_deltas(

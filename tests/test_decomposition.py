@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from homlab.decomposition import (
     WITH_INTERACTION,
     cumulative_series,
     decompose,
+    decompose_stack,
 )
-from homlab.errors import InsufficientDataError, ShapeError
+from homlab.errors import HomlabError, InsufficientDataError, ShapeError
 from homlab.tables import ContingencyTable, TableWithSingles, homogamy_share, marginals
 
 
@@ -136,6 +139,53 @@ def test_method_choice_drives_the_sign_on_the_divergence_fixture():
     nm = decompose(early, late, "nm", SEQUENTIAL)
     assert ipf.nonstructural_effect < -0.01
     assert nm.nonstructural_effect > 0.01
+
+
+@pytest.mark.parametrize("method", ["ipf", "mdba", "meda", "csa", "nm"])
+@pytest.mark.parametrize("scheme", [SEQUENTIAL, WITH_INTERACTION])
+def test_decompose_stack_is_decompose_on_each_pair(method, scheme):
+    # 2x2 and 3x3 pairs in one call (two stacks per direction), pairs that
+    # fail before any fit, and pairs whose fits fail: entry i is decompose's
+    # result on pair i, bit for bit, or its error with class and message
+    rng = np.random.default_rng(29)
+    three = ("L", "M", "H")
+
+    def draw(size, labels):
+        counts = rng.integers(0, 25, (size, size)).astype(float)
+        counts[0, 0] += 1
+        return TableWithSingles(ContingencyTable(counts, labels, labels),
+                                rng.integers(0, 9, size), rng.integers(1, 9, size))
+
+    pairs = [(draw(2, ("L", "H")), draw(2, ("L", "H"))) for _ in range(12)]
+    pairs += [(draw(3, three), draw(3, three)) for _ in range(12)]
+    pairs += [
+        (EARLY, ContingencyTable(LATE.counts, ("lo", "hi"), ("lo", "hi"))),
+        (EARLY, pairs[0][1]),  # csa: the early table has no singles
+        (pairs[0][0], LATE),  # csa: the late table has no singles
+        (ContingencyTable(np.ones((2, 3))), ContingencyTable(np.ones((2, 3)))),
+    ]
+    outcomes = decompose_stack(pairs, method, scheme)
+    assert len(outcomes) == len(pairs)
+    kinds, done = set(), 0
+    for (early, late), outcome in zip(pairs, outcomes):
+        try:
+            expected = decompose(early, late, method, scheme)
+        except (HomlabError, ValueError) as exc:
+            assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            kinds.add(type(exc).__name__)
+            continue
+        assert [np.float64(v).tobytes() if isinstance(v, float) else v
+                for v in dataclasses.astuple(outcome)] == [
+            np.float64(v).tobytes() if isinstance(v, float) else v
+            for v in dataclasses.astuple(expected)]
+        done += 1
+    assert "ShapeError" in kinds and done >= 10
+
+
+def test_decompose_stack_refuses_an_unknown_scheme_first():
+    with pytest.raises(ValueError, match="unknown scheme"):
+        decompose_stack([], "nm", "shapley")
+    assert decompose_stack([], "nm") == []
 
 
 # ---------------------------------------------------------------------------

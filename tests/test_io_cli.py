@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -10,10 +12,13 @@ import pytest
 from click.testing import CliRunner
 
 from homlab.cli import main
-from homlab.errors import DataError
+from homlab.decomposition import DecompositionResult, fit_onto
+from homlab.errors import DataError, ShapeError
 from homlab.io import (
+    EXCLUDED,
     PanelDataset,
     RunConfig,
+    cut_wave,
     decade_changes,
     dichotomize,
     format_number,
@@ -22,10 +27,11 @@ from homlab.io import (
     load_couples,
     load_income,
     load_singles,
+    unit_decade_changes,
     write_couples,
 )
-from homlab.tables import ContingencyTable
-from homlab.trend import score
+from homlab.tables import ContingencyTable, couples_of, homogamy_share
+from homlab.trend import DecadeChange, score
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -304,6 +310,143 @@ def test_measure_can_be_an_indicator(tmp_path):
     stats = score(changes, income_decade_deltas(panel.income, config.waves))
     # constant margins: the ratio measure moves with the share, same signs
     assert (stats.n_u, stats.n_total) == (11, 15)
+
+
+# ---------------------------------------------------------------------------
+# the stacked decade pass against the per-pair loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_decompose(early, late, method, scheme, rounding, tol, max_iter):
+    """One pair decomposed with one single-table fit per direction."""
+    early_c, late_c = couples_of(early), couples_of(late)
+    if early_c.row_labels != late_c.row_labels or early_c.col_labels != late_c.col_labels:
+        raise ShapeError("generation tables must share category labels")
+    share_early = homogamy_share(early_c)
+    share_late = homogamy_share(late_c)
+    counter = fit_onto(late, early, method, rounding, tol, max_iter)
+    share_cf = homogamy_share(counter.table)
+    nonstructural = share_cf - share_early
+    delta = share_late - share_early
+    if scheme == "sequential":
+        return DecompositionResult(counter.method, scheme, share_early, share_late,
+                                   share_cf, nonstructural, share_late - share_cf)
+    reverse = fit_onto(early, late, method, rounding, tol, max_iter)
+    structural = homogamy_share(reverse.table) - share_early
+    return DecompositionResult(counter.method, scheme, share_early, share_late,
+                               share_cf, nonstructural, structural,
+                               delta - nonstructural - structural)
+
+
+def _reference_changes(panel, config, unit_list):
+    """Each unit's waves cut once, then each decade decomposed on its own
+    (the per-pair loop of a method measure)."""
+    measure = config.resolved_measure
+    changes, details = [], {}
+    for unit in unit_list:
+        cuts = {}
+        for year in config.waves:
+            table = panel.unit_table(unit, year)
+            if table is None:
+                continue
+            try:
+                cuts[year] = cut_wave(panel, config, unit, year, table, measure)
+            except EXCLUDED as exc:
+                cuts[year] = exc
+        for early_year, late_year in zip(config.waves, config.waves[1:]):
+            decade = f"{early_year}s"
+            if early_year not in cuts or late_year not in cuts:
+                changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
+                continue
+            try:
+                for cut in (cuts[early_year], cuts[late_year]):
+                    if isinstance(cut, Exception):
+                        raise cut
+                result = _reference_decompose(
+                    cuts[early_year], cuts[late_year], measure, config.resolved_scheme,
+                    config.rounding, config.tol, config.max_iter)
+            except EXCLUDED as exc:
+                changes.append(DecadeChange(unit, decade, None, False,
+                                            f"{type(exc).__name__}: {exc}"))
+                continue
+            changes.append(DecadeChange(unit, decade, float(result.nonstructural_effect)))
+            details[(unit, decade)] = result
+    return changes, details
+
+
+def _bits(record):
+    """A dataclass's fields, each float as its bytes."""
+    return tuple(
+        np.float64(value).tobytes() if isinstance(value, float) else value
+        for value in dataclasses.astuple(record)
+    )
+
+
+STRESS_LABELS = ("L", "M", "H")
+STRESS_STATES = ("Ames", "Bend", "Cary", "Dale", "Erie")
+
+
+def stress_panel():
+    """Five three-level states over six waves, each built to fail somewhere."""
+    rng = np.random.default_rng(5)
+    waves = RunConfig().waves
+    tables, singles = {}, {}
+    for state in STRESS_STATES:
+        for year in waves:
+            counts = rng.integers(1, 40, (3, 3)).astype(float)
+            counts[np.diag_indices(3)] += rng.integers(0, 80, 3)
+            tables[(state, year)] = counts
+            singles[(state, year)] = (rng.integers(1, 20, 3).astype(float),
+                                      rng.integers(1, 20, 3).astype(float))
+    del tables[("Bend", 1980)]  # a missing wave
+    tables[("Cary", 1990)][2] = 0  # a zero row: an undefined NM split, IPF refuses
+    tables[("Dale", 2000)] = np.diag([50.0, 30.0, 20.0])  # IPF: Hall's condition fails
+    del singles[("Erie", 1970)]  # csa cannot cut that wave
+    singles[("Erie", 2000)][0][1] = 0  # csa: surplus matrix undefined
+    return PanelDataset(
+        {key: ContingencyTable(counts, STRESS_LABELS, STRESS_LABELS)
+         for key, counts in tables.items()},
+        waves, STRESS_STATES, singles=singles,
+    )
+
+
+# every exclusion each method meets on the stress panel, by reason prefix
+STRESS_REASONS = {
+    "ipf": ("missing wave",
+            "InfeasibilityError: a target row is positive but the source row",
+            "InfeasibilityError: target unreachable",
+            "ConvergenceError: IPF did not reach"),
+    "mdba": ("ShapeError: the determinant-based method needs dichotomous traits",
+             "InfeasibilityError: determinant-preserving fit"),
+    "meda": ("UndefinedWeightError: projection weight undefined",),
+    "csa": ("DataError: the surplus-based method needs singles counts",
+            "UndefinedIndicatorError: surplus matrix undefined: zero singles count",
+            "ConvergenceError: surplus-preserving fit did not reach"),
+    "nm": ("InfeasibilityError: LL-preserving fit",
+           "GllUndefinedError: undefined at splits"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(STRESS_REASONS))
+def test_stacked_decade_pass_matches_the_per_pair_loop_bit_for_bit(method):
+    panel = stress_panel()
+    reasons = set()
+    for scheme, categories, max_iter in itertools.product(
+            ("sequential", "with-interaction"), ("three", "college"), (10000, 2)):
+        config = RunConfig(labels=STRESS_LABELS, method=method, scheme=scheme,
+                           categories=categories, max_iter=max_iter)
+        runs = [(decade_changes(panel, config),
+                 _reference_changes(panel, config, panel.states))]
+        for unit in ("US", "Cary"):
+            runs.append((unit_decade_changes(panel, config, unit),
+                         _reference_changes(panel, config, (unit,))))
+        for (changes, details), (expected, expected_details) in runs:
+            assert [_bits(c) for c in changes] == [_bits(c) for c in expected], config
+            assert list(details) == list(expected_details), config
+            assert [_bits(d) for d in details.values()] == [
+                _bits(d) for d in expected_details.values()], config
+            reasons |= {c.reason for c in changes if not c.valid}
+    for prefix in STRESS_REASONS[method]:
+        assert any(reason.startswith(prefix) for reason in reasons), prefix
 
 
 # ---------------------------------------------------------------------------
@@ -608,17 +751,15 @@ def test_cli_trend_series_keeps_a_unit_with_an_infeasible_decade(tmp_path):
 
 def test_cli_trend_decomposes_each_unit_decade_once(tmp_path, monkeypatch):
     import homlab.decomposition
-    import homlab.io
 
-    calls = []
-    original = homlab.decomposition.decompose
+    stacks = []
+    original = homlab.decomposition.fit_stack
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(method, counts, rows, cols, *args, **kwargs):
+        stacks.append(list(zip(counts.tolist(), rows.tolist(), cols.tolist())))
+        return original(method, counts, rows, cols, *args, **kwargs)
 
-    monkeypatch.setattr(homlab.io, "decompose", counting)
-    monkeypatch.setattr(homlab.decomposition, "decompose", counting)
+    monkeypatch.setattr(homlab.decomposition, "fit_stack", counting)
     rows = (FIXTURES / "synthetic_panel.csv").read_text().splitlines()
     couples = write(
         tmp_path / "couples.csv",
@@ -626,8 +767,26 @@ def test_cli_trend_decomposes_each_unit_decade_once(tmp_path, monkeypatch):
     )
     cfg = config_file(tmp_path, method="nm")
     cli("trend", "--config", cfg, "--couples", couples, "--out", tmp_path / "out")
-    # 5 decades for US, Alabama and Missouri; Texas lacks 1970, so 3
-    assert len(calls) == 3 * 5 + 3
+    # the states, then US: each one stack per direction (with-interaction)
+    assert len(stacks) == 4
+    # 5 decades for US, Alabama and Missouri; Texas lacks 1970, so 3: each
+    # pair fits late onto early margins once, and early onto late once
+    config = RunConfig.from_file(cfg)
+    panel = load_couples(couples, config)
+    expected = []
+    for unit in ("US", *panel.states):
+        for early_year, late_year in zip(config.waves, config.waves[1:]):
+            early = panel.unit_table(unit, early_year)
+            late = panel.unit_table(unit, late_year)
+            if early is None or late is None:
+                continue
+            for source, target in ((late, early), (early, late)):
+                expected.append((source.counts.tolist(),
+                                 target.counts.sum(axis=1).tolist(),
+                                 target.counts.sum(axis=0).tolist()))
+    assert len(expected) == 2 * 18
+    fitted = [problem for stack in stacks for problem in stack]
+    assert sorted(map(repr, fitted)) == sorted(map(repr, expected))
 
 
 def test_cli_trend_keeps_an_uncut_unit_as_gaps(tmp_path):
@@ -690,18 +849,55 @@ def test_cli_counterfactual_reports_a_method_divide_mismatch(tmp_path):
     assert isinstance(result.exception, DataError)
 
 
+def _fresh_python(probe: str, **env) -> list[str]:
+    """The words ``probe`` prints in a fresh interpreter on this checkout,
+    without OPENBLAS_NUM_THREADS unless ``env`` sets it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    environ = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+    environ.update(env, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", probe], env=environ, check=True,
+                          capture_output=True, text=True, timeout=60).stdout.split()
+
+
 def test_importing_the_cli_does_not_run_the_criteria_module():
     # only the criteria subcommand pays for importing homlab.criteria: the
     # module is registered in sys.modules, but its body runs on first use
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     probe = (
         "import sys, homlab.cli\n"
         "module = sys.modules['homlab.criteria']\n"
         "print('check_indicator' in object.__getattribute__(module, '__dict__'))\n"
         "print(homlab.cli.cr.VIOLATION_TOL, module is sys.modules['homlab.criteria'])\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.split() == ["False", "1e-07", "True"]
+    assert _fresh_python(probe) == ["False", "1e-07", "True"]
+
+
+def test_importing_the_package_loads_no_numpy_and_sets_nothing():
+    probe = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import homlab\n"
+        "print(dict(os.environ) == before, 'numpy' in sys.modules)\n"
+    )
+    assert _fresh_python(probe) == ["True", "False"]
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("4", "4")])
+def test_the_cli_picks_one_blas_thread_unless_told_otherwise(preset, expected):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    probe = "import os, homlab.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    assert _fresh_python(probe, **env) == [expected]
+
+
+def test_every_exported_name_resolves():
+    probe = (
+        "import homlab\n"
+        "from homlab import *\n"
+        "missing = [n for n in homlab.__all__ if getattr(homlab, n, None) is None]\n"
+        "print(len(homlab.__all__), len(set(homlab.__all__)), missing)\n"
+        "print(homlab.decompose_stack is homlab.decomposition.decompose_stack)\n"
+    )
+    count, distinct, missing, same = _fresh_python(probe)
+    assert count == distinct and int(count) > 40
+    assert missing == "[]" and same == "True"
