@@ -271,8 +271,8 @@ def _unreachable_target(support: np.ndarray, rows, cols, tol: float):
 
 
 def _sweep(work, rows, cols, rs):
-    """One IPF sweep, in place, of a table (n, m) or a stack (T, n, m) with
-    row sums ``rs``; returns the new row sums and marginal errors."""
+    """One IPF sweep, in place, of a stack (T, n, m) with row sums ``rs``;
+    returns the new row sums and marginal errors."""
     work *= np.divide(rows, rs, out=np.zeros(rs.shape), where=rs > 0)[..., None]
     cs = np.add.reduce(work, axis=-2)
     work *= np.divide(cols, cs, out=np.zeros(cs.shape), where=cs > 0)[..., None, :]
@@ -290,20 +290,14 @@ def _ipf_kernel(counts, rows, cols, total, tol: float, max_iter: int) -> FitStac
     rs = np.add.reduce(counts, axis=-1)
     residual = _worst_gap(counts, rs, rows, cols)
     iterations = np.zeros(len(counts), dtype=int)
-    live = [i for i, error in enumerate(errors) if error is None and residual[i] > tol]
+    live = np.flatnonzero([error is None and left > tol for error, left in zip(errors, residual)])
     # The live instances sweep together, in place while all are live; the
-    # stack is compacted only when one finishes. One live instance sweeps
-    # as a plain table, which numpy reduces faster, and never compacts.
-    if len(live) == 1:
-        (i,) = live
-        work, rows, cols, rs, err = counts[i], rows[i], cols[i], rs[i], residual[i]
-    else:
-        live = np.array(live, dtype=int)
-        work, rows, cols, rs, err = (a[live] for a in (counts, rows, cols, rs, residual))
+    # stack is compacted only when one finishes.
+    work, rows, cols, rs, err = (a[live] for a in (counts, rows, cols, rs, residual))
     sweeps = 0
-    while len(live):
+    while live.size:
         if sweeps >= max_iter:
-            for i, left in zip(live, np.atleast_1d(err)):
+            for i, left in zip(live, err):
                 errors[i] = ConvergenceError(
                     f"IPF did not reach tol={tol:g} in {max_iter} sweeps "
                     f"(residual {left:.3g})"
@@ -312,10 +306,7 @@ def _ipf_kernel(counts, rows, cols, total, tol: float, max_iter: int) -> FitStac
         rs, err = _sweep(work, rows, cols, rs)
         sweeps += 1
         going = err > tol
-        if work.ndim == 2:
-            if not going:
-                iterations[i], residual[i], live = sweeps, err, ()
-        elif np.count_nonzero(going) < live.size:
+        if np.count_nonzero(going) < live.size:
             done = live[~going]
             counts[done], iterations[done], residual[done] = work[~going], sweeps, err[~going]
             live, work, rows, cols, rs, err = (

@@ -50,9 +50,6 @@ from .tables import (
     couples_of,
     homogamy_shares,
     lattice,
-    marginals,
-    merge_categories,
-    merge_with_singles,
     pam_counts,
 )
 
@@ -223,9 +220,11 @@ def _rng_for(seed: int, criterion: str, subject: str) -> np.random.Generator:
     return np.random.default_rng([seed, crit_ix, subj_ix])
 
 
-def _check_sample_count(sample_count: int):
+def _check_sampling(sample_count: int, seed: int):
     if sample_count < 1:
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 _report = CriterionReport
@@ -244,13 +243,6 @@ def _table_payload(subject) -> dict:
     if isinstance(subject, TableWithSingles):
         return _payload(subject.couples.counts, (subject.single_men, subject.single_women))
     return _payload(subject.counts)
-
-
-def _rebuild_subject(payload: Mapping[str, object]):
-    table = ContingencyTable(payload["counts"])
-    if "single_men" not in payload:
-        return table
-    return TableWithSingles(table, payload["single_men"], payload["single_women"])
 
 
 def _first_hit(rng, sample_count: int, draw, bases, scan):
@@ -474,19 +466,25 @@ def _sampled_indicator_check(criterion, tag, sample_count, seed) -> CriterionRep
     return _report(criterion, tag, COUNTEREXAMPLE, witness, sample_size, notes)
 
 
-# Parameter draws of a criterion, given the row count of the drawn table.
+# Parameter draws of a criterion, given the shape of the drawn table.
 
-def _no_params(rng, n_rows: int) -> dict:
+def _no_params(rng, shape: tuple) -> dict:
     return {}
 
 
-def _scale_params(rng, n_rows: int) -> dict:
+def _scale_params(rng, shape: tuple) -> dict:
     return {"alpha": float(rng.uniform(0.2, 5.0))}
 
 
-def _diagonal_params(rng, n_rows: int) -> dict:
-    diagonal = rng.integers(1, 51, size=n_rows).astype(float)
+def _diagonal_params(rng, shape: tuple) -> dict:
+    diagonal = rng.integers(1, 51, size=shape[0]).astype(float)
     return {"diagonal": diagonal.tolist()}
+
+
+def _cut_params(rng, shape: tuple) -> dict:
+    """AC10's cuts: rows and columns merge in two blocks, after the first
+    ``row_cut`` and ``col_cut`` categories."""
+    return {f"{axis}_cut": int(rng.integers(1, k)) for axis, k in zip(("row", "col"), shape)}
 
 
 def _alpha_transforms(kind: str, low: float, high: float):
@@ -515,7 +513,7 @@ def _random_positive_split(rng, total: int, parts: int) -> list[int]:
 
 _INDICATOR_CHECKS = {
     "AC2": _IndicatorCheck(
-        lambda rng, counts: [("scale", _scale_params(rng, len(counts)))], ("gll",)),
+        lambda rng, counts: [("scale", _scale_params(rng, counts.shape))], ("gll",)),
     "AC3": _IndicatorCheck(
         lambda rng, counts: [("transpose", {})], ("gll", "msm"), transposed=True,
         fallback_notes="matrix-valued measures compare against the "
@@ -534,7 +532,7 @@ _INDICATOR_CHECKS = {
     # finer tables an added same-type couple can land off the diagonal of
     # an asymmetric coarsening and genuinely lower that split's value)
     "AC8.1": _IndicatorCheck(
-        lambda rng, counts: [("diagonal", _diagonal_params(rng, len(counts)))],
+        lambda rng, counts: [("diagonal", _diagonal_params(rng, counts.shape))],
         kind="monotonicity",
     ),
 }
@@ -659,7 +657,7 @@ def check_indicator(
         raise ValueError(f"unknown indicator criterion: {criterion!r}")
     if indicator not in INDICATOR_TAGS:
         raise ValueError(f"unknown indicator tag: {indicator!r}")
-    _check_sample_count(sample_count)
+    _check_sampling(sample_count, seed)
     if (criterion, indicator) in NA_CELLS:
         return _report(criterion, indicator, NOT_APPLICABLE)
     if criterion == "AC8.2":
@@ -702,19 +700,6 @@ def _draw_counts(rng, shape, with_singles: bool):
     return counts, tuple(rng.integers(1, 51, size=k).astype(float) for k in shape)
 
 
-def _method_source(rng, shape, with_singles: bool):
-    counts, singles = _draw_counts(rng, shape, with_singles)
-    table = ContingencyTable(counts)
-    return table if singles is None else TableWithSingles(table, *singles)
-
-
-def _run_method(method, source, target, target_singles=None):
-    return cf.fit(
-        method, source, target, rounding=ind.CONTINUOUS, tol=1e-12,
-        target_singles=target_singles,
-    )
-
-
 # Base and variant fits that raise these are rejected or skipped samples;
 # any other error ends the check.
 _SKIPPED = (InfeasibilityError, UndefinedIndicatorError)
@@ -724,8 +709,9 @@ _SKIPPED = (InfeasibilityError, UndefinedIndicatorError)
 class _MethodStack:
     """Sampled method problems as arrays: source couples (T, n, m), target
     margins (T, n) and (T, m), the sources' and the targets' (single men,
-    single women) for the surplus-based method (else None), and the
-    criterion's parameters, one array per name."""
+    single women) for the surplus-based method (else None), the
+    criterion's parameters, one array per name, and the target couples
+    (T, n, m) the margins were summed from, where drawn."""
 
     counts: np.ndarray
     rows: np.ndarray
@@ -733,6 +719,7 @@ class _MethodStack:
     singles: tuple | None = None
     target_singles: tuple | None = None
     params: Mapping[str, np.ndarray] = field(default_factory=dict)
+    targets: np.ndarray | None = None
 
     def fit(self, method: str) -> cf.FitStack:
         return cf.fit_stack(
@@ -741,12 +728,23 @@ class _MethodStack:
         )
 
     def payload(self, t: int) -> dict:
-        """Problem ``t`` as a witness payload; :func:`_stack_of_one` reads it."""
+        """Problem ``t`` as a witness payload; :func:`_stack_of_one` reads it.
+        An AC10 problem gives its target table and its two-block partitions
+        in place of the target margins and parameters."""
+        singles, target_singles = (
+            pair and tuple(s[t] for s in pair) for pair in (self.singles, self.target_singles)
+        )
+        source = _payload(self.counts[t], singles)
+        if "row_cut" in self.params:
+            row_cut, col_cut = (int(self.params[f"{axis}_cut"][t]) for axis in ("row", "col"))
+            n, m = self.counts.shape[1:]
+            return {"source": source, "target": _payload(self.targets[t], target_singles),
+                    "row_partition": [list(range(row_cut)), list(range(row_cut, n))],
+                    "col_partition": [list(range(col_cut)), list(range(col_cut, m))]}
         payload = {}
         if self.singles is not None:
-            payload = {"target_singles": [s[t].tolist() for s in self.target_singles]}
-        singles = self.singles and tuple(s[t] for s in self.singles)
-        return {"source": _payload(self.counts[t], singles), "target_rows": self.rows[t].tolist(),
+            payload = {"target_singles": [s.tolist() for s in target_singles]}
+        return {"source": source, "target_rows": self.rows[t].tolist(),
                 "target_cols": self.cols[t].tolist(), **payload,
                 **{name: values[t].tolist() for name, values in self.params.items()}}
 
@@ -766,6 +764,12 @@ def _singles_of_one(payload: Mapping[str, object]):
 def _stack_of_one(w: Mapping[str, object]) -> _MethodStack:
     """A sampled method witness's problem as a stack of one."""
     source, singles = w["source"], _singles_of_one(w["source"])
+    if "target" in w:  # AC10: the target table, and partitions cut in two
+        counts, target = _one(source["counts"], w["target"]["counts"])
+        cuts = {f"{axis}_cut": np.array([len(w[f"{axis}_partition"][0])])
+                for axis in ("row", "col")}
+        return _MethodStack(counts, target.sum(axis=-1), target.sum(axis=-2), singles,
+                            _singles_of_one(w["target"]), cuts, target)
     return _MethodStack(
         *_one(source["counts"], w["target_rows"], w["target_cols"]), singles,
         _one(*w["target_singles"]) if singles else None,
@@ -836,40 +840,50 @@ def _monotonicity_gap(method, inst: _MethodStack, base: cf.FitStack):
     return homogamy_shares(base.counts) - homogamy_shares(fits.counts), fits.errors
 
 
-def _merge_gap(method, source, target, target_singles, row_part,
-               col_part) -> float:
-    """AC10: merging categories of the fit equals fitting the merged problem."""
-    def merged(values, partition):
-        return np.array([values[list(block)].sum() for block in partition])
+def _two_block_sums(values: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Per vector of a stack (T, k), the sums of its first ``cut`` entries and
+    of the rest, as (T, 2)."""
+    low = np.arange(values.shape[-1]) < cut[:, None]
+    return np.stack([np.where(low, values, 0.0).sum(axis=-1),
+                     np.where(low, 0.0, values).sum(axis=-1)], axis=-1)
 
-    full = _run_method(method, source, target, target_singles=target_singles)
-    merge = merge_with_singles if method == "csa" else merge_categories
-    merged_target = Marginals(
-        merged(target.row_sums, row_part), merged(target.col_sums, col_part)
+
+def _merge_gap(method, inst: _MethodStack, base: cf.FitStack):
+    """AC10: merging categories of the fit equals fitting the merged problem.
+    Each problem merges its rows in two blocks after ``row_cut`` and its
+    columns after ``col_cut``; the merged cells are read off ``_split_sums``,
+    which sums each block as ``merge_categories`` does."""
+    r, c = inst.params["row_cut"], inst.params["col_cut"]
+    at = (slice(None), np.arange(len(r)), r - 1, c - 1)
+
+    def merged(counts):
+        return ind._split_sums(counts)[at].T.reshape(-1, 2, 2)
+
+    def blocks(pair):
+        return None if pair is None else (_two_block_sums(pair[0], r), _two_block_sums(pair[1], c))
+
+    problem = _MethodStack(
+        merged(inst.counts), _two_block_sums(inst.rows, r), _two_block_sums(inst.cols, c),
+        blocks(inst.singles), blocks(inst.target_singles),
     )
-    merged_singles = None if target_singles is None else (
-        merged(target_singles[0], row_part), merged(target_singles[1], col_part)
-    )
-    coarse = _run_method(method, merge(source, row_part, col_part),
-                         merged_target, target_singles=merged_singles)
-    return float(_relative_cell_gap(
-        merge_categories(full.table, row_part, col_part).counts,
-        coarse.table.counts,
-        target.total,
-    ))
+    fits = problem.fit(method)
+    gaps = _relative_cell_gap(merged(base.counts), fits.counts, inst.rows.sum(axis=-1))
+    return gaps, fits.errors
 
 
 @dataclass(frozen=True)
 class _MethodCheck:
     """One sampled method criterion: witness kind, gap function, the draw
-    of its own parameters after the instance (None for AC10, which draws
-    its instance and partitions itself, one sample at a time), and the
-    report notes."""
+    of its own parameters after the problem, the report notes, and the
+    draw of each problem's shape before it. Without one, the problems are
+    2x2 and one whose base fit is infeasible or undefined is redrawn; AC10
+    draws 3x3 or 4x3 problems and redraws none."""
 
     kind: str
     gap: Callable
-    params: Callable[[np.random.Generator, int], dict] | None
+    params: Callable[[np.random.Generator, tuple], dict]
     notes: str = ""
+    shape: Callable[[np.random.Generator], tuple] | None = None
 
 
 _METHOD_CHECKS = {
@@ -885,118 +899,92 @@ _METHOD_CHECKS = {
         notes="checked on the implied counterfactual homogamy share",
     ),
     "AC10": _MethodCheck(
-        "method-merge", _merge_gap, None,
+        "method-merge", _merge_gap, _cut_params,
         notes="merge commutation on random 3x3 and 4x3 tables; the "
         "LL-preserving method runs in continuous rounding mode",
+        shape=lambda rng: (3, 3) if rng.integers(0, 2) else (4, 3),
     ),
 }
 
 
-def _target_of(target_table):
-    """Target margins and target singles (None without singles) of a table."""
-    if isinstance(target_table, TableWithSingles):
-        return marginals(target_table.couples), (
-            target_table.single_men, target_table.single_women
-        )
-    return marginals(target_table), None
-
-
-def _draw_merge_instance(rng, method):
-    """Draw one AC10 sample: the gap function's arguments and the witness
-    payload they are rebuilt from."""
-    shape = (3, 3) if rng.integers(0, 2) else (4, 3)
-    with_singles = method == "csa"
-    source = _method_source(rng, shape, with_singles)
-    target_table = _method_source(rng, shape, with_singles)
-    row_part = _random_two_block_partition(rng, shape[0])
-    col_part = _random_two_block_partition(rng, shape[1])
-    payload = {
-        "source": _table_payload(source),
-        "target": _table_payload(target_table),
-        "row_partition": [list(b) for b in row_part],
-        "col_partition": [list(b) for b in col_part],
-    }
-    return (source, *_target_of(target_table), row_part, col_part), payload
-
-
-def _draw_samples(rng, method, check: _MethodCheck, size: int):
-    """Draw ``size`` 2x2 samples in stream order, as if every base fit were
-    feasible: their stack, and the generator state before each sample's
-    parameter draw, where a rejected sample's redraw starts."""
-    with_singles = method == "csa"
-    drawn, states = [], []
-    for _ in range(size):
-        problem = (*_draw_counts(rng, (2, 2), with_singles),
-                   *_draw_counts(rng, (2, 2), with_singles))
-        states.append(rng.bit_generator.state)
-        drawn.append((*problem, check.params(rng, 2)))
-    counts, singles, targets, target_singles, params = zip(*drawn)
+def _method_stack(problems, params) -> _MethodStack:
+    """The stack of drawn method problems of one shape, each (source cells,
+    source singles, target cells, target singles; singles None without),
+    with one parameter dict per problem."""
+    counts, singles, targets, target_singles = zip(*problems)
 
     def pairs(stacked):
         return None if stacked[0] is None else tuple(np.array(s) for s in zip(*stacked))
 
     targets = np.array(targets)
-    inst = _MethodStack(
+    return _MethodStack(
         np.array(counts), targets.sum(axis=-1), targets.sum(axis=-2),
         pairs(singles), pairs(target_singles),
-        {name: np.array([p[name] for p in params]) for name in params[0]},
+        {name: np.array([p[name] for p in params]) for name in params[0]}, targets,
     )
-    return inst, states
 
 
-def _method_witness(check, criterion, method, payload, violation, sample_size):
-    witness = {"kind": check.kind, **payload, "criterion": criterion,
-               "method": method, "violation": violation}
-    return _report(criterion, method, COUNTEREXAMPLE, witness, sample_size,
-                   check.notes)
-
-
-def _merge_check(criterion, method, sample_count, seed) -> CriterionReport:
-    """AC10, one sample at a time."""
-    check = _METHOD_CHECKS[criterion]
-    rng = _rng_for(seed, criterion, method)
-    for i in range(sample_count):
-        args, payload = _draw_merge_instance(rng, method)
-        try:
-            violation = _merge_gap(method, *args)
-        except _SKIPPED:
-            continue
-        if violation > VIOLATION_TOL:
-            return _method_witness(check, criterion, method, payload, violation, i + 1)
-    return _report(criterion, method, SATISFIED, None, sample_count, check.notes)
+def _draw_samples(rng, method, check: _MethodCheck, size: int):
+    """Draw ``size`` samples in stream order, as if every base fit were
+    feasible: each one's problem, as :func:`_method_stack` takes it, and
+    parameters, and the generator state before each parameter draw, where
+    a rejected sample's redraw starts."""
+    with_singles = method == "csa"
+    drawn, states = [], []
+    for _ in range(size):
+        shape = check.shape(rng) if check.shape else (2, 2)
+        problem = (*_draw_counts(rng, shape, with_singles),
+                   *_draw_counts(rng, shape, with_singles))
+        states.append(rng.bit_generator.state)
+        drawn.append((problem, check.params(rng, shape)))
+    return drawn, states
 
 
 def _sampled_method_check(criterion, method, sample_count, seed) -> CriterionReport:
-    """AC2, AC3, AC5 and AC8.1 in the rounds of :func:`_first_hit`: a
-    problem is redrawn after each infeasible or undefined base fit, and the
-    witness is the first accepted sample whose gap exceeds
-    ``VIOLATION_TOL``; a variant fit that is infeasible or undefined is
-    skipped, and any other fit error is raised."""
+    """AC2, AC3, AC5, AC8.1 and AC10 in the rounds of :func:`_first_hit`.
+    A round fits each shape's problems as one stack, and each stack's
+    variant (scaled, transposed, bumped or merged) problems as another. A
+    2x2 problem is redrawn after an infeasible or undefined base fit; an
+    AC10 sample with one is skipped and still counted. The witness is the
+    first accepted sample whose gap exceeds ``VIOLATION_TOL``; a sample
+    whose variant fit is infeasible or undefined is skipped, and any other
+    fit error is raised at its sample."""
     check = _METHOD_CHECKS[criterion]
 
     def draw(rng, start, size):
         return _draw_samples(rng, method, check, size)
 
-    def bases(inst):
-        base = inst.fit(method)
-        return base, base.errors
+    def bases(drawn):
+        groups = []
+        for ix in _grouped(problem[0].shape for problem, _ in drawn):
+            inst = _method_stack(*zip(*(drawn[t] for t in ix)))
+            groups.append((ix, inst, inst.fit(method)))
+        # 2x2 problems make one stack, in sample order; AC10 redraws none
+        return groups, groups[0][2].errors if check.shape is None else [None] * len(drawn)
 
-    def scan(inst, base, accepted):
-        gaps, errors = check.gap(method, inst, base)
+    def scan(drawn, groups, accepted):
+        samples = {}
+        for ix, inst, base in groups:
+            gaps, errors = check.gap(method, inst, base)
+            for i, t in enumerate(ix):
+                samples[t] = (base.errors[i] or errors[i], gaps[i], inst, i)
         for t in range(accepted):
-            if isinstance(errors[t], _SKIPPED):
+            error, gap, inst, i = samples[t]
+            if isinstance(error, _SKIPPED):
                 continue
-            if errors[t] is not None:
-                raise errors[t]
-            if gaps[t] > VIOLATION_TOL:
-                return t, (inst.payload(t), float(gaps[t]))
+            if error is not None:
+                raise error
+            if gap > VIOLATION_TOL:
+                return t, (inst.payload(i), float(gap))
         return None
 
     found = _first_hit(_rng_for(seed, criterion, method), sample_count, draw, bases, scan)
     if found is None:
         return _report(criterion, method, SATISFIED, None, sample_count, check.notes)
     sample_size, (payload, violation) = found
-    return _method_witness(check, criterion, method, payload, violation, sample_size)
+    witness = {"kind": check.kind, **payload, "criterion": criterion,
+               "method": method, "violation": violation}
+    return _report(criterion, method, COUNTEREXAMPLE, witness, sample_size, check.notes)
 
 
 def check_method(
@@ -1013,7 +1001,7 @@ def check_method(
     method = method.lower()
     if method not in METHOD_TAGS:
         raise ValueError(f"unknown method tag: {method!r}")
-    _check_sample_count(sample_count)
+    _check_sampling(sample_count, seed)
     if criterion == "AC11":
         return _report(
             criterion, method, NOT_AUTOMATED,
@@ -1025,8 +1013,6 @@ def check_method(
             criterion, method, NOT_APPLICABLE,
             notes="undefined above 2x2, so merge commutation cannot be posed",
         )
-    if criterion == "AC10":
-        return _merge_check(criterion, method, sample_count, seed)
     if criterion in _METHOD_CHECKS:
         return _sampled_method_check(criterion, method, sample_count, seed)
 
@@ -1060,18 +1046,6 @@ def check_method(
     )
 
 
-def _rebuild_merge_instance(w: Mapping[str, object]) -> tuple:
-    """The AC10 gap function's arguments, rebuilt from a witness payload."""
-    target_table = _rebuild_subject(w["target"])
-    return (_rebuild_subject(w["source"]), *_target_of(target_table),
-            w["row_partition"], w["col_partition"])
-
-
-def _random_two_block_partition(rng, size: int):
-    cut = int(rng.integers(1, size))
-    return [tuple(range(cut)), tuple(range(cut, size))]
-
-
 # ---------------------------------------------------------------------------
 # witness replay and matrix assembly
 # ---------------------------------------------------------------------------
@@ -1095,8 +1069,6 @@ def replay_witness(report: CriterionReport) -> float:
         return 1.0
     if kind == "sic":
         return 0.0 if w["signaled"] else math.inf
-    if kind == "method-merge":
-        return _merge_gap(w["method"], *_rebuild_merge_instance(w))
     method_checks = {c.kind: c for c in _METHOD_CHECKS.values()}
     if kind in method_checks:
         inst = _stack_of_one(w)

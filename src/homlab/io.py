@@ -96,6 +96,8 @@ class RunConfig:
             raise DataError(f"unknown decomposition scheme: {self.scheme!r}")
         if self.sample_count < 1:
             raise DataError(f"sample count must be at least 1, got {self.sample_count}")
+        if self.seed < 0:
+            raise DataError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def resolved_measure(self) -> str:

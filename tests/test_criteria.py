@@ -23,6 +23,7 @@ from homlab.criteria import (
     replay_witness,
 )
 from homlab.errors import (
+    ConvergenceError,
     HomlabError,
     InfeasibilityError,
     ShapeError,
@@ -36,6 +37,8 @@ from homlab.tables import (
     homogamy_share,
     lattice,
     marginals,
+    merge_categories,
+    merge_with_singles,
     pam_match,
 )
 
@@ -129,6 +132,14 @@ def test_sample_counts_below_one_are_refused(samples):
         check_indicator("AC6", "det", sample_count=samples)
     with pytest.raises(ValueError):
         check_method("AC2", "ipf", sample_count=samples)
+
+
+def test_negative_seeds_are_refused():
+    # numpy's seed sequence would fail on them with its own message
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        check_indicator("AC2", "or", seed=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        check_method("AC10", "ipf", seed=-1)
 
 
 @pytest.mark.parametrize("criterion,expected_y", [
@@ -411,6 +422,95 @@ def test_stacked_method_cells_keep_witnesses_when_every_gap_counts(monkeypatch):
                 assert check_method(criterion, tag, 5, seed) == (
                     _reference_method_check(criterion, tag, 5, seed)
                 )
+
+
+def _ref_merge_table(rng, shape, with_singles):
+    counts = table(rng.integers(1, 51, size=shape))
+    if not with_singles:
+        return counts
+    return TableWithSingles(counts, *(rng.integers(1, 51, size=k) * 1.0 for k in shape))
+
+
+def _ref_two_blocks(rng, size):
+    cut = int(rng.integers(1, size))
+    return [tuple(range(cut)), tuple(range(cut, size))]
+
+
+def _reference_merge_check(method, sample_count, seed):
+    """AC10 as a loop over single samples: fit the fine table, merge the
+    fit, and fit the merged problem, one sample at a time."""
+    rng = criteria._rng_for(seed, "AC10", method)
+    notes = criteria._METHOD_CHECKS["AC10"].notes
+    with_singles = method == "csa"
+
+    def merged(values, partition):
+        return np.array([values[list(block)].sum() for block in partition])
+
+    for i in range(sample_count):
+        shape = (3, 3) if rng.integers(0, 2) else (4, 3)
+        source = _ref_merge_table(rng, shape, with_singles)
+        target = _ref_merge_table(rng, shape, with_singles)
+        row_part, col_part = _ref_two_blocks(rng, shape[0]), _ref_two_blocks(rng, shape[1])
+        margins = marginals(criteria.couples_of(target))
+        singles = (target.single_men, target.single_women) if with_singles else None
+        merge = merge_with_singles if with_singles else merge_categories
+        try:
+            full = _ref_fit(method, source, margins, singles)
+            coarse = _ref_fit(
+                method, merge(source, row_part, col_part),
+                Marginals(merged(margins.row_sums, row_part), merged(margins.col_sums, col_part)),
+                singles and (merged(singles[0], row_part), merged(singles[1], col_part)),
+            )
+        except (InfeasibilityError, UndefinedIndicatorError):
+            continue
+        violation = float(
+            np.abs(merge_categories(full.table, row_part, col_part).counts
+                   - coarse.table.counts).max() / max(margins.total, 1.0)
+        )
+        if violation > criteria.VIOLATION_TOL:
+            witness = {"kind": "method-merge", "source": criteria._table_payload(source),
+                       "target": criteria._table_payload(target),
+                       "row_partition": [list(b) for b in row_part],
+                       "col_partition": [list(b) for b in col_part],
+                       "criterion": "AC10", "method": method, "violation": violation}
+            return CriterionReport("AC10", method, COUNTEREXAMPLE, witness, i + 1, notes)
+    return CriterionReport("AC10", method, SATISFIED, None, sample_count, notes)
+
+
+MERGE_METHODS = ("ipf", "meda", "csa", "nm")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_merge_cell_keeps_the_per_sample_loop(seed):
+    for tag in MERGE_METHODS:
+        for samples in (1, 7, 60, 200):
+            got = check_method("AC10", tag, samples, seed)
+            assert got == _reference_merge_check(tag, samples, seed), (tag, samples, seed)
+
+
+def test_stacked_merge_cell_keeps_witnesses_when_every_gap_counts(monkeypatch):
+    monkeypatch.setattr(criteria, "VIOLATION_TOL", -math.inf)
+    for tag in MERGE_METHODS:
+        for seed in range(3):
+            got = check_method("AC10", tag, 5, seed)
+            assert got == _reference_merge_check(tag, 5, seed), (tag, seed)
+
+
+@pytest.mark.parametrize("max_iter,tol", [(2, -math.inf), (30, math.inf)])
+def test_stacked_merge_cell_raises_the_loops_fit_error(monkeypatch, max_iter, tol):
+    # with the IPF sweeps capped, the fine and the merged fit of a sample
+    # both stop short, each with its own residual in the message; with no
+    # witness possible, the first sample to stop short must be the loop's
+    kernel = cf._ipf_kernel
+    monkeypatch.setattr(cf, "_ipf_kernel", lambda counts, rows, cols, total, tol, _: (
+        kernel(counts, rows, cols, total, tol, max_iter)))
+    monkeypatch.setattr(criteria, "VIOLATION_TOL", tol)
+    for seed in range(3):
+        with pytest.raises(ConvergenceError) as want:
+            _reference_merge_check("ipf", 200, seed)
+        with pytest.raises(ConvergenceError) as got:
+            check_method("AC10", "ipf", 200, seed)
+        assert str(got.value) == str(want.value), seed
 
 
 # ---------------------------------------------------------------------------

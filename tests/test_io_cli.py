@@ -83,6 +83,9 @@ def test_config_rejects_bad_values():
         RunConfig(scheme="shapley")
     with pytest.raises(DataError):
         RunConfig(sample_count=0)
+    # refused here, before numpy's seed sequence fails on it
+    with pytest.raises(DataError, match="seed must be nonnegative, got -1"):
+        RunConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +569,15 @@ def test_cli_criteria_refuses_a_negative_sample_count(tmp_path):
         "criteria", "--samples", "-5", "--out", str(tmp_path)])
     assert result.exit_code != 0
     assert isinstance(result.exception, DataError)
+    assert not (tmp_path / "criteria_indicators.csv").exists()
+
+
+def test_cli_criteria_refuses_a_negative_seed(tmp_path):
+    result = CliRunner().invoke(main, [
+        "criteria", "--seed", "-1", "--samples", "2", "--out", str(tmp_path)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, DataError)
+    assert "seed must be nonnegative" in str(result.exception)
     assert not (tmp_path / "criteria_indicators.csv").exists()
 
 
