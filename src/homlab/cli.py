@@ -89,28 +89,33 @@ def _write_json(path: Path, payload):
 
 
 def _config_from(ctx_params) -> RunConfig:
-    config = (
-        RunConfig.from_file(ctx_params["config"])
-        if ctx_params.get("config")
-        else RunConfig()
-    )
-    return config.with_overrides(
-        method=ctx_params.get("method"),
-        measure=ctx_params.get("measure"),
-        categories=ctx_params.get("categories"),
-        rounding=ctx_params.get("rounding"),
-        scheme=ctx_params.get("scheme"),
-        seed=ctx_params.get("seed"),
-        sample_count=ctx_params.get("samples"),
-    )
+    """The run configuration; a bad value is a usage error (exit code 2)."""
+    try:
+        path = ctx_params.get("config")
+        config = RunConfig.from_file(path) if path else RunConfig()
+        return config.with_overrides(
+            method=ctx_params.get("method"),
+            measure=ctx_params.get("measure"),
+            categories=ctx_params.get("categories"),
+            rounding=ctx_params.get("rounding"),
+            scheme=ctx_params.get("scheme"),
+            seed=ctx_params.get("seed"),
+            sample_count=ctx_params.get("samples"),
+        )
+    except DataError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _panel_from(ctx_params, config: RunConfig):
-    panel = load_couples(ctx_params["couples"], config)
-    if ctx_params.get("income"):
-        panel.income = load_income(ctx_params["income"])
-    if ctx_params.get("singles"):
-        panel.singles = load_singles(ctx_params["singles"], config)
+    """The loaded inputs; a bad input file is a one-line error (exit code 1)."""
+    try:
+        panel = load_couples(ctx_params["couples"], config)
+        if ctx_params.get("income"):
+            panel.income = load_income(ctx_params["income"])
+        if ctx_params.get("singles"):
+            panel.singles = load_singles(ctx_params["singles"], config)
+    except DataError as exc:
+        raise click.ClickException(str(exc)) from exc
     return panel
 
 
@@ -197,7 +202,7 @@ def counterfactual(**params):
     tables = [panel.unit_table(state, year) for year in years]
     for year, table in zip(years, tables):
         if table is None:
-            raise DataError(f"no table for ({state}, {year})")
+            raise click.ClickException(f"no table for ({state}, {year})")
     payload = {
         "method": config.method.upper(),
         "state": state,

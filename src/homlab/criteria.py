@@ -47,6 +47,7 @@ from .tables import (
     ContingencyTable,
     Marginals,
     TableWithSingles,
+    _block_sum,
     couples_of,
     homogamy_shares,
     lattice,
@@ -840,30 +841,27 @@ def _monotonicity_gap(method, inst: _MethodStack, base: cf.FitStack):
     return homogamy_shares(base.counts) - homogamy_shares(fits.counts), fits.errors
 
 
-def _two_block_sums(values: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Per vector of a stack (T, k), the sums of its first ``cut`` entries and
-    of the rest, as (T, 2)."""
-    low = np.arange(values.shape[-1]) < cut[:, None]
-    return np.stack([np.where(low, values, 0.0).sum(axis=-1),
-                     np.where(low, 0.0, values).sum(axis=-1)], axis=-1)
-
-
 def _merge_gap(method, inst: _MethodStack, base: cf.FitStack):
     """AC10: merging categories of the fit equals fitting the merged problem.
     Each problem merges its rows in two blocks after ``row_cut`` and its
-    columns after ``col_cut``; the merged cells are read off ``_split_sums``,
-    which sums each block as ``merge_categories`` does."""
+    columns after ``col_cut``. Every block is summed by ``tables._block_sum``
+    at every cut, and each problem reads its own cut off them."""
     r, c = inst.params["row_cut"], inst.params["col_cut"]
-    at = (slice(None), np.arange(len(r)), r - 1, c - 1)
+    problems = np.arange(len(r))
 
     def merged(counts):
-        return ind._split_sums(counts)[at].T.reshape(-1, 2, 2)
+        return ind._split_sums(counts)[:, problems, r - 1, c - 1].T.reshape(-1, 2, 2)
+
+    def halves(values, cut):
+        sums = np.array([[_block_sum(values, half) for half in (slice(None, k), slice(k, None))]
+                         for k in range(1, values.shape[-1])])
+        return sums[cut - 1, :, problems]
 
     def blocks(pair):
-        return None if pair is None else (_two_block_sums(pair[0], r), _two_block_sums(pair[1], c))
+        return None if pair is None else (halves(pair[0], r), halves(pair[1], c))
 
     problem = _MethodStack(
-        merged(inst.counts), _two_block_sums(inst.rows, r), _two_block_sums(inst.cols, c),
+        merged(inst.counts), halves(inst.rows, r), halves(inst.cols, c),
         blocks(inst.singles), blocks(inst.target_singles),
     )
     fits = problem.fit(method)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GllUndefinedError, ShapeError, UndefinedIndicatorError
-from .tables import ContingencyTable, TableWithSingles, couples_of, merge_categories
+from .tables import ContingencyTable, TableWithSingles, _block_sum, couples_of, merge_categories
 
 PAPER_INTEGER = "paper-integer"
 CONTINUOUS = "continuous"
@@ -335,31 +335,25 @@ def aggregate_2x2(table: ContingencyTable, j: int, k: int) -> ContingencyTable:
     n, m = table.n_rows, table.n_cols
     if not (1 <= j <= n - 1) or not (1 <= k <= m - 1):
         raise ShapeError(f"split ({j},{k}) out of range for a {n}x{m} table")
-    return merge_categories(
-        table,
-        [tuple(range(j)), tuple(range(j, n))],
-        [tuple(range(k)), tuple(range(k, m))],
-    )
+    return merge_categories(table, [range(j), range(j, n)], [range(k), range(k, m)])
 
 
 def _split_sums(counts: np.ndarray) -> np.ndarray:
     """Block sums ``a, b, c, d`` of every ordered split.
 
     ``counts`` of shape ``(..., n, m)``, a table or a stack of tables, gives
-    shape ``(4, ..., n-1, m-1)``. Each block is summed as a contiguous copy,
-    the way ``merge_categories`` sums it, so every split's sums equal the
-    cells of its merged 2x2 table bit for bit, with or without a stack axis
-    (a running cumulative sum rounds differently on non-integer counts).
+    shape ``(4, ..., n-1, m-1)``. Each block is summed by
+    ``tables._block_sum``, so every split's sums equal the cells of its
+    merged 2x2 table bit for bit.
     """
     *lead, n, m = counts.shape
-    flat = (*lead, -1)
     sums = np.empty((4, *lead, n - 1, m - 1))
     for j in range(1, n):
-        top, bottom = counts[..., :j, :], counts[..., j:, :]
         for k in range(1, m):
-            blocks = (top[..., :k], top[..., k:], bottom[..., :k], bottom[..., k:])
             sums[:, ..., j - 1, k - 1] = [
-                np.add.reduce(block.reshape(flat), axis=-1) for block in blocks
+                _block_sum(counts, rows, cols)
+                for rows in (slice(None, j), slice(j, None))
+                for cols in (slice(None, k), slice(k, None))
             ]
     return sums
 

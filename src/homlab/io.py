@@ -41,6 +41,7 @@ from .errors import (
 from .tables import (
     ContingencyTable,
     TableWithSingles,
+    couples_of,
     homogamy_share,
     merge_categories,
     merge_with_singles,
@@ -51,6 +52,7 @@ THREE_LEVEL = "three"
 HS_CUT = "hs"
 COLLEGE_CUT = "college"
 CATEGORY_SCHEMES = (THREE_LEVEL, HS_CUT, COLLEGE_CUT)
+_CUTS = {HS_CUT: [(0,), (1, 2)], COLLEGE_CUT: [(0, 1), (2,)]}
 
 DEFAULT_WAVES = (1960, 1970, 1980, 1990, 2000, 2010)
 DEFAULT_LABELS = ("no_high_school", "high_school", "college")
@@ -310,25 +312,20 @@ def write_couples(panel: PanelDataset, path: str | Path):
                     )
 
 
-def cut_partition(scheme: str) -> list[tuple[int, ...]]:
-    if scheme == HS_CUT:
-        return [(0,), (1, 2)]
-    if scheme == COLLEGE_CUT:
-        return [(0, 1), (2,)]
-    raise DataError(f"no cut partition for scheme: {scheme!r}")
-
-
-def dichotomize(table: ContingencyTable, scheme: str) -> ContingencyTable:
-    """Collapse a three-level table to the requested two-level divide."""
+def dichotomize(subject: ContingencyTable | TableWithSingles, scheme: str):
+    """Collapse a three-level table, with or without its singles, to the
+    requested two-level divide."""
     if scheme == THREE_LEVEL:
-        return table
+        return subject
+    table = couples_of(subject)
     if table.n_rows != 3 or table.n_cols != 3:
-        raise DataError(
-            f"the {scheme!r} divide needs a three-level table, got "
-            f"{table.n_rows}x{table.n_cols}"
-        )
-    parts = cut_partition(scheme)
-    return merge_categories(table, parts, parts)
+        raise DataError(f"the {scheme!r} divide needs a three-level table, "
+                        f"got {table.n_rows}x{table.n_cols}")
+    parts = _CUTS.get(scheme)
+    if parts is None:
+        raise DataError(f"no cut partition for scheme: {scheme!r}")
+    merge = merge_with_singles if isinstance(subject, TableWithSingles) else merge_categories
+    return merge(subject, parts, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +353,10 @@ def cut_wave(panel: PanelDataset, config: RunConfig, unit: str, year: int,
     ``method`` takes it: with its singles for ``csa`` (a DataError without
     them), alone for any other method or indicator and for the share.
     """
-    if method != "csa":
-        return dichotomize(table, config.categories)
-    with_singles = panel.with_singles(unit, year)
-    if with_singles is None:
+    subject = panel.with_singles(unit, year) if method == "csa" else table
+    if subject is None:
         raise DataError("the surplus-based method needs singles counts")
-    if config.categories == THREE_LEVEL:
-        return with_singles
-    parts = cut_partition(config.categories)
-    return merge_with_singles(with_singles, parts, parts)
+    return dichotomize(subject, config.categories)
 
 
 def _scalar_value(tag: str, cut: ContingencyTable, rounding: str) -> float:

@@ -201,6 +201,7 @@ def marginals(table: ContingencyTable) -> Marginals:
 
 
 def _validate_partition(partition: Sequence[Iterable[int]], size: int, axis: str):
+    """The blocks of an ordered cover of ``size`` categories, one slice each."""
     blocks = [tuple(int(i) for i in block) for block in partition]
     if len(blocks) < 2:
         raise PartitionError(f"{axis} partition must keep at least two blocks")
@@ -218,7 +219,19 @@ def _validate_partition(partition: Sequence[Iterable[int]], size: int, axis: str
         expected = block[-1] + 1
     if expected != size:
         raise PartitionError(f"{axis} partition does not cover all {size} categories")
-    return blocks
+    return [slice(block[0], block[-1] + 1) for block in blocks]
+
+
+def _block_sum(values: np.ndarray, rows: slice, cols: slice | None = None) -> np.ndarray:
+    """Sum of one contiguous block, ``values[..., rows, cols]`` of a table or
+    stack (..., n, m), or ``values[..., rows]`` of vectors (..., k). Every
+    category merge sums here, so a block gives the same bits whoever asks.
+    The block is flattened and reduced as one contiguous run: a running
+    ``cumsum`` would be cheaper over many splits, but it rounds differently
+    on non-integer counts."""
+    block = values[..., rows] if cols is None else values[..., rows, cols]
+    lead = values.shape[:-1] if cols is None else values.shape[:-2]
+    return np.add.reduce(block.reshape(*lead, -1), axis=-1)
 
 
 def merge_categories(
@@ -235,12 +248,9 @@ def merge_categories(
     """
     rows = _validate_partition(row_partition, table.n_rows, "row")
     cols = _validate_partition(col_partition, table.n_cols, "column")
-    out = np.zeros((len(rows), len(cols)))
-    for i, rblock in enumerate(rows):
-        for j, cblock in enumerate(cols):
-            out[i, j] = table.counts[np.ix_(rblock, cblock)].sum()
-    row_labels = tuple("+".join(table.row_labels[i] for i in block) for block in rows)
-    col_labels = tuple("+".join(table.col_labels[j] for j in block) for block in cols)
+    out = [[_block_sum(table.counts, r, c) for c in cols] for r in rows]
+    row_labels = tuple("+".join(table.row_labels[r]) for r in rows)
+    col_labels = tuple("+".join(table.col_labels[c]) for c in cols)
     return ContingencyTable(out, row_labels, col_labels)
 
 
@@ -253,8 +263,8 @@ def merge_with_singles(
     merged = merge_categories(tws.couples, row_partition, col_partition)
     rows = _validate_partition(row_partition, tws.couples.n_rows, "row")
     cols = _validate_partition(col_partition, tws.couples.n_cols, "column")
-    men = np.array([tws.single_men[list(b)].sum() for b in rows])
-    women = np.array([tws.single_women[list(b)].sum() for b in cols])
+    men = [_block_sum(tws.single_men, r) for r in rows]
+    women = [_block_sum(tws.single_women, c) for c in cols]
     return TableWithSingles(merged, men, women)
 
 

@@ -567,18 +567,36 @@ def test_cli_criteria_outputs_are_deterministic(tmp_path):
 def test_cli_criteria_refuses_a_negative_sample_count(tmp_path):
     result = CliRunner().invoke(main, [
         "criteria", "--samples", "-5", "--out", str(tmp_path)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, DataError)
+    assert result.exit_code == 2  # a usage error, not a traceback
+    assert "sample count must be at least 1, got -5" in result.output
     assert not (tmp_path / "criteria_indicators.csv").exists()
 
 
 def test_cli_criteria_refuses_a_negative_seed(tmp_path):
     result = CliRunner().invoke(main, [
         "criteria", "--seed", "-1", "--samples", "2", "--out", str(tmp_path)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, DataError)
-    assert "seed must be nonnegative" in str(result.exception)
+    assert result.exit_code == 2
+    assert "seed must be nonnegative, got -1" in result.output
     assert not (tmp_path / "criteria_indicators.csv").exists()
+
+
+def test_cli_input_errors_exit_as_one_line_messages(tmp_path):
+    # a bad configuration value is a usage error (exit code 2), a bad input
+    # file an error with its line (exit code 1); neither is a traceback
+    bad_config = write(tmp_path / "bad.json", json.dumps({"rounding": "nearest"}))
+    result = CliRunner().invoke(main, [
+        "indicators", "--config", str(bad_config),
+        "--couples", str(FIXTURES / "synthetic_panel.csv"), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "unknown rounding mode: 'nearest'" in result.output
+    couples = write(tmp_path / "couples.csv",
+                    "year,state,husband_edu,wife_edu,count\n1960,Texas,L,L,x\n")
+    result = CliRunner().invoke(main, [
+        "indicators", "--config", str(config_file(tmp_path)),
+        "--couples", str(couples), "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {couples}: line 2: count 'x' is not an integer\n"
+    assert not (tmp_path / "indicators.csv").exists()
 
 
 def test_cli_counterfactual_reports_infeasibility_in_output(tmp_path):
@@ -803,24 +821,35 @@ def test_cli_trend_decomposes_each_unit_decade_once(tmp_path, monkeypatch):
 
 def test_cli_trend_keeps_an_uncut_unit_as_gaps(tmp_path):
     # two-level labels cannot be cut at the college divide: every pair is
-    # excluded, and the series anchor no longer crashes the run
-    cfg = config_file(tmp_path, categories="college", method="ipf")
-    out = tmp_path / "out"
-    for command in ("decompose", "trend"):
-        cli(command, "--config", cfg,
-            "--couples", FIXTURES / "synthetic_panel.csv", "--out", out)
-    with open(out / "decomposition.csv", newline="") as fh:
-        statuses = [row["status"] for row in csv.DictReader(fh)]
-    assert len(statuses) == 3 * 5
-    assert all(s.startswith("excluded: DataError: ") for s in statuses)
-    stats = json.loads((out / "trend_stats.json").read_text())
-    assert stats["N"] == 0
-    assert len(stats["excluded_pairs"]) == 3 * 5
-    assert all(": DataError: " in pair for pair in stats["excluded_pairs"])
-    with open(out / "trend_series.csv", newline="") as fh:
-        series = list(csv.DictReader(fh))
-    assert len(series) == 4 * 6  # US + 3 states keep their rows
-    assert all(row["cumulative"] == row["effect"] == "" for row in series)
+    # excluded, and the series anchor no longer crashes the run; with its
+    # singles, the surplus-based method's table is refused the same way
+    cfg = config_file(tmp_path, categories="college")
+    singles = ("--singles", FIXTURES / "synthetic_singles.csv")
+    detail = "the 'college' divide needs a three-level table, got 2x2"
+    for method, extra in (("ipf", ()), ("csa", singles)):
+        out = tmp_path / method
+        for command in ("decompose", "trend"):
+            cli(command, "--config", cfg, "--method", method,
+                "--couples", FIXTURES / "synthetic_panel.csv", *extra, "--out", out)
+        with open(out / "decomposition.csv", newline="") as fh:
+            statuses = [row["status"] for row in csv.DictReader(fh)]
+        assert statuses == [f"excluded: DataError: {detail}"] * (3 * 5)
+        stats = json.loads((out / "trend_stats.json").read_text())
+        assert stats["N"] == 0
+        assert len(stats["excluded_pairs"]) == 3 * 5
+        assert all(pair.endswith(f": DataError: {detail}") for pair in stats["excluded_pairs"])
+        with open(out / "trend_series.csv", newline="") as fh:
+            series = list(csv.DictReader(fh))
+        assert len(series) == 4 * 6  # US + 3 states keep their rows
+        assert all(row["cumulative"] == row["effect"] == "" for row in series)
+    # the same pair is an infeasible counterfactual, not a crash
+    cli("counterfactual", "--config", cfg, "--method", "csa",
+        "--couples", FIXTURES / "synthetic_panel.csv", *singles,
+        "--state", "Texas", "--early-year", 1960, "--late-year", 1970,
+        "--out", tmp_path / "cf")
+    payload = json.loads((tmp_path / "cf" / "counterfactual.json").read_text())
+    assert payload["feasible"] is False
+    assert payload["error"] == {"type": "DataError", "detail": detail}
 
 
 THREE_LEVEL_COUPLES = "".join(
@@ -857,8 +886,8 @@ def test_cli_counterfactual_reports_a_method_divide_mismatch(tmp_path):
         "counterfactual", "--method", "ipf", "--couples", str(couples),
         "--state", "Example", "--early-year", "1980", "--late-year", "2000",
         "--out", str(out)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, DataError)
+    assert result.exit_code == 1
+    assert result.output == "Error: no table for (Example, 2000)\n"
 
 
 def _fresh_python(probe: str, **env) -> list[str]:

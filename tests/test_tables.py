@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from homlab.errors import (
     ShapeError,
     TableError,
 )
+from homlab.indicators import _split_sums
 from homlab.tables import (
     ContingencyTable,
     Marginals,
     TableWithSingles,
+    _block_sum,
     enumerate_tables,
     homogamy_share,
     lattice,
@@ -203,6 +207,93 @@ def test_merge_with_singles_sums_pools():
     merged = merge_with_singles(tws, [(0, 1), (2,)], [(0,), (1, 2)])
     assert merged.single_men.tolist() == [3, 3]
     assert merged.single_women.tolist() == [4, 11]
+
+
+# The block summations that the one kernel replaced, kept as references.
+
+def _ix_merge(counts, rows, cols):
+    """``merge_categories``' loop: an ``np.ix_`` copy per block, summed."""
+    out = np.zeros((len(rows), len(cols)))
+    for i, rblock in enumerate(rows):
+        for j, cblock in enumerate(cols):
+            out[i, j] = counts[np.ix_(rblock, cblock)].sum()
+    return out
+
+
+def _reference_split_sums(counts):
+    """``indicators._split_sums``' per-split reduce of each block's copy."""
+    *lead, n, m = counts.shape
+    flat = (*lead, -1)
+    sums = np.empty((4, *lead, n - 1, m - 1))
+    for j in range(1, n):
+        top, bottom = counts[..., :j, :], counts[..., j:, :]
+        for k in range(1, m):
+            blocks = (top[..., :k], top[..., k:], bottom[..., :k], bottom[..., k:])
+            sums[:, ..., j - 1, k - 1] = [
+                np.add.reduce(block.reshape(flat), axis=-1) for block in blocks
+            ]
+    return sums
+
+
+def _masked_two_block_sums(values, cut):
+    """AC10's sums of the first ``cut`` entries of each vector of a stack
+    (T, k) and of the rest, with ``np.where`` masks, as (T, 2)."""
+    low = np.arange(values.shape[-1]) < cut[:, None]
+    return np.stack([np.where(low, values, 0.0).sum(axis=-1),
+                     np.where(low, 0.0, values).sum(axis=-1)], axis=-1)
+
+
+def _partitions(k):
+    """Every ordered cover of ``k`` categories by two or more contiguous blocks."""
+    for size in range(1, k):
+        for cuts in itertools.combinations(range(1, k), size):
+            bounds = (0, *cuts, k)
+            yield [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def _random_floats(rng, shape):
+    """Non-integer counts at a random scale from 1e-7 to 1e7."""
+    return rng.uniform(0.01, 1.0, size=shape) * 10.0 ** rng.uniform(-7, 7)
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n,m", itertools.product(range(2, 6), repeat=2))
+def test_every_merge_sums_blocks_as_the_replaced_code_did(n, m):
+    rng = np.random.default_rng(100 * n + m)
+    for _ in range(3):
+        counts = _random_floats(rng, (n, m))
+        men, women = _random_floats(rng, n), _random_floats(rng, m)
+        tws = TableWithSingles(table(counts), men, women)
+        for rowp, colp in itertools.product(_partitions(n), _partitions(m)):
+            merged = merge_with_singles(tws, rowp, colp)
+            assert _same_bytes(merged.couples.counts, _ix_merge(counts, rowp, colp))
+            assert _same_bytes(merge_categories(tws.couples, rowp, colp).counts,
+                               merged.couples.counts)
+            assert _same_bytes(merged.single_men, [men[list(b)].sum() for b in rowp])
+            assert _same_bytes(merged.single_women, [women[list(b)].sum() for b in colp])
+    # every split, of one table and of a stack, and each stacked block
+    stack = _random_floats(rng, (7, n, m))
+    assert _same_bytes(_split_sums(stack[0]), _reference_split_sums(stack[0]))
+    assert _same_bytes(_split_sums(stack), _reference_split_sums(stack))
+    for rows, cols in itertools.product(_partitions(n), _partitions(m)):
+        blocks = [[_block_sum(stack, slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1))
+                   for c in cols] for r in rows]
+        assert _same_bytes(np.moveaxis(blocks, -1, 0),
+                           [_ix_merge(counts, rows, cols) for counts in stack])
+    # two blocks of a stack of vectors, each cut after its own first ``cut``
+    for k in (n, m):
+        vectors = _random_floats(rng, (7, k))
+        cut = rng.integers(1, k, size=7)
+        halves = [[_block_sum(vectors[t], s) for s in (slice(None, c), slice(c, None))]
+                  for t, c in enumerate(cut)]
+        assert _same_bytes(halves, _masked_two_block_sums(vectors, cut))
+        at_every_cut = np.array([[_block_sum(vectors, s) for s in (slice(None, c), slice(c, None))]
+                                 for c in range(1, k)])
+        assert _same_bytes(at_every_cut[cut - 1, :, np.arange(7)], halves)
 
 
 # ---------------------------------------------------------------------------
