@@ -370,29 +370,14 @@ def criteria(**params):
     ind_matrix = cr.indicator_matrix(config.sample_count, config.seed)
     meth_matrix = cr.method_matrix(config.sample_count, config.seed)
 
-    ind_rows = []
-    for criterion in cr.INDICATOR_CRITERIA:
-        row = {"criterion": criterion}
-        for tag in cr.INDICATOR_TAGS:
-            row[tag] = cr.VERDICT_CODES[ind_matrix[(criterion, tag)].verdict]
-        ind_rows.append(row)
-    _write_csv(
-        out / "criteria_indicators.csv",
-        ["criterion", *cr.INDICATOR_TAGS],
-        ind_rows,
-    )
-
-    meth_rows = []
-    for criterion in cr.METHOD_CRITERIA:
-        row = {"criterion": criterion}
-        for tag in cr.METHOD_TAGS:
-            row[tag] = cr.VERDICT_CODES[meth_matrix[(criterion, tag)].verdict]
-        meth_rows.append(row)
-    _write_csv(
-        out / "criteria_methods.csv",
-        ["criterion", *cr.METHOD_TAGS],
-        meth_rows,
-    )
+    for name, criteria_list, tags, matrix in (
+        ("criteria_indicators.csv", cr.INDICATOR_CRITERIA, cr.INDICATOR_TAGS, ind_matrix),
+        ("criteria_methods.csv", cr.METHOD_CRITERIA, cr.METHOD_TAGS, meth_matrix),
+    ):
+        rows = [{"criterion": criterion,
+                 **{tag: cr.VERDICT_CODES[matrix[(criterion, tag)].verdict] for tag in tags}}
+                for criterion in criteria_list]
+        _write_csv(out / name, ["criterion", *tags], rows)
 
     witnesses = {}
     for (criterion, tag), report in {**ind_matrix, **meth_matrix}.items():

@@ -180,7 +180,7 @@ def _evaluator(tag: str, criterion: str) -> Callable:
     """
     if tag == "msp" and criterion in _MSP_LOCAL_CRITERIA:
         def local(counts, singles):
-            msp_l, _, _, undefined = ind._msp(*counts.reshape(-1, 4).T, ind.CONTINUOUS)
+            msp_l, _, _, undefined = ind._TWO_BY_TWO["msp"].run(counts, ind.CONTINUOUS)
             return msp_l[:, None], undefined
         return local
     return lambda counts, singles: ind.evaluate_stack(tag, counts, ind.CONTINUOUS, singles)

@@ -9,13 +9,12 @@ table the cells are referred to as::
 
 The scalar measures are defined on 2x2 tables; the matrix-valued measure
 aggregates an n-by-m table into every ordered 2x2 coarsening and evaluates
-the scalar ratio measure on each. ``evaluate`` is the one map from a tag of
-``INDICATOR_TAGS`` to its measure.
+the scalar ratio measure on each. ``evaluate_stack`` is the one map from a
+tag of ``INDICATOR_TAGS`` to its measure; ``evaluate`` is it on one table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,27 +83,14 @@ class SurplusMatrix:
     values: np.ndarray
 
 
-def _require_2x2(shape: tuple[int, ...], what: str):
-    n, m = shape[-2:]  # a table's or a stack's
-    if (n, m) != (2, 2):
-        raise ShapeError(f"{what} is defined for 2x2 tables, got {n}x{m}")
-
-
-def _abcd(table: ContingencyTable) -> tuple[float, float, float, float]:
-    (a, b), (c, d) = table.counts
-    return float(a), float(b), float(c), float(d)
-
-
 # Kernels: each 2x2 formula once, elementwise over the block sums ``a, b, c,
-# d`` (floats, or equal-shape arrays of a stack of tables). Each takes the
+# d``, equal-shape arrays of a stack of tables or of splits. Each takes the
 # rounding mode last, which only LL reads, and returns its value(s) and then
 # ``undefined``, the mask of the tables where the measure is undefined;
 # values there carry no meaning. No kernel divides by zero.
 
 def _over(num, den, undefined):
     """``num / den``, NaN where ``undefined`` (which must cover ``den == 0``)."""
-    if not isinstance(undefined, np.ndarray):  # one table: skip the array round trip
-        return math.nan if undefined else num / den
     return num / np.where(undefined, np.nan, den)
 
 
@@ -198,6 +184,7 @@ def _ll(a, b, c, d, rounding: str):
 
 
 _LL_UNDEFINED = "LL indicator undefined: zero denominator"
+_SURPLUS_UNDEFINED = "surplus matrix undefined: zero singles count"
 
 
 def _msp_undefined(a, b, c, d) -> str:
@@ -216,13 +203,21 @@ class _Measure:
     name: str
     undefined: str | Callable[..., str]
 
+    def run(self, counts: np.ndarray, rounding: str):
+        """The kernel on a ``(T, 2, 2)`` stack, after the shape (ShapeError)
+        and then the rounding mode (ValueError) are checked."""
+        n, m = counts.shape[1:]
+        if (n, m) != (2, 2):
+            raise ShapeError(f"{self.name} is defined for 2x2 tables, got {n}x{m}")
+        _check_rounding(rounding)
+        return self.kernel(*counts.reshape(len(counts), 4).T, rounding)
+
 
 _TWO_BY_TWO = {
     "or": _Measure(_or, (0,), "odds ratio", "odds ratio undefined: ad = bc = 0"),
-    "det": _Measure(_det, (0,), "matrix determinant", ""),
-    "cov": _Measure(
-        _cov, (0,), "covariance coefficient", "covariance undefined: zero total"
-    ),
+    # only a non-square table, which ``evaluate_stack`` marks, has no determinant
+    "det": _Measure(_det, (0,), "matrix determinant", "determinant needs a square table"),
+    "cov": _Measure(_cov, (0,), "covariance coefficient", "covariance undefined: zero total"),
     "corr": _Measure(
         _corr, (0,), "correlation coefficient",
         "correlation undefined: zero marginal sum",
@@ -245,22 +240,23 @@ SCALAR_TAGS = tuple(tag for tag in INDICATOR_TAGS if tag in _TWO_BY_TWO)
 def _outputs(tag: str, table: ContingencyTable, rounding: str) -> list[float]:
     """Every output of ``tag``'s kernel on a 2x2 table, as floats.
 
-    The kernel runs on the four cells as Python floats, the fast path for
-    one table. Raises the tag's ShapeError off 2x2, then ValueError on an
-    unknown rounding mode, then its UndefinedIndicatorError where the
-    measure is undefined.
+    The kernel runs on the table as a stack of one. Raises the tag's
+    ShapeError off 2x2, then ValueError on an unknown rounding mode, then
+    its UndefinedIndicatorError where the measure is undefined.
     """
     measure = _TWO_BY_TWO[tag]
-    _require_2x2(table.counts.shape, measure.name)
-    _check_rounding(rounding)
-    abcd = _abcd(table)
-    *values, undefined = measure.kernel(*abcd, rounding)
-    if undefined:
-        message = measure.undefined
-        raise UndefinedIndicatorError(
-            message if isinstance(message, str) else message(*abcd)
-        )
-    return [float(v) for v in values]
+    *values, undefined = measure.run(table.counts[None], rounding)
+    if undefined[0]:
+        raise _undefined_error(tag, table.counts)
+    return [float(v[0]) for v in values]
+
+
+def _undefined_error(tag: str, counts: np.ndarray) -> UndefinedIndicatorError:
+    """The error of a table where the indicator ``tag`` (not ``gll``) is undefined."""
+    message = _SURPLUS_UNDEFINED if tag == "msm" else _TWO_BY_TWO[tag].undefined
+    return UndefinedIndicatorError(
+        message if isinstance(message, str) else message(*counts.ravel())
+    )
 
 
 def odds_ratio(table: ContingencyTable) -> float:
@@ -319,15 +315,8 @@ def ll_simplified(
     """
     r, int_r, d_max, value = _outputs("ll", table, rounding)
     d = float(table.counts[1, 1])
-    return LiuLuDecomposition(
-        r=r,
-        int_r=int_r,
-        d_obs=d,
-        d_max=d_max,
-        value=value,
-        rounding=rounding,
-        negative_sorting=d < int_r,
-    )
+    return LiuLuDecomposition(r=r, int_r=int_r, d_obs=d, d_max=d_max, value=value,
+                              rounding=rounding, negative_sorting=d < int_r)
 
 
 def aggregate_2x2(table: ContingencyTable, j: int, k: int) -> ContingencyTable:
@@ -384,9 +373,6 @@ def _gll_error(values: np.ndarray, undefined: np.ndarray) -> GllUndefinedError:
     return GllUndefinedError([(int(j) + 1, int(k) + 1, _LL_UNDEFINED) for j, k in spots], values)
 
 
-_SURPLUS_UNDEFINED = "surplus matrix undefined: zero singles count"
-
-
 def _surplus(counts, single_men, single_women):
     """``counts[i, j] / sqrt(single_men[i] * single_women[j])`` for one
     table or a stack, and the mask of the tables with a nonpositive singles
@@ -402,41 +388,33 @@ def surplus_matrix(tws: TableWithSingles) -> SurplusMatrix:
     ``values[i, j] = couples[i, j] / sqrt(single_men[i] * single_women[j])``.
     Requires every singles count to be positive.
     """
-    values, undefined = _surplus(tws.couples.counts, tws.single_men, tws.single_women)
-    if undefined:
-        raise UndefinedIndicatorError(_SURPLUS_UNDEFINED)
-    return SurplusMatrix(values=values)
+    return SurplusMatrix(values=evaluate("msm", tws).reshape(tws.couples.counts.shape))
 
 
 def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
     """The indicator ``tag`` of a table, or a table with singles, as a flat
-    vector.
+    vector: :func:`evaluate_stack` on a stack of one.
 
     Matrix-valued measures flatten row-major; ``reg`` gives ``(beta_wm,
     beta_mw)``, ``msp`` the aggregate parameter, and ``det`` works on any
     square table. ``msm`` needs the singles of a
     :class:`~homlab.tables.TableWithSingles`; every other tag reads its
     couples. ``rounding`` applies to the LL family, and every tag refuses
-    an unknown mode after its shape checks, as :func:`evaluate_stack` does.
+    an unknown mode after its shape checks. Where the stack marks the table
+    undefined, the measure's own UndefinedIndicatorError is raised.
     """
-    if tag == "msm":
-        if not isinstance(subject, TableWithSingles):
-            raise UndefinedIndicatorError("surplus matrix needs singles counts")
-        _check_rounding(rounding)
-        return surplus_matrix(subject).values.ravel()
     couples = couples_of(subject)
     if tag == "gll":
         return gll(couples, rounding).ravel()
-    if tag == "det" and (couples.n_rows, couples.n_cols) != (2, 2):
-        if not couples.is_square():
-            raise UndefinedIndicatorError("determinant needs a square table")
-        _check_rounding(rounding)
-        return np.linalg.det(couples.counts).ravel()
-    measure = _TWO_BY_TWO.get(tag)
-    if measure is None:
-        raise ValueError(f"unknown indicator tag: {tag!r}")
-    values = _outputs(tag, couples, rounding)
-    return np.array([values[i] for i in measure.reported])
+    singles = None
+    if tag == "msm":
+        if not isinstance(subject, TableWithSingles):
+            raise UndefinedIndicatorError("surplus matrix needs singles counts")
+        singles = (subject.single_men[None], subject.single_women[None])
+    values, undefined = evaluate_stack(tag, couples.counts[None], rounding, singles)
+    if undefined[0]:
+        raise _undefined_error(tag, couples.counts)
+    return values[0]
 
 
 def evaluate_stack(
@@ -447,14 +425,12 @@ def evaluate_stack(
     ``counts`` has shape ``(T, n, m)``; ``msm`` also needs ``singles``, the
     single men ``(T, n)`` and single women ``(T, m)`` of each table, which
     every other tag ignores. Returns ``(values, undefined)``: ``values[t]``,
-    of shape ``(k,)``, equals :func:`evaluate` of table ``t`` (with its
-    singles) bit for bit, and ``undefined[t]`` is true exactly where that
-    call raises :class:`~homlab.errors.UndefinedIndicatorError`
-    (``values[t]`` then carries no meaning). The kernels are the ones the
-    single-table measures call, so each formula exists once, and the errors
-    are the ones :func:`evaluate` raises: the shape first, then the
-    rounding mode. A stack of any other shape, or mis-shaped singles, raise
-    :class:`ShapeError` before the tag is read.
+    of shape ``(k,)``, is the indicator of table ``t`` (with its singles),
+    and ``undefined[t]`` marks where it is undefined (``values[t]`` then
+    carries no meaning); no table's values depend on the rest of the
+    stack. The shape is checked first, then the rounding mode; a non-square
+    ``det`` table is undefined under any mode. A stack of any other shape,
+    or mis-shaped singles, raise :class:`ShapeError` before the tag is read.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 3:
@@ -472,14 +448,12 @@ def evaluate_stack(
         *_, values, undefined = _ll(*_split_sums(counts), rounding)
         return values.reshape(size, -1), undefined.reshape(size, -1).any(axis=1)
     if tag == "det" and (n, m) != (2, 2):
-        _check_rounding(rounding)
         if n != m:
             return np.full((size, 1), np.nan), np.ones(size, dtype=bool)
+        _check_rounding(rounding)
         return np.linalg.det(counts)[:, None], np.zeros(size, dtype=bool)
     measure = _TWO_BY_TWO.get(tag)
     if measure is None:
-        raise ValueError(f"no stacked evaluation of indicator tag {tag!r}")
-    _require_2x2(counts.shape, measure.name)
-    _check_rounding(rounding)
-    *outputs, undefined = measure.kernel(*counts.reshape(size, 4).T, rounding)
+        raise ValueError(f"unknown indicator tag: {tag!r}")
+    *outputs, undefined = measure.run(counts, rounding)
     return np.array([outputs[i] for i in measure.reported]).T, undefined

@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,6 @@ from .decomposition import SCHEMES, SEQUENTIAL, WITH_INTERACTION, decade_label, 
 from .errors import (
     ConvergenceError,
     DataError,
-    GllUndefinedError,
-    HomlabError,
     InfeasibilityError,
     ShapeError,
     UndefinedIndicatorError,
@@ -86,6 +85,15 @@ class RunConfig:
     split_state: str = "Mississippi"
 
     def __post_init__(self):
+        if not isinstance(self.waves, (list, tuple)):
+            raise DataError(f"waves must be a list of integers, got {self.waves!r}")
+        typed = [*(("each wave", year, Integral) for year in self.waves), ("tol", self.tol, Real),
+                 *((name, getattr(self, name), Integral)
+                   for name in ("max_iter", "seed", "sample_count"))]
+        for name, value, kind in typed:  # a bool is neither a number nor an integer here
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "a number" if kind is Real else "an integer"
+                raise DataError(f"{name} must be {what}, got {value!r}")
         if self.categories not in CATEGORY_SCHEMES:
             raise DataError(f"unknown category scheme: {self.categories!r}")
         rounding = _ROUNDING_ALIASES.get(self.rounding)
@@ -113,8 +121,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise DataError(f"{path}: not a JSON file: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: the configuration must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -359,11 +372,50 @@ def cut_wave(panel: PanelDataset, config: RunConfig, unit: str, year: int,
     return dichotomize(subject, config.categories)
 
 
-def _scalar_value(tag: str, cut: ContingencyTable, rounding: str) -> float:
-    """A scalar indicator's reported value, the first of its 2x2 measure."""
-    if cut.n_rows != 2:
-        raise DataError("scalar indicators need a two-level divide")
-    return float(ind.evaluate(tag, cut, rounding)[0])
+def _unit_waves(panel: PanelDataset, config: RunConfig, unit_list, method: str = ""):
+    """Each unit of ``unit_list`` with its present waves, each cut once by
+    :func:`cut_wave`: ``(unit, {year: the cut or the EXCLUDED error it
+    raised})``, in wave order."""
+    for unit in unit_list:
+        cuts = {}
+        for year in config.waves:
+            table = panel.unit_table(unit, year)
+            if table is None:
+                continue
+            try:
+                cuts[year] = cut_wave(panel, config, unit, year, table, method)
+            except EXCLUDED as exc:
+                cuts[year] = exc
+        yield unit, cuts
+
+
+def _stacked(tag: str, cuts: dict, rounding: str) -> dict:
+    """``tag`` evaluated once on the stack of one unit's cut waves, tables
+    of one shape (the waves that could not be cut are left out):
+    ``{year: (values, undefined)}``."""
+    tables = {year: cut for year, cut in cuts.items() if not isinstance(cut, Exception)}
+    if not tables:
+        return {}
+    counts = np.array([table.counts for table in tables.values()])
+    return dict(zip(tables, zip(*ind.evaluate_stack(tag, counts, rounding))))
+
+
+def _scalar_waves(tag: str, cuts: dict, rounding: str) -> dict:
+    """A scalar indicator's reported value on each cut wave of one unit, or
+    the error that excludes the wave."""
+    waves = {year: DataError("scalar indicators need a two-level divide")
+             for year, cut in cuts.items()
+             if not isinstance(cut, Exception) and cut.n_rows != 2}
+    two_level = {year: cut for year, cut in cuts.items() if year not in waves}
+    for year, (values, undefined) in _stacked(tag, two_level, rounding).items():
+        if not undefined:
+            waves[year] = float(values[0])
+            continue
+        try:  # raises the measure's own error of the undefined wave
+            ind.evaluate(tag, two_level[year], rounding)
+        except UndefinedIndicatorError as exc:
+            waves[year] = exc
+    return waves
 
 
 def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
@@ -371,35 +423,30 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
 
     Two-level divides carry the scalar indicator battery; the three-level
     scheme carries the homogamy share and every split of the matrix-valued
-    measure. Undefined values, including single undefined splits of the
+    measure. Each tag is evaluated once per unit, on the stack of its cut
+    waves. Undefined values, including single undefined splits of the
     matrix, come through as empty strings.
     """
+    three_level = config.categories == THREE_LEVEL
+    tags = ("gll",) if three_level else ind.SCALAR_TAGS
     rows = []
-    for unit in units(panel):
-        for year in config.waves:
-            table = panel.unit_table(unit, year)
-            if table is None:
-                continue
+    for unit, cuts in _unit_waves(panel, config, units(panel)):
+        stacked = {tag: _stacked(tag, cuts, config.rounding) for tag in tags}
+        for year, cut in cuts.items():
             row: dict[str, object] = {"state": unit, "year": year}
-            try:
-                cut = cut_wave(panel, config, unit, year, table)
-            except DataError:  # no divide to report on: every value blank
+            if isinstance(cut, Exception):  # no divide to report on: every value blank
                 rows.append({**row, "share": "", **dict.fromkeys(ind.SCALAR_TAGS, "")})
                 continue
             row["share"] = homogamy_share(cut) if cut.is_square() else ""
-            if config.categories == THREE_LEVEL:
-                try:
-                    values = ind.gll(cut, config.rounding)
-                except GllUndefinedError as exc:
-                    values = exc.partial
-                for (j, k), value in np.ndenumerate(values):
+            if three_level:
+                values, _ = stacked["gll"][year]
+                splits = values.reshape(cut.n_rows - 1, cut.n_cols - 1)
+                for (j, k), value in np.ndenumerate(splits):
                     row[f"gll_{j + 1}_{k + 1}"] = "" if np.isnan(value) else value
             else:
-                for tag in ind.SCALAR_TAGS:
-                    try:
-                        row[tag] = _scalar_value(tag, cut, config.rounding)
-                    except HomlabError:
-                        row[tag] = ""
+                for tag in tags:
+                    values, undefined = stacked[tag][year]
+                    row[tag] = "" if undefined else float(values[0])
             rows.append(row)
     return rows
 
@@ -411,22 +458,17 @@ def _excluded(unit: str, decade: str, exc: Exception) -> DecadeChange:
 def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
     """The decade changes of every unit in ``unit_list``, in order.
 
-    Each present wave is cut once. A scalar measure is evaluated per pair;
-    the pairs of a method measure go to one :func:`decompose_stack` call.
+    Each present wave is cut once. A scalar measure is evaluated once per
+    wave, on the stack of the unit's cut waves, and a change is late minus
+    early; the pairs of a method measure go to one :func:`decompose_stack`
+    call.
     """
     measure = config.resolved_measure
     changes: list = []
     pending = []  # (index in changes, unit, decade, early cut, late cut)
-    for unit in unit_list:
-        cuts = {}
-        for year in config.waves:
-            table = panel.unit_table(unit, year)
-            if table is None:
-                continue
-            try:
-                cuts[year] = cut_wave(panel, config, unit, year, table, measure)
-            except EXCLUDED as exc:
-                cuts[year] = exc
+    for unit, cuts in _unit_waves(panel, config, unit_list, measure):
+        values = (_scalar_waves(measure, cuts, config.rounding)
+                  if measure in ind.SCALAR_TAGS else {})
         for early_year, late_year in zip(config.waves, config.waves[1:]):
             decade = decade_label(early_year)
             if early_year not in cuts or late_year not in cuts:
@@ -436,19 +478,17 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
             try:
                 if measure not in METHOD_TAGS and measure not in ind.SCALAR_TAGS:
                     raise DataError(f"unknown measure: {measure!r}")
-                for cut in (early, late):
-                    if isinstance(cut, Exception):
-                        raise cut
+                for step in (early, late, values.get(late_year), values.get(early_year)):
+                    if isinstance(step, Exception):
+                        raise step
                 if measure in METHOD_TAGS:
                     pending.append((len(changes), unit, decade, early, late))
                     changes.append(None)  # filled in from the stacked pass
                     continue
-                delta = (_scalar_value(measure, late, config.rounding)
-                         - _scalar_value(measure, early, config.rounding))
             except EXCLUDED as exc:
                 changes.append(_excluded(unit, decade, exc))
                 continue
-            changes.append(DecadeChange(unit, decade, float(delta)))
+            changes.append(DecadeChange(unit, decade, values[late_year] - values[early_year]))
 
     details: dict[tuple[str, str], object] = {}
     if not pending:

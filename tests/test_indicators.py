@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from homlab.errors import (
     ShapeError,
     UndefinedIndicatorError,
 )
-from homlab import criteria
+from homlab import criteria, indicators
 from homlab.indicators import (
     CONTINUOUS,
     INDICATOR_TAGS,
@@ -512,6 +513,68 @@ def test_registry_raises_what_the_direct_measure_raises(tag):
     assert raised == UNDEFINED_MESSAGES[tag]
 
 
+def _reference_outputs(tag, subject, rounding):
+    """Every output of ``tag``'s kernel on one 2x2 table, the kernel run on
+    its four cells as Python floats rather than on a stack of tables.
+    Raises the measure's ShapeError off 2x2, then ValueError on an unknown
+    rounding mode, then its UndefinedIndicatorError."""
+    measure = indicators._TWO_BY_TWO[tag]
+    n, m = subject.counts.shape
+    if (n, m) != (2, 2):
+        raise ShapeError(f"{measure.name} is defined for 2x2 tables, got {n}x{m}")
+    if rounding not in (PAPER_INTEGER, CONTINUOUS):
+        raise ValueError(f"unknown rounding mode: {rounding!r}")
+    abcd = [float(x) for x in subject.counts.ravel()]
+    *values, undefined = measure.kernel(*abcd, rounding)
+    if undefined:
+        message = measure.undefined
+        raise UndefinedIndicatorError(message if isinstance(message, str) else message(*abcd))
+    return [float(v) for v in values]
+
+
+# every output of each public 2x2 measure, in kernel order
+PUBLIC = {
+    "or": lambda s, rounding: [odds_ratio(s)],
+    "det": lambda s, rounding: [determinant(s)],
+    "cov": lambda s, rounding: [covariance(s)],
+    "corr": lambda s, rounding: [correlation(s)],
+    "reg": lambda s, rounding: dataclasses.astuple(regression(s)),
+    "msp": lambda s, rounding: dataclasses.astuple(aggregate_msp(s)),
+    "v": lambda s, rounding: [v_value(s)],
+    "ll": lambda s, rounding: [
+        getattr(ll_simplified(s, rounding), name) for name in ("r", "int_r", "d_max", "value")
+    ],
+}
+
+
+@pytest.mark.parametrize("tag", SCALAR_TAGS)
+def test_every_entry_point_matches_the_float_reference_bit_for_bit(tag):
+    rng = np.random.default_rng(INDICATOR_TAGS.index(tag))
+    subjects = [s for s in registry_subjects(rng, tag) if s.counts.shape == (2, 2)]
+    subjects += [table(counts) for counts in ZERO_CELL_TABLES]
+    reported = list(indicators._TWO_BY_TWO[tag].reported)
+    flagged = 0
+    for rounding in (PAPER_INTEGER, CONTINUOUS):
+        # the public measures other than LL fix the rounding mode
+        public = rounding if tag == "ll" else PAPER_INTEGER
+        values, undefined = evaluate_stack(tag, np.array([s.counts for s in subjects]), rounding)
+        for subject, row, is_undefined in zip(subjects, values, undefined):
+            assert outcome(PUBLIC[tag], subject, rounding) == outcome(
+                _reference_outputs, tag, subject, public), (tag, subject.counts)
+            expected = outcome(_reference_outputs, tag, subject, rounding)
+            if isinstance(expected, tuple):
+                assert expected[0] is UndefinedIndicatorError
+                assert outcome(evaluate, tag, subject, rounding) == expected
+                assert is_undefined, (tag, subject.counts)
+                continue
+            expected = np.frombuffer(expected)[reported].tobytes()
+            assert outcome(evaluate, tag, subject, rounding) == expected
+            assert not is_undefined and row.tobytes() == expected, (tag, subject.counts)
+        flagged += int(undefined.sum())
+    # a determinant and a covariance exist on every table
+    assert (flagged > 0) == (tag not in ("det", "cov"))
+
+
 def test_registry_edge_cases():
     assert evaluate("or", DIAG).tolist() == [math.inf]
     wide = table(np.ones((3, 3)))
@@ -634,26 +697,38 @@ def test_stacked_surplus_matrix_needs_singles_stacks_of_the_table_shapes():
 
 @pytest.mark.parametrize("tag", SCALAR_TAGS)
 def test_single_and_stacked_evaluation_raise_alike(tag):
-    # the shape is checked before the rounding mode, by both entry points
+    # the shape is checked before the rounding mode, by both entry points,
+    # and a non-square determinant is refused before the rounding mode
     def raised(call, *args):
         try:
-            call(*args)
+            result = call(*args)
+        except UndefinedIndicatorError:  # a stack marks it with no message
+            return UndefinedIndicatorError
         except Exception as exc:  # the outcome is the class and the message
             return type(exc), str(exc)
+        if call is evaluate_stack and result[1][0]:
+            return UndefinedIndicatorError
         return None
 
     wide = np.arange(1.0, 10.0).reshape(3, 3)
-    for counts in (BASE.counts, wide):
+    oblong = np.arange(1.0, 7.0).reshape(2, 3)
+    for counts in (BASE.counts, wide, oblong):
         for rounding in ("bogus", PAPER_INTEGER):
             single = raised(evaluate, tag, table(counts), rounding)
             stacked = raised(evaluate_stack, tag, counts[None], rounding)
             assert single == stacked, (tag, counts.shape, rounding)
             # a determinant exists on every square table
-            if rounding == "bogus" or (counts is wide and tag != "det"):
+            if rounding == "bogus" or (counts is not BASE.counts and tag != "det"):
                 assert single is not None
     assert raised(evaluate, tag, BASE, "bogus") == (
         ValueError, "unknown rounding mode: 'bogus'"
     )
+    for rounding in ("bogus", PAPER_INTEGER):
+        with pytest.raises(UndefinedIndicatorError, match="^determinant needs a square table$"):
+            evaluate("det", table(oblong), rounding)
+    unknown = (ValueError, "unknown indicator tag: 'bogus'")
+    assert raised(evaluate, "bogus", BASE, PAPER_INTEGER) == unknown
+    assert raised(evaluate_stack, "bogus", BASE.counts[None], PAPER_INTEGER) == unknown
 
 
 def test_registry_is_the_one_criteria_reads():

@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 from homlab.cli import main
 from homlab.decomposition import DecompositionResult, fit_onto
-from homlab.errors import DataError, ShapeError
+from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError
+from homlab.indicators import SCALAR_TAGS, aggregate_msp, evaluate, gll
 from homlab.io import (
     EXCLUDED,
     PanelDataset,
@@ -74,7 +75,19 @@ def test_config_rejects_unknown_keys(tmp_path):
         RunConfig.from_file(path)
 
 
-def test_config_rejects_bad_values():
+BAD_TYPES = (
+    ("waves", "1960", "waves must be a list of integers, got '1960'"),
+    ("waves", ["x"], "each wave must be an integer, got 'x'"),
+    ("waves", [1960.5], "each wave must be an integer, got 1960.5"),
+    ("tol", "x", "tol must be a number, got 'x'"),
+    ("max_iter", "10", "max_iter must be an integer, got '10'"),
+    ("max_iter", 10.0, "max_iter must be an integer, got 10.0"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("sample_count", "5", "sample_count must be an integer, got '5'"),
+)
+
+
+def test_config_rejects_bad_values(tmp_path):
     with pytest.raises(DataError):
         RunConfig(categories="two")
     with pytest.raises(DataError):
@@ -86,6 +99,18 @@ def test_config_rejects_bad_values():
     # refused here, before numpy's seed sequence fails on it
     with pytest.raises(DataError, match="seed must be nonnegative, got -1"):
         RunConfig(seed=-1)
+    # wrongly typed values are refused by name, not left to fail later or
+    # to be rounded silently
+    for field, value, message in BAD_TYPES:
+        with pytest.raises(DataError) as info:
+            RunConfig(**{field: value})
+        assert str(info.value) == message
+    # so is a config file that is not JSON, or not an object
+    for text, message in (("{\"rounding\": ", "not a JSON file"),
+                          ("[1, 2]", "the configuration must be a JSON object")):
+        path = write(tmp_path / "config.json", text)
+        with pytest.raises(DataError, match=message):
+            RunConfig.from_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +365,27 @@ def _reference_decompose(early, late, method, scheme, rounding, tol, max_iter):
                                delta - nonstructural - structural)
 
 
+def _reference_cuts(panel, config, unit, method=""):
+    """A unit's present waves, each cut once: the cut or the error it raised."""
+    cuts = {}
+    for year in config.waves:
+        table = panel.unit_table(unit, year)
+        if table is None:
+            continue
+        try:
+            cuts[year] = cut_wave(panel, config, unit, year, table, method)
+        except EXCLUDED as exc:
+            cuts[year] = exc
+    return cuts
+
+
 def _reference_changes(panel, config, unit_list):
     """Each unit's waves cut once, then each decade decomposed on its own
     (the per-pair loop of a method measure)."""
     measure = config.resolved_measure
     changes, details = [], {}
     for unit in unit_list:
-        cuts = {}
-        for year in config.waves:
-            table = panel.unit_table(unit, year)
-            if table is None:
-                continue
-            try:
-                cuts[year] = cut_wave(panel, config, unit, year, table, measure)
-            except EXCLUDED as exc:
-                cuts[year] = exc
+        cuts = _reference_cuts(panel, config, unit, measure)
         for early_year, late_year in zip(config.waves, config.waves[1:]):
             decade = f"{early_year}s"
             if early_year not in cuts or late_year not in cuts:
@@ -450,6 +481,162 @@ def test_stacked_decade_pass_matches_the_per_pair_loop_bit_for_bit(method):
             reasons |= {c.reason for c in changes if not c.valid}
     for prefix in STRESS_REASONS[method]:
         assert any(reason.startswith(prefix) for reason in reasons), prefix
+
+
+# ---------------------------------------------------------------------------
+# indicators on the stack of a unit's waves against the per-table loops
+# ---------------------------------------------------------------------------
+
+def _reference_scalar_value(tag, cut, rounding):
+    """A scalar indicator's reported value on one cut wave, evaluated alone."""
+    if cut.n_rows != 2:
+        raise DataError("scalar indicators need a two-level divide")
+    return float(evaluate(tag, cut, rounding)[0])
+
+
+def _reference_rows(panel, config):
+    """Indicator rows built one table and one tag at a time."""
+    rows = []
+    for unit in ("US", *panel.states):
+        for year, cut in _reference_cuts(panel, config, unit).items():
+            row = {"state": unit, "year": year}
+            if isinstance(cut, Exception):
+                rows.append({**row, "share": "", **dict.fromkeys(SCALAR_TAGS, "")})
+                continue
+            row["share"] = homogamy_share(cut) if cut.is_square() else ""
+            if config.categories == "three":
+                try:
+                    values = gll(cut, config.rounding)
+                except GllUndefinedError as exc:
+                    values = exc.partial
+                for (j, k), value in np.ndenumerate(values):
+                    row[f"gll_{j + 1}_{k + 1}"] = "" if np.isnan(value) else value
+            else:
+                for tag in SCALAR_TAGS:
+                    try:
+                        row[tag] = _reference_scalar_value(tag, cut, config.rounding)
+                    except HomlabError:
+                        row[tag] = ""
+            rows.append(row)
+    return rows
+
+
+def _reference_scalar_changes(panel, config, unit_list):
+    """Each unit's waves cut once, then each decade's scalar change
+    evaluated pair by pair: the late wave's value minus the early one's."""
+    measure = config.resolved_measure
+    changes = []
+    for unit in unit_list:
+        cuts = _reference_cuts(panel, config, unit, measure)
+        for early_year, late_year in zip(config.waves, config.waves[1:]):
+            decade = f"{early_year}s"
+            if early_year not in cuts or late_year not in cuts:
+                changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
+                continue
+            early, late = cuts[early_year], cuts[late_year]
+            try:
+                for cut in (early, late):
+                    if isinstance(cut, Exception):
+                        raise cut
+                delta = (_reference_scalar_value(measure, late, config.rounding)
+                         - _reference_scalar_value(measure, early, config.rounding))
+            except EXCLUDED as exc:
+                changes.append(DecadeChange(unit, decade, None, False,
+                                            f"{type(exc).__name__}: {exc}"))
+                continue
+            changes.append(DecadeChange(unit, decade, float(delta)))
+    return changes
+
+
+def _row_bits(row):
+    """A row's values, each float as its type and bytes."""
+    return {key: (type(value), np.float64(value).tobytes())
+            if isinstance(value, (float, np.floating)) else value
+            for key, value in row.items()}
+
+
+def scalar_stress_panel():
+    """The stress panel with waves whose cuts leave scalar indicators
+    undefined: an empty diagonal on the college divide, a lone high-high
+    cell on the high-school divide."""
+    panel = stress_panel()
+    labels = STRESS_LABELS
+    panel.tables[("Erie", 1960)] = ContingencyTable(
+        [[0, 0, 5], [0, 0, 5], [5, 5, 0]], labels, labels)
+    panel.tables[("Ames", 2010)] = ContingencyTable(
+        [[0, 0, 0], [0, 3, 2], [0, 2, 3]], labels, labels)
+    return panel
+
+
+@pytest.mark.parametrize("categories", ["three", "hs", "college"])
+def test_stacked_indicators_match_the_per_table_loops_bit_for_bit(categories):
+    flagged = set()
+    for panel, labels in ((scalar_stress_panel(), STRESS_LABELS),
+                          (synthetic_panel()[0], ("L", "H"))):
+        for rounding in ("paper", "continuous"):
+            config = RunConfig(labels=labels, categories=categories, rounding=rounding)
+            rows = indicator_rows(panel, config)
+            assert [_row_bits(r) for r in rows] == [
+                _row_bits(r) for r in _reference_rows(panel, config)], config
+            flagged |= {key for row in rows for key, value in row.items() if value == ""}
+            for tag in SCALAR_TAGS:
+                config = config.with_overrides(measure=tag)
+                runs = [(decade_changes(panel, config)[0],
+                         _reference_scalar_changes(panel, config, panel.states))]
+                for unit in ("US", "Ames", "Erie"):
+                    runs.append((unit_decade_changes(panel, config, unit)[0],
+                                 _reference_scalar_changes(panel, config, (unit,))))
+                for changes, expected in runs:
+                    assert [_bits(c) for c in changes] == [_bits(c) for c in expected], config
+    # blanks come from undefined splits and values, and from uncut waves
+    assert flagged
+
+
+def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
+    two_level = "DataError: scalar indicators need a two-level divide"
+    three_level = stress_panel()
+    three_level.tables[("Bend", 1980)] = three_level.tables[("Bend", 1970)]  # every wave
+    config = RunConfig(labels=STRESS_LABELS, measure="or")
+    for changes, _ in (decade_changes(three_level, config),
+                       unit_decade_changes(three_level, config, "Ames")):
+        assert changes and all(c.reason == two_level for c in changes)
+
+    # msp undefined on single waves of a two-level unit, for two causes
+    waves = (1960, 1970, 1980, 1990, 2000)
+    counts = {1960: [[40, 10], [20, 30]],
+              1970: [[0, 5], [5, 0]],  # an empty diagonal
+              1980: [[0, 0], [3, 4]],  # a zero marginal sum
+              1990: [[40, 10], [20, 30]],
+              2000: [[30, 10], [10, 30]]}
+    panel = PanelDataset({("A", year): ContingencyTable(c, ("L", "H"), ("L", "H"))
+                          for year, c in counts.items()}, waves, ("A",))
+    config = RunConfig(waves=waves, labels=("L", "H"), measure="msp")
+    changes, _ = unit_decade_changes(panel, config, "A")
+    undefined = "UndefinedIndicatorError: sorting parameter undefined: "
+    assert [c.reason for c in changes] == [
+        undefined + "empty diagonal",     # the late wave only
+        undefined + "zero marginal sum",  # both waves: the late wave's cause
+        undefined + "zero marginal sum",  # the early wave only
+        "",
+    ]
+    late, early = (panel.table("A", year) for year in (2000, 1990))
+    assert changes[-1].delta == aggregate_msp(late).aggregate - aggregate_msp(early).aggregate
+    assert decade_changes(panel, config)[0] == changes
+
+    # a missing wave, and waves of four levels that the divide cannot cut
+    del panel.tables[("A", 1990)]
+    assert [c.reason for c in unit_decade_changes(panel, config, "A")[0][2:]] == [
+        "missing wave", "missing wave"]
+    labels = ("A", "B", "C", "D")
+    rng = np.random.default_rng(4)
+    four_level = PanelDataset(
+        {("A", year): ContingencyTable(rng.integers(1, 40, (4, 4)), labels, labels)
+         for year in waves}, waves, ("A",))
+    config = RunConfig(waves=waves, labels=labels, categories="hs", measure="msp")
+    uncut = "DataError: the 'hs' divide needs a three-level table, got 4x4"
+    for changes, _ in (decade_changes(four_level, config),
+                       unit_decade_changes(four_level, config, "US")):
+        assert [c.reason for c in changes] == [uncut] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +783,20 @@ def test_cli_input_errors_exit_as_one_line_messages(tmp_path):
         "--couples", str(couples), "--out", str(tmp_path)])
     assert result.exit_code == 1
     assert result.output == f"Error: {couples}: line 2: count 'x' is not an integer\n"
+    assert not (tmp_path / "indicators.csv").exists()
+    # a config file that is not JSON, not an object, or holds a wrongly
+    # typed value is a usage error too
+    texts = ["{\"rounding\": ", "[1, 2]", *(json.dumps({field: value})
+                                            for field, value, _ in BAD_TYPES)]
+    for text in texts:
+        bad_config = write(tmp_path / "bad.json", text)
+        result = CliRunner().invoke(main, [
+            "indicators", "--config", str(bad_config),
+            "--couples", str(FIXTURES / "synthetic_panel.csv"), "--out", str(tmp_path)])
+        assert result.exit_code == 2, (text, result.output)
+        assert isinstance(result.exception, SystemExit), text
+        errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+        assert len(errors) == 1 and "Traceback" not in result.output, text
     assert not (tmp_path / "indicators.csv").exists()
 
 
