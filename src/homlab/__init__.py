@@ -16,8 +16,7 @@ _EXPORTS = {
         "ipf_fit", "mdba_fit", "meda_fit", "meda_weight", "nm_fit",
     ),
     "decomposition": (
-        "DecompositionResult", "TrendSeries", "cumulative_series", "decompose",
-        "decompose_stack",
+        "DecompositionResult", "TrendSeries", "decompose", "decompose_stack",
     ),
     "indicators": (
         "CONTINUOUS", "PAPER_INTEGER", "LiuLuDecomposition", "MspComponents",

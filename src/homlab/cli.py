@@ -14,7 +14,6 @@ import importlib.util
 import json
 import os
 import sys
-from itertools import groupby
 from pathlib import Path
 
 # Set before numpy loads: OpenBLAS would otherwise start one thread per core,
@@ -26,13 +25,12 @@ import click
 import numpy as np
 
 from . import counterfactual as cf
-from .decomposition import SCHEMES, cumulate, decade_label, fit_onto
+from .decomposition import SCHEMES, fit_onto
 from .errors import DataError
 from .indicators import SCALAR_TAGS
 from .io import (
     CATEGORY_SCHEMES,
     EXCLUDED,
-    NATIONAL,
     RunConfig,
     cut_wave,
     decade_changes,
@@ -42,9 +40,8 @@ from .io import (
     load_couples,
     load_income,
     load_singles,
-    unit_decade_changes,
+    trend_series,
 )
-from .tables import homogamy_share
 from .trend import score
 
 
@@ -293,7 +290,7 @@ def trend(**params):
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    changes, _ = decade_changes(panel, config)
+    changes, series_rows = trend_series(panel, config)
     income_deltas = income_decade_deltas(panel.income, config.waves)
     stats = score(changes, income_deltas, config.split_state)
     payload = {
@@ -317,40 +314,6 @@ def trend(**params):
     }
     _write_json(out / "trend_stats.json", payload)
 
-    series_rows = []
-    if config.resolved_measure in cf.METHOD_TAGS:
-        national, _ = unit_decade_changes(panel, config, NATIONAL)
-        for unit, unit_changes in groupby(national + changes, lambda c: c.state):
-            tables = {year: panel.unit_table(unit, year) for year in config.waves}
-            present = [year for year, table in tables.items() if table is not None]
-            if len(present) < 2:
-                continue
-            try:
-                anchor = homogamy_share(
-                    cut_wave(panel, config, unit, present[0], tables[present[0]])
-                )
-            except EXCLUDED:
-                anchor = None  # an uncut unit's series is all gaps
-            series = cumulate(
-                config.waves, present[0], anchor,
-                {c.decade: c.delta if c.valid else None for c in unit_changes},
-            )
-            for year in config.waves:
-                series_rows.append({
-                    "state": unit,
-                    "year": year,
-                    "cumulative": series.cumulative[year],
-                    "effect": series.effects.get(decade_label(year), ""),
-                })
-    else:
-        for row in indicator_rows(panel, config):
-            value = row.get(config.resolved_measure, "")
-            series_rows.append({
-                "state": row["state"],
-                "year": row["year"],
-                "cumulative": value,
-                "effect": "",
-            })
     _write_csv(
         out / "trend_series.csv",
         ["state", "year", "cumulative", "effect"],

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .counterfactual import _METHODS, fit, fit_stack
-from .errors import HomlabError, InsufficientDataError, ShapeError
+from .errors import HomlabError, ShapeError
 from .indicators import PAPER_INTEGER
 from .tables import (
     ContingencyTable,
@@ -212,40 +212,6 @@ def decompose(
 
 def decade_label(start_year: int) -> str:
     return f"{start_year}s"
-
-
-def cumulative_series(
-    waves: Sequence[int],
-    tables: Mapping[int, ContingencyTable | TableWithSingles],
-    method: str = "nm",
-    scheme: str = SEQUENTIAL,
-    rounding: str = PAPER_INTEGER,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> TrendSeries:
-    """Cumulate per-decade sorting effects on top of the first observed share.
-
-    ``waves`` is the configured census-year grid; ``tables`` maps the years
-    that are actually present. Effects are computed between adjacent grid
-    years, in one :func:`decompose_stack` call that raises the first failing
-    pair's error; a missing wave leaves that decade's effect (and every later
-    cumulative value) as a gap.
-    """
-    present = [y for y in waves if y in tables]
-    if len(present) < 2:
-        raise InsufficientDataError("need at least two waves to build a trend series")
-    adjacent = [(prev, cur) for prev, cur in zip(waves, waves[1:])
-                if prev in tables and cur in tables]
-    results = decompose_stack([(tables[prev], tables[cur]) for prev, cur in adjacent],
-                              method, scheme, rounding, tol, max_iter)
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    effect_of = {prev: result.nonstructural_effect
-                 for (prev, _), result in zip(adjacent, results)}
-    effects = {decade_label(prev): effect_of.get(prev) for prev in waves[:-1]}
-    anchor_value = homogamy_share(couples_of(tables[present[0]]))
-    return cumulate(waves, present[0], anchor_value, effects)
 
 
 def cumulate(

@@ -72,7 +72,3 @@ class InfeasibilityError(HomlabError, RuntimeError):
 
 class DataError(HomlabError, ValueError):
     """A data file failed validation; the message names the offending line."""
-
-
-class InsufficientDataError(HomlabError, ValueError):
-    """Too few usable observations for the requested computation."""

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import indicators as ind
 from .counterfactual import METHOD_TAGS
-from .decomposition import SCHEMES, SEQUENTIAL, WITH_INTERACTION, decade_label, decompose_stack
+from .decomposition import (SCHEMES, SEQUENTIAL, WITH_INTERACTION, cumulate, decade_label,
+                            decompose_stack)
 from .errors import (
     ConvergenceError,
     DataError,
@@ -87,6 +88,10 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.waves, (list, tuple)):
             raise DataError(f"waves must be a list of integers, got {self.waves!r}")
+        labels = self.labels
+        if (not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels)
+                or len(set(labels)) != len(labels)):
+            raise DataError(f"labels must be a list of distinct strings, got {labels!r}")
         typed = [*(("each wave", year, Integral) for year in self.waves), ("tol", self.tol, Real),
                  *((name, getattr(self, name), Integral)
                    for name in ("max_iter", "seed", "sample_count"))]
@@ -94,6 +99,10 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "a number" if kind is Real else "an integer"
                 raise DataError(f"{name} must be {what}, got {value!r}")
+        if not 0 < self.tol < float("inf"):  # NaN fails this comparison too
+            raise DataError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise DataError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.categories not in CATEGORY_SCHEMES:
             raise DataError(f"unknown category scheme: {self.categories!r}")
         rounding = _ROUNDING_ALIASES.get(self.rounding)
@@ -461,14 +470,17 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
     Each present wave is cut once. A scalar measure is evaluated once per
     wave, on the stack of the unit's cut waves, and a change is late minus
     early; the pairs of a method measure go to one :func:`decompose_stack`
-    call.
+    call. Returns the changes, the decompositions of the valid pairs by
+    ``(unit, decade)``, and each unit's ``(unit, cuts, scalar values)``.
     """
     measure = config.resolved_measure
     changes: list = []
+    unit_waves = []
     pending = []  # (index in changes, unit, decade, early cut, late cut)
     for unit, cuts in _unit_waves(panel, config, unit_list, measure):
         values = (_scalar_waves(measure, cuts, config.rounding)
                   if measure in ind.SCALAR_TAGS else {})
+        unit_waves.append((unit, cuts, values))
         for early_year, late_year in zip(config.waves, config.waves[1:]):
             decade = decade_label(early_year)
             if early_year not in cuts or late_year not in cuts:
@@ -491,8 +503,6 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
             changes.append(DecadeChange(unit, decade, values[late_year] - values[early_year]))
 
     details: dict[tuple[str, str], object] = {}
-    if not pending:
-        return changes, details
     results = decompose_stack([(early, late) for *_, early, late in pending], measure,
                               config.resolved_scheme, config.rounding, config.tol,
                               config.max_iter)
@@ -504,7 +514,7 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
         else:
             changes[index] = DecadeChange(unit, decade, float(result.nonstructural_effect))
             details[(unit, decade)] = result
-    return changes, details
+    return changes, details, unit_waves
 
 
 def unit_decade_changes(panel: PanelDataset, config: RunConfig, unit: str):
@@ -518,7 +528,7 @@ def unit_decade_changes(panel: PanelDataset, config: RunConfig, unit: str):
     dropped. Returns the changes in decade order and the decompositions of
     the valid pairs, keyed by ``(unit, decade)``.
     """
-    return _decade_pass(panel, config, (unit,))
+    return _decade_pass(panel, config, (unit,))[:2]
 
 
 def decade_changes(panel: PanelDataset, config: RunConfig):
@@ -528,7 +538,48 @@ def decade_changes(panel: PanelDataset, config: RunConfig):
     of all states decomposed in one :func:`decompose_stack` call; the
     national aggregate is not included.
     """
-    return _decade_pass(panel, config, panel.states)
+    return _decade_pass(panel, config, panel.states)[:2]
+
+
+def trend_series(panel: PanelDataset, config: RunConfig):
+    """The states' decade changes of the configured measure, and the series
+    rows of every unit, from one decade pass over :func:`units`.
+
+    For a method measure, a unit with two or more present waves has one row
+    per configured wave: ``effect`` is the decade starting at that wave, and
+    ``cumulative`` the share of the unit's first present wave plus the
+    effects so far (see :func:`~homlab.decomposition.cumulate`). For a
+    scalar measure, each present (unit, wave) has one row whose
+    ``cumulative`` is the wave's value, blank where the wave is undefined or
+    uncut, and whose ``effect`` is blank.
+    """
+    changes, _, unit_waves = _decade_pass(panel, config, units(panel))
+    span = len(config.waves) - 1  # the decades of one unit
+    rows = []
+    for i, (unit, cuts, values) in enumerate(unit_waves):
+        if config.resolved_measure not in METHOD_TAGS:
+            for year in cuts:  # a value, the error that excludes it, or none
+                value = values.get(year)
+                rows.append({"state": unit, "year": year, "effect": "",
+                             "cumulative": value if isinstance(value, float) else ""})
+            continue
+        if len(cuts) < 2:
+            continue
+        first = next(iter(cuts))
+        try:  # the first wave's share on its plain cut, which csa without singles lacks
+            cut = cuts[first]
+            if isinstance(cut, Exception):
+                cut = cut_wave(panel, config, unit, first, panel.unit_table(unit, first))
+            anchor = homogamy_share(couples_of(cut))
+        except EXCLUDED:
+            anchor = None  # an uncut unit's series is all gaps
+        series = cumulate(config.waves, first, anchor,
+                          {c.decade: c.delta if c.valid else None
+                           for c in changes[i * span:(i + 1) * span]})
+        rows += [{"state": unit, "year": year, "cumulative": series.cumulative[year],
+                  "effect": series.effects.get(decade_label(year), "")}
+                 for year in config.waves]
+    return changes[span:], rows
 
 
 def income_decade_deltas(

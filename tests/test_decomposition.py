@@ -6,11 +6,11 @@ import pytest
 from homlab.decomposition import (
     SEQUENTIAL,
     WITH_INTERACTION,
-    cumulative_series,
     decompose,
     decompose_stack,
 )
-from homlab.errors import HomlabError, InsufficientDataError, ShapeError
+from homlab.errors import HomlabError, ShapeError
+from homlab.io import PanelDataset, RunConfig, trend_series
 from homlab.tables import ContingencyTable, TableWithSingles, homogamy_share, marginals
 
 
@@ -195,23 +195,34 @@ def test_decompose_stack_refuses_an_unknown_scheme_first():
 WAVES = (1960, 1970, 1980, 1990)
 
 
+def series_of(tables, waves=WAVES, measure="nm"):
+    """The ``trend_series`` rows of state ``A`` in a panel of that one state,
+    as ``{year: (cumulative, effect)}``."""
+    panel = PanelDataset({("A", year): t for year, t in tables.items()}, waves, ("A",))
+    config = RunConfig(waves=waves, labels=("L", "H"), measure=measure, scheme=SEQUENTIAL)
+    _, rows = trend_series(panel, config)
+    assert [row for row in rows if row["state"] == "US"] == [
+        {**row, "state": "US"} for row in rows if row["state"] == "A"]  # US is A
+    return {row["year"]: (row["cumulative"], row["effect"])
+            for row in rows if row["state"] == "A"}
+
+
 def test_constant_panel_is_flat():
-    tables = {year: EARLY for year in WAVES}
-    series = cumulative_series(WAVES, tables, "nm")
-    assert series.anchor_year == 1960
-    assert series.anchor_value == pytest.approx(0.70)
-    assert all(
-        value == pytest.approx(0.70, abs=1e-12)
-        for value in series.cumulative.values()
-    )
-    assert all(e == pytest.approx(0.0, abs=1e-12) for e in series.effects.values())
+    series = series_of({year: EARLY for year in WAVES})
+    assert list(series) == list(WAVES)
+    assert series[1960][0] == pytest.approx(0.70)
+    assert all(cumulative == pytest.approx(0.70, abs=1e-12)
+               for cumulative, _ in series.values())
+    assert all(effect == pytest.approx(0.0, abs=1e-12)
+               for effect in (series[year][1] for year in WAVES[:-1]))
+    assert series[WAVES[-1]][1] == ""  # no decade starts at the last wave
 
 
 def test_two_wave_series_matches_decompose():
-    tables = {1960: EARLY, 1970: LATE}
-    series = cumulative_series((1960, 1970), tables, "nm")
+    series = series_of({1960: EARLY, 1970: LATE}, (1960, 1970))
     effect = decompose(EARLY, LATE, "nm").nonstructural_effect
-    assert series.cumulative[1970] == pytest.approx(0.70 + effect, abs=1e-12)
+    assert series[1960] == (pytest.approx(0.70), effect)
+    assert series[1970][0] == pytest.approx(0.70 + effect, abs=1e-12)
 
 
 def test_three_wave_cumulation():
@@ -219,26 +230,27 @@ def test_three_wave_cumulation():
     t0 = table([[40, 10], [20, 30]])
     t1 = table([[36, 14], [24, 26]])
     t2 = table([[44, 6], [16, 34]])
-    series = cumulative_series((1960, 1970, 1980), {1960: t0, 1970: t1, 1980: t2}, "nm")
+    series = series_of({1960: t0, 1970: t1, 1980: t2}, (1960, 1970, 1980))
     e1 = decompose(t0, t1, "nm").nonstructural_effect
     e2 = decompose(t1, t2, "nm").nonstructural_effect
-    assert series.cumulative[1960] == pytest.approx(0.70)
-    assert series.cumulative[1970] == pytest.approx(0.70 + e1, abs=1e-12)
-    assert series.cumulative[1980] == pytest.approx(0.70 + e1 + e2, abs=1e-12)
+    assert [effect for _, effect in series.values()] == [e1, e2, ""]
+    assert series[1960][0] == pytest.approx(0.70)
+    assert series[1970][0] == pytest.approx(0.70 + e1, abs=1e-12)
+    assert series[1980][0] == pytest.approx(0.70 + e1 + e2, abs=1e-12)
 
 
 def test_missing_wave_leaves_gaps():
-    tables = {1960: EARLY, 1980: LATE, 1990: EARLY}
-    series = cumulative_series((1960, 1970, 1980, 1990), tables, "nm")
-    assert series.anchor_year == 1960
-    assert series.effects["1960s"] is None
-    assert series.effects["1970s"] is None
-    assert series.effects["1980s"] is not None
-    assert series.cumulative[1970] is None
-    assert series.cumulative[1980] is None
-    assert series.cumulative[1990] is None  # unanchored after the gap
+    series = series_of({1960: EARLY, 1980: LATE, 1990: EARLY})
+    assert series[1960][0] == pytest.approx(0.70)  # anchored at the first wave
+    assert series[1960][1] is None
+    assert series[1970] == (None, None)
+    assert series[1980][1] is not None
+    assert series[1980][0] is None
+    assert series[1990][0] is None  # unanchored after the gap
 
 
 def test_single_wave_is_insufficient():
-    with pytest.raises(InsufficientDataError):
-        cumulative_series(WAVES, {1960: EARLY}, "nm")
+    # one present wave has no decade: no method series rows, while a
+    # scalar measure keeps the wave's row
+    assert series_of({1960: EARLY}) == {}
+    assert series_of({1960: EARLY}, measure="or") == {1960: (pytest.approx(6.0), "")}

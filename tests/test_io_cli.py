@@ -12,7 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 from homlab.cli import main
-from homlab.decomposition import DecompositionResult, fit_onto
+from homlab.counterfactual import METHOD_TAGS
+from homlab.decomposition import DecompositionResult, cumulate, fit_onto
 from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError
 from homlab.indicators import SCALAR_TAGS, aggregate_msp, evaluate, gll
 from homlab.io import (
@@ -28,6 +29,7 @@ from homlab.io import (
     load_couples,
     load_income,
     load_singles,
+    trend_series,
     unit_decade_changes,
     write_couples,
 )
@@ -86,6 +88,19 @@ BAD_TYPES = (
     ("sample_count", "5", "sample_count must be an integer, got '5'"),
 )
 
+# well typed, but values no run can use
+BAD_VALUES = (
+    ("labels", "LH", "labels must be a list of distinct strings, got 'LH'"),
+    ("labels", ["L", "H", "L"], "labels must be a list of distinct strings, "
+                                "got ['L', 'H', 'L']"),
+    ("labels", ["L", 1], "labels must be a list of distinct strings, got ['L', 1]"),
+    ("tol", float("nan"), "tol must be positive and finite, got nan"),
+    ("tol", 0, "tol must be positive and finite, got 0"),
+    ("tol", -1e-10, "tol must be positive and finite, got -1e-10"),
+    ("tol", float("inf"), "tol must be positive and finite, got inf"),
+    ("max_iter", 0, "max_iter must be at least 1, got 0"),
+)
+
 
 def test_config_rejects_bad_values(tmp_path):
     with pytest.raises(DataError):
@@ -102,6 +117,13 @@ def test_config_rejects_bad_values(tmp_path):
     # wrongly typed values are refused by name, not left to fail later or
     # to be rounded silently
     for field, value, message in BAD_TYPES:
+        with pytest.raises(DataError) as info:
+            RunConfig(**{field: value})
+        assert str(info.value) == message
+    # a string of labels is not read as one label per character, duplicate
+    # labels would fold two categories into one cell, and a NaN tolerance
+    # would let every fit stop at once, unfitted
+    for field, value, message in BAD_VALUES:
         with pytest.raises(DataError) as info:
             RunConfig(**{field: value})
         assert str(info.value) == message
@@ -640,6 +662,125 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
 
 
 # ---------------------------------------------------------------------------
+# the series of one decade pass against the trend command's own loops
+# ---------------------------------------------------------------------------
+
+def _reference_series(panel, config):
+    """The series rows as the trend command built them itself: an anchor and
+    ``cumulate`` loop over the states' and the national aggregate's decade
+    changes for a method measure, a column of the indicator rows for any
+    other measure."""
+    if config.resolved_measure not in METHOD_TAGS:
+        return [{"state": row["state"], "year": row["year"],
+                 "cumulative": row.get(config.resolved_measure, ""), "effect": ""}
+                for row in indicator_rows(panel, config)]
+    changes, _ = decade_changes(panel, config)
+    national, _ = unit_decade_changes(panel, config, "US")
+    rows = []
+    for unit, unit_changes in itertools.groupby(national + changes, lambda c: c.state):
+        tables = {year: panel.unit_table(unit, year) for year in config.waves}
+        present = [year for year, table in tables.items() if table is not None]
+        if len(present) < 2:
+            continue
+        try:
+            anchor = homogamy_share(
+                cut_wave(panel, config, unit, present[0], tables[present[0]]))
+        except EXCLUDED:
+            anchor = None
+        series = cumulate(config.waves, present[0], anchor,
+                          {c.decade: c.delta if c.valid else None for c in unit_changes})
+        for year in config.waves:
+            rows.append({"state": unit, "year": year,
+                         "cumulative": series.cumulative[year],
+                         "effect": series.effects.get(f"{year}s", "")})
+    return rows
+
+
+def series_stress_panel():
+    """The scalar stress panel with a state of one present wave, and a
+    state whose first wave has no singles, so its csa anchor comes from
+    the table cut alone."""
+    panel = scalar_stress_panel()
+    panel.tables[("Fife", 1990)] = panel.tables[("Dale", 1990)]
+    panel.states = (*panel.states, "Fife")
+    del panel.singles[("Ames", 1960)]
+    return panel
+
+
+def four_level_panel():
+    """One state of four-level tables, which no two-level divide can cut."""
+    labels = ("A", "B", "C", "D")
+    rng = np.random.default_rng(4)
+    return PanelDataset(
+        {("A", year): ContingencyTable(rng.integers(1, 40, (4, 4)), labels, labels)
+         for year in RunConfig().waves}, RunConfig().waves, ("A",)), labels
+
+
+@pytest.mark.parametrize("categories", ["three", "hs", "college"])
+def test_trend_series_matches_the_trend_command_loops_bit_for_bit(categories):
+    seen = set()
+    panels = [(series_stress_panel(), STRESS_LABELS), four_level_panel()]
+    if categories != "three":  # two-level tables stay uncut
+        panels.append((synthetic_panel()[0], ("L", "H")))
+    for (panel, labels), measure, rounding in itertools.product(
+            panels, (*METHOD_TAGS, *SCALAR_TAGS), ("paper", "continuous")):
+        config = RunConfig(labels=labels, categories=categories, rounding=rounding,
+                           measure=measure)
+        changes, rows = trend_series(panel, config)
+        assert [_bits(c) for c in changes] == [
+            _bits(c) for c in decade_changes(panel, config)[0]], config
+        expected = _reference_series(panel, config)
+        assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in expected], config
+        seen |= {(row["state"], type(row["cumulative"])) for row in rows}
+    # every case shows: gaps, values, the one-wave state (scalar rows only),
+    # and the csa anchor of a state without its first wave's singles
+    assert {("Erie", float), ("A", str)} <= seen and "Fife" in {state for state, _ in seen}
+    _, rows = trend_series(series_stress_panel(), RunConfig(
+        labels=STRESS_LABELS, categories=categories, measure="csa"))
+    ames = next(row for row in rows if row["state"] == "Ames")
+    assert ames["year"] == 1960 and isinstance(ames["cumulative"], float)
+
+
+def test_scalar_series_reads_the_values_it_scores():
+    # a two-level table on the three-level scheme: the trend command read
+    # the series from the matrix-valued indicator rows and left it blank,
+    # although the decade changes scored the scalar values
+    panel, _ = synthetic_panel()
+    for measure in SCALAR_TAGS:
+        config = RunConfig(**TWO_LEVEL, measure=measure)
+        changes, rows = trend_series(panel, config)
+        assert all(row["cumulative"] == "" for row in _reference_series(panel, config))
+        values = {(row["state"], row["year"]): row["cumulative"] for row in rows}
+        for change in changes:
+            early = int(change.decade[:4])
+            late = config.waves[config.waves.index(early) + 1]
+            if change.valid:
+                assert change.delta == (values[(change.state, late)]
+                                        - values[(change.state, early)]), measure
+        assert any(change.valid for change in changes), measure
+
+
+def test_trend_series_evaluates_only_its_measure_once_per_unit(monkeypatch):
+    import homlab.indicators
+
+    tags = []
+    original = homlab.indicators.evaluate_stack
+
+    def counting(tag, *args, **kwargs):
+        tags.append(tag)
+        return original(tag, *args, **kwargs)
+
+    monkeypatch.setattr(homlab.indicators, "evaluate_stack", counting)
+    panel = series_stress_panel()
+    config = RunConfig(labels=STRESS_LABELS, categories="college", measure="msp")
+    _, rows = trend_series(panel, config)
+    assert set(tags) == {"msp"}
+    # one stack per unit, plus one table for each undefined wave's message
+    undefined = sum(row["cumulative"] == "" for row in rows)
+    assert undefined and len(tags) == len(panel.states) + 1 + undefined
+
+
+# ---------------------------------------------------------------------------
 # command-line surface
 # ---------------------------------------------------------------------------
 
@@ -787,7 +928,8 @@ def test_cli_input_errors_exit_as_one_line_messages(tmp_path):
     # a config file that is not JSON, not an object, or holds a wrongly
     # typed value is a usage error too
     texts = ["{\"rounding\": ", "[1, 2]", *(json.dumps({field: value})
-                                            for field, value, _ in BAD_TYPES)]
+                                            for field, value, _ in BAD_TYPES + BAD_VALUES)]
+    assert '{"tol": NaN}' in texts  # Python's json reads NaN
     for text in texts:
         bad_config = write(tmp_path / "bad.json", text)
         result = CliRunner().invoke(main, [
@@ -998,8 +1140,8 @@ def test_cli_trend_decomposes_each_unit_decade_once(tmp_path, monkeypatch):
     )
     cfg = config_file(tmp_path, method="nm")
     cli("trend", "--config", cfg, "--couples", couples, "--out", tmp_path / "out")
-    # the states, then US: each one stack per direction (with-interaction)
-    assert len(stacks) == 4
+    # US and the states in one stack per direction (with-interaction)
+    assert len(stacks) == 2
     # 5 decades for US, Alabama and Missouri; Texas lacks 1970, so 3: each
     # pair fits late onto early margins once, and early onto late once
     config = RunConfig.from_file(cfg)
