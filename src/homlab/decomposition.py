@@ -23,13 +23,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .counterfactual import _METHODS, fit, fit_stack
-from .errors import HomlabError, ShapeError
+from .errors import HomlabError, ShapeError, TableError
 from .indicators import PAPER_INTEGER
 from .tables import (
     ContingencyTable,
     TableWithSingles,
+    _refused,
     couples_of,
     homogamy_share,
+    homogamy_shares,
     marginals,
 )
 
@@ -96,25 +98,76 @@ def _stacked_singles(tables):
             np.stack([t.single_women for t in tables]))
 
 
-def _fit_all(method, sources, targets, rounding, tol, max_iter):
-    """One ``fit_stack`` of ``sources`` onto the margins and singles of
-    ``targets``, or the error it raises for the whole stack."""
-    counts = np.stack([couples_of(t).counts for t in sources])
-    target = np.stack([couples_of(t).counts for t in targets])
+def _fitted_shares(method, sources, targets, singles, target_singles, rounding, tol,
+                   max_iter) -> list:
+    """One ``fit_stack`` of ``sources`` onto the margins of ``targets``, and
+    each problem's counterfactual share, or the error its fit raises (for
+    the whole stack, a check that fails every problem) or that its fitted
+    counts fail ``ContingencyTable``'s checks with."""
     try:
-        return fit_stack(method, counts, target.sum(axis=2), target.sum(axis=1),
-                         rounding, tol, max_iter, _stacked_singles(sources),
-                         _stacked_singles(targets))
-    except ValueError as exc:  # ShapeError too: a check that fails every problem
-        return exc
+        fits = fit_stack(method, sources, targets.sum(axis=2), targets.sum(axis=1),
+                         rounding, tol, max_iter, singles, target_singles)
+    except ValueError as exc:  # ShapeError too
+        return [exc] * len(sources)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shares = homogamy_shares(fits.counts).tolist()
+    outcomes = []
+    for error, share, refused, cells in zip(fits.errors, shares, _refused(fits.counts),
+                                            fits.counts):
+        if error is None and refused:
+            try:
+                ContingencyTable(cells)
+            except TableError as exc:
+                error = exc
+        outcomes.append(share if error is None else error)
+    return outcomes
 
 
-def _fitted_share(fits, k: int, source) -> float:
-    """Problem ``k``'s counterfactual share, or the error its fit raised."""
-    error = fits if isinstance(fits, Exception) else fits.errors[k]
-    if error is not None:
-        raise error
-    return homogamy_share(couples_of(source).with_counts(fits.counts[k]))
+def decompose_counts(
+    early: np.ndarray,
+    late: np.ndarray,
+    method: str = "nm",
+    scheme: str = SEQUENTIAL,
+    rounding: str = PAPER_INTEGER,
+    tol: float = 1e-10,
+    max_iter: int = 10000,
+    singles=(None, None),
+) -> list[DecompositionResult | Exception]:
+    """:func:`decompose` on each pair ``(early[i], late[i])`` of two stacks
+    of square tables of one shape, (P, n, n), with the early and the late
+    (single men, single women) stacks in ``singles`` for ``csa``.
+
+    Each side's shares come from one :func:`~homlab.tables.homogamy_shares`
+    call and each direction's fits from one
+    :func:`~homlab.counterfactual.fit_stack` call. Entry ``i`` is what
+    ``decompose`` returns on pair ``i``, bit for bit, or the error it raises.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme: {scheme!r}")
+    if not len(early):
+        return []
+    shares_early, shares_late = (homogamy_shares(side).tolist() for side in (early, late))
+    settings = (rounding, tol, max_iter)
+    forward = _fitted_shares(method, late, early, singles[1], singles[0], *settings)
+    reverse = (_fitted_shares(method, early, late, singles[0], singles[1], *settings)
+               if scheme == WITH_INTERACTION else [None] * len(early))
+    outcomes: list = []
+    for share_early, share_late, share_cf, share_rev in zip(
+            shares_early, shares_late, forward, reverse):
+        error = next((s for s in (share_cf, share_rev) if isinstance(s, Exception)), None)
+        if error is not None:
+            outcomes.append(error)
+            continue
+        nonstructural = share_cf - share_early
+        if share_rev is None:
+            structural, interaction = share_late - share_cf, None
+        else:
+            structural = share_rev - share_early
+            interaction = share_late - share_early - nonstructural - structural
+        outcomes.append(DecompositionResult(
+            _METHODS[method.strip().lower()][0], scheme, share_early, share_late, share_cf,
+            nonstructural, structural, interaction))
+    return outcomes
 
 
 def decompose_stack(
@@ -128,17 +181,17 @@ def decompose_stack(
 ) -> list[DecompositionResult | Exception]:
     """:func:`decompose` on every ``(early, late)`` pair, fitted as stacks.
 
-    The pairs are grouped by source shape; each group takes one
-    :func:`~homlab.counterfactual.fit_stack` call that fits the late tables
-    onto the early margins and, under ``with-interaction``, a second one
-    that fits the early tables onto the late margins. Entry ``i`` of the
-    result is what ``decompose`` returns on pair ``i``, bit for bit, or the
-    error it raises there, with the same class and message.
+    Each pair is checked first: the category labels of its two tables, the
+    square tables the share needs, and for ``csa`` the early singles. The
+    pairs that pass are grouped by shape and by whether the late table
+    carries singles, and each group takes one :func:`decompose_counts` call.
+    Entry ``i`` of the result is what ``decompose`` returns on pair ``i``,
+    bit for bit, or the error it raises there, with the same class and
+    message.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
     outcomes: list = [None] * len(pairs)
-    shares: dict[int, tuple[float, float]] = {}
     groups: dict[tuple, list[int]] = {}
     for i, (early, late) in enumerate(pairs):
         early_c, late_c = couples_of(early), couples_of(late)
@@ -146,7 +199,9 @@ def decompose_stack(
             if (early_c.row_labels != late_c.row_labels
                     or early_c.col_labels != late_c.col_labels):
                 raise ShapeError("generation tables must share category labels")
-            shares[i] = homogamy_share(early_c), homogamy_share(late_c)
+            for side in (early_c, late_c):
+                if not side.is_square():
+                    homogamy_share(side)  # raises the share's ShapeError
             _target_singles(early, method)  # fit_onto's check: csa needs early singles
         except HomlabError as exc:
             outcomes[i] = exc
@@ -155,28 +210,13 @@ def decompose_stack(
         groups.setdefault(key, []).append(i)
 
     for members in groups.values():
-        early = [pairs[i][0] for i in members]
-        late = [pairs[i][1] for i in members]
-        forward = _fit_all(method, late, early, rounding, tol, max_iter)
-        reverse = (_fit_all(method, early, late, rounding, tol, max_iter)
-                   if scheme == WITH_INTERACTION else None)
-        for k, i in enumerate(members):
-            share_early, share_late = shares[i]
-            try:
-                share_cf = _fitted_share(forward, k, late[k])
-                nonstructural = share_cf - share_early
-                if reverse is None:
-                    structural, interaction = share_late - share_cf, None
-                else:
-                    structural = _fitted_share(reverse, k, early[k]) - share_early
-                    delta = share_late - share_early
-                    interaction = delta - nonstructural - structural
-            except (HomlabError, ValueError) as exc:
-                outcomes[i] = exc
-                continue
-            outcomes[i] = DecompositionResult(
-                _METHODS[method.strip().lower()][0], scheme, share_early, share_late,
-                share_cf, nonstructural, structural, interaction)
+        sides = [[pairs[i][side] for i in members] for side in (0, 1)]
+        results = decompose_counts(
+            *(np.stack([couples_of(t).counts for t in tables]) for tables in sides),
+            method, scheme, rounding, tol, max_iter,
+            [_stacked_singles(tables) for tables in sides])
+        for i, result in zip(members, results):
+            outcomes[i] = result
     return outcomes
 
 

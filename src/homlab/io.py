@@ -13,7 +13,9 @@ singles  header ``year,state,sex,edu,count`` with sex ``m`` or ``w``; only
          needed for the surplus-based method.
 
 Records under the reserved state code ``UNKNOWN`` are excluded from both the
-state level and the national aggregate unless explicitly configured in.
+state level and the national aggregate unless explicitly configured in. A
+bad line raises a DataError that names the file and its physical line; of
+several bad lines, the first is reported.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -30,29 +34,24 @@ import numpy as np
 from . import indicators as ind
 from .counterfactual import METHOD_TAGS
 from .decomposition import (SCHEMES, SEQUENTIAL, WITH_INTERACTION, cumulate, decade_label,
-                            decompose_stack)
+                            decompose_counts)
 from .errors import (
     ConvergenceError,
     DataError,
     InfeasibilityError,
     ShapeError,
+    TableError,
     UndefinedIndicatorError,
 )
-from .tables import (
-    ContingencyTable,
-    TableWithSingles,
-    couples_of,
-    homogamy_share,
-    merge_categories,
-    merge_with_singles,
-)
+from .tables import (ContingencyTable, TableWithSingles, _block_sum, _refused, couples_of,
+                     homogamy_shares)
 from .trend import DecadeChange
 
 THREE_LEVEL = "three"
 HS_CUT = "hs"
 COLLEGE_CUT = "college"
 CATEGORY_SCHEMES = (THREE_LEVEL, HS_CUT, COLLEGE_CUT)
-_CUTS = {HS_CUT: [(0,), (1, 2)], COLLEGE_CUT: [(0, 1), (2,)]}
+_CUTS = {HS_CUT: [slice(0, 1), slice(1, 3)], COLLEGE_CUT: [slice(0, 2), slice(2, 3)]}
 
 DEFAULT_WAVES = (1960, 1970, 1980, 1990, 2000, 2010)
 DEFAULT_LABELS = ("no_high_school", "high_school", "college")
@@ -150,9 +149,25 @@ class RunConfig:
 
 @dataclass
 class PanelDataset:
-    """Tables per (state, census year), with optional income and singles."""
+    """The couples of every (state, census year) as one array, with optional
+    income and singles.
 
-    tables: dict[tuple[str, int], ContingencyTable]
+    ``counts[index[(state, year)]]`` is that wave's table, with ``labels``
+    on both axes (lowest first); each must pass :class:`ContingencyTable`'s
+    checks, and :func:`load_couples` keeps only the waves with at least one
+    couple. ``states`` lists the states in sorted order,
+    ``UNKNOWN`` left out. The national aggregate of each year is summed once,
+    at construction, over ``states`` in order and then over ``UNKNOWN`` when
+    ``include_unknown`` is set. ``income`` maps (state, year) to the top
+    decile share, ``singles`` to the (single men, single women) vectors of
+    :func:`load_singles`. The pipeline reads the arrays; :meth:`table`,
+    :meth:`national`, :meth:`unit_table` and :meth:`with_singles` build a
+    table on demand.
+    """
+
+    counts: np.ndarray
+    index: dict[tuple[str, int], int]
+    labels: tuple[str, ...]
     waves: tuple[int, ...]
     states: tuple[str, ...]
     income: dict[tuple[str, int], float] = field(default_factory=dict)
@@ -160,28 +175,43 @@ class PanelDataset:
         default_factory=dict
     )
     include_unknown: bool = False
+    national_counts: dict[int, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k = len(self.labels)
+        if self.counts.shape != (len(self.index), k, k):
+            raise TableError(f"counts must hold one {k}x{k} table per key, "
+                             f"got shape {self.counts.shape}")
+        for counts in self.counts[_refused(self.counts)]:
+            ContingencyTable(counts, self.labels, self.labels)  # raises its TableError
+        members = (*self.states, UNKNOWN_STATE) if self.include_unknown else self.states
+        self.national_counts = {}
+        for year in sorted({year for _, year in self.index}):
+            rows = [self.index[(s, year)] for s in members if (s, year) in self.index]
+            if rows:
+                self.national_counts[year] = self.counts[rows].sum(axis=0)
+
+    def unit_counts(self, unit: str, year: int) -> np.ndarray | None:
+        """One wave's couples counts of a state, or of the national aggregate
+        ``US``."""
+        if unit == NATIONAL:
+            return self.national_counts.get(year)
+        row = self.index.get((unit, year))
+        return None if row is None else self.counts[row]
+
+    def _table(self, counts) -> ContingencyTable | None:
+        return None if counts is None else ContingencyTable(counts, self.labels, self.labels)
 
     def table(self, state: str, year: int) -> ContingencyTable | None:
-        return self.tables.get((state, year))
+        row = self.index.get((state, year))
+        return self._table(None if row is None else self.counts[row])
 
     def national(self, year: int) -> ContingencyTable | None:
-        parts = [
-            self.tables[(state, year)].counts
-            for state in self.states
-            if (state, year) in self.tables
-        ]
-        if self.include_unknown and (UNKNOWN_STATE, year) in self.tables:
-            parts.append(self.tables[(UNKNOWN_STATE, year)].counts)
-        if not parts:
-            return None
-        reference = next(iter(self.tables.values()))
-        return ContingencyTable(
-            np.sum(parts, axis=0), reference.row_labels, reference.col_labels
-        )
+        return self._table(self.national_counts.get(year))
 
     def unit_table(self, unit: str, year: int) -> ContingencyTable | None:
         """One wave of a state, or of the national aggregate ``US``."""
-        return self.national(year) if unit == NATIONAL else self.table(unit, year)
+        return self._table(self.unit_counts(unit, year))
 
     def with_singles(self, state: str, year: int) -> TableWithSingles | None:
         table = self.table(state, year)
@@ -191,17 +221,83 @@ class PanelDataset:
         return TableWithSingles(table, pools[0], pools[1])
 
 
-def _read_rows(path: str | Path, required: set[str]):
+_COUPLES = ("year", "state", "husband_edu", "wife_edu", "count")
+_SINGLES = ("year", "state", "sex", "edu", "count")
+_INCOME = ("state", "year", "top10_share")
+
+
+def _read_rows(path: str | Path, required: tuple[str, ...]):
+    """Each data line of a CSV file as ``(line number, fields)``: the
+    ``required`` columns' fields in that order, None for a field the line
+    ends before. Blank lines are skipped; line numbers are physical."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = set(reader.fieldnames or ())
-        if not required <= header:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        if not set(required) <= set(header):
             raise DataError(
                 f"{path}: header must contain {sorted(required)}, got "
-                f"{sorted(header)}"
+                f"{sorted(set(header))}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            yield lineno, row
+        position = {name: i for i, name in enumerate(header)}  # the last one wins
+        pick = operator.itemgetter(*(position[name] for name in required))
+        width = len(header)
+        for row in reader:
+            if row:
+                if len(row) < width:
+                    row += [None] * (width - len(row))
+                yield reader.line_num, pick(row)
+
+
+def _complete(fields, required, path, lineno):
+    """Refuse a line that ends before one of its ``required`` fields."""
+    for name, value in zip(required, fields):
+        if value is None:
+            raise DataError(f"{path}: line {lineno}: no {name!r} field")
+
+
+def _parse_columns(path: str | Path, required: tuple[str, ...], parsers) -> list[list]:
+    """The ``required`` columns of a CSV file, each field parsed by its
+    column's ``parse(value, path, lineno)``.
+
+    Each distinct value of a column is parsed once. If a parser refuses a
+    value, the first line that holds a refused value is checked again field
+    by field, in column order, and raises that field's DataError: the first
+    bad line is the one reported.
+    """
+    records = list(_read_rows(path, required))
+    columns = list(zip(*(fields for _, fields in records))) or [()] * len(required)
+    parsed, first_bad = [], len(records)
+    for column, parse in zip(columns, parsers):
+        known = {}  # a parser never returns None, so None marks a refused value
+        for value in set(column):
+            try:
+                known[value] = None if value is None else parse(value, path, 0)
+            except DataError:
+                known[value] = None
+        first_bad = min([first_bad, *(column.index(v) for v, r in known.items() if r is None)])
+        parsed.append(list(map(known.__getitem__, column)))
+    if first_bad < len(records):
+        lineno, fields = records[first_bad]
+        _complete(fields, required, path, lineno)
+        for value, parse in zip(fields, parsers):
+            parse(value, path, lineno)
+    return parsed
+
+
+def _summed(path: str | Path, required: tuple[str, ...], parsers,
+            cells) -> tuple[dict, np.ndarray]:
+    """Each line's count added, with one ``np.add.at``, to its cell of an
+    array of ``cells`` per distinct (state, year). The columns are ``year``,
+    ``state``, the cell's indices and ``count``, checked by ``parsers`` as
+    :func:`_parse_columns` does. Returns each (state, year) with its row,
+    in order of first appearance, and the array (keys, *cells)."""
+    years, states, *cell, counts = _parse_columns(path, required, parsers)
+    keys = {key: i for i, key in enumerate(dict.fromkeys(zip(states, years)))}
+    rows = list(map(keys.__getitem__, zip(states, years)))
+    summed = np.zeros((len(keys), *cells))
+    np.add.at(summed, tuple(np.array(c, dtype=np.intp) for c in (rows, *cell)),
+              np.array(counts, dtype=float))
+    return keys, summed
 
 
 def _parse_count(value: str, path, lineno) -> int:
@@ -214,7 +310,7 @@ def _parse_count(value: str, path, lineno) -> int:
     return count
 
 
-def _parse_year(value: str, waves, path, lineno) -> int:
+def _parse_year(value: str, path, lineno, waves) -> int:
     try:
         year = int(value)
     except (TypeError, ValueError):
@@ -233,48 +329,45 @@ def _parse_state(value, path, lineno) -> str:
     return state
 
 
-def load_couples(path: str | Path, config: RunConfig | None = None) -> PanelDataset:
-    """Assemble per-(state, year) tables from a couples CSV."""
-    config = config or RunConfig()
-    index = {label: i for i, label in enumerate(config.labels)}
-    k = len(config.labels)
-    cells: dict[tuple[str, int], np.ndarray] = {}
-    for lineno, row in _read_rows(path, {"year", "state", "husband_edu", "wife_edu", "count"}):
-        year = _parse_year(row["year"], config.waves, path, lineno)
-        state = _parse_state(row["state"], path, lineno)
-        for col in ("husband_edu", "wife_edu"):
-            if row[col] not in index:
-                raise DataError(
-                    f"{path}: line {lineno}: unknown category {row[col]!r} "
-                    f"(configured: {list(config.labels)})"
-                )
-        count = _parse_count(row["count"], path, lineno)
-        grid = cells.setdefault((state, year), np.zeros((k, k)))
-        grid[index[row["husband_edu"]], index[row["wife_edu"]]] += count
+def _parse_label(value: str, path, lineno, labels, detail: str = "") -> int:
+    if value not in labels:
+        raise DataError(f"{path}: line {lineno}: unknown category {value!r}{detail}")
+    return labels.index(value)
 
-    tables = {
-        key: ContingencyTable(grid, config.labels, config.labels)
-        for key, grid in cells.items()
-        if grid.any()
-    }
-    states = tuple(
-        sorted({state for state, _ in tables} - {UNKNOWN_STATE})
-    )
-    return PanelDataset(
-        tables=tables,
-        waves=config.waves,
-        states=states,
-        include_unknown=config.include_unknown,
-    )
+
+def _parse_sex(value: str, path, lineno) -> int:
+    sex = value.strip().lower()
+    if sex not in ("m", "w"):
+        raise DataError(f"{path}: line {lineno}: sex must be 'm' or 'w'")
+    return ("m", "w").index(sex)
+
+
+def load_couples(path: str | Path, config: RunConfig | None = None) -> PanelDataset:
+    """Assemble the per-(state, year) tables of a couples CSV, read column by
+    column into one array."""
+    config = config or RunConfig()
+    k = len(config.labels)
+    category = partial(_parse_label, labels=config.labels,
+                       detail=f" (configured: {list(config.labels)})")
+    keys, grid = _summed(path, _COUPLES, (partial(_parse_year, waves=config.waves), _parse_state,
+                                          category, category, _parse_count), (k, k))
+    kept = grid.any(axis=(1, 2))
+    index = {key: i for i, key in enumerate(key for key, keep in zip(keys, kept) if keep)}
+    states = tuple(sorted({state for state, _ in index} - {UNKNOWN_STATE}))
+    return PanelDataset(grid[kept], index, config.labels, config.waves, states,
+                        include_unknown=config.include_unknown)
 
 
 def load_income(path: str | Path) -> dict[tuple[str, int], float]:
-    """Top decile income share per (state, year)."""
+    """Top decile income share per (state, year); a repeated (state, year)
+    is refused."""
     shares: dict[tuple[str, int], float] = {}
-    for lineno, row in _read_rows(path, {"state", "year", "top10_share"}):
+    for lineno, fields in _read_rows(path, _INCOME):
+        _complete(fields, _INCOME, path, lineno)
+        state, year, share = fields
         try:
-            year = int(row["year"])
-            share = float(row["top10_share"])
+            year = int(year)
+            share = float(share)
         except (TypeError, ValueError):
             raise DataError(f"{path}: line {lineno}: malformed income row")
         if not 0.0 < share < 1.0:
@@ -282,30 +375,24 @@ def load_income(path: str | Path) -> dict[tuple[str, int], float]:
                 f"{path}: line {lineno}: top10_share must be strictly between "
                 f"0 and 1, got {share}"
             )
-        shares[(_parse_state(row["state"], path, lineno), year)] = share
+        key = (_parse_state(state, path, lineno), year)
+        if key in shares:
+            raise DataError(f"{path}: line {lineno}: a second top10_share for "
+                            f"{key[0]} {year}")
+        shares[key] = share
     return shares
 
 
 def load_singles(
     path: str | Path, config: RunConfig | None = None
 ) -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
-    """Single men / single women counts per (state, year)."""
+    """Single men / single women counts per (state, year), read column by
+    column into one (keys, sex, category) array."""
     config = config or RunConfig()
-    index = {label: i for i, label in enumerate(config.labels)}
-    k = len(config.labels)
-    pools: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    for lineno, row in _read_rows(path, {"year", "state", "sex", "edu", "count"}):
-        year = _parse_year(row["year"], config.waves, path, lineno)
-        state = _parse_state(row["state"], path, lineno)
-        sex = row["sex"].strip().lower()
-        if sex not in ("m", "w"):
-            raise DataError(f"{path}: line {lineno}: sex must be 'm' or 'w'")
-        if row["edu"] not in index:
-            raise DataError(f"{path}: line {lineno}: unknown category {row['edu']!r}")
-        count = _parse_count(row["count"], path, lineno)
-        men, women = pools.setdefault((state, year), (np.zeros(k), np.zeros(k)))
-        (men if sex == "m" else women)[index[row["edu"]]] += count
-    return pools
+    keys, pools = _summed(path, _SINGLES, (
+        partial(_parse_year, waves=config.waves), _parse_state, _parse_sex,
+        partial(_parse_label, labels=config.labels), _parse_count), (2, len(config.labels)))
+    return {key: (pools[i, 0], pools[i, 1]) for key, i in keys.items()}
 
 
 def format_number(x: float) -> str:
@@ -324,30 +411,48 @@ def write_couples(panel: PanelDataset, path: str | Path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["year", "state", "husband_edu", "wife_edu", "count"])
-        for (state, year) in sorted(panel.tables, key=lambda k: (k[0], k[1])):
-            table = panel.tables[(state, year)]
-            for i, hlabel in enumerate(table.row_labels):
-                for j, wlabel in enumerate(table.col_labels):
-                    writer.writerow(
-                        [year, state, hlabel, wlabel,
-                         format_number(float(table.counts[i, j]))]
-                    )
+        for (state, year) in sorted(panel.index):
+            counts = panel.counts[panel.index[(state, year)]]
+            for i, hlabel in enumerate(panel.labels):
+                for j, wlabel in enumerate(panel.labels):
+                    writer.writerow([year, state, hlabel, wlabel,
+                                     format_number(float(counts[i, j]))])
+
+
+def _divide(scheme: str, counts: np.ndarray, pools=None):
+    """A stack of tables (N, n, m), with or without its (men, women)
+    singles stacks, on ``scheme``'s divide: each block summed in one
+    :func:`~homlab.tables._block_sum` pass over the stack. Returns the cut,
+    its singles and the blocks (None for the three-level scheme, which
+    leaves the stack as it is), or raises the DataError that refuses it."""
+    if scheme == THREE_LEVEL:
+        return counts, pools, None
+    if counts.shape[1:] != (3, 3):
+        raise DataError(f"the {scheme!r} divide needs a three-level table, "
+                        f"got {counts.shape[1]}x{counts.shape[2]}")
+    blocks = _CUTS.get(scheme)
+    if blocks is None:
+        raise DataError(f"no cut partition for scheme: {scheme!r}")
+    cut = np.stack([np.stack([_block_sum(counts, r, c) for c in blocks], axis=-1)
+                    for r in blocks], axis=-2)
+    if pools is not None:
+        pools = tuple(np.stack([_block_sum(pool, b) for b in blocks], axis=-1)
+                      for pool in pools)
+    return cut, pools, blocks
 
 
 def dichotomize(subject: ContingencyTable | TableWithSingles, scheme: str):
     """Collapse a three-level table, with or without its singles, to the
-    requested two-level divide."""
-    if scheme == THREE_LEVEL:
-        return subject
+    requested two-level divide: the run's cut on a stack of one."""
     table = couples_of(subject)
-    if table.n_rows != 3 or table.n_cols != 3:
-        raise DataError(f"the {scheme!r} divide needs a three-level table, "
-                        f"got {table.n_rows}x{table.n_cols}")
-    parts = _CUTS.get(scheme)
-    if parts is None:
-        raise DataError(f"no cut partition for scheme: {scheme!r}")
-    merge = merge_with_singles if isinstance(subject, TableWithSingles) else merge_categories
-    return merge(subject, parts, parts)
+    pools = ((subject.single_men[None], subject.single_women[None])
+             if isinstance(subject, TableWithSingles) else None)
+    counts, pools, blocks = _divide(scheme, table.counts[None], pools)
+    if blocks is None:
+        return subject
+    cut = ContingencyTable(counts[0], *(tuple("+".join(labels[b]) for b in blocks)
+                                        for labels in (table.row_labels, table.col_labels)))
+    return cut if pools is None else TableWithSingles(cut, pools[0][0], pools[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +463,8 @@ def units(panel: PanelDataset) -> tuple[str, ...]:
     """National aggregate first, then states in sorted order."""
     return (NATIONAL, *panel.states)
 
+
+_NO_SINGLES = "the surplus-based method needs singles counts"
 
 # pairs that these errors make impossible are reported, not raised
 EXCLUDED = (
@@ -377,54 +484,54 @@ def cut_wave(panel: PanelDataset, config: RunConfig, unit: str, year: int,
     """
     subject = panel.with_singles(unit, year) if method == "csa" else table
     if subject is None:
-        raise DataError("the surplus-based method needs singles counts")
+        raise DataError(_NO_SINGLES)
     return dichotomize(subject, config.categories)
 
 
-def _unit_waves(panel: PanelDataset, config: RunConfig, unit_list, method: str = ""):
-    """Each unit of ``unit_list`` with its present waves, each cut once by
-    :func:`cut_wave`: ``(unit, {year: the cut or the EXCLUDED error it
-    raised})``, in wave order."""
+@dataclass
+class _RunCut:
+    """Every present wave of a run's units, cut once, as one stack.
+
+    ``rows[unit]`` maps each present year, in wave order, to its row of
+    ``counts`` (N, n, n), whose homogamy shares are ``shares``; both are
+    None when the divide cannot cut the tables. ``errors[i]`` is the error
+    :func:`cut_wave` raises on row ``i``, or None, and ``singles`` holds
+    the single men and women stacks (N, n) for ``csa``.
+    """
+
+    rows: dict[str, dict[int, int]]
+    errors: list
+    counts: np.ndarray | None = None
+    shares: list | None = None
+    singles: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _cut_run(panel: PanelDataset, config: RunConfig, unit_list, method: str = "") -> _RunCut:
+    """The present waves of ``unit_list``'s units on the configured divide,
+    in one cut of their stack; with their singles for ``csa``."""
+    rows: dict[str, dict[int, int]] = {}
+    tables, pools = [], []
     for unit in unit_list:
-        cuts = {}
+        rows[unit] = {}
         for year in config.waves:
-            table = panel.unit_table(unit, year)
-            if table is None:
-                continue
-            try:
-                cuts[year] = cut_wave(panel, config, unit, year, table, method)
-            except EXCLUDED as exc:
-                cuts[year] = exc
-        yield unit, cuts
-
-
-def _stacked(tag: str, cuts: dict, rounding: str) -> dict:
-    """``tag`` evaluated once on the stack of one unit's cut waves, tables
-    of one shape (the waves that could not be cut are left out):
-    ``{year: (values, undefined)}``."""
-    tables = {year: cut for year, cut in cuts.items() if not isinstance(cut, Exception)}
-    if not tables:
-        return {}
-    counts = np.array([table.counts for table in tables.values()])
-    return dict(zip(tables, zip(*ind.evaluate_stack(tag, counts, rounding))))
-
-
-def _scalar_waves(tag: str, cuts: dict, rounding: str) -> dict:
-    """A scalar indicator's reported value on each cut wave of one unit, or
-    the error that excludes the wave."""
-    waves = {year: DataError("scalar indicators need a two-level divide")
-             for year, cut in cuts.items()
-             if not isinstance(cut, Exception) and cut.n_rows != 2}
-    two_level = {year: cut for year, cut in cuts.items() if year not in waves}
-    for year, (values, undefined) in _stacked(tag, two_level, rounding).items():
-        if not undefined:
-            waves[year] = float(values[0])
-            continue
-        try:  # raises the measure's own error of the undefined wave
-            ind.evaluate(tag, two_level[year], rounding)
-        except UndefinedIndicatorError as exc:
-            waves[year] = exc
-    return waves
+            counts = panel.unit_counts(unit, year)
+            if counts is not None:
+                rows[unit][year] = len(tables)
+                tables.append(counts)
+                own = (unit, year) in panel.index  # the national aggregate has no singles
+                pools.append(panel.singles.get((unit, year)) if own else None)
+    missing = DataError(_NO_SINGLES)
+    errors = [missing if method == "csa" and pool is None else None for pool in pools]
+    k = len(panel.labels)
+    counts, singles = np.array(tables).reshape(-1, k, k), None
+    if method == "csa":
+        singles = tuple(np.array([(pool or (np.zeros(k),) * 2)[sex] for pool in pools])
+                        .reshape(-1, k) for sex in (0, 1))
+    try:
+        counts, singles, _ = _divide(config.categories, counts, singles)
+    except DataError as exc:
+        return _RunCut(rows, [error or exc for error in errors])
+    return _RunCut(rows, errors, counts, homogamy_shares(counts).tolist(), singles)
 
 
 def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
@@ -432,32 +539,47 @@ def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
 
     Two-level divides carry the scalar indicator battery; the three-level
     scheme carries the homogamy share and every split of the matrix-valued
-    measure. Each tag is evaluated once per unit, on the stack of its cut
+    measure. Each tag is evaluated once, on the stack of the run's cut
     waves. Undefined values, including single undefined splits of the
     matrix, come through as empty strings.
     """
+    cut = _cut_run(panel, config, units(panel))
     three_level = config.categories == THREE_LEVEL
-    tags = ("gll",) if three_level else ind.SCALAR_TAGS
+    if cut.shares:  # cut, and not empty
+        values = {tag: ind.evaluate_stack(tag, cut.counts, config.rounding)
+                  for tag in (("gll",) if three_level else ind.SCALAR_TAGS)}
+        splits = (cut.counts.shape[1] - 1,) * 2
     rows = []
-    for unit, cuts in _unit_waves(panel, config, units(panel)):
-        stacked = {tag: _stacked(tag, cuts, config.rounding) for tag in tags}
-        for year, cut in cuts.items():
+    for unit, years in cut.rows.items():
+        for year, i in years.items():
             row: dict[str, object] = {"state": unit, "year": year}
-            if isinstance(cut, Exception):  # no divide to report on: every value blank
+            if cut.errors[i] is not None:  # no divide to report on: every value blank
                 rows.append({**row, "share": "", **dict.fromkeys(ind.SCALAR_TAGS, "")})
                 continue
-            row["share"] = homogamy_share(cut) if cut.is_square() else ""
+            row["share"] = cut.shares[i]
             if three_level:
-                values, _ = stacked["gll"][year]
-                splits = values.reshape(cut.n_rows - 1, cut.n_cols - 1)
-                for (j, k), value in np.ndenumerate(splits):
+                for (j, k), value in np.ndenumerate(values["gll"][0][i].reshape(splits)):
                     row[f"gll_{j + 1}_{k + 1}"] = "" if np.isnan(value) else value
             else:
-                for tag in tags:
-                    values, undefined = stacked[tag][year]
-                    row[tag] = "" if undefined else float(values[0])
+                for tag, (tag_values, undefined) in values.items():
+                    row[tag] = "" if undefined[i] else float(tag_values[i, 0])
             rows.append(row)
     return rows
+
+
+def _scalar_values(tag: str, cut: _RunCut, rounding: str) -> list:
+    """A scalar indicator's reported value on each row of the run's cut, or
+    the error that excludes the row: one evaluation of the whole stack."""
+    if not cut.shares:  # uncut or empty: every row carries its cut's error
+        return list(cut.errors)
+    if cut.counts.shape[1] != 2:
+        error = DataError("scalar indicators need a two-level divide")
+        return [cut_error or error for cut_error in cut.errors]
+    values, undefined = ind.evaluate_stack(tag, cut.counts, rounding)
+    return [error if error is not None
+            else ind._undefined_error(tag, cut.counts[i]) if undefined[i]
+            else float(values[i, 0])
+            for i, error in enumerate(cut.errors)]
 
 
 def _excluded(unit: str, decade: str, exc: Exception) -> DecadeChange:
@@ -467,45 +589,46 @@ def _excluded(unit: str, decade: str, exc: Exception) -> DecadeChange:
 def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
     """The decade changes of every unit in ``unit_list``, in order.
 
-    Each present wave is cut once. A scalar measure is evaluated once per
-    wave, on the stack of the unit's cut waves, and a change is late minus
-    early; the pairs of a method measure go to one :func:`decompose_stack`
-    call. Returns the changes, the decompositions of the valid pairs by
-    ``(unit, decade)``, and each unit's ``(unit, cuts, scalar values)``.
+    The units' present waves are cut once, as one stack. A scalar measure
+    is evaluated once on that stack, and a change is late minus early; the
+    pairs of a method measure go to one :func:`decompose_counts` call.
+    Returns the changes, the decompositions of the valid pairs by ``(unit,
+    decade)``, the run's cut and the measure's value on each of its rows
+    (all None for a method measure).
     """
     measure = config.resolved_measure
+    cut = _cut_run(panel, config, unit_list, measure)
+    values = (_scalar_values(measure, cut, config.rounding)
+              if measure in ind.SCALAR_TAGS else [None] * len(cut.errors))
+    unknown = (measure not in METHOD_TAGS and measure not in ind.SCALAR_TAGS
+               and DataError(f"unknown measure: {measure!r}"))
     changes: list = []
-    unit_waves = []
-    pending = []  # (index in changes, unit, decade, early cut, late cut)
-    for unit, cuts in _unit_waves(panel, config, unit_list, measure):
-        values = (_scalar_waves(measure, cuts, config.rounding)
-                  if measure in ind.SCALAR_TAGS else {})
-        unit_waves.append((unit, cuts, values))
+    pending = []  # (index in changes, unit, decade, early row, late row)
+    for unit, years in cut.rows.items():
         for early_year, late_year in zip(config.waves, config.waves[1:]):
             decade = decade_label(early_year)
-            if early_year not in cuts or late_year not in cuts:
+            if early_year not in years or late_year not in years:
                 changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
                 continue
-            early, late = cuts[early_year], cuts[late_year]
-            try:
-                if measure not in METHOD_TAGS and measure not in ind.SCALAR_TAGS:
-                    raise DataError(f"unknown measure: {measure!r}")
-                for step in (early, late, values.get(late_year), values.get(early_year)):
-                    if isinstance(step, Exception):
-                        raise step
-                if measure in METHOD_TAGS:
-                    pending.append((len(changes), unit, decade, early, late))
-                    changes.append(None)  # filled in from the stacked pass
-                    continue
-            except EXCLUDED as exc:
-                changes.append(_excluded(unit, decade, exc))
-                continue
-            changes.append(DecadeChange(unit, decade, values[late_year] - values[early_year]))
+            early, late = years[early_year], years[late_year]
+            steps = (unknown, cut.errors[early], cut.errors[late], values[late], values[early])
+            error = next((step for step in steps if isinstance(step, Exception)), None)
+            if error is not None:
+                changes.append(_excluded(unit, decade, error))
+            elif measure in METHOD_TAGS:
+                pending.append((len(changes), unit, decade, early, late))
+                changes.append(None)  # filled in from the stacked pass
+            else:
+                changes.append(DecadeChange(unit, decade, values[late] - values[early]))
 
     details: dict[tuple[str, str], object] = {}
-    results = decompose_stack([(early, late) for *_, early, late in pending], measure,
-                              config.resolved_scheme, config.rounding, config.tol,
-                              config.max_iter)
+    if not pending:
+        return changes, details, cut, values
+    sides = [[p[3] for p in pending], [p[4] for p in pending]]
+    results = decompose_counts(
+        *(cut.counts[side] for side in sides), measure, config.resolved_scheme,
+        config.rounding, config.tol, config.max_iter,
+        [cut.singles and tuple(pool[side] for pool in cut.singles) for side in sides])
     for (index, unit, decade, _, _), result in zip(pending, results):
         if isinstance(result, EXCLUDED):
             changes[index] = _excluded(unit, decade, result)
@@ -514,7 +637,7 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
         else:
             changes[index] = DecadeChange(unit, decade, float(result.nonstructural_effect))
             details[(unit, decade)] = result
-    return changes, details, unit_waves
+    return changes, details, cut, values
 
 
 def unit_decade_changes(panel: PanelDataset, config: RunConfig, unit: str):
@@ -535,7 +658,7 @@ def decade_changes(panel: PanelDataset, config: RunConfig):
     """Per-state decade changes of the configured measure.
 
     :func:`unit_decade_changes` over every state in order, with the pairs
-    of all states decomposed in one :func:`decompose_stack` call; the
+    of all states decomposed in one :func:`decompose_counts` call; the
     national aggregate is not included.
     """
     return _decade_pass(panel, config, panel.states)[:2]
@@ -553,26 +676,22 @@ def trend_series(panel: PanelDataset, config: RunConfig):
     ``cumulative`` is the wave's value, blank where the wave is undefined or
     uncut, and whose ``effect`` is blank.
     """
-    changes, _, unit_waves = _decade_pass(panel, config, units(panel))
+    changes, _, cut, values = _decade_pass(panel, config, units(panel))
     span = len(config.waves) - 1  # the decades of one unit
+    method = config.resolved_measure in METHOD_TAGS
     rows = []
-    for i, (unit, cuts, values) in enumerate(unit_waves):
-        if config.resolved_measure not in METHOD_TAGS:
-            for year in cuts:  # a value, the error that excludes it, or none
-                value = values.get(year)
-                rows.append({"state": unit, "year": year, "effect": "",
-                             "cumulative": value if isinstance(value, float) else ""})
+    for i, (unit, years) in enumerate(cut.rows.items()):
+        if not method:
+            rows += [{"state": unit, "year": year, "effect": "",
+                      "cumulative": values[r] if isinstance(values[r], float) else ""}
+                     for year, r in years.items()]
             continue
-        if len(cuts) < 2:
+        if len(years) < 2:
             continue
-        first = next(iter(cuts))
-        try:  # the first wave's share on its plain cut, which csa without singles lacks
-            cut = cuts[first]
-            if isinstance(cut, Exception):
-                cut = cut_wave(panel, config, unit, first, panel.unit_table(unit, first))
-            anchor = homogamy_share(couples_of(cut))
-        except EXCLUDED:
-            anchor = None  # an uncut unit's series is all gaps
+        first = next(iter(years))
+        # the first wave's share on its plain cut, which csa without singles
+        # lacks; an uncut unit's series is all gaps
+        anchor = cut.shares[years[first]] if cut.shares else None
         series = cumulate(config.waves, first, anchor,
                           {c.decade: c.delta if c.valid else None
                            for c in changes[i * span:(i + 1) * span]})

@@ -66,13 +66,12 @@ class ContingencyTable:
         n, m = counts.shape
         if n < 2 or m < 2:
             raise TableError(f"table must be at least 2x2, got {n}x{m}")
-        lo, hi = counts.min(), counts.max()
-        # one pass accepts every valid table (NaN fails both comparisons);
-        # the others replay the checks in order, for their message
-        if not (lo >= 0 and 0 < hi < np.inf):
+        # one pass accepts every valid table; the others replay the checks
+        # in order, for their message
+        if _refused(counts[None])[0]:
             if not np.all(np.isfinite(counts)):
                 raise TableError("counts must be finite")
-            if lo < 0:
+            if counts.min() < 0:
                 raise TableError("counts must be nonnegative")
             raise TableError("at least one count must be positive")
         rows = tuple(self.row_labels) or _default_labels("r", n)
@@ -108,6 +107,14 @@ class ContingencyTable:
 
     def with_counts(self, counts) -> "ContingencyTable":
         return ContingencyTable(counts, self.row_labels, self.col_labels)
+
+
+def _refused(counts: np.ndarray) -> np.ndarray:
+    """Which tables of a stack (T, n, m) :class:`ContingencyTable` refuses
+    for their counts, in one pass over each (NaN fails both comparisons)."""
+    low = counts.min(axis=(-2, -1), initial=0.0)
+    high = counts.max(axis=(-2, -1), initial=0.0)
+    return ~((low >= 0) & (0 < high) & (high < np.inf))
 
 
 @dataclass(frozen=True)

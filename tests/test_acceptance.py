@@ -333,7 +333,7 @@ def test_decomposition_additivity_and_divergence():
 # ---------------------------------------------------------------------------
 
 @acceptance("trend scoring exact on the synthetic panel incl. missing waves")
-def test_trend_scoring_synthetic():
+def test_trend_scoring_synthetic(tmp_path):
     config = RunConfig(labels=("L", "H"), categories="three", method="nm")
     panel = load_couples(FIXTURES / "synthetic_panel.csv", config)
     panel.income = load_income(FIXTURES / "synthetic_income.csv")
@@ -342,7 +342,13 @@ def test_trend_scoring_synthetic():
     assert (stats.n_u, stats.n_s, stats.n_alpha, stats.n_omega) == (11, 10, 3, 7)
     assert (stats.n_total, stats.n_alpha_total, stats.n_omega_total) == (15, 5, 10)
 
-    del panel.tables[("Texas", 1970)]
+    # the same panel without its Texas 1970 wave
+    rows = (FIXTURES / "synthetic_panel.csv").read_text(encoding="utf-8").splitlines()
+    reduced_csv = tmp_path / "couples.csv"
+    reduced_csv.write_text("\n".join(row for row in rows if not row.startswith("1970,Texas,"))
+                           + "\n", encoding="utf-8")
+    income, panel = panel.income, load_couples(reduced_csv, config)
+    panel.income = income
     changes, _ = decade_changes(panel, config)
     reduced = score(changes, income_decade_deltas(panel.income, config.waves))
     assert reduced.n_total == 13

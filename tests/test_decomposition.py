@@ -198,7 +198,9 @@ WAVES = (1960, 1970, 1980, 1990)
 def series_of(tables, waves=WAVES, measure="nm"):
     """The ``trend_series`` rows of state ``A`` in a panel of that one state,
     as ``{year: (cumulative, effect)}``."""
-    panel = PanelDataset({("A", year): t for year, t in tables.items()}, waves, ("A",))
+    panel = PanelDataset(np.array([t.counts for t in tables.values()]),
+                         {("A", year): i for i, year in enumerate(tables)}, ("L", "H"),
+                         waves, ("A",))
     config = RunConfig(waves=waves, labels=("L", "H"), measure=measure, scheme=SEQUENTIAL)
     _, rows = trend_series(panel, config)
     assert [row for row in rows if row["state"] == "US"] == [

@@ -13,8 +13,8 @@ from click.testing import CliRunner
 
 from homlab.cli import main
 from homlab.counterfactual import METHOD_TAGS
-from homlab.decomposition import DecompositionResult, cumulate, fit_onto
-from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError
+from homlab.decomposition import DecompositionResult, cumulate, decompose_stack, fit_onto
+from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError, TableError
 from homlab.indicators import SCALAR_TAGS, aggregate_msp, evaluate, gll
 from homlab.io import (
     EXCLUDED,
@@ -33,7 +33,14 @@ from homlab.io import (
     unit_decade_changes,
     write_couples,
 )
-from homlab.tables import ContingencyTable, couples_of, homogamy_share
+from homlab.tables import (
+    ContingencyTable,
+    TableWithSingles,
+    couples_of,
+    homogamy_share,
+    merge_categories,
+    merge_with_singles,
+)
 from homlab.trend import DecadeChange, score
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -148,7 +155,7 @@ def test_load_couples_assembles_tables(tmp_path):
     )
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
     assert panel.states == ("Iowa",)
-    assert len(panel.tables) == 2
+    assert list(panel.index) == [("Iowa", 1960), ("Iowa", 1970)]
     assert panel.table("Iowa", 1960).counts.tolist() == [[40, 10], [20, 30]]
 
 
@@ -193,9 +200,9 @@ def test_roundtrip_identical(tmp_path):
     out = tmp_path / "again.csv"
     write_couples(panel, out)
     again = load_couples(out, RunConfig(**TWO_LEVEL))
-    assert set(again.tables) == set(panel.tables)
-    for key, tab in panel.tables.items():
-        assert np.array_equal(again.tables[key].counts, tab.counts)
+    assert set(again.index) == set(panel.index)
+    for key, row in panel.index.items():
+        assert np.array_equal(again.counts[again.index[key]], panel.counts[row])
 
 
 def test_national_aggregation_and_unknown(tmp_path):
@@ -212,6 +219,18 @@ def test_national_aggregation_and_unknown(tmp_path):
     panel_inc = load_couples(path, RunConfig(**TWO_LEVEL, include_unknown=True))
     assert panel_inc.national(1960).counts[0, 0] == 115
     assert panel_inc.states == ("Iowa", "Ohio")
+
+
+def test_panel_refuses_tables_a_contingency_table_refuses():
+    labels = ("L", "H")
+    good = [[1.0, 2.0], [3.0, 4.0]]
+    for bad, message in (([[1.0, -2.0], [3.0, 4.0]], "counts must be nonnegative"),
+                         ([[1.0, np.nan], [3.0, 4.0]], "counts must be finite"),
+                         ([[0.0, 0.0], [0.0, 0.0]], "at least one count must be positive")):
+        with pytest.raises(TableError, match=message):
+            panel_of({("A", 1960): good, ("A", 1970): bad}, labels)
+    with pytest.raises(TableError, match=r"one 2x2 table per key, got shape \(1, 3, 3\)"):
+        panel_of({("A", 1960): np.ones((3, 3))}, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +277,91 @@ def test_loaders_refuse_a_row_without_a_state(tmp_path, loader, header, row, sta
     options = () if loader is load_income else (RunConfig(**TWO_LEVEL),)
     with pytest.raises(DataError, match="line 2: empty state"):
         loader(path, *options)
+
+
+COUPLES_HEADER = "year,state,husband_edu,wife_edu,count"
+SINGLES_HEADER = "year,state,sex,edu,count"
+INCOME_HEADER = "state,year,top10_share"
+
+
+@pytest.mark.parametrize("loader,header,good,bad,message", [
+    (load_couples, COUPLES_HEADER, "1960,Iowa,L,L,10", "1960,Iowa,L,H,-4",
+     "line 5: negative count -4"),
+    (load_income, INCOME_HEADER, "Iowa,1960,0.31", "Iowa,1970,31",
+     "line 5: top10_share must be strictly between 0 and 1, got 31.0"),
+    (load_singles, SINGLES_HEADER, "1960,Iowa,m,L,3", "1960,Iowa,x,L,3",
+     "line 5: sex must be 'm' or 'w'"),
+], ids=["couples", "income", "singles"])
+def test_loaders_number_lines_as_the_file_does(tmp_path, loader, header, good, bad, message):
+    # two blank lines before the bad row: it is on line 5 of the file
+    path = write(tmp_path / "rows.csv", f"{header}\n{good}\n\n\n{bad}\n")
+    options = () if loader is load_income else (RunConfig(**TWO_LEVEL),)
+    with pytest.raises(DataError) as info:
+        loader(path, *options)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("loader,header,row,missing", [
+    (load_couples, COUPLES_HEADER, "1960,Iowa,college", "wife_edu"),
+    (load_income, INCOME_HEADER, "Iowa", "year"),
+    (load_singles, SINGLES_HEADER, "1960,Iowa,m", "edu"),
+], ids=["couples", "income", "singles"])
+def test_loaders_refuse_a_short_row_by_its_first_missing_field(
+        tmp_path, loader, header, row, missing):
+    path = write(tmp_path / "rows.csv", f"{header}\n{row}\n")
+    options = () if loader is load_income else (RunConfig(),)
+    with pytest.raises(DataError) as info:
+        loader(path, *options)
+    assert str(info.value) == f"{path}: line 2: no {missing!r} field"
+
+
+def test_load_income_refuses_a_repeated_state_and_year(tmp_path):
+    path = write(tmp_path / "income.csv",
+                 f"{INCOME_HEADER}\nIowa,1960,0.31\nIowa,1970,0.29\n Iowa ,1960,0.45\n")
+    with pytest.raises(DataError) as info:
+        load_income(path)
+    assert str(info.value) == f"{path}: line 4: a second top10_share for Iowa 1960"
+
+
+# each line fails in every field from one on: the first failing field of the
+# line is reported, in the order year, state, category, count
+COUPLES_FIELD_ORDER = (
+    ("1955,,doctorate,PhD,-1", "year 1955 not in configured waves"),
+    ("1960,,doctorate,PhD,-1", "empty state"),
+    ("1960,Iowa,doctorate,PhD,-1", "unknown category 'doctorate'"),
+    ("1960,Iowa,L,PhD,-1", "unknown category 'PhD'"),
+    ("1960,Iowa,L,L,-1", "negative count -1"),
+)
+SINGLES_FIELD_ORDER = (
+    ("x,,f,PhD,2.5", "year 'x' is not an integer"),
+    ("1960,,f,PhD,2.5", "empty state"),
+    ("1960,Iowa,f,PhD,2.5", "sex must be 'm' or 'w'"),
+    ("1960,Iowa,w,PhD,2.5", "unknown category 'PhD'"),
+    ("1960,Iowa,w,L,2.5", "count '2.5' is not an integer"),
+)
+
+
+@pytest.mark.parametrize("loader,header,good,lines", [
+    (load_couples, COUPLES_HEADER, "1960,Iowa,L,L,10", COUPLES_FIELD_ORDER),
+    (load_singles, SINGLES_HEADER, "1960,Iowa,m,L,3", SINGLES_FIELD_ORDER),
+], ids=["couples", "singles"])
+def test_loaders_report_the_first_bad_line_and_its_first_bad_field(
+        tmp_path, loader, header, good, lines):
+    config = RunConfig(**TWO_LEVEL)
+    for row, message in lines:
+        path = write(tmp_path / "rows.csv", f"{header}\n{good}\n{row}\n")
+        with pytest.raises(DataError) as info:
+            loader(path, config)
+        assert str(info.value).startswith(f"{path}: line 3: {message}"), row
+    # bad on lines 3 and 5, and again on line 6: line 3 is reported, though
+    # line 5's bad value comes first in column order
+    first, _ = lines[-1]
+    later, _ = lines[0]
+    path = write(tmp_path / "rows.csv",
+                 f"{header}\n{good}\n{first}\n{good}\n{later}\n{first}\n")
+    with pytest.raises(DataError) as info:
+        loader(path, config)
+    assert str(info.value).startswith(f"{path}: line 3: {lines[-1][1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +414,17 @@ def test_synthetic_panel_scores_exactly():
     assert (stats.n_total, stats.n_alpha_total, stats.n_omega_total) == (15, 5, 10)
 
 
-def test_missing_wave_reduces_totals_exactly():
+def without_rows(tmp_path, prefix: str, source=FIXTURES / "synthetic_panel.csv") -> Path:
+    """A copy of a couples file without the lines that start with ``prefix``."""
+    rows = source.read_text(encoding="utf-8").splitlines()
+    return write(tmp_path / "couples.csv",
+                 "\n".join(row for row in rows if not row.startswith(prefix)) + "\n")
+
+
+def test_missing_wave_reduces_totals_exactly(tmp_path):
     panel, config = synthetic_panel()
-    del panel.tables[("Texas", 1970)]
+    panel = load_couples(without_rows(tmp_path, "1970,Texas,"), config)
+    panel.income = load_income(FIXTURES / "synthetic_income.csv")
     changes, _ = decade_changes(panel, config)
     stats = score(changes, income_decade_deltas(panel.income, config.waves))
     assert stats.n_total == 13
@@ -327,8 +439,8 @@ def test_missing_wave_reduces_totals_exactly():
 def test_indicator_rows_keep_the_defined_gll_splits():
     # an empty top row with non-integer counts: in paper-integer mode only
     # split (1,1) has a zero denominator, the other three are defined
-    t = ContingencyTable([[0, 0, 0], [4.5, 3.5, 3.0], [2.5, 3.0, 4.5]])
-    panel = PanelDataset({("A", 1960): t}, waves=(1960,), states=("A",))
+    panel = panel_of({("A", 1960): [[0, 0, 0], [4.5, 3.5, 3.0], [2.5, 3.0, 4.5]]},
+                     STRESS_LABELS, waves=(1960,))
     rows = indicator_rows(panel, RunConfig(waves=(1960,)))
     assert [row["state"] for row in rows] == ["US", "A"]
     for row in rows:
@@ -339,13 +451,12 @@ def test_indicator_rows_keep_the_defined_gll_splits():
 
 
 def test_decade_changes_report_mis_shaped_pairs():
-    small = ContingencyTable([[5, 1], [1, 5]])
-    large = ContingencyTable([[5, 1, 1], [1, 5, 1], [1, 1, 5]])
-    panel = PanelDataset(
-        {("A", 1960): small, ("A", 1970): large}, waves=(1960, 1970), states=("A",)
-    )
+    # three-level tables, which the determinant-based method cannot take
+    large = [[5, 1, 1], [1, 5, 1], [1, 1, 5]]
+    panel = panel_of({("A", 1960): large, ("A", 1970): large}, STRESS_LABELS,
+                     waves=(1960, 1970))
     changes, details = decade_changes(
-        panel, RunConfig(waves=(1960, 1970), method="ipf")
+        panel, RunConfig(waves=(1960, 1970), labels=STRESS_LABELS, method="mdba")
     )
     assert not details
     assert [(c.valid, c.reason.split(":")[0]) for c in changes] == [
@@ -387,15 +498,37 @@ def _reference_decompose(early, late, method, scheme, rounding, tol, max_iter):
                                delta - nonstructural - structural)
 
 
+def _reference_dichotomize(subject, scheme):
+    """One table, with or without its singles, cut by the per-table merges."""
+    if scheme == "three":
+        return subject
+    table = couples_of(subject)
+    if table.n_rows != 3 or table.n_cols != 3:
+        raise DataError(f"the {scheme!r} divide needs a three-level table, "
+                        f"got {table.n_rows}x{table.n_cols}")
+    parts = {"hs": [(0,), (1, 2)], "college": [(0, 1), (2,)]}[scheme]
+    merge = merge_with_singles if isinstance(subject, TableWithSingles) else merge_categories
+    return merge(subject, parts, parts)
+
+
+def _reference_cut(panel, config, unit, year, method=""):
+    """One present wave cut alone, as ``method`` takes it."""
+    subject = panel.unit_table(unit, year)
+    if method == "csa":
+        subject = panel.with_singles(unit, year)
+        if subject is None:
+            raise DataError("the surplus-based method needs singles counts")
+    return _reference_dichotomize(subject, config.categories)
+
+
 def _reference_cuts(panel, config, unit, method=""):
     """A unit's present waves, each cut once: the cut or the error it raised."""
     cuts = {}
     for year in config.waves:
-        table = panel.unit_table(unit, year)
-        if table is None:
+        if panel.unit_table(unit, year) is None:
             continue
         try:
-            cuts[year] = cut_wave(panel, config, unit, year, table, method)
+            cuts[year] = _reference_cut(panel, config, unit, year, method)
         except EXCLUDED as exc:
             cuts[year] = exc
     return cuts
@@ -441,13 +574,21 @@ STRESS_LABELS = ("L", "M", "H")
 STRESS_STATES = ("Ames", "Bend", "Cary", "Dale", "Erie")
 
 
-def stress_panel():
-    """Five three-level states over six waves, each built to fail somewhere."""
+def panel_of(tables, labels, waves=RunConfig().waves, singles=None):
+    """The panel of ``tables``, ``{(state, year): counts}``, with ``singles``."""
+    keys = list(tables)
+    return PanelDataset(np.array([tables[key] for key in keys], dtype=float),
+                        {key: i for i, key in enumerate(keys)}, tuple(labels), tuple(waves),
+                        tuple(sorted({state for state, _ in keys})), singles=singles or {})
+
+
+def stress_data():
+    """Five three-level states over six waves, each built to fail somewhere:
+    their tables and singles, by (state, year)."""
     rng = np.random.default_rng(5)
-    waves = RunConfig().waves
     tables, singles = {}, {}
     for state in STRESS_STATES:
-        for year in waves:
+        for year in RunConfig().waves:
             counts = rng.integers(1, 40, (3, 3)).astype(float)
             counts[np.diag_indices(3)] += rng.integers(0, 80, 3)
             tables[(state, year)] = counts
@@ -458,11 +599,12 @@ def stress_panel():
     tables[("Dale", 2000)] = np.diag([50.0, 30.0, 20.0])  # IPF: Hall's condition fails
     del singles[("Erie", 1970)]  # csa cannot cut that wave
     singles[("Erie", 2000)][0][1] = 0  # csa: surplus matrix undefined
-    return PanelDataset(
-        {key: ContingencyTable(counts, STRESS_LABELS, STRESS_LABELS)
-         for key, counts in tables.items()},
-        waves, STRESS_STATES, singles=singles,
-    )
+    return tables, singles
+
+
+def stress_panel():
+    tables, singles = stress_data()
+    return panel_of(tables, STRESS_LABELS, singles=singles)
 
 
 # every exclusion each method meets on the stress panel, by reason prefix
@@ -503,6 +645,114 @@ def test_stacked_decade_pass_matches_the_per_pair_loop_bit_for_bit(method):
             reasons |= {c.reason for c in changes if not c.valid}
     for prefix in STRESS_REASONS[method]:
         assert any(reason.startswith(prefix) for reason in reasons), prefix
+
+
+# ---------------------------------------------------------------------------
+# the run's one cut and the stacked shares against the per-table loops
+# ---------------------------------------------------------------------------
+
+def _same_cut(got, expected):
+    """Two cuts with equal labels and the same float bytes, singles too."""
+    assert type(got) is type(expected)
+    table, reference = couples_of(got), couples_of(expected)
+    assert (table.row_labels, table.col_labels) == (reference.row_labels, reference.col_labels)
+    assert table.counts.tobytes() == reference.counts.tobytes()
+    if isinstance(expected, TableWithSingles):
+        assert got.single_men.tobytes() == expected.single_men.tobytes()
+        assert got.single_women.tobytes() == expected.single_women.tobytes()
+
+
+@pytest.mark.parametrize("categories", ["three", "hs", "college"])
+def test_the_run_cut_matches_the_per_table_merges_bit_for_bit(categories):
+    from homlab.io import _cut_run, units
+
+    for panel in (series_stress_panel(), four_level_panel()[0]):
+        config = RunConfig(labels=panel.labels, categories=categories)
+        for method in ("", "csa"):
+            cut = _cut_run(panel, config, units(panel), method)
+            assert list(cut.rows) == list(units(panel))
+            for unit, years in cut.rows.items():
+                assert list(years) == [year for year in config.waves
+                                       if panel.unit_table(unit, year) is not None]
+                for year, row in years.items():
+                    try:
+                        expected = _reference_cut(panel, config, unit, year, method)
+                    except DataError as exc:
+                        error = cut.errors[row]
+                        assert type(error) is DataError and str(error) == str(exc)
+                        continue
+                    assert cut.errors[row] is None
+                    got = ContingencyTable(cut.counts[row], couples_of(expected).row_labels,
+                                           couples_of(expected).col_labels)
+                    if cut.singles is not None:
+                        got = TableWithSingles(got, *(pool[row] for pool in cut.singles))
+                    _same_cut(got, expected)
+                    share = homogamy_share(couples_of(expected))
+                    assert np.float64(cut.shares[row]).tobytes() == np.float64(share).tobytes()
+                    # one table, with or without its singles, cut alone
+                    subject = (panel.with_singles(unit, year) if method
+                               else panel.unit_table(unit, year))
+                    _same_cut(cut_wave(panel, config, unit, year,
+                                       panel.unit_table(unit, year), method),
+                              _reference_dichotomize(subject, categories))
+
+
+def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch):
+    import homlab.decomposition
+
+    # a fitted stack with a NaN, a negative and an empty problem among valid
+    # ones: each fails ContingencyTable's checks with its own message
+    fitted = []
+    original = homlab.decomposition.fit_stack
+
+    def spoiled(*args, **kwargs):
+        fits = original(*args, **kwargs)
+        counts = fits.counts.copy()
+        valid = [k for k, error in enumerate(fits.errors) if error is None]
+        counts[valid[0], 0, 0] = np.nan
+        counts[valid[1], 1, 0] = -0.5
+        counts[valid[2]] = 0.0
+        fitted.append(dataclasses.replace(fits, counts=counts))
+        return fitted[-1]
+
+    def share(fits, k, source):  # the per-pair share of one fitted problem
+        if fits.errors[k] is not None:
+            raise fits.errors[k]
+        return homogamy_share(couples_of(source).with_counts(fits.counts[k]))
+
+    monkeypatch.setattr(homlab.decomposition, "fit_stack", spoiled)
+    panel = stress_panel()
+    messages = set()
+    for method, scheme in itertools.product(("ipf", "nm", "csa"),
+                                            ("sequential", "with-interaction")):
+        config = RunConfig(labels=STRESS_LABELS, method=method)
+        pairs = []
+        for unit in ("US", *panel.states):
+            cuts = _reference_cuts(panel, config, unit, method)
+            pairs += [(cuts[a], cuts[b]) for a, b in zip(config.waves, config.waves[1:])
+                      if not isinstance(cuts.get(a, DataError()), Exception)
+                      and not isinstance(cuts.get(b, DataError()), Exception)]
+        fitted.clear()
+        outcomes = decompose_stack(pairs, method, scheme)
+        assert len(fitted) == (2 if scheme == "with-interaction" else 1)
+        for k, ((early, late), outcome) in enumerate(zip(pairs, outcomes)):
+            share_early, share_late = (homogamy_share(couples_of(t)) for t in (early, late))
+            try:
+                share_cf = share(fitted[0], k, late)
+                structural = (share_late - share_cf if len(fitted) == 1
+                              else share(fitted[1], k, early) - share_early)
+            except (HomlabError, ValueError) as exc:
+                assert type(outcome) is type(exc) and str(outcome) == str(exc), k
+                messages.add(str(exc))
+                continue
+            nonstructural = share_cf - share_early
+            interaction = (None if len(fitted) == 1
+                           else share_late - share_early - nonstructural - structural)
+            assert _bits(outcome)[1:] == _bits(DecompositionResult(
+                "", scheme, share_early, share_late, share_cf, nonstructural, structural,
+                interaction))[1:], k
+    assert {"counts must be finite", "counts must be nonnegative",
+            "at least one count must be positive"} <= messages
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +827,19 @@ def _row_bits(row):
             for key, value in row.items()}
 
 
-def scalar_stress_panel():
-    """The stress panel with waves whose cuts leave scalar indicators
+def scalar_stress_data():
+    """The stress data with waves whose cuts leave scalar indicators
     undefined: an empty diagonal on the college divide, a lone high-high
     cell on the high-school divide."""
-    panel = stress_panel()
-    labels = STRESS_LABELS
-    panel.tables[("Erie", 1960)] = ContingencyTable(
-        [[0, 0, 5], [0, 0, 5], [5, 5, 0]], labels, labels)
-    panel.tables[("Ames", 2010)] = ContingencyTable(
-        [[0, 0, 0], [0, 3, 2], [0, 2, 3]], labels, labels)
-    return panel
+    tables, singles = stress_data()
+    tables[("Erie", 1960)] = np.array([[0, 0, 5], [0, 0, 5], [5, 5, 0]])
+    tables[("Ames", 2010)] = np.array([[0, 0, 0], [0, 3, 2], [0, 2, 3]])
+    return tables, singles
+
+
+def scalar_stress_panel():
+    tables, singles = scalar_stress_data()
+    return panel_of(tables, STRESS_LABELS, singles=singles)
 
 
 @pytest.mark.parametrize("categories", ["three", "hs", "college"])
@@ -616,8 +868,9 @@ def test_stacked_indicators_match_the_per_table_loops_bit_for_bit(categories):
 
 def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
     two_level = "DataError: scalar indicators need a two-level divide"
-    three_level = stress_panel()
-    three_level.tables[("Bend", 1980)] = three_level.tables[("Bend", 1970)]  # every wave
+    tables, _ = stress_data()
+    tables[("Bend", 1980)] = tables[("Bend", 1970)]  # every wave present
+    three_level = panel_of(tables, STRESS_LABELS)
     config = RunConfig(labels=STRESS_LABELS, measure="or")
     for changes, _ in (decade_changes(three_level, config),
                        unit_decade_changes(three_level, config, "Ames")):
@@ -630,8 +883,7 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
               1980: [[0, 0], [3, 4]],  # a zero marginal sum
               1990: [[40, 10], [20, 30]],
               2000: [[30, 10], [10, 30]]}
-    panel = PanelDataset({("A", year): ContingencyTable(c, ("L", "H"), ("L", "H"))
-                          for year, c in counts.items()}, waves, ("A",))
+    panel = panel_of({("A", year): c for year, c in counts.items()}, ("L", "H"), waves)
     config = RunConfig(waves=waves, labels=("L", "H"), measure="msp")
     changes, _ = unit_decade_changes(panel, config, "A")
     undefined = "UndefinedIndicatorError: sorting parameter undefined: "
@@ -646,14 +898,14 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
     assert decade_changes(panel, config)[0] == changes
 
     # a missing wave, and waves of four levels that the divide cannot cut
-    del panel.tables[("A", 1990)]
+    del counts[1990]
+    panel = panel_of({("A", year): c for year, c in counts.items()}, ("L", "H"), waves)
     assert [c.reason for c in unit_decade_changes(panel, config, "A")[0][2:]] == [
         "missing wave", "missing wave"]
     labels = ("A", "B", "C", "D")
     rng = np.random.default_rng(4)
-    four_level = PanelDataset(
-        {("A", year): ContingencyTable(rng.integers(1, 40, (4, 4)), labels, labels)
-         for year in waves}, waves, ("A",))
+    four_level = panel_of({("A", year): rng.integers(1, 40, (4, 4)) for year in waves},
+                          labels, waves)
     config = RunConfig(waves=waves, labels=labels, categories="hs", measure="msp")
     uncut = "DataError: the 'hs' divide needs a three-level table, got 4x4"
     for changes, _ in (decade_changes(four_level, config),
@@ -683,8 +935,7 @@ def _reference_series(panel, config):
         if len(present) < 2:
             continue
         try:
-            anchor = homogamy_share(
-                cut_wave(panel, config, unit, present[0], tables[present[0]]))
+            anchor = homogamy_share(_reference_cut(panel, config, unit, present[0]))
         except EXCLUDED:
             anchor = None
         series = cumulate(config.waves, present[0], anchor,
@@ -700,20 +951,18 @@ def series_stress_panel():
     """The scalar stress panel with a state of one present wave, and a
     state whose first wave has no singles, so its csa anchor comes from
     the table cut alone."""
-    panel = scalar_stress_panel()
-    panel.tables[("Fife", 1990)] = panel.tables[("Dale", 1990)]
-    panel.states = (*panel.states, "Fife")
-    del panel.singles[("Ames", 1960)]
-    return panel
+    tables, singles = scalar_stress_data()
+    tables[("Fife", 1990)] = tables[("Dale", 1990)]
+    del singles[("Ames", 1960)]
+    return panel_of(tables, STRESS_LABELS, singles=singles)
 
 
 def four_level_panel():
     """One state of four-level tables, which no two-level divide can cut."""
     labels = ("A", "B", "C", "D")
     rng = np.random.default_rng(4)
-    return PanelDataset(
-        {("A", year): ContingencyTable(rng.integers(1, 40, (4, 4)), labels, labels)
-         for year in RunConfig().waves}, RunConfig().waves, ("A",)), labels
+    return panel_of({("A", year): rng.integers(1, 40, (4, 4)) for year in RunConfig().waves},
+                    labels), labels
 
 
 @pytest.mark.parametrize("categories", ["three", "hs", "college"])
@@ -774,10 +1023,10 @@ def test_trend_series_evaluates_only_its_measure_once_per_unit(monkeypatch):
     panel = series_stress_panel()
     config = RunConfig(labels=STRESS_LABELS, categories="college", measure="msp")
     _, rows = trend_series(panel, config)
-    assert set(tags) == {"msp"}
-    # one stack per unit, plus one table for each undefined wave's message
-    undefined = sum(row["cumulative"] == "" for row in rows)
-    assert undefined and len(tags) == len(panel.states) + 1 + undefined
+    # one stack for the whole run; the undefined waves' messages need no
+    # evaluation of their own
+    assert tags == ["msp"]
+    assert any(row["cumulative"] == "" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +1053,25 @@ def test_cli_indicators(tmp_path):
     lines = (out / "indicators.csv").read_text().strip().splitlines()
     assert lines[0].startswith("state,year,share")
     assert len(lines) == 1 + 4 * 6  # US + 3 states, 6 waves
+
+
+def test_cli_cuts_the_three_level_fixture(tmp_path):
+    # default labels, an UNKNOWN row (left out) and Ohio's missing 1980 wave
+    couples = FIXTURES / "three_level_panel.csv"
+    cli("indicators", "--categories", "college", "--couples", couples,
+        "--out", tmp_path / "ind")
+    rows = read_rows(tmp_path / "ind" / "indicators.csv")
+    assert [(row["state"], row["year"]) for row in rows] == [
+        (unit, str(year)) for unit in ("US", "Iowa", "Ohio", "Texas")
+        for year in (1960, 1970, 1980, 1990, 2000, 2010) if (unit, year) != ("Ohio", 1980)]
+    assert all(row[tag] != "" for row in rows for tag in ("share", *SCALAR_TAGS))
+    cli("decompose", "--categories", "hs", "--method", "ipf", "--couples", couples,
+        "--out", tmp_path / "dec")
+    statuses = {(row["state"], row["decade"]): row["status"]
+                for row in read_rows(tmp_path / "dec" / "decomposition.csv")}
+    assert len(statuses) == 3 * 5
+    assert {key for key, status in statuses.items() if status != "ok"} == {
+        ("Ohio", "1970s"), ("Ohio", "1980s")}
 
 
 def test_cli_counterfactual(tmp_path):
