@@ -16,7 +16,7 @@ _EXPORTS = {
         "ipf_fit", "mdba_fit", "meda_fit", "meda_weight", "nm_fit",
     ),
     "decomposition": (
-        "DecompositionResult", "TrendSeries", "decompose", "decompose_stack",
+        "DecompositionResult", "decompose", "decompose_counts",
     ),
     "indicators": (
         "CONTINUOUS", "PAPER_INTEGER", "LiuLuDecomposition", "MspComponents",

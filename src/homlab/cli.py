@@ -25,14 +25,14 @@ import click
 import numpy as np
 
 from . import counterfactual as cf
-from .decomposition import SCHEMES, fit_onto
+from .decomposition import SCHEMES
 from .errors import DataError
 from .indicators import SCALAR_TAGS
 from .io import (
     CATEGORY_SCHEMES,
     EXCLUDED,
     RunConfig,
-    cut_wave,
+    _cut_run,
     decade_changes,
     format_number,
     income_decade_deltas,
@@ -42,6 +42,7 @@ from .io import (
     load_singles,
     trend_series,
 )
+from .tables import ContingencyTable, TableWithSingles, marginals
 from .trend import score
 
 
@@ -188,7 +189,11 @@ def indicators(**params):
 @click.option("--early-year", type=int, required=True)
 @click.option("--late-year", type=int, required=True)
 def counterfactual(**params):
-    """Fit the late table onto the early marginals; emit table and diagnostics."""
+    """Fit the late table onto the early marginals; emit table and diagnostics.
+
+    Both waves come from the run's one cut of ``--state``, with their singles
+    for ``csa``; a wave that the cut excludes is reported like a failed fit.
+    """
     config = _config_from(params)
     panel = _panel_from(params, config)
     out = Path(params["out"])
@@ -196,10 +201,11 @@ def counterfactual(**params):
     state = params["state"]
     method = config.method.lower()
     years = (params["early_year"], params["late_year"])
-    tables = [panel.unit_table(state, year) for year in years]
-    for year, table in zip(years, tables):
-        if table is None:
+    cut = _cut_run(panel, config, (state,), method)
+    for year in years:
+        if year not in cut.rows[state]:
             raise click.ClickException(f"no table for ({state}, {year})")
+    early, late = (cut.rows[state][year] for year in years)
     payload = {
         "method": config.method.upper(),
         "state": state,
@@ -207,12 +213,16 @@ def counterfactual(**params):
         "late_year": params["late_year"],
     }
     try:
-        early, late = (
-            cut_wave(panel, config, state, year, table, method)
-            for year, table in zip(years, tables)
-        )
-        result = fit_onto(
-            late, early, method, config.rounding, config.tol, config.max_iter
+        for row in (early, late):
+            if cut.errors[row] is not None:
+                raise cut.errors[row]
+        source, target = (ContingencyTable(cut.counts[row], cut.labels, cut.labels)
+                          for row in (late, early))
+        if cut.singles is not None:
+            source = TableWithSingles(source, *(pool[late] for pool in cut.singles))
+        result = cf.fit(
+            method, source, marginals(target), config.rounding, config.tol, config.max_iter,
+            cut.singles and tuple(pool[early] for pool in cut.singles),
         )
     except EXCLUDED as exc:
         # a pair that decompose would exclude is a result, not a crash

@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .counterfactual import _METHODS, fit, fit_stack
-from .errors import HomlabError, ShapeError, TableError
+from .counterfactual import _METHODS, fit_stack
+from .errors import ShapeError, TableError
 from .indicators import PAPER_INTEGER
 from .tables import (
     ContingencyTable,
@@ -32,7 +32,6 @@ from .tables import (
     couples_of,
     homogamy_share,
     homogamy_shares,
-    marginals,
 )
 
 SEQUENTIAL = "sequential"
@@ -52,50 +51,6 @@ class DecompositionResult:
     nonstructural_effect: float
     structural_effect: float
     interaction_effect: float | None = None
-
-
-@dataclass(frozen=True)
-class TrendSeries:
-    """Observed anchor level plus cumulated sorting-only effects per wave.
-
-    ``effects[decade]`` is the non-structural effect of that decade's
-    generation change (None when the decade is missing or excluded).
-    ``cumulative[year]`` is the anchor value plus all effects up to that
-    wave; once a decade is missing or excluded, later waves cannot be
-    anchored and stay None (gaps are not interpolated).
-    """
-
-    anchor_year: int
-    anchor_value: float | None  # None when the anchor wave cannot be cut
-    effects: Mapping[str, float | None]
-    cumulative: Mapping[int, float | None]
-
-
-def _target_singles(target_table, method: str):
-    """The singles a fit onto ``target_table`` targets: its own, or None for
-    a table without them, which ``csa`` refuses."""
-    if isinstance(target_table, TableWithSingles):
-        return target_table.single_men, target_table.single_women
-    if method.strip().lower() == "csa":
-        raise ShapeError("the surplus-based method needs singles on both sides")
-    return None
-
-
-def fit_onto(source, target_table, method: str, rounding: str, tol, max_iter):
-    """``method``'s fit of ``source`` onto ``target_table``'s couple margins
-    and, for ``csa``, onto its singles as well."""
-    return fit(method, source, marginals(couples_of(target_table)), rounding=rounding,
-               tol=tol, max_iter=max_iter,
-               target_singles=_target_singles(target_table, method))
-
-
-def _stacked_singles(tables):
-    """The singles of ``tables`` as (T, n) men and (T, m) women stacks, or
-    None unless every table carries them."""
-    if not all(isinstance(t, TableWithSingles) for t in tables):
-        return None
-    return (np.stack([t.single_men for t in tables]),
-            np.stack([t.single_women for t in tables]))
 
 
 def _fitted_shares(method, sources, targets, singles, target_singles, rounding, tol,
@@ -170,56 +125,6 @@ def decompose_counts(
     return outcomes
 
 
-def decompose_stack(
-    pairs: Sequence[tuple[ContingencyTable | TableWithSingles,
-                          ContingencyTable | TableWithSingles]],
-    method: str = "nm",
-    scheme: str = SEQUENTIAL,
-    rounding: str = PAPER_INTEGER,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> list[DecompositionResult | Exception]:
-    """:func:`decompose` on every ``(early, late)`` pair, fitted as stacks.
-
-    Each pair is checked first: the category labels of its two tables, the
-    square tables the share needs, and for ``csa`` the early singles. The
-    pairs that pass are grouped by shape and by whether the late table
-    carries singles, and each group takes one :func:`decompose_counts` call.
-    Entry ``i`` of the result is what ``decompose`` returns on pair ``i``,
-    bit for bit, or the error it raises there, with the same class and
-    message.
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme: {scheme!r}")
-    outcomes: list = [None] * len(pairs)
-    groups: dict[tuple, list[int]] = {}
-    for i, (early, late) in enumerate(pairs):
-        early_c, late_c = couples_of(early), couples_of(late)
-        try:
-            if (early_c.row_labels != late_c.row_labels
-                    or early_c.col_labels != late_c.col_labels):
-                raise ShapeError("generation tables must share category labels")
-            for side in (early_c, late_c):
-                if not side.is_square():
-                    homogamy_share(side)  # raises the share's ShapeError
-            _target_singles(early, method)  # fit_onto's check: csa needs early singles
-        except HomlabError as exc:
-            outcomes[i] = exc
-            continue
-        key = (late_c.counts.shape, isinstance(late, TableWithSingles))
-        groups.setdefault(key, []).append(i)
-
-    for members in groups.values():
-        sides = [[pairs[i][side] for i in members] for side in (0, 1)]
-        results = decompose_counts(
-            *(np.stack([couples_of(t).counts for t in tables]) for tables in sides),
-            method, scheme, rounding, tol, max_iter,
-            [_stacked_singles(tables) for tables in sides])
-        for i, result in zip(members, results):
-            outcomes[i] = result
-    return outcomes
-
-
 def decompose(
     early: ContingencyTable | TableWithSingles,
     late: ContingencyTable | TableWithSingles,
@@ -241,10 +146,25 @@ def decompose(
       early sorting (fitting the early table onto the late marginals) and
       ``interaction_effect`` is the residual cross term.
 
-    This is :func:`decompose_stack` on one pair, and it raises that pair's
+    The pair is checked first: the category labels of its two tables, the
+    square tables the share needs, and for ``csa`` the early singles. It is
+    then :func:`decompose_counts` on stacks of one, and raises that pair's
     error.
     """
-    (result,) = decompose_stack([(early, late)], method, scheme, rounding, tol, max_iter)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme: {scheme!r}")
+    early_c, late_c = couples_of(early), couples_of(late)
+    if early_c.row_labels != late_c.row_labels or early_c.col_labels != late_c.col_labels:
+        raise ShapeError("generation tables must share category labels")
+    for side in (early_c, late_c):
+        if not side.is_square():
+            homogamy_share(side)  # raises the share's ShapeError
+    singles = [(t.single_men[None], t.single_women[None])
+               if isinstance(t, TableWithSingles) else None for t in (early, late)]
+    if singles[0] is None and method.strip().lower() == "csa":
+        raise ShapeError("the surplus-based method needs singles on both sides")
+    (result,) = decompose_counts(early_c.counts[None], late_c.counts[None], method, scheme,
+                                 rounding, tol, max_iter, singles)
     if isinstance(result, Exception):
         raise result
     return result
@@ -259,8 +179,9 @@ def cumulate(
     anchor_year: int,
     anchor_value: float | None,
     effects: Mapping[str, float | None],
-) -> TrendSeries:
-    """Add up per-decade effects on top of the anchor wave's share.
+) -> dict[int, float | None]:
+    """Add up per-decade effects on top of the anchor wave's share: the
+    cumulative value of each wave.
 
     ``effects`` maps each decade label of the ``waves`` grid to its effect,
     None for a missing or excluded decade. Waves before the anchor, and
@@ -276,9 +197,4 @@ def cumulate(
         effect = effects[decade_label(prev)]
         running = None if running is None or effect is None else running + effect
         cumulative[cur] = running
-    return TrendSeries(
-        anchor_year=anchor_year,
-        anchor_value=anchor_value,
-        effects=dict(effects),
-        cumulative=cumulative,
-    )
+    return cumulative

@@ -443,10 +443,10 @@ def evaluate_stack(
                              f"({size}, {n}) and ({size}, {m})")
         _check_rounding(rounding)
         values, undefined = _surplus(counts, men, women)
-        return values.reshape(size, -1), undefined
-    if tag == "gll":
+        return values.reshape(size, n * m), undefined
+    if tag == "gll":  # sizes given, not inferred, so an empty stack reshapes too
         *_, values, undefined = _ll(*_split_sums(counts), rounding)
-        return values.reshape(size, -1), undefined.reshape(size, -1).any(axis=1)
+        return values.reshape(size, (n - 1) * (m - 1)), undefined.any(axis=(1, 2))
     if tag == "det" and (n, m) != (2, 2):
         if n != m:
             return np.full((size, 1), np.nan), np.ones(size, dtype=bool)

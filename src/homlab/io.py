@@ -43,8 +43,7 @@ from .errors import (
     TableError,
     UndefinedIndicatorError,
 )
-from .tables import (ContingencyTable, TableWithSingles, _block_sum, _refused, couples_of,
-                     homogamy_shares)
+from .tables import ContingencyTable, _block_sum, _refused, homogamy_shares
 from .trend import DecadeChange
 
 THREE_LEVEL = "three"
@@ -160,9 +159,8 @@ class PanelDataset:
     at construction, over ``states`` in order and then over ``UNKNOWN`` when
     ``include_unknown`` is set. ``income`` maps (state, year) to the top
     decile share, ``singles`` to the (single men, single women) vectors of
-    :func:`load_singles`. The pipeline reads the arrays; :meth:`table`,
-    :meth:`national`, :meth:`unit_table` and :meth:`with_singles` build a
-    table on demand.
+    :func:`load_singles`. The pipeline reads the arrays, cut once per run;
+    :meth:`unit_table` builds one wave's table on demand.
     """
 
     counts: np.ndarray
@@ -199,26 +197,10 @@ class PanelDataset:
         row = self.index.get((unit, year))
         return None if row is None else self.counts[row]
 
-    def _table(self, counts) -> ContingencyTable | None:
-        return None if counts is None else ContingencyTable(counts, self.labels, self.labels)
-
-    def table(self, state: str, year: int) -> ContingencyTable | None:
-        row = self.index.get((state, year))
-        return self._table(None if row is None else self.counts[row])
-
-    def national(self, year: int) -> ContingencyTable | None:
-        return self._table(self.national_counts.get(year))
-
     def unit_table(self, unit: str, year: int) -> ContingencyTable | None:
         """One wave of a state, or of the national aggregate ``US``."""
-        return self._table(self.unit_counts(unit, year))
-
-    def with_singles(self, state: str, year: int) -> TableWithSingles | None:
-        table = self.table(state, year)
-        pools = self.singles.get((state, year))
-        if table is None or pools is None:
-            return None
-        return TableWithSingles(table, pools[0], pools[1])
+        counts = self.unit_counts(unit, year)
+        return None if counts is None else ContingencyTable(counts, self.labels, self.labels)
 
 
 _COUPLES = ("year", "state", "husband_edu", "wife_edu", "count")
@@ -430,29 +412,13 @@ def _divide(scheme: str, counts: np.ndarray, pools=None):
     if counts.shape[1:] != (3, 3):
         raise DataError(f"the {scheme!r} divide needs a three-level table, "
                         f"got {counts.shape[1]}x{counts.shape[2]}")
-    blocks = _CUTS.get(scheme)
-    if blocks is None:
-        raise DataError(f"no cut partition for scheme: {scheme!r}")
+    blocks = _CUTS[scheme]
     cut = np.stack([np.stack([_block_sum(counts, r, c) for c in blocks], axis=-1)
                     for r in blocks], axis=-2)
     if pools is not None:
         pools = tuple(np.stack([_block_sum(pool, b) for b in blocks], axis=-1)
                       for pool in pools)
     return cut, pools, blocks
-
-
-def dichotomize(subject: ContingencyTable | TableWithSingles, scheme: str):
-    """Collapse a three-level table, with or without its singles, to the
-    requested two-level divide: the run's cut on a stack of one."""
-    table = couples_of(subject)
-    pools = ((subject.single_men[None], subject.single_women[None])
-             if isinstance(subject, TableWithSingles) else None)
-    counts, pools, blocks = _divide(scheme, table.counts[None], pools)
-    if blocks is None:
-        return subject
-    cut = ContingencyTable(counts[0], *(tuple("+".join(labels[b]) for b in blocks)
-                                        for labels in (table.row_labels, table.col_labels)))
-    return cut if pools is None else TableWithSingles(cut, pools[0][0], pools[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +442,17 @@ EXCLUDED = (
 )
 
 
-def cut_wave(panel: PanelDataset, config: RunConfig, unit: str, year: int,
-             table: ContingencyTable, method: str = ""):
-    """``unit``'s present wave ``table`` on the configured divide, as
-    ``method`` takes it: with its singles for ``csa`` (a DataError without
-    them), alone for any other method or indicator and for the share.
-    """
-    subject = panel.with_singles(unit, year) if method == "csa" else table
-    if subject is None:
-        raise DataError(_NO_SINGLES)
-    return dichotomize(subject, config.categories)
-
-
 @dataclass
 class _RunCut:
     """Every present wave of a run's units, cut once, as one stack.
 
     ``rows[unit]`` maps each present year, in wave order, to its row of
     ``counts`` (N, n, n), whose homogamy shares are ``shares``; both are
-    None when the divide cannot cut the tables. ``errors[i]`` is the error
-    :func:`cut_wave` raises on row ``i``, or None, and ``singles`` holds
-    the single men and women stacks (N, n) for ``csa``.
+    None when the divide cannot cut the tables, as are ``labels``, the
+    categories of the cut on both axes. ``errors[i]`` is the error that
+    excludes row ``i`` (no singles for ``csa``, or a divide that cannot cut
+    it), or None, and ``singles`` holds the single men and women stacks
+    (N, n) for ``csa``.
     """
 
     rows: dict[str, dict[int, int]]
@@ -504,6 +460,7 @@ class _RunCut:
     counts: np.ndarray | None = None
     shares: list | None = None
     singles: tuple[np.ndarray, np.ndarray] | None = None
+    labels: tuple[str, ...] | None = None
 
 
 def _cut_run(panel: PanelDataset, config: RunConfig, unit_list, method: str = "") -> _RunCut:
@@ -528,10 +485,12 @@ def _cut_run(panel: PanelDataset, config: RunConfig, unit_list, method: str = ""
         singles = tuple(np.array([(pool or (np.zeros(k),) * 2)[sex] for pool in pools])
                         .reshape(-1, k) for sex in (0, 1))
     try:
-        counts, singles, _ = _divide(config.categories, counts, singles)
+        counts, singles, blocks = _divide(config.categories, counts, singles)
     except DataError as exc:
         return _RunCut(rows, [error or exc for error in errors])
-    return _RunCut(rows, errors, counts, homogamy_shares(counts).tolist(), singles)
+    labels = panel.labels if blocks is None else tuple("+".join(panel.labels[b])
+                                                       for b in blocks)
+    return _RunCut(rows, errors, counts, homogamy_shares(counts).tolist(), singles, labels)
 
 
 def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
@@ -692,11 +651,11 @@ def trend_series(panel: PanelDataset, config: RunConfig):
         # the first wave's share on its plain cut, which csa without singles
         # lacks; an uncut unit's series is all gaps
         anchor = cut.shares[years[first]] if cut.shares else None
-        series = cumulate(config.waves, first, anchor,
-                          {c.decade: c.delta if c.valid else None
-                           for c in changes[i * span:(i + 1) * span]})
-        rows += [{"state": unit, "year": year, "cumulative": series.cumulative[year],
-                  "effect": series.effects.get(decade_label(year), "")}
+        effects = {c.decade: c.delta if c.valid else None
+                   for c in changes[i * span:(i + 1) * span]}
+        cumulative = cumulate(config.waves, first, anchor, effects)
+        rows += [{"state": unit, "year": year, "cumulative": cumulative[year],
+                  "effect": effects.get(decade_label(year), "")}
                  for year in config.waves]
     return changes[span:], rows
 

@@ -235,10 +235,11 @@ def _block_sum(values: np.ndarray, rows: slice, cols: slice | None = None) -> np
     category merge sums here, so a block gives the same bits whoever asks.
     The block is flattened and reduced as one contiguous run: a running
     ``cumsum`` would be cheaper over many splits, but it rounds differently
-    on non-integer counts."""
+    on non-integer counts. The block's size is given, not inferred, so an
+    empty stack sums to an empty result."""
     block = values[..., rows] if cols is None else values[..., rows, cols]
     lead = values.shape[:-1] if cols is None else values.shape[:-2]
-    return np.add.reduce(block.reshape(*lead, -1), axis=-1)
+    return np.add.reduce(block.reshape(*lead, math.prod(block.shape[len(lead):])), axis=-1)
 
 
 def merge_categories(

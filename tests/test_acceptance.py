@@ -321,8 +321,8 @@ def test_decomposition_additivity_and_divergence():
 
     config = RunConfig(labels=("L", "H"), categories="three")
     panel = load_couples(FIXTURES / "divergence_couples.csv", config)
-    early = panel.table("Example", 1980)
-    late = panel.table("Example", 1990)
+    early = panel.unit_table("Example", 1980)
+    late = panel.unit_table("Example", 1990)
     ipf_effect = decompose(early, late, "ipf", SEQUENTIAL).nonstructural_effect
     nm_effect = decompose(early, late, "nm", SEQUENTIAL).nonstructural_effect
     assert ipf_effect < -0.01 and nm_effect > 0.01

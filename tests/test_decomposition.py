@@ -7,11 +7,12 @@ from homlab.decomposition import (
     SEQUENTIAL,
     WITH_INTERACTION,
     decompose,
-    decompose_stack,
+    decompose_counts,
 )
 from homlab.errors import HomlabError, ShapeError
 from homlab.io import PanelDataset, RunConfig, trend_series
-from homlab.tables import ContingencyTable, TableWithSingles, homogamy_share, marginals
+from homlab.tables import (ContingencyTable, TableWithSingles, couples_of, homogamy_share,
+                           marginals)
 
 
 def table(counts):
@@ -141,12 +142,23 @@ def test_method_choice_drives_the_sign_on_the_divergence_fixture():
     assert nm.nonstructural_effect > 0.01
 
 
+def _stacked(tables):
+    """The couples counts of ``tables`` as one stack, and their (single men,
+    single women) stacks, or None unless every table carries singles."""
+    counts = np.stack([couples_of(t).counts for t in tables])
+    if not all(isinstance(t, TableWithSingles) for t in tables):
+        return counts, None
+    return counts, tuple(np.stack([getattr(t, name) for t in tables])
+                         for name in ("single_men", "single_women"))
+
+
 @pytest.mark.parametrize("method", ["ipf", "mdba", "meda", "csa", "nm"])
 @pytest.mark.parametrize("scheme", [SEQUENTIAL, WITH_INTERACTION])
 def test_decompose_stack_is_decompose_on_each_pair(method, scheme):
-    # 2x2 and 3x3 pairs in one call (two stacks per direction), pairs that
-    # fail before any fit, and pairs whose fits fail: entry i is decompose's
-    # result on pair i, bit for bit, or its error with class and message
+    # decompose_counts on a stack of 2x2 pairs, one of 3x3 pairs, and a pair
+    # whose late table has no singles, each in one call, with pairs whose
+    # fits fail: entry i is decompose's result on pair i, bit for bit, or
+    # its error with class and message
     rng = np.random.default_rng(29)
     three = ("L", "M", "H")
 
@@ -156,36 +168,55 @@ def test_decompose_stack_is_decompose_on_each_pair(method, scheme):
         return TableWithSingles(ContingencyTable(counts, labels, labels),
                                 rng.integers(0, 9, size), rng.integers(1, 9, size))
 
-    pairs = [(draw(2, ("L", "H")), draw(2, ("L", "H"))) for _ in range(12)]
-    pairs += [(draw(3, three), draw(3, three)) for _ in range(12)]
-    pairs += [
-        (EARLY, ContingencyTable(LATE.counts, ("lo", "hi"), ("lo", "hi"))),
-        (EARLY, pairs[0][1]),  # csa: the early table has no singles
-        (pairs[0][0], LATE),  # csa: the late table has no singles
-        (ContingencyTable(np.ones((2, 3))), ContingencyTable(np.ones((2, 3)))),
-    ]
-    outcomes = decompose_stack(pairs, method, scheme)
-    assert len(outcomes) == len(pairs)
+    two_by_two = [(draw(2, ("L", "H")), draw(2, ("L", "H"))) for _ in range(12)]
+    stacks = [two_by_two, [(draw(3, three), draw(3, three)) for _ in range(12)],
+              [(two_by_two[0][0], LATE)]]  # csa: the late table has no singles
     kinds, done = set(), 0
-    for (early, late), outcome in zip(pairs, outcomes):
-        try:
-            expected = decompose(early, late, method, scheme)
-        except (HomlabError, ValueError) as exc:
-            assert type(outcome) is type(exc) and str(outcome) == str(exc)
-            kinds.add(type(exc).__name__)
-            continue
-        assert [np.float64(v).tobytes() if isinstance(v, float) else v
-                for v in dataclasses.astuple(outcome)] == [
-            np.float64(v).tobytes() if isinstance(v, float) else v
-            for v in dataclasses.astuple(expected)]
-        done += 1
-    assert "ShapeError" in kinds and done >= 10
+    for pairs in stacks:
+        sides = [_stacked([pair[side] for pair in pairs]) for side in (0, 1)]
+        outcomes = decompose_counts(sides[0][0], sides[1][0], method, scheme,
+                                    singles=[sides[0][1], sides[1][1]])
+        assert len(outcomes) == len(pairs)
+        for (early, late), outcome in zip(pairs, outcomes):
+            try:
+                expected = decompose(early, late, method, scheme)
+            except (HomlabError, ValueError) as exc:
+                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+                kinds.add(type(exc).__name__)
+                continue
+            assert [np.float64(v).tobytes() if isinstance(v, float) else v
+                    for v in dataclasses.astuple(outcome)] == [
+                np.float64(v).tobytes() if isinstance(v, float) else v
+                for v in dataclasses.astuple(expected)]
+            done += 1
+    assert done >= 10 and (method not in ("csa", "mdba") or "ShapeError" in kinds)
+
+
+def test_decompose_checks_the_pair_before_any_fit_in_order():
+    # unknown scheme, label mismatch, a non-square side, then csa's early
+    # singles; the fit's own errors come after
+    wide = ContingencyTable(np.ones((2, 3)))
+    relabeled_wide = ContingencyTable(np.ones((2, 3)), ("a", "b"))
+    with_singles = TableWithSingles(EARLY, [5, 6], [7, 8])
+    with pytest.raises(ValueError, match="unknown scheme: 'shapley'"):
+        decompose(wide, relabeled_wide, "csa", "shapley")
+    with pytest.raises(ShapeError, match="^generation tables must share category labels$"):
+        decompose(wide, relabeled_wide, "csa")
+    with pytest.raises(ShapeError, match="^homogamy share needs a square table, got 2x3$"):
+        decompose(wide, wide, "csa")
+    with pytest.raises(ShapeError, match="^the surplus-based method needs singles on both"):
+        decompose(EARLY, with_singles, "csa")
+    with pytest.raises(ShapeError, match="^the surplus-based method needs singles counts$"):
+        decompose(with_singles, LATE, "csa")
+    with pytest.raises(ValueError, match="unknown method tag"):
+        decompose(EARLY, LATE, "pam")
 
 
 def test_decompose_stack_refuses_an_unknown_scheme_first():
+    empty = np.zeros((0, 2, 2))
     with pytest.raises(ValueError, match="unknown scheme"):
-        decompose_stack([], "nm", "shapley")
-    assert decompose_stack([], "nm") == []
+        decompose_counts(empty, empty, "nm", "shapley")
+    assert decompose_counts(empty, empty, "nm") == []
 
 
 # ---------------------------------------------------------------------------

@@ -652,6 +652,16 @@ def test_stacked_evaluation_edge_cases():
 
 
 @pytest.mark.parametrize("tag", INDICATOR_TAGS)
+def test_stacked_evaluation_of_an_empty_stack_is_empty(tag):
+    # a stack of no tables, as a run with no present wave cuts it
+    shape = (3, 3) if tag in ("gll", "msm") else (2, 2)
+    singles = (np.zeros((0, shape[0])), np.zeros((0, shape[1])))
+    values, undefined = evaluate_stack(tag, np.zeros((0, *shape)), PAPER_INTEGER, singles)
+    width = {"gll": 4, "msm": 9, "reg": 2}.get(tag, 1)
+    assert values.shape == (0, width) and undefined.shape == (0,)
+
+
+@pytest.mark.parametrize("tag", INDICATOR_TAGS)
 def test_stacked_evaluation_refuses_anything_but_a_stack_of_tables(tag):
     # a single table, a bare vector or a stack of stacks is refused before
     # the tag is read, not left to fail inside a kernel

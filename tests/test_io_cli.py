@@ -11,18 +11,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from homlab.cli import main
-from homlab.counterfactual import METHOD_TAGS
-from homlab.decomposition import DecompositionResult, cumulate, decompose_stack, fit_onto
+from homlab.cli import _write_json, main
+from homlab.counterfactual import METHOD_TAGS, fit
+from homlab.decomposition import DecompositionResult, cumulate, decompose_counts
 from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError, TableError
 from homlab.indicators import SCALAR_TAGS, aggregate_msp, evaluate, gll
 from homlab.io import (
     EXCLUDED,
     PanelDataset,
     RunConfig,
-    cut_wave,
+    _cut_run,
     decade_changes,
-    dichotomize,
     format_number,
     income_decade_deltas,
     indicator_rows,
@@ -38,6 +37,7 @@ from homlab.tables import (
     TableWithSingles,
     couples_of,
     homogamy_share,
+    marginals,
     merge_categories,
     merge_with_singles,
 )
@@ -156,7 +156,7 @@ def test_load_couples_assembles_tables(tmp_path):
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
     assert panel.states == ("Iowa",)
     assert list(panel.index) == [("Iowa", 1960), ("Iowa", 1970)]
-    assert panel.table("Iowa", 1960).counts.tolist() == [[40, 10], [20, 30]]
+    assert panel.unit_table("Iowa", 1960).counts.tolist() == [[40, 10], [20, 30]]
 
 
 def test_load_couples_sums_duplicates(tmp_path):
@@ -166,7 +166,7 @@ def test_load_couples_sums_duplicates(tmp_path):
         "1960,Iowa,L,L,40\n1960,Iowa,L,L,2\n1960,Iowa,H,H,30\n",
     )
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
-    assert panel.table("Iowa", 1960).counts[0, 0] == 42
+    assert panel.unit_table("Iowa", 1960).counts[0, 0] == 42
 
 
 @pytest.mark.parametrize(
@@ -215,9 +215,9 @@ def test_national_aggregation_and_unknown(tmp_path):
     )
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
     assert panel.states == ("Iowa", "Ohio")
-    assert panel.national(1960).counts[0, 0] == 15
+    assert panel.unit_table("US", 1960).counts[0, 0] == 15
     panel_inc = load_couples(path, RunConfig(**TWO_LEVEL, include_unknown=True))
-    assert panel_inc.national(1960).counts[0, 0] == 115
+    assert panel_inc.unit_table("US", 1960).counts[0, 0] == 115
     assert panel_inc.states == ("Iowa", "Ohio")
 
 
@@ -368,19 +368,25 @@ def test_loaders_report_the_first_bad_line_and_its_first_bad_field(
 # dichotomization
 # ---------------------------------------------------------------------------
 
-def test_dichotomize_cuts():
-    t = ContingencyTable(
-        np.arange(1, 10, dtype=float).reshape(3, 3),
-        ("no_hs", "hs", "college"),
-        ("no_hs", "hs", "college"),
-    )
-    hs = dichotomize(t, "hs")
-    assert hs.counts.tolist() == [[1, 5], [11, 28]]
-    college = dichotomize(t, "college")
-    assert college.counts.tolist() == [[12, 9], [15, 9]]
-    assert dichotomize(t, "three") is t
-    with pytest.raises(DataError):
-        dichotomize(hs, "hs")
+def test_the_run_cut_divides_and_labels_the_stack():
+    labels = ("no_hs", "hs", "college")
+    counts = np.arange(1, 10, dtype=float).reshape(3, 3)
+    panel = panel_of({("A", 1960): counts}, labels, (1960,))
+    for categories, cells, cut_labels in (
+            ("hs", [[1, 5], [11, 28]], ("no_hs", "hs+college")),
+            ("college", [[12, 9], [15, 9]], ("no_hs+hs", "college")),
+            ("three", counts.tolist(), labels)):  # the stack as it is
+        config = RunConfig(waves=(1960,), labels=labels, categories=categories)
+        cut = _cut_run(panel, config, ("A",))
+        assert cut.counts.tolist() == [cells] and cut.labels == cut_labels
+        assert cut.rows == {"A": {1960: 0}} and cut.errors == [None]
+    # a two-level table has no high-school divide: every row carries why
+    two_level = panel_of({("A", 1960): [[1, 5], [11, 28]]}, ("L", "H"), (1960,))
+    cut = _cut_run(two_level, RunConfig(waves=(1960,), labels=("L", "H"), categories="hs"),
+                   ("US", "A"))
+    assert cut.counts is None and cut.labels is None
+    assert [type(error) for error in cut.errors] == [DataError, DataError]
+    assert str(cut.errors[0]) == "the 'hs' divide needs a three-level table, got 2x2"
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +483,15 @@ def test_measure_can_be_an_indicator(tmp_path):
 # the stacked decade pass against the per-pair loop it replaced
 # ---------------------------------------------------------------------------
 
+def _reference_fit(source, target, method, rounding, tol, max_iter):
+    """``method``'s single-table fit of ``source`` onto the couple margins
+    of ``target`` and, for ``csa``, onto its singles."""
+    singles = ((target.single_men, target.single_women)
+               if isinstance(target, TableWithSingles) else None)
+    return fit(method, source, marginals(couples_of(target)), rounding=rounding, tol=tol,
+               max_iter=max_iter, target_singles=singles)
+
+
 def _reference_decompose(early, late, method, scheme, rounding, tol, max_iter):
     """One pair decomposed with one single-table fit per direction."""
     early_c, late_c = couples_of(early), couples_of(late)
@@ -484,14 +499,14 @@ def _reference_decompose(early, late, method, scheme, rounding, tol, max_iter):
         raise ShapeError("generation tables must share category labels")
     share_early = homogamy_share(early_c)
     share_late = homogamy_share(late_c)
-    counter = fit_onto(late, early, method, rounding, tol, max_iter)
+    counter = _reference_fit(late, early, method, rounding, tol, max_iter)
     share_cf = homogamy_share(counter.table)
     nonstructural = share_cf - share_early
     delta = share_late - share_early
     if scheme == "sequential":
         return DecompositionResult(counter.method, scheme, share_early, share_late,
                                    share_cf, nonstructural, share_late - share_cf)
-    reverse = fit_onto(early, late, method, rounding, tol, max_iter)
+    reverse = _reference_fit(early, late, method, rounding, tol, max_iter)
     structural = homogamy_share(reverse.table) - share_early
     return DecompositionResult(counter.method, scheme, share_early, share_late,
                                share_cf, nonstructural, structural,
@@ -511,11 +526,18 @@ def _reference_dichotomize(subject, scheme):
     return merge(subject, parts, parts)
 
 
+def _with_singles(panel, unit, year):
+    """A state's wave with its singles, or None without them; the national
+    aggregate has none."""
+    pools = panel.singles.get((unit, year)) if (unit, year) in panel.index else None
+    return None if pools is None else TableWithSingles(panel.unit_table(unit, year), *pools)
+
+
 def _reference_cut(panel, config, unit, year, method=""):
     """One present wave cut alone, as ``method`` takes it."""
     subject = panel.unit_table(unit, year)
     if method == "csa":
-        subject = panel.with_singles(unit, year)
+        subject = _with_singles(panel, unit, year)
         if subject is None:
             raise DataError("the surplus-based method needs singles counts")
     return _reference_dichotomize(subject, config.categories)
@@ -682,19 +704,22 @@ def test_the_run_cut_matches_the_per_table_merges_bit_for_bit(categories):
                         assert type(error) is DataError and str(error) == str(exc)
                         continue
                     assert cut.errors[row] is None
-                    got = ContingencyTable(cut.counts[row], couples_of(expected).row_labels,
-                                           couples_of(expected).col_labels)
+                    got = ContingencyTable(cut.counts[row], cut.labels, cut.labels)
                     if cut.singles is not None:
                         got = TableWithSingles(got, *(pool[row] for pool in cut.singles))
                     _same_cut(got, expected)
                     share = homogamy_share(couples_of(expected))
                     assert np.float64(cut.shares[row]).tobytes() == np.float64(share).tobytes()
-                    # one table, with or without its singles, cut alone
-                    subject = (panel.with_singles(unit, year) if method
-                               else panel.unit_table(unit, year))
-                    _same_cut(cut_wave(panel, config, unit, year,
-                                       panel.unit_table(unit, year), method),
-                              _reference_dichotomize(subject, categories))
+
+
+def _stacked(tables):
+    """The couples counts of ``tables`` as one stack, and their (single men,
+    single women) stacks, or None unless every table carries singles."""
+    counts = np.stack([couples_of(t).counts for t in tables])
+    if not all(isinstance(t, TableWithSingles) for t in tables):
+        return counts, None
+    return counts, tuple(np.stack([getattr(t, name) for t in tables])
+                         for name in ("single_men", "single_women"))
 
 
 def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch):
@@ -733,7 +758,9 @@ def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch
                       if not isinstance(cuts.get(a, DataError()), Exception)
                       and not isinstance(cuts.get(b, DataError()), Exception)]
         fitted.clear()
-        outcomes = decompose_stack(pairs, method, scheme)
+        sides = [_stacked([pair[side] for pair in pairs]) for side in (0, 1)]
+        outcomes = decompose_counts(sides[0][0], sides[1][0], method, scheme,
+                                    singles=[sides[0][1], sides[1][1]])
         assert len(fitted) == (2 if scheme == "with-interaction" else 1)
         for k, ((early, late), outcome) in enumerate(zip(pairs, outcomes)):
             share_early, share_late = (homogamy_share(couples_of(t)) for t in (early, late))
@@ -893,7 +920,7 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
         undefined + "zero marginal sum",  # the early wave only
         "",
     ]
-    late, early = (panel.table("A", year) for year in (2000, 1990))
+    late, early = (panel.unit_table("A", year) for year in (2000, 1990))
     assert changes[-1].delta == aggregate_msp(late).aggregate - aggregate_msp(early).aggregate
     assert decade_changes(panel, config)[0] == changes
 
@@ -938,12 +965,11 @@ def _reference_series(panel, config):
             anchor = homogamy_share(_reference_cut(panel, config, unit, present[0]))
         except EXCLUDED:
             anchor = None
-        series = cumulate(config.waves, present[0], anchor,
-                          {c.decade: c.delta if c.valid else None for c in unit_changes})
+        effects = {c.decade: c.delta if c.valid else None for c in unit_changes}
+        cumulative = cumulate(config.waves, present[0], anchor, effects)
         for year in config.waves:
-            rows.append({"state": unit, "year": year,
-                         "cumulative": series.cumulative[year],
-                         "effect": series.effects.get(f"{year}s", "")})
+            rows.append({"state": unit, "year": year, "cumulative": cumulative[year],
+                         "effect": effects.get(f"{year}s", "")})
     return rows
 
 
@@ -1501,6 +1527,85 @@ def test_cli_counterfactual_reports_a_method_divide_mismatch(tmp_path):
     assert result.output == "Error: no table for (Example, 2000)\n"
 
 
+@pytest.mark.parametrize("categories", ["three", "hs", "college"])
+def test_cli_writes_empty_outputs_for_a_couples_file_without_couples(tmp_path, categories):
+    # a header alone, or only zero counts: no wave is present, so the run's
+    # cut is a stack of none, and every output is empty but written
+    header = "year,state,husband_edu,wife_edu,count\n"
+    for name, text in (("header", header), ("zeros", header + "1960,Iowa,college,college,0\n")):
+        couples, out = write(tmp_path / f"{name}.csv", text), tmp_path / name
+        for command in ("indicators", "decompose", "trend"):
+            cli(command, "--categories", categories, "--couples", couples, "--out", out)
+        assert (out / "indicators.csv").read_text() == "state,year,share\n"
+        assert len((out / "decomposition.csv").read_text().splitlines()) == 1
+        assert (out / "trend_series.csv").read_text() == "state,year,cumulative,effect\n"
+        assert json.loads((out / "trend_stats.json").read_text())["N"] == 0
+        # an unknown state has no table, whatever the divide
+        result = CliRunner().invoke(main, [
+            "counterfactual", "--categories", categories, "--couples", str(couples),
+            "--state", "Nowhere", "--early-year", "1960", "--late-year", "1970",
+            "--out", str(out)])
+        assert (result.exit_code, result.output) == (1, "Error: no table for (Nowhere, 1960)\n")
+
+
+def _write_stress_inputs(tmp_path, panel):
+    """``panel``'s couples and singles as the CLI's input files."""
+    couples = tmp_path / "couples.csv"
+    write_couples(panel, couples)
+    lines = ["year,state,sex,edu,count"]
+    for (state, year), pools in sorted(panel.singles.items()):
+        for sex, pool in zip("mw", pools):
+            lines += [f"{year},{state},{sex},{label},{format_number(float(count))}"
+                      for label, count in zip(panel.labels, pool)]
+    return couples, write(tmp_path / "singles.csv", "\n".join(lines) + "\n")
+
+
+def _reference_counterfactual(panel, config, state, years):
+    """The counterfactual payload of one pair, with each wave cut alone and
+    fitted by the single-table ``fit``."""
+    payload = {"method": config.method.upper(), "state": state,
+               "early_year": years[0], "late_year": years[1]}
+    try:
+        early, late = (_reference_cut(panel, config, state, year, config.method)
+                       for year in years)
+        result = _reference_fit(late, early, config.method, config.rounding, config.tol,
+                                config.max_iter)
+    except EXCLUDED as exc:
+        return {**payload, "feasible": False,
+                "error": {"type": type(exc).__name__, "detail": str(exc)}}
+    return {**payload, "method": result.method, "row_labels": list(result.table.row_labels),
+            "col_labels": list(result.table.col_labels),
+            "counts": [[float(x) for x in row] for row in result.table.counts],
+            "iterations": result.iterations, "max_marginal_error": result.max_marginal_error,
+            "feasible": result.feasible, "diagnostics": dict(result.diagnostics)}
+
+
+@pytest.mark.parametrize("categories", ["three", "hs", "college"])
+def test_cli_counterfactual_matches_the_per_table_fit_bit_for_bit(tmp_path, categories):
+    # US, a state, and a state whose early wave has no singles (which csa
+    # cannot cut), for every method; mdba on three levels is a ShapeError
+    panel = series_stress_panel()
+    couples, singles = _write_stress_inputs(tmp_path, panel)
+    cfg = write(tmp_path / "config.json", json.dumps({"labels": list(STRESS_LABELS)}))
+    errors, feasible = set(), 0
+    for method, (state, *years) in itertools.product(
+            METHOD_TAGS, (("US", 1960, 2010), ("Cary", 1980, 1990), ("Ames", 1960, 1970))):
+        config = RunConfig(labels=STRESS_LABELS, categories=categories, method=method)
+        out = tmp_path / f"{method}-{state}"
+        cli("counterfactual", "--config", cfg, "--categories", categories, "--method", method,
+            "--couples", couples, "--singles", singles, "--state", state,
+            "--early-year", years[0], "--late-year", years[1], "--out", out)
+        expected = _reference_counterfactual(panel, config, state, years)
+        _write_json(tmp_path / "expected.json", expected)
+        got = (out / "counterfactual.json").read_bytes()
+        assert got == (tmp_path / "expected.json").read_bytes(), (method, state)
+        errors.add(expected.get("error", {}).get("detail", "")[:40])
+        feasible += expected["feasible"]
+    assert feasible >= 5
+    assert "the surplus-based method needs singles c" in errors
+    assert (categories == "three") == any(e.startswith("the determinant-based") for e in errors)
+
+
 def _fresh_python(probe: str, **env) -> list[str]:
     """The words ``probe`` prints in a fresh interpreter on this checkout,
     without OPENBLAS_NUM_THREADS unless ``env`` sets it."""
@@ -1548,7 +1653,7 @@ def test_every_exported_name_resolves():
         "from homlab import *\n"
         "missing = [n for n in homlab.__all__ if getattr(homlab, n, None) is None]\n"
         "print(len(homlab.__all__), len(set(homlab.__all__)), missing)\n"
-        "print(homlab.decompose_stack is homlab.decomposition.decompose_stack)\n"
+        "print(homlab.decompose_counts is homlab.decomposition.decompose_counts)\n"
     )
     count, distinct, missing, same = _fresh_python(probe)
     assert count == distinct and int(count) > 40

@@ -296,6 +296,13 @@ def test_every_merge_sums_blocks_as_the_replaced_code_did(n, m):
         assert _same_bytes(at_every_cut[cut - 1, :, np.arange(7)], halves)
 
 
+def test_block_sums_of_an_empty_stack_are_empty():
+    # a run with no present wave cuts a stack of none
+    assert _block_sum(np.zeros((0, 3, 3)), slice(1, 3), slice(0, 2)).shape == (0,)
+    assert _block_sum(np.zeros((0, 3)), slice(0, 2)).shape == (0,)
+    assert _block_sum(np.zeros((0, 2, 3, 3)), slice(0, 1), slice(1, 3)).shape == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # reference matchings
 # ---------------------------------------------------------------------------
