@@ -90,6 +90,8 @@ class RunConfig:
         if (not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels)
                 or len(set(labels)) != len(labels)):
             raise DataError(f"labels must be a list of distinct strings, got {labels!r}")
+        if len(labels) < 2:  # no table, and no homogamy change, has one category
+            raise DataError(f"labels must name at least two categories, got {labels!r}")
         typed = [*(("each wave", year, Integral) for year in self.waves), ("tol", self.tol, Real),
                  *((name, getattr(self, name), Integral)
                    for name in ("max_iter", "seed", "sample_count"))]

@@ -1236,6 +1236,29 @@ def test_cli_input_errors_exit_as_one_line_messages(tmp_path):
     assert not (tmp_path / "indicators.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["indicators", "counterfactual", "decompose", "trend",
+                                     "criteria"])
+@pytest.mark.parametrize("labels", [["A"], []])
+def test_cli_refuses_fewer_than_two_labels_as_a_usage_error(tmp_path, command, labels):
+    # a file whose couples all carry the one label: counterfactual used to
+    # die on a 1x1 table with a TableError traceback
+    couples = write(tmp_path / "couples.csv", "year,state,husband_edu,wife_edu,count\n"
+                    "1960,Iowa,A,A,5\n1970,Iowa,A,A,7\n")
+    cfg = write(tmp_path / "config.json", json.dumps({"labels": labels}))
+    data = [] if command == "criteria" else ["--couples", str(couples)]
+    pair = (["--state", "Iowa", "--early-year", "1960", "--late-year", "1970"]
+            if command == "counterfactual" else [])
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, "--config", str(cfg), *data, *pair,
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    assert errors == [f"Error: labels must name at least two categories, got {labels!r}"]
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_cli_counterfactual_reports_infeasibility_in_output(tmp_path):
     # negative-sorting source pushed onto very skewed margins: the
     # LL-preserving fit must signal inside the JSON, not crash
