@@ -11,23 +11,19 @@ import importlib
 # each exported name's defining module: the package imports a module (and
 # numpy) only when one of its names is first read (PEP 562)
 _EXPORTS = {
-    "counterfactual": (
-        "CounterfactualResult", "SurvivalGrid", "csa_fit", "csa_solve", "fit",
-        "ipf_fit", "mdba_fit", "meda_fit", "meda_weight", "nm_fit",
-    ),
+    "counterfactual": ("CounterfactualResult", "fit"),
     "decomposition": (
         "DecompositionResult", "decompose", "decompose_counts",
     ),
     "indicators": (
         "CONTINUOUS", "PAPER_INTEGER", "LiuLuDecomposition", "MspComponents",
-        "RegressionPair", "SurplusMatrix", "aggregate_2x2", "aggregate_msp",
-        "correlation", "covariance", "determinant", "gll", "ll_simplified",
-        "odds_ratio", "regression", "surplus_matrix", "v_value",
+        "RegressionPair", "SurplusMatrix", "aggregate_msp", "correlation",
+        "covariance", "determinant", "gll", "ll_simplified", "odds_ratio",
+        "regression", "surplus_matrix", "v_value",
     ),
     "tables": (
-        "ContingencyTable", "Marginals", "TableWithSingles", "enumerate_tables",
-        "homogamy_share", "marginals", "merge_categories", "merge_with_singles",
-        "pam_match", "random_match",
+        "ContingencyTable", "Marginals", "TableWithSingles", "homogamy_share",
+        "marginals", "merge_categories",
     ),
     "trend": (
         "DecadeChange", "TrendStats", "classify_u_shape", "income_consistency", "score",

@@ -21,10 +21,9 @@ Each method's arithmetic is written once, as a kernel over a leading stack
 axis of problems that returns a :class:`FitStack`: per instance, the fitted
 counts, iterations, residual and the error its fit raises, if any.
 :func:`fit_stack` checks a stack and runs its method's kernel on it; ``fit``
-is ``fit_stack`` on a stack of one that raises that error, and ``ipf_fit``,
-``mdba_fit``, ``meda_fit`` and ``nm_fit`` are one call to ``fit`` each.
-All fits are pure and deterministic given their parameters, and an instance
-gives the same bits alone or in a stack.
+is ``fit_stack`` on a stack of one that raises that error. Each kernel's
+docstring explains its method. All fits are pure and deterministic given
+their parameters, and an instance gives the same bits alone or in a stack.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .indicators import (
     _ll_benchmark,
     _split_sums,
     _surplus,
-    surplus_matrix,
 )
 from .tables import (
     ContingencyTable,
@@ -106,31 +104,6 @@ class FitStack:
     residual: np.ndarray
     errors: tuple
     extra: Mapping[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SurvivalGrid:
-    """Top-right cumulative sums of a table, the inversion device for NM.
-
-    ``values[j, k]`` is the mass in rows strictly above split ``j`` and
-    columns strictly above split ``k`` (1-based cells ``i > j``, ``l > k``),
-    for ``j = 0..n`` and ``k = 0..m``. ``values[0, 0]`` is the total and the
-    last row and column are zero. Cells are recovered by inclusion-exclusion:
-    ``cell[i, l] = S[i-1, l-1] - S[i, l-1] - S[i-1, l] + S[i, l]``.
-    """
-
-    values: np.ndarray
-
-    @classmethod
-    def from_table(cls, table: ContingencyTable) -> "SurvivalGrid":
-        n, m = table.n_rows, table.n_cols
-        values = np.zeros((n + 1, m + 1))
-        values[:n, :m] = table.counts[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1]
-        return cls(values=values)
-
-    def to_cells(self) -> np.ndarray:  # also on a stack of grids
-        s = self.values
-        return s[..., :-1, :-1] - s[..., 1:, :-1] - s[..., :-1, 1:] + s[..., 1:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +255,19 @@ def _sweep(work, rows, cols, rs):
 
 
 def _ipf_kernel(counts, rows, cols, total, tol: float, max_iter: int) -> FitStack:
+    """Iterative proportional fitting: alternate row and column rescaling.
+
+    Each sweep multiplies every row by the ratio of its target sum to its
+    current sum, then does the same for columns, until the largest absolute
+    marginal discrepancy falls below ``tol``. Rescaling never changes cross
+    ratios, so on a strictly positive 2x2 source the odds ratio of the result
+    equals that of the source; zero cells of the source are structural and
+    stay zero. A target that the source's zero pattern cannot reach fails
+    with :class:`InfeasibilityError` before any sweep; a target reachable
+    only in the limit (a support cell tending to zero) still sweeps until
+    ``max_iter`` and fails with :class:`ConvergenceError`. Each instance
+    stops at its own sweep.
+    """
     counts = np.array(counts, dtype=float, order="C")
     errors, _ = _target_errors(total)
     if not counts.min() > 0:
@@ -315,33 +301,20 @@ def _ipf_kernel(counts, rows, cols, total, tol: float, max_iter: int) -> FitStac
     return _stack(counts, errors, iterations, residual)
 
 
-def ipf_fit(
-    source: ContingencyTable,
-    target: Marginals,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> CounterfactualResult:
-    """Iterative proportional fitting: alternate row and column rescaling.
-
-    Each sweep multiplies every row by the ratio of its target sum to its
-    current sum, then does the same for columns, until the largest absolute
-    marginal discrepancy falls below ``tol``. Rescaling never changes cross
-    ratios, so on a strictly positive 2x2 source the odds ratio of the result
-    equals that of the source; zero cells of the source are structural and
-    stay zero. A target that the source's zero pattern cannot reach raises
-    :class:`InfeasibilityError` before any sweep; a target reachable only in
-    the limit (a support cell tending to zero) still sweeps until ``max_iter``
-    and raises :class:`ConvergenceError`. This is :func:`fit` with the
-    ``ipf`` tag; in a stack, each instance stops at its own sweep.
-    """
-    return fit("ipf", source, target, tol=tol, max_iter=max_iter)
-
-
 # ---------------------------------------------------------------------------
 # closed forms: MDbA, MEDA and NM
 # ---------------------------------------------------------------------------
 
 def _mdba_kernel(counts, rows, cols, total) -> FitStack:
+    """Determinant-preserving transform, defined for 2x2 tables only.
+
+    With the marginals fixed the determinant is affine in the single free
+    cell ``d``, so the method solves one linear equation. The preserved value
+    is the source determinant rescaled to the target total (the determinant
+    grows with the square of the population, so the raw value would mix
+    sorting with population size). A solution with a negative cell does not
+    exist as a table and fails.
+    """
     errors, total = _target_errors(total)
     a, b, c, d = counts.reshape(-1, 4).T
     scale = total / counts.sum(axis=(-2, -1))
@@ -358,22 +331,15 @@ def _mdba_kernel(counts, rows, cols, total) -> FitStack:
     return _stack(fitted, errors, rows=rows, cols=cols, det_target=det_target)
 
 
-def mdba_fit(source: ContingencyTable, target: Marginals) -> CounterfactualResult:
-    """Determinant-preserving transform, defined for 2x2 tables only.
-
-    With the marginals fixed the determinant is affine in the single free
-    cell ``d``, so the method solves one linear equation. The preserved value
-    is the source determinant rescaled to the target total (the determinant
-    grows with the square of the population, so the raw value would mix
-    sorting with population size). A solution with a negative cell does not
-    exist as a table and raises. This is :func:`fit` with the ``mdba`` tag.
-    """
-    return fit("mdba", source, target)
-
-
 def _meda_weights(counts, errors: list) -> np.ndarray:
     """The projection weight of each source table of a stack; an instance
-    whose two benchmarks coincide fails and gets NaN."""
+    whose two benchmarks coincide fails and gets NaN.
+
+    The weight is the least-squares weight of the source between random and
+    assortative matching: it minimizes the Euclidean distance between the
+    source and ``(1 - v) * random + v * assortative`` built on the source's
+    own marginals, and in closed form it is the ratio of two inner products.
+    """
     rows, cols = counts.sum(axis=-1), counts.sum(axis=-2)
     total = rows.sum(axis=-1)
     rnd = random_counts(rows, cols, total)
@@ -389,21 +355,15 @@ def _meda_weights(counts, errors: list) -> np.ndarray:
     return (offset * direction).sum(axis=(-2, -1)) / dd
 
 
-def meda_weight(source: ContingencyTable) -> float:
-    """Least-squares weight of the source between random and assortative.
-
-    The weight minimizes the Euclidean distance between the source and the
-    combination ``(1 - v) * random + v * assortative`` built on the source's
-    own marginals; in closed form it is the ratio of two inner products.
-    """
-    errors = [None]
-    (v,) = _meda_weights(source.counts[None], errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(v)
-
-
 def _meda_kernel(counts, rows, cols, total) -> FitStack:
+    """Transplant the source's projection weight onto the target marginals.
+
+    The result is ``(1 - v) * random + v * assortative`` evaluated at the
+    target marginals, with ``v`` estimated from the source. ``v`` is not
+    clamped to [0, 1]: a weight outside that range that produces a negative
+    cell is exactly the impossible-counterfactual signal and fails, with the
+    unclamped weight reported.
+    """
     errors, total = _target_errors(total)
     v = _meda_weights(counts, errors)
     w = v[:, None, None]
@@ -416,19 +376,28 @@ def _meda_kernel(counts, rows, cols, total) -> FitStack:
     return _stack(fitted, errors, rows=rows, cols=cols, v=v)
 
 
-def meda_fit(source: ContingencyTable, target: Marginals) -> CounterfactualResult:
-    """Transplant the source's projection weight onto the target marginals.
-
-    The result is ``(1 - v) * random + v * assortative`` evaluated at the
-    target marginals, with ``v`` estimated from the source. ``v`` is not
-    clamped to [0, 1]: a weight outside that range that produces a negative
-    cell is exactly the impossible-counterfactual signal and raises, with the
-    unclamped weight reported. This is :func:`fit` with the ``meda`` tag.
-    """
-    return fit("meda", source, target)
-
-
 def _nm_kernel(counts, rows, cols, total, rounding: str) -> FitStack:
+    """Rebuild a table on the target marginals with the source's LL matrix.
+
+    For every ordered split the LL value of the target aggregation is forced
+    to equal the source's, which pins the top-right survival sum at that
+    split: ``d = level * (d_max - rho) + rho``, with the random benchmark
+    ``rho`` and the ceiling ``d_max`` taken from the same helper the LL
+    kernel of ``gll`` uses, evaluated on all splits at once. ``rounding``
+    selects how the random benchmark is treated inside each split: floored
+    as in the integer-count formula (``paper-integer``) or kept exact
+    (``continuous``, the well-posed choice on non-integer marginals and the
+    mode that commutes with category merging).
+
+    The survival grid ``S`` (n+1, m+1) holds at ``S[j, k]`` the mass in rows
+    strictly above split ``j`` and columns strictly above split ``k``; its
+    boundaries come from the target marginals alone, ``S[0, 0]`` is the
+    total, and its last row and column are zero. The cells follow by
+    inclusion-exclusion, ``cell[i, l] = S[i-1, l-1] - S[i, l-1] - S[i-1, l]
+    + S[i, l]`` (1-based). A negative recovered cell means no table with the
+    target marginals carries this much sorting; that fails, carrying the
+    offending cell.
+    """
     errors, total = _target_errors(total)
     *_, levels, undefined = _ll(*_split_sums(counts), rounding)
     if np.count_nonzero(undefined):
@@ -443,34 +412,9 @@ def _nm_kernel(counts, rows, cols, total, rounding: str) -> FitStack:
         grid[:, 1:n, :1], grid[:, :1, 1:m], total[:, None, None], rounding
     )
     grid[:, 1:n, 1:m] = levels * (d_max - rho) + rho
-    fitted = _clamp_negatives(
-        SurvivalGrid(values=grid).to_cells(), errors, _would_be("LL-preserving fit")
-    )
+    cells = grid[:, :-1, :-1] - grid[:, 1:, :-1] - grid[:, :-1, 1:] + grid[:, 1:, 1:]
+    fitted = _clamp_negatives(cells, errors, _would_be("LL-preserving fit"))
     return _stack(fitted, errors, rows=rows, cols=cols)
-
-
-def nm_fit(
-    source: ContingencyTable,
-    target: Marginals,
-    rounding: str = PAPER_INTEGER,
-) -> CounterfactualResult:
-    """Rebuild a table on the target marginals with the source's LL matrix.
-
-    For every ordered split the LL value of the target aggregation is forced
-    to equal the source's, which pins the top-right survival sum at that
-    split: ``d = level * (d_max - rho) + rho``, with the random benchmark
-    ``rho`` and the ceiling ``d_max`` taken from the same helper the LL
-    kernel of ``gll`` uses, evaluated on all splits at once. The full
-    survival grid (boundaries come from the target marginals alone) then
-    yields the cells by inclusion-exclusion. ``rounding`` selects
-    how the random benchmark is treated inside each split: floored as in the
-    integer-count formula (``paper-integer``) or kept exact (``continuous``,
-    the well-posed choice on non-integer marginals and the mode that commutes
-    with category merging). A negative recovered cell means no table with the
-    target marginals carries this much sorting; that raises, carrying the
-    offending cell. This is :func:`fit` with the ``nm`` tag.
-    """
-    return fit("nm", source, target, rounding=rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +422,29 @@ def nm_fit(
 # ---------------------------------------------------------------------------
 
 def _csa_kernel(msm, men, women, tol: float, max_iter: int) -> FitStack:
+    """Re-match target populations holding a surplus matrix fixed.
+
+    ``msm`` (T, k, l) holds the surplus matrices, ``men`` (T, k) and
+    ``women`` (T, l) the target populations, couples plus singles. The fit
+    finds singles vectors ``mu_m, mu_w`` and couples ``mu[i, j] = msm[i, j]
+    * sqrt(mu_m[i] * mu_w[j])`` such that singles plus spouses add up to the
+    target population of every category and sex. In ``x = sqrt(mu_m)``,
+    ``y = sqrt(mu_w)`` that is the (k + l)-dimensional system
+
+        F(x, y) = [x**2 + x * (msm @ y) - men, y**2 + y * (msm.T @ x) - women]
+
+    whose root in the positive orthant is unique. Newton's method solves it
+    from ``x = sqrt(men)``, ``y = sqrt(women)`` with the Jacobian
+
+        [[diag(2x + msm @ y), diag(x) msm], [diag(y) msm.T, diag(2y + msm.T @ x)]]
+
+    (one stacked linear solve per step). A step that would leave the positive
+    orthant is halved, per instance, until ``x`` and ``y`` stay strictly
+    positive. Convergence is measured by the largest relative
+    population-identity residual; ``iterations`` counts Newton steps. The
+    fitted singles travel in ``extra`` as ``single_men`` and
+    ``single_women``.
+    """
     size, k, l = msm.shape
     errors = [None] * size
     # z = (x, y) of each instance side by side, as are its target populations
@@ -552,66 +519,6 @@ def _csa_kernel(msm, men, women, tol: float, max_iter: int) -> FitStack:
                   single_men=singles[:, :k], single_women=singles[:, k:])
 
 
-def _csa_populations(msm, men, women, tol: float, max_iter: int) -> FitStack:
-    """The CSA kernel on one surplus matrix and its target populations."""
-    msm, men, women = _as_stack(msm, men, women)
-    if msm.shape[1:] != (men.shape[1], women.shape[1]):
-        raise ShapeError("surplus matrix and target populations disagree in shape")
-    return _csa_kernel(msm, men, women, tol, max_iter)
-
-
-def csa_solve(
-    msm: np.ndarray,
-    target_men: np.ndarray,
-    target_women: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 10000,
-):
-    """Core fixed point of the surplus-preserving re-matching.
-
-    Finds singles vectors ``mu_m, mu_w`` and couples
-    ``mu[i, j] = msm[i, j] * sqrt(mu_m[i] * mu_w[j])`` such that singles plus
-    spouses add up to the target population of every category and sex. In
-    ``x = sqrt(mu_m)``, ``y = sqrt(mu_w)`` that is the 2k-dimensional system
-
-        F(x, y) = [x**2 + x * (msm @ y) - men, y**2 + y * (msm.T @ x) - women]
-
-    whose root in the positive orthant is unique. Newton's method solves it
-    from ``x = sqrt(men)``, ``y = sqrt(women)`` with the Jacobian
-
-        [[diag(2x + msm @ y), diag(x) msm], [diag(y) msm.T, diag(2y + msm.T @ x)]]
-
-    (one linear solve per step). A step that would leave the positive
-    orthant is halved until ``x`` and ``y`` stay strictly positive.
-    Convergence is measured by the largest relative population-identity
-    residual; ``iterations`` counts Newton steps. This is the stacked CSA
-    kernel on a stack of one; in a stack, each step is one stacked solve and
-    the step is halved per instance.
-
-    Returns ``(couples, mu_m, mu_w, iterations, residual)``.
-    """
-    fits = _csa_populations(msm, target_men, target_women, tol, max_iter)
-    return (_single(fits), fits.extra["single_men"][0], fits.extra["single_women"][0],
-            int(fits.iterations[0]), float(fits.residual[0]))
-
-
-def csa_fit(
-    source: TableWithSingles,
-    target_men: np.ndarray,
-    target_women: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 10000,
-) -> CounterfactualResult:
-    """Re-match target populations holding the source's surplus matrix fixed.
-
-    See :func:`csa_solve` for the fixed point. The result table holds the
-    fitted couples; the fitted singles vectors travel in the diagnostics.
-    """
-    fits = _csa_populations(surplus_matrix(source).values, target_men, target_women,
-                            tol, max_iter)
-    return _result(source.couples, "csa", fits)
-
-
 def _check(method: str, shape, rows, cols, rounding, singles, target_singles) -> str:
     """The tag of ``method`` on sources of ``shape`` (n, m), target margins
     ``rows`` (..., n) and ``cols`` (..., m) and, for ``csa``, the sources'
@@ -671,9 +578,10 @@ def fit(
 
     For ``csa`` the source must carry singles counts and the target
     populations are the target couple marginals plus ``target_singles``
-    (falling back to the source's own singles when not provided). This is
-    :func:`fit_stack` on a stack of one, with the target's own total, and
-    it raises the error of the fit.
+    (falling back to the source's own singles when not provided); the
+    result table holds the fitted couples, and the fitted singles travel in
+    the diagnostics. This is :func:`fit_stack` on a stack of one, with the
+    target's own total, and it raises the error of the fit.
     """
     couples = couples_of(source)
     singles = _as_stack(source.single_men, source.single_women) if isinstance(

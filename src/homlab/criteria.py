@@ -38,17 +38,12 @@ import numpy as np
 
 from . import counterfactual as cf
 from . import indicators as ind
-from .errors import (
-    InfeasibilityError,
-    ShapeError,
-    UndefinedIndicatorError,
-)
+from .errors import InfeasibilityError, UndefinedIndicatorError
 from .tables import (
     ContingencyTable,
     Marginals,
     TableWithSingles,
     _block_sum,
-    couples_of,
     homogamy_shares,
     lattice,
     pam_counts,
@@ -89,30 +84,6 @@ NA_CELLS = frozenset(
 
 
 @dataclass(frozen=True)
-class MarginalPerturbation:
-    """A structured change of a table's margins.
-
-    ``kind`` selects the transformation; ``alpha`` is its parameter (the
-    scale factor, the category rescaling factor, or the reclassified share).
-    """
-
-    kind: str
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        kinds = ("scale", "type1-row", "type1-col", "type2-row", "type2-col")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown perturbation kind: {self.kind!r}")
-        name = "scale factor" if self.kind == "scale" else "type-1 factor"
-        if self.kind.startswith("type2") and not 0 < self.alpha < 1:
-            raise ValueError("type-2 share must lie strictly between 0 and 1")
-        if not self.alpha > 0:
-            raise ValueError(f"{name} must be positive")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
 class CriterionReport:
     """Outcome of one (criterion, subject) check."""
 
@@ -122,22 +93,6 @@ class CriterionReport:
     witness: Mapping[str, object] | None = None
     sample_size: int = 0
     notes: str = ""
-
-
-def apply_perturbation(
-    table: ContingencyTable | TableWithSingles, p: MarginalPerturbation
-):
-    """Apply a marginal perturbation, preserving the input type."""
-    if p.kind == "scale":
-        return table.scaled(p.alpha)
-    couples = couples_of(table)
-    if couples.n_rows != 2 or couples.n_cols != 2:
-        raise ShapeError("type-1/type-2 perturbations are defined for 2x2 tables")
-    counts = _perturbed(p.kind, p.alpha, couples.counts)
-    if isinstance(table, TableWithSingles):
-        return TableWithSingles(couples.with_counts(counts), table.single_men,
-                                table.single_women)
-    return couples.with_counts(counts)
 
 
 def _perturbed(kind: str, alpha, counts: np.ndarray) -> np.ndarray:

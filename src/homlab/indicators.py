@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GllUndefinedError, ShapeError, UndefinedIndicatorError
-from .tables import ContingencyTable, TableWithSingles, _block_sum, couples_of, merge_categories
+from .tables import ContingencyTable, TableWithSingles, _block_sum, couples_of
 
 PAPER_INTEGER = "paper-integer"
 CONTINUOUS = "continuous"
@@ -156,8 +156,8 @@ def _ll_benchmark(cd, bd, total, rounding: str):
     count expected under random matching, ``rho`` is its floor in
     ``paper-integer`` mode and ``r`` itself in ``continuous`` mode, and
     ``d_max = min(bd, cd)`` is the largest feasible high-high count. Works
-    elementwise on arrays of splits; ``nm_fit`` inverts LL through the same
-    two numbers.
+    elementwise on arrays of splits; the ``nm`` fit inverts LL through the
+    same two numbers.
     """
     r = cd * bd / total
     rho = np.floor(r) if rounding == PAPER_INTEGER else r
@@ -319,14 +319,6 @@ def ll_simplified(
                               rounding=rounding, negative_sorting=d < int_r)
 
 
-def aggregate_2x2(table: ContingencyTable, j: int, k: int) -> ContingencyTable:
-    """Coarsen to 2x2 at an ordered split: rows 1..j vs rest, cols 1..k vs rest."""
-    n, m = table.n_rows, table.n_cols
-    if not (1 <= j <= n - 1) or not (1 <= k <= m - 1):
-        raise ShapeError(f"split ({j},{k}) out of range for a {n}x{m} table")
-    return merge_categories(table, [range(j), range(j, n)], [range(k), range(k, m)])
-
-
 def _split_sums(counts: np.ndarray) -> np.ndarray:
     """Block sums ``a, b, c, d`` of every ordered split.
 
@@ -355,7 +347,8 @@ def gll(table: ContingencyTable, rounding: str = PAPER_INTEGER) -> np.ndarray:
     the rest; a 2x2 input yields the 1x1 matrix of its scalar value. The
     split sums are read straight off the counts and one LL kernel, shared
     with ``ll_simplified`` and the NM inversion, evaluates every split at
-    once, bit for bit equal to ``ll_simplified(aggregate_2x2(...))``.
+    once, bit for bit equal to ``ll_simplified`` of the 2x2 table that
+    ``merge_categories`` makes at that split.
     Entries are independent; if any are undefined, a
     :class:`~homlab.errors.GllUndefinedError` reports every failing split and
     carries the partial matrix.

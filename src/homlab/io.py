@@ -161,8 +161,7 @@ class PanelDataset:
     at construction, over ``states`` in order and then over ``UNKNOWN`` when
     ``include_unknown`` is set. ``income`` maps (state, year) to the top
     decile share, ``singles`` to the (single men, single women) vectors of
-    :func:`load_singles`. The pipeline reads the arrays, cut once per run;
-    :meth:`unit_table` builds one wave's table on demand.
+    :func:`load_singles`. The pipeline reads the arrays, cut once per run.
     """
 
     counts: np.ndarray
@@ -198,11 +197,6 @@ class PanelDataset:
             return self.national_counts.get(year)
         row = self.index.get((unit, year))
         return None if row is None else self.counts[row]
-
-    def unit_table(self, unit: str, year: int) -> ContingencyTable | None:
-        """One wave of a state, or of the national aggregate ``US``."""
-        counts = self.unit_counts(unit, year)
-        return None if counts is None else ContingencyTable(counts, self.labels, self.labels)
 
 
 _COUPLES = ("year", "state", "husband_edu", "wife_edu", "count")
@@ -388,19 +382,6 @@ def format_number(x: float) -> str:
     if float(x) == int(x) and abs(x) < 1e15:
         return str(int(x))
     return f"{x:.12g}"
-
-
-def write_couples(panel: PanelDataset, path: str | Path):
-    """Emit a panel back to the couples CSV schema (round-trip safe)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "state", "husband_edu", "wife_edu", "count"])
-        for (state, year) in sorted(panel.index):
-            counts = panel.counts[panel.index[(state, year)]]
-            for i, hlabel in enumerate(panel.labels):
-                for j, wlabel in enumerate(panel.labels):
-                    writer.writerow([year, state, hlabel, wlabel,
-                                     format_number(float(counts[i, j]))])
 
 
 def _divide(scheme: str, counts: np.ndarray, pools=None):
@@ -601,26 +582,16 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
     return changes, details, cut, values
 
 
-def unit_decade_changes(panel: PanelDataset, config: RunConfig, unit: str):
-    """One unit's decade changes of the configured measure, each computed once.
-
-    ``unit`` is a state or the national aggregate ``US``. Each present wave
-    is cut once, then each adjacent pair is decomposed or evaluated once.
-    Pairs with a missing endpoint wave, an undefined measure, an infeasible
-    or non-converging counterfactual, or tables of the wrong shape for the
-    method are returned invalid with the reason attached, never silently
-    dropped. Returns the changes in decade order and the decompositions of
-    the valid pairs, keyed by ``(unit, decade)``.
-    """
-    return _decade_pass(panel, config, (unit,))[:2]
-
-
 def decade_changes(panel: PanelDataset, config: RunConfig):
-    """Per-state decade changes of the configured measure.
+    """Per-state decade changes of the configured measure, in state and
+    decade order, and the decompositions of the valid pairs by ``(state,
+    decade)``; the national aggregate is not included.
 
-    :func:`unit_decade_changes` over every state in order, with the pairs
-    of all states decomposed in one :func:`decompose_counts` call; the
-    national aggregate is not included.
+    Each present wave is cut once, and the pairs of all states go to one
+    :func:`decompose_counts` call. Pairs with a missing endpoint wave, an
+    undefined measure, an infeasible or non-converging counterfactual, or
+    tables of the wrong shape for the method are returned invalid with the
+    reason attached, never silently dropped.
     """
     return _decade_pass(panel, config, panel.states)[:2]
 

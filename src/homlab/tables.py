@@ -262,20 +262,6 @@ def merge_categories(
     return ContingencyTable(out, row_labels, col_labels)
 
 
-def merge_with_singles(
-    tws: TableWithSingles,
-    row_partition: Sequence[Iterable[int]],
-    col_partition: Sequence[Iterable[int]],
-) -> TableWithSingles:
-    """Merge categories of a couples-plus-singles table, summing singles blocks."""
-    merged = merge_categories(tws.couples, row_partition, col_partition)
-    rows = _validate_partition(row_partition, tws.couples.n_rows, "row")
-    cols = _validate_partition(col_partition, tws.couples.n_cols, "column")
-    men = [_block_sum(tws.single_men, r) for r in rows]
-    women = [_block_sum(tws.single_women, c) for c in cols]
-    return TableWithSingles(merged, men, women)
-
-
 def random_counts(row_sums, col_sums, total) -> np.ndarray:
     """Cells of random matching, ``row_sums[i] * col_sums[j] / total``.
 
@@ -285,28 +271,16 @@ def random_counts(row_sums, col_sums, total) -> np.ndarray:
     return row_sums[..., :, None] * col_sums[..., None, :] / np.asarray(total)[..., None, None]
 
 
-def random_match(
-    marg: Marginals,
-    row_labels: Sequence[str] = (),
-    col_labels: Sequence[str] = (),
-) -> ContingencyTable:
-    """Expected joint distribution of couples under random matching.
-
-    Cell ``(i, j)`` is ``row_sums[i] * col_sums[j] / total``, so the result
-    reproduces the input marginals exactly.
-    """
-    if marg.total <= 0:
-        raise DegenerateInputError("random matching requires a positive total")
-    counts = random_counts(marg.row_sums, marg.col_sums, marg.total)
-    return ContingencyTable(counts, tuple(row_labels), tuple(col_labels))
-
-
 def pam_counts(row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
     """Cells of perfectly assortative matching for a stack of margins.
 
     ``row_sums`` (T, n) and ``col_sums`` (T, m) give cells (T, n, m). Each
-    instance runs the greedy descent of :func:`pam_match` on Python floats,
-    which round as numpy's float64 does.
+    instance is a greedy descent from the top: the highest unexhausted
+    husband category is matched with the highest unexhausted wife category,
+    so someone marries below their own level only once nobody of equal or
+    higher education remains unmatched on the other side. The categories
+    are totally ordered, so the descent is deterministic; it runs on Python
+    floats, which round as numpy's float64 does.
     """
     out = np.zeros((*row_sums.shape, col_sums.shape[-1]))
     for cells, rows, cols in zip(out, row_sums.tolist(), col_sums.tolist()):
@@ -323,25 +297,6 @@ def pam_counts(row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
             if cols[j] == 0:
                 j -= 1
     return out
-
-
-def pam_match(
-    marg: Marginals,
-    row_labels: Sequence[str] = (),
-    col_labels: Sequence[str] = (),
-) -> ContingencyTable:
-    """Perfectly assortative matching for the given marginals.
-
-    Greedy descent from the top: the highest unexhausted husband category is
-    matched with the highest unexhausted wife category, so someone marries
-    below their own level only once nobody of equal or higher education
-    remains unmatched on the other side. The descent is deterministic because
-    categories are totally ordered.
-    """
-    if marg.total <= 0:
-        raise DegenerateInputError("assortative matching requires a positive total")
-    counts = pam_counts(marg.row_sums[None], marg.col_sums[None])[0]
-    return ContingencyTable(counts, tuple(row_labels), tuple(col_labels))
 
 
 def homogamy_shares(counts: np.ndarray) -> np.ndarray:
@@ -410,23 +365,3 @@ def lattice(marg: Marginals, cap: int = 40) -> np.ndarray:
         points = np.concatenate([points[point_ix], comps[comp_ix, None, :]], axis=1)
         remaining = remaining[point_ix] - comps[comp_ix]
     return np.concatenate([points, remaining[:, None, :]], axis=1)
-
-
-def enumerate_tables(
-    marg: Marginals,
-    cap: int = 40,
-    row_labels: Sequence[str] = (),
-    col_labels: Sequence[str] = (),
-) -> list[ContingencyTable]:
-    """All nonnegative integer tables with the given marginals.
-
-    The points of :func:`lattice`, in its order, each as a validated
-    :class:`ContingencyTable`; the same cap, integer and positive-total
-    checks apply. Callers that only evaluate the points should take the
-    integer array from :func:`lattice` instead of building a table per
-    point.
-    """
-    return [
-        ContingencyTable(point, tuple(row_labels), tuple(col_labels))
-        for point in lattice(marg, cap)
-    ]

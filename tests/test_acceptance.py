@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import homlab.criteria as cr
-from homlab.counterfactual import fit, meda_weight
+from homlab.counterfactual import fit
 from homlab.decomposition import SEQUENTIAL, WITH_INTERACTION, decompose
 from homlab.errors import InfeasibilityError, UndefinedWeightError
 from homlab.indicators import (
@@ -34,7 +34,7 @@ from homlab.io import (
     load_couples,
     load_income,
 )
-from homlab.tables import ContingencyTable, TableWithSingles, marginals
+from homlab.tables import ContingencyTable, TableWithSingles, marginals, pam_counts, random_counts
 from homlab.trend import score
 
 from test_indicators import integer_benchmark_tables
@@ -132,7 +132,8 @@ def _assert_factor(method, src, tgt, result):
         (a, b), (c, d) = result.table.counts
         assert a * d - b * c == pytest.approx(want, rel=1e-9, abs=1e-9)
     elif method == "meda":
-        assert meda_weight(result.table) == pytest.approx(
+        own = fit("meda", result.table, marginals(result.table)).diagnostics["v"]
+        assert own == pytest.approx(
             result.diagnostics["v"], rel=1e-9, abs=1e-9
         )
     elif method == "nm":
@@ -199,14 +200,13 @@ def test_nm_meda_coincidence():
 
 @acceptance("projection weight closed form verified by brute force (20)")
 def test_projection_weight_brute_force():
-    from homlab.tables import pam_match, random_match
-
     rng = np.random.default_rng(99)
     for _ in range(20):
         src = table(rng.integers(1, 51, size=(2, 2)))
         m = marginals(src)
-        rnd, pam = random_match(m).counts, pam_match(m).counts
-        v = meda_weight(src)
+        rnd = random_counts(m.row_sums, m.col_sums, m.total)
+        pam = pam_counts(m.row_sums[None], m.col_sums[None])[0]
+        v = fit("meda", src, m).diagnostics["v"]
 
         def distance(weight):
             blend = (1 - weight) * rnd + weight * pam
@@ -321,8 +321,8 @@ def test_decomposition_additivity_and_divergence():
 
     config = RunConfig(labels=("L", "H"), categories="three")
     panel = load_couples(FIXTURES / "divergence_couples.csv", config)
-    early = panel.unit_table("Example", 1980)
-    late = panel.unit_table("Example", 1990)
+    early, late = (ContingencyTable(panel.unit_counts("Example", year), panel.labels,
+                                    panel.labels) for year in (1980, 1990))
     ipf_effect = decompose(early, late, "ipf", SEQUENTIAL).nonstructural_effect
     nm_effect = decompose(early, late, "nm", SEQUENTIAL).nonstructural_effect
     assert ipf_effect < -0.01 and nm_effect > 0.01

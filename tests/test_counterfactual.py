@@ -8,19 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from homlab.cli import main
-from homlab.counterfactual import (
-    METHOD_TAGS,
-    SurvivalGrid,
-    csa_fit,
-    csa_solve,
-    fit,
-    fit_stack,
-    ipf_fit,
-    mdba_fit,
-    meda_fit,
-    meda_weight,
-    nm_fit,
-)
+from homlab.counterfactual import METHOD_TAGS, _csa_kernel, fit, fit_stack
 from homlab.criteria import _random_positive_split
 from homlab.errors import (
     ConvergenceError,
@@ -38,8 +26,8 @@ from homlab.tables import (
     TableWithSingles,
     marginals,
     merge_categories,
-    pam_match,
-    random_match,
+    pam_counts,
+    random_counts,
 )
 
 
@@ -58,19 +46,27 @@ def random_target(rng, shape=(2, 2)) -> Marginals:
     return marginals(random_positive(rng, shape))
 
 
+def random_table(m: Marginals) -> ContingencyTable:
+    return table(random_counts(m.row_sums, m.col_sums, m.total))
+
+
+def pam_table(m: Marginals) -> ContingencyTable:
+    return table(pam_counts(m.row_sums[None], m.col_sums[None])[0])
+
+
 # ---------------------------------------------------------------------------
 # survival grid
 # ---------------------------------------------------------------------------
 
 def test_survival_grid_roundtrip():
+    # on its own margins, the NM fit pins every survival sum of the source,
+    # and inclusion-exclusion gives back its cells, also off the square
     rng = np.random.default_rng(0)
     for _ in range(20):
         t = random_positive(rng, (3, 4))
-        grid = SurvivalGrid.from_table(t)
-        assert grid.values[0, 0] == t.total
-        assert np.all(grid.values[-1, :] == 0)
-        assert np.all(grid.values[:, -1] == 0)
-        assert np.allclose(grid.to_cells(), t.counts)
+        for rounding in (PAPER_INTEGER, CONTINUOUS):
+            result = fit("nm", t, marginals(t), rounding)
+            assert np.allclose(result.table.counts, t.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -78,25 +74,25 @@ def test_survival_grid_roundtrip():
 # ---------------------------------------------------------------------------
 
 def test_ipf_fixpoint():
-    result = ipf_fit(BASE, marginals(BASE))
+    result = fit("ipf", BASE, marginals(BASE))
     assert result.iterations == 0
     assert np.array_equal(result.table.counts, BASE.counts)
 
 
 def test_ipf_known_solution():
-    result = ipf_fit(BASE, Marginals([60, 40], [50, 50]))
+    result = fit("ipf", BASE, Marginals([60, 40], [50, 50]))
     assert np.allclose(result.table.counts, [[40, 20], [10, 30]], atol=1e-8)
     assert odds_ratio(result.table) == pytest.approx(6.0, rel=1e-9)
 
 
 def test_ipf_scaling_target():
-    result = ipf_fit(BASE, Marginals([100, 100], [120, 80]))
+    result = fit("ipf", BASE, Marginals([100, 100], [120, 80]))
     assert np.allclose(result.table.counts, 2 * BASE.counts, atol=1e-8)
 
 
 def test_ipf_preserves_zeros():
     src = table([[10, 0], [5, 25]])
-    result = ipf_fit(src, Marginals([10, 30], [12, 28]))
+    result = fit("ipf", src, Marginals([10, 30], [12, 28]))
     assert result.table.counts[0, 1] == 0.0
     got = marginals(result.table)
     assert np.allclose(got.row_sums, [10, 30], atol=1e-8)
@@ -106,7 +102,7 @@ def test_ipf_preserves_zeros():
 def test_ipf_zero_pattern_infeasible():
     src = table([[10, 0], [5, 0]])  # second wife category empty
     with pytest.raises(InfeasibilityError):
-        ipf_fit(src, Marginals([10, 10], [10, 10]))
+        fit("ipf", src, Marginals([10, 10], [10, 10]))
 
 
 def test_ipf_nonconvergence_guard():
@@ -115,12 +111,12 @@ def test_ipf_nonconvergence_guard():
     src = table([[5, 0, 0], [0, 5, 0], [0, 0, 5]])
     for max_iter in (50, 0):
         with pytest.raises(InfeasibilityError, match=r"rows \[0\] reach only columns \[0\]"):
-            ipf_fit(src, Marginals([10, 5, 5], [5, 10, 5]), tol=1e-12, max_iter=max_iter)
+            fit("ipf", src, Marginals([10, 5, 5], [5, 10, 5]), tol=1e-12, max_iter=max_iter)
     # reachable only as cell (0,1) tends to zero: the raking loop must hit
     # the iteration cap
     src = table([[5, 5], [0, 5]])
     with pytest.raises(ConvergenceError):
-        ipf_fit(src, Marginals([5, 10], [5, 10]), tol=1e-12, max_iter=50)
+        fit("ipf", src, Marginals([5, 10], [5, 10]), tol=1e-12, max_iter=50)
 
 
 @pytest.mark.parametrize("k,error", [(12, InfeasibilityError), (13, ConvergenceError)])
@@ -131,7 +127,7 @@ def test_ipf_reachability_check_stops_at_twelve_categories(k, error):
     rows = [10] + [5] * (k - 2) + [0]
     cols = [5] * (k - 2) + [10, 0]
     with pytest.raises(error):
-        ipf_fit(src, Marginals(rows, cols), max_iter=5)
+        fit("ipf", src, Marginals(rows, cols), max_iter=5)
 
 
 def reference_ipf(source, target, tol, max_iter):
@@ -183,10 +179,10 @@ def test_ipf_matches_the_sweep_loop_reference_with_zero_cells():
             expected = None
         except InfeasibilityError as exc:
             with pytest.raises(InfeasibilityError, match=str(exc)):
-                ipf_fit(src, target, tol=1e-12, max_iter=300)
+                fit("ipf", src, target, tol=1e-12, max_iter=300)
             continue
         try:
-            result = ipf_fit(src, target, tol=1e-12, max_iter=300)
+            result = fit("ipf", src, target, tol=1e-12, max_iter=300)
         except InfeasibilityError:
             assert expected is None
             outcomes["rejected"] += 1
@@ -209,7 +205,7 @@ def test_ipf_matches_marginals_on_random_pairs():
     for _ in range(50):
         src = random_positive(rng, (3, 3))
         target = random_target(rng, (3, 3))
-        result = ipf_fit(src, target, tol=1e-12)
+        result = fit("ipf", src, target, tol=1e-12)
         got = marginals(result.table)
         assert np.allclose(got.row_sums, target.row_sums, rtol=1e-9)
         assert np.allclose(got.col_sums, target.col_sums, rtol=1e-9)
@@ -220,32 +216,33 @@ def test_ipf_matches_marginals_on_random_pairs():
 # ---------------------------------------------------------------------------
 
 def test_mdba_known_solution():
-    result = mdba_fit(BASE, Marginals([40, 60], [50, 50]))
+    result = fit("mdba", BASE, Marginals([40, 60], [50, 50]))
     assert np.allclose(result.table.counts, [[30, 10], [20, 40]])
 
 
 def test_mdba_fixpoint_and_rescaling():
-    assert np.allclose(mdba_fit(BASE, marginals(BASE)).table.counts, BASE.counts)
-    doubled = mdba_fit(BASE, Marginals([100, 100], [120, 80]))
+    assert np.allclose(fit("mdba", BASE, marginals(BASE)).table.counts, BASE.counts)
+    doubled = fit("mdba", BASE, Marginals([100, 100], [120, 80]))
     assert np.allclose(doubled.table.counts, 2 * BASE.counts)
 
 
 def test_mdba_zero_determinant_gives_independence():
     indep = table([[24, 16], [36, 24]])
     target = Marginals([30, 70], [40, 60])
-    result = mdba_fit(indep, target)
-    assert np.allclose(result.table.counts, random_match(target).counts)
+    result = fit("mdba", indep, target)
+    assert np.allclose(result.table.counts, random_table(target).counts)
 
 
 def test_mdba_infeasible_signals():
     src = table([[10, 30], [30, 30]])
     with pytest.raises(InfeasibilityError):
-        mdba_fit(src, Marginals([10, 90], [10, 90]))
+        fit("mdba", src, Marginals([10, 90], [10, 90]))
 
 
 def test_mdba_rejects_larger_tables():
     with pytest.raises(ShapeError):
-        mdba_fit(table([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), Marginals([6, 15, 24], [12, 15, 18]))
+        fit("mdba", table([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+            Marginals([6, 15, 24], [12, 15, 18]))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ def test_mdba_rejects_larger_tables():
 # ---------------------------------------------------------------------------
 
 def test_meda_known_solution():
-    result = meda_fit(BASE, Marginals([40, 60], [50, 50]))
+    result = fit("meda", BASE, Marginals([40, 60], [50, 50]))
     assert result.diagnostics["v"] == pytest.approx(0.5)
     assert np.allclose(result.table.counts, [[30, 10], [20, 40]])
 
@@ -261,25 +258,25 @@ def test_meda_known_solution():
 def test_meda_projects_onto_endpoints():
     m = marginals(BASE)
     target = Marginals([40, 60], [50, 50])
-    at_random = meda_fit(random_match(m), target)
+    at_random = fit("meda", random_table(m), target)
     assert at_random.diagnostics["v"] == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(at_random.table.counts, random_match(target).counts)
-    at_pam = meda_fit(pam_match(m), target)
+    assert np.allclose(at_random.table.counts, random_table(target).counts)
+    at_pam = fit("meda", pam_table(m), target)
     assert at_pam.diagnostics["v"] == pytest.approx(1.0)
-    assert np.allclose(at_pam.table.counts, pam_match(target).counts)
+    assert np.allclose(at_pam.table.counts, pam_table(target).counts)
 
 
 def test_meda_degenerate_weight():
     # one-sided margins make the random and assortative benchmarks coincide
     src = table([[30, 20], [0, 0]])
     with pytest.raises(UndefinedWeightError):
-        meda_fit(src, Marginals([10, 10], [10, 10]))
+        fit("meda", src, Marginals([10, 10], [10, 10]))
 
 
 def test_meda_infeasibility_reports_weight():
     src = table([[10, 30], [30, 30]])
     with pytest.raises(InfeasibilityError) as err:
-        meda_fit(src, Marginals([10, 90], [10, 90]))
+        fit("meda", src, Marginals([10, 90], [10, 90]))
     assert err.value.context["v"] == pytest.approx(-0.25)
 
 
@@ -290,9 +287,9 @@ def test_meda_weight_brute_force_grid():
     for _ in range(20):
         src = random_positive(rng)
         m = marginals(src)
-        rnd = random_match(m).counts
-        pam = pam_match(m).counts
-        v = meda_weight(src)
+        rnd = random_table(m).counts
+        pam = pam_table(m).counts
+        v = fit("meda", src, m).diagnostics["v"]  # the weight on its own margins
 
         def distance(weight):
             return float(((src.counts - ((1 - weight) * rnd + weight * pam)) ** 2).sum())
@@ -309,26 +306,26 @@ def test_meda_weight_brute_force_grid():
 # ---------------------------------------------------------------------------
 
 def test_nm_known_solution():
-    result = nm_fit(BASE, Marginals([40, 60], [50, 50]))
+    result = fit("nm", BASE, Marginals([40, 60], [50, 50]))
     assert np.allclose(result.table.counts, [[30, 10], [20, 40]])
     check = gll(result.table)
     assert check[0, 0] == pytest.approx(0.5)
 
 
 def test_nm_fixpoint():
-    result = nm_fit(BASE, marginals(BASE))
+    result = fit("nm", BASE, marginals(BASE))
     assert np.allclose(result.table.counts, BASE.counts, atol=1e-9)
 
 
 def test_nm_perfect_sorting_moves_to_pam():
-    result = nm_fit(table([[50, 0], [0, 50]]), Marginals([30, 70], [70, 30]))
+    result = fit("nm", table([[50, 0], [0, 50]]), Marginals([30, 70], [70, 30]))
     assert np.allclose(result.table.counts, [[30, 0], [40, 30]])
 
 
 def test_nm_infeasible_signals_with_cell():
     src = table([[10, 30], [30, 30]])
     with pytest.raises(InfeasibilityError) as err:
-        nm_fit(src, Marginals([10, 90], [10, 90]))
+        fit("nm", src, Marginals([10, 90], [10, 90]))
     assert err.value.context["cell"] == (0, 0)
     assert err.value.context["value"] == pytest.approx(-1.25)
 
@@ -340,7 +337,7 @@ def test_nm_decomposition_example():
     early = table([[40, 10], [20, 30]])
     late = table([[20, 20], [10, 50]])
     assert gll(late)[0, 0] == pytest.approx(8 / 18)
-    result = nm_fit(late, marginals(early))
+    result = fit("nm", late, marginals(early))
     assert gll(result.table)[0, 0] == pytest.approx(8 / 18, abs=1e-12)
     got = marginals(result.table)
     assert np.allclose(got.row_sums, [50, 50])
@@ -356,7 +353,7 @@ def test_nm_preserves_full_gll_matrix():
         src = random_positive(rng, (3, 4))
         target = random_target(rng, (3, 4))
         try:
-            result = nm_fit(src, target, CONTINUOUS)
+            result = fit("nm", src, target, CONTINUOUS)
         except InfeasibilityError:
             continue
         assert np.allclose(
@@ -376,8 +373,9 @@ def test_nm_continuous_commutes_with_merging():
         target_table = random_positive(rng, (3, 3))
         parts = [(0,), (1, 2)]
         try:
-            fine = nm_fit(src, marginals(target_table), CONTINUOUS)
-            coarse = nm_fit(
+            fine = fit("nm", src, marginals(target_table), CONTINUOUS)
+            coarse = fit(
+                "nm",
                 merge_categories(src, parts, parts),
                 marginals(merge_categories(target_table, parts, parts)),
                 CONTINUOUS,
@@ -396,8 +394,9 @@ def test_ipf_fails_merge_commutation_somewhere():
         src = random_positive(rng, (3, 3))
         target_table = random_positive(rng, (3, 3))
         parts = [(0,), (1, 2)]
-        fine = ipf_fit(src, marginals(target_table), tol=1e-12)
-        coarse = ipf_fit(
+        fine = fit("ipf", src, marginals(target_table), tol=1e-12)
+        coarse = fit(
+            "ipf",
             merge_categories(src, parts, parts),
             marginals(merge_categories(target_table, parts, parts)),
             tol=1e-12,
@@ -415,15 +414,35 @@ def couples_with_singles():
     return TableWithSingles(table([[4, 2], [2, 8]]), [1, 2], [1, 2])
 
 
+def csa_onto(tws, men, women):
+    """The CSA fit of ``tws`` onto the target populations ``men`` and
+    ``women``. The fit reads only couples plus singles, so the target
+    couple margins are zero and every target member is counted single."""
+    no_couples = Marginals(np.zeros(len(men)), np.zeros(len(women)))
+    return fit("csa", tws, no_couples, target_singles=(men, women))
+
+
+def solve_csa(msm, men, women, tol=1e-11, max_iter=10000):
+    """The CSA kernel on one surplus matrix and its target populations:
+    ``(couples, single men, single women, iterations, residual)``, or the
+    error of the fit."""
+    fits = _csa_kernel(*(np.asarray(a, dtype=float)[None] for a in (msm, men, women)),
+                       tol, max_iter)
+    if fits.errors[0] is not None:
+        raise fits.errors[0]
+    return (fits.counts[0], fits.extra["single_men"][0], fits.extra["single_women"][0],
+            int(fits.iterations[0]), float(fits.residual[0]))
+
+
 def test_csa_fixpoint():
     tws = couples_with_singles()
-    result = csa_fit(tws, tws.men_population(), tws.women_population())
+    result = fit("csa", tws, marginals(tws.couples))
     assert np.allclose(result.table.counts, tws.couples.counts, atol=1e-8)
     assert np.allclose(result.diagnostics["single_men"], tws.single_men, atol=1e-8)
 
 
 def test_csa_zero_surplus_leaves_everyone_single():
-    couples, mu_m, mu_w, _, _ = csa_solve(
+    couples, mu_m, mu_w, _, _ = solve_csa(
         np.zeros((2, 2)), np.array([5.0, 7.0]), np.array([6.0, 6.0])
     )
     assert np.allclose(couples, 0.0)
@@ -433,7 +452,7 @@ def test_csa_zero_surplus_leaves_everyone_single():
 
 def test_csa_preserves_surplus_matrix():
     tws = couples_with_singles()
-    result = csa_fit(tws, 2 * tws.men_population(), 2 * tws.women_population())
+    result = csa_onto(tws, 2 * tws.men_population(), 2 * tws.women_population())
     refit = TableWithSingles(
         result.table,
         np.array(result.diagnostics["single_men"]),
@@ -473,7 +492,7 @@ def test_csa_against_grid_search_oracle():
         span = (hi - lo) / 8
         lo = np.maximum(center - span, 1e-6)
         hi = center + span
-    fitted = csa_fit(tws, men, women)
+    fitted = csa_onto(tws, men, women)
     assert np.allclose(
         np.array(best[1]), fitted.diagnostics["single_men"], atol=1e-3
     )
@@ -481,14 +500,19 @@ def test_csa_against_grid_search_oracle():
 
 def test_csa_rejects_nonpositive_targets():
     tws = couples_with_singles()
-    with pytest.raises(DegenerateInputError):
-        csa_fit(tws, np.array([0.0, 5.0]), np.array([5.0, 5.0]))
+    with pytest.raises(DegenerateInputError, match="target populations must be strictly"):
+        csa_onto(tws, np.array([0.0, 5.0]), np.array([5.0, 5.0]))
+    # and the kernel refuses a negative or non-finite surplus matrix
+    for bad in (-0.5, np.inf, np.nan):
+        msm = np.array([[1.0, bad], [0.5, 2.0]])
+        with pytest.raises(DegenerateInputError, match="must be finite and nonnegative"):
+            solve_csa(msm, np.array([5.0, 5.0]), np.array([5.0, 5.0]))
 
 
 def test_csa_newton_takes_few_steps():
     tws = couples_with_singles()
     for scale in (1, 2, 1000):
-        result = csa_fit(
+        result = csa_onto(
             tws, scale * tws.men_population(), tws.women_population()
         )
         assert 1 <= result.iterations <= 10
@@ -497,7 +521,7 @@ def test_csa_newton_takes_few_steps():
 def test_csa_nonconvergence_names_the_residual():
     tws = couples_with_singles()
     with pytest.raises(ConvergenceError, match=r"in 1 iterations \(residual "):
-        csa_solve(
+        solve_csa(
             surplus_matrix(tws).values,
             2 * tws.men_population(),
             tws.women_population(),
@@ -509,11 +533,11 @@ def test_csa_zero_surplus_row_leaves_that_category_single():
     msm = np.array([[0.5, 1.2, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 2.0]])
     men = np.array([40.0, 25.0, 60.0])
     women = np.array([35.0, 50.0, 45.0])
-    couples, mu_m, mu_w, _, _ = csa_solve(msm, men, women)
+    couples, mu_m, mu_w, _, _ = solve_csa(msm, men, women)
     assert np.all(couples[1] == 0.0)
     assert mu_m[1] == pytest.approx(men[1], rel=1e-12)
     kept = [0, 2]
-    sub_couples, sub_m, sub_w, _, _ = csa_solve(msm[kept], men[kept], women)
+    sub_couples, sub_m, sub_w, _, _ = solve_csa(msm[kept], men[kept], women)
     assert np.allclose(couples[kept], sub_couples, rtol=1e-10, atol=0)
     assert np.allclose(mu_m[kept], sub_m, rtol=1e-10, atol=0)
     assert np.allclose(mu_w, sub_w, rtol=1e-10, atol=0)
@@ -550,7 +574,7 @@ def test_csa_matches_an_extended_precision_reference():
         msm[rng.random((k, k)) < 0.15] = 0.0
         men = rng.integers(1, 100_000, k).astype(float)
         women = rng.integers(1, 100_000, k).astype(float)
-        couples, mu_m, mu_w, _, residual = csa_solve(msm, men, women, tol=tol)
+        couples, mu_m, mu_w, _, residual = solve_csa(msm, men, women, tol=tol)
         assert residual <= tol
         ref = _refined_csa_couples(msm, men, women, mu_m, mu_w)
         assert np.allclose(couples, ref.astype(float), rtol=1e-10, atol=0)
@@ -572,7 +596,7 @@ def test_csa_converges_on_extreme_ranges():
         msm = np.exp(rng.uniform(-12, 12, (k, k))) * (rng.random((k, k)) > 0.2)
         men = np.exp(rng.uniform(0, 18, k))
         women = np.exp(rng.uniform(0, 18, k))
-        *_, iterations, residual = csa_solve(msm, men, women)
+        *_, iterations, residual = solve_csa(msm, men, women)
         assert iterations <= 50 and residual <= 1e-11
 
 
@@ -669,8 +693,8 @@ def test_nm_meda_coincide_on_integer_benchmarks():
     while done < 50:
         src, target = integer_benchmark_instance(rng)
         try:
-            nm = nm_fit(src, target, PAPER_INTEGER)
-            meda = meda_fit(src, target)
+            nm = fit("nm", src, target, PAPER_INTEGER)
+            meda = fit("meda", src, target)
         except (InfeasibilityError, UndefinedWeightError):
             continue
         assert np.allclose(nm.table.counts, meda.table.counts, atol=1e-9)

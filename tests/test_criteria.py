@@ -16,8 +16,6 @@ from homlab.criteria import (
     SATISFIED,
     VIOLATION_TOL,
     CriterionReport,
-    MarginalPerturbation,
-    apply_perturbation,
     check_indicator,
     check_method,
     replay_witness,
@@ -26,7 +24,6 @@ from homlab.errors import (
     ConvergenceError,
     HomlabError,
     InfeasibilityError,
-    ShapeError,
     UndefinedIndicatorError,
 )
 from homlab.indicators import CONTINUOUS, aggregate_msp, evaluate, evaluate_stack
@@ -34,12 +31,12 @@ from homlab.tables import (
     ContingencyTable,
     Marginals,
     TableWithSingles,
+    couples_of,
     homogamy_share,
     lattice,
     marginals,
     merge_categories,
-    merge_with_singles,
-    pam_match,
+    pam_counts,
 )
 
 
@@ -54,45 +51,22 @@ BASE = table([[40, 10], [20, 30]])
 # perturbations
 # ---------------------------------------------------------------------------
 
-def test_perturbation_validation():
-    with pytest.raises(ValueError):
-        MarginalPerturbation("shift")
-    with pytest.raises(ValueError):
-        MarginalPerturbation("scale", 0.0)
-    with pytest.raises(ValueError):
-        MarginalPerturbation("type2-row", 1.5)
-    # a non-finite factor is refused at construction, not later as a table
-    # that cannot be built
-    for kind in ("scale", "type1-row", "type1-col"):
-        with pytest.raises(ValueError, match="must be finite"):
-            MarginalPerturbation(kind, math.inf)
-        with pytest.raises(ValueError, match="must be positive"):
-            MarginalPerturbation(kind, math.nan)
-    for kind in ("type2-row", "type2-col"):
-        with pytest.raises(ValueError, match="strictly between"):
-            MarginalPerturbation(kind, math.inf)
+def perturbed(label, alpha, counts):
+    """The checks' variant ``label`` of one table's cells."""
+    variant, _, _ = criteria._variants(label, np.array(counts)[None], None, [{"alpha": alpha}])
+    return variant[0].tolist()
 
 
 def test_apply_scale():
-    out = apply_perturbation(BASE, MarginalPerturbation("scale", 2.0))
-    assert out.counts.tolist() == [[80, 20], [40, 60]]
+    assert perturbed("scale", 2.0, BASE.counts) == [[80, 20], [40, 60]]
 
 
 def test_apply_type1_row():
-    out = apply_perturbation(BASE, MarginalPerturbation("type1-row", 2.0))
-    assert out.counts.tolist() == [[40, 10], [40, 60]]
+    assert perturbed("type1-row", 2.0, BASE.counts) == [[40, 10], [40, 60]]
 
 
 def test_apply_type2_row():
-    out = apply_perturbation(BASE, MarginalPerturbation("type2-row", 0.5))
-    assert out.counts.tolist() == [[20, 5], [40, 35]]
-
-
-def test_apply_type_needs_2x2():
-    with pytest.raises(ShapeError):
-        apply_perturbation(
-            table([[1, 2, 3], [4, 5, 6]]), MarginalPerturbation("type1-row", 2.0)
-        )
+    assert perturbed("type2-row", 0.5, BASE.counts) == [[20, 5], [40, 35]]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +328,7 @@ def _ref_gap(criterion, method, source, target, singles, base, params):
         err = max(np.abs(couples.sum(axis=1) - target.row_sums).max(),
                   np.abs(couples.sum(axis=0) - target.col_sums).max())
         return float(err) / max(target.total, 1.0)
-    bumped_couples = criteria.couples_of(source).counts + np.diag(params["diagonal"])
+    bumped_couples = couples_of(source).counts + np.diag(params["diagonal"])
     bumped = table(bumped_couples)
     if singles is not None:
         bumped = TableWithSingles(bumped, source.single_men, source.single_women)
@@ -446,14 +420,20 @@ def _reference_merge_check(method, sample_count, seed):
     def merged(values, partition):
         return np.array([values[list(block)].sum() for block in partition])
 
+    def merge(subject, row_part, col_part):
+        couples = merge_categories(couples_of(subject), row_part, col_part)
+        if not with_singles:
+            return couples
+        return TableWithSingles(couples, merged(subject.single_men, row_part),
+                                merged(subject.single_women, col_part))
+
     for i in range(sample_count):
         shape = (3, 3) if rng.integers(0, 2) else (4, 3)
         source = _ref_merge_table(rng, shape, with_singles)
         target = _ref_merge_table(rng, shape, with_singles)
         row_part, col_part = _ref_two_blocks(rng, shape[0]), _ref_two_blocks(rng, shape[1])
-        margins = marginals(criteria.couples_of(target))
+        margins = marginals(couples_of(target))
         singles = (target.single_men, target.single_women) if with_singles else None
-        merge = merge_with_singles if with_singles else merge_categories
         try:
             full = _ref_fit(method, source, margins, singles)
             coarse = _ref_fit(
@@ -520,7 +500,7 @@ def test_stacked_merge_cell_raises_the_loops_fit_error(monkeypatch, max_iter, to
 
 def _ref_evaluator(tag, criterion):
     if tag == "msp" and criterion in ("AC4", "AC5.1", "AC5.2", "AC5.3"):
-        return lambda s: np.array([aggregate_msp(criteria.couples_of(s)).msp_l])
+        return lambda s: np.array([aggregate_msp(couples_of(s)).msp_l])
     return lambda s: evaluate(tag, s, CONTINUOUS)
 
 
@@ -568,14 +548,14 @@ def _ref_transforms(criterion, rng, counts):
 
 
 def _ref_variant(subject, label, params):
-    couples = criteria.couples_of(subject)
+    couples = couples_of(subject)
     if label == "transpose":
         return subject.transposed()
     if label == "scale":
         return subject.scaled(params["alpha"])
     if label == "rake":
         target = Marginals(params["rows"], params["cols"])
-        return cf.ipf_fit(couples, target, tol=1e-12).table
+        return cf.fit("ipf", couples, target, tol=1e-12).table
     (a, b), (c, d) = couples.counts
     if label == "rotate-categories":
         return table([[d, c], [b, a]])
@@ -616,7 +596,8 @@ def _ref_max_check(criterion, tag, sample_count, rng, evaluator):
                 diag = rng.integers(1, 9, size=n)
             reference = table(np.diag(diag))
         else:
-            reference = pam_match(_ref_small_marginals(rng, n))
+            m = _ref_small_marginals(rng, n)
+            reference = table(pam_counts(m.row_sums[None], m.col_sums[None])[0])
         try:
             ref_value = evaluator(reference)
         except UndefinedIndicatorError:
@@ -651,7 +632,7 @@ def _reference_indicator_check(criterion, tag, sample_count, seed):
     drop = criteria._one_sided_drop
     for i in range(sample_count):
         subject = _ref_random_table(rng, evaluator, shapes[i % len(shapes)], tag == "msm")
-        couples = criteria.couples_of(subject)
+        couples = couples_of(subject)
         base = evaluator(subject)
         witness = {"criterion": criterion, "indicator": tag,
                    "subject": criteria._table_payload(subject)}

@@ -42,9 +42,9 @@ def test_no_change_means_no_effects():
 def test_pure_structural_change_under_raking():
     # a later table built by raking the early one carries the same odds
     # ratio, so the raking-based decomposition sees no sorting change
-    from homlab.counterfactual import ipf_fit
+    from homlab.counterfactual import fit
 
-    late = ipf_fit(EARLY, marginals(table([[30, 20], [25, 25]])), tol=1e-13).table
+    late = fit("ipf", EARLY, marginals(table([[30, 20], [25, 25]])), tol=1e-13).table
     result = decompose(EARLY, late, "ipf", SEQUENTIAL, tol=1e-13)
     assert result.nonstructural_effect == pytest.approx(0.0, abs=1e-9)
     assert result.structural_effect == pytest.approx(

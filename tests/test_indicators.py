@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from homlab.counterfactual import nm_fit
+from homlab.counterfactual import fit
 from homlab.errors import (
     GllUndefinedError,
     InfeasibilityError,
+    PartitionError,
     ShapeError,
     UndefinedIndicatorError,
 )
@@ -17,7 +18,6 @@ from homlab.indicators import (
     INDICATOR_TAGS,
     PAPER_INTEGER,
     SCALAR_TAGS,
-    aggregate_2x2,
     aggregate_msp,
     correlation,
     covariance,
@@ -37,7 +37,8 @@ from homlab.tables import (
     Marginals,
     TableWithSingles,
     marginals,
-    random_match,
+    merge_categories,
+    random_counts,
 )
 
 
@@ -142,7 +143,7 @@ def test_gll_examples():
     assert gll(BASE).tolist() == [[0.5]]
     steps = table([[10, 0], [5, 5], [0, 10]])
     assert gll(steps).tolist() == [[1.0], [1.0]]
-    rand = random_match(Marginals([10, 10, 10], [15, 15]))
+    rand = table(random_counts(np.array([10, 10, 10]), np.array([15, 15]), 30))
     assert np.allclose(gll(rand), 0.0)
 
 
@@ -175,6 +176,12 @@ def random_tables(rng, shape, count):
     return out
 
 
+def merged_at(t, j, k):
+    """The 2x2 aggregation at split ``(j, k)``: rows 1..j and columns 1..k
+    against the rest."""
+    return merge_categories(t, [range(j), range(j, t.n_rows)], [range(k), range(k, t.n_cols)])
+
+
 def reference_gll(t, rounding):
     """``ll_simplified`` of every merged 2x2 aggregation, one split at a time."""
     out = np.full((t.n_rows - 1, t.n_cols - 1), np.nan)
@@ -182,14 +189,14 @@ def reference_gll(t, rounding):
     for j in range(1, t.n_rows):
         for k in range(1, t.n_cols):
             try:
-                out[j - 1, k - 1] = ll_simplified(aggregate_2x2(t, j, k), rounding).value
+                out[j - 1, k - 1] = ll_simplified(merged_at(t, j, k), rounding).value
             except UndefinedIndicatorError as exc:
                 failures.append((j, k, str(exc)))
     return out, failures
 
 
 def reference_nm_counts(source, target, rounding):
-    """The LL inversion of ``nm_fit`` written one split at a time."""
+    """The LL inversion of the ``nm`` fit written one split at a time."""
     levels = gll(source, rounding)
     n, m = source.n_rows, source.n_cols
     total = target.total
@@ -230,19 +237,22 @@ def test_gll_and_nm_inversion_match_the_split_by_split_reference_bitwise(shape):
             counts = reference_nm_counts(t, target, rounding)
             if counts.min() < -1e-9:
                 with pytest.raises(InfeasibilityError):
-                    nm_fit(t, target, rounding)
+                    fit("nm", t, target, rounding)
                 continue
-            fitted = nm_fit(t, target, rounding).table.counts
+            fitted = fit("nm", t, target, rounding).table.counts
             assert np.array_equal(fitted, np.where(counts < 0, 0.0, counts))
     assert undefined > 0
 
 
 def test_aggregate_2x2_matches_manual_blocks():
+    # the split (2, 1) of gll reads the 2x2 merge at that split
     t = table([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    agg = aggregate_2x2(t, 2, 1)
+    agg = merged_at(t, 2, 1)
     assert agg.counts.tolist() == [[5, 16], [7, 17]]
-    with pytest.raises(ShapeError):
-        aggregate_2x2(t, 3, 1)
+    assert gll(t)[1, 0] == ll_simplified(agg).value
+    # a split past the last category leaves an empty block
+    with pytest.raises(PartitionError):
+        merged_at(t, 3, 1)
 
 
 def test_surplus_matrix_values():

@@ -21,6 +21,7 @@ from homlab.io import (
     PanelDataset,
     RunConfig,
     _cut_run,
+    _decade_pass,
     decade_changes,
     format_number,
     income_decade_deltas,
@@ -29,8 +30,6 @@ from homlab.io import (
     load_income,
     load_singles,
     trend_series,
-    unit_decade_changes,
-    write_couples,
 )
 from homlab.tables import (
     ContingencyTable,
@@ -39,7 +38,6 @@ from homlab.tables import (
     homogamy_share,
     marginals,
     merge_categories,
-    merge_with_singles,
 )
 from homlab.trend import DecadeChange, score
 
@@ -51,6 +49,31 @@ TWO_LEVEL = dict(labels=["L", "H"], categories="three")
 def write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _write_couples(panel: PanelDataset, path: Path):
+    """A panel back in the couples CSV schema."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["year", "state", "husband_edu", "wife_edu", "count"])
+        for (state, year) in sorted(panel.index):
+            counts = panel.counts[panel.index[(state, year)]]
+            for i, hlabel in enumerate(panel.labels):
+                for j, wlabel in enumerate(panel.labels):
+                    writer.writerow([year, state, hlabel, wlabel,
+                                     format_number(float(counts[i, j]))])
+
+
+def _unit_table(panel: PanelDataset, unit: str, year: int):
+    """One wave of a state, or of the national aggregate ``US``, as a table."""
+    counts = panel.unit_counts(unit, year)
+    return None if counts is None else ContingencyTable(counts, panel.labels, panel.labels)
+
+
+def _unit_changes(panel: PanelDataset, config: RunConfig, unit: str):
+    """One unit's decade changes and decompositions, from a decade pass over
+    that unit alone."""
+    return _decade_pass(panel, config, (unit,))[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +179,7 @@ def test_load_couples_assembles_tables(tmp_path):
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
     assert panel.states == ("Iowa",)
     assert list(panel.index) == [("Iowa", 1960), ("Iowa", 1970)]
-    assert panel.unit_table("Iowa", 1960).counts.tolist() == [[40, 10], [20, 30]]
+    assert panel.unit_counts("Iowa", 1960).tolist() == [[40, 10], [20, 30]]
 
 
 def test_load_couples_sums_duplicates(tmp_path):
@@ -166,7 +189,7 @@ def test_load_couples_sums_duplicates(tmp_path):
         "1960,Iowa,L,L,40\n1960,Iowa,L,L,2\n1960,Iowa,H,H,30\n",
     )
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
-    assert panel.unit_table("Iowa", 1960).counts[0, 0] == 42
+    assert panel.unit_counts("Iowa", 1960)[0, 0] == 42
 
 
 @pytest.mark.parametrize(
@@ -198,7 +221,7 @@ def test_load_couples_requires_header(tmp_path):
 def test_roundtrip_identical(tmp_path):
     panel = load_couples(FIXTURES / "synthetic_panel.csv", RunConfig(**TWO_LEVEL))
     out = tmp_path / "again.csv"
-    write_couples(panel, out)
+    _write_couples(panel, out)
     again = load_couples(out, RunConfig(**TWO_LEVEL))
     assert set(again.index) == set(panel.index)
     for key, row in panel.index.items():
@@ -215,9 +238,9 @@ def test_national_aggregation_and_unknown(tmp_path):
     )
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
     assert panel.states == ("Iowa", "Ohio")
-    assert panel.unit_table("US", 1960).counts[0, 0] == 15
+    assert panel.unit_counts("US", 1960)[0, 0] == 15
     panel_inc = load_couples(path, RunConfig(**TWO_LEVEL, include_unknown=True))
-    assert panel_inc.unit_table("US", 1960).counts[0, 0] == 115
+    assert panel_inc.unit_counts("US", 1960)[0, 0] == 115
     assert panel_inc.states == ("Iowa", "Ohio")
 
 
@@ -522,20 +545,23 @@ def _reference_dichotomize(subject, scheme):
         raise DataError(f"the {scheme!r} divide needs a three-level table, "
                         f"got {table.n_rows}x{table.n_cols}")
     parts = {"hs": [(0,), (1, 2)], "college": [(0, 1), (2,)]}[scheme]
-    merge = merge_with_singles if isinstance(subject, TableWithSingles) else merge_categories
-    return merge(subject, parts, parts)
+    merged = merge_categories(table, parts, parts)
+    if not isinstance(subject, TableWithSingles):
+        return merged
+    return TableWithSingles(merged, *([pool[list(block)].sum() for block in parts]
+                                      for pool in (subject.single_men, subject.single_women)))
 
 
 def _with_singles(panel, unit, year):
     """A state's wave with its singles, or None without them; the national
     aggregate has none."""
     pools = panel.singles.get((unit, year)) if (unit, year) in panel.index else None
-    return None if pools is None else TableWithSingles(panel.unit_table(unit, year), *pools)
+    return None if pools is None else TableWithSingles(_unit_table(panel, unit, year), *pools)
 
 
 def _reference_cut(panel, config, unit, year, method=""):
     """One present wave cut alone, as ``method`` takes it."""
-    subject = panel.unit_table(unit, year)
+    subject = _unit_table(panel, unit, year)
     if method == "csa":
         subject = _with_singles(panel, unit, year)
         if subject is None:
@@ -547,7 +573,7 @@ def _reference_cuts(panel, config, unit, method=""):
     """A unit's present waves, each cut once: the cut or the error it raised."""
     cuts = {}
     for year in config.waves:
-        if panel.unit_table(unit, year) is None:
+        if _unit_table(panel, unit, year) is None:
             continue
         try:
             cuts[year] = _reference_cut(panel, config, unit, year, method)
@@ -657,7 +683,7 @@ def test_stacked_decade_pass_matches_the_per_pair_loop_bit_for_bit(method):
         runs = [(decade_changes(panel, config),
                  _reference_changes(panel, config, panel.states))]
         for unit in ("US", "Cary"):
-            runs.append((unit_decade_changes(panel, config, unit),
+            runs.append((_unit_changes(panel, config, unit),
                          _reference_changes(panel, config, (unit,))))
         for (changes, details), (expected, expected_details) in runs:
             assert [_bits(c) for c in changes] == [_bits(c) for c in expected], config
@@ -695,7 +721,7 @@ def test_the_run_cut_matches_the_per_table_merges_bit_for_bit(categories):
             assert list(cut.rows) == list(units(panel))
             for unit, years in cut.rows.items():
                 assert list(years) == [year for year in config.waves
-                                       if panel.unit_table(unit, year) is not None]
+                                       if _unit_table(panel, unit, year) is not None]
                 for year, row in years.items():
                     try:
                         expected = _reference_cut(panel, config, unit, year, method)
@@ -885,7 +911,7 @@ def test_stacked_indicators_match_the_per_table_loops_bit_for_bit(categories):
                 runs = [(decade_changes(panel, config)[0],
                          _reference_scalar_changes(panel, config, panel.states))]
                 for unit in ("US", "Ames", "Erie"):
-                    runs.append((unit_decade_changes(panel, config, unit)[0],
+                    runs.append((_unit_changes(panel, config, unit)[0],
                                  _reference_scalar_changes(panel, config, (unit,))))
                 for changes, expected in runs:
                     assert [_bits(c) for c in changes] == [_bits(c) for c in expected], config
@@ -900,7 +926,7 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
     three_level = panel_of(tables, STRESS_LABELS)
     config = RunConfig(labels=STRESS_LABELS, measure="or")
     for changes, _ in (decade_changes(three_level, config),
-                       unit_decade_changes(three_level, config, "Ames")):
+                       _unit_changes(three_level, config, "Ames")):
         assert changes and all(c.reason == two_level for c in changes)
 
     # msp undefined on single waves of a two-level unit, for two causes
@@ -912,7 +938,7 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
               2000: [[30, 10], [10, 30]]}
     panel = panel_of({("A", year): c for year, c in counts.items()}, ("L", "H"), waves)
     config = RunConfig(waves=waves, labels=("L", "H"), measure="msp")
-    changes, _ = unit_decade_changes(panel, config, "A")
+    changes, _ = _unit_changes(panel, config, "A")
     undefined = "UndefinedIndicatorError: sorting parameter undefined: "
     assert [c.reason for c in changes] == [
         undefined + "empty diagonal",     # the late wave only
@@ -920,14 +946,14 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
         undefined + "zero marginal sum",  # the early wave only
         "",
     ]
-    late, early = (panel.unit_table("A", year) for year in (2000, 1990))
+    late, early = (_unit_table(panel, "A", year) for year in (2000, 1990))
     assert changes[-1].delta == aggregate_msp(late).aggregate - aggregate_msp(early).aggregate
     assert decade_changes(panel, config)[0] == changes
 
     # a missing wave, and waves of four levels that the divide cannot cut
     del counts[1990]
     panel = panel_of({("A", year): c for year, c in counts.items()}, ("L", "H"), waves)
-    assert [c.reason for c in unit_decade_changes(panel, config, "A")[0][2:]] == [
+    assert [c.reason for c in _unit_changes(panel, config, "A")[0][2:]] == [
         "missing wave", "missing wave"]
     labels = ("A", "B", "C", "D")
     rng = np.random.default_rng(4)
@@ -936,7 +962,7 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
     config = RunConfig(waves=waves, labels=labels, categories="hs", measure="msp")
     uncut = "DataError: the 'hs' divide needs a three-level table, got 4x4"
     for changes, _ in (decade_changes(four_level, config),
-                       unit_decade_changes(four_level, config, "US")):
+                       _unit_changes(four_level, config, "US")):
         assert [c.reason for c in changes] == [uncut] * 4
 
 
@@ -954,10 +980,10 @@ def _reference_series(panel, config):
                  "cumulative": row.get(config.resolved_measure, ""), "effect": ""}
                 for row in indicator_rows(panel, config)]
     changes, _ = decade_changes(panel, config)
-    national, _ = unit_decade_changes(panel, config, "US")
+    national, _ = _unit_changes(panel, config, "US")
     rows = []
     for unit, unit_changes in itertools.groupby(national + changes, lambda c: c.state):
-        tables = {year: panel.unit_table(unit, year) for year in config.waves}
+        tables = {year: _unit_table(panel, unit, year) for year in config.waves}
         present = [year for year, table in tables.items() if table is not None]
         if len(present) < 2:
             continue
@@ -1466,8 +1492,8 @@ def test_cli_trend_decomposes_each_unit_decade_once(tmp_path, monkeypatch):
     expected = []
     for unit in ("US", *panel.states):
         for early_year, late_year in zip(config.waves, config.waves[1:]):
-            early = panel.unit_table(unit, early_year)
-            late = panel.unit_table(unit, late_year)
+            early = _unit_table(panel, unit, early_year)
+            late = _unit_table(panel, unit, late_year)
             if early is None or late is None:
                 continue
             for source, target in ((late, early), (early, late)):
@@ -1574,7 +1600,7 @@ def test_cli_writes_empty_outputs_for_a_couples_file_without_couples(tmp_path, c
 def _write_stress_inputs(tmp_path, panel):
     """``panel``'s couples and singles as the CLI's input files."""
     couples = tmp_path / "couples.csv"
-    write_couples(panel, couples)
+    _write_couples(panel, couples)
     lines = ["year,state,sex,edu,count"]
     for (state, year), pools in sorted(panel.singles.items()):
         for sex, pool in zip("mw", pools):
@@ -1670,14 +1696,49 @@ def test_the_cli_picks_one_blas_thread_unless_told_otherwise(preset, expected):
     assert _fresh_python(probe, **env) == [expected]
 
 
+# the library surface: what the CLI, the criteria and the README use
+EXPORTED = sorted([
+    "CONTINUOUS", "ContingencyTable", "CounterfactualResult", "DecadeChange",
+    "DecompositionResult", "LiuLuDecomposition", "Marginals", "MspComponents",
+    "PAPER_INTEGER", "RegressionPair", "SurplusMatrix", "TableWithSingles", "TrendStats",
+    "aggregate_msp", "classify_u_shape", "correlation", "covariance", "decompose",
+    "decompose_counts", "determinant", "fit", "gll", "homogamy_share",
+    "income_consistency", "ll_simplified", "marginals", "merge_categories", "odds_ratio",
+    "regression", "score", "surplus_matrix", "v_value",
+])
+
+# the per-table entry points that the kernels replaced, by module
+DELETED = {
+    "counterfactual": ("SurvivalGrid", "csa_fit", "csa_solve", "ipf_fit", "mdba_fit",
+                       "meda_fit", "meda_weight", "nm_fit"),
+    "indicators": ("aggregate_2x2",),
+    "tables": ("enumerate_tables", "merge_with_singles", "pam_match", "random_match"),
+    "io": ("unit_decade_changes", "write_couples"),
+    "criteria": ("MarginalPerturbation", "apply_perturbation"),
+}
+
+
 def test_every_exported_name_resolves():
     probe = (
         "import homlab\n"
         "from homlab import *\n"
         "missing = [n for n in homlab.__all__ if getattr(homlab, n, None) is None]\n"
-        "print(len(homlab.__all__), len(set(homlab.__all__)), missing)\n"
+        "print(','.join(homlab.__all__), missing)\n"
         "print(homlab.decompose_counts is homlab.decomposition.decompose_counts)\n"
     )
-    count, distinct, missing, same = _fresh_python(probe)
-    assert count == distinct and int(count) > 40
+    exported, missing, same = _fresh_python(probe)
+    assert exported.split(",") == EXPORTED
     assert missing == "[]" and same == "True"
+
+
+def test_the_replaced_entry_points_are_gone():
+    import importlib
+
+    import homlab
+
+    for module, names in DELETED.items():
+        defining = importlib.import_module(f"homlab.{module}")
+        for name, owner in itertools.product(names, (homlab, defining)):
+            with pytest.raises(AttributeError):
+                getattr(owner, name)
+    assert not hasattr(PanelDataset, "unit_table")

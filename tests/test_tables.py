@@ -16,14 +16,13 @@ from homlab.tables import (
     Marginals,
     TableWithSingles,
     _block_sum,
-    enumerate_tables,
     homogamy_share,
+    homogamy_shares,
     lattice,
     marginals,
     merge_categories,
-    merge_with_singles,
-    pam_match,
-    random_match,
+    pam_counts,
+    random_counts,
 )
 
 
@@ -200,11 +199,20 @@ def test_merge_commutes_with_marginals():
         assert mm.total == m.total
 
 
+def merged_pool(values, partition):
+    """A singles vector merged with the couples: one block sum per block."""
+    return [_block_sum(values, slice(block[0], block[-1] + 1)) for block in partition]
+
+
 def test_merge_with_singles_sums_pools():
     tws = TableWithSingles(
         table([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), [1, 2, 3], [4, 5, 6]
     )
-    merged = merge_with_singles(tws, [(0, 1), (2,)], [(0,), (1, 2)])
+    rows, cols = [(0, 1), (2,)], [(0,), (1, 2)]
+    merged = TableWithSingles(merge_categories(tws.couples, rows, cols),
+                              merged_pool(tws.single_men, rows),
+                              merged_pool(tws.single_women, cols))
+    assert merged.couples.counts.tolist() == [[5, 16], [7, 17]]
     assert merged.single_men.tolist() == [3, 3]
     assert merged.single_women.tolist() == [4, 11]
 
@@ -267,14 +275,11 @@ def test_every_merge_sums_blocks_as_the_replaced_code_did(n, m):
     for _ in range(3):
         counts = _random_floats(rng, (n, m))
         men, women = _random_floats(rng, n), _random_floats(rng, m)
-        tws = TableWithSingles(table(counts), men, women)
         for rowp, colp in itertools.product(_partitions(n), _partitions(m)):
-            merged = merge_with_singles(tws, rowp, colp)
-            assert _same_bytes(merged.couples.counts, _ix_merge(counts, rowp, colp))
-            assert _same_bytes(merge_categories(tws.couples, rowp, colp).counts,
-                               merged.couples.counts)
-            assert _same_bytes(merged.single_men, [men[list(b)].sum() for b in rowp])
-            assert _same_bytes(merged.single_women, [women[list(b)].sum() for b in colp])
+            merged = merge_categories(table(counts), rowp, colp)
+            assert _same_bytes(merged.counts, _ix_merge(counts, rowp, colp))
+            assert _same_bytes(merged_pool(men, rowp), [men[list(b)].sum() for b in rowp])
+            assert _same_bytes(merged_pool(women, colp), [women[list(b)].sum() for b in colp])
     # every split, of one table and of a stack, and each stacked block
     stack = _random_floats(rng, (7, n, m))
     assert _same_bytes(_split_sums(stack[0]), _reference_split_sums(stack[0]))
@@ -307,36 +312,38 @@ def test_block_sums_of_an_empty_stack_are_empty():
 # reference matchings
 # ---------------------------------------------------------------------------
 
+def _random_cells(rows, cols):
+    rows, cols = np.array(rows, dtype=float), np.array(cols, dtype=float)
+    return random_counts(rows, cols, rows.sum()).tolist()
+
+
+def _pam_cells(rows, cols):
+    return pam_counts(np.array([rows], dtype=float), np.array([cols], dtype=float))[0].tolist()
+
+
 def test_random_match_examples():
-    assert random_match(Marginals([40, 60], [50, 50])).counts.tolist() == [
-        [20, 20], [30, 30]
-    ]
-    assert random_match(Marginals([100, 0], [50, 50])).counts.tolist() == [
-        [50, 50], [0, 0]
-    ]
-    assert random_match(Marginals([10, 10, 10], [15, 15])).counts.tolist() == [
-        [5, 5], [5, 5], [5, 5]
-    ]
+    assert _random_cells([40, 60], [50, 50]) == [[20, 20], [30, 30]]
+    assert _random_cells([100, 0], [50, 50]) == [[50, 50], [0, 0]]
+    assert _random_cells([10, 10, 10], [15, 15]) == [[5, 5], [5, 5], [5, 5]]
+    # and on a stack of margins, one table per instance
+    stacked = random_counts(np.array([[40.0, 60.0], [100.0, 0.0]]),
+                            np.array([[50.0, 50.0], [50.0, 50.0]]), np.array([100.0, 100.0]))
+    assert stacked.tolist() == [[[20, 20], [30, 30]], [[50, 50], [0, 0]]]
 
 
 def test_pam_match_examples():
-    assert pam_match(Marginals([40, 60], [50, 50])).counts.tolist() == [
-        [40, 0], [10, 50]
-    ]
-    assert pam_match(Marginals([50, 50], [50, 50])).counts.tolist() == [
-        [50, 0], [0, 50]
-    ]
-    assert pam_match(Marginals([10, 10, 10], [15, 15])).counts.tolist() == [
-        [10, 0], [5, 5], [0, 10]
-    ]
+    assert _pam_cells([40, 60], [50, 50]) == [[40, 0], [10, 50]]
+    assert _pam_cells([50, 50], [50, 50]) == [[50, 0], [0, 50]]
+    assert _pam_cells([10, 10, 10], [15, 15]) == [[10, 0], [5, 5], [0, 10]]
 
 
 def test_matchings_reject_zero_total():
-    degenerate = Marginals([0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(DegenerateInputError):
-        random_match(degenerate)
-    with pytest.raises(DegenerateInputError):
-        pam_match(degenerate)
+    # the matchings are built on margins that a fit has checked: the
+    # projection fit, which builds both, refuses a zero target total
+    from homlab.counterfactual import fit
+
+    with pytest.raises(DegenerateInputError, match="target total must be positive"):
+        fit("meda", table([[40, 10], [20, 30]]), Marginals([0.0, 0.0], [0.0, 0.0]))
 
 
 def test_matchings_reproduce_marginals():
@@ -349,11 +356,9 @@ def test_matchings_reproduce_marginals():
         diff = rows.sum() - cols.sum()
         cols = np.append(cols, max(diff, 0))
         rows = np.append(rows, max(-diff, 0))
-        m = Marginals(rows.astype(float), cols.astype(float))
-        for matched in (random_match(m), pam_match(m)):
-            got = marginals(matched)
-            assert np.allclose(got.row_sums, m.row_sums, rtol=1e-9, atol=1e-9)
-            assert np.allclose(got.col_sums, m.col_sums, rtol=1e-9, atol=1e-9)
+        for matched in (np.array(_random_cells(rows, cols)), np.array(_pam_cells(rows, cols))):
+            assert np.allclose(matched.sum(axis=1), rows, rtol=1e-9, atol=1e-9)
+            assert np.allclose(matched.sum(axis=0), cols, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +411,20 @@ def count_tables_by_generating_function(rows, cols):
 
 
 def test_enumerate_examples():
-    assert len(enumerate_tables(Marginals([1, 1], [1, 1]))) == 2
-    assert len(enumerate_tables(Marginals([2, 2], [2, 2]))) == 3
-    only = enumerate_tables(Marginals([2, 0], [1, 1]))
-    assert len(only) == 1
-    assert only[0].counts.tolist() == [[1, 1], [0, 0]]
+    assert len(lattice(Marginals([1, 1], [1, 1]))) == 2
+    assert len(lattice(Marginals([2, 2], [2, 2]))) == 3
+    only = lattice(Marginals([2, 0], [1, 1]))
+    assert only.tolist() == [[[1, 1], [0, 0]]]
 
 
 def test_enumerate_cap_guard():
     with pytest.raises(EnumerationCapError):
-        enumerate_tables(Marginals([30, 30], [30, 30]))
+        lattice(Marginals([30, 30], [30, 30]))
 
 
 def test_enumerate_requires_integers():
     with pytest.raises(DegenerateInputError):
-        enumerate_tables(Marginals([1.5, 0.5], [1.0, 1.0]))
+        lattice(Marginals([1.5, 0.5], [1.0, 1.0]))
 
 
 def test_enumerate_count_matches_generating_function():
@@ -438,16 +442,15 @@ def test_enumerate_count_matches_generating_function():
         if rows.sum() == 0 or rows.sum() > 16:
             continue
         marg = Marginals(rows.astype(float), cols.astype(float))
-        tables = enumerate_tables(marg)
-        assert len(tables) == count_tables_by_generating_function(
+        points = lattice(marg)
+        assert len(points) == count_tables_by_generating_function(
             rows.tolist(), cols.tolist()
         )
-        seen = {tuple(t.counts.ravel().tolist()) for t in tables}
-        assert len(seen) == len(tables)
-        for t in tables:
-            got = marginals(t)
-            assert got.row_sums.tolist() == rows.tolist()
-            assert got.col_sums.tolist() == cols.tolist()
+        seen = {tuple(p.ravel().tolist()) for p in points}
+        assert len(seen) == len(points)
+        for p in points:
+            assert p.sum(axis=1).tolist() == rows.tolist()
+            assert p.sum(axis=0).tolist() == cols.tolist()
 
 
 def recursive_enumeration(rows, cols):
@@ -501,20 +504,17 @@ def test_lattice_is_the_recursive_enumeration_in_its_order():
         assert points.dtype.kind == "i"
         assert points.shape == (len(expected), n, m)
         assert [p.tolist() for p in points] == [e.tolist() for e in expected]
-        tables = enumerate_tables(marg, cap=40)
-        assert [t.counts.tolist() for t in tables] == [e.tolist() for e in expected]
     assert zero_margins > 10
 
 
-@pytest.mark.parametrize("enumerate_", [lattice, enumerate_tables])
-def test_enumeration_guards(enumerate_):
+def test_enumeration_guards():
     with pytest.raises(EnumerationCapError):
-        enumerate_(Marginals([3, 3], [3, 3]), cap=5)
-    assert len(enumerate_(Marginals([3, 2], [2, 3]), cap=5)) == 3
+        lattice(Marginals([3, 3], [3, 3]), cap=5)
+    assert len(lattice(Marginals([3, 2], [2, 3]), cap=5)) == 3
     with pytest.raises(DegenerateInputError):
-        enumerate_(Marginals([1.5, 0.5], [1.0, 1.0]))
+        lattice(Marginals([1.5, 0.5], [1.0, 1.0]))
     with pytest.raises(DegenerateInputError):
-        enumerate_(Marginals([0, 0], [0, 0]))
+        lattice(Marginals([0, 0], [0, 0]))
 
 
 def test_pam_maximizes_homogamy_when_distributions_coincide():
@@ -528,16 +528,16 @@ def test_pam_maximizes_homogamy_when_distributions_coincide():
         if rows.sum() > 20:
             continue
         marg = Marginals(rows.astype(float), rows.astype(float))
-        best = homogamy_share(pam_match(marg))
+        best = homogamy_share(table(_pam_cells(rows, rows)))
         assert best == 1.0
-        for t in enumerate_tables(marg, cap=20):
-            assert homogamy_share(t) <= best + 1e-12
+        assert (homogamy_shares(lattice(marg, cap=20)) <= best + 1e-12).all()
 
 
 def test_pam_maximizes_survival_sums():
     # the assortative matching dominates every same-marginals table in all
     # top-right cumulative sums
-    from homlab.counterfactual import SurvivalGrid
+    def survival(counts):
+        return counts[..., ::-1, ::-1].cumsum(-2).cumsum(-1)[..., ::-1, ::-1]
 
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -549,6 +549,5 @@ def test_pam_maximizes_survival_sums():
         elif diff < 0:
             rows[0] += -diff
         marg = Marginals(rows.astype(float), cols.astype(float))
-        pam_grid = SurvivalGrid.from_table(pam_match(marg)).values
-        for t in enumerate_tables(marg, cap=20):
-            assert np.all(SurvivalGrid.from_table(t).values <= pam_grid + 1e-12)
+        pam_grid = survival(np.array(_pam_cells(rows, cols)))
+        assert np.all(survival(lattice(marg, cap=20)) <= pam_grid + 1e-12)
