@@ -1,8 +1,10 @@
 """Command-line surface: homlab <subcommand> [options].
 
-Subcommands: indicators, counterfactual, decompose, trend, criteria. All
-outputs are CSV or JSON with numbers at 12 significant digits, so repeated
-runs over the same inputs and configuration are byte-identical. Per-pair
+Subcommands: indicators, counterfactual, decompose, trend, criteria. CSV
+numbers have 12 significant digits and JSON floats their full ``repr``, so
+repeated runs on the same inputs and configuration are byte-identical;
+``criteria`` runs its cells across the CPUs the process may use (``taskset``
+limits them) and writes the same bytes whatever their number. Per-pair
 infeasibilities and exclusions are reported inside the outputs; only I/O and
 configuration failures exit nonzero.
 """
@@ -340,8 +342,7 @@ def criteria(**params):
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    ind_matrix = cr.indicator_matrix(config.sample_count, config.seed)
-    meth_matrix = cr.method_matrix(config.sample_count, config.seed)
+    ind_matrix, meth_matrix = cr.matrices(config.sample_count, config.seed)
 
     for name, criteria_list, tags, matrix in (
         ("criteria_indicators.csv", cr.INDICATOR_CRITERIA, cr.INDICATOR_TAGS, ind_matrix),

@@ -31,6 +31,8 @@ AC12   signaling impossible counterfactuals (methods)
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -181,9 +183,6 @@ def _check_sampling(sample_count: int, seed: int):
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-
-
-_report = CriterionReport
 
 
 def _payload(counts: np.ndarray, singles=None) -> dict:
@@ -411,7 +410,7 @@ def _sampled_indicator_check(criterion, tag, sample_count, seed) -> CriterionRep
     notes = _indicator_notes(check, tag)
     found = _first_hit(_rng_for(seed, criterion, tag), sample_count, draw, bases, scan)
     if found is None:
-        return _report(criterion, tag, SATISFIED, None, sample_count, notes)
+        return CriterionReport(criterion, tag, SATISFIED, None, sample_count, notes)
     sample_size, (subject, label, params, violation) = found
     witness = {"kind": check.kind, "criterion": criterion, "indicator": tag,
                "subject": subject, "violation": violation}
@@ -419,7 +418,7 @@ def _sampled_indicator_check(criterion, tag, sample_count, seed) -> CriterionRep
         witness["diagonal"] = params["diagonal"]
     else:
         witness.update(transform=label, params=params, compare_transposed=transposed)
-    return _report(criterion, tag, COUNTEREXAMPLE, witness, sample_size, notes)
+    return CriterionReport(criterion, tag, COUNTEREXAMPLE, witness, sample_size, notes)
 
 
 # Parameter draws of a criterion, given the shape of the drawn table.
@@ -536,13 +535,13 @@ def _max_criterion_check(
         witness = {"kind": "maximum", "criterion": criterion, "indicator": tag,
                    "reference": _payload(reference), "better": _payload(better),
                    "violation": violation}
-        return _report(criterion, tag, COUNTEREXAMPLE, witness, checked)
+        return CriterionReport(criterion, tag, COUNTEREXAMPLE, witness, checked)
     if checked == 0:
-        return _report(
+        return CriterionReport(
             criterion, tag, NOT_APPLICABLE,
             notes="indicator undefined on every sampled reference matching",
         )
-    return _report(criterion, tag, SATISFIED, None, checked)
+    return CriterionReport(criterion, tag, SATISFIED, None, checked)
 
 
 def _draw_margins(rng, criterion: str, n: int) -> tuple:
@@ -615,16 +614,16 @@ def check_indicator(
         raise ValueError(f"unknown indicator tag: {indicator!r}")
     _check_sampling(sample_count, seed)
     if (criterion, indicator) in NA_CELLS:
-        return _report(criterion, indicator, NOT_APPLICABLE)
+        return CriterionReport(criterion, indicator, NOT_APPLICABLE)
     if criterion == "AC8.2":
-        return _report(
+        return CriterionReport(
             criterion, indicator, NOT_AUTOMATED,
             notes="needs linked mobility tables; argued, not executable here",
         )
     if criterion == "AC1":
         cardinal = CARDINAL[indicator]
         witness = None if cardinal else {"kind": "metadata", "cardinal": False}
-        return _report(
+        return CriterionReport(
             criterion, indicator,
             SATISFIED if cardinal else COUNTEREXAMPLE,
             witness, 0, notes="metadata lookup, not a runtime check",
@@ -933,11 +932,11 @@ def _sampled_method_check(criterion, method, sample_count, seed) -> CriterionRep
 
     found = _first_hit(_rng_for(seed, criterion, method), sample_count, draw, bases, scan)
     if found is None:
-        return _report(criterion, method, SATISFIED, None, sample_count, check.notes)
+        return CriterionReport(criterion, method, SATISFIED, None, sample_count, check.notes)
     sample_size, (payload, violation) = found
     witness = {"kind": check.kind, **payload, "criterion": criterion,
                "method": method, "violation": violation}
-    return _report(criterion, method, COUNTEREXAMPLE, witness, sample_size, check.notes)
+    return CriterionReport(criterion, method, COUNTEREXAMPLE, witness, sample_size, check.notes)
 
 
 def check_method(
@@ -956,13 +955,13 @@ def check_method(
         raise ValueError(f"unknown method tag: {method!r}")
     _check_sampling(sample_count, seed)
     if criterion == "AC11":
-        return _report(
+        return CriterionReport(
             criterion, method, NOT_AUTOMATED,
             notes="the quantified change can never be independent of the "
             "category count; no method attains this",
         )
     if criterion == "AC10" and method == "mdba":
-        return _report(
+        return CriterionReport(
             criterion, method, NOT_APPLICABLE,
             notes="undefined above 2x2, so merge commutation cannot be posed",
         )
@@ -987,12 +986,12 @@ def check_method(
                         rounding=ind.PAPER_INTEGER, tol=1e-12)
     except InfeasibilityError as exc:
         witness.update(signaled=True, detail=str(exc))
-        return _report(
+        return CriterionReport(
             "AC12", method, SATISFIED, witness, 1,
             notes="infeasibility error raised on the crafted impossible case",
         )
     witness.update(signaled=False, returned=result.table.counts.tolist())
-    return _report(
+    return CriterionReport(
         "AC12", method, COUNTEREXAMPLE, witness, 1,
         notes="returned a table without signaling on the crafted "
         "impossible case",
@@ -1059,26 +1058,56 @@ def replay_witness(report: CriterionReport) -> float:
     return float(violations[0])
 
 
-def indicator_matrix(
-    sample_count: int = 200, seed: int = 0
-) -> dict[tuple[str, str], CriterionReport]:
-    """Every indicator criterion against every indicator tag."""
-    return {
-        (criterion, tag): check_indicator(criterion, tag, sample_count, seed)
-        for criterion in INDICATOR_CRITERIA
-        for tag in INDICATOR_TAGS
-    }
+def matrices(sample_count: int = 200, seed: int = 0) -> tuple[dict, dict]:
+    """The indicator and the method criteria matrices: two dicts keyed by
+    ``(criterion, tag)``. Their cells run across the CPUs this process may use;
+    each draws from its own generator, so no report depends on how many."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return _matrices(sample_count, seed, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-def method_matrix(
-    sample_count: int = 200, seed: int = 0
-) -> dict[tuple[str, str], CriterionReport]:
-    """Every method criterion against every method tag."""
-    return {
-        (criterion, tag): check_method(criterion, tag, sample_count, seed)
-        for criterion in METHOD_CRITERIA
-        for tag in METHOD_TAGS
-    }
+def _matrices(sample_count: int, seed: int, workers: int) -> tuple[dict, dict]:
+    """``matrices`` in interleaved shares ``cells[i::workers]``. Share 0 runs here
+    and a forked child runs each other one, piping back its reports or its error
+    (``Process.start`` flushes the standard streams first); without fork all run here."""
+    cells = [(check_indicator, c, t) for c in INDICATOR_CRITERIA for t in INDICATOR_TAGS]
+    cells += [(check_method, c, t) for c in METHOD_CRITERIA for t in METHOD_TAGS]
+    workers = min(workers, len(cells)) if "fork" in multiprocessing.get_all_start_methods() else 1
+
+    def run(share):
+        return [check(c, t, sample_count, seed) for check, c, t in cells[share::workers]]
+
+    def send(pipe, share):
+        try:
+            pipe.send(run(share))
+        except Exception as error:  # the parent raises it
+            pipe.send(error)
+
+    children = []
+    try:
+        for share in range(1, workers):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(target=send, args=(sender, share))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        shares = [run(0)]
+        for child, receiver in children:
+            try:
+                shares.append(receiver.recv())
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a criteria worker died with exit code {child.exitcode}") from None
+            if isinstance(shares[-1], BaseException):
+                raise shares[-1]
+    finally:
+        for child, receiver in children:
+            child.terminate()  # a child whose share has arrived is done with it
+            child.join()
+            receiver.close()
+    keyed = [((c, t), shares[i % workers][i // workers]) for i, (_, c, t) in enumerate(cells)]
+    split = len(INDICATOR_CRITERIA) * len(INDICATOR_TAGS)
+    return dict(keyed[:split]), dict(keyed[split:])
 
 
 VERDICT_CODES = {

@@ -1,4 +1,11 @@
 import math
+import multiprocessing
+import os
+import signal
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -711,3 +718,113 @@ def test_stacked_indicator_cell_finds_a_late_witness_after_rejections(monkeypatc
     assert got == _reference_indicator_check("AC8.1", "v", 200, 4)
     assert got.verdict == COUNTEREXAMPLE and got.sample_size == 56
     assert replay_witness(got) == got.witness["violation"]
+
+
+# ---------------------------------------------------------------------------
+# the matrices across worker processes
+# ---------------------------------------------------------------------------
+
+def _bits(value):
+    """``value`` with each float as its IEEE bytes and each dict as its
+    ordered items, so ``==`` compares floats bit for bit and keys in order."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return [(key, _bits(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _fails_at(monkeypatch, index, fail):
+    """Make the cell at ``index`` of the matrices' criterion-major order call
+    ``fail`` instead of its check; with two workers an odd index is a child's."""
+    criterion, tag = divmod(index, len(INDICATOR_TAGS))
+    cell = (INDICATOR_CRITERIA[criterion], INDICATOR_TAGS[tag])
+    check = criteria.check_indicator
+
+    def patched(*args):
+        return fail() if args[:2] == cell else check(*args)
+
+    monkeypatch.setattr(criteria, "check_indicator", patched)
+
+
+@pytest.fixture
+def forked():
+    """Fail a test that waits a minute on the workers or leaves one behind."""
+    def alarm(signum, frame):
+        raise TimeoutError("waited a minute on the criteria workers")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the workers are forked")
+
+
+def test_the_worker_count_does_not_change_the_matrices(forked):
+    order = ([(c, t) for c in INDICATOR_CRITERIA for t in INDICATOR_TAGS],
+             [(c, t) for c in METHOD_CRITERIA for t in METHOD_TAGS])
+    runs = []
+    for workers in (1, 2, 3):
+        matrices = criteria._matrices(25, 3, workers)
+        assert tuple(list(matrix) for matrix in matrices) == order, workers
+        runs.append(_bits([{key: vars(report) for key, report in matrix.items()}
+                           for matrix in matrices]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    witnesses = [r.witness for m in criteria._matrices(25, 3, 1) for r in m.values()]
+    assert any(w is not None and "violation" in w for w in witnesses)
+
+
+def test_the_matrices_run_in_process_without_fork(monkeypatch, forked):
+    contexts = []
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", contexts.append)
+    assert criteria._matrices(5, 3, 3) == criteria._matrices(5, 3, 1)
+    assert contexts == []
+
+
+@needs_fork
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_a_cell_error_is_raised_in_the_caller(monkeypatch, forked, index):
+    # index 0 runs in this process, 1 and 3 in the forked child
+    def fail():
+        raise InfeasibilityError("no table fits", {"cell": index})
+
+    _fails_at(monkeypatch, index, fail)
+    with pytest.raises(InfeasibilityError) as raised:
+        criteria._matrices(2, 0, 2)
+    assert type(raised.value) is InfeasibilityError
+    assert str(raised.value) == "no table fits"
+
+
+@needs_fork
+def test_a_dead_worker_is_an_error_not_a_partial_matrix(monkeypatch, forked):
+    _fails_at(monkeypatch, 1, lambda: os._exit(1))
+    with pytest.raises(RuntimeError) as raised:
+        criteria._matrices(2, 0, 2)
+    assert str(raised.value) == "a criteria worker died with exit code 1"
+
+
+def test_the_workers_do_not_repeat_buffered_output():
+    # a pipe makes stdout block-buffered: text printed before the fork must
+    # reach it once, not once more from each child
+    probe = (
+        "from homlab import criteria\n"
+        "criteria.check_indicator = criteria.check_method = lambda *args: None\n"
+        "print('before the fork')\n"
+        "criteria._matrices(1, 0, 3)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "before the fork\n"

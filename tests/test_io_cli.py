@@ -1669,14 +1669,17 @@ def _fresh_python(probe: str, **env) -> list[str]:
 
 def test_importing_the_cli_does_not_run_the_criteria_module():
     # only the criteria subcommand pays for importing homlab.criteria: the
-    # module is registered in sys.modules, but its body runs on first use
+    # module is registered in sys.modules, but its body runs on first use;
+    # nor does any other one import multiprocessing, which only it uses
     probe = (
         "import sys, homlab.cli\n"
         "module = sys.modules['homlab.criteria']\n"
         "print('check_indicator' in object.__getattribute__(module, '__dict__'))\n"
+        "print('multiprocessing' in sys.modules)\n"
         "print(homlab.cli.cr.VIOLATION_TOL, module is sys.modules['homlab.criteria'])\n"
+        "print('multiprocessing' in sys.modules)\n"
     )
-    assert _fresh_python(probe) == ["False", "1e-07", "True"]
+    assert _fresh_python(probe) == ["False", "False", "1e-07", "True", "True"]
 
 
 def test_importing_the_package_loads_no_numpy_and_sets_nothing():
