@@ -30,6 +30,7 @@ AC12   signaling impossible counterfactuals (methods)
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -248,18 +249,19 @@ def _first_hit(rng, sample_count: int, draw, bases, scan):
 def _draw_tables(rng, start, size, shapes, with_singles, transforms):
     """Samples ``start`` to ``start + size - 1``, drawn in stream order as if
     the indicator were defined on every table: cells uniform on [0, 50] (an
-    all-zero table is redrawn at once), for ``msm`` singles uniform on
-    [1, 50], then the transforms; and the state after each table, where a
-    rejected table's redraw starts."""
+    all-zero table is redrawn at once), for ``msm`` single men then single
+    women uniform on [1, 50] in one draw, then the transforms; and the state
+    after each table, where a rejected table's redraw starts."""
     drawn, states = [], []
     for i in range(start, start + size):
         shape = shapes[i % len(shapes)]
         counts = rng.integers(0, 51, size=shape)
-        while not counts.any():
+        while not np.count_nonzero(counts):
             counts = rng.integers(0, 51, size=shape)
         singles = None
         if with_singles:
-            singles = tuple(rng.integers(1, 51, size=k).astype(float) for k in shape)
+            pooled = rng.integers(1, 51, size=sum(shape)).astype(float)
+            singles = (pooled[:shape[0]], pooled[shape[0]:])
         states.append(rng.bit_generator.state)
         drawn.append((counts.astype(float), singles, transforms(rng, counts)))
     return drawn, states
@@ -547,22 +549,22 @@ def _max_criterion_check(
 def _draw_margins(rng, criterion: str, n: int) -> tuple:
     """One AC6/AC7 sample's (rows, cols), as tuples of integers: those of a
     diagonal table of at most 20 couples, or small random margins (totals
-    at most 20 for 2x2, 12 for 3x3)."""
+    at most 20 for 2x2, 12 for 3x3), the rows and the columns in one draw
+    on [1, 7] and the smaller total raised at one random category."""
     if criterion == "AC6":
-        diag = rng.integers(1, 9, size=n)
-        while diag.sum() > 20:
-            diag = rng.integers(1, 9, size=n)
-        return tuple(diag.tolist()), tuple(diag.tolist())
+        diag = rng.integers(1, 9, size=n).tolist()
+        while sum(diag) > 20:
+            diag = rng.integers(1, 9, size=n).tolist()
+        return tuple(diag), tuple(diag)
     while True:
-        rows = rng.integers(1, 8, size=n)
-        cols = rng.integers(1, 8, size=n)
-        diff = int(rows.sum() - cols.sum())
+        rows, cols = rng.integers(1, 8, size=(2, n)).tolist()
+        diff = sum(rows) - sum(cols)
         if diff > 0:
             cols[int(rng.integers(0, n))] += diff
         elif diff < 0:
-            rows[int(rng.integers(0, n))] += -diff
-        if rows.sum() <= (20 if n == 2 else 12) and np.all(rows > 0) and np.all(cols > 0):
-            return tuple(rows.tolist()), tuple(cols.tolist())
+            rows[int(rng.integers(0, n))] -= diff
+        if sum(rows) <= (20 if n == 2 else 12):
+            return tuple(rows), tuple(cols)
 
 
 def _score_lattices(evaluate, criterion: str, keys: list[tuple]) -> dict:
@@ -580,7 +582,7 @@ def _score_lattices(evaluate, criterion: str, keys: list[tuple]) -> dict:
     defined = np.flatnonzero(~undefined)
     if not defined.size:
         return scored
-    lattices = [lattice(Marginals(rows[i], cols[i]), cap=20) for i in defined]
+    lattices = [_lattice_of(*keys[i]) for i in defined]
     sizes = [len(points) for points in lattices]
     drops = _maximum_violation(
         evaluate, np.repeat(values[defined], sizes, axis=0), np.concatenate(lattices)
@@ -590,6 +592,15 @@ def _score_lattices(evaluate, criterion: str, keys: list[tuple]) -> dict:
         hit = (points[above[0]].astype(float), float(part[above[0]])) if above.size else None
         scored[keys[i]] = (references[i], hit)
     return scored
+
+
+@functools.cache
+def _lattice_of(rows: tuple, cols: tuple) -> np.ndarray:
+    """The read-only lattice of one margin pair, enumerated once per process
+    (AC6/AC7 margins are capped, so the pairs are finitely many)."""
+    points = lattice(Marginals(rows, cols), cap=20)
+    points.flags.writeable = False
+    return points
 
 
 def _maximum_violation(evaluate, references, points) -> np.ndarray:
@@ -646,13 +657,19 @@ SIC_TARGET_COLS = (10.0, 90.0)
 SIC_SINGLES = (10.0, 10.0)
 
 
-def _draw_counts(rng, shape, with_singles: bool):
-    """One method source or target: cells uniform on [1, 50] and, with
-    singles, (single men, single women) per category, else None."""
-    counts = rng.integers(1, 51, size=shape).astype(float)
-    if not with_singles:
-        return counts, None
-    return counts, tuple(rng.integers(1, 51, size=k).astype(float) for k in shape)
+def _draw_problem(rng, shape, with_singles: bool) -> tuple:
+    """One method problem, (source cells, source singles, target cells,
+    target singles), in one draw uniform on [1, 50]: the source's cells and,
+    with singles, its single men and single women per category (else None),
+    then the target's the same way."""
+    n, m = shape
+    part = n * m + (n + m if with_singles else 0)
+    drawn = rng.integers(1, 51, size=2 * part).astype(float)
+    problem = []
+    for half in (drawn[:part], drawn[part:]):
+        singles = (half[n * m:n * m + n], half[n * m + n:]) if with_singles else None
+        problem += [half[:n * m].reshape(shape), singles]
+    return tuple(problem)
 
 
 # Base and variant fits that raise these are rejected or skipped samples;
@@ -878,15 +895,14 @@ def _method_stack(problems, params) -> _MethodStack:
 
 def _draw_samples(rng, method, check: _MethodCheck, size: int):
     """Draw ``size`` samples in stream order, as if every base fit were
-    feasible: each one's problem, as :func:`_method_stack` takes it, and
-    parameters, and the generator state before each parameter draw, where
-    a rejected sample's redraw starts."""
+    feasible: each one's problem, drawn by :func:`_draw_problem` as
+    :func:`_method_stack` takes it, and parameters, and the generator state
+    before each parameter draw, where a rejected sample's redraw starts."""
     with_singles = method == "csa"
     drawn, states = [], []
     for _ in range(size):
         shape = check.shape(rng) if check.shape else (2, 2)
-        problem = (*_draw_counts(rng, shape, with_singles),
-                   *_draw_counts(rng, shape, with_singles))
+        problem = _draw_problem(rng, shape, with_singles)
         states.append(rng.bit_generator.state)
         drawn.append((problem, check.params(rng, shape)))
     return drawn, states

@@ -721,6 +721,141 @@ def test_stacked_indicator_cell_finds_a_late_witness_after_rejections(monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# merged draws against the per-call draws they replace
+# ---------------------------------------------------------------------------
+
+# Lemire's bounded draw takes its words from the bit generator one value at
+# a time, so one call of size a + b gives the values, and leaves the state,
+# of two calls of sizes a and b with the same bounds. These copies make one
+# call per block, as the criteria drew before the calls were merged.
+
+def _reference_draw_problem(rng, shape, with_singles):
+    problem = []
+    for _ in ("source", "target"):
+        counts = rng.integers(1, 51, size=shape).astype(float)
+        singles = None
+        if with_singles:
+            singles = tuple(rng.integers(1, 51, size=k).astype(float) for k in shape)
+        problem += [counts, singles]
+    return tuple(problem)
+
+
+def _reference_draw_margins(rng, criterion, n):
+    if criterion == "AC6":
+        diag = rng.integers(1, 9, size=n)
+        while diag.sum() > 20:
+            diag = rng.integers(1, 9, size=n)
+        return tuple(diag.tolist()), tuple(diag.tolist())
+    while True:
+        rows = rng.integers(1, 8, size=n)
+        cols = rng.integers(1, 8, size=n)
+        diff = int(rows.sum() - cols.sum())
+        if diff > 0:
+            cols[int(rng.integers(0, n))] += diff
+        elif diff < 0:
+            rows[int(rng.integers(0, n))] += -diff
+        if rows.sum() <= (20 if n == 2 else 12) and np.all(rows > 0) and np.all(cols > 0):
+            return tuple(rows.tolist()), tuple(cols.tolist())
+
+
+def _reference_draw_tables(rng, start, size, shapes, with_singles, transforms):
+    drawn, states = [], []
+    for i in range(start, start + size):
+        shape = shapes[i % len(shapes)]
+        counts = rng.integers(0, 51, size=shape)
+        while not counts.any():
+            counts = rng.integers(0, 51, size=shape)
+        singles = None
+        if with_singles:
+            singles = tuple(rng.integers(1, 51, size=k).astype(float) for k in shape)
+        states.append(rng.bit_generator.state)
+        drawn.append((counts.astype(float), singles, transforms(rng, counts)))
+    return drawn, states
+
+
+def _same(got, want):
+    """Equal values, types, dtypes and shapes, through tuples, lists and
+    dicts."""
+    assert type(got) is type(want)
+    if isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _same(a, b)
+    elif isinstance(got, dict):
+        assert list(got) == list(want)
+        for key in got:
+            _same(got[key], want[key])
+    else:
+        assert got == want
+
+
+def _assert_same_stream(draw, reference):
+    """``draw(rng)`` and ``reference(rng)`` give equal values and leave
+    equal generator states, at seeds 0-49."""
+    for seed in range(50):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        _same(draw(rng), reference(ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+
+@pytest.mark.parametrize("with_singles", [False, True])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3)])
+def test_a_method_problem_is_drawn_on_the_per_call_stream(shape, with_singles):
+    _assert_same_stream(lambda rng: criteria._draw_problem(rng, shape, with_singles),
+                        lambda rng: _reference_draw_problem(rng, shape, with_singles))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("criterion", ["AC6", "AC7"])
+def test_margins_are_drawn_on_the_per_call_stream(criterion, n):
+    def draws(draw):
+        return lambda rng: [draw(rng, criterion, n) for _ in range(5)]
+    _assert_same_stream(draws(criteria._draw_margins), draws(_reference_draw_margins))
+
+
+@pytest.mark.parametrize("criterion", ["AC2", "AC3", "AC5.1", "AC8.1"])
+def test_msm_tables_are_drawn_on_the_per_call_stream(criterion):
+    transforms = criteria._INDICATOR_CHECKS[criterion].transforms
+    shapes = ((2, 2), (3, 3))
+    for start in (0, 1):
+        _assert_same_stream(
+            lambda rng: criteria._draw_tables(rng, start, 6, shapes, True, transforms),
+            lambda rng: _reference_draw_tables(rng, start, 6, shapes, True, transforms))
+
+
+def _margin_keys(criterion, n, seeds=range(10)):
+    return [criteria._draw_margins(np.random.default_rng(seed), criterion, n) for seed in seeds]
+
+
+def test_a_cached_lattice_is_read_only():
+    points = criteria._lattice_of((2, 3), (3, 2))
+    with pytest.raises(ValueError):
+        points[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("criterion", ["AC6", "AC7"])
+def test_scored_lattices_do_not_change_when_cached(criterion):
+    evaluate = criteria._evaluator("det", criterion)
+    for n in (2, 3):
+        keys = _margin_keys(criterion, n)
+        criteria._lattice_of.cache_clear()
+        first = criteria._score_lattices(evaluate, criterion, keys)
+        hits = criteria._lattice_of.cache_info().hits
+        _same(criteria._score_lattices(evaluate, criterion, keys), first)
+        assert criteria._lattice_of.cache_info().hits > hits
+
+
+def test_each_cached_lattice_is_its_fresh_enumeration():
+    for criterion in ("AC6", "AC7"):
+        for n in (2, 3):
+            for rows, cols in _margin_keys(criterion, n):
+                fresh = lattice(Marginals(np.array(rows, float), np.array(cols, float)), cap=20)
+                _same(criteria._lattice_of(rows, cols), fresh)
+
+
+# ---------------------------------------------------------------------------
 # the matrices across worker processes
 # ---------------------------------------------------------------------------
 
@@ -828,3 +963,4 @@ def test_the_workers_do_not_repeat_buffered_output():
     done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout == "before the fork\n"
+
