@@ -964,3 +964,24 @@ def test_the_workers_do_not_repeat_buffered_output():
                           capture_output=True, text=True, timeout=60)
     assert done.stdout == "before the fork\n"
 
+
+def test_the_forked_workers_do_not_warn_on_the_cli_path():
+    # Python 3.12 warns when a process that runs threads forks; the CLI
+    # starts none (it loads numpy with one OpenBLAS thread), so its workers
+    # fork without a DeprecationWarning
+    probe = (
+        "import os, warnings\n"
+        "import homlab.cli\n"
+        "from homlab import criteria\n"
+        "if os.path.exists('/proc/self/stat'):\n"
+        "    print(open('/proc/self/stat').read().rsplit(')', 1)[1].split()[17])\n"
+        "warnings.simplefilter('error', DeprecationWarning)\n"
+        "criteria._matrices(25, 3, workers=2)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout in ("", "1\n")  # the threads the process runs, where procfs tells
