@@ -4,9 +4,10 @@ Subcommands: indicators, counterfactual, decompose, trend, criteria. CSV
 numbers have 12 significant digits and JSON floats their full ``repr``, so
 repeated runs on the same inputs and configuration are byte-identical;
 ``criteria`` runs its cells across the CPUs the process may use (``taskset``
-limits them) and writes the same bytes whatever their number. Per-pair
-infeasibilities and exclusions are reported inside the outputs; only I/O and
-configuration failures exit nonzero.
+limits them) and writes the same bytes whatever their number. A pair's
+``HomlabError`` is reported inside the outputs; only input (exit 1) and
+configuration failures (exit 2, an unknown method or measure tag included)
+exit nonzero, each with one line.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import numpy as np
 
 from . import counterfactual as cf
 from .decomposition import SCHEMES
-from .errors import DataError
+from .errors import DataError, HomlabError
 from .indicators import SCALAR_TAGS
 from .io import (
     CATEGORY_SCHEMES,
-    EXCLUDED,
     RunConfig,
     _cut_run,
     decade_changes,
@@ -201,7 +201,7 @@ def counterfactual(**params):
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
     state = params["state"]
-    method = config.method.lower()
+    method = config.method
     years = (params["early_year"], params["late_year"])
     cut = _cut_run(panel, config, (state,), method)
     for year in years:
@@ -226,8 +226,7 @@ def counterfactual(**params):
             method, source, marginals(target), config.rounding, config.tol, config.max_iter,
             cut.singles and tuple(pool[early] for pool in cut.singles),
         )
-    except EXCLUDED as exc:
-        # a pair that decompose would exclude is a result, not a crash
+    except HomlabError as exc:  # a result, as in decompose; any other error is a bug
         payload.update(
             feasible=False,
             error={"type": type(exc).__name__, "detail": str(exc)},

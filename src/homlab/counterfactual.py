@@ -519,19 +519,18 @@ def _csa_kernel(msm, men, women, tol: float, max_iter: int) -> FitStack:
                   single_men=singles[:, :k], single_women=singles[:, k:])
 
 
-def _check(method: str, shape, rows, cols, rounding, singles, target_singles) -> str:
-    """The tag of ``method`` on sources of ``shape`` (n, m), target margins
-    ``rows`` (..., n) and ``cols`` (..., m) and, for ``csa``, the sources'
-    and the targets' singles, or the error a fit raises before any kernel."""
-    tag = method.strip().lower()
-    if tag not in _METHODS:
+def _check(method: str, shape, rows, cols, rounding, singles, target_singles):
+    """Raise the error a fit of the lower-case tag ``method`` raises before any
+    kernel, on sources of ``shape`` (n, m), target margins ``rows`` (..., n)
+    and ``cols`` (..., m) and, for ``csa``, the sources' and targets' singles."""
+    if method not in _METHODS:
         raise ValueError(f"unknown method tag: {method!r}")
-    if tag == "mdba" and shape != (2, 2):
+    if method == "mdba" and shape != (2, 2):
         raise ShapeError("the determinant-based method needs dichotomous traits")
-    if tag == "nm":
+    if method == "nm":
         _check_rounding(rounding)
     lengths = [rows.shape[-1], cols.shape[-1]]
-    if tag == "csa":
+    if method == "csa":
         if singles is None:
             raise ShapeError("the surplus-based method needs singles counts")
         for men, women in (singles, target_singles or singles):
@@ -541,7 +540,6 @@ def _check(method: str, shape, rows, cols, rounding, singles, target_singles) ->
     elif lengths != [*shape]:
         raise ShapeError(f"target marginals are {lengths[0]}x{lengths[1]}, "
                          f"source table is {shape[0]}x{shape[1]}")
-    return tag
 
 
 def _run(tag, counts, rows, cols, total, rounding, tol, max_iter, singles, target_singles):
@@ -588,10 +586,10 @@ def fit(
         source, TableWithSingles) else None
     targets = None if target_singles is None else _as_stack(*target_singles)
     rows, cols = target.row_sums[None], target.col_sums[None]
-    tag = _check(method, couples.counts.shape, rows, cols, rounding, singles, targets)
-    fits = _run(tag, couples.counts[None], rows, cols, np.array([target.total]),
+    _check(method, couples.counts.shape, rows, cols, rounding, singles, targets)
+    fits = _run(method, couples.counts[None], rows, cols, np.array([target.total]),
                 rounding, tol, max_iter, singles, targets)
-    return _result(couples, tag, fits, tol=tol, rounding=rounding)
+    return _result(couples, method, fits, tol=tol, rounding=rounding)
 
 
 def fit_stack(
@@ -615,6 +613,6 @@ def fit_stack(
     :class:`ShapeError`, as in ``fit``. Instance ``t`` of the result is what
     ``fit`` returns on problem ``t``, bit for bit, or the error it raises.
     """
-    tag = _check(method, counts.shape[-2:], rows, cols, rounding, singles, target_singles)
-    return _run(tag, counts, rows, cols, rows.sum(axis=-1), rounding, tol, max_iter,
+    _check(method, counts.shape[-2:], rows, cols, rounding, singles, target_singles)
+    return _run(method, counts, rows, cols, rows.sum(axis=-1), rounding, tol, max_iter,
                 singles, target_singles)

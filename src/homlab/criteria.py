@@ -966,7 +966,6 @@ def check_method(
     """
     if criterion not in METHOD_CRITERIA:
         raise ValueError(f"unknown method criterion: {criterion!r}")
-    method = method.lower()
     if method not in METHOD_TAGS:
         raise ValueError(f"unknown method tag: {method!r}")
     _check_sampling(sample_count, seed)

@@ -120,7 +120,7 @@ def decompose_counts(
             structural = share_rev - share_early
             interaction = share_late - share_early - nonstructural - structural
         outcomes.append(DecompositionResult(
-            _METHODS[method.strip().lower()][0], scheme, share_early, share_late, share_cf,
+            _METHODS[method][0], scheme, share_early, share_late, share_cf,
             nonstructural, structural, interaction))
     return outcomes
 
@@ -161,7 +161,7 @@ def decompose(
             homogamy_share(side)  # raises the share's ShapeError
     singles = [(t.single_men[None], t.single_women[None])
                if isinstance(t, TableWithSingles) else None for t in (early, late)]
-    if singles[0] is None and method.strip().lower() == "csa":
+    if singles[0] is None and method == "csa":
         raise ShapeError("the surplus-based method needs singles on both sides")
     (result,) = decompose_counts(early_c.counts[None], late_c.counts[None], method, scheme,
                                  rounding, tol, max_iter, singles)

@@ -13,9 +13,10 @@ singles  header ``year,state,sex,edu,count`` with sex ``m`` or ``w``; only
          needed for the surplus-based method.
 
 Records under the reserved state code ``UNKNOWN`` are excluded from both the
-state level and the national aggregate unless explicitly configured in. A
-bad line raises a DataError that names the file and its physical line; of
-several bad lines, the first is reported.
+state level and the national aggregate unless explicitly configured in. The
+code ``US`` names the national aggregate, so a couples or singles line may
+not carry it. A bad line raises a DataError that names the file and its
+physical line; of several bad lines, the first is reported.
 """
 
 from __future__ import annotations
@@ -35,14 +36,7 @@ from . import indicators as ind
 from .counterfactual import METHOD_TAGS
 from .decomposition import (SCHEMES, SEQUENTIAL, WITH_INTERACTION, cumulate, decade_label,
                             decompose_counts)
-from .errors import (
-    ConvergenceError,
-    DataError,
-    InfeasibilityError,
-    ShapeError,
-    TableError,
-    UndefinedIndicatorError,
-)
+from .errors import DataError, HomlabError, TableError
 from .tables import ContingencyTable, _block_sum, _refused, homogamy_shares
 from .trend import DecadeChange
 
@@ -103,6 +97,14 @@ class RunConfig:
             raise DataError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be at least 1, got {self.max_iter}")
+        # the one place a method or measure tag is checked and lowered
+        for name, tags in (("method", METHOD_TAGS),
+                           ("measure", ("", *METHOD_TAGS, *ind.SCALAR_TAGS))):
+            tag = getattr(self, name)
+            if not isinstance(tag, str) or tag.lower() not in tags:
+                raise DataError(f"unknown {name}: {tag!r} (one of "
+                                f"{', '.join(filter(None, tags))})")
+            object.__setattr__(self, name, tag.lower())
         if self.categories not in CATEGORY_SCHEMES:
             raise DataError(f"unknown category scheme: {self.categories!r}")
         rounding = _ROUNDING_ALIASES.get(self.rounding)
@@ -120,7 +122,7 @@ class RunConfig:
 
     @property
     def resolved_measure(self) -> str:
-        return (self.measure or self.method).lower()
+        return self.measure or self.method
 
     @property
     def resolved_scheme(self) -> str:
@@ -300,10 +302,13 @@ def _parse_year(value: str, path, lineno, waves) -> int:
     return year
 
 
-def _parse_state(value, path, lineno) -> str:
+def _parse_state(value, path, lineno, reserved=(NATIONAL,)) -> str:
     state = (value or "").strip()
     if not state:
         raise DataError(f"{path}: line {lineno}: empty state")
+    if state in reserved:
+        raise DataError(f"{path}: line {lineno}: state code {state!r} is reserved "
+                        "for the national aggregate")
     return state
 
 
@@ -353,7 +358,7 @@ def load_income(path: str | Path) -> dict[tuple[str, int], float]:
                 f"{path}: line {lineno}: top10_share must be strictly between "
                 f"0 and 1, got {share}"
             )
-        key = (_parse_state(state, path, lineno), year)
+        key = (_parse_state(state, path, lineno, reserved=()), year)  # US rows unused
         if key in shares:
             raise DataError(f"{path}: line {lineno}: a second top10_share for "
                             f"{key[0]} {year}")
@@ -414,15 +419,6 @@ def units(panel: PanelDataset) -> tuple[str, ...]:
 
 
 _NO_SINGLES = "the surplus-based method needs singles counts"
-
-# pairs that these errors make impossible are reported, not raised
-EXCLUDED = (
-    UndefinedIndicatorError,
-    InfeasibilityError,
-    ConvergenceError,
-    ShapeError,
-    DataError,
-)
 
 
 @dataclass
@@ -542,8 +538,6 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
     cut = _cut_run(panel, config, unit_list, measure)
     values = (_scalar_values(measure, cut, config.rounding)
               if measure in ind.SCALAR_TAGS else [None] * len(cut.errors))
-    unknown = (measure not in METHOD_TAGS and measure not in ind.SCALAR_TAGS
-               and DataError(f"unknown measure: {measure!r}"))
     changes: list = []
     pending = []  # (index in changes, unit, decade, early row, late row)
     for unit, years in cut.rows.items():
@@ -553,7 +547,7 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
                 changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
                 continue
             early, late = years[early_year], years[late_year]
-            steps = (unknown, cut.errors[early], cut.errors[late], values[late], values[early])
+            steps = (cut.errors[early], cut.errors[late], values[late], values[early])
             error = next((step for step in steps if isinstance(step, Exception)), None)
             if error is not None:
                 changes.append(_excluded(unit, decade, error))
@@ -572,7 +566,7 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
         config.rounding, config.tol, config.max_iter,
         [cut.singles and tuple(pool[side] for pool in cut.singles) for side in sides])
     for (index, unit, decade, _, _), result in zip(pending, results):
-        if isinstance(result, EXCLUDED):
+        if isinstance(result, HomlabError):  # any other error is a bug
             changes[index] = _excluded(unit, decade, result)
         elif isinstance(result, Exception):
             raise result
@@ -588,10 +582,10 @@ def decade_changes(panel: PanelDataset, config: RunConfig):
     decade)``; the national aggregate is not included.
 
     Each present wave is cut once, and the pairs of all states go to one
-    :func:`decompose_counts` call. Pairs with a missing endpoint wave, an
-    undefined measure, an infeasible or non-converging counterfactual, or
-    tables of the wrong shape for the method are returned invalid with the
-    reason attached, never silently dropped.
+    :func:`decompose_counts` call. A pair with a missing endpoint wave, or
+    that raises any ``HomlabError`` (an undefined measure, an infeasible or
+    non-converging counterfactual, a method/shape mismatch ...), is returned
+    invalid with the reason attached, never silently dropped.
     """
     return _decade_pass(panel, config, panel.states)[:2]
 

@@ -666,6 +666,11 @@ def test_marginal_matching(method):
 def test_dispatcher_rejects_unknown_method():
     with pytest.raises(ValueError):
         fit("raking", BASE, marginals(BASE))
+    # the library takes the canonical lower-case tags only; RunConfig is
+    # where a user's tag is lowered
+    for tag in ("IPF", " ipf"):
+        with pytest.raises(ValueError, match=f"^unknown method tag: {tag!r}$"):
+            fit(tag, BASE, marginals(BASE))
 
 
 def test_dispatcher_csa_requires_singles():

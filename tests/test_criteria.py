@@ -104,6 +104,8 @@ def test_unknown_pairs_rejected():
         check_method("AC4", "ipf")
     with pytest.raises(ValueError):
         check_method("AC2", "gs")
+    with pytest.raises(ValueError, match="^unknown method tag: 'IPF'$"):
+        check_method("AC2", "IPF")
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -262,6 +264,46 @@ def test_impossible_counterfactual_row():
     assert signals["meda"] == SATISFIED
     assert signals["ipf"] == COUNTEREXAMPLE
     assert signals["csa"] == COUNTEREXAMPLE
+
+
+def test_metadata_and_crafted_case_witnesses_replay_to_their_fixed_values():
+    # an ordinal measure fails AC1 by lookup; the crafted impossible case
+    # replays to 0 where the method signalled and to infinity where not
+    ordinal = check_indicator("AC1", "gll")
+    assert ordinal.witness == {"kind": "metadata", "cardinal": False}
+    assert replay_witness(ordinal) == 1.0
+    assert replay_witness(check_method("AC12", "nm")) == 0.0
+    assert replay_witness(check_method("AC12", "ipf")) == math.inf
+
+
+REPLAY_REFERENCE = [[5.0, 1.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 3.0]]
+REPLAY_BETTER = [[0.0, 0.0, 6.0], [3.0, 0.0, 0.0], [2.0, 1.0, 0.0]]
+REPLAY_EMPTY = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]  # no gll split defined
+
+
+@pytest.mark.parametrize("witness,error,message", [
+    (None, ValueError, "report carries no witness"),
+    ({"kind": "bogus"}, ValueError, "unknown witness kind: 'bogus'"),
+    ({"kind": "maximum", "criterion": "AC7", "indicator": "gll",
+      "reference": {"counts": REPLAY_EMPTY}, "better": {"counts": REPLAY_BETTER}},
+     UndefinedIndicatorError, "indicator undefined on the reference"),
+    ({"kind": "maximum", "criterion": "AC7", "indicator": "gll",
+      "reference": {"counts": REPLAY_REFERENCE}, "better": {"counts": REPLAY_EMPTY}},
+     UndefinedIndicatorError, "indicator undefined on the better table"),
+    ({"kind": "equality", "criterion": "AC2", "indicator": "or", "transform": "scale",
+      "params": {"alpha": 1.5}, "subject": {"counts": [[0.0, 0.0], [0.0, 5.0]]}},
+     UndefinedIndicatorError, "indicator undefined on the table"),
+    # diagonal support, unequal margins: no IPF fit reaches the target
+    ({"kind": "method-transpose", "criterion": "AC3", "method": "ipf",
+      "source": {"counts": [[1.0, 0.0], [0.0, 1.0]]},
+      "target_rows": [1.0, 2.0], "target_cols": [2.0, 1.0]},
+     InfeasibilityError, "target unreachable"),
+], ids=["no-witness", "unknown-kind", "undefined-reference", "undefined-better",
+        "undefined-table", "failing-fit"])
+def test_replay_raises_what_stops_it(witness, error, message):
+    report = CriterionReport("AC2", "or", COUNTEREXAMPLE, witness)
+    with pytest.raises(error, match=f"^{message}"):
+        replay_witness(report)
 
 
 def test_strong_category_robustness_not_automated():
@@ -884,9 +926,21 @@ def _fails_at(monkeypatch, index, fail):
     monkeypatch.setattr(criteria, "check_indicator", patched)
 
 
+def _os_threads() -> int | None:
+    """The OS threads this process runs, where procfs tells."""
+    try:
+        with open("/proc/self/stat", encoding="ascii") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[17])
+    except OSError:
+        return None
+
+
 @pytest.fixture
 def forked():
-    """Fail a test that waits a minute on the workers or leaves one behind."""
+    """Fail a test that forks from a process that runs threads (see
+    ``conftest.py``), waits a minute on the workers or leaves one behind."""
+    assert _os_threads() in (None, 1)
+
     def alarm(signum, frame):
         raise TimeoutError("waited a minute on the criteria workers")
 

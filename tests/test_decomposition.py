@@ -210,6 +210,8 @@ def test_decompose_checks_the_pair_before_any_fit_in_order():
         decompose(with_singles, LATE, "csa")
     with pytest.raises(ValueError, match="unknown method tag"):
         decompose(EARLY, LATE, "pam")
+    with pytest.raises(ValueError, match="^unknown method tag: 'NM'$"):
+        decompose(EARLY, LATE, "NM")
 
 
 def test_decompose_stack_refuses_an_unknown_scheme_first():

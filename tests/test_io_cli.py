@@ -17,7 +17,6 @@ from homlab.decomposition import DecompositionResult, cumulate, decompose_counts
 from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError, TableError
 from homlab.indicators import SCALAR_TAGS, aggregate_msp, evaluate, gll
 from homlab.io import (
-    EXCLUDED,
     PanelDataset,
     RunConfig,
     _cut_run,
@@ -89,6 +88,13 @@ def test_config_defaults_follow_the_protocol():
     assert config.with_overrides(method="ipf").resolved_scheme == "sequential"
 
 
+def test_config_stores_method_and_measure_tags_in_lower_case():
+    config = RunConfig(method="IPF", measure="LL")
+    assert (config.method, config.measure, config.resolved_measure) == ("ipf", "ll", "ll")
+    assert RunConfig(method="CSA").resolved_measure == "csa"
+    assert config.with_overrides(measure="Nm").resolved_scheme == "with-interaction"
+
+
 def test_config_file_and_overrides(tmp_path):
     path = write(
         tmp_path / "config.json",
@@ -129,6 +135,12 @@ BAD_VALUES = (
     ("tol", -1e-10, "tol must be positive and finite, got -1e-10"),
     ("tol", float("inf"), "tol must be positive and finite, got inf"),
     ("max_iter", 0, "max_iter must be at least 1, got 0"),
+    ("method", "bogus", "unknown method: 'bogus' (one of ipf, mdba, meda, csa, nm)"),
+    ("method", ["ipf"], "unknown method: ['ipf'] (one of ipf, mdba, meda, csa, nm)"),
+    ("measure", "bogus", "unknown measure: 'bogus' (one of ipf, mdba, meda, csa, nm, "
+                         "or, det, cov, corr, reg, msp, v, ll)"),
+    ("measure", 1, "unknown measure: 1 (one of ipf, mdba, meda, csa, nm, "
+                   "or, det, cov, corr, reg, msp, v, ll)"),
 )
 
 
@@ -307,14 +319,47 @@ SINGLES_HEADER = "year,state,sex,edu,count"
 INCOME_HEADER = "state,year,top10_share"
 
 
+@pytest.mark.parametrize("loader,header,good,row", [
+    (load_couples, COUPLES_HEADER, "1960,Iowa,L,L,10", "1960,{},L,L,10"),
+    (load_singles, SINGLES_HEADER, "1960,Iowa,m,L,3", "1960,{},m,L,3"),
+], ids=["couples", "singles"])
+@pytest.mark.parametrize("state", ["US", " US "])
+def test_loaders_refuse_the_national_code_as_a_state(tmp_path, loader, header, good, row,
+                                                     state):
+    # a couples state coded US used to load silently: the national aggregate
+    # then took its key, and its own rows were dropped
+    path = write(tmp_path / "rows.csv", f"{header}\n{good}\n{row.format(state)}\n")
+    with pytest.raises(DataError) as info:
+        loader(path, RunConfig(**TWO_LEVEL))
+    assert str(info.value) == (f"{path}: line 3: state code 'US' is reserved for the "
+                               "national aggregate")
+    # the income file's US rows are read, though no output uses them
+    income = write(tmp_path / "income.csv", f"{INCOME_HEADER}\n{state},1960,0.31\n")
+    assert load_income(income) == {("US", 1960): 0.31}
+
+
+def test_cli_refuses_the_national_code_as_a_state_in_one_line(tmp_path):
+    couples = write(tmp_path / "couples.csv",
+                    f"{COUPLES_HEADER}\n1960,Iowa,L,L,10\n1960,US,H,H,10\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["decompose", "--config", str(config_file(tmp_path)),
+                                       "--couples", str(couples), "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == (f"Error: {couples}: line 3: state code 'US' is reserved for "
+                             "the national aggregate\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("loader,header,good,bad,message", [
     (load_couples, COUPLES_HEADER, "1960,Iowa,L,L,10", "1960,Iowa,L,H,-4",
      "line 5: negative count -4"),
     (load_income, INCOME_HEADER, "Iowa,1960,0.31", "Iowa,1970,31",
      "line 5: top10_share must be strictly between 0 and 1, got 31.0"),
+    (load_income, INCOME_HEADER, "Iowa,1960,0.31", "Iowa,1970,x",
+     "line 5: malformed income row"),
     (load_singles, SINGLES_HEADER, "1960,Iowa,m,L,3", "1960,Iowa,x,L,3",
      "line 5: sex must be 'm' or 'w'"),
-], ids=["couples", "income", "singles"])
+], ids=["couples", "income", "income-malformed", "singles"])
 def test_loaders_number_lines_as_the_file_does(tmp_path, loader, header, good, bad, message):
     # two blank lines before the bad row: it is on line 5 of the file
     path = write(tmp_path / "rows.csv", f"{header}\n{good}\n\n\n{bad}\n")
@@ -577,7 +622,7 @@ def _reference_cuts(panel, config, unit, method=""):
             continue
         try:
             cuts[year] = _reference_cut(panel, config, unit, year, method)
-        except EXCLUDED as exc:
+        except HomlabError as exc:
             cuts[year] = exc
     return cuts
 
@@ -601,7 +646,7 @@ def _reference_changes(panel, config, unit_list):
                 result = _reference_decompose(
                     cuts[early_year], cuts[late_year], measure, config.resolved_scheme,
                     config.rounding, config.tol, config.max_iter)
-            except EXCLUDED as exc:
+            except HomlabError as exc:
                 changes.append(DecadeChange(unit, decade, None, False,
                                             f"{type(exc).__name__}: {exc}"))
                 continue
@@ -865,7 +910,7 @@ def _reference_scalar_changes(panel, config, unit_list):
                         raise cut
                 delta = (_reference_scalar_value(measure, late, config.rounding)
                          - _reference_scalar_value(measure, early, config.rounding))
-            except EXCLUDED as exc:
+            except HomlabError as exc:
                 changes.append(DecadeChange(unit, decade, None, False,
                                             f"{type(exc).__name__}: {exc}"))
                 continue
@@ -989,7 +1034,7 @@ def _reference_series(panel, config):
             continue
         try:
             anchor = homogamy_share(_reference_cut(panel, config, unit, present[0]))
-        except EXCLUDED:
+        except HomlabError:
             anchor = None
         effects = {c.decade: c.delta if c.valid else None for c in unit_changes}
         cumulative = cumulate(config.waves, present[0], anchor, effects)
@@ -1281,6 +1326,33 @@ def test_cli_refuses_fewer_than_two_labels_as_a_usage_error(tmp_path, command, l
     assert isinstance(result.exception, SystemExit)
     errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
     assert errors == [f"Error: labels must name at least two categories, got {labels!r}"]
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["indicators", "counterfactual", "decompose", "trend",
+                                     "criteria"])
+@pytest.mark.parametrize("name,value,flag", [
+    ("method", "bogus", False), ("measure", "bogus", False), ("measure", ["ll"], False),
+    ("measure", "bogus", True),  # --method is a choice, so only --measure is free text
+], ids=["method", "measure", "measure-not-a-string", "measure-flag"])
+def test_cli_refuses_an_unknown_method_or_measure_as_a_usage_error(
+        tmp_path, command, name, value, flag):
+    # an unknown method in a config used to die in counterfactual with a
+    # ValueError traceback, and an unknown measure to exclude every pair
+    couples = write(tmp_path / "couples.csv", "year,state,husband_edu,wife_edu,count\n"
+                    "1960,Iowa,L,L,5\n1970,Iowa,H,H,7\n")
+    data = [] if command == "criteria" else ["--couples", str(couples)]
+    pair = (["--state", "Iowa", "--early-year", "1960", "--late-year", "1970"]
+            if command == "counterfactual" else [])
+    options = ([f"--{name}", value] if flag
+               else ["--config", str(config_file(tmp_path, **{name: value}))])
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, *options, *data, *pair, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and errors[0].startswith(f"Error: unknown {name}: {value!r}")
     assert "Traceback" not in result.output
     assert not out.exists()
 
@@ -1619,7 +1691,7 @@ def _reference_counterfactual(panel, config, state, years):
                        for year in years)
         result = _reference_fit(late, early, config.method, config.rounding, config.tol,
                                 config.max_iter)
-    except EXCLUDED as exc:
+    except HomlabError as exc:
         return {**payload, "feasible": False,
                 "error": {"type": type(exc).__name__, "detail": str(exc)}}
     return {**payload, "method": result.method, "row_labels": list(result.table.row_labels),
@@ -1716,7 +1788,7 @@ DELETED = {
                        "meda_fit", "meda_weight", "nm_fit"),
     "indicators": ("aggregate_2x2",),
     "tables": ("enumerate_tables", "merge_with_singles", "pam_match", "random_match"),
-    "io": ("unit_decade_changes", "write_couples"),
+    "io": ("EXCLUDED", "unit_decade_changes", "write_couples"),
     "criteria": ("MarginalPerturbation", "apply_perturbation"),
 }
 
@@ -1745,3 +1817,133 @@ def test_the_replaced_entry_points_are_gone():
             with pytest.raises(AttributeError):
                 getattr(owner, name)
     assert not hasattr(PanelDataset, "unit_table")
+
+
+# ---------------------------------------------------------------------------
+# the structured sweep: no input gives a traceback
+# ---------------------------------------------------------------------------
+
+SWEEP_TABLES = {
+    "positive": [[5, 2], [3, 4]],
+    "empty-row": [[0, 0], [3, 4]],
+    "empty-column": [[0, 2], [0, 4]],
+    "diagonal": [[5, 0], [0, 4]],
+    "anti-diagonal": [[0, 2], [3, 0]],
+    "one-cell": [[5, 0], [0, 0]],
+}
+# single men and single women by category, of one wave
+SWEEP_SINGLES = {
+    "positive": ([2, 3], [4, 1]),
+    "zero-man": ([0, 3], [4, 1]),
+    "zero-woman": ([2, 3], [4, 0]),
+    "all-zero": ([0, 0], [0, 0]),
+}
+SWEEP_PAIR = ["--state", "Iowa", "--early-year", "1960", "--late-year", "1970"]
+
+
+def _sweep_couples(tables: dict, labels=("L", "H")) -> str:
+    lines = [COUPLES_HEADER]
+    for year, counts in tables.items():
+        lines += [f"{year},Iowa,{h},{w},{count}"
+                  for h, row in zip(labels, counts) for w, count in zip(labels, row)]
+    return "\n".join(lines) + "\n"
+
+
+def _sweep_singles(early: str, late: str) -> str:
+    lines = [SINGLES_HEADER]
+    for year, name in ((1960, early), (1970, late)):
+        for sex, pool in zip("mw", SWEEP_SINGLES[name]):
+            lines += [f"{year},Iowa,{sex},{label},{count}"
+                      for label, count in zip(("L", "H"), pool)]
+    return "\n".join(lines) + "\n"
+
+
+def _sweep_outcome(runner, argv) -> str:
+    """A run's outcome, or why it breaks the contract: exit 0, or exit 1
+    or 2 with one ``Error:`` line and no exception but SystemExit."""
+    result = runner.invoke(main, argv)
+    if result.exit_code == 0 and result.exception is None:
+        return "ok"
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    if (result.exit_code in (1, 2) and isinstance(result.exception, SystemExit)
+            and len(errors) == 1):
+        return "error"
+    return f"exit {result.exit_code}: {result.exception!r}"
+
+
+def test_structured_inputs_give_outputs_or_one_line_errors(tmp_path):
+    # every 2x2 zero pattern of two waves, under each method of the three
+    # pair commands, with each singles pattern of each wave for csa; 90 csa
+    # pairs whose early wave has a category of no men or no women used to
+    # die with a DegenerateInputError traceback
+    runner = CliRunner()
+    out = str(tmp_path / "out")
+    cfg = str(config_file(tmp_path, waves=[1960, 1970]))
+    singles = {pair: str(write(tmp_path / f"singles-{pair[0]}-{pair[1]}.csv",
+                               _sweep_singles(*pair)))
+               for pair in itertools.product(SWEEP_SINGLES, repeat=2)}
+    commands = {"decompose": [], "trend": [], "counterfactual": SWEEP_PAIR}
+    cases = []
+    for (early, a), (late, b) in itertools.product(SWEEP_TABLES.items(), repeat=2):
+        couples = str(write(tmp_path / f"couples-{early}-{late}.csv",
+                            _sweep_couples({1960: a, 1970: b})))
+        for method in METHOD_TAGS:
+            for pattern in (singles if method == "csa" else [None]):
+                data = ["--couples", couples,
+                        *(["--singles", singles[pattern]] if pattern else [])]
+                cases += [(f"{command} {method} {early}/{late} {pattern}",
+                           [command, "--config", cfg, "--method", method, *data, *extra,
+                            "--out", out])
+                          for command, extra in commands.items()]
+    # degenerate files: header-only, zeros-only, a label absent from the
+    # data, labels none of the data carries, and a single wave
+    files = {
+        "header-only": (cfg, COUPLES_HEADER + "\n"),
+        "zeros-only": (cfg, _sweep_couples({1960: [[0, 0], [0, 0]], 1970: [[0, 0], [0, 0]]})),
+        "absent-label": (str(write(tmp_path / "three.json", json.dumps(
+            {"labels": ["L", "M", "H"], "waves": [1960, 1970]}))),
+            _sweep_couples({1960: SWEEP_TABLES["positive"], 1970: SWEEP_TABLES["diagonal"]})),
+        "foreign-labels": (str(write(tmp_path / "foreign.json", json.dumps(
+            {"labels": ["A", "B"], "waves": [1960, 1970]}))),
+            _sweep_couples({1960: SWEEP_TABLES["positive"]})),
+        "one-wave-file": (cfg, _sweep_couples({1960: SWEEP_TABLES["positive"]})),
+        "one-wave-config": (str(write(tmp_path / "one-wave.json", json.dumps(
+            {"labels": ["L", "H"], "waves": [1960]}))),
+            _sweep_couples({1960: SWEEP_TABLES["positive"]})),
+    }
+    for name, (config, text) in files.items():
+        couples = str(write(tmp_path / f"file-{name}.csv", text))
+        for method, (command, extra) in itertools.product(METHOD_TAGS, commands.items()):
+            data = ["--couples", couples, *(["--singles", singles["positive", "positive"]]
+                                            if method == "csa" else [])]
+            cases.append((f"{command} {method} {name}",
+                          [command, "--config", config, "--method", method, *data, *extra,
+                           "--out", out]))
+    outcomes = {name: _sweep_outcome(runner, argv) for name, argv in cases}
+    broken = {name: outcome for name, outcome in outcomes.items()
+              if outcome not in ("ok", "error")}
+    assert not broken
+    assert len(outcomes) == 3 * 36 * (4 + 16) + 3 * 5 * len(files)
+
+
+def test_cli_reports_a_csa_pair_without_an_early_population_as_excluded(tmp_path):
+    # no husbands and no single men of category L in the early wave: the
+    # target population of L is 0, which the CSA fit refuses
+    couples = write(tmp_path / "couples.csv", _sweep_couples(
+        {1960: SWEEP_TABLES["empty-row"], 1970: SWEEP_TABLES["positive"]}))
+    singles = write(tmp_path / "singles.csv", _sweep_singles("zero-man", "positive"))
+    cfg = config_file(tmp_path, waves=[1960, 1970], method="csa")
+    data = ["--config", cfg, "--couples", couples, "--singles", singles]
+    reason = "DegenerateInputError: target populations must be strictly positive"
+    cli("decompose", *data, "--out", tmp_path / "decompose")
+    with open(tmp_path / "decompose" / "decomposition.csv", encoding="utf-8") as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == [f"excluded: {reason}"]
+    cli("trend", *data, "--out", tmp_path / "trend")
+    stats = json.loads((tmp_path / "trend" / "trend_stats.json").read_text(encoding="utf-8"))
+    assert stats["excluded_pairs"] == [f"Iowa/1960s: {reason}"]
+    cli("counterfactual", *data, *SWEEP_PAIR, "--out", tmp_path / "counterfactual")
+    payload = json.loads((tmp_path / "counterfactual" / "counterfactual.json").read_text(
+        encoding="utf-8"))
+    assert payload["feasible"] is False
+    assert payload["error"] == {"type": "DegenerateInputError",
+                                "detail": "target populations must be strictly positive"}
