@@ -1,6 +1,7 @@
 """Command-line surface: homlab <subcommand> [options].
 
-Subcommands: indicators, counterfactual, decompose, trend, criteria. CSV
+Subcommands: indicators, counterfactual, decompose, trend, criteria; each
+takes only the flags it reads, so an unread flag is a usage error. CSV
 numbers have 12 significant digits and JSON floats their full ``repr``, so
 repeated runs on the same inputs and configuration are byte-identical;
 ``criteria`` runs its cells across the CPUs the process may use (``taskset``
@@ -119,47 +120,40 @@ def _panel_from(ctx_params, config: RunConfig):
     return panel
 
 
-def _common_options(fn):
-    options = [
-        click.option("--config", type=click.Path(exists=True), default=None,
-                     help="JSON run configuration; flags override file values."),
-        click.option("--out", type=click.Path(file_okay=False), default=".",
-                     help="Output directory (created if missing)."),
-        click.option("--method",
-                     type=click.Choice(cf.METHOD_TAGS),
-                     default=None),
-        click.option("--measure", default=None,
-                     help="Trend measure: an indicator tag "
-                          f"({', '.join(SCALAR_TAGS)}) or a method tag; "
-                          "defaults to the configured method."),
-        click.option("--categories", type=click.Choice(CATEGORY_SCHEMES),
-                     default=None),
-        click.option("--rounding", type=click.Choice(["paper", "continuous"]),
-                     default=None),
-        click.option("--scheme", type=click.Choice(("auto", *SCHEMES)),
-                     default=None),
-        click.option("--seed", type=int, default=None),
-        click.option("--samples", type=int, default=None,
-                     help="Sample count for the criteria checkers."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+# Every flag of the CLI; each subcommand takes ``--config``, ``--out`` and the
+# flags it reads (``_options``). A config file may carry any RunConfig field.
+_OPTIONS = {
+    "config": click.option("--config", type=click.Path(exists=True),
+                           help="JSON run configuration; flags override file values."),
+    "out": click.option("--out", type=click.Path(file_okay=False), default=".",
+                        help="Output directory (created if missing)."),
+    "method": click.option("--method", type=click.Choice(cf.METHOD_TAGS)),
+    "measure": click.option("--measure", help=(
+        f"Trend measure: an indicator tag ({', '.join(SCALAR_TAGS)}) or a "
+        "method tag; defaults to the configured method.")),
+    "categories": click.option("--categories", type=click.Choice(CATEGORY_SCHEMES)),
+    "rounding": click.option("--rounding", type=click.Choice(["paper", "continuous"])),
+    "scheme": click.option("--scheme", type=click.Choice(("auto", *SCHEMES))),
+    "seed": click.option("--seed", type=int),
+    "samples": click.option("--samples", type=int, help="Sample count for the criteria checkers."),
+    "couples": click.option("--couples", type=click.Path(exists=True), required=True,
+                            help="Couples CSV: year,state,husband_edu,wife_edu,count."),
+    "income": click.option("--income", type=click.Path(exists=True), help=(
+        "Income CSV: state,year,top10_share (read by trend; checked wherever given).")),
+    "singles": click.option("--singles", type=click.Path(exists=True), help=(
+        "Singles CSV: year,state,sex,edu,count (read by decompose, trend and "
+        "counterfactual for the surplus-based method, csa; checked wherever given).")),
+}
+_DATA = ("couples", "income", "singles")  # one set of inputs for each data subcommand
 
 
-def _data_options(fn):
-    options = [
-        click.option("--couples", type=click.Path(exists=True), required=True,
-                     help="Couples CSV: year,state,husband_edu,wife_edu,count."),
-        click.option("--income", type=click.Path(exists=True), default=None,
-                     help="Income CSV: state,year,top10_share."),
-        click.option("--singles", type=click.Path(exists=True), default=None,
-                     help="Singles CSV: year,state,sex,edu,count (needed for "
-                          "the surplus-based method)."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+def _options(*names):
+    """Attach ``--config``, ``--out`` and the named ``_OPTIONS``, in order."""
+    def attach(fn):
+        for name in reversed(("config", "out", *names)):
+            fn = _OPTIONS[name](fn)
+        return fn
+    return attach
 
 
 @click.group()
@@ -169,8 +163,7 @@ def main():
 
 
 @main.command()
-@_common_options
-@_data_options
+@_options("categories", "rounding", *_DATA)
 def indicators(**params):
     """Per-(state, wave) indicator values on the configured divide."""
     config = _config_from(params)
@@ -185,8 +178,7 @@ def indicators(**params):
 
 
 @main.command()
-@_common_options
-@_data_options
+@_options("method", "categories", "rounding", *_DATA)
 @click.option("--state", default="US", show_default=True)
 @click.option("--early-year", type=int, required=True)
 @click.option("--late-year", type=int, required=True)
@@ -209,7 +201,7 @@ def counterfactual(**params):
             raise click.ClickException(f"no table for ({state}, {year})")
     early, late = (cut.rows[state][year] for year in years)
     payload = {
-        "method": config.method.upper(),
+        "method": cf._METHODS[method][0],  # the name a fitted result reports too
         "state": state,
         "early_year": params["early_year"],
         "late_year": params["late_year"],
@@ -233,7 +225,6 @@ def counterfactual(**params):
         )
     else:
         payload.update(
-            method=result.method,
             row_labels=list(result.table.row_labels),
             col_labels=list(result.table.col_labels),
             counts=[[float(x) for x in row] for row in result.table.counts],
@@ -247,8 +238,7 @@ def counterfactual(**params):
 
 
 @main.command()
-@_common_options
-@_data_options
+@_options("method", "measure", "categories", "rounding", "scheme", *_DATA)
 def decompose(**params):
     """Per-(state, decade) decomposition of the homogamy change."""
     config = _config_from(params)
@@ -292,8 +282,7 @@ def decompose(**params):
 
 
 @main.command()
-@_common_options
-@_data_options
+@_options("method", "measure", "categories", "rounding", "scheme", *_DATA)
 def trend(**params):
     """Decade-state trend statistics plus plot-ready cumulative series."""
     config = _config_from(params)
@@ -334,7 +323,7 @@ def trend(**params):
 
 
 @main.command()
-@_common_options
+@_options("seed", "samples")
 def criteria(**params):
     """Run every analytical criterion checker; emit matrices and witnesses."""
     config = _config_from(params)

@@ -158,9 +158,10 @@ class PanelDataset:
     ``counts[index[(state, year)]]`` is that wave's table, with ``labels``
     on both axes (lowest first); each must pass :class:`ContingencyTable`'s
     checks, and :func:`load_couples` keeps only the waves with at least one
-    couple. ``states`` lists the states in sorted order,
-    ``UNKNOWN`` left out. The national aggregate of each year is summed once,
-    at construction, over ``states`` in order and then over ``UNKNOWN`` when
+    couple. ``states`` lists the states in sorted order, ``UNKNOWN`` left
+    out; ``US``, in ``states`` or a key, is a DataError, as in the loaders.
+    The national aggregate of each year is summed once, at construction,
+    over ``states`` in order and then over ``UNKNOWN`` when
     ``include_unknown`` is set. ``income`` maps (state, year) to the top
     decile share, ``singles`` to the (single men, single women) vectors of
     :func:`load_singles`. The pipeline reads the arrays, cut once per run.
@@ -179,6 +180,8 @@ class PanelDataset:
     national_counts: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if NATIONAL in {*self.states, *(state for state, _ in self.index)}:
+            raise DataError(f"state code {NATIONAL!r} is reserved for the national aggregate")
         k = len(self.labels)
         if self.counts.shape != (len(self.index), k, k):
             raise TableError(f"counts must hold one {k}x{k} table per key, "

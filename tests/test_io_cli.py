@@ -350,6 +350,17 @@ def test_cli_refuses_the_national_code_as_a_state_in_one_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("states", [("Iowa", "US"), ("Iowa",)], ids=["in-states", "in-a-key"])
+def test_a_panel_built_directly_refuses_the_national_code_as_a_state(states):
+    # a direct panel with a US state used to answer the national aggregate
+    # for it: indicator_rows gave one US row, share 0.6, and no state row
+    counts = np.array([[[5, 1], [1, 5]], [[1, 3], [3, 1]]], dtype=float)
+    with pytest.raises(DataError, match="^state code 'US' is reserved for the national "
+                                        "aggregate$"):
+        PanelDataset(counts, {("US", 1960): 0, ("Iowa", 1960): 1}, ("L", "H"),
+                     RunConfig().waves, states)
+
+
 @pytest.mark.parametrize("loader,header,good,bad,message", [
     (load_couples, COUPLES_HEADER, "1960,Iowa,L,L,10", "1960,Iowa,L,H,-4",
      "line 5: negative count -4"),
@@ -1330,12 +1341,15 @@ def test_cli_refuses_fewer_than_two_labels_as_a_usage_error(tmp_path, command, l
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["indicators", "counterfactual", "decompose", "trend",
-                                     "criteria"])
-@pytest.mark.parametrize("name,value,flag", [
-    ("method", "bogus", False), ("measure", "bogus", False), ("measure", ["ll"], False),
-    ("measure", "bogus", True),  # --method is a choice, so only --measure is free text
-], ids=["method", "measure", "measure-not-a-string", "measure-flag"])
+@pytest.mark.parametrize("command,name,value,flag", [
+    *(pytest.param(command, name, value, False, id=f"{case}-{command}")
+      for case, name, value in (("method", "method", "bogus"), ("measure", "measure", "bogus"),
+                                ("measure-not-a-string", "measure", ["ll"]))
+      for command in ("indicators", "counterfactual", "decompose", "trend", "criteria")),
+    # --method is a choice, so only --measure is free text; only these two read it
+    *(pytest.param(command, "measure", "bogus", True, id=f"measure-flag-{command}")
+      for command in ("decompose", "trend")),
+])
 def test_cli_refuses_an_unknown_method_or_measure_as_a_usage_error(
         tmp_path, command, name, value, flag):
     # an unknown method in a config used to die in counterfactual with a
@@ -1355,6 +1369,104 @@ def test_cli_refuses_an_unknown_method_or_measure_as_a_usage_error(
     assert len(errors) == 1 and errors[0].startswith(f"Error: unknown {name}: {value!r}")
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+# the flags each subcommand takes besides --config, --out and the input files
+CLI_FLAGS = {
+    "indicators": ("categories", "rounding"),
+    "counterfactual": ("method", "categories", "rounding", "state", "early_year",
+                       "late_year"),
+    "decompose": ("method", "measure", "categories", "rounding", "scheme"),
+    "trend": ("method", "measure", "categories", "rounding", "scheme"),
+    "criteria": ("seed", "samples"),
+}
+# a valid value of every RunConfig flag
+RUN_FLAGS = {"method": "ipf", "measure": "ll", "categories": "hs", "rounding": "paper",
+             "scheme": "sequential", "seed": "3", "samples": "5"}
+
+
+def test_cli_subcommands_take_only_the_flags_they_read():
+    for name, command in main.commands.items():
+        inputs = () if name == "criteria" else ("couples", "income", "singles")
+        assert sorted(param.name for param in command.params) == sorted(
+            ("config", "out", *CLI_FLAGS[name], *inputs)), name
+    assert sum(len(command.params) for command in main.commands.values()) == 42
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in CLI_FLAGS.items()
+    for flag in RUN_FLAGS if flag not in flags
+])
+def test_cli_refuses_a_flag_its_subcommand_does_not_read(tmp_path, command, flag):
+    # every subcommand used to take all nine run flags and ignore the ones
+    # it does not read: criteria --method ipf ran the default matrix
+    data = [] if command == "criteria" else [
+        "--config", str(config_file(tmp_path)),
+        "--couples", str(FIXTURES / "synthetic_panel.csv")]
+    pair = (["--state", "Alabama", "--early-year", "1960", "--late-year", "1970"]
+            if command == "counterfactual" else [])
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, *data, *pair, f"--{flag}", RUN_FLAGS[flag],
+                                       "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and errors[0].lower().startswith("error: no such option")
+    assert not out.exists()
+
+
+# the job shapes bench/run.py runs, as (command, method, divide)
+BENCH_SHAPES = [("indicators", None, "three"), ("indicators", None, "college"),
+                *((command, method, divide)
+                  for method, divide in (("ipf", "three"), ("meda", "three"), ("nm", "three"),
+                                         ("mdba", "college"), ("csa", "three"))
+                  for command in ("decompose", "trend", "counterfactual"))]
+
+
+@pytest.mark.parametrize("command,method,divide", BENCH_SHAPES)
+def test_cli_runs_each_benchmark_job_shape(tmp_path, command, method, divide):
+    # the benchmark passes one set of input files to every data subcommand;
+    # csa reads the two-level synthetic panel, with its singles
+    argv = [command, "--couples", str(FIXTURES / "three_level_panel.csv"),
+            "--income", str(FIXTURES / "synthetic_income.csv"), "--categories", divide]
+    state = "Iowa"
+    if method == "csa":
+        argv[2] = str(FIXTURES / "synthetic_panel.csv")
+        argv += ["--config", str(config_file(tmp_path)),
+                 "--singles", str(FIXTURES / "synthetic_singles.csv")]
+        state = "Alabama"
+    if method:
+        argv += ["--method", method]
+    if command == "counterfactual":
+        argv += ["--state", state, "--early-year", "1960", "--late-year", "2010"]
+    cli(*argv, "--out", tmp_path / "out")
+    assert any((tmp_path / "out").iterdir())
+
+
+def test_cli_runs_the_benchmark_criteria_shape(tmp_path):
+    cli("criteria", "--samples", 5, "--seed", 3, "--out", tmp_path / "out")
+    assert (tmp_path / "out" / "criteria_methods.csv").exists()
+
+
+# each method's name in results, on a fitted pair and a failed one alike
+METHOD_NAMES = {"ipf": "IPF", "mdba": "MDbA", "meda": "MEDA", "csa": "CSA", "nm": "NM"}
+
+
+@pytest.mark.parametrize("method", METHOD_TAGS)
+def test_cli_counterfactual_names_a_method_alike_on_success_and_failure(tmp_path, method):
+    # a failed fit used to write the upper-cased tag ("MDBA"), a fitted one
+    # the registry's name ("MDbA")
+    payloads = []
+    for divide in ("three", "hs"):  # hs cannot cut the two-level panel
+        out = tmp_path / divide
+        cli("counterfactual", "--config", config_file(tmp_path), "--method", method,
+            "--categories", divide, "--couples", FIXTURES / "synthetic_panel.csv",
+            "--singles", FIXTURES / "synthetic_singles.csv", "--state", "Alabama",
+            "--early-year", 1960, "--late-year", 1970, "--out", out)
+        payloads.append(json.loads((out / "counterfactual.json").read_text()))
+    fitted, failed = payloads
+    assert (fitted["feasible"], failed["feasible"]) == (True, False)
+    assert failed["method"] == fitted["method"] == METHOD_NAMES[method]
 
 
 def test_cli_counterfactual_reports_infeasibility_in_output(tmp_path):
@@ -1684,7 +1796,7 @@ def _write_stress_inputs(tmp_path, panel):
 def _reference_counterfactual(panel, config, state, years):
     """The counterfactual payload of one pair, with each wave cut alone and
     fitted by the single-table ``fit``."""
-    payload = {"method": config.method.upper(), "state": state,
+    payload = {"method": METHOD_NAMES[config.method], "state": state,
                "early_year": years[0], "late_year": years[1]}
     try:
         early, late = (_reference_cut(panel, config, state, year, config.method)
@@ -1694,7 +1806,8 @@ def _reference_counterfactual(panel, config, state, years):
     except HomlabError as exc:
         return {**payload, "feasible": False,
                 "error": {"type": type(exc).__name__, "detail": str(exc)}}
-    return {**payload, "method": result.method, "row_labels": list(result.table.row_labels),
+    assert result.method == payload["method"]
+    return {**payload, "row_labels": list(result.table.row_labels),
             "col_labels": list(result.table.col_labels),
             "counts": [[float(x) for x in row] for row in result.table.counts],
             "iterations": result.iterations, "max_marginal_error": result.max_marginal_error,
