@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from homlab.cli import _write_json, main
+from homlab.cli import _fmt, _write_json, main
 from homlab.counterfactual import METHOD_TAGS, fit
 from homlab.decomposition import DecompositionResult, cumulate, decompose_counts
 from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError, TableError
@@ -194,14 +194,19 @@ def test_load_couples_assembles_tables(tmp_path):
     assert panel.unit_counts("Iowa", 1960).tolist() == [[40, 10], [20, 30]]
 
 
-def test_load_couples_sums_duplicates(tmp_path):
-    path = write(
-        tmp_path / "couples.csv",
-        "year,state,husband_edu,wife_edu,count\n"
-        "1960,Iowa,L,L,40\n1960,Iowa,L,L,2\n1960,Iowa,H,H,30\n",
-    )
-    panel = load_couples(path, RunConfig(**TWO_LEVEL))
-    assert panel.unit_counts("Iowa", 1960)[0, 0] == 42
+@pytest.mark.parametrize("loader,text,cell", [
+    (load_couples, "year,state,husband_edu,wife_edu,count\n"
+                   "1960,Iowa,L,L,40\n1960,Iowa,L,L,2\n1960,Iowa,H,H,30\n",
+     lambda loaded: loaded.unit_counts("Iowa", 1960)[0, 0]),
+    (load_singles, "year,state,sex,edu,count\n"
+                   "1960,Iowa,w,H,40\n1960,Iowa,m,H,7\n1960, Iowa ,w,H,2\n",
+     lambda loaded: loaded[("Iowa", 1960)][1][1]),
+], ids=["couples", "singles"])
+def test_load_couples_sums_duplicates(tmp_path, loader, text, cell):
+    # a repeated (state, year, cell) adds its count to the cell, in couples
+    # and in singles alike
+    path = write(tmp_path / "rows.csv", text)
+    assert cell(loader(path, RunConfig(**TWO_LEVEL))) == 42
 
 
 @pytest.mark.parametrize(
@@ -228,6 +233,25 @@ def test_load_couples_requires_header(tmp_path):
     path = write(tmp_path / "couples.csv", "a,b\n1,2\n")
     with pytest.raises(DataError):
         load_couples(path, RunConfig(**TWO_LEVEL))
+
+
+@pytest.mark.parametrize("loader,header", [
+    (load_couples, "year,state,husband_edu,wife_edu,count"),
+    (load_income, "state,year,top10_share"),
+    (load_singles, "year,state,sex,edu,count"),
+], ids=["couples", "income", "singles"])
+@pytest.mark.parametrize("blank", ["", "\n\n"], ids=["header", "header-and-blank-lines"])
+def test_loaders_read_a_header_only_file(tmp_path, loader, header, blank):
+    path = write(tmp_path / "rows.csv", f"{header}\n{blank}")
+    if loader is load_income:
+        assert load_income(path) == {}
+        return
+    loaded = loader(path, RunConfig(**TWO_LEVEL))
+    if loader is load_singles:
+        assert loaded == {}
+        return
+    assert loaded.index == {} and loaded.states == () and loaded.national_counts == {}
+    assert loaded.counts.shape == (0, 2, 2) and loaded.counts.dtype == np.float64
 
 
 def test_roundtrip_identical(tmp_path):
@@ -361,7 +385,7 @@ def test_a_panel_built_directly_refuses_the_national_code_as_a_state(states):
                      RunConfig().waves, states)
 
 
-@pytest.mark.parametrize("loader,header,good,bad,message", [
+LINE_CASES = pytest.mark.parametrize("loader,header,good,bad,message", [
     (load_couples, COUPLES_HEADER, "1960,Iowa,L,L,10", "1960,Iowa,L,H,-4",
      "line 5: negative count -4"),
     (load_income, INCOME_HEADER, "Iowa,1960,0.31", "Iowa,1970,31",
@@ -371,6 +395,9 @@ def test_a_panel_built_directly_refuses_the_national_code_as_a_state(states):
     (load_singles, SINGLES_HEADER, "1960,Iowa,m,L,3", "1960,Iowa,x,L,3",
      "line 5: sex must be 'm' or 'w'"),
 ], ids=["couples", "income", "income-malformed", "singles"])
+
+
+@LINE_CASES
 def test_loaders_number_lines_as_the_file_does(tmp_path, loader, header, good, bad, message):
     # two blank lines before the bad row: it is on line 5 of the file
     path = write(tmp_path / "rows.csv", f"{header}\n{good}\n\n\n{bad}\n")
@@ -380,11 +407,30 @@ def test_loaders_number_lines_as_the_file_does(tmp_path, loader, header, good, b
     assert str(info.value) == f"{path}: {message}"
 
 
-@pytest.mark.parametrize("loader,header,row,missing", [
+@LINE_CASES
+@pytest.mark.parametrize("spans,line", [((True, False), 6), ((True, True), 7)],
+                         ids=["good-spans", "both-span"])
+def test_loaders_count_every_physical_line_of_a_quoted_field(
+        tmp_path, loader, header, good, bad, message, spans, line):
+    # a quoted state that spans two physical lines counts both: the bad row
+    # after it is on line 6, and a bad row that spans two itself ends on line 7
+    good, bad = (row.replace("Iowa", '"Io\nwa"') if span else row
+                 for row, span in zip((good, bad), spans))
+    path = write(tmp_path / "rows.csv", f"{header}\n{good}\n\n\n{bad}\n")
+    options = () if loader is load_income else (RunConfig(**TWO_LEVEL),)
+    with pytest.raises(DataError) as info:
+        loader(path, *options)
+    assert str(info.value) == f"{path}: {message.replace('line 5', f'line {line}')}"
+
+
+SHORT_ROWS = pytest.mark.parametrize("loader,header,row,missing", [
     (load_couples, COUPLES_HEADER, "1960,Iowa,college", "wife_edu"),
     (load_income, INCOME_HEADER, "Iowa", "year"),
     (load_singles, SINGLES_HEADER, "1960,Iowa,m", "edu"),
 ], ids=["couples", "income", "singles"])
+
+
+@SHORT_ROWS
 def test_loaders_refuse_a_short_row_by_its_first_missing_field(
         tmp_path, loader, header, row, missing):
     path = write(tmp_path / "rows.csv", f"{header}\n{row}\n")
@@ -394,12 +440,56 @@ def test_loaders_refuse_a_short_row_by_its_first_missing_field(
     assert str(info.value) == f"{path}: line 2: no {missing!r} field"
 
 
+@SHORT_ROWS
+def test_loaders_refuse_a_short_row_after_blank_lines_by_its_own_line(
+        tmp_path, loader, header, row, missing):
+    # three blank lines after the header: the short row is on line 5
+    path = write(tmp_path / "rows.csv", f"{header}\n\n\n\n{row}\n")
+    options = () if loader is load_income else (RunConfig(),)
+    with pytest.raises(DataError) as info:
+        loader(path, *options)
+    assert str(info.value) == f"{path}: line 5: no {missing!r} field"
+
+
 def test_load_income_refuses_a_repeated_state_and_year(tmp_path):
     path = write(tmp_path / "income.csv",
                  f"{INCOME_HEADER}\nIowa,1960,0.31\nIowa,1970,0.29\n Iowa ,1960,0.45\n")
     with pytest.raises(DataError) as info:
         load_income(path)
     assert str(info.value) == f"{path}: line 4: a second top10_share for Iowa 1960"
+
+
+@pytest.mark.parametrize("rows,message", [
+    (("Iowa,1960,0.31", "Iowa,1960,0.29", "Iowa,1970,x"),
+     "line 3: a second top10_share for Iowa 1960"),
+    (("Iowa,1960,0.31", "Iowa,1970,x", "Iowa,1960,0.29"), "line 3: malformed income row"),
+    (("Iowa,1960,0.31", ",1970,0.2", "Iowa,1960,0.29"), "line 3: empty state"),
+    (("Iowa,1960,0.31", "Iowa,1960,2", "Iowa,1970,x"),
+     "line 3: top10_share must be strictly between 0 and 1, got 2.0"),
+    # within a line: a malformed number, then the range, then the state
+    (("Iowa,1960,0.31", ",x,0.2"), "line 3: malformed income row"),
+    (("Iowa,1960,0.31", ",1970,2"),
+     "line 3: top10_share must be strictly between 0 and 1, got 2.0"),
+], ids=["repeat-then-malformed", "malformed-then-repeat", "empty-state-then-repeat",
+        "repeat-out-of-range", "malformed-before-state", "range-before-state"])
+def test_load_income_reports_a_repeat_or_a_bad_line_whichever_comes_first(
+        tmp_path, rows, message):
+    path = write(tmp_path / "income.csv", "\n".join((INCOME_HEADER, *rows)) + "\n")
+    with pytest.raises(DataError) as info:
+        load_income(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_income_reads_its_columns_by_name(tmp_path):
+    # columns in another order, and one more: read by name; a short row
+    # names its first missing field in the order state, year, top10_share
+    path = write(tmp_path / "income.csv",
+                 "top10_share,year,note,state\n0.31,1960,a,Iowa\n0.29,1970,b, Ohio\n")
+    assert load_income(path) == {("Iowa", 1960): 0.31, ("Ohio", 1970): 0.29}
+    path = write(tmp_path / "income.csv", "top10_share,year,state\n0.31,1960,Iowa\n0.3\n")
+    with pytest.raises(DataError) as info:
+        load_income(path)
+    assert str(info.value) == f"{path}: line 3: no 'state' field"
 
 
 # each line fails in every field from one on: the first failing field of the
@@ -472,12 +562,47 @@ def test_the_run_cut_divides_and_labels_the_stack():
 # the formatting contract
 # ---------------------------------------------------------------------------
 
+def _reference_format_number(x: float) -> str:
+    """The four-branch rendering the CSV outputs were first written with."""
+    if x != x:
+        return "nan"
+    if x in (float("inf"), float("-inf")):
+        return "inf" if x > 0 else "-inf"
+    if float(x) == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return f"{x:.12g}"
+
+
 def test_format_number():
     assert format_number(42.0) == "42"
     assert format_number(0.5) == "0.5"
     assert format_number(1 / 3) == "0.333333333333"
     assert format_number(float("inf")) == "inf"
     assert format_number(float("nan")) == "nan"
+    # where 12 significant digits would show an exponent or a sign of zero,
+    # an integral value below 1e15 is written out in full
+    for x, text in ((-0.0, "0"), (999999999999.0, "999999999999"), (1e12, "1000000000000"),
+                    (123456789012345.0, "123456789012345"), (1e15, "1e+15"),
+                    (-1e15 + 1, "-999999999999999"), (float("-inf"), "-inf"),
+                    (5e-324, "4.94065645841e-324"), (0.1 + 0.2, "0.3"),
+                    (-1e-7, "-1e-07"), (2.5e13, "25000000000000")):
+        assert format_number(x) == text, x
+    rng = np.random.default_rng(20261019)
+    integral = np.rint(10.0 ** rng.uniform(0, 16, 4000)) * rng.choice([-1.0, 1.0], 4000)
+    doubles = rng.integers(0, 2**64, 4000, dtype=np.uint64, endpoint=False).view(np.float64)
+    near = np.concatenate([rng.uniform(-1e6, 1e6, 1000), rng.normal(0, 1e-3, 1000)])
+    for x in map(float, np.concatenate([integral, doubles, near])):
+        assert format_number(x) == _reference_format_number(x), repr(x)
+
+
+def test_fmt_renders_each_cell_type():
+    assert _fmt(np.float32(0.1)) == "0.10000000149"
+    assert _fmt(np.float64(2.0)) == "2"
+    assert _fmt(np.int64(-7)) == "-7"
+    assert _fmt(True) == "1"
+    assert _fmt(None) == "" and _fmt("") == ""
+    assert _fmt("excluded: missing wave") == "excluded: missing wave"
+    assert _fmt(1 / 3) == "0.333333333333" and _fmt(-0.0) == "0" and _fmt(3) == "3"
 
 
 # ---------------------------------------------------------------------------
