@@ -66,8 +66,10 @@ cr = _lazy("homlab.criteria")
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
+    if type(value) is float:  # the common cells first
+        return format_number(value)
+    if type(value) is str or value is None:
+        return value or ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -76,11 +78,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]):
+    """The rows formatted column by column, then written in one call."""
+    columns = [list(map(_fmt, [row.get(name, "") for row in rows])) for name in fieldnames]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row.get(name, "")) for name in fieldnames])
+        writer.writerows(zip(*columns))
 
 
 def _write_json(path: Path, payload):

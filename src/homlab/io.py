@@ -16,7 +16,9 @@ Records under the reserved state code ``UNKNOWN`` are excluded from both the
 state level and the national aggregate unless explicitly configured in. The
 code ``US`` names the national aggregate, so a couples or singles line may
 not carry it. A bad line raises a DataError that names the file and its
-physical line; of several bad lines, the first is reported.
+physical line; of several bad lines, the first is reported. Each file is
+read column by column; only a refused line's number is looked up, by a
+second scan, and couples and singles counts are summed by ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -210,9 +212,9 @@ _INCOME = ("state", "year", "top10_share")
 
 
 def _read_rows(path: str | Path, required: tuple[str, ...]):
-    """Each data line of a CSV file as ``(line number, fields)``: the
-    ``required`` columns' fields in that order, None for a field the line
-    ends before. Blank lines are skipped; line numbers are physical."""
+    """Each data line of a CSV file as its ``required`` columns' fields, in
+    that order, None for a field the line ends before: one ``csv.reader``
+    pass into a list. Blank lines are skipped."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None) or []
@@ -221,14 +223,14 @@ def _read_rows(path: str | Path, required: tuple[str, ...]):
                 f"{path}: header must contain {sorted(required)}, got "
                 f"{sorted(set(header))}"
             )
-        position = {name: i for i, name in enumerate(header)}  # the last one wins
-        pick = operator.itemgetter(*(position[name] for name in required))
-        width = len(header)
-        for row in reader:
-            if row:
-                if len(row) < width:
-                    row += [None] * (width - len(row))
-                yield reader.line_num, pick(row)
+        rows = list(filter(None, reader))
+    width, lengths = len(header), set(map(len, rows))
+    if min(lengths, default=width) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    if header == list(required) and max(lengths, default=width) <= width:
+        return rows  # each line already is its fields
+    position = {name: i for i, name in enumerate(header)}  # the last one wins
+    return list(map(operator.itemgetter(*(position[name] for name in required)), rows))
 
 
 def _complete(fields, required, path, lineno):
@@ -238,19 +240,29 @@ def _complete(fields, required, path, lineno):
             raise DataError(f"{path}: line {lineno}: no {name!r} field")
 
 
-def _parse_columns(path: str | Path, required: tuple[str, ...], parsers) -> list[list]:
+def _parse_columns(path: str | Path, required: tuple[str, ...], parsers,
+                   refuse=None) -> list[list]:
     """The ``required`` columns of a CSV file, each field parsed by its
-    column's ``parse(value, path, lineno)``.
+    column's ``parse(value, path, lineno)``: each distinct value once, and a
+    count column in one ``map(int, ...)`` by :func:`_parse_count`'s rule.
 
-    Each distinct value of a column is parsed once. If a parser refuses a
-    value, the first line that holds a refused value is checked again field
-    by field, in column order, and raises that field's DataError: the first
-    bad line is the one reported.
+    ``refuse``, if given, takes the parsed columns (None for a refused
+    value) and returns the first line it refuses, with why, or None. Only a
+    bad line's number is found, by a second scan of the file: the first bad
+    line is checked again field by field, in column order, and raises its
+    first field's DataError, else ``refuse``'s.
     """
     records = list(_read_rows(path, required))
-    columns = list(zip(*(fields for _, fields in records))) or [()] * len(required)
+    columns = list(zip(*records)) or [()] * len(required)
     parsed, first_bad = [], len(records)
     for column, parse in zip(columns, parsers):
+        try:  # every count at once, unless one is refused
+            counts = list(map(int, column)) if parse is _parse_count else None
+        except (TypeError, ValueError):
+            counts = None
+        if counts is not None and min(counts, default=0) >= 0:
+            parsed.append(counts)
+            continue
         known = {}  # a parser never returns None, so None marks a refused value
         for value in set(column):
             try:
@@ -259,28 +271,35 @@ def _parse_columns(path: str | Path, required: tuple[str, ...], parsers) -> list
                 known[value] = None
         first_bad = min([first_bad, *(column.index(v) for v, r in known.items() if r is None)])
         parsed.append(list(map(known.__getitem__, column)))
+    whole = refuse(parsed) if refuse else None
+    if whole:
+        first_bad = min(first_bad, whole[0])
     if first_bad < len(records):
-        lineno, fields = records[first_bad]
-        _complete(fields, required, path, lineno)
-        for value, parse in zip(fields, parsers):
+        with open(path, newline="", encoding="utf-8") as fh:  # the header is line 1
+            reader = csv.reader(fh)
+            lineno = [reader.line_num for row in reader if row][first_bad + 1]
+        _complete(records[first_bad], required, path, lineno)
+        for value, parse in zip(records[first_bad], parsers):
             parse(value, path, lineno)
+        raise DataError(f"{path}: line {lineno}: {whole[1]}")
     return parsed
 
 
 def _summed(path: str | Path, required: tuple[str, ...], parsers,
             cells) -> tuple[dict, np.ndarray]:
-    """Each line's count added, with one ``np.add.at``, to its cell of an
-    array of ``cells`` per distinct (state, year). The columns are ``year``,
-    ``state``, the cell's indices and ``count``, checked by ``parsers`` as
-    :func:`_parse_columns` does. Returns each (state, year) with its row,
-    in order of first appearance, and the array (keys, *cells)."""
+    """Each line's count added to its cell of an array of ``cells`` per
+    distinct (state, year), by one ``np.bincount`` over the cells' flat
+    indices. The columns are ``year``, ``state``, the cell's indices and
+    ``count``, checked by ``parsers`` as :func:`_parse_columns` does.
+    Returns each (state, year) with its row, in order of first appearance,
+    and the array (keys, *cells)."""
     years, states, *cell, counts = _parse_columns(path, required, parsers)
     keys = {key: i for i, key in enumerate(dict.fromkeys(zip(states, years)))}
     rows = list(map(keys.__getitem__, zip(states, years)))
-    summed = np.zeros((len(keys), *cells))
-    np.add.at(summed, tuple(np.array(c, dtype=np.intp) for c in (rows, *cell)),
-              np.array(counts, dtype=float))
-    return keys, summed
+    shape = (len(keys), *cells)
+    flat = np.ravel_multi_index(tuple(np.array(c, dtype=np.intp) for c in (rows, *cell)), shape)
+    summed = np.bincount(flat, np.array(counts, dtype=float), minlength=np.prod(shape))
+    return keys, summed.astype(float, copy=False).reshape(shape)
 
 
 def _parse_count(value: str, path, lineno) -> int:
@@ -344,29 +363,35 @@ def load_couples(path: str | Path, config: RunConfig | None = None) -> PanelData
                         include_unknown=config.include_unknown)
 
 
+def _parse_income(value: str, path, lineno, kind=int):
+    try:  # an income year (int) or top decile share (float)
+        number = kind(value)
+    except ValueError:
+        raise DataError(f"{path}: line {lineno}: malformed income row")
+    if kind is float and not 0.0 < number < 1.0:
+        raise DataError(f"{path}: line {lineno}: top10_share must be strictly between "
+                        f"0 and 1, got {number}")
+    return number
+
+
+def _income_refused(columns):
+    """The first income line with an empty state, or with the (state, year)
+    of an earlier line: checked after the line's numbers."""
+    seen = set()
+    for i, key in enumerate(zip(*columns[:2])):
+        if not key[0] or key in seen:
+            return i, f"a second top10_share for {key[0]} {key[1]}" if key[0] else "empty state"
+        seen.add(key)
+
+
 def load_income(path: str | Path) -> dict[tuple[str, int], float]:
-    """Top decile income share per (state, year); a repeated (state, year)
-    is refused."""
-    shares: dict[tuple[str, int], float] = {}
-    for lineno, fields in _read_rows(path, _INCOME):
-        _complete(fields, _INCOME, path, lineno)
-        state, year, share = fields
-        try:
-            year = int(year)
-            share = float(share)
-        except (TypeError, ValueError):
-            raise DataError(f"{path}: line {lineno}: malformed income row")
-        if not 0.0 < share < 1.0:
-            raise DataError(
-                f"{path}: line {lineno}: top10_share must be strictly between "
-                f"0 and 1, got {share}"
-            )
-        key = (_parse_state(state, path, lineno, reserved=()), year)  # US rows unused
-        if key in shares:
-            raise DataError(f"{path}: line {lineno}: a second top10_share for "
-                            f"{key[0]} {year}")
-        shares[key] = share
-    return shares
+    """Top decile share per (state, year), read column by column; a
+    repeated (state, year) is refused. US rows are read, though no output
+    uses them."""
+    states, years, shares = _parse_columns(path, _INCOME, (
+        lambda value, *_: value.strip(), _parse_income, partial(_parse_income, kind=float)),
+        _income_refused)
+    return dict(zip(zip(states, years), shares))
 
 
 def load_singles(
@@ -382,14 +407,16 @@ def load_singles(
 
 
 def format_number(x: float) -> str:
-    """Fixed 12-significant-digit rendering so outputs are byte-stable."""
-    if x != x:
-        return "nan"
-    if x in (float("inf"), float("-inf")):
-        return "inf" if x > 0 else "-inf"
-    if float(x) == int(x) and abs(x) < 1e15:
+    """Fixed 12-significant-digit rendering so outputs are byte-stable.
+
+    ``f"{x:.12g}"``, except that an integral value below 1e15 is written out
+    in full where that text has an exponent or reads ``-0``: those are the
+    only texts of an integral value that differ from its ``int``.
+    """
+    text = f"{x:.12g}"
+    if ("e" in text or text == "-0") and x == int(x) and abs(x) < 1e15:
         return str(int(x))
-    return f"{x:.12g}"
+    return text
 
 
 def _divide(scheme: str, counts: np.ndarray, pools=None):
