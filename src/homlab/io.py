@@ -299,7 +299,7 @@ def _summed(path: str | Path, required: tuple[str, ...], parsers,
     shape = (len(keys), *cells)
     flat = np.ravel_multi_index(tuple(np.array(c, dtype=np.intp) for c in (rows, *cell)), shape)
     summed = np.bincount(flat, np.array(counts, dtype=float), minlength=np.prod(shape))
-    return keys, summed.astype(float, copy=False).reshape(shape)
+    return keys, summed.astype(float, copy=False).reshape(shape)  # float with no lines too
 
 
 def _parse_count(value: str, path, lineno) -> int:
@@ -414,7 +414,7 @@ def format_number(x: float) -> str:
     only texts of an integral value that differ from its ``int``.
     """
     text = f"{x:.12g}"
-    if ("e" in text or text == "-0") and x == int(x) and abs(x) < 1e15:
+    if ("e" in text or text == "-0") and abs(x) < 1e15 and x == int(x):
         return str(int(x))
     return text
 

@@ -194,19 +194,19 @@ def test_load_couples_assembles_tables(tmp_path):
     assert panel.unit_counts("Iowa", 1960).tolist() == [[40, 10], [20, 30]]
 
 
-@pytest.mark.parametrize("loader,text,cell", [
-    (load_couples, "year,state,husband_edu,wife_edu,count\n"
-                   "1960,Iowa,L,L,40\n1960,Iowa,L,L,2\n1960,Iowa,H,H,30\n",
-     lambda loaded: loaded.unit_counts("Iowa", 1960)[0, 0]),
-    (load_singles, "year,state,sex,edu,count\n"
-                   "1960,Iowa,w,H,40\n1960,Iowa,m,H,7\n1960, Iowa ,w,H,2\n",
-     lambda loaded: loaded[("Iowa", 1960)][1][1]),
-], ids=["couples", "singles"])
-def test_load_couples_sums_duplicates(tmp_path, loader, text, cell):
-    # a repeated (state, year, cell) adds its count to the cell, in couples
-    # and in singles alike
-    path = write(tmp_path / "rows.csv", text)
-    assert cell(loader(path, RunConfig(**TWO_LEVEL))) == 42
+def test_load_couples_sums_duplicates(tmp_path):
+    path = write(
+        tmp_path / "couples.csv",
+        "year,state,husband_edu,wife_edu,count\n"
+        "1960,Iowa,L,L,40\n1960,Iowa,L,L,2\n1960,Iowa,H,H,30\n",
+    )
+    panel = load_couples(path, RunConfig(**TWO_LEVEL))
+    assert panel.unit_counts("Iowa", 1960)[0, 0] == 42
+    # a repeated singles key is summed as a couples key is
+    path = write(tmp_path / "singles.csv",
+                 "year,state,sex,edu,count\n1960,Iowa,w,H,40\n1960,Iowa,m,H,7\n1960, Iowa ,w,H,2\n")
+    men, women = load_singles(path, RunConfig(**TWO_LEVEL))[("Iowa", 1960)]
+    assert women.tolist() == [0, 42] and men.tolist() == [0, 7]
 
 
 @pytest.mark.parametrize(
