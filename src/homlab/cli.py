@@ -77,13 +77,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]):
-    """The rows formatted column by column, then written in one call."""
-    columns = [list(map(_fmt, [row.get(name, "") for row in rows])) for name in fieldnames]
+def _write_csv(path: Path, columns: dict[str, list]):
+    """The columns, by header name, formatted one at a time, then written
+    row by row in one call."""
+    cells = [list(map(_fmt, column)) for column in columns.values()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        writer.writerows(zip(*columns))
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
 
 
 def _write_json(path: Path, payload):
@@ -173,11 +174,9 @@ def indicators(**params):
     panel = _panel_from(params, config)
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
-    rows = indicator_rows(panel, config)
-    names = ["state", "year", "share"]
-    extra = sorted({k for row in rows for k in row} - set(names))
-    _write_csv(out / "indicators.csv", names + extra, rows)
-    click.echo(f"wrote {out / 'indicators.csv'} ({len(rows)} rows)")
+    columns = indicator_rows(panel, config)
+    _write_csv(out / "indicators.csv", columns)
+    click.echo(f"wrote {out / 'indicators.csv'} ({len(columns['state'])} rows)")
 
 
 @main.command()
@@ -250,38 +249,17 @@ def decompose(**params):
     panel = _panel_from(params, config)
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
-    changes, details = decade_changes(panel, config)
-    rows = []
-    for change in changes:
-        row = {
-            "state": change.state,
-            "decade": change.decade,
-            "method": config.resolved_measure,
-            "scheme": config.resolved_scheme,
-            "status": "ok" if change.valid else f"excluded: {change.reason}",
-        }
-        detail = details.get((change.state, change.decade))
-        if detail is not None:
-            row.update(
-                share_early=detail.share_early,
-                share_late=detail.share_late,
-                share_counterfactual=detail.share_counterfactual,
-                nonstructural=detail.nonstructural_effect,
-                structural=detail.structural_effect,
-                interaction=(
-                    "" if detail.interaction_effect is None
-                    else detail.interaction_effect
-                ),
-            )
-        rows.append(row)
-    _write_csv(
-        out / "decomposition.csv",
-        ["state", "decade", "method", "scheme", "share_early", "share_late",
-         "share_counterfactual", "nonstructural", "structural", "interaction",
-         "status"],
-        rows,
-    )
-    click.echo(f"wrote {out / 'decomposition.csv'} ({len(rows)} rows)")
+    changes, values = decade_changes(panel, config)
+    size = len(changes)
+    _write_csv(out / "decomposition.csv", {
+        "state": [change.state for change in changes],
+        "decade": [change.decade for change in changes],
+        "method": [config.resolved_measure] * size,
+        "scheme": [config.resolved_scheme] * size,
+        **values,
+        "status": ["ok" if change.valid else f"excluded: {change.reason}" for change in changes],
+    })
+    click.echo(f"wrote {out / 'decomposition.csv'} ({size} rows)")
 
 
 @main.command()
@@ -293,7 +271,7 @@ def trend(**params):
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    changes, series_rows = trend_series(panel, config)
+    changes, series = trend_series(panel, config)
     income_deltas = income_decade_deltas(panel.income, config.waves)
     stats = score(changes, income_deltas, config.split_state)
     payload = {
@@ -317,11 +295,7 @@ def trend(**params):
     }
     _write_json(out / "trend_stats.json", payload)
 
-    _write_csv(
-        out / "trend_series.csv",
-        ["state", "year", "cumulative", "effect"],
-        series_rows,
-    )
+    _write_csv(out / "trend_series.csv", series)
     click.echo(f"wrote {out / 'trend_stats.json'} and {out / 'trend_series.csv'}")
 
 
@@ -339,10 +313,9 @@ def criteria(**params):
         ("criteria_indicators.csv", cr.INDICATOR_CRITERIA, cr.INDICATOR_TAGS, ind_matrix),
         ("criteria_methods.csv", cr.METHOD_CRITERIA, cr.METHOD_TAGS, meth_matrix),
     ):
-        rows = [{"criterion": criterion,
-                 **{tag: cr.VERDICT_CODES[matrix[(criterion, tag)].verdict] for tag in tags}}
-                for criterion in criteria_list]
-        _write_csv(out / name, ["criterion", *tags], rows)
+        _write_csv(out / name, {"criterion": criteria_list, **{
+            tag: [cr.VERDICT_CODES[matrix[(criterion, tag)].verdict]
+                  for criterion in criteria_list] for tag in tags}})
 
     witnesses = {}
     for (criterion, tag), report in {**ind_matrix, **meth_matrix}.items():

@@ -54,28 +54,55 @@ class DecompositionResult:
 
 
 def _fitted_shares(method, sources, targets, singles, target_singles, rounding, tol,
-                   max_iter) -> list:
-    """One ``fit_stack`` of ``sources`` onto the margins of ``targets``, and
-    each problem's counterfactual share, or the error its fit raises (for
-    the whole stack, a check that fails every problem) or that its fitted
-    counts fail ``ContingencyTable``'s checks with."""
+                   max_iter):
+    """One ``fit_stack`` of ``sources`` onto the margins of ``targets``: each
+    problem's counterfactual share, as one array, and the error its fit
+    raises (for the whole stack, a check that fails every problem) or that
+    its fitted counts fail ``ContingencyTable``'s checks with, else None."""
     try:
         fits = fit_stack(method, sources, targets.sum(axis=2), targets.sum(axis=1),
                          rounding, tol, max_iter, singles, target_singles)
     except ValueError as exc:  # ShapeError too
-        return [exc] * len(sources)
+        return np.full(len(sources), np.nan), [exc] * len(sources)
     with np.errstate(invalid="ignore", divide="ignore"):
-        shares = homogamy_shares(fits.counts).tolist()
-    outcomes = []
-    for error, share, refused, cells in zip(fits.errors, shares, _refused(fits.counts),
-                                            fits.counts):
-        if error is None and refused:
+        shares = homogamy_shares(fits.counts)
+    errors = list(fits.errors)
+    for k in np.flatnonzero(_refused(fits.counts)):
+        if errors[k] is None:
             try:
-                ContingencyTable(cells)
+                ContingencyTable(fits.counts[k])
             except TableError as exc:
-                error = exc
-        outcomes.append(share if error is None else error)
-    return outcomes
+                errors[k] = exc
+    return shares, errors
+
+
+def _decompose_columns(early, late, method, scheme, rounding, tol, max_iter, singles):
+    """The stacked core of :func:`decompose_counts`: six value columns, each
+    an array over the pairs (the early, late and counterfactual shares and
+    the nonstructural, structural and interaction effects, the last None
+    under ``sequential``), and each pair's error or None; a failed pair's
+    values carry no meaning, and its forward fit's error comes first.
+
+    Each side's shares come from one :func:`~homlab.tables.homogamy_shares`
+    call, each direction's fits from one
+    :func:`~homlab.counterfactual.fit_stack` call, and each effect from one
+    array operation in the per-pair float arithmetic's order, bit for bit.
+    """
+    shares_early, shares_late = homogamy_shares(early), homogamy_shares(late)
+    settings = (rounding, tol, max_iter)
+    shares_cf, errors = _fitted_shares(method, late, early, singles[1], singles[0], *settings)
+    with np.errstate(invalid="ignore"):  # a failed pair's NaN or inf
+        nonstructural = shares_cf - shares_early
+        if scheme != WITH_INTERACTION:
+            structural, interaction = shares_late - shares_cf, None
+        else:
+            shares_rev, reverse = _fitted_shares(method, early, late, singles[0], singles[1],
+                                                 *settings)
+            errors = [e if e is not None else r for e, r in zip(errors, reverse)]
+            structural = shares_rev - shares_early
+            interaction = shares_late - shares_early - nonstructural - structural
+    return (shares_early, shares_late, shares_cf, nonstructural, structural,
+            interaction), errors
 
 
 def decompose_counts(
@@ -92,37 +119,19 @@ def decompose_counts(
     of square tables of one shape, (P, n, n), with the early and the late
     (single men, single women) stacks in ``singles`` for ``csa``.
 
-    Each side's shares come from one :func:`~homlab.tables.homogamy_shares`
-    call and each direction's fits from one
-    :func:`~homlab.counterfactual.fit_stack` call. Entry ``i`` is what
-    ``decompose`` returns on pair ``i``, bit for bit, or the error it raises.
+    The stacked core's columns as results: entry ``i`` is what ``decompose``
+    returns on pair ``i``, bit for bit, or the error it raises.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
     if not len(early):
         return []
-    shares_early, shares_late = (homogamy_shares(side).tolist() for side in (early, late))
-    settings = (rounding, tol, max_iter)
-    forward = _fitted_shares(method, late, early, singles[1], singles[0], *settings)
-    reverse = (_fitted_shares(method, early, late, singles[0], singles[1], *settings)
-               if scheme == WITH_INTERACTION else [None] * len(early))
-    outcomes: list = []
-    for share_early, share_late, share_cf, share_rev in zip(
-            shares_early, shares_late, forward, reverse):
-        error = next((s for s in (share_cf, share_rev) if isinstance(s, Exception)), None)
-        if error is not None:
-            outcomes.append(error)
-            continue
-        nonstructural = share_cf - share_early
-        if share_rev is None:
-            structural, interaction = share_late - share_cf, None
-        else:
-            structural = share_rev - share_early
-            interaction = share_late - share_early - nonstructural - structural
-        outcomes.append(DecompositionResult(
-            _METHODS[method][0], scheme, share_early, share_late, share_cf,
-            nonstructural, structural, interaction))
-    return outcomes
+    columns, errors = _decompose_columns(early, late, method, scheme, rounding, tol,
+                                         max_iter, singles)
+    values = [[None] * len(errors) if c is None else c.tolist() for c in columns]
+    name = _METHODS.get(method, (method,))[0]  # an unknown method fails every pair
+    return [DecompositionResult(name, scheme, *row) if error is None else error
+            for error, *row in zip(errors, *values)]
 
 
 def decompose(

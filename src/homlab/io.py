@@ -16,9 +16,13 @@ Records under the reserved state code ``UNKNOWN`` are excluded from both the
 state level and the national aggregate unless explicitly configured in. The
 code ``US`` names the national aggregate, so a couples or singles line may
 not carry it. A bad line raises a DataError that names the file and its
-physical line; of several bad lines, the first is reported. Each file is
-read column by column; only a refused line's number is looked up, by a
-second scan, and couples and singles counts are summed by ``np.bincount``.
+physical line, as do bytes that are not UTF-8 and a field longer than
+``csv.field_size_limit()``; of several bad lines, the first is reported.
+Each file is read column by column; only a refused line's number is looked
+up, by a second scan, and couples and singles counts are summed by
+``np.bincount``. The pipeline stays columnar to the writers: a run's waves
+are gathered by row index into one stack, and the decade pass and the
+indicators return columns aligned with the rows of their CSV files.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ import numpy as np
 
 from . import indicators as ind
 from .counterfactual import METHOD_TAGS
-from .decomposition import (SCHEMES, SEQUENTIAL, WITH_INTERACTION, cumulate, decade_label,
-                            decompose_counts)
+from .decomposition import (SCHEMES, SEQUENTIAL, WITH_INTERACTION, _decompose_columns, cumulate,
+                            decade_label)
 from .errors import DataError, HomlabError, TableError
 from .tables import ContingencyTable, _block_sum, _refused, homogamy_shares
 from .trend import DecadeChange
@@ -214,16 +218,20 @@ _INCOME = ("state", "year", "top10_share")
 def _read_rows(path: str | Path, required: tuple[str, ...]):
     """Each data line of a CSV file as its ``required`` columns' fields, in
     that order, None for a field the line ends before: one ``csv.reader``
-    pass into a list. Blank lines are skipped."""
+    pass into a list. Blank lines are skipped; undecodable bytes and an
+    overlong field raise a DataError with their line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None) or []
-        if not set(required) <= set(header):
-            raise DataError(
-                f"{path}: header must contain {sorted(required)}, got "
-                f"{sorted(set(header))}"
-            )
-        rows = list(filter(None, reader))
+        try:
+            header = next(reader, None) or []
+            if not set(required) <= set(header):
+                raise DataError(f"{path}: header must contain {sorted(required)}, got "
+                                f"{sorted(set(header))}")
+            rows = list(filter(None, reader))
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     width, lengths = len(header), set(map(len, rows))
     if min(lengths, default=width) < width:
         rows = [row + [None] * (width - len(row)) for row in rows]
@@ -231,6 +239,16 @@ def _read_rows(path: str | Path, required: tuple[str, ...]):
         return rows  # each line already is its fields
     position = {name: i for i, name in enumerate(header)}  # the last one wins
     return list(map(operator.itemgetter(*(position[name] for name in required)), rows))
+
+
+def _undecodable_line(path) -> int:
+    """The physical line of a file's first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:exc.start]
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1
 
 
 def _complete(fields, required, path, lineno):
@@ -474,23 +492,29 @@ class _RunCut:
 
 def _cut_run(panel: PanelDataset, config: RunConfig, unit_list, method: str = "") -> _RunCut:
     """The present waves of ``unit_list``'s units on the configured divide,
-    in one cut of their stack; with their singles for ``csa``."""
-    rows: dict[str, dict[int, int]] = {}
-    tables, pools = [], []
-    for unit in unit_list:
-        rows[unit] = {}
-        for year in config.waves:
-            counts = panel.unit_counts(unit, year)
-            if counts is not None:
-                rows[unit][year] = len(tables)
-                tables.append(counts)
-                own = (unit, year) in panel.index  # the national aggregate has no singles
-                pools.append(panel.singles.get((unit, year)) if own else None)
-    missing = DataError(_NO_SINGLES)
-    errors = [missing if method == "csa" and pool is None else None for pool in pools]
+    in one cut of their stack, gathered by row index from the panel's
+    tables and national aggregates; with their singles for ``csa``."""
     k = len(panel.labels)
-    counts, singles = np.array(tables).reshape(-1, k, k), None
-    if method == "csa":
+    national = {(NATIONAL, year): len(panel.counts) + i
+                for i, year in enumerate(panel.national_counts)}
+    where = {**panel.index, **national}
+    rows: dict[str, dict[int, int]] = {}
+    gathered = []
+    for unit in unit_list:
+        rows[unit] = present = {}
+        for year in config.waves:
+            row = where.get((unit, year))
+            if row is not None:
+                present[year] = len(gathered)
+                gathered.append(row)
+    stack = np.concatenate((panel.counts, np.reshape(list(panel.national_counts.values()),
+                                                     (-1, k, k))))
+    counts, errors, singles = stack[gathered], [None] * len(gathered), None
+    if method == "csa":  # the national aggregate has no singles
+        pools = [None if (unit, year) in national else panel.singles.get((unit, year))
+                 for unit, years in rows.items() for year in years]
+        missing = DataError(_NO_SINGLES)
+        errors = [missing if pool is None else None for pool in pools]
         singles = tuple(np.array([(pool or (np.zeros(k),) * 2)[sex] for pool in pools])
                         .reshape(-1, k) for sex in (0, 1))
     try:
@@ -502,37 +526,44 @@ def _cut_run(panel: PanelDataset, config: RunConfig, unit_list, method: str = ""
     return _RunCut(rows, errors, counts, homogamy_shares(counts).tolist(), singles, labels)
 
 
-def indicator_rows(panel: PanelDataset, config: RunConfig) -> list[dict]:
-    """Per-unit, per-wave indicator values on the configured divide.
+def _blanked(values: np.ndarray, undefined: np.ndarray) -> list:
+    """A column of floats with an empty string where ``undefined``."""
+    column = values.astype(object)
+    column[undefined] = ""
+    return column.tolist()
+
+
+def indicator_rows(panel: PanelDataset, config: RunConfig) -> dict[str, list]:
+    """Per-unit, per-wave indicator values on the configured divide, as
+    columns aligned with the rows of ``indicators.csv``: ``state``, ``year``
+    and ``share``, then the value columns in name order.
 
     Two-level divides carry the scalar indicator battery; the three-level
     scheme carries the homogamy share and every split of the matrix-valued
     measure. Each tag is evaluated once, on the stack of the run's cut
     waves. Undefined values, including single undefined splits of the
-    matrix, come through as empty strings.
+    matrix, come through as empty strings, as does every value of a run
+    whose divide cannot cut its tables.
     """
     cut = _cut_run(panel, config, units(panel))
-    three_level = config.categories == THREE_LEVEL
-    if cut.shares:  # cut, and not empty
-        values = {tag: ind.evaluate_stack(tag, cut.counts, config.rounding)
-                  for tag in (("gll",) if three_level else ind.SCALAR_TAGS)}
-        splits = (cut.counts.shape[1] - 1,) * 2
-    rows = []
-    for unit, years in cut.rows.items():
-        for year, i in years.items():
-            row: dict[str, object] = {"state": unit, "year": year}
-            if cut.errors[i] is not None:  # no divide to report on: every value blank
-                rows.append({**row, "share": "", **dict.fromkeys(ind.SCALAR_TAGS, "")})
-                continue
-            row["share"] = cut.shares[i]
-            if three_level:
-                for (j, k), value in np.ndenumerate(values["gll"][0][i].reshape(splits)):
-                    row[f"gll_{j + 1}_{k + 1}"] = "" if np.isnan(value) else value
-            else:
-                for tag, (tag_values, undefined) in values.items():
-                    row[tag] = "" if undefined[i] else float(tag_values[i, 0])
-            rows.append(row)
-    return rows
+    columns: dict[str, list] = {
+        "state": [unit for unit, years in cut.rows.items() for _ in years],
+        "year": [year for years in cut.rows.values() for year in years]}
+    size = len(columns["year"])
+    if not cut.shares:  # uncut or empty: no divide to report on
+        return {**columns, **{name: [""] * size for name in (
+            "share", *(sorted(ind.SCALAR_TAGS) if size else ()))}}
+    values = {}
+    if config.categories == THREE_LEVEL:
+        splits, _ = ind.evaluate_stack("gll", cut.counts, config.rounding)
+        side = cut.counts.shape[1] - 1
+        for j, column in enumerate(splits.T):
+            values[f"gll_{j // side + 1}_{j % side + 1}"] = _blanked(column, np.isnan(column))
+    else:
+        for tag in ind.SCALAR_TAGS:
+            tag_values, undefined = ind.evaluate_stack(tag, cut.counts, config.rounding)
+            values[tag] = _blanked(tag_values[:, 0], undefined)
+    return {**columns, "share": cut.shares, **dict(sorted(values.items()))}
 
 
 def _scalar_values(tag: str, cut: _RunCut, rounding: str) -> list:
@@ -554,25 +585,31 @@ def _excluded(unit: str, decade: str, exc: Exception) -> DecadeChange:
     return DecadeChange(unit, decade, None, False, f"{type(exc).__name__}: {exc}")
 
 
+# the value columns of decomposition.csv, in the stacked core's order
+DECOMPOSITION_COLUMNS = ("share_early", "share_late", "share_counterfactual", "nonstructural",
+                         "structural", "interaction")
+
+
 def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
     """The decade changes of every unit in ``unit_list``, in order.
 
     The units' present waves are cut once, as one stack. A scalar measure
     is evaluated once on that stack, and a change is late minus early; the
-    pairs of a method measure go to one :func:`decompose_counts` call.
-    Returns the changes, the decompositions of the valid pairs by ``(unit,
-    decade)``, the run's cut and the measure's value on each of its rows
-    (all None for a method measure).
+    pairs of a method measure go to one call of the stacked decomposition
+    core. Returns the changes, the core's columns scattered into
+    :data:`DECOMPOSITION_COLUMNS` aligned with them (None where a pair has
+    no decomposition), the run's cut and the measure's value on each of its
+    rows (all None for a method measure).
     """
     measure = config.resolved_measure
     cut = _cut_run(panel, config, unit_list, measure)
     values = (_scalar_values(measure, cut, config.rounding)
               if measure in ind.SCALAR_TAGS else [None] * len(cut.errors))
+    decades = list(zip(map(decade_label, config.waves), config.waves, config.waves[1:]))
     changes: list = []
     pending = []  # (index in changes, unit, decade, early row, late row)
     for unit, years in cut.rows.items():
-        for early_year, late_year in zip(config.waves, config.waves[1:]):
-            decade = decade_label(early_year)
+        for decade, early_year, late_year in decades:
             if early_year not in years or late_year not in years:
                 changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
                 continue
@@ -587,42 +624,47 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
             else:
                 changes.append(DecadeChange(unit, decade, values[late] - values[early]))
 
-    details: dict[tuple[str, str], object] = {}
-    if not pending:
-        return changes, details, cut, values
-    sides = [[p[3] for p in pending], [p[4] for p in pending]]
-    results = decompose_counts(
-        *(cut.counts[side] for side in sides), measure, config.resolved_scheme,
-        config.rounding, config.tol, config.max_iter,
-        [cut.singles and tuple(pool[side] for pool in cut.singles) for side in sides])
-    for (index, unit, decade, _, _), result in zip(pending, results):
-        if isinstance(result, HomlabError):  # any other error is a bug
-            changes[index] = _excluded(unit, decade, result)
-        elif isinstance(result, Exception):
-            raise result
-        else:
-            changes[index] = DecadeChange(unit, decade, float(result.nonstructural_effect))
-            details[(unit, decade)] = result
-    return changes, details, cut, values
+    table = np.full((len(DECOMPOSITION_COLUMNS), len(changes)), None, dtype=object)
+    if pending:
+        sides = [[p[3] for p in pending], [p[4] for p in pending]]
+        stacked, errors = _decompose_columns(
+            *(cut.counts[side] for side in sides), measure, config.resolved_scheme,
+            config.rounding, config.tol, config.max_iter,
+            [cut.singles and tuple(pool[side] for pool in cut.singles) for side in sides])
+        for (index, unit, decade, _, _), error, delta in zip(pending, errors,
+                                                             stacked[3].tolist()):
+            if error is None:
+                changes[index] = DecadeChange(unit, decade, delta)
+            elif isinstance(error, HomlabError):  # any other error is a bug
+                changes[index] = _excluded(unit, decade, error)
+            else:
+                raise error
+        ok = [k for k, error in enumerate(errors) if error is None]
+        filled = np.array([column for column in stacked if column is not None])
+        table[:len(filled), [pending[k][0] for k in ok]] = filled[:, ok]
+    return changes, dict(zip(DECOMPOSITION_COLUMNS, table.tolist())), cut, values
 
 
 def decade_changes(panel: PanelDataset, config: RunConfig):
     """Per-state decade changes of the configured measure, in state and
-    decade order, and the decompositions of the valid pairs by ``(state,
-    decade)``; the national aggregate is not included.
+    decade order, and the value columns of ``decomposition.csv`` aligned
+    with them: :data:`DECOMPOSITION_COLUMNS` by name, None where a pair has
+    no decomposition. The national aggregate is not included.
 
     Each present wave is cut once, and the pairs of all states go to one
-    :func:`decompose_counts` call. A pair with a missing endpoint wave, or
-    that raises any ``HomlabError`` (an undefined measure, an infeasible or
-    non-converging counterfactual, a method/shape mismatch ...), is returned
-    invalid with the reason attached, never silently dropped.
+    call of the stacked decomposition core. A pair with a missing endpoint
+    wave, or that raises any ``HomlabError`` (an undefined measure, an
+    infeasible or non-converging counterfactual, a method/shape mismatch
+    ...), is returned invalid with the reason attached, never silently
+    dropped.
     """
     return _decade_pass(panel, config, panel.states)[:2]
 
 
 def trend_series(panel: PanelDataset, config: RunConfig):
-    """The states' decade changes of the configured measure, and the series
-    rows of every unit, from one decade pass over :func:`units`.
+    """The states' decade changes of the configured measure, and the
+    columns of ``trend_series.csv`` (``state``, ``year``, ``cumulative``,
+    ``effect``) for every unit, from one decade pass over :func:`units`.
 
     For a method measure, a unit with two or more present waves has one row
     per configured wave: ``effect`` is the decade starting at that wave, and
@@ -634,13 +676,16 @@ def trend_series(panel: PanelDataset, config: RunConfig):
     """
     changes, _, cut, values = _decade_pass(panel, config, units(panel))
     span = len(config.waves) - 1  # the decades of one unit
+    labels = [decade_label(year) for year in config.waves]
     method = config.resolved_measure in METHOD_TAGS
-    rows = []
+    columns: dict[str, list] = {"state": [], "year": [], "cumulative": [], "effect": []}
     for i, (unit, years) in enumerate(cut.rows.items()):
         if not method:
-            rows += [{"state": unit, "year": year, "effect": "",
-                      "cumulative": values[r] if isinstance(values[r], float) else ""}
-                     for year, r in years.items()]
+            columns["state"] += [unit] * len(years)
+            columns["year"] += years
+            columns["cumulative"] += [values[r] if isinstance(values[r], float) else ""
+                                      for r in years.values()]
+            columns["effect"] += [""] * len(years)
             continue
         if len(years) < 2:
             continue
@@ -651,10 +696,11 @@ def trend_series(panel: PanelDataset, config: RunConfig):
         effects = {c.decade: c.delta if c.valid else None
                    for c in changes[i * span:(i + 1) * span]}
         cumulative = cumulate(config.waves, first, anchor, effects)
-        rows += [{"state": unit, "year": year, "cumulative": cumulative[year],
-                  "effect": effects.get(decade_label(year), "")}
-                 for year in config.waves]
-    return changes[span:], rows
+        columns["state"] += [unit] * len(config.waves)
+        columns["year"] += config.waves
+        columns["cumulative"] += [cumulative[year] for year in config.waves]
+        columns["effect"] += [effects.get(label, "") for label in labels]
+    return changes[span:], columns
 
 
 def income_decade_deltas(

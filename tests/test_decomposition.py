@@ -235,7 +235,8 @@ def series_of(tables, waves=WAVES, measure="nm"):
                          {("A", year): i for i, year in enumerate(tables)}, ("L", "H"),
                          waves, ("A",))
     config = RunConfig(waves=waves, labels=("L", "H"), measure=measure, scheme=SEQUENTIAL)
-    _, rows = trend_series(panel, config)
+    _, columns = trend_series(panel, config)
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     assert [row for row in rows if row["state"] == "US"] == [
         {**row, "state": "US"} for row in rows if row["state"] == "A"]  # US is A
     return {row["year"]: (row["cumulative"], row["effect"])

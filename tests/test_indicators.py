@@ -770,7 +770,8 @@ def test_indicator_rows_leave_the_battery_blank_on_an_uncut_four_level_panel(
     path = tmp_path / "couples.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     config = RunConfig(labels=labels, categories="hs", waves=(1980, 1990))
-    rows = indicator_rows(load_couples(path, config), config)
+    columns = indicator_rows(load_couples(path, config), config)
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     assert len(rows) == 4  # US and Example, two waves
     for row in rows:
         assert row["share"] == ""  # no share of the uncut 4x4 table

@@ -17,6 +17,7 @@ from homlab.decomposition import DecompositionResult, cumulate, decompose_counts
 from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError, TableError
 from homlab.indicators import SCALAR_TAGS, aggregate_msp, evaluate, gll
 from homlab.io import (
+    DECOMPOSITION_COLUMNS,
     PanelDataset,
     RunConfig,
     _cut_run,
@@ -70,9 +71,14 @@ def _unit_table(panel: PanelDataset, unit: str, year: int):
 
 
 def _unit_changes(panel: PanelDataset, config: RunConfig, unit: str):
-    """One unit's decade changes and decompositions, from a decade pass over
-    that unit alone."""
+    """One unit's decade changes and decomposition columns, from a decade
+    pass over that unit alone."""
     return _decade_pass(panel, config, (unit,))[:2]
+
+
+def rows_of(columns):
+    """Columns by name as one dict per row, as the CSV writer lays them out."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +657,7 @@ def test_indicator_rows_keep_the_defined_gll_splits():
     # split (1,1) has a zero denominator, the other three are defined
     panel = panel_of({("A", 1960): [[0, 0, 0], [4.5, 3.5, 3.0], [2.5, 3.0, 4.5]]},
                      STRESS_LABELS, waves=(1960,))
-    rows = indicator_rows(panel, RunConfig(waves=(1960,)))
+    rows = rows_of(indicator_rows(panel, RunConfig(waves=(1960,))))
     assert [row["state"] for row in rows] == ["US", "A"]
     for row in rows:
         assert row["gll_1_1"] == ""
@@ -665,10 +671,10 @@ def test_decade_changes_report_mis_shaped_pairs():
     large = [[5, 1, 1], [1, 5, 1], [1, 1, 5]]
     panel = panel_of({("A", 1960): large, ("A", 1970): large}, STRESS_LABELS,
                      waves=(1960, 1970))
-    changes, details = decade_changes(
+    changes, columns = decade_changes(
         panel, RunConfig(waves=(1960, 1970), labels=STRESS_LABELS, method="mdba")
     )
-    assert not details
+    assert not _decomposed(changes, columns)
     assert [(c.valid, c.reason.split(":")[0]) for c in changes] == [
         (False, "ShapeError")
     ]
@@ -793,10 +799,22 @@ def _reference_changes(panel, config, unit_list):
 
 def _bits(record):
     """A dataclass's fields, each float as its bytes."""
-    return tuple(
-        np.float64(value).tobytes() if isinstance(value, float) else value
-        for value in dataclasses.astuple(record)
-    )
+    return _float_bits(dataclasses.astuple(record))
+
+
+def _float_bits(values):
+    """The values, each float as its bytes."""
+    return tuple(np.float64(value).tobytes() if isinstance(value, float) else value
+                 for value in values)
+
+
+def _decomposed(changes, columns):
+    """The decomposition columns aligned with ``changes`` as ``{(unit,
+    decade): values}`` over the pairs they decompose, each float as its
+    bytes."""
+    assert tuple(columns) == DECOMPOSITION_COLUMNS
+    return {(c.state, c.decade): _float_bits(values)
+            for c, *values in zip(changes, *columns.values()) if values != [None] * 6}
 
 
 STRESS_LABELS = ("L", "M", "H")
@@ -866,11 +884,11 @@ def test_stacked_decade_pass_matches_the_per_pair_loop_bit_for_bit(method):
         for unit in ("US", "Cary"):
             runs.append((_unit_changes(panel, config, unit),
                          _reference_changes(panel, config, (unit,))))
-        for (changes, details), (expected, expected_details) in runs:
+        for (changes, columns), (expected, expected_details) in runs:
             assert [_bits(c) for c in changes] == [_bits(c) for c in expected], config
-            assert list(details) == list(expected_details), config
-            assert [_bits(d) for d in details.values()] == [
-                _bits(d) for d in expected_details.values()], config
+            # the six values of each decomposed pair, after its method and scheme
+            assert list(_decomposed(changes, columns).items()) == [
+                (key, _bits(d)[2:]) for key, d in expected_details.items()], config
             reasons |= {c.reason for c in changes if not c.valid}
     for prefix in STRESS_REASONS[method]:
         assert any(reason.startswith(prefix) for reason in reasons), prefix
@@ -989,6 +1007,39 @@ def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch
             "at least one count must be positive"} <= messages
 
 
+@pytest.mark.parametrize("method", ["ipf", "nm"])
+def test_cli_decomposition_path_builds_no_result_objects(tmp_path, monkeypatch, method):
+    # decompose and trend carry the stacked fits to the writers as columns:
+    # no DecompositionResult per pair, and still one fit_stack per direction
+    import homlab.decomposition
+
+    built, fits = [], []
+    result_class, original_fit_stack = DecompositionResult, homlab.decomposition.fit_stack
+
+    def counting_result(*args, **kwargs):
+        built.append(args)
+        return result_class(*args, **kwargs)
+
+    def counting_fit_stack(*args, **kwargs):
+        fits.append(args[0])
+        return original_fit_stack(*args, **kwargs)
+
+    monkeypatch.setattr(homlab.decomposition, "DecompositionResult", counting_result)
+    monkeypatch.setattr(homlab.decomposition, "fit_stack", counting_fit_stack)
+    directions = 2 if RunConfig(method=method).resolved_scheme == "with-interaction" else 1
+    for command in ("decompose", "trend"):
+        fits.clear()
+        out = tmp_path / command
+        cli(command, "--config", config_file(tmp_path), "--method", method,
+            "--couples", FIXTURES / "synthetic_panel.csv", "--out", out)
+        assert any(out.iterdir())
+        assert fits == [method] * directions, command
+    assert built == []
+    # the counter sees the results the public wrapper builds
+    counts = np.array([[[40.0, 10.0], [20.0, 30.0]]])
+    assert len(decompose_counts(counts, counts, method)) == len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # indicators on the stack of a unit's waves against the per-table loops
 # ---------------------------------------------------------------------------
@@ -1016,7 +1067,7 @@ def _reference_rows(panel, config):
                 except GllUndefinedError as exc:
                     values = exc.partial
                 for (j, k), value in np.ndenumerate(values):
-                    row[f"gll_{j + 1}_{k + 1}"] = "" if np.isnan(value) else value
+                    row[f"gll_{j + 1}_{k + 1}"] = "" if np.isnan(value) else float(value)
             else:
                 for tag in SCALAR_TAGS:
                     try:
@@ -1083,7 +1134,7 @@ def test_stacked_indicators_match_the_per_table_loops_bit_for_bit(categories):
                           (synthetic_panel()[0], ("L", "H"))):
         for rounding in ("paper", "continuous"):
             config = RunConfig(labels=labels, categories=categories, rounding=rounding)
-            rows = indicator_rows(panel, config)
+            rows = rows_of(indicator_rows(panel, config))
             assert [_row_bits(r) for r in rows] == [
                 _row_bits(r) for r in _reference_rows(panel, config)], config
             flagged |= {key for row in rows for key, value in row.items() if value == ""}
@@ -1159,7 +1210,7 @@ def _reference_series(panel, config):
     if config.resolved_measure not in METHOD_TAGS:
         return [{"state": row["state"], "year": row["year"],
                  "cumulative": row.get(config.resolved_measure, ""), "effect": ""}
-                for row in indicator_rows(panel, config)]
+                for row in rows_of(indicator_rows(panel, config))]
     changes, _ = decade_changes(panel, config)
     national, _ = _unit_changes(panel, config, "US")
     rows = []
@@ -1208,7 +1259,8 @@ def test_trend_series_matches_the_trend_command_loops_bit_for_bit(categories):
             panels, (*METHOD_TAGS, *SCALAR_TAGS), ("paper", "continuous")):
         config = RunConfig(labels=labels, categories=categories, rounding=rounding,
                            measure=measure)
-        changes, rows = trend_series(panel, config)
+        changes, columns = trend_series(panel, config)
+        rows = rows_of(columns)
         assert [_bits(c) for c in changes] == [
             _bits(c) for c in decade_changes(panel, config)[0]], config
         expected = _reference_series(panel, config)
@@ -1217,8 +1269,8 @@ def test_trend_series_matches_the_trend_command_loops_bit_for_bit(categories):
     # every case shows: gaps, values, the one-wave state (scalar rows only),
     # and the csa anchor of a state without its first wave's singles
     assert {("Erie", float), ("A", str)} <= seen and "Fife" in {state for state, _ in seen}
-    _, rows = trend_series(series_stress_panel(), RunConfig(
-        labels=STRESS_LABELS, categories=categories, measure="csa"))
+    rows = rows_of(trend_series(series_stress_panel(), RunConfig(
+        labels=STRESS_LABELS, categories=categories, measure="csa"))[1])
     ames = next(row for row in rows if row["state"] == "Ames")
     assert ames["year"] == 1960 and isinstance(ames["cumulative"], float)
 
@@ -1230,7 +1282,8 @@ def test_scalar_series_reads_the_values_it_scores():
     panel, _ = synthetic_panel()
     for measure in SCALAR_TAGS:
         config = RunConfig(**TWO_LEVEL, measure=measure)
-        changes, rows = trend_series(panel, config)
+        changes, columns = trend_series(panel, config)
+        rows = rows_of(columns)
         assert all(row["cumulative"] == "" for row in _reference_series(panel, config))
         values = {(row["state"], row["year"]): row["cumulative"] for row in rows}
         for change in changes:
@@ -1255,7 +1308,7 @@ def test_trend_series_evaluates_only_its_measure_once_per_unit(monkeypatch):
     monkeypatch.setattr(homlab.indicators, "evaluate_stack", counting)
     panel = series_stress_panel()
     config = RunConfig(labels=STRESS_LABELS, categories="college", measure="msp")
-    _, rows = trend_series(panel, config)
+    rows = rows_of(trend_series(panel, config)[1])
     # one stack for the whole run; the undefined waves' messages need no
     # evaluation of their own
     assert tags == ["msp"]
@@ -1441,6 +1494,39 @@ def test_cli_input_errors_exit_as_one_line_messages(tmp_path):
         errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
         assert len(errors) == 1 and "Traceback" not in result.output, text
     assert not (tmp_path / "indicators.csv").exists()
+
+
+# each loader's header and a good line of it, whose state a defect replaces
+LOADER_LINES = {
+    "couples": ("year,state,husband_edu,wife_edu,count", "1960,Iowa,L,L,5"),
+    "income": ("state,year,top10_share", "Iowa,1960,0.3"),
+    "singles": ("year,state,sex,edu,count", "1960,Iowa,m,L,4"),
+}
+
+
+@pytest.mark.parametrize("defect", ["not-utf8", "long-field"])
+@pytest.mark.parametrize("loader", sorted(LOADER_LINES))
+def test_cli_refuses_undecodable_bytes_or_an_overlong_field_in_one_line(
+        tmp_path, loader, defect):
+    # both used to escape the CSV reader as an exit-1 traceback: a
+    # UnicodeDecodeError, and _csv.Error "field larger than field limit"
+    header, line = LOADER_LINES[loader]
+    state = (b"Iow\xe9" if defect == "not-utf8"
+             else b"x" * (csv.field_size_limit() + 1))
+    path = tmp_path / f"{loader}.csv"
+    path.write_bytes(f"{header}\r\n{line}\r\n".encode() + line.encode().replace(b"Iowa", state))
+    data = ["--couples", str(path if loader == "couples" else FIXTURES / "synthetic_panel.csv")]
+    if loader != "couples":
+        data += [f"--{loader}", str(path)]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["indicators", "--config", str(config_file(tmp_path)),
+                                       *data, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    why = ("not UTF-8 text" if defect == "not-utf8"
+           else f"field larger than field limit ({csv.field_size_limit()})")
+    assert result.output == f"Error: {path}: line 3: {why}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["indicators", "counterfactual", "decompose", "trend",
