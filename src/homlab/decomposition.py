@@ -37,6 +37,9 @@ from .tables import (
 SEQUENTIAL = "sequential"
 WITH_INTERACTION = "with-interaction"
 SCHEMES = (SEQUENTIAL, WITH_INTERACTION)
+# the value columns of decomposition.csv, in DecompositionResult's order
+DECOMPOSITION_COLUMNS = ("share_early", "share_late", "share_counterfactual", "nonstructural",
+                         "structural", "interaction")
 
 
 @dataclass(frozen=True)
@@ -77,11 +80,11 @@ def _fitted_shares(method, sources, targets, singles, target_singles, rounding, 
 
 
 def _decompose_columns(early, late, method, scheme, rounding, tol, max_iter, singles):
-    """The stacked core of :func:`decompose_counts`: six value columns, each
-    an array over the pairs (the early, late and counterfactual shares and
-    the nonstructural, structural and interaction effects, the last None
-    under ``sequential``), and each pair's error or None; a failed pair's
-    values carry no meaning, and its forward fit's error comes first.
+    """The stacked core of :func:`decompose_counts`: the
+    :data:`DECOMPOSITION_COLUMNS` by name, each a list of floats over the
+    pairs (the interaction all None under ``sequential``), and each pair's
+    error or None; a failed pair's values carry no meaning, and its forward
+    fit's error comes first.
 
     Each side's shares come from one :func:`~homlab.tables.homogamy_shares`
     call, each direction's fits from one
@@ -94,15 +97,15 @@ def _decompose_columns(early, late, method, scheme, rounding, tol, max_iter, sin
     with np.errstate(invalid="ignore"):  # a failed pair's NaN or inf
         nonstructural = shares_cf - shares_early
         if scheme != WITH_INTERACTION:
-            structural, interaction = shares_late - shares_cf, None
+            structural, interaction = shares_late - shares_cf, [None] * len(errors)
         else:
             shares_rev, reverse = _fitted_shares(method, early, late, singles[0], singles[1],
                                                  *settings)
             errors = [e if e is not None else r for e, r in zip(errors, reverse)]
             structural = shares_rev - shares_early
-            interaction = shares_late - shares_early - nonstructural - structural
-    return (shares_early, shares_late, shares_cf, nonstructural, structural,
-            interaction), errors
+            interaction = (shares_late - shares_early - nonstructural - structural).tolist()
+    values = (shares_early, shares_late, shares_cf, nonstructural, structural)
+    return dict(zip(DECOMPOSITION_COLUMNS, [*(v.tolist() for v in values), interaction])), errors
 
 
 def decompose_counts(
@@ -128,10 +131,9 @@ def decompose_counts(
         return []
     columns, errors = _decompose_columns(early, late, method, scheme, rounding, tol,
                                          max_iter, singles)
-    values = [[None] * len(errors) if c is None else c.tolist() for c in columns]
     name = _METHODS.get(method, (method,))[0]  # an unknown method fails every pair
     return [DecompositionResult(name, scheme, *row) if error is None else error
-            for error, *row in zip(errors, *values)]
+            for error, *row in zip(errors, *columns.values())]
 
 
 def decompose(

@@ -40,8 +40,8 @@ import numpy as np
 
 from . import indicators as ind
 from .counterfactual import METHOD_TAGS
-from .decomposition import (SCHEMES, SEQUENTIAL, WITH_INTERACTION, _decompose_columns, cumulate,
-                            decade_label)
+from .decomposition import (DECOMPOSITION_COLUMNS, SCHEMES, SEQUENTIAL, WITH_INTERACTION,
+                            _decompose_columns, cumulate, decade_label)
 from .errors import DataError, HomlabError, TableError
 from .tables import ContingencyTable, _block_sum, _refused, homogamy_shares
 from .trend import DecadeChange
@@ -99,6 +99,9 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "a number" if kind is Real else "an integer"
                 raise DataError(f"{name} must be {what}, got {value!r}")
+        if any(early >= late for early, late in zip(self.waves, self.waves[1:])):
+            # a decade runs from one wave to the next, later one
+            raise DataError(f"waves must be increasing, got {self.waves!r}")
         if not 0 < self.tol < float("inf"):  # NaN fails this comparison too
             raise DataError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter < 1:
@@ -219,7 +222,9 @@ def _read_rows(path: str | Path, required: tuple[str, ...]):
     """Each data line of a CSV file as its ``required`` columns' fields, in
     that order, None for a field the line ends before: one ``csv.reader``
     pass into a list. Blank lines are skipped; undecodable bytes and an
-    overlong field raise a DataError with their line."""
+    overlong field raise a DataError with the physical line of the bad byte,
+    or of the point where the field passes the limit: inside a quoted field
+    that spans lines, a later line than the one its record starts on."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -585,21 +590,15 @@ def _excluded(unit: str, decade: str, exc: Exception) -> DecadeChange:
     return DecadeChange(unit, decade, None, False, f"{type(exc).__name__}: {exc}")
 
 
-# the value columns of decomposition.csv, in the stacked core's order
-DECOMPOSITION_COLUMNS = ("share_early", "share_late", "share_counterfactual", "nonstructural",
-                         "structural", "interaction")
-
-
 def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
     """The decade changes of every unit in ``unit_list``, in order.
 
     The units' present waves are cut once, as one stack. A scalar measure
     is evaluated once on that stack, and a change is late minus early; the
     pairs of a method measure go to one call of the stacked decomposition
-    core. Returns the changes, the core's columns scattered into
-    :data:`DECOMPOSITION_COLUMNS` aligned with them (None where a pair has
-    no decomposition), the run's cut and the measure's value on each of its
-    rows (all None for a method measure).
+    core. Returns the changes, the core's columns by name aligned with them
+    (None where a pair has no decomposition), the run's cut and the
+    measure's value on each of its rows (all None for a method measure).
     """
     measure = config.resolved_measure
     cut = _cut_run(panel, config, unit_list, measure)
@@ -624,32 +623,31 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
             else:
                 changes.append(DecadeChange(unit, decade, values[late] - values[early]))
 
-    table = np.full((len(DECOMPOSITION_COLUMNS), len(changes)), None, dtype=object)
+    columns = {name: [None] * len(changes) for name in DECOMPOSITION_COLUMNS}
     if pending:
         sides = [[p[3] for p in pending], [p[4] for p in pending]]
         stacked, errors = _decompose_columns(
             *(cut.counts[side] for side in sides), measure, config.resolved_scheme,
             config.rounding, config.tol, config.max_iter,
             [cut.singles and tuple(pool[side] for pool in cut.singles) for side in sides])
-        for (index, unit, decade, _, _), error, delta in zip(pending, errors,
-                                                             stacked[3].tolist()):
+        for k, ((index, unit, decade, _, _), error) in enumerate(zip(pending, errors)):
             if error is None:
-                changes[index] = DecadeChange(unit, decade, delta)
+                changes[index] = DecadeChange(unit, decade, stacked["nonstructural"][k])
+                for name, column in columns.items():
+                    column[index] = stacked[name][k]
             elif isinstance(error, HomlabError):  # any other error is a bug
                 changes[index] = _excluded(unit, decade, error)
             else:
                 raise error
-        ok = [k for k, error in enumerate(errors) if error is None]
-        filled = np.array([column for column in stacked if column is not None])
-        table[:len(filled), [pending[k][0] for k in ok]] = filled[:, ok]
-    return changes, dict(zip(DECOMPOSITION_COLUMNS, table.tolist())), cut, values
+    return changes, columns, cut, values
 
 
 def decade_changes(panel: PanelDataset, config: RunConfig):
     """Per-state decade changes of the configured measure, in state and
     decade order, and the value columns of ``decomposition.csv`` aligned
-    with them: :data:`DECOMPOSITION_COLUMNS` by name, None where a pair has
-    no decomposition. The national aggregate is not included.
+    with them: :data:`~homlab.decomposition.DECOMPOSITION_COLUMNS` by name,
+    None where a pair has no decomposition. The national aggregate is not
+    included.
 
     Each present wave is cut once, and the pairs of all states go to one
     call of the stacked decomposition core. A pair with a missing endpoint

@@ -136,6 +136,9 @@ BAD_VALUES = (
     ("labels", ["L", "H", "L"], "labels must be a list of distinct strings, "
                                 "got ['L', 'H', 'L']"),
     ("labels", ["L", 1], "labels must be a list of distinct strings, got ['L', 1]"),
+    # a repeated wave would pair a wave with itself, and a decade runs forward
+    ("waves", [1960, 1960, 1970], "waves must be increasing, got [1960, 1960, 1970]"),
+    ("waves", [1970, 1960], "waves must be increasing, got [1970, 1960]"),
     ("tol", float("nan"), "tol must be positive and finite, got nan"),
     ("tol", 0, "tol must be positive and finite, got 0"),
     ("tol", -1e-10, "tol must be positive and finite, got -1e-10"),
@@ -1504,17 +1507,23 @@ LOADER_LINES = {
 }
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
 @pytest.mark.parametrize("defect", ["not-utf8", "long-field"])
 @pytest.mark.parametrize("loader", sorted(LOADER_LINES))
 def test_cli_refuses_undecodable_bytes_or_an_overlong_field_in_one_line(
-        tmp_path, loader, defect):
+        tmp_path, loader, defect, quoted):
     # both used to escape the CSV reader as an exit-1 traceback: a
-    # UnicodeDecodeError, and _csv.Error "field larger than field limit"
+    # UnicodeDecodeError, and _csv.Error "field larger than field limit".
+    # Quoted, each state spans two lines and the defect sits on the second
+    # line of the second: the line reported is the bad byte's, or the one
+    # where the field passes the limit, not the line its record starts on
     header, line = LOADER_LINES[loader]
     state = (b"Iow\xe9" if defect == "not-utf8"
              else b"x" * (csv.field_size_limit() + 1))
+    good, bad = (b'"Io\r\nwa"', b'"Io\r\n' + state + b'"') if quoted else (b"Iowa", state)
     path = tmp_path / f"{loader}.csv"
-    path.write_bytes(f"{header}\r\n{line}\r\n".encode() + line.encode().replace(b"Iowa", state))
+    path.write_bytes(f"{header}\r\n".encode() + line.encode().replace(b"Iowa", good) + b"\r\n"
+                     + line.encode().replace(b"Iowa", bad))
     data = ["--couples", str(path if loader == "couples" else FIXTURES / "synthetic_panel.csv")]
     if loader != "couples":
         data += [f"--{loader}", str(path)]
@@ -1525,7 +1534,7 @@ def test_cli_refuses_undecodable_bytes_or_an_overlong_field_in_one_line(
     assert isinstance(result.exception, SystemExit)
     why = ("not UTF-8 text" if defect == "not-utf8"
            else f"field larger than field limit ({csv.field_size_limit()})")
-    assert result.output == f"Error: {path}: line 3: {why}\n"
+    assert result.output == f"Error: {path}: line {5 if quoted else 3}: {why}\n"
     assert not out.exists()
 
 
