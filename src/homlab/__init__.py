@@ -12,22 +12,13 @@ import importlib
 # numpy) only when one of its names is first read (PEP 562)
 _EXPORTS = {
     "counterfactual": ("CounterfactualResult", "fit"),
-    "decomposition": (
-        "DecompositionResult", "decompose", "decompose_counts",
-    ),
-    "indicators": (
-        "CONTINUOUS", "PAPER_INTEGER", "LiuLuDecomposition", "MspComponents",
-        "RegressionPair", "SurplusMatrix", "aggregate_msp", "correlation",
-        "covariance", "determinant", "gll", "ll_simplified", "odds_ratio",
-        "regression", "surplus_matrix", "v_value",
-    ),
+    "decomposition": ("DecompositionResult", "decompose"),
+    "indicators": ("CONTINUOUS", "PAPER_INTEGER", "evaluate", "gll"),
     "tables": (
         "ContingencyTable", "Marginals", "TableWithSingles", "homogamy_share",
         "marginals", "merge_categories",
     ),
-    "trend": (
-        "DecadeChange", "TrendStats", "classify_u_shape", "income_consistency", "score",
-    ),
+    "trend": ("DecadeChange", "TrendStats", "income_consistency", "score"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

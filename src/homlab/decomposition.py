@@ -80,11 +80,16 @@ def _fitted_shares(method, sources, targets, singles, target_singles, rounding, 
 
 
 def _decompose_columns(early, late, method, scheme, rounding, tol, max_iter, singles):
-    """The stacked core of :func:`decompose_counts`: the
-    :data:`DECOMPOSITION_COLUMNS` by name, each a list of floats over the
-    pairs (the interaction all None under ``sequential``), and each pair's
-    error or None; a failed pair's values carry no meaning, and its forward
-    fit's error comes first.
+    """:func:`decompose` on each pair ``(early[i], late[i])`` of two stacks
+    of square tables of one shape, (P, n, n), with the early and the late
+    (single men, single women) stacks in ``singles`` for ``csa``.
+
+    Returns the :data:`DECOMPOSITION_COLUMNS` by name, each a list of floats
+    over the pairs (the interaction all None under ``sequential``), and each
+    pair's error or None. Pair ``i``'s values are the ones ``decompose``
+    reports, bit for bit, and its error the one it raises; a failed pair's
+    values carry no meaning, and its forward fit's error comes first. The
+    scheme is not checked here.
 
     Each side's shares come from one :func:`~homlab.tables.homogamy_shares`
     call, each direction's fits from one
@@ -106,34 +111,6 @@ def _decompose_columns(early, late, method, scheme, rounding, tol, max_iter, sin
             interaction = (shares_late - shares_early - nonstructural - structural).tolist()
     values = (shares_early, shares_late, shares_cf, nonstructural, structural)
     return dict(zip(DECOMPOSITION_COLUMNS, [*(v.tolist() for v in values), interaction])), errors
-
-
-def decompose_counts(
-    early: np.ndarray,
-    late: np.ndarray,
-    method: str = "nm",
-    scheme: str = SEQUENTIAL,
-    rounding: str = PAPER_INTEGER,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    singles=(None, None),
-) -> list[DecompositionResult | Exception]:
-    """:func:`decompose` on each pair ``(early[i], late[i])`` of two stacks
-    of square tables of one shape, (P, n, n), with the early and the late
-    (single men, single women) stacks in ``singles`` for ``csa``.
-
-    The stacked core's columns as results: entry ``i`` is what ``decompose``
-    returns on pair ``i``, bit for bit, or the error it raises.
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme: {scheme!r}")
-    if not len(early):
-        return []
-    columns, errors = _decompose_columns(early, late, method, scheme, rounding, tol,
-                                         max_iter, singles)
-    name = _METHODS.get(method, (method,))[0]  # an unknown method fails every pair
-    return [DecompositionResult(name, scheme, *row) if error is None else error
-            for error, *row in zip(errors, *columns.values())]
 
 
 def decompose(
@@ -159,7 +136,7 @@ def decompose(
 
     The pair is checked first: the category labels of its two tables, the
     square tables the share needs, and for ``csa`` the early singles. It is
-    then :func:`decompose_counts` on stacks of one, and raises that pair's
+    then :func:`_decompose_columns` on stacks of one, and raises that pair's
     error.
     """
     if scheme not in SCHEMES:
@@ -174,11 +151,11 @@ def decompose(
                if isinstance(t, TableWithSingles) else None for t in (early, late)]
     if singles[0] is None and method == "csa":
         raise ShapeError("the surplus-based method needs singles on both sides")
-    (result,) = decompose_counts(early_c.counts[None], late_c.counts[None], method, scheme,
-                                 rounding, tol, max_iter, singles)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    columns, (error,) = _decompose_columns(early_c.counts[None], late_c.counts[None], method,
+                                           scheme, rounding, tol, max_iter, singles)
+    if error is not None:
+        raise error
+    return DecompositionResult(_METHODS[method][0], scheme, *(v[0] for v in columns.values()))
 
 
 def decade_label(start_year: int) -> str:

@@ -7,9 +7,15 @@ table the cells are referred to as::
         a  b      a = low-low couples,  b = low-high,
         c  d      c = high-low,         d = high-high.
 
-The scalar measures are defined on 2x2 tables; the matrix-valued measure
-aggregates an n-by-m table into every ordered 2x2 coarsening and evaluates
-the scalar ratio measure on each. ``evaluate_stack`` is the one map from a
+Eight measures are defined on 2x2 tables: the odds ratio ``ad / bc``
+(``or``), the determinant ``ad - bc`` (``det``, also on any square table),
+the covariance and correlation coefficients (``cov``, ``corr``), both
+regression slopes (``reg``), the marital sorting parameter relative to
+random matching (``msp``), the V-value, a position between random (0) and
+maximal (1) sorting (``v``), and LL, the normalized excess of high-high
+couples over the random benchmark (``ll``). ``msm`` divides the couples by
+the geometric mean of the singles pools, and ``gll`` is LL on every ordered
+2x2 coarsening of an n-by-m table. ``evaluate_stack`` is the one map from a
 tag of ``INDICATOR_TAGS`` to its measure; ``evaluate`` is it on one table.
 """
 
@@ -26,61 +32,6 @@ from .tables import ContingencyTable, TableWithSingles, _block_sum, couples_of
 PAPER_INTEGER = "paper-integer"
 CONTINUOUS = "continuous"
 ROUNDING_MODES = (PAPER_INTEGER, CONTINUOUS)
-
-
-@dataclass(frozen=True)
-class RegressionPair:
-    """Both slope coefficients of the dichotomous education regressions.
-
-    ``beta_wm`` explains the wife's education level (0/1) by the husband's,
-    ``beta_mw`` the other way around. Both share the sign of ``ad - bc``.
-    """
-
-    beta_wm: float
-    beta_mw: float
-
-
-@dataclass(frozen=True)
-class MspComponents:
-    """Local and aggregate marital sorting parameters under random matching.
-
-    ``msp_l`` (``msp_h``) is the observed low-low (high-high) couple share
-    relative to its share under random matching; ``aggregate`` is their
-    average weighted by the observed diagonal counts. All three equal 1 on an
-    independence table.
-    """
-
-    msp_l: float
-    msp_h: float
-    aggregate: float
-
-
-@dataclass(frozen=True)
-class LiuLuDecomposition:
-    """Intermediate quantities of the normalized excess-homogamy ratio.
-
-    ``r`` is the expected high-high count under random matching, ``int_r``
-    its floor (or ``r`` itself in continuous mode), ``d_obs`` the observed
-    high-high count and ``d_max`` the largest high-high count feasible for
-    the marginals. ``value`` is ``(d_obs - int_r) / (d_max - int_r)``.
-    ``negative_sorting`` flags tables where the observed count falls short of
-    the random benchmark; the value is then the signed ratio.
-    """
-
-    r: float
-    int_r: float
-    d_obs: float
-    d_max: float
-    value: float
-    rounding: str = PAPER_INTEGER
-    negative_sorting: bool = False
-
-
-@dataclass(frozen=True)
-class SurplusMatrix:
-    """Couple counts normalized by the geometric mean of the singles pools."""
-
-    values: np.ndarray
 
 
 # Kernels: each 2x2 formula once, elementwise over the block sums ``a, b, c,
@@ -171,7 +122,8 @@ def _ll(a, b, c, d, rounding: str):
     (d_max - rho)``; ``undefined`` marks the splits where that denominator is
     zero, and ``value`` is NaN there. The operation order is the one of the
     scalar formula, so a split gives the same bits whether it is evaluated
-    alone or with the others.
+    alone or with the others. A split with fewer high-high couples than
+    ``rho`` gets the signed (negative) value.
     """
     _check_rounding(rounding)
     cd = c + d
@@ -237,86 +189,12 @@ INDICATOR_TAGS = ("or", "det", "cov", "corr", "reg", "msp", "v", "msm", "ll", "g
 SCALAR_TAGS = tuple(tag for tag in INDICATOR_TAGS if tag in _TWO_BY_TWO)
 
 
-def _outputs(tag: str, table: ContingencyTable, rounding: str) -> list[float]:
-    """Every output of ``tag``'s kernel on a 2x2 table, as floats.
-
-    The kernel runs on the table as a stack of one. Raises the tag's
-    ShapeError off 2x2, then ValueError on an unknown rounding mode, then
-    its UndefinedIndicatorError where the measure is undefined.
-    """
-    measure = _TWO_BY_TWO[tag]
-    *values, undefined = measure.run(table.counts[None], rounding)
-    if undefined[0]:
-        raise _undefined_error(tag, table.counts)
-    return [float(v[0]) for v in values]
-
-
 def _undefined_error(tag: str, counts: np.ndarray) -> UndefinedIndicatorError:
     """The error of a table where the indicator ``tag`` (not ``gll``) is undefined."""
     message = _SURPLUS_UNDEFINED if tag == "msm" else _TWO_BY_TWO[tag].undefined
     return UndefinedIndicatorError(
         message if isinstance(message, str) else message(*counts.ravel())
     )
-
-
-def odds_ratio(table: ContingencyTable) -> float:
-    """``ad / bc``; positive infinity when ``bc = 0`` while ``ad > 0``."""
-    return _outputs("or", table, PAPER_INTEGER)[0]
-
-
-def determinant(table: ContingencyTable) -> float:
-    """``ad - bc``. Scales with the square of the population size."""
-    return _outputs("det", table, PAPER_INTEGER)[0]
-
-
-def covariance(table: ContingencyTable) -> float:
-    """Determinant normalized by the squared total; scale free."""
-    return _outputs("cov", table, PAPER_INTEGER)[0]
-
-
-def correlation(table: ContingencyTable) -> float:
-    """Determinant normalized by the geometric mean of the marginal products."""
-    return _outputs("corr", table, PAPER_INTEGER)[0]
-
-
-def regression(table: ContingencyTable) -> RegressionPair:
-    """Slopes of regressing one partner's 0/1 education on the other's."""
-    return RegressionPair(*_outputs("reg", table, PAPER_INTEGER))
-
-
-def aggregate_msp(table: ContingencyTable) -> MspComponents:
-    """Marital sorting parameters relative to random matching."""
-    return MspComponents(*_outputs("msp", table, PAPER_INTEGER))
-
-
-def v_value(table: ContingencyTable) -> float:
-    """Determinant over one marginal product, the branch picked by ``b >= c``.
-
-    Equals the weight that projects the table onto the segment between its
-    random-matching and perfectly-assortative benchmarks, so it reads as a
-    position between no sorting (0) and maximal sorting (1).
-    """
-    return _outputs("v", table, PAPER_INTEGER)[0]
-
-
-def ll_simplified(
-    table: ContingencyTable, rounding: str = PAPER_INTEGER
-) -> LiuLuDecomposition:
-    """Normalized excess of high-high couples over the random benchmark.
-
-    ``value = (d - int(R)) / (min(b + d, c + d) - int(R))`` where
-    ``R = (c + d)(b + d) / N`` is the high-high count expected under random
-    matching. ``int()`` is the floor in ``paper-integer`` mode, matching the
-    integer-count origin of the formula, and the identity in ``continuous``
-    mode, which is the well-posed choice on real-valued (rescaled or fitted)
-    tables. Nonnegative sorting puts the value in [0, 1]; tables with fewer
-    high-high couples than the random benchmark yield the signed value and
-    are flagged.
-    """
-    r, int_r, d_max, value = _outputs("ll", table, rounding)
-    d = float(table.counts[1, 1])
-    return LiuLuDecomposition(r=r, int_r=int_r, d_obs=d, d_max=d_max, value=value,
-                              rounding=rounding, negative_sorting=d < int_r)
 
 
 def _split_sums(counts: np.ndarray) -> np.ndarray:
@@ -342,13 +220,14 @@ def _split_sums(counts: np.ndarray) -> np.ndarray:
 def gll(table: ContingencyTable, rounding: str = PAPER_INTEGER) -> np.ndarray:
     """Matrix of LL values over every ordered 2x2 coarsening.
 
-    Entry ``(j, k)`` (0-based) is ``ll_simplified`` of the aggregation that
-    groups rows ``1..j+1`` against the rest and columns ``1..k+1`` against
-    the rest; a 2x2 input yields the 1x1 matrix of its scalar value. The
-    split sums are read straight off the counts and one LL kernel, shared
-    with ``ll_simplified`` and the NM inversion, evaluates every split at
-    once, bit for bit equal to ``ll_simplified`` of the 2x2 table that
-    ``merge_categories`` makes at that split.
+    Entry ``(j, k)`` (0-based) is the ``ll`` indicator of the aggregation
+    that groups rows ``1..j+1`` against the rest and columns ``1..k+1``
+    against the rest; a 2x2 input yields the 1x1 matrix of its ``ll`` value.
+    The split sums are read straight off the counts and one LL kernel,
+    shared with ``evaluate("ll", ...)`` and the NM inversion, evaluates every
+    split at once, bit for bit equal to ``ll`` of the 2x2 table that
+    ``merge_categories`` makes at that split. This is ``evaluate``'s ``gll``
+    case, as a matrix.
     Entries are independent; if any are undefined, a
     :class:`~homlab.errors.GllUndefinedError` reports every failing split and
     carries the partial matrix.
@@ -373,15 +252,6 @@ def _surplus(counts, single_men, single_women):
     undefined = (single_men <= 0).any(axis=-1) | (single_women <= 0).any(axis=-1)
     denom = np.sqrt(single_men[..., :, None] * single_women[..., None, :])
     return counts / np.where(undefined[..., None, None], np.nan, denom), undefined
-
-
-def surplus_matrix(tws: TableWithSingles) -> SurplusMatrix:
-    """Couples normalized by the singles pools they are drawn against.
-
-    ``values[i, j] = couples[i, j] / sqrt(single_men[i] * single_women[j])``.
-    Requires every singles count to be positive.
-    """
-    return SurplusMatrix(values=evaluate("msm", tws).reshape(tws.couples.counts.shape))
 
 
 def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:

@@ -44,7 +44,7 @@ from .decomposition import (DECOMPOSITION_COLUMNS, SCHEMES, SEQUENTIAL, WITH_INT
                             _decompose_columns, cumulate, decade_label)
 from .errors import DataError, HomlabError, TableError
 from .tables import ContingencyTable, _block_sum, _refused, homogamy_shares
-from .trend import DecadeChange
+from .trend import FIRST_HALF_LAST_STATE, DecadeChange
 
 THREE_LEVEL = "three"
 HS_CUT = "hs"
@@ -81,7 +81,7 @@ class RunConfig:
     seed: int = 0
     sample_count: int = 200
     include_unknown: bool = False
-    split_state: str = "Mississippi"
+    split_state: str = FIRST_HALF_LAST_STATE
 
     def __post_init__(self):
         if not isinstance(self.waves, (list, tuple)):
@@ -99,6 +99,10 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "a number" if kind is Real else "an integer"
                 raise DataError(f"{name} must be {what}, got {value!r}")
+        for name, kind, what in (("include_unknown", bool, "true or false"),
+                                 ("split_state", str, "a string")):
+            if not isinstance(getattr(self, name), kind):  # "no" would read as true
+                raise DataError(f"{name} must be {what}, got {getattr(self, name)!r}")
         if any(early >= late for early, late in zip(self.waves, self.waves[1:])):
             # a decade runs from one wave to the next, later one
             raise DataError(f"waves must be increasing, got {self.waves!r}")
@@ -116,7 +120,8 @@ class RunConfig:
             object.__setattr__(self, name, tag.lower())
         if self.categories not in CATEGORY_SCHEMES:
             raise DataError(f"unknown category scheme: {self.categories!r}")
-        rounding = _ROUNDING_ALIASES.get(self.rounding)
+        # a list or an object is no mode, and not a key to look up
+        rounding = _ROUNDING_ALIASES.get(self.rounding) if isinstance(self.rounding, str) else None
         if rounding is None:
             raise DataError(f"unknown rounding mode: {self.rounding!r}")
         object.__setattr__(self, "rounding", rounding)

@@ -82,28 +82,6 @@ def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def classify_u_shape(deltas: Mapping[str, float]) -> dict[str, bool]:
-    """Flag each decade's change as matching the U-shaped template.
-
-    Declines count for the 1960s, 1970s and 1980s, rises for the 1990s and
-    2000s; an exactly zero change is inconsistent either way. Decades outside
-    the template are ignored.
-    """
-    flags = {}
-    for decade, delta in deltas.items():
-        flag = _u_shape_flag(decade, delta)
-        if flag is not None:
-            flags[decade] = flag
-    return flags
-
-
-def _u_shape_flag(decade: str, delta: float) -> bool | None:
-    """Whether ``delta`` has the template's sign for ``decade``; None for a
-    decade outside the template."""
-    expected = U_SHAPE_SIGNS.get(decade)
-    return None if expected is None else _sign(delta) == expected
-
-
 def income_consistency(
     changes: Iterable[DecadeChange],
     income_deltas: Mapping[tuple[str, str], float],
@@ -157,7 +135,8 @@ def score(
             n_alpha_total += 1
         else:
             n_omega_total += 1
-        if _u_shape_flag(change.decade, change.delta):
+        # a zero change, or a decade outside the template, is not U-shaped
+        if _sign(change.delta) == U_SHAPE_SIGNS.get(change.decade):
             n_u += 1
         if income_flags.get((change.state, change.decade)):
             if first_half:

@@ -19,14 +19,7 @@ import homlab.criteria as cr
 from homlab.counterfactual import fit
 from homlab.decomposition import SEQUENTIAL, WITH_INTERACTION, decompose
 from homlab.errors import InfeasibilityError, UndefinedWeightError
-from homlab.indicators import (
-    PAPER_INTEGER,
-    gll,
-    ll_simplified,
-    odds_ratio,
-    surplus_matrix,
-    v_value,
-)
+from homlab.indicators import PAPER_INTEGER, evaluate, gll
 from homlab.io import (
     RunConfig,
     decade_changes,
@@ -37,7 +30,7 @@ from homlab.io import (
 from homlab.tables import ContingencyTable, TableWithSingles, marginals, pam_counts, random_counts
 from homlab.trend import score
 
-from test_indicators import integer_benchmark_tables
+from test_indicators import integer_benchmark_tables, kernel_outputs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -73,10 +66,10 @@ def test_ratio_equivalence_mass():
     tables = integer_benchmark_tables(rng, 1000)
     worst = 0.0
     for t in tables:
-        dec = ll_simplified(t, PAPER_INTEGER)
-        assert dec.int_r == dec.r
-        assert not dec.negative_sorting
-        worst = max(worst, abs(dec.value - v_value(t)))
+        r, rho, _, value = kernel_outputs("ll", t, PAPER_INTEGER)
+        assert rho == r
+        assert t.counts[1, 1] >= rho  # no negative sorting
+        worst = max(worst, abs(value - evaluate("v", t)[0]))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12, worst
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -123,8 +116,8 @@ def _assert_marginals(result, target, csa_singles=None):
 
 def _assert_factor(method, src, tgt, result):
     if method == "ipf":
-        assert odds_ratio(result.table) == pytest.approx(
-            odds_ratio(src), rel=1e-9
+        assert evaluate("or", result.table)[0] == pytest.approx(
+            evaluate("or", src)[0], rel=1e-9
         )
     elif method == "mdba":
         (a, b), (c, d) = src.counts
@@ -148,7 +141,7 @@ def _assert_factor(method, src, tgt, result):
             np.array(result.diagnostics["single_women"]),
         )
         assert np.allclose(
-            surplus_matrix(refit).values, surplus_matrix(src).values,
+            evaluate("msm", refit), evaluate("msm", src),
             rtol=1e-9, atol=1e-9,
         )
 

@@ -19,7 +19,7 @@ from homlab.errors import (
     UndefinedIndicatorError,
     UndefinedWeightError,
 )
-from homlab.indicators import CONTINUOUS, PAPER_INTEGER, gll, odds_ratio, surplus_matrix
+from homlab.indicators import CONTINUOUS, PAPER_INTEGER, evaluate, gll
 from homlab.tables import (
     ContingencyTable,
     Marginals,
@@ -82,7 +82,7 @@ def test_ipf_fixpoint():
 def test_ipf_known_solution():
     result = fit("ipf", BASE, Marginals([60, 40], [50, 50]))
     assert np.allclose(result.table.counts, [[40, 20], [10, 30]], atol=1e-8)
-    assert odds_ratio(result.table) == pytest.approx(6.0, rel=1e-9)
+    assert evaluate("or", result.table)[0] == pytest.approx(6.0, rel=1e-9)
 
 
 def test_ipf_scaling_target():
@@ -459,7 +459,7 @@ def test_csa_preserves_surplus_matrix():
         np.array(result.diagnostics["single_women"]),
     )
     assert np.allclose(
-        surplus_matrix(refit).values, surplus_matrix(tws).values, atol=1e-9
+        evaluate("msm", refit), evaluate("msm", tws), atol=1e-9
     )
 
 
@@ -467,7 +467,7 @@ def test_csa_against_grid_search_oracle():
     """Coarse-to-fine grid search over the men's singles vector, solving the
     women's side exactly, must land on the fixed point's singles."""
     tws = couples_with_singles()
-    msm = surplus_matrix(tws).values
+    msm = evaluate("msm", tws).reshape(tws.couples.counts.shape)
     men = 2 * tws.men_population()
     women = 2 * tws.women_population()
 
@@ -522,7 +522,7 @@ def test_csa_nonconvergence_names_the_residual():
     tws = couples_with_singles()
     with pytest.raises(ConvergenceError, match=r"in 1 iterations \(residual "):
         solve_csa(
-            surplus_matrix(tws).values,
+            evaluate("msm", tws).reshape(tws.couples.counts.shape),
             2 * tws.men_population(),
             tws.women_population(),
             max_iter=1,

@@ -33,7 +33,7 @@ from homlab.errors import (
     InfeasibilityError,
     UndefinedIndicatorError,
 )
-from homlab.indicators import CONTINUOUS, aggregate_msp, evaluate, evaluate_stack
+from homlab.indicators import CONTINUOUS, evaluate, evaluate_stack
 from homlab.tables import (
     ContingencyTable,
     Marginals,
@@ -45,6 +45,8 @@ from homlab.tables import (
     merge_categories,
     pam_counts,
 )
+
+from test_indicators import kernel_outputs
 
 
 def table(counts):
@@ -549,7 +551,7 @@ def test_stacked_merge_cell_raises_the_loops_fit_error(monkeypatch, max_iter, to
 
 def _ref_evaluator(tag, criterion):
     if tag == "msp" and criterion in ("AC4", "AC5.1", "AC5.2", "AC5.3"):
-        return lambda s: np.array([aggregate_msp(couples_of(s)).msp_l])
+        return lambda s: np.array([kernel_outputs("msp", couples_of(s))[0]])
     return lambda s: evaluate(tag, s, CONTINUOUS)
 
 

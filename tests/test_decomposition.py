@@ -1,15 +1,18 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from homlab.decomposition import (
+    DECOMPOSITION_COLUMNS,
     SEQUENTIAL,
     WITH_INTERACTION,
+    _decompose_columns,
     decompose,
-    decompose_counts,
 )
 from homlab.errors import HomlabError, ShapeError
+from homlab.indicators import PAPER_INTEGER
 from homlab.io import PanelDataset, RunConfig, trend_series
 from homlab.tables import (ContingencyTable, TableWithSingles, couples_of, homogamy_share,
                            marginals)
@@ -155,10 +158,10 @@ def _stacked(tables):
 @pytest.mark.parametrize("method", ["ipf", "mdba", "meda", "csa", "nm"])
 @pytest.mark.parametrize("scheme", [SEQUENTIAL, WITH_INTERACTION])
 def test_decompose_stack_is_decompose_on_each_pair(method, scheme):
-    # decompose_counts on a stack of 2x2 pairs, one of 3x3 pairs, and a pair
+    # the stacked core on a stack of 2x2 pairs, one of 3x3 pairs, and a pair
     # whose late table has no singles, each in one call, with pairs whose
-    # fits fail: entry i is decompose's result on pair i, bit for bit, or
-    # its error with class and message
+    # fits fail: pair i's values are decompose's result on pair i, bit for
+    # bit, or its error is the one decompose raises, with class and message
     rng = np.random.default_rng(29)
     three = ("L", "M", "H")
 
@@ -174,20 +177,23 @@ def test_decompose_stack_is_decompose_on_each_pair(method, scheme):
     kinds, done = set(), 0
     for pairs in stacks:
         sides = [_stacked([pair[side] for pair in pairs]) for side in (0, 1)]
-        outcomes = decompose_counts(sides[0][0], sides[1][0], method, scheme,
-                                    singles=[sides[0][1], sides[1][1]])
-        assert len(outcomes) == len(pairs)
-        for (early, late), outcome in zip(pairs, outcomes):
+        columns, errors = _decompose_columns(sides[0][0], sides[1][0], method, scheme,
+                                             PAPER_INTEGER, 1e-10, 10000,
+                                             [sides[0][1], sides[1][1]])
+        assert tuple(columns) == DECOMPOSITION_COLUMNS
+        assert len(errors) == len(pairs) and {len(c) for c in columns.values()} == {len(pairs)}
+        for (early, late), error, *values in zip(pairs, errors, *columns.values()):
             try:
                 expected = decompose(early, late, method, scheme)
             except (HomlabError, ValueError) as exc:
-                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+                assert type(error) is type(exc) and str(error) == str(exc)
                 kinds.add(type(exc).__name__)
                 continue
+            assert error is None
             assert [np.float64(v).tobytes() if isinstance(v, float) else v
-                    for v in dataclasses.astuple(outcome)] == [
+                    for v in values] == [
                 np.float64(v).tobytes() if isinstance(v, float) else v
-                for v in dataclasses.astuple(expected)]
+                for v in dataclasses.astuple(expected)[2:]]
             done += 1
     assert done >= 10 and (method not in ("csa", "mdba") or "ShapeError" in kinds)
 
@@ -214,11 +220,16 @@ def test_decompose_checks_the_pair_before_any_fit_in_order():
         decompose(EARLY, LATE, "NM")
 
 
-def test_decompose_stack_refuses_an_unknown_scheme_first():
+def test_decompose_stack_of_no_pairs_is_empty():
+    # a run whose waves pair nothing; the scheme is checked by decompose
+    # and RunConfig, before any stack is built
     empty = np.zeros((0, 2, 2))
-    with pytest.raises(ValueError, match="unknown scheme"):
-        decompose_counts(empty, empty, "nm", "shapley")
-    assert decompose_counts(empty, empty, "nm") == []
+    for scheme, (method, singles) in itertools.product(
+            (SEQUENTIAL, WITH_INTERACTION),
+            (("nm", [None, None]), ("csa", [(np.zeros((0, 2)),) * 2] * 2))):
+        columns, errors = _decompose_columns(empty, empty, method, scheme, PAPER_INTEGER,
+                                             1e-10, 10000, singles)
+        assert columns == {name: [] for name in DECOMPOSITION_COLUMNS} and errors == []
 
 
 # ---------------------------------------------------------------------------

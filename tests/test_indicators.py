@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -18,18 +17,9 @@ from homlab.indicators import (
     INDICATOR_TAGS,
     PAPER_INTEGER,
     SCALAR_TAGS,
-    aggregate_msp,
-    correlation,
-    covariance,
-    determinant,
     evaluate,
     evaluate_stack,
     gll,
-    ll_simplified,
-    odds_ratio,
-    regression,
-    surplus_matrix,
-    v_value,
 )
 from homlab.io import RunConfig, indicator_rows, load_couples
 from homlab.tables import (
@@ -55,88 +45,106 @@ def random_positive_2x2(rng, high=51):
     return table(rng.integers(1, high, size=(2, 2)))
 
 
+def kernel_outputs(tag, t, rounding=PAPER_INTEGER):
+    """Every output of ``tag``'s 2x2 kernel on the table ``t``, as floats,
+    the ones ``evaluate`` does not report too: MSP's ``(msp_l, msp_h,
+    aggregate)`` and LL's ``(r, rho, d_max, value)``, which the ``msp``
+    criteria facet and the ``nm`` inversion read. Raises the measure's
+    UndefinedIndicatorError where it is undefined."""
+    *values, undefined = indicators._TWO_BY_TWO[tag].run(t.counts[None], rounding)
+    if undefined[0]:
+        raise indicators._undefined_error(tag, t.counts)
+    return [float(v[0]) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # definitions on worked examples
 # ---------------------------------------------------------------------------
 
 def test_odds_ratio_values():
-    assert odds_ratio(BASE) == pytest.approx(6.0)
-    assert odds_ratio(INDEP) == pytest.approx(1.0)
-    assert odds_ratio(DIAG) == math.inf
+    assert evaluate("or", BASE)[0] == pytest.approx(6.0)
+    assert evaluate("or", INDEP)[0] == pytest.approx(1.0)
+    assert evaluate("or", DIAG)[0] == math.inf
 
 
 def test_odds_ratio_zero_and_undefined_cases():
-    assert odds_ratio(table([[0, 5], [5, 0]])) == 0.0
+    assert evaluate("or", table([[0, 5], [5, 0]]))[0] == 0.0
     with pytest.raises(UndefinedIndicatorError):
-        odds_ratio(table([[0, 5], [0, 5]]))
+        evaluate("or", table([[0, 5], [0, 5]]))
 
 
 def test_det_family_values():
-    assert determinant(BASE) == 1000
-    assert correlation(BASE) == pytest.approx(0.40825, abs=1e-5)
-    assert covariance(INDEP) == 0
-    pair = regression(BASE)
-    assert pair.beta_wm == pytest.approx(1000 / (50 * 50))
-    assert pair.beta_mw == pytest.approx(1000 / (60 * 40))
+    assert evaluate("det", BASE)[0] == 1000
+    assert evaluate("corr", BASE)[0] == pytest.approx(0.40825, abs=1e-5)
+    assert evaluate("cov", INDEP)[0] == 0
+    beta_wm, beta_mw = evaluate("reg", BASE)
+    assert beta_wm == pytest.approx(1000 / (50 * 50))
+    assert beta_mw == pytest.approx(1000 / (60 * 40))
 
 
 def test_indicators_require_2x2():
-    wide = table([[1, 2, 3], [4, 5, 6]])
-    for fn in (odds_ratio, determinant, covariance, correlation, regression,
-               aggregate_msp, v_value, ll_simplified):
-        with pytest.raises(ShapeError):
-            fn(wide)
+    # the determinant alone is defined on any square table
+    wide, square = table([[1, 2, 3], [4, 5, 6]]), table(np.arange(1.0, 10.0).reshape(3, 3))
+    for tag in SCALAR_TAGS:
+        if tag == "det":
+            with pytest.raises(UndefinedIndicatorError, match="needs a square table"):
+                evaluate(tag, wide)
+            assert evaluate(tag, square)[0] == pytest.approx(0.0, abs=1e-9)
+            continue
+        for t in (wide, square):
+            with pytest.raises(ShapeError, match="is defined for 2x2 tables"):
+                evaluate(tag, t)
 
 
 def test_aggregate_msp_values():
-    parts = aggregate_msp(BASE)
-    assert parts.msp_l == pytest.approx(1.3333, abs=1e-4)
-    assert parts.msp_h == pytest.approx(1.5, abs=1e-9)
-    assert parts.aggregate == pytest.approx(1.40476, abs=1e-4)
-    assert aggregate_msp(INDEP).aggregate == pytest.approx(1.0)
-    perfect = aggregate_msp(DIAG)
-    assert (perfect.msp_l, perfect.msp_h, perfect.aggregate) == (2, 2, 2)
+    msp_l, msp_h, aggregate = kernel_outputs("msp", BASE)
+    assert msp_l == pytest.approx(1.3333, abs=1e-4)
+    assert msp_h == pytest.approx(1.5, abs=1e-9)
+    assert aggregate == pytest.approx(1.40476, abs=1e-4)
+    assert evaluate("msp", BASE).tolist() == [aggregate]
+    assert evaluate("msp", INDEP)[0] == pytest.approx(1.0)
+    assert kernel_outputs("msp", DIAG) == [2, 2, 2]
 
 
 def test_msp_undefined_on_empty_diagonal():
     with pytest.raises(UndefinedIndicatorError):
-        aggregate_msp(table([[0, 5], [5, 0]]))
+        evaluate("msp", table([[0, 5], [5, 0]]))
 
 
 def test_v_value_branches():
-    assert v_value(BASE) == pytest.approx(0.5)       # c > b branch
-    assert v_value(INDEP) == 0
-    assert v_value(table([[30, 20], [20, 30]])) == pytest.approx(0.2)  # tie b = c
+    assert evaluate("v", BASE)[0] == pytest.approx(0.5)       # c > b branch
+    assert evaluate("v", INDEP)[0] == 0
+    assert evaluate("v", table([[30, 20], [20, 30]]))[0] == pytest.approx(0.2)  # tie b = c
 
 
 def test_ll_simplified_values():
-    dec = ll_simplified(BASE)
-    assert dec.r == pytest.approx(20.0)
-    assert dec.int_r == 20
-    assert dec.value == pytest.approx(0.5)
-    assert not dec.negative_sorting
-    # plain Python scalars, not NumPy ones from the shared kernel
-    assert {type(x) for x in (dec.r, dec.int_r, dec.d_max, dec.value)} == {float}
-    assert type(dec.negative_sorting) is bool
+    r, rho, d_max, value = kernel_outputs("ll", BASE)
+    assert r == pytest.approx(20.0)
+    assert rho == 20
+    assert d_max == 40
+    assert value == pytest.approx(0.5)
+    assert evaluate("ll", BASE).tolist() == [value]
+    assert BASE.counts[1, 1] >= rho  # no negative sorting
 
-    perfect = ll_simplified(DIAG)
-    assert perfect.r == pytest.approx(25.0)
-    assert perfect.value == pytest.approx(1.0)
+    r, _, _, value = kernel_outputs("ll", DIAG)
+    assert r == pytest.approx(25.0)
+    assert value == pytest.approx(1.0)
 
-    indep = ll_simplified(table([[24, 16], [36, 24]]))
-    assert indep.r == 24.0
-    assert indep.value == 0.0
+    r, _, _, value = kernel_outputs("ll", table([[24, 16], [36, 24]]))
+    assert r == 24.0
+    assert value == 0.0
 
 
 def test_ll_negative_sorting_flagged_and_signed():
-    dec = ll_simplified(table([[10, 30], [30, 30]]))
-    assert dec.negative_sorting
-    assert dec.value == pytest.approx(-0.25)
+    t = table([[10, 30], [30, 30]])
+    _, rho, _, _ = kernel_outputs("ll", t)
+    assert t.counts[1, 1] < rho
+    assert evaluate("ll", t)[0] == pytest.approx(-0.25)
 
 
 def test_ll_rejects_unknown_rounding():
     with pytest.raises(ValueError):
-        ll_simplified(BASE, "round-half-up")
+        evaluate("ll", BASE, "round-half-up")
 
 
 def test_gll_examples():
@@ -183,13 +191,13 @@ def merged_at(t, j, k):
 
 
 def reference_gll(t, rounding):
-    """``ll_simplified`` of every merged 2x2 aggregation, one split at a time."""
+    """``ll`` of every merged 2x2 aggregation, one split at a time."""
     out = np.full((t.n_rows - 1, t.n_cols - 1), np.nan)
     failures = []
     for j in range(1, t.n_rows):
         for k in range(1, t.n_cols):
             try:
-                out[j - 1, k - 1] = ll_simplified(merged_at(t, j, k), rounding).value
+                out[j - 1, k - 1] = evaluate("ll", merged_at(t, j, k), rounding)[0]
             except UndefinedIndicatorError as exc:
                 failures.append((j, k, str(exc)))
     return out, failures
@@ -249,7 +257,7 @@ def test_aggregate_2x2_matches_manual_blocks():
     t = table([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     agg = merged_at(t, 2, 1)
     assert agg.counts.tolist() == [[5, 16], [7, 17]]
-    assert gll(t)[1, 0] == ll_simplified(agg).value
+    assert gll(t)[1, 0] == evaluate("ll", agg)[0]
     # a split past the last category leaves an empty block
     with pytest.raises(PartitionError):
         merged_at(t, 3, 1)
@@ -257,17 +265,17 @@ def test_aggregate_2x2_matches_manual_blocks():
 
 def test_surplus_matrix_values():
     tws = TableWithSingles(table([[4, 2], [2, 8]]), [1, 2], [1, 2])
-    values = surplus_matrix(tws).values
+    values = evaluate("msm", tws).reshape(2, 2)
     assert values[0, 0] == pytest.approx(4.0)
     assert values[0, 1] == pytest.approx(1.41421, abs=1e-5)
     assert values[1, 0] == pytest.approx(1.41421, abs=1e-5)
     assert values[1, 1] == pytest.approx(4.0)
 
     unit = TableWithSingles(BASE, [1, 1], [1, 1])
-    assert np.array_equal(surplus_matrix(unit).values, BASE.counts)
+    assert np.array_equal(evaluate("msm", unit), BASE.counts.ravel())
 
     with pytest.raises(UndefinedIndicatorError):
-        surplus_matrix(TableWithSingles(BASE, [0, 1], [1, 1]))
+        evaluate("msm", TableWithSingles(BASE, [0, 1], [1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +309,9 @@ def integer_benchmark_tables(rng, count, require_nonnegative=True):
 def test_ratio_measures_coincide_on_integer_benchmark():
     rng = np.random.default_rng(42)
     for t in integer_benchmark_tables(rng, 300):
-        dec = ll_simplified(t)
-        assert dec.int_r == dec.r
-        assert abs(dec.value - v_value(t)) <= 1e-12
+        r, rho, _, value = kernel_outputs("ll", t)
+        assert rho == r
+        assert abs(value - evaluate("v", t)[0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +324,23 @@ def test_scale_behavior():
         t = random_positive_2x2(rng)
         r = float(rng.uniform(0.1, 7.0))
         scaled = t.scaled(r)
-        assert odds_ratio(scaled) == pytest.approx(odds_ratio(t), rel=1e-9)
-        assert determinant(scaled) == pytest.approx(r * r * determinant(t), rel=1e-9)
-        assert covariance(scaled) == pytest.approx(covariance(t), rel=1e-9, abs=1e-12)
-        assert correlation(scaled) == pytest.approx(correlation(t), rel=1e-9, abs=1e-12)
-        pair, spair = regression(t), regression(scaled)
-        assert spair.beta_wm == pytest.approx(pair.beta_wm, rel=1e-9, abs=1e-12)
-        assert spair.beta_mw == pytest.approx(pair.beta_mw, rel=1e-9, abs=1e-12)
-        assert aggregate_msp(scaled).aggregate == pytest.approx(
-            aggregate_msp(t).aggregate, rel=1e-9
+        assert evaluate("or", scaled)[0] == pytest.approx(evaluate("or", t)[0], rel=1e-9)
+        assert evaluate("det", scaled)[0] == pytest.approx(r * r * evaluate("det", t)[0], rel=1e-9)
+        assert evaluate("cov", scaled)[0] == pytest.approx(
+            evaluate("cov", t)[0], rel=1e-9, abs=1e-12
         )
-        assert v_value(scaled) == pytest.approx(v_value(t), rel=1e-9, abs=1e-12)
-        assert ll_simplified(scaled, CONTINUOUS).value == pytest.approx(
-            ll_simplified(t, CONTINUOUS).value, rel=1e-9, abs=1e-12
+        assert evaluate("corr", scaled)[0] == pytest.approx(
+            evaluate("corr", t)[0], rel=1e-9, abs=1e-12
+        )
+        pair, spair = evaluate("reg", t), evaluate("reg", scaled)
+        assert spair[0] == pytest.approx(pair[0], rel=1e-9, abs=1e-12)
+        assert spair[1] == pytest.approx(pair[1], rel=1e-9, abs=1e-12)
+        assert evaluate("msp", scaled)[0] == pytest.approx(
+            evaluate("msp", t)[0], rel=1e-9
+        )
+        assert evaluate("v", scaled)[0] == pytest.approx(evaluate("v", t)[0], rel=1e-9, abs=1e-12)
+        assert evaluate("ll", scaled, CONTINUOUS)[0] == pytest.approx(
+            evaluate("ll", t, CONTINUOUS)[0], rel=1e-9, abs=1e-12
         )
 
 
@@ -336,11 +348,11 @@ def test_floor_mode_is_scale_invariant_only_up_to_the_floor():
     # the floored benchmark is an integer-count device: rescaling by an
     # arbitrary real moves the floor and the value with it
     t = table([[40, 10], [20, 30]])
-    exact = ll_simplified(t, PAPER_INTEGER).value
-    skewed = ll_simplified(t.scaled(1.013), PAPER_INTEGER).value
+    exact = evaluate("ll", t, PAPER_INTEGER)[0]
+    skewed = evaluate("ll", t.scaled(1.013), PAPER_INTEGER)[0]
     assert abs(exact - skewed) > 1e-3
-    assert ll_simplified(t.scaled(1.013), CONTINUOUS).value == pytest.approx(
-        ll_simplified(t, CONTINUOUS).value
+    assert evaluate("ll", t.scaled(1.013), CONTINUOUS)[0] == pytest.approx(
+        evaluate("ll", t, CONTINUOUS)[0]
     )
 
 
@@ -349,19 +361,19 @@ def test_gender_symmetry():
     for _ in range(100):
         t = random_positive_2x2(rng)
         tt = t.transposed()
-        assert odds_ratio(tt) == pytest.approx(odds_ratio(t), rel=1e-12)
-        assert determinant(tt) == pytest.approx(determinant(t), rel=1e-12)
-        assert covariance(tt) == pytest.approx(covariance(t), rel=1e-12)
-        assert correlation(tt) == pytest.approx(correlation(t), rel=1e-12)
-        assert aggregate_msp(tt).aggregate == pytest.approx(
-            aggregate_msp(t).aggregate, rel=1e-12
+        assert evaluate("or", tt)[0] == pytest.approx(evaluate("or", t)[0], rel=1e-12)
+        assert evaluate("det", tt)[0] == pytest.approx(evaluate("det", t)[0], rel=1e-12)
+        assert evaluate("cov", tt)[0] == pytest.approx(evaluate("cov", t)[0], rel=1e-12)
+        assert evaluate("corr", tt)[0] == pytest.approx(evaluate("corr", t)[0], rel=1e-12)
+        assert evaluate("msp", tt)[0] == pytest.approx(
+            evaluate("msp", t)[0], rel=1e-12
         )
-        assert v_value(tt) == pytest.approx(v_value(t), rel=1e-12)
-        assert ll_simplified(tt).value == pytest.approx(
-            ll_simplified(t).value, rel=1e-12
+        assert evaluate("v", tt)[0] == pytest.approx(evaluate("v", t)[0], rel=1e-12)
+        assert evaluate("ll", tt)[0] == pytest.approx(
+            evaluate("ll", t)[0], rel=1e-12
         )
-        assert regression(tt).beta_wm == pytest.approx(
-            regression(t).beta_mw, rel=1e-12
+        assert evaluate("reg", tt)[0] == pytest.approx(
+            evaluate("reg", t)[1], rel=1e-12
         )
 
 
@@ -371,13 +383,13 @@ def test_category_symmetry():
         t = random_positive_2x2(rng)
         (a, b), (c, d) = t.counts
         rotated = table([[d, c], [b, a]])
-        assert odds_ratio(rotated) == pytest.approx(odds_ratio(t), rel=1e-12)
-        assert determinant(rotated) == pytest.approx(determinant(t), rel=1e-12)
-        assert covariance(rotated) == pytest.approx(covariance(t), rel=1e-12)
-        assert correlation(rotated) == pytest.approx(correlation(t), rel=1e-12)
-        assert v_value(rotated) == pytest.approx(v_value(t), rel=1e-12)
-        assert ll_simplified(rotated).value == pytest.approx(
-            ll_simplified(t).value, rel=1e-12
+        assert evaluate("or", rotated)[0] == pytest.approx(evaluate("or", t)[0], rel=1e-12)
+        assert evaluate("det", rotated)[0] == pytest.approx(evaluate("det", t)[0], rel=1e-12)
+        assert evaluate("cov", rotated)[0] == pytest.approx(evaluate("cov", t)[0], rel=1e-12)
+        assert evaluate("corr", rotated)[0] == pytest.approx(evaluate("corr", t)[0], rel=1e-12)
+        assert evaluate("v", rotated)[0] == pytest.approx(evaluate("v", t)[0], rel=1e-12)
+        assert evaluate("ll", rotated)[0] == pytest.approx(
+            evaluate("ll", t)[0], rel=1e-12
         )
 
 
@@ -387,20 +399,20 @@ def test_category_symmetry_fails_for_local_sorting_parameter():
     t = table([[40, 10], [20, 31]])
     (a, b), (c, d) = t.counts
     rotated = table([[d, c], [b, a]])
-    assert aggregate_msp(rotated).msp_l == pytest.approx(aggregate_msp(t).msp_h)
-    assert abs(aggregate_msp(rotated).msp_l - aggregate_msp(t).msp_l) > 1e-3
+    assert kernel_outputs("msp", rotated)[0] == pytest.approx(kernel_outputs("msp", t)[1])
+    assert abs(kernel_outputs("msp", rotated)[0] - kernel_outputs("msp", t)[0]) > 1e-3
 
 
 def test_det_family_signs_agree():
     rng = np.random.default_rng(6)
     for _ in range(100):
         t = random_positive_2x2(rng)
-        sign = np.sign(determinant(t))
-        assert np.sign(covariance(t)) == sign
-        assert np.sign(correlation(t)) == sign
-        pair = regression(t)
-        assert np.sign(pair.beta_wm) == sign
-        assert np.sign(pair.beta_mw) == sign
+        sign = np.sign(evaluate("det", t)[0])
+        assert np.sign(evaluate("cov", t)[0]) == sign
+        assert np.sign(evaluate("corr", t)[0]) == sign
+        beta_wm, beta_mw = evaluate("reg", t)
+        assert np.sign(beta_wm) == sign
+        assert np.sign(beta_mw) == sign
 
 
 def test_diagonal_addition_monotonicity():
@@ -408,14 +420,14 @@ def test_diagonal_addition_monotonicity():
     for _ in range(200):
         t = random_positive_2x2(rng)
         bump = t.with_counts(t.counts + np.diag(rng.integers(1, 51, size=2)))
-        assert odds_ratio(bump) >= odds_ratio(t) - 1e-9
-        assert determinant(bump) >= determinant(t) - 1e-9
-        assert correlation(bump) >= correlation(t) - 1e-9
-        assert regression(bump).beta_wm >= regression(t).beta_wm - 1e-9
-        assert regression(bump).beta_mw >= regression(t).beta_mw - 1e-9
-        assert aggregate_msp(bump).aggregate >= aggregate_msp(t).aggregate - 1e-9
-        assert v_value(bump) >= v_value(t) - 1e-9
-        assert ll_simplified(bump).value >= ll_simplified(t).value - 1e-9
+        assert evaluate("or", bump)[0] >= evaluate("or", t)[0] - 1e-9
+        assert evaluate("det", bump)[0] >= evaluate("det", t)[0] - 1e-9
+        assert evaluate("corr", bump)[0] >= evaluate("corr", t)[0] - 1e-9
+        assert evaluate("reg", bump)[0] >= evaluate("reg", t)[0] - 1e-9
+        assert evaluate("reg", bump)[1] >= evaluate("reg", t)[1] - 1e-9
+        assert evaluate("msp", bump)[0] >= evaluate("msp", t)[0] - 1e-9
+        assert evaluate("v", bump)[0] >= evaluate("v", t)[0] - 1e-9
+        assert evaluate("ll", bump)[0] >= evaluate("ll", t)[0] - 1e-9
 
 
 def test_covariance_diagonal_addition_can_decrease():
@@ -424,27 +436,41 @@ def test_covariance_diagonal_addition_can_decrease():
     # determinant gain, a documented failure of the monotonicity postulate
     t = table([[45, 5], [5, 45]])
     bumped = table([[95, 5], [5, 46]])
-    assert covariance(bumped) < covariance(t) - 1e-3
+    assert evaluate("cov", bumped)[0] < evaluate("cov", t)[0] - 1e-3
 
 
 # ---------------------------------------------------------------------------
 # the tag registry
 # ---------------------------------------------------------------------------
 
-DIRECT = {
-    "or": lambda s, rounding: [odds_ratio(s)],
-    "det": lambda s, rounding: (
-        [determinant(s)] if s.n_rows == 2 else [float(np.linalg.det(s.counts))]
-    ),
-    "cov": lambda s, rounding: [covariance(s)],
-    "corr": lambda s, rounding: [correlation(s)],
-    "reg": lambda s, rounding: [regression(s).beta_wm, regression(s).beta_mw],
-    "msp": lambda s, rounding: [aggregate_msp(s).aggregate],
-    "v": lambda s, rounding: [v_value(s)],
-    "msm": lambda s, rounding: surplus_matrix(s).values.ravel(),
-    "ll": lambda s, rounding: [ll_simplified(s, rounding).value],
-    "gll": lambda s, rounding: gll(s, rounding).ravel(),
-}
+def direct_msm(subject):
+    """The surplus matrix written out, raising what ``evaluate`` raises."""
+    if (subject.single_men <= 0).any() or (subject.single_women <= 0).any():
+        raise UndefinedIndicatorError("surplus matrix undefined: zero singles count")
+    outer = np.outer(subject.single_men, subject.single_women)
+    return (subject.couples.counts / np.sqrt(outer)).ravel()
+
+
+def direct_gll(subject, rounding):
+    """GLL split by split, raising what ``gll`` raises."""
+    values, failures = reference_gll(subject, rounding)
+    if failures:
+        raise GllUndefinedError(failures, values)
+    return values.ravel()
+
+
+def direct(tag, subject, rounding):
+    """The measure ``tag`` computed directly, one table at a time: its 2x2
+    kernel on four Python floats, numpy's determinant off 2x2, the surplus
+    formula, and LL at each split."""
+    if tag == "msm":
+        return direct_msm(subject)
+    if tag == "gll":
+        return direct_gll(subject, rounding)
+    if tag == "det" and subject.n_rows != 2:
+        return [float(np.linalg.det(subject.counts))]
+    reported = list(indicators._TWO_BY_TWO[tag].reported)
+    return np.array(_reference_outputs(tag, subject, rounding))[reported]
 
 
 def outcome(fn, *args):
@@ -474,7 +500,7 @@ def test_registry_matches_the_direct_measure_bit_for_bit(tag):
     for subject in registry_subjects(rng, tag):
         for rounding in (PAPER_INTEGER, CONTINUOUS):
             got = outcome(evaluate, tag, subject, rounding)
-            assert got == outcome(DIRECT[tag], subject, rounding)
+            assert got == outcome(direct, tag, subject, rounding)
             assert not isinstance(got, tuple)
 
 
@@ -517,7 +543,7 @@ def test_registry_raises_what_the_direct_measure_raises(tag):
             subject = TableWithSingles(subject, [i % 2, 1], [1, 2])
         for rounding in (PAPER_INTEGER, CONTINUOUS):
             got = outcome(evaluate, tag, subject, rounding)
-            assert got == outcome(DIRECT[tag], subject, rounding)
+            assert got == outcome(direct, tag, subject, rounding)
             if isinstance(got, tuple):
                 raised.add(got[1])
     assert raised == UNDEFINED_MESSAGES[tag]
@@ -542,44 +568,32 @@ def _reference_outputs(tag, subject, rounding):
     return [float(v) for v in values]
 
 
-# every output of each public 2x2 measure, in kernel order
-PUBLIC = {
-    "or": lambda s, rounding: [odds_ratio(s)],
-    "det": lambda s, rounding: [determinant(s)],
-    "cov": lambda s, rounding: [covariance(s)],
-    "corr": lambda s, rounding: [correlation(s)],
-    "reg": lambda s, rounding: dataclasses.astuple(regression(s)),
-    "msp": lambda s, rounding: dataclasses.astuple(aggregate_msp(s)),
-    "v": lambda s, rounding: [v_value(s)],
-    "ll": lambda s, rounding: [
-        getattr(ll_simplified(s, rounding), name) for name in ("r", "int_r", "d_max", "value")
-    ],
-}
-
-
 @pytest.mark.parametrize("tag", SCALAR_TAGS)
 def test_every_entry_point_matches_the_float_reference_bit_for_bit(tag):
+    # every output of the kernel, the ones evaluate does not report too,
+    # and what evaluate and evaluate_stack report of it
     rng = np.random.default_rng(INDICATOR_TAGS.index(tag))
     subjects = [s for s in registry_subjects(rng, tag) if s.counts.shape == (2, 2)]
     subjects += [table(counts) for counts in ZERO_CELL_TABLES]
-    reported = list(indicators._TWO_BY_TWO[tag].reported)
+    counts = np.array([s.counts for s in subjects])
+    measure = indicators._TWO_BY_TWO[tag]
     flagged = 0
     for rounding in (PAPER_INTEGER, CONTINUOUS):
-        # the public measures other than LL fix the rounding mode
-        public = rounding if tag == "ll" else PAPER_INTEGER
-        values, undefined = evaluate_stack(tag, np.array([s.counts for s in subjects]), rounding)
-        for subject, row, is_undefined in zip(subjects, values, undefined):
-            assert outcome(PUBLIC[tag], subject, rounding) == outcome(
-                _reference_outputs, tag, subject, public), (tag, subject.counts)
+        *kernel, undefined = measure.run(counts, rounding)
+        values, stacked_undefined = evaluate_stack(tag, counts, rounding)
+        assert np.array_equal(stacked_undefined, undefined)
+        for k, subject in enumerate(subjects):
             expected = outcome(_reference_outputs, tag, subject, rounding)
             if isinstance(expected, tuple):
                 assert expected[0] is UndefinedIndicatorError
                 assert outcome(evaluate, tag, subject, rounding) == expected
-                assert is_undefined, (tag, subject.counts)
+                assert undefined[k], (tag, subject.counts)
                 continue
-            expected = np.frombuffer(expected)[reported].tobytes()
+            assert not undefined[k], (tag, subject.counts)
+            assert np.array([out[k] for out in kernel]).tobytes() == expected, (tag, k)
+            expected = np.frombuffer(expected)[list(measure.reported)].tobytes()
             assert outcome(evaluate, tag, subject, rounding) == expected
-            assert not is_undefined and row.tobytes() == expected, (tag, subject.counts)
+            assert values[k].tobytes() == expected, (tag, subject.counts)
         flagged += int(undefined.sum())
     # a determinant and a covariance exist on every table
     assert (flagged > 0) == (tag not in ("det", "cov"))

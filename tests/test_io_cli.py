@@ -13,9 +13,9 @@ from click.testing import CliRunner
 
 from homlab.cli import _fmt, _write_json, main
 from homlab.counterfactual import METHOD_TAGS, fit
-from homlab.decomposition import DecompositionResult, cumulate, decompose_counts
+from homlab.decomposition import DecompositionResult, _decompose_columns, cumulate, decompose
 from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError, TableError
-from homlab.indicators import SCALAR_TAGS, aggregate_msp, evaluate, gll
+from homlab.indicators import PAPER_INTEGER, SCALAR_TAGS, evaluate, gll
 from homlab.io import (
     DECOMPOSITION_COLUMNS,
     PanelDataset,
@@ -128,6 +128,12 @@ BAD_TYPES = (
     ("max_iter", 10.0, "max_iter must be an integer, got 10.0"),
     ("seed", True, "seed must be an integer, got True"),
     ("sample_count", "5", "sample_count must be an integer, got '5'"),
+    # a string flag is truthy whatever it says, and the split compares names
+    ("include_unknown", "no", "include_unknown must be true or false, got 'no'"),
+    ("include_unknown", 1, "include_unknown must be true or false, got 1"),
+    ("split_state", 5, "split_state must be a string, got 5"),
+    ("split_state", None, "split_state must be a string, got None"),
+    ("split_state", ["A"], "split_state must be a string, got ['A']"),
 )
 
 # well typed, but values no run can use
@@ -150,6 +156,7 @@ BAD_VALUES = (
                          "or, det, cov, corr, reg, msp, v, ll)"),
     ("measure", 1, "unknown measure: 1 (one of ipf, mdba, meda, csa, nm, "
                    "or, det, cov, corr, reg, msp, v, ll)"),
+    ("rounding", ["paper"], "unknown rounding mode: ['paper']"),
 )
 
 
@@ -987,25 +994,27 @@ def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch
                       and not isinstance(cuts.get(b, DataError()), Exception)]
         fitted.clear()
         sides = [_stacked([pair[side] for pair in pairs]) for side in (0, 1)]
-        outcomes = decompose_counts(sides[0][0], sides[1][0], method, scheme,
-                                    singles=[sides[0][1], sides[1][1]])
+        columns, errors = _decompose_columns(sides[0][0], sides[1][0], method, scheme,
+                                             PAPER_INTEGER, 1e-10, 10000,
+                                             [sides[0][1], sides[1][1]])
         assert len(fitted) == (2 if scheme == "with-interaction" else 1)
-        for k, ((early, late), outcome) in enumerate(zip(pairs, outcomes)):
+        for k, ((early, late), error, *values) in enumerate(
+                zip(pairs, errors, *columns.values())):
             share_early, share_late = (homogamy_share(couples_of(t)) for t in (early, late))
             try:
                 share_cf = share(fitted[0], k, late)
                 structural = (share_late - share_cf if len(fitted) == 1
                               else share(fitted[1], k, early) - share_early)
             except (HomlabError, ValueError) as exc:
-                assert type(outcome) is type(exc) and str(outcome) == str(exc), k
+                assert type(error) is type(exc) and str(error) == str(exc), k
                 messages.add(str(exc))
                 continue
+            assert error is None, k
             nonstructural = share_cf - share_early
             interaction = (None if len(fitted) == 1
                            else share_late - share_early - nonstructural - structural)
-            assert _bits(outcome)[1:] == _bits(DecompositionResult(
-                "", scheme, share_early, share_late, share_cf, nonstructural, structural,
-                interaction))[1:], k
+            assert _float_bits(values) == _float_bits((
+                share_early, share_late, share_cf, nonstructural, structural, interaction)), k
     assert {"counts must be finite", "counts must be nonnegative",
             "at least one count must be positive"} <= messages
 
@@ -1038,9 +1047,9 @@ def test_cli_decomposition_path_builds_no_result_objects(tmp_path, monkeypatch, 
         assert any(out.iterdir())
         assert fits == [method] * directions, command
     assert built == []
-    # the counter sees the results the public wrapper builds
-    counts = np.array([[[40.0, 10.0], [20.0, 30.0]]])
-    assert len(decompose_counts(counts, counts, method)) == len(built) == 1
+    # the counter sees the result decompose builds
+    table = ContingencyTable(np.array([[40.0, 10.0], [20.0, 30.0]]))
+    assert decompose(table, table, method) is not None and len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1182,7 +1191,7 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
         "",
     ]
     late, early = (_unit_table(panel, "A", year) for year in (2000, 1990))
-    assert changes[-1].delta == aggregate_msp(late).aggregate - aggregate_msp(early).aggregate
+    assert changes[-1].delta == evaluate("msp", late)[0] - evaluate("msp", early)[0]
     assert decade_changes(panel, config)[0] == changes
 
     # a missing wave, and waves of four levels that the divide cannot cut
@@ -2105,21 +2114,23 @@ def test_the_cli_picks_one_blas_thread_unless_told_otherwise(preset, expected):
 
 
 # the library surface: what the CLI, the criteria and the README use
-EXPORTED = sorted([
+EXPORTED = [
     "CONTINUOUS", "ContingencyTable", "CounterfactualResult", "DecadeChange",
-    "DecompositionResult", "LiuLuDecomposition", "Marginals", "MspComponents",
-    "PAPER_INTEGER", "RegressionPair", "SurplusMatrix", "TableWithSingles", "TrendStats",
-    "aggregate_msp", "classify_u_shape", "correlation", "covariance", "decompose",
-    "decompose_counts", "determinant", "fit", "gll", "homogamy_share",
-    "income_consistency", "ll_simplified", "marginals", "merge_categories", "odds_ratio",
-    "regression", "score", "surplus_matrix", "v_value",
-])
+    "DecompositionResult", "Marginals", "PAPER_INTEGER", "TableWithSingles", "TrendStats",
+    "decompose", "evaluate", "fit", "gll", "homogamy_share", "income_consistency",
+    "marginals", "merge_categories", "score",
+]
 
 # the per-table entry points that the kernels replaced, by module
 DELETED = {
     "counterfactual": ("SurvivalGrid", "csa_fit", "csa_solve", "ipf_fit", "mdba_fit",
                        "meda_fit", "meda_weight", "nm_fit"),
-    "indicators": ("aggregate_2x2",),
+    "indicators": ("aggregate_2x2", "odds_ratio", "determinant", "covariance", "correlation",
+                   "regression", "aggregate_msp", "v_value", "ll_simplified",
+                   "surplus_matrix", "RegressionPair", "MspComponents",
+                   "LiuLuDecomposition", "SurplusMatrix", "_outputs"),
+    "decomposition": ("decompose_counts",),
+    "trend": ("classify_u_shape", "_u_shape_flag"),
     "tables": ("enumerate_tables", "merge_with_singles", "pam_match", "random_match"),
     "io": ("EXCLUDED", "unit_decade_changes", "write_couples"),
     "criteria": ("MarginalPerturbation", "apply_perturbation"),
@@ -2132,7 +2143,7 @@ def test_every_exported_name_resolves():
         "from homlab import *\n"
         "missing = [n for n in homlab.__all__ if getattr(homlab, n, None) is None]\n"
         "print(','.join(homlab.__all__), missing)\n"
-        "print(homlab.decompose_counts is homlab.decomposition.decompose_counts)\n"
+        "print(homlab.evaluate is homlab.indicators.evaluate)\n"
     )
     exported, missing, same = _fresh_python(probe)
     assert exported.split(",") == EXPORTED

@@ -17,4 +17,4 @@ def test_readme_python_block_runs_and_its_commented_values_hold():
         if re.fullmatch(r"[\d.]+(/[\d.]+)?", comment.strip()):
             assert eval(code, namespace) == eval(comment), line
             checked.append(code.strip())
-    assert checked == ["odds_ratio(early)", "ll_simplified(late).value"]
+    assert checked == ['evaluate("or", early)[0]', 'evaluate("ll", late)[0]']

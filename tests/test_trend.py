@@ -3,7 +3,6 @@ import pytest
 from homlab.trend import (
     DecadeChange,
     TrendStats,
-    classify_u_shape,
     in_first_half,
     income_consistency,
     score,
@@ -15,29 +14,32 @@ def changes_from(state, deltas):
     return [DecadeChange(state, dec, d) for dec, d in zip(decades, deltas)]
 
 
+def u_count(deltas):
+    """``score``'s U-shape count of one state's changes, ``{decade: delta}``."""
+    return score([DecadeChange("Ohio", decade, d) for decade, d in deltas.items()]).n_u
+
+
 def test_classify_u_shape_all_consistent():
-    flags = classify_u_shape(
+    assert u_count(
         {"1960s": -1.0, "1970s": -0.2, "1980s": -0.1, "1990s": 0.3, "2000s": 0.5}
-    )
-    assert all(flags.values()) and len(flags) == 5
+    ) == 5
 
 
 def test_classify_u_shape_monotone_rise():
-    flags = classify_u_shape(
-        {"1960s": 0.1, "1970s": 0.1, "1980s": 0.1, "1990s": 0.1, "2000s": 0.1}
-    )
-    assert [flags[d] for d in ("1960s", "1970s", "1980s", "1990s", "2000s")] == [
-        False, False, False, True, True,
-    ]
+    deltas = {"1960s": 0.1, "1970s": 0.1, "1980s": 0.1, "1990s": 0.1, "2000s": 0.1}
+    assert [u_count({d: v}) for d, v in deltas.items()] == [0, 0, 0, 1, 1]
+    assert u_count(deltas) == 2
 
 
 def test_classify_u_shape_zero_is_inconsistent():
-    flags = classify_u_shape({"1960s": 0.0, "1970s": -1.0})
-    assert flags["1960s"] is False and flags["1970s"] is True
+    assert u_count({"1960s": 0.0}) == 0
+    assert u_count({"1970s": -1.0}) == 1
 
 
 def test_classify_ignores_unknown_decades():
-    assert classify_u_shape({"1950s": -1.0}) == {}
+    # a decade outside the template counts in the total, never as U-shaped
+    stats = score([DecadeChange("Ohio", "1950s", -1.0), DecadeChange("Ohio", "1950s", 1.0)])
+    assert stats.n_u == 0 and stats.n_total == 2
 
 
 def test_income_consistency_rules():
