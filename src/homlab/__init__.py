@@ -18,7 +18,7 @@ _EXPORTS = {
         "ContingencyTable", "Marginals", "TableWithSingles", "homogamy_share",
         "marginals", "merge_categories",
     ),
-    "trend": ("DecadeChange", "TrendStats", "income_consistency", "score"),
+    "trend": ("DecadeChange", "TrendStats", "score"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

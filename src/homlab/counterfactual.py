@@ -81,13 +81,13 @@ _REACH_MAX_CATEGORIES = 12
 
 @dataclass(frozen=True)
 class CounterfactualResult:
-    """A fitted table plus convergence and feasibility diagnostics."""
+    """A fitted table plus convergence diagnostics; a fit that fails raises
+    instead, so every result is feasible."""
 
     table: ContingencyTable
     method: str
     iterations: int = 0
     max_marginal_error: float = 0.0
-    feasible: bool = True
     diagnostics: Mapping[str, object] = field(default_factory=dict)
 
 
@@ -542,27 +542,6 @@ def _check(method: str, shape, rows, cols, rounding, singles, target_singles):
                          f"source table is {shape[0]}x{shape[1]}")
 
 
-def _run(tag, counts, rows, cols, total, rounding, tol, max_iter, singles, target_singles):
-    """The kernel of a checked problem stack: the one branch over the tags."""
-    if tag == "ipf":
-        return _ipf_kernel(counts, rows, cols, total, tol, max_iter)
-    if tag == "mdba":
-        return _mdba_kernel(counts, rows, cols, total)
-    if tag == "meda":
-        return _meda_kernel(counts, rows, cols, total)
-    if tag == "nm":
-        return _nm_kernel(counts, rows, cols, total, rounding)
-    # CSA fits the target populations, couples plus singles, with the
-    # source's surplus matrix, which a zero singles count leaves undefined
-    msm, undefined = _surplus(counts, *singles)
-    men, women = target_singles or singles
-    fits = _csa_kernel(msm, rows + men, cols + women, min(tol, 1e-11), max_iter)
-    return replace(fits, errors=tuple(
-        UndefinedIndicatorError(_SURPLUS_UNDEFINED) if bad else error
-        for bad, error in zip(undefined, fits.errors)
-    ))
-
-
 def fit(
     method: str,
     source: ContingencyTable | TableWithSingles,
@@ -578,17 +557,15 @@ def fit(
     populations are the target couple marginals plus ``target_singles``
     (falling back to the source's own singles when not provided); the
     result table holds the fitted couples, and the fitted singles travel in
-    the diagnostics. This is :func:`fit_stack` on a stack of one, with the
-    target's own total, and it raises the error of the fit.
+    the diagnostics. This is :func:`fit_stack` on a stack of one, and it
+    raises the error of the fit.
     """
     couples = couples_of(source)
     singles = _as_stack(source.single_men, source.single_women) if isinstance(
         source, TableWithSingles) else None
     targets = None if target_singles is None else _as_stack(*target_singles)
-    rows, cols = target.row_sums[None], target.col_sums[None]
-    _check(method, couples.counts.shape, rows, cols, rounding, singles, targets)
-    fits = _run(method, couples.counts[None], rows, cols, np.array([target.total]),
-                rounding, tol, max_iter, singles, targets)
+    fits = fit_stack(method, couples.counts[None], target.row_sums[None],
+                     target.col_sums[None], rounding, tol, max_iter, singles, targets)
     return _result(couples, method, fits, tol=tol, rounding=rounding)
 
 
@@ -614,5 +591,21 @@ def fit_stack(
     ``fit`` returns on problem ``t``, bit for bit, or the error it raises.
     """
     _check(method, counts.shape[-2:], rows, cols, rounding, singles, target_singles)
-    return _run(method, counts, rows, cols, rows.sum(axis=-1), rounding, tol, max_iter,
-                singles, target_singles)
+    total = rows.sum(axis=-1)
+    if method == "ipf":
+        return _ipf_kernel(counts, rows, cols, total, tol, max_iter)
+    if method == "mdba":
+        return _mdba_kernel(counts, rows, cols, total)
+    if method == "meda":
+        return _meda_kernel(counts, rows, cols, total)
+    if method == "nm":
+        return _nm_kernel(counts, rows, cols, total, rounding)
+    # CSA fits the target populations, couples plus singles, with the
+    # source's surplus matrix, which a zero singles count leaves undefined
+    msm, undefined = _surplus(counts, *singles)
+    men, women = target_singles or singles
+    fits = _csa_kernel(msm, rows + men, cols + women, min(tol, 1e-11), max_iter)
+    return replace(fits, errors=tuple(
+        UndefinedIndicatorError(_SURPLUS_UNDEFINED) if bad else error
+        for bad, error in zip(undefined, fits.errors)
+    ))

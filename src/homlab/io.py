@@ -31,7 +31,7 @@ import csv
 import dataclasses
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
@@ -172,10 +172,10 @@ class PanelDataset:
     ``counts[index[(state, year)]]`` is that wave's table, with ``labels``
     on both axes (lowest first); each must pass :class:`ContingencyTable`'s
     checks, and :func:`load_couples` keeps only the waves with at least one
-    couple. ``states`` lists the states in sorted order, ``UNKNOWN`` left
-    out; ``US``, in ``states`` or a key, is a DataError, as in the loaders.
-    The national aggregate of each year is summed once, at construction,
-    over ``states`` in order and then over ``UNKNOWN`` when
+    couple. ``states`` lists the states of ``index`` in sorted order,
+    ``UNKNOWN`` left out; ``US`` as a state is a DataError, as in the
+    loaders. The national aggregate of each year is summed once, at
+    construction, over ``states`` in order and then over ``UNKNOWN`` when
     ``include_unknown`` is set. ``income`` maps (state, year) to the top
     decile share, ``singles`` to the (single men, single women) vectors of
     :func:`load_singles`. The pipeline reads the arrays, cut once per run.
@@ -184,17 +184,18 @@ class PanelDataset:
     counts: np.ndarray
     index: dict[tuple[str, int], int]
     labels: tuple[str, ...]
-    waves: tuple[int, ...]
-    states: tuple[str, ...]
+    _: KW_ONLY
     income: dict[tuple[str, int], float] = field(default_factory=dict)
     singles: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict
     )
     include_unknown: bool = False
+    states: tuple[str, ...] = field(init=False)
     national_counts: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if NATIONAL in {*self.states, *(state for state, _ in self.index)}:
+        self.states = tuple(sorted({state for state, _ in self.index} - {UNKNOWN_STATE}))
+        if NATIONAL in self.states:
             raise DataError(f"state code {NATIONAL!r} is reserved for the national aggregate")
         k = len(self.labels)
         if self.counts.shape != (len(self.index), k, k):
@@ -352,11 +353,11 @@ def _parse_year(value: str, path, lineno, waves) -> int:
     return year
 
 
-def _parse_state(value, path, lineno, reserved=(NATIONAL,)) -> str:
+def _parse_state(value, path, lineno) -> str:
     state = (value or "").strip()
     if not state:
         raise DataError(f"{path}: line {lineno}: empty state")
-    if state in reserved:
+    if state == NATIONAL:
         raise DataError(f"{path}: line {lineno}: state code {state!r} is reserved "
                         "for the national aggregate")
     return state
@@ -386,8 +387,7 @@ def load_couples(path: str | Path, config: RunConfig | None = None) -> PanelData
                                           category, category, _parse_count), (k, k))
     kept = grid.any(axis=(1, 2))
     index = {key: i for i, key in enumerate(key for key, keep in zip(keys, kept) if keep)}
-    states = tuple(sorted({state for state, _ in index} - {UNKNOWN_STATE}))
-    return PanelDataset(grid[kept], index, config.labels, config.waves, states,
+    return PanelDataset(grid[kept], index, config.labels,
                         include_unknown=config.include_unknown)
 
 
@@ -592,7 +592,7 @@ def _scalar_values(tag: str, cut: _RunCut, rounding: str) -> list:
 
 
 def _excluded(unit: str, decade: str, exc: Exception) -> DecadeChange:
-    return DecadeChange(unit, decade, None, False, f"{type(exc).__name__}: {exc}")
+    return DecadeChange(unit, decade, None, reason=f"{type(exc).__name__}: {exc}")
 
 
 def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
@@ -615,7 +615,7 @@ def _decade_pass(panel: PanelDataset, config: RunConfig, unit_list):
     for unit, years in cut.rows.items():
         for decade, early_year, late_year in decades:
             if early_year not in years or late_year not in years:
-                changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
+                changes.append(DecadeChange(unit, decade, None, reason="missing wave"))
                 continue
             early, late = years[early_year], years[late_year]
             steps = (cut.errors[early], cut.errors[late], values[late], values[early])
@@ -658,8 +658,8 @@ def decade_changes(panel: PanelDataset, config: RunConfig):
     call of the stacked decomposition core. A pair with a missing endpoint
     wave, or that raises any ``HomlabError`` (an undefined measure, an
     infeasible or non-converging counterfactual, a method/shape mismatch
-    ...), is returned invalid with the reason attached, never silently
-    dropped.
+    ...), is returned with no delta and the reason attached, never
+    silently dropped.
     """
     return _decade_pass(panel, config, panel.states)[:2]
 
@@ -696,8 +696,7 @@ def trend_series(panel: PanelDataset, config: RunConfig):
         # the first wave's share on its plain cut, which csa without singles
         # lacks; an uncut unit's series is all gaps
         anchor = cut.shares[years[first]] if cut.shares else None
-        effects = {c.decade: c.delta if c.valid else None
-                   for c in changes[i * span:(i + 1) * span]}
+        effects = {c.decade: c.delta for c in changes[i * span:(i + 1) * span]}
         cumulative = cumulate(config.waves, first, anchor, effects)
         columns["state"] += [unit] * len(config.waves)
         columns["year"] += config.waves

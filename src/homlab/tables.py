@@ -164,11 +164,14 @@ def couples_of(subject: ContingencyTable | TableWithSingles) -> ContingencyTable
 
 @dataclass(frozen=True)
 class Marginals:
-    """Row sums, column sums and grand total of a table (the structural factor)."""
+    """Row sums, column sums and grand total of a table (the structural factor).
+
+    ``total`` is the row sums' total; the column sums must add up to it.
+    """
 
     row_sums: np.ndarray
     col_sums: np.ndarray
-    total: float = field(default=None)  # type: ignore[assignment]
+    total: float = field(init=False)
 
     def __post_init__(self):
         rows = _frozen_array(self.row_sums)
@@ -179,27 +182,15 @@ class Marginals:
         # the elementwise sign test in one reduction per vector
         if np.fmin.reduce(rows, initial=0.0) < 0 or np.fmin.reduce(cols, initial=0.0) < 0:
             raise TableError("marginal sums must be nonnegative")
-        row_total, col_total = rows.sum(), cols.sum()
-        total = self.total if self.total is not None else float(row_total)
+        total, col_total = float(rows.sum()), cols.sum()
         # one scalar: NaN or inf anywhere makes the sum non-finite
-        if not math.isfinite(row_total + col_total + total):
+        if not math.isfinite(total + col_total):
             raise TableError("marginal sums must be finite")
-        scale = max(abs(total), 1.0)
-        if abs(row_total - total) > _REL_TOL * scale:
-            raise TableError("row sums do not add up to the total")
-        if abs(col_total - total) > _REL_TOL * scale:
+        if abs(col_total - total) > _REL_TOL * max(abs(total), 1.0):
             raise TableError("column sums do not add up to the total")
         object.__setattr__(self, "row_sums", rows)
         object.__setattr__(self, "col_sums", cols)
-        object.__setattr__(self, "total", float(total))
-
-    @property
-    def n_rows(self) -> int:
-        return self.row_sums.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.col_sums.shape[0]
+        object.__setattr__(self, "total", total)
 
 
 def marginals(table: ContingencyTable) -> Marginals:

@@ -9,7 +9,7 @@ trend, proxied by the change in the top 10 percent income share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Iterable, Mapping
 
 U_SHAPE_SIGNS: Mapping[str, int] = {
@@ -27,15 +27,20 @@ FIRST_HALF_LAST_STATE = "Mississippi"
 class DecadeChange:
     """One state's signed change of the chosen measure over one decade.
 
-    ``valid`` is False when either endpoint wave is missing or the measure is
-    undefined or infeasible on it; ``reason`` then says why.
+    ``delta`` is None when either endpoint wave is missing or the measure is
+    undefined or infeasible on it; ``reason`` then says why, and the pair is
+    not ``valid``.
     """
 
     state: str
     decade: str
     delta: float | None
-    valid: bool = True
+    _: KW_ONLY
     reason: str = ""
+
+    @property
+    def valid(self) -> bool:
+        return self.delta is not None
 
 
 @dataclass(frozen=True)
@@ -45,21 +50,23 @@ class TrendStats:
     ``n_u``: pairs whose change direction matches the U-shaped template.
     ``n_alpha``/``n_omega``: income-trend-consistent pairs in the first and
     second half of the alphabetically ordered states; ``n_s`` is their sum.
-    ``n_total`` (with the per-half ``n_alpha_total``/``n_omega_total``)
-    counts all valid pairs. A quotient whose denominator is 0 is None.
+    ``n_alpha_total``/``n_omega_total`` count the valid pairs of each half,
+    and ``n_total`` all of them. A quotient whose denominator is 0 is None.
     """
 
     n_u: int
-    n_s: int
     n_alpha: int
     n_omega: int
-    n_total: int
     n_alpha_total: int
     n_omega_total: int
 
-    def __post_init__(self):
-        if self.n_s != self.n_alpha + self.n_omega:
-            raise ValueError("income-consistent halves must add up")
+    @property
+    def n_s(self) -> int:
+        return self.n_alpha + self.n_omega
+
+    @property
+    def n_total(self) -> int:
+        return self.n_alpha_total + self.n_omega_total
 
     @property
     def u_share(self) -> float | None:
@@ -82,28 +89,6 @@ def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def income_consistency(
-    changes: Iterable[DecadeChange],
-    income_deltas: Mapping[tuple[str, str], float],
-) -> dict[tuple[str, str], bool | None]:
-    """Match each pair's sign against the state's income-share change.
-
-    Returns None (excluded) for pairs without an income datum; a zero on
-    either side is inconsistent.
-    """
-    flags: dict[tuple[str, str], bool | None] = {}
-    for change in changes:
-        if not change.valid or change.delta is None:
-            continue
-        key = (change.state, change.decade)
-        income = income_deltas.get(key)
-        if income is None:
-            flags[key] = None
-            continue
-        flags[key] = _sign(change.delta) == _sign(income) != 0
-    return flags
-
-
 def in_first_half(state: str, boundary: str = FIRST_HALF_LAST_STATE) -> bool:
     """Alphabetical split; the boundary state closes the first half."""
     return state.casefold() <= boundary.casefold()
@@ -116,39 +101,22 @@ def score(
 ) -> TrendStats:
     """Aggregate validity, U-shape and income-consistency counts.
 
-    Only valid pairs enter any count. Pairs missing an income datum keep
-    their place in the totals but cannot contribute to the income-consistent
-    counts. The state split is purely alphabetical against ``boundary``.
+    Only valid pairs enter any count. A valid pair is income-consistent when
+    its sign matches the state's income-share change over the decade; a
+    zero on either side is inconsistent, and a pair missing an income datum
+    keeps its place in the totals but cannot be consistent. The state split
+    is purely alphabetical against ``boundary``.
     """
-    changes = list(changes)
     income_deltas = income_deltas or {}
-    income_flags = income_consistency(changes, income_deltas)
-
-    n_u = n_alpha = n_omega = 0
-    n_total = n_alpha_total = n_omega_total = 0
+    n_u, consistent, totals = 0, [0, 0], [0, 0]  # per half: first, second
     for change in changes:
-        if not change.valid or change.delta is None:
+        if change.delta is None:
             continue
-        first_half = in_first_half(change.state, boundary)
-        n_total += 1
-        if first_half:
-            n_alpha_total += 1
-        else:
-            n_omega_total += 1
+        half = 0 if in_first_half(change.state, boundary) else 1
+        sign = _sign(change.delta)
+        totals[half] += 1
         # a zero change, or a decade outside the template, is not U-shaped
-        if _sign(change.delta) == U_SHAPE_SIGNS.get(change.decade):
-            n_u += 1
-        if income_flags.get((change.state, change.decade)):
-            if first_half:
-                n_alpha += 1
-            else:
-                n_omega += 1
-    return TrendStats(
-        n_u=n_u,
-        n_s=n_alpha + n_omega,
-        n_alpha=n_alpha,
-        n_omega=n_omega,
-        n_total=n_total,
-        n_alpha_total=n_alpha_total,
-        n_omega_total=n_omega_total,
-    )
+        n_u += sign == U_SHAPE_SIGNS.get(change.decade)
+        income = income_deltas.get((change.state, change.decade))
+        consistent[half] += income is not None and sign == _sign(income) != 0
+    return TrendStats(n_u, *consistent, *totals)

@@ -243,8 +243,7 @@ def series_of(tables, waves=WAVES, measure="nm"):
     """The ``trend_series`` rows of state ``A`` in a panel of that one state,
     as ``{year: (cumulative, effect)}``."""
     panel = PanelDataset(np.array([t.counts for t in tables.values()]),
-                         {("A", year): i for i, year in enumerate(tables)}, ("L", "H"),
-                         waves, ("A",))
+                         {("A", year): i for i, year in enumerate(tables)}, ("L", "H"))
     config = RunConfig(waves=waves, labels=("L", "H"), measure=measure, scheme=SEQUENTIAL)
     _, columns = trend_series(panel, config)
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]

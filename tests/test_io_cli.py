@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from homlab.cli import _fmt, _write_json, main
-from homlab.counterfactual import METHOD_TAGS, fit
+from homlab.counterfactual import METHOD_TAGS, CounterfactualResult, fit
 from homlab.decomposition import DecompositionResult, _decompose_columns, cumulate, decompose
 from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError, TableError
 from homlab.indicators import PAPER_INTEGER, SCALAR_TAGS, evaluate, gll
@@ -33,13 +34,14 @@ from homlab.io import (
 )
 from homlab.tables import (
     ContingencyTable,
+    Marginals,
     TableWithSingles,
     couples_of,
     homogamy_share,
     marginals,
     merge_categories,
 )
-from homlab.trend import DecadeChange, score
+from homlab.trend import DecadeChange, TrendStats, score
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -390,15 +392,15 @@ def test_cli_refuses_the_national_code_as_a_state_in_one_line(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("states", [("Iowa", "US"), ("Iowa",)], ids=["in-states", "in-a-key"])
-def test_a_panel_built_directly_refuses_the_national_code_as_a_state(states):
+@pytest.mark.parametrize("keys", [[("US", 1960), ("Iowa", 1960)], [("US", 1960), ("US", 1970)]],
+                         ids=["in-a-key", "alone"])
+def test_a_panel_built_directly_refuses_the_national_code_as_a_state(keys):
     # a direct panel with a US state used to answer the national aggregate
     # for it: indicator_rows gave one US row, share 0.6, and no state row
     counts = np.array([[[5, 1], [1, 5]], [[1, 3], [3, 1]]], dtype=float)
     with pytest.raises(DataError, match="^state code 'US' is reserved for the national "
                                         "aggregate$"):
-        PanelDataset(counts, {("US", 1960): 0, ("Iowa", 1960): 1}, ("L", "H"),
-                     RunConfig().waves, states)
+        PanelDataset(counts, {key: i for i, key in enumerate(keys)}, ("L", "H"))
 
 
 LINE_CASES = pytest.mark.parametrize("loader,header,good,bad,message", [
@@ -556,7 +558,7 @@ def test_loaders_report_the_first_bad_line_and_its_first_bad_field(
 def test_the_run_cut_divides_and_labels_the_stack():
     labels = ("no_hs", "hs", "college")
     counts = np.arange(1, 10, dtype=float).reshape(3, 3)
-    panel = panel_of({("A", 1960): counts}, labels, (1960,))
+    panel = panel_of({("A", 1960): counts}, labels)
     for categories, cells, cut_labels in (
             ("hs", [[1, 5], [11, 28]], ("no_hs", "hs+college")),
             ("college", [[12, 9], [15, 9]], ("no_hs+hs", "college")),
@@ -566,7 +568,7 @@ def test_the_run_cut_divides_and_labels_the_stack():
         assert cut.counts.tolist() == [cells] and cut.labels == cut_labels
         assert cut.rows == {"A": {1960: 0}} and cut.errors == [None]
     # a two-level table has no high-school divide: every row carries why
-    two_level = panel_of({("A", 1960): [[1, 5], [11, 28]]}, ("L", "H"), (1960,))
+    two_level = panel_of({("A", 1960): [[1, 5], [11, 28]]}, ("L", "H"))
     cut = _cut_run(two_level, RunConfig(waves=(1960,), labels=("L", "H"), categories="hs"),
                    ("US", "A"))
     assert cut.counts is None and cut.labels is None
@@ -666,7 +668,7 @@ def test_indicator_rows_keep_the_defined_gll_splits():
     # an empty top row with non-integer counts: in paper-integer mode only
     # split (1,1) has a zero denominator, the other three are defined
     panel = panel_of({("A", 1960): [[0, 0, 0], [4.5, 3.5, 3.0], [2.5, 3.0, 4.5]]},
-                     STRESS_LABELS, waves=(1960,))
+                     STRESS_LABELS)
     rows = rows_of(indicator_rows(panel, RunConfig(waves=(1960,))))
     assert [row["state"] for row in rows] == ["US", "A"]
     for row in rows:
@@ -679,8 +681,7 @@ def test_indicator_rows_keep_the_defined_gll_splits():
 def test_decade_changes_report_mis_shaped_pairs():
     # three-level tables, which the determinant-based method cannot take
     large = [[5, 1, 1], [1, 5, 1], [1, 1, 5]]
-    panel = panel_of({("A", 1960): large, ("A", 1970): large}, STRESS_LABELS,
-                     waves=(1960, 1970))
+    panel = panel_of({("A", 1960): large, ("A", 1970): large}, STRESS_LABELS)
     changes, columns = decade_changes(
         panel, RunConfig(waves=(1960, 1970), labels=STRESS_LABELS, method="mdba")
     )
@@ -789,7 +790,7 @@ def _reference_changes(panel, config, unit_list):
         for early_year, late_year in zip(config.waves, config.waves[1:]):
             decade = f"{early_year}s"
             if early_year not in cuts or late_year not in cuts:
-                changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
+                changes.append(DecadeChange(unit, decade, None, reason="missing wave"))
                 continue
             try:
                 for cut in (cuts[early_year], cuts[late_year]):
@@ -799,8 +800,8 @@ def _reference_changes(panel, config, unit_list):
                     cuts[early_year], cuts[late_year], measure, config.resolved_scheme,
                     config.rounding, config.tol, config.max_iter)
             except HomlabError as exc:
-                changes.append(DecadeChange(unit, decade, None, False,
-                                            f"{type(exc).__name__}: {exc}"))
+                changes.append(DecadeChange(unit, decade, None,
+                                            reason=f"{type(exc).__name__}: {exc}"))
                 continue
             changes.append(DecadeChange(unit, decade, float(result.nonstructural_effect)))
             details[(unit, decade)] = result
@@ -831,12 +832,12 @@ STRESS_LABELS = ("L", "M", "H")
 STRESS_STATES = ("Ames", "Bend", "Cary", "Dale", "Erie")
 
 
-def panel_of(tables, labels, waves=RunConfig().waves, singles=None):
+def panel_of(tables, labels, singles=None):
     """The panel of ``tables``, ``{(state, year): counts}``, with ``singles``."""
     keys = list(tables)
     return PanelDataset(np.array([tables[key] for key in keys], dtype=float),
-                        {key: i for i, key in enumerate(keys)}, tuple(labels), tuple(waves),
-                        tuple(sorted({state for state, _ in keys})), singles=singles or {})
+                        {key: i for i, key in enumerate(keys)}, tuple(labels),
+                        singles=singles or {})
 
 
 def stress_data():
@@ -1100,7 +1101,7 @@ def _reference_scalar_changes(panel, config, unit_list):
         for early_year, late_year in zip(config.waves, config.waves[1:]):
             decade = f"{early_year}s"
             if early_year not in cuts or late_year not in cuts:
-                changes.append(DecadeChange(unit, decade, None, False, "missing wave"))
+                changes.append(DecadeChange(unit, decade, None, reason="missing wave"))
                 continue
             early, late = cuts[early_year], cuts[late_year]
             try:
@@ -1110,8 +1111,8 @@ def _reference_scalar_changes(panel, config, unit_list):
                 delta = (_reference_scalar_value(measure, late, config.rounding)
                          - _reference_scalar_value(measure, early, config.rounding))
             except HomlabError as exc:
-                changes.append(DecadeChange(unit, decade, None, False,
-                                            f"{type(exc).__name__}: {exc}"))
+                changes.append(DecadeChange(unit, decade, None,
+                                            reason=f"{type(exc).__name__}: {exc}"))
                 continue
             changes.append(DecadeChange(unit, decade, float(delta)))
     return changes
@@ -1180,7 +1181,7 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
               1980: [[0, 0], [3, 4]],  # a zero marginal sum
               1990: [[40, 10], [20, 30]],
               2000: [[30, 10], [10, 30]]}
-    panel = panel_of({("A", year): c for year, c in counts.items()}, ("L", "H"), waves)
+    panel = panel_of({("A", year): c for year, c in counts.items()}, ("L", "H"))
     config = RunConfig(waves=waves, labels=("L", "H"), measure="msp")
     changes, _ = _unit_changes(panel, config, "A")
     undefined = "UndefinedIndicatorError: sorting parameter undefined: "
@@ -1196,13 +1197,13 @@ def test_scalar_trend_measures_exclude_pairs_with_their_own_reason():
 
     # a missing wave, and waves of four levels that the divide cannot cut
     del counts[1990]
-    panel = panel_of({("A", year): c for year, c in counts.items()}, ("L", "H"), waves)
+    panel = panel_of({("A", year): c for year, c in counts.items()}, ("L", "H"))
     assert [c.reason for c in _unit_changes(panel, config, "A")[0][2:]] == [
         "missing wave", "missing wave"]
     labels = ("A", "B", "C", "D")
     rng = np.random.default_rng(4)
     four_level = panel_of({("A", year): rng.integers(1, 40, (4, 4)) for year in waves},
-                          labels, waves)
+                          labels)
     config = RunConfig(waves=waves, labels=labels, categories="hs", measure="msp")
     uncut = "DataError: the 'hs' divide needs a three-level table, got 4x4"
     for changes, _ in (decade_changes(four_level, config),
@@ -1807,6 +1808,23 @@ def test_cli_decompose_rejects_indicator_measure(tmp_path):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("trend", ("--method", "ipf")), ("decompose", ("--method", "ipf")), ("trend", ())],
+    ids=["trend-method", "decompose-method", "trend-file-only"])
+def test_cli_method_flag_overrides_a_file_measure(tmp_path, command, flags):
+    # the flag used to lose to the file's measure: trend wrote "ll", and
+    # decompose exited 2 asking for a method measure
+    out = tmp_path / "out"
+    cli(command, "--config", config_file(tmp_path, measure="ll"), *flags,
+        "--couples", FIXTURES / "synthetic_panel.csv", "--out", out)
+    expected = flags[-1] if flags else "ll"
+    if command == "trend":
+        assert json.loads((out / "trend_stats.json").read_text())["measure"] == expected
+    else:
+        rows = read_rows(out / "decomposition.csv")
+        assert rows and {row["method"] for row in rows} == {expected}
+
+
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -2040,7 +2058,7 @@ def _reference_counterfactual(panel, config, state, years):
             "col_labels": list(result.table.col_labels),
             "counts": [[float(x) for x in row] for row in result.table.counts],
             "iterations": result.iterations, "max_marginal_error": result.max_marginal_error,
-            "feasible": result.feasible, "diagnostics": dict(result.diagnostics)}
+            "feasible": True, "diagnostics": dict(result.diagnostics)}
 
 
 @pytest.mark.parametrize("categories", ["three", "hs", "college"])
@@ -2117,8 +2135,8 @@ def test_the_cli_picks_one_blas_thread_unless_told_otherwise(preset, expected):
 EXPORTED = [
     "CONTINUOUS", "ContingencyTable", "CounterfactualResult", "DecadeChange",
     "DecompositionResult", "Marginals", "PAPER_INTEGER", "TableWithSingles", "TrendStats",
-    "decompose", "evaluate", "fit", "gll", "homogamy_share", "income_consistency",
-    "marginals", "merge_categories", "score",
+    "decompose", "evaluate", "fit", "gll", "homogamy_share", "marginals", "merge_categories",
+    "score",
 ]
 
 # the per-table entry points that the kernels replaced, by module
@@ -2130,7 +2148,7 @@ DELETED = {
                    "surplus_matrix", "RegressionPair", "MspComponents",
                    "LiuLuDecomposition", "SurplusMatrix", "_outputs"),
     "decomposition": ("decompose_counts",),
-    "trend": ("classify_u_shape", "_u_shape_flag"),
+    "trend": ("classify_u_shape", "_u_shape_flag", "income_consistency"),
     "tables": ("enumerate_tables", "merge_with_singles", "pam_match", "random_match"),
     "io": ("EXCLUDED", "unit_decade_changes", "write_couples"),
     "criteria": ("MarginalPerturbation", "apply_perturbation"),
@@ -2161,6 +2179,19 @@ def test_the_replaced_entry_points_are_gone():
             with pytest.raises(AttributeError):
                 getattr(owner, name)
     assert not hasattr(PanelDataset, "unit_table")
+    assert not hasattr(Marginals, "n_rows") and not hasattr(Marginals, "n_cols")
+
+
+def test_derived_values_are_no_constructor_arguments():
+    derived = {DecadeChange: ("valid",), TrendStats: ("n_s", "n_total"), Marginals: ("total",),
+               CounterfactualResult: ("feasible",), PanelDataset: ("waves", "states")}
+    for cls, names in derived.items():
+        assert not set(names) & set(inspect.signature(cls).parameters), cls
+    # a stale positional call fails, and binds nothing to the next field
+    counts, index = np.ones((1, 2, 2)), {("A", 1960): 0}
+    with pytest.raises(TypeError):
+        PanelDataset(counts, index, ("L", "H"), (1960,), ("A",))
+    assert PanelDataset(counts, index, ("L", "H")).states == ("A",)
 
 
 # ---------------------------------------------------------------------------

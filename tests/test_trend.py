@@ -4,7 +4,6 @@ from homlab.trend import (
     DecadeChange,
     TrendStats,
     in_first_half,
-    income_consistency,
     score,
 )
 
@@ -51,12 +50,12 @@ def test_income_consistency_rules():
         ("Ohio", "1990s"): 0.02,
         # 2000s missing
     }
-    flags = income_consistency(changes, income)
-    assert flags[("Ohio", "1960s")] is True
-    assert flags[("Ohio", "1970s")] is False
-    assert flags[("Ohio", "1980s")] is False  # zero income change
-    assert flags[("Ohio", "1990s")] is True
-    assert flags[("Ohio", "2000s")] is None  # excluded
+    consistent = [score([change], income).n_s for change in changes]
+    # the 1970s signs differ, a zero income change is inconsistent, and a
+    # pair without an income datum cannot be consistent
+    assert consistent == [1, 0, 0, 1, 0]
+    stats = score(changes, income)
+    assert (stats.n_s, stats.n_omega, stats.n_total) == (2, 2, 5)
 
 
 def test_alphabetical_split():
@@ -81,8 +80,8 @@ def test_score_saturated_panel():
 def test_score_counts_invalid_pairs_out():
     changes = changes_from("Alabama", [-1, -1, -1, 1, 1])
     changes += [
-        DecadeChange("Texas", "1960s", None, False, "missing wave"),
-        DecadeChange("Texas", "1970s", None, False, "missing wave"),
+        DecadeChange("Texas", "1960s", None, reason="missing wave"),
+        DecadeChange("Texas", "1970s", None, reason="missing wave"),
         DecadeChange("Texas", "1980s", -0.5),
         DecadeChange("Texas", "1990s", 0.5),
         DecadeChange("Texas", "2000s", 0.5),
@@ -120,6 +119,17 @@ def test_score_is_order_invariant():
     assert forward == backward
 
 
-def test_trendstats_guards_half_sum():
-    with pytest.raises(ValueError):
-        TrendStats(1, 3, 1, 1, 5, 3, 2)
+def test_trendstats_derives_n_s_from_its_halves():
+    stats = TrendStats(n_u=1, n_alpha=1, n_omega=2, n_alpha_total=3, n_omega_total=2)
+    assert (stats.n_s, stats.n_total) == (3, 5)
+    assert stats.income_share == pytest.approx(0.6)
+    with pytest.raises(TypeError):  # n_s and n_total are derived, so passing them fails
+        TrendStats(1, 3, 1, 2, 5, 3, 2)
+
+
+def test_a_decade_change_is_valid_when_it_has_a_delta():
+    assert DecadeChange("Ohio", "1960s", 0.0).valid
+    excluded = DecadeChange("Ohio", "1960s", None, reason="missing wave")
+    assert not excluded.valid and excluded.reason == "missing wave"
+    with pytest.raises(TypeError):  # valid is derived, and reason keyword-only
+        DecadeChange("Ohio", "1960s", None, False, "missing wave")
