@@ -45,7 +45,6 @@ from .io import (
     load_singles,
     trend_series,
 )
-from .tables import ContingencyTable, TableWithSingles, marginals
 from .trend import score
 
 
@@ -191,7 +190,9 @@ def counterfactual(**params):
     """Fit the late table onto the early marginals; emit table and diagnostics.
 
     Both waves come from the run's one cut of ``--state``, with their singles
-    for ``csa``; a wave that the cut excludes is reported like a failed fit.
+    for ``csa``, and the late one is fitted as a ``fit_stack`` of one, which
+    reports what ``fit`` returns or raises; a wave that the cut excludes is
+    reported like a failed fit.
     """
     config = _config_from(params)
     panel = _panel_from(params, config)
@@ -215,14 +216,12 @@ def counterfactual(**params):
         for row in (early, late):
             if cut.errors[row] is not None:
                 raise cut.errors[row]
-        source, target = (ContingencyTable(cut.counts[row], cut.labels, cut.labels)
-                          for row in (late, early))
-        if cut.singles is not None:
-            source = TableWithSingles(source, *(pool[late] for pool in cut.singles))
-        result = cf.fit(
-            method, source, marginals(target), config.rounding, config.tol, config.max_iter,
-            cut.singles and tuple(pool[early] for pool in cut.singles),
-        )
+        target = cut.counts[[early]]
+        singles = [cut.singles and tuple(pool[[row]] for pool in cut.singles)
+                   for row in (late, early)]
+        fits = cf.fit_stack(method, cut.counts[[late]], target.sum(axis=2), target.sum(axis=1),
+                            config.rounding, config.tol, config.max_iter, *singles)
+        counts = cf._single(fits)
     except HomlabError as exc:  # a result, as in decompose; any other error is a bug
         payload.update(
             feasible=False,
@@ -230,13 +229,11 @@ def counterfactual(**params):
         )
     else:
         payload.update(
-            row_labels=list(result.table.row_labels),
-            col_labels=list(result.table.col_labels),
-            counts=[[float(x) for x in row] for row in result.table.counts],
-            iterations=result.iterations,
-            max_marginal_error=result.max_marginal_error,
+            row_labels=list(cut.labels),
+            col_labels=list(cut.labels),
+            counts=counts.tolist(),
             feasible=True,  # a fit that fails raises
-            diagnostics=dict(result.diagnostics),
+            **cf._outcome(method, fits, tol=config.tol, rounding=config.rounding),
         )
     _write_json(out / "counterfactual.json", payload)
     click.echo(f"wrote {out / 'counterfactual.json'}")

@@ -55,6 +55,8 @@ from .tables import (
     ContingencyTable,
     Marginals,
     TableWithSingles,
+    _counts_error,
+    _refused,
     couples_of,
     pam_counts,
     random_counts,
@@ -96,8 +98,9 @@ class FitStack:
     """A kernel's outcome on T problems: fitted ``counts`` (T, n, m), the
     ``iterations`` and the ``residual`` (largest marginal error) of each, and
     ``errors[t]``, None or what the single-table fit raises on problem ``t``
-    (whose counts and residual are NaN then). ``extra`` holds MDbA's
-    ``det_target``, MEDA's ``v`` or CSA's ``single_men`` and ``single_women``."""
+    (:func:`fit_stack` makes its counts and residual NaN). ``extra`` holds
+    MDbA's ``det_target``, MEDA's ``v`` or CSA's ``single_men`` and
+    ``single_women``."""
 
     counts: np.ndarray
     iterations: np.ndarray
@@ -163,10 +166,20 @@ def _stack(counts, errors, iterations=None, residual=None, rows=None, cols=None,
     if residual is None:
         residual = _worst_gap(counts, np.add.reduce(counts, axis=-1), rows, cols)
     iterations = np.zeros(len(counts), dtype=int) if iterations is None else iterations
+    return FitStack(counts, iterations, residual, tuple(errors), extra)
+
+
+def _settled(fits: FitStack) -> FitStack:
+    """A kernel's ``fits`` as :func:`fit_stack` reports them: an instance
+    whose fitted counts are no table's fails with the
+    :class:`~homlab.errors.TableError` that a table of them raises, and a
+    failed instance's counts and residual are NaN."""
+    errors = list(fits.errors)
+    _fail(errors, _refused(fits.counts), lambda i: _counts_error(fits.counts[i]))
     failed = [i for i, error in enumerate(errors) if error is not None]
     if failed:
-        counts[failed], residual[failed] = np.nan, np.nan
-    return FitStack(counts, iterations, residual, tuple(errors), extra)
+        fits.counts[failed], fits.residual[failed] = np.nan, np.nan
+    return replace(fits, errors=tuple(errors))
 
 
 def _single(fits: FitStack) -> np.ndarray:
@@ -181,19 +194,20 @@ def _as_stack(*arrays):
     return tuple(np.asarray(a, dtype=float)[None] for a in arrays)
 
 
-def _result(source: ContingencyTable, tag: str, fits: FitStack, **options):
-    """A stack of one's fit as a result, or the error it raised; the
-    diagnostics are the options ``tag`` reports and the kernel's ``extra``."""
-    name, reported = _METHODS[tag]
-    diagnostics = {key: options[key] for key in reported}
+def _outcome(tag: str, fits: FitStack, **options) -> dict:
+    """A stack of one's fit as :class:`CounterfactualResult` reports it,
+    table aside: its iterations, its residual and its diagnostics, which are
+    the options ``tag`` reports and the kernel's ``extra``."""
+    diagnostics = {key: options[key] for key in _METHODS[tag][1]}
     diagnostics.update((key, value[0].tolist()) for key, value in fits.extra.items())
-    return CounterfactualResult(
-        table=source.with_counts(_single(fits)),
-        method=name,
-        iterations=int(fits.iterations[0]),
-        max_marginal_error=float(fits.residual[0]),
-        diagnostics=diagnostics,
-    )
+    return {"iterations": int(fits.iterations[0]),
+            "max_marginal_error": float(fits.residual[0]), "diagnostics": diagnostics}
+
+
+def _result(source: ContingencyTable, tag: str, fits: FitStack, **options):
+    """A stack of one's fit as a result, or the error it raised."""
+    return CounterfactualResult(source.with_counts(_single(fits)), _METHODS[tag][0],
+                                **_outcome(tag, fits, **options))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +276,8 @@ def _ipf_kernel(counts, rows, cols, total, tol: float, max_iter: int) -> FitStac
     marginal discrepancy falls below ``tol``. Rescaling never changes cross
     ratios, so on a strictly positive 2x2 source the odds ratio of the result
     equals that of the source; zero cells of the source are structural and
-    stay zero. A target that the source's zero pattern cannot reach fails
+    stay zero. A target whose row and column sums differ by more than
+    ``(n + m) * tol``, or that the source's zero pattern cannot reach, fails
     with :class:`InfeasibilityError` before any sweep; a target reachable
     only in the limit (a support cell tending to zero) still sweeps until
     ``max_iter`` and fails with :class:`ConvergenceError`. Each instance
@@ -270,6 +285,12 @@ def _ipf_kernel(counts, rows, cols, total, tol: float, max_iter: int) -> FitStac
     """
     counts = np.array(counts, dtype=float, order="C")
     errors, _ = _target_errors(total)
+    # the Hall bound of _unreachable_target over all rows (or all columns)
+    gaps = total - np.add.reduce(cols, axis=-1)
+    _fail(errors, np.abs(gaps) > (rows.shape[-1] + cols.shape[-1]) * tol,
+          lambda i: InfeasibilityError(
+              f"target unreachable: the row and column sums differ by {abs(gaps[i]):.6g}",
+              context={"gap": float(gaps[i])}))
     if not counts.min() > 0:
         for i in np.flatnonzero(counts.min(axis=(-2, -1)) == 0):
             errors[i] = errors[i] or _zero_pattern_error(counts[i], rows[i], cols[i], tol)
@@ -588,24 +609,29 @@ def fit_stack(
     sources' single men (T, n) and women (T, m), and ``target_singles`` the
     targets' (the sources' when None). Mis-shaped margins or singles raise
     :class:`ShapeError`, as in ``fit``. Instance ``t`` of the result is what
-    ``fit`` returns on problem ``t``, bit for bit, or the error it raises.
+    ``fit`` returns on problem ``t``, bit for bit, or the error it raises:
+    fitted counts that are no table's (non-finite, say) fail with the
+    :class:`~homlab.errors.TableError` that ``ContingencyTable`` raises for
+    them. A failed instance's counts and residual are NaN.
     """
     _check(method, counts.shape[-2:], rows, cols, rounding, singles, target_singles)
     total = rows.sum(axis=-1)
     if method == "ipf":
-        return _ipf_kernel(counts, rows, cols, total, tol, max_iter)
-    if method == "mdba":
-        return _mdba_kernel(counts, rows, cols, total)
-    if method == "meda":
-        return _meda_kernel(counts, rows, cols, total)
-    if method == "nm":
-        return _nm_kernel(counts, rows, cols, total, rounding)
-    # CSA fits the target populations, couples plus singles, with the
-    # source's surplus matrix, which a zero singles count leaves undefined
-    msm, undefined = _surplus(counts, *singles)
-    men, women = target_singles or singles
-    fits = _csa_kernel(msm, rows + men, cols + women, min(tol, 1e-11), max_iter)
-    return replace(fits, errors=tuple(
-        UndefinedIndicatorError(_SURPLUS_UNDEFINED) if bad else error
-        for bad, error in zip(undefined, fits.errors)
-    ))
+        fits = _ipf_kernel(counts, rows, cols, total, tol, max_iter)
+    elif method == "mdba":
+        fits = _mdba_kernel(counts, rows, cols, total)
+    elif method == "meda":
+        fits = _meda_kernel(counts, rows, cols, total)
+    elif method == "nm":
+        fits = _nm_kernel(counts, rows, cols, total, rounding)
+    else:
+        # CSA fits the target populations, couples plus singles, with the
+        # source's surplus matrix, which a zero singles count leaves undefined
+        msm, undefined = _surplus(counts, *singles)
+        men, women = target_singles or singles
+        fits = _csa_kernel(msm, rows + men, cols + women, min(tol, 1e-11), max_iter)
+        fits = replace(fits, errors=tuple(
+            UndefinedIndicatorError(_SURPLUS_UNDEFINED) if bad else error
+            for bad, error in zip(undefined, fits.errors)
+        ))
+    return _settled(fits)

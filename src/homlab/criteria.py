@@ -42,15 +42,7 @@ import numpy as np
 from . import counterfactual as cf
 from . import indicators as ind
 from .errors import InfeasibilityError, UndefinedIndicatorError
-from .tables import (
-    ContingencyTable,
-    Marginals,
-    TableWithSingles,
-    _block_sum,
-    homogamy_shares,
-    lattice,
-    pam_counts,
-)
+from .tables import Marginals, _block_sum, homogamy_shares, lattice, pam_counts
 
 SATISFIED = "satisfied-on-sample"
 COUNTEREXAMPLE = "counterexample-found"
@@ -193,12 +185,6 @@ def _payload(counts: np.ndarray, singles=None) -> dict:
     if singles is not None:
         payload.update(single_men=singles[0].tolist(), single_women=singles[1].tolist())
     return payload
-
-
-def _table_payload(subject) -> dict:
-    if isinstance(subject, TableWithSingles):
-        return _payload(subject.couples.counts, (subject.single_men, subject.single_women))
-    return _payload(subject.counts)
 
 
 def _first_hit(rng, sample_count: int, draw, bases, scan):
@@ -983,29 +969,30 @@ def check_method(
     if criterion in _METHOD_CHECKS:
         return _sampled_method_check(criterion, method, sample_count, seed)
 
-    # AC12, on the crafted case; the surplus-based method's target singles
-    # default to its source's
-    subject: ContingencyTable | TableWithSingles = ContingencyTable(SIC_SOURCE)
-    if method == "csa":
-        subject = TableWithSingles(subject, SIC_SINGLES, SIC_SINGLES)
+    # AC12, on the crafted case as a stack of one; the surplus-based method's
+    # target singles default to its source's
+    source = np.array(SIC_SOURCE)
+    singles = (np.array(SIC_SINGLES),) * 2 if method == "csa" else None
     witness = {
         "kind": "sic",
         "method": method,
-        "source": _table_payload(subject),
+        "source": _payload(source, singles),
         "target_rows": list(SIC_TARGET_ROWS),
         "target_cols": list(SIC_TARGET_COLS),
     }
+    # floored mode here: the crafted case is integer census-like data
+    fits = cf.fit_stack(method, source[None], np.array([SIC_TARGET_ROWS]),
+                        np.array([SIC_TARGET_COLS]), ind.PAPER_INTEGER, tol=1e-12,
+                        singles=singles and tuple(pool[None] for pool in singles))
     try:
-        # floored mode here: the crafted case is integer census-like data
-        result = cf.fit(method, subject, Marginals(SIC_TARGET_ROWS, SIC_TARGET_COLS),
-                        rounding=ind.PAPER_INTEGER, tol=1e-12)
+        returned = cf._single(fits)
     except InfeasibilityError as exc:
         witness.update(signaled=True, detail=str(exc))
         return CriterionReport(
             "AC12", method, SATISFIED, witness, 1,
             notes="infeasibility error raised on the crafted impossible case",
         )
-    witness.update(signaled=False, returned=result.table.counts.tolist())
+    witness.update(signaled=False, returned=returned.tolist())
     return CriterionReport(
         "AC12", method, COUNTEREXAMPLE, witness, 1,
         notes="returned a table without signaling on the crafted "

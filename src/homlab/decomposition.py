@@ -23,16 +23,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .counterfactual import _METHODS, fit_stack
-from .errors import ShapeError, TableError
+from .errors import ShapeError
 from .indicators import PAPER_INTEGER
-from .tables import (
-    ContingencyTable,
-    TableWithSingles,
-    _refused,
-    couples_of,
-    homogamy_share,
-    homogamy_shares,
-)
+from .tables import ContingencyTable, TableWithSingles, couples_of, homogamy_share, homogamy_shares
 
 SEQUENTIAL = "sequential"
 WITH_INTERACTION = "with-interaction"
@@ -60,23 +53,14 @@ def _fitted_shares(method, sources, targets, singles, target_singles, rounding, 
                    max_iter):
     """One ``fit_stack`` of ``sources`` onto the margins of ``targets``: each
     problem's counterfactual share, as one array, and the error its fit
-    raises (for the whole stack, a check that fails every problem) or that
-    its fitted counts fail ``ContingencyTable``'s checks with, else None."""
+    raises (for the whole stack, a check that fails every problem), else
+    None. A failed problem's fitted counts, and so its share, are NaN."""
     try:
         fits = fit_stack(method, sources, targets.sum(axis=2), targets.sum(axis=1),
                          rounding, tol, max_iter, singles, target_singles)
     except ValueError as exc:  # ShapeError too
         return np.full(len(sources), np.nan), [exc] * len(sources)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shares = homogamy_shares(fits.counts)
-    errors = list(fits.errors)
-    for k in np.flatnonzero(_refused(fits.counts)):
-        if errors[k] is None:
-            try:
-                ContingencyTable(fits.counts[k])
-            except TableError as exc:
-                errors[k] = exc
-    return shares, errors
+    return homogamy_shares(fits.counts), list(fits.errors)
 
 
 def _decompose_columns(early, late, method, scheme, rounding, tol, max_iter, singles):
@@ -99,16 +83,15 @@ def _decompose_columns(early, late, method, scheme, rounding, tol, max_iter, sin
     shares_early, shares_late = homogamy_shares(early), homogamy_shares(late)
     settings = (rounding, tol, max_iter)
     shares_cf, errors = _fitted_shares(method, late, early, singles[1], singles[0], *settings)
-    with np.errstate(invalid="ignore"):  # a failed pair's NaN or inf
-        nonstructural = shares_cf - shares_early
-        if scheme != WITH_INTERACTION:
-            structural, interaction = shares_late - shares_cf, [None] * len(errors)
-        else:
-            shares_rev, reverse = _fitted_shares(method, early, late, singles[0], singles[1],
-                                                 *settings)
-            errors = [e if e is not None else r for e, r in zip(errors, reverse)]
-            structural = shares_rev - shares_early
-            interaction = (shares_late - shares_early - nonstructural - structural).tolist()
+    nonstructural = shares_cf - shares_early  # a failed pair's share is NaN
+    if scheme != WITH_INTERACTION:
+        structural, interaction = shares_late - shares_cf, [None] * len(errors)
+    else:
+        shares_rev, reverse = _fitted_shares(method, early, late, singles[0], singles[1],
+                                             *settings)
+        errors = [e if e is not None else r for e, r in zip(errors, reverse)]
+        structural = shares_rev - shares_early
+        interaction = (shares_late - shares_early - nonstructural - structural).tolist()
     values = (shares_early, shares_late, shares_cf, nonstructural, structural)
     return dict(zip(DECOMPOSITION_COLUMNS, [*(v.tolist() for v in values), interaction])), errors
 

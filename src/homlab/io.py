@@ -43,7 +43,7 @@ from .counterfactual import METHOD_TAGS
 from .decomposition import (DECOMPOSITION_COLUMNS, SCHEMES, SEQUENTIAL, WITH_INTERACTION,
                             _decompose_columns, cumulate, decade_label)
 from .errors import DataError, HomlabError, TableError
-from .tables import ContingencyTable, _block_sum, _refused, homogamy_shares
+from .tables import _block_sum, _counts_error, _refused, homogamy_shares
 from .trend import FIRST_HALF_LAST_STATE, DecadeChange
 
 THREE_LEVEL = "three"
@@ -170,15 +170,18 @@ class PanelDataset:
     income and singles.
 
     ``counts[index[(state, year)]]`` is that wave's table, with ``labels``
-    on both axes (lowest first); each must pass :class:`ContingencyTable`'s
-    checks, and :func:`load_couples` keeps only the waves with at least one
-    couple. ``states`` lists the states of ``index`` in sorted order,
-    ``UNKNOWN`` left out; ``US`` as a state is a DataError, as in the
-    loaders. The national aggregate of each year is summed once, at
-    construction, over ``states`` in order and then over ``UNKNOWN`` when
-    ``include_unknown`` is set. ``income`` maps (state, year) to the top
-    decile share, ``singles`` to the (single men, single women) vectors of
-    :func:`load_singles`. The pipeline reads the arrays, cut once per run.
+    on both axes (lowest first), and ``national_counts[year]`` that year's
+    national aggregate. Each table's counts must pass the counts check of
+    :class:`~homlab.tables.ContingencyTable`, whose ``TableError`` the
+    first that fails raises, and :func:`load_couples` keeps only the waves
+    with at least one couple. ``states`` lists the states of ``index`` in
+    sorted order, ``UNKNOWN`` left out; ``US`` as a state is a DataError,
+    as in the loaders. The national aggregate of each year is summed once,
+    at construction, over ``states`` in order and then over ``UNKNOWN``
+    when ``include_unknown`` is set. ``income`` maps (state, year) to the
+    top decile share, ``singles`` to the (single men, single women) vectors
+    of :func:`load_singles`. The pipeline reads the arrays, cut once per
+    run.
     """
 
     counts: np.ndarray
@@ -202,21 +205,13 @@ class PanelDataset:
             raise TableError(f"counts must hold one {k}x{k} table per key, "
                              f"got shape {self.counts.shape}")
         for counts in self.counts[_refused(self.counts)]:
-            ContingencyTable(counts, self.labels, self.labels)  # raises its TableError
+            raise _counts_error(counts)
         members = (*self.states, UNKNOWN_STATE) if self.include_unknown else self.states
         self.national_counts = {}
         for year in sorted({year for _, year in self.index}):
             rows = [self.index[(s, year)] for s in members if (s, year) in self.index]
             if rows:
                 self.national_counts[year] = self.counts[rows].sum(axis=0)
-
-    def unit_counts(self, unit: str, year: int) -> np.ndarray | None:
-        """One wave's couples counts of a state, or of the national aggregate
-        ``US``."""
-        if unit == NATIONAL:
-            return self.national_counts.get(year)
-        row = self.index.get((unit, year))
-        return None if row is None else self.counts[row]
 
 
 _COUPLES = ("year", "state", "husband_edu", "wife_edu", "count")

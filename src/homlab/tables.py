@@ -61,19 +61,10 @@ class ContingencyTable:
 
     def __post_init__(self):
         counts = _frozen_array(self.counts)
-        if counts.ndim != 2:
-            raise TableError(f"counts must be 2-dimensional, got ndim={counts.ndim}")
+        error = _counts_error(counts)
+        if error is not None:
+            raise error
         n, m = counts.shape
-        if n < 2 or m < 2:
-            raise TableError(f"table must be at least 2x2, got {n}x{m}")
-        # one pass accepts every valid table; the others replay the checks
-        # in order, for their message
-        if _refused(counts[None])[0]:
-            if not np.all(np.isfinite(counts)):
-                raise TableError("counts must be finite")
-            if counts.min() < 0:
-                raise TableError("counts must be nonnegative")
-            raise TableError("at least one count must be positive")
         rows = tuple(self.row_labels) or _default_labels("r", n)
         cols = tuple(self.col_labels) or _default_labels("c", m)
         if len(rows) != n or len(cols) != m:
@@ -115,6 +106,25 @@ def _refused(counts: np.ndarray) -> np.ndarray:
     low = counts.min(axis=(-2, -1), initial=0.0)
     high = counts.max(axis=(-2, -1), initial=0.0)
     return ~((low >= 0) & (0 < high) & (high < np.inf))
+
+
+def _counts_error(counts: np.ndarray) -> TableError | None:
+    """The :class:`TableError` that :class:`ContingencyTable` raises for the
+    cells ``counts``, or None: the one check of what a table's counts are."""
+    if counts.ndim != 2:
+        return TableError(f"counts must be 2-dimensional, got ndim={counts.ndim}")
+    n, m = counts.shape
+    if n < 2 or m < 2:
+        return TableError(f"table must be at least 2x2, got {n}x{m}")
+    # one pass accepts every valid table; the others replay the checks in
+    # order, for their message
+    if not _refused(counts[None])[0]:
+        return None
+    if not np.all(np.isfinite(counts)):
+        return TableError("counts must be finite")
+    if counts.min() < 0:
+        return TableError("counts must be nonnegative")
+    return TableError("at least one count must be positive")
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,7 @@ def test_decomposition_additivity_and_divergence():
 
     config = RunConfig(labels=("L", "H"), categories="three")
     panel = load_couples(FIXTURES / "divergence_couples.csv", config)
-    early, late = (ContingencyTable(panel.unit_counts("Example", year), panel.labels,
+    early, late = (ContingencyTable(panel.counts[panel.index[("Example", year)]], panel.labels,
                                     panel.labels) for year in (1980, 1990))
     ipf_effect = decompose(early, late, "ipf", SEQUENTIAL).nonstructural_effect
     nm_effect = decompose(early, late, "nm", SEQUENTIAL).nonstructural_effect

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from homlab import counterfactual as cf
 from homlab.cli import main
 from homlab.counterfactual import METHOD_TAGS, _csa_kernel, fit, fit_stack
 from homlab.criteria import _random_positive_split
@@ -16,6 +17,7 @@ from homlab.errors import (
     GllUndefinedError,
     InfeasibilityError,
     ShapeError,
+    TableError,
     UndefinedIndicatorError,
     UndefinedWeightError,
 )
@@ -117,6 +119,24 @@ def test_ipf_nonconvergence_guard():
     src = table([[5, 5], [0, 5]])
     with pytest.raises(ConvergenceError):
         fit("ipf", src, Marginals([5, 10], [5, 10]), tol=1e-12, max_iter=50)
+
+
+def test_ipf_refuses_margins_whose_totals_disagree_before_any_sweep(monkeypatch):
+    # the column sums exceed the row sums by 5e-8, within Marginals' relative
+    # tolerance but above (n + m) * tol: raking to tol can never converge
+    sweeps = []
+    sweep = cf._sweep
+    monkeypatch.setattr(cf, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+    with pytest.raises(InfeasibilityError,
+                       match=r"row and column sums differ by 5e-08") as raised:
+        fit("ipf", BASE, Marginals([50, 50], [60, 40 + 5e-8]))
+    assert raised.value.context["gap"] == pytest.approx(-5e-8)
+    assert sweeps == []
+    # a gap of 1e-10 is inside the bound of 4e-10, and split over the rows
+    # it leaves each within tol: the sweeps converge
+    result = fit("ipf", BASE, Marginals([50, 50], [55, 45 + 1e-10]))
+    assert sweeps and result.max_marginal_error <= 1e-10
+    assert np.allclose(result.table.counts.sum(axis=0), [55, 45])
 
 
 @pytest.mark.parametrize("k,error", [(12, InfeasibilityError), (13, ConvergenceError)])
@@ -801,6 +821,22 @@ def test_mis_shaped_problems_raise_shape_error_in_fit_and_fit_stack(method):
     if method == "csa":  # the sources' singles too
         with pytest.raises(ShapeError, match="disagree in shape"):
             fit_stack("csa", counts, even, even, singles=(singles[0], np.ones((1, 3))))
+
+
+@pytest.mark.parametrize("method", ["ipf", "mdba", "meda", "nm"])
+def test_fit_stack_fails_counts_that_are_no_table_as_fit_does(method):
+    # margins of 1e200 overflow the closed forms: meda's cells come out
+    # infinite and nm's NaN, which fit refuses as a table; the stack must
+    # fail those instances alike, and fit the others bit for bit
+    counts = np.array([BASE.counts] * 3)
+    rows = np.array([[50.0, 50.0], [1e200, 1e200], [30.0, 70.0]])
+    cols = np.array([[60.0, 40.0], [1e200, 1e200], [45.0, 55.0]])
+    singles = (np.ones((3, 2)), np.ones((3, 2)))  # read by csa only
+    with np.errstate(over="ignore", invalid="ignore"):
+        raised = _assert_stack_matches_single_fits(method, counts, rows, cols, singles,
+                                                   singles)
+    assert raised == {"ipf": set(), "mdba": {InfeasibilityError}, "meda": {TableError},
+                      "nm": {TableError}}[method]
 
 
 def test_stacked_ipf_refuses_what_the_single_fit_refuses():

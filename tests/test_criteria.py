@@ -53,6 +53,14 @@ def table(counts):
     return ContingencyTable(np.array(counts, dtype=float))
 
 
+def table_payload(subject) -> dict:
+    """A table's, or a table with singles', witness payload."""
+    if isinstance(subject, TableWithSingles):
+        return criteria._payload(subject.couples.counts,
+                                 (subject.single_men, subject.single_women))
+    return criteria._payload(subject.counts)
+
+
 BASE = table([[40, 10], [20, 30]])
 
 
@@ -403,7 +411,7 @@ def _reference_method_check(criterion, method, sample_count, seed):
         except (InfeasibilityError, UndefinedIndicatorError):
             continue
         if violation > criteria.VIOLATION_TOL:
-            payload = {"source": criteria._table_payload(source),
+            payload = {"source": table_payload(source),
                        "target_rows": target.row_sums.tolist(),
                        "target_cols": target.col_sums.tolist(), **params}
             if singles is not None:
@@ -499,8 +507,8 @@ def _reference_merge_check(method, sample_count, seed):
                    - coarse.table.counts).max() / max(margins.total, 1.0)
         )
         if violation > criteria.VIOLATION_TOL:
-            witness = {"kind": "method-merge", "source": criteria._table_payload(source),
-                       "target": criteria._table_payload(target),
+            witness = {"kind": "method-merge", "source": table_payload(source),
+                       "target": table_payload(target),
                        "row_partition": [list(b) for b in row_part],
                        "col_partition": [list(b) for b in col_part],
                        "criterion": "AC10", "method": method, "violation": violation}
@@ -686,7 +694,7 @@ def _reference_indicator_check(criterion, tag, sample_count, seed):
         couples = couples_of(subject)
         base = evaluator(subject)
         witness = {"criterion": criterion, "indicator": tag,
-                   "subject": criteria._table_payload(subject)}
+                   "subject": table_payload(subject)}
         if criterion == "AC8.1":
             diagonal = rng.integers(1, 51, size=2).astype(float).tolist()
             bumped = table(couples.counts + np.diag(diagonal))

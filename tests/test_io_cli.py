@@ -68,7 +68,11 @@ def _write_couples(panel: PanelDataset, path: Path):
 
 def _unit_table(panel: PanelDataset, unit: str, year: int):
     """One wave of a state, or of the national aggregate ``US``, as a table."""
-    counts = panel.unit_counts(unit, year)
+    if unit == "US":
+        counts = panel.national_counts.get(year)
+    else:
+        row = panel.index.get((unit, year))
+        counts = None if row is None else panel.counts[row]
     return None if counts is None else ContingencyTable(counts, panel.labels, panel.labels)
 
 
@@ -209,7 +213,7 @@ def test_load_couples_assembles_tables(tmp_path):
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
     assert panel.states == ("Iowa",)
     assert list(panel.index) == [("Iowa", 1960), ("Iowa", 1970)]
-    assert panel.unit_counts("Iowa", 1960).tolist() == [[40, 10], [20, 30]]
+    assert panel.counts[panel.index[("Iowa", 1960)]].tolist() == [[40, 10], [20, 30]]
 
 
 def test_load_couples_sums_duplicates(tmp_path):
@@ -219,7 +223,7 @@ def test_load_couples_sums_duplicates(tmp_path):
         "1960,Iowa,L,L,40\n1960,Iowa,L,L,2\n1960,Iowa,H,H,30\n",
     )
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
-    assert panel.unit_counts("Iowa", 1960)[0, 0] == 42
+    assert panel.counts[panel.index[("Iowa", 1960)]][0, 0] == 42
     # a repeated singles key is summed as a couples key is
     path = write(tmp_path / "singles.csv",
                  "year,state,sex,edu,count\n1960,Iowa,w,H,40\n1960,Iowa,m,H,7\n1960, Iowa ,w,H,2\n")
@@ -292,9 +296,9 @@ def test_national_aggregation_and_unknown(tmp_path):
     )
     panel = load_couples(path, RunConfig(**TWO_LEVEL))
     assert panel.states == ("Iowa", "Ohio")
-    assert panel.unit_counts("US", 1960)[0, 0] == 15
+    assert panel.national_counts[1960][0, 0] == 15
     panel_inc = load_couples(path, RunConfig(**TWO_LEVEL, include_unknown=True))
-    assert panel_inc.unit_counts("US", 1960)[0, 0] == 115
+    assert panel_inc.national_counts[1960][0, 0] == 115
     assert panel_inc.states == ("Iowa", "Ohio")
 
 
@@ -959,29 +963,29 @@ def _stacked(tables):
 
 
 def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch):
-    import homlab.decomposition
+    import homlab.counterfactual
 
-    # a fitted stack with a NaN, a negative and an empty problem among valid
-    # ones: each fails ContingencyTable's checks with its own message
+    # a kernel's fitted stack with a NaN, a negative and an empty problem
+    # among valid ones: fit_stack fails each with the message of
+    # ContingencyTable's checks, which the reference below builds
     fitted = []
-    original = homlab.decomposition.fit_stack
+    original = homlab.counterfactual._settled
 
-    def spoiled(*args, **kwargs):
-        fits = original(*args, **kwargs)
+    def spoiled(fits):
         counts = fits.counts.copy()
         valid = [k for k, error in enumerate(fits.errors) if error is None]
         counts[valid[0], 0, 0] = np.nan
         counts[valid[1], 1, 0] = -0.5
         counts[valid[2]] = 0.0
-        fitted.append(dataclasses.replace(fits, counts=counts))
-        return fitted[-1]
+        fitted.append(dataclasses.replace(fits, counts=counts.copy()))
+        return original(dataclasses.replace(fits, counts=counts))
 
     def share(fits, k, source):  # the per-pair share of one fitted problem
         if fits.errors[k] is not None:
             raise fits.errors[k]
         return homogamy_share(couples_of(source).with_counts(fits.counts[k]))
 
-    monkeypatch.setattr(homlab.decomposition, "fit_stack", spoiled)
+    monkeypatch.setattr(homlab.counterfactual, "_settled", spoiled)
     panel = stress_panel()
     messages = set()
     for method, scheme in itertools.product(("ipf", "nm", "csa"),
@@ -1051,6 +1055,56 @@ def test_cli_decomposition_path_builds_no_result_objects(tmp_path, monkeypatch, 
     # the counter sees the result decompose builds
     table = ContingencyTable(np.array([[40.0, 10.0], [20.0, 30.0]]))
     assert decompose(table, table, method) is not None and len(built) == 1
+
+
+def test_cli_data_paths_and_ac12_build_no_table_object(tmp_path, monkeypatch):
+    # below the library surface the pipeline reads arrays: no subcommand on
+    # the data path, nor the AC12 check, constructs a ContingencyTable, for
+    # a fitted pair or for a pair whose fit fails
+    from homlab.criteria import check_method
+
+    built = []
+    post_init = ContingencyTable.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ContingencyTable, "__post_init__", counting_post_init)
+    # the 1980 table sorts negatively and has no single L men: every
+    # method's fit of it onto the 1970 margins fails
+    couples = write(tmp_path / "couples.csv", "year,state,husband_edu,wife_edu,count\n"
+                    "1970,Example,L,L,50\n1970,Example,L,H,10\n"
+                    "1970,Example,H,L,10\n1970,Example,H,H,30\n"
+                    "1980,Example,L,L,0\n1980,Example,L,H,10\n"
+                    "1980,Example,H,L,10\n1980,Example,H,H,0\n")
+    singles = write(tmp_path / "singles.csv", "year,state,sex,edu,count\n"
+                    "1970,Example,m,L,5\n1970,Example,m,H,5\n"
+                    "1970,Example,w,L,5\n1970,Example,w,H,5\n"
+                    "1980,Example,m,L,0\n1980,Example,m,H,5\n"
+                    "1980,Example,w,L,5\n1980,Example,w,H,5\n")
+    cfg = config_file(tmp_path)
+    fixtures = ("--couples", FIXTURES / "synthetic_panel.csv",
+                "--income", FIXTURES / "synthetic_income.csv",
+                "--singles", FIXTURES / "synthetic_singles.csv")
+    cli("indicators", "--config", cfg, *fixtures[:4], "--out", tmp_path / "indicators")
+    for method in METHOD_TAGS:
+        for command in ("decompose", "trend"):
+            cli(command, "--config", cfg, "--method", method, *fixtures,
+                "--out", tmp_path / f"{command}-{method}")
+        outcomes = []
+        for name, data, state, years in (
+                ("fitted", fixtures, "Alabama", (1960, 1970)),
+                ("failed", ("--couples", couples, "--singles", singles), "Example",
+                 (1970, 1980))):
+            out = tmp_path / f"counterfactual-{method}-{name}"
+            cli("counterfactual", "--config", cfg, "--method", method, *data,
+                "--state", state, "--early-year", years[0], "--late-year", years[1],
+                "--out", out)
+            outcomes.append(json.loads((out / "counterfactual.json").read_text())["feasible"])
+        assert outcomes == [True, False], method
+        assert check_method("AC12", method).witness["kind"] == "sic"
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
