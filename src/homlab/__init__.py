@@ -11,13 +11,10 @@ import importlib
 # each exported name's defining module: the package imports a module (and
 # numpy) only when one of its names is first read (PEP 562)
 _EXPORTS = {
-    "counterfactual": ("CounterfactualResult", "fit"),
-    "decomposition": ("DecompositionResult", "decompose"),
+    "counterfactual": ("fit",),
+    "decomposition": ("decompose",),
     "indicators": ("CONTINUOUS", "PAPER_INTEGER", "evaluate", "gll"),
-    "tables": (
-        "ContingencyTable", "Marginals", "TableWithSingles", "homogamy_share",
-        "marginals", "merge_categories",
-    ),
+    "tables": ("ContingencyTable", "merge_categories"),
     "trend": ("DecadeChange", "TrendStats", "score"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

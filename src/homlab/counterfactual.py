@@ -53,11 +53,10 @@ from .indicators import (
 )
 from .tables import (
     ContingencyTable,
-    Marginals,
-    TableWithSingles,
+    _as_stack,
+    _check_vectors,
     _counts_error,
     _refused,
-    couples_of,
     pam_counts,
     random_counts,
 )
@@ -79,18 +78,6 @@ _NEG_TOL = 1e-9
 # the reachability check enumerates every subset of the shorter axis, so
 # wider tables are left to the sweep loop
 _REACH_MAX_CATEGORIES = 12
-
-
-@dataclass(frozen=True)
-class CounterfactualResult:
-    """A fitted table plus convergence diagnostics; a fit that fails raises
-    instead, so every result is feasible."""
-
-    table: ContingencyTable
-    method: str
-    iterations: int = 0
-    max_marginal_error: float = 0.0
-    diagnostics: Mapping[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -189,25 +176,14 @@ def _single(fits: FitStack) -> np.ndarray:
     return fits.counts[0]
 
 
-def _as_stack(*arrays):
-    """Each array as a float stack of one."""
-    return tuple(np.asarray(a, dtype=float)[None] for a in arrays)
-
-
 def _outcome(tag: str, fits: FitStack, **options) -> dict:
-    """A stack of one's fit as :class:`CounterfactualResult` reports it,
-    table aside: its iterations, its residual and its diagnostics, which are
-    the options ``tag`` reports and the kernel's ``extra``."""
+    """A stack of one's fit as ``counterfactual.json`` reports it, table
+    aside: its iterations, its residual and its diagnostics, which are the
+    options ``tag`` reports and the kernel's ``extra``."""
     diagnostics = {key: options[key] for key in _METHODS[tag][1]}
     diagnostics.update((key, value[0].tolist()) for key, value in fits.extra.items())
     return {"iterations": int(fits.iterations[0]),
             "max_marginal_error": float(fits.residual[0]), "diagnostics": diagnostics}
-
-
-def _result(source: ContingencyTable, tag: str, fits: FitStack, **options):
-    """A stack of one's fit as a result, or the error it raised."""
-    return CounterfactualResult(source.with_counts(_single(fits)), _METHODS[tag][0],
-                                **_outcome(tag, fits, **options))
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +252,19 @@ def _ipf_kernel(counts, rows, cols, total, tol: float, max_iter: int) -> FitStac
     marginal discrepancy falls below ``tol``. Rescaling never changes cross
     ratios, so on a strictly positive 2x2 source the odds ratio of the result
     equals that of the source; zero cells of the source are structural and
-    stay zero. A target whose row and column sums differ by more than
-    ``(n + m) * tol``, or that the source's zero pattern cannot reach, fails
-    with :class:`InfeasibilityError` before any sweep; a target reachable
-    only in the limit (a support cell tending to zero) still sweeps until
+    stay zero. Each sweep ends on exact column sums, so its n row errors add
+    up to the gap between the row and the column totals, and the residual
+    never falls below ``|gap| / n``. A target whose gap exceeds ``n * tol``,
+    or that the source's zero pattern cannot reach, therefore fails with
+    :class:`InfeasibilityError` before any sweep; a target reachable only in
+    the limit (a support cell tending to zero) still sweeps until
     ``max_iter`` and fails with :class:`ConvergenceError`. Each instance
     stops at its own sweep.
     """
     counts = np.array(counts, dtype=float, order="C")
     errors, _ = _target_errors(total)
-    # the Hall bound of _unreachable_target over all rows (or all columns)
     gaps = total - np.add.reduce(cols, axis=-1)
-    _fail(errors, np.abs(gaps) > (rows.shape[-1] + cols.shape[-1]) * tol,
+    _fail(errors, np.abs(gaps) > rows.shape[-1] * tol,
           lambda i: InfeasibilityError(
               f"target unreachable: the row and column sums differ by {abs(gaps[i]):.6g}",
               context={"gap": float(gaps[i])}))
@@ -565,29 +542,33 @@ def _check(method: str, shape, rows, cols, rounding, singles, target_singles):
 
 def fit(
     method: str,
-    source: ContingencyTable | TableWithSingles,
-    target: Marginals,
+    source: ContingencyTable,
+    rows,
+    cols,
     rounding: str = PAPER_INTEGER,
     tol: float = 1e-10,
     max_iter: int = 10000,
+    singles: tuple[np.ndarray, np.ndarray] | None = None,
     target_singles: tuple[np.ndarray, np.ndarray] | None = None,
-) -> CounterfactualResult:
-    """Uniform dispatcher over the five methods by lower-case tag.
+) -> FitStack:
+    """Uniform dispatcher over the five methods by lower-case tag: the
+    ``source`` table fitted onto the target row sums ``rows`` and column
+    sums ``cols``.
 
-    For ``csa`` the source must carry singles counts and the target
-    populations are the target couple marginals plus ``target_singles``
-    (falling back to the source's own singles when not provided); the
-    result table holds the fitted couples, and the fitted singles travel in
-    the diagnostics. This is :func:`fit_stack` on a stack of one, and it
-    raises the error of the fit.
+    For ``csa``, ``singles`` holds the source's single men and single women
+    per category, and the target populations are the target margins plus
+    ``target_singles`` (the source's own singles when None); the fitted
+    singles travel in ``extra``. The margins and the source's singles are
+    checked first (:func:`~homlab.tables._check_vectors`). This is then
+    :func:`fit_stack` on a stack of one, whose :class:`FitStack` it returns,
+    or whose error it raises.
     """
-    couples = couples_of(source)
-    singles = _as_stack(source.single_men, source.single_women) if isinstance(
-        source, TableWithSingles) else None
-    targets = None if target_singles is None else _as_stack(*target_singles)
-    fits = fit_stack(method, couples.counts[None], target.row_sums[None],
-                     target.col_sums[None], rounding, tol, max_iter, singles, targets)
-    return _result(couples, method, fits, tol=tol, rounding=rounding)
+    _check_vectors(source.counts.shape, (rows, cols), singles)
+    pools = [None if pair is None else _as_stack(*pair) for pair in (singles, target_singles)]
+    fits = fit_stack(method, source.counts[None], *_as_stack(rows, cols), rounding, tol,
+                     max_iter, *pools)
+    _single(fits)  # raises the fit's error
+    return fits
 
 
 def fit_stack(
@@ -604,10 +585,10 @@ def fit_stack(
     """:func:`fit` on a stack of T >= 1 problems, in one kernel call.
 
     ``counts`` (T, n, m) holds valid source tables, ``rows`` (T, n) and
-    ``cols`` (T, m) the target margins, whose total is their row sum as in
-    :class:`~homlab.tables.Marginals`. For ``csa``, ``singles`` holds the
-    sources' single men (T, n) and women (T, m), and ``target_singles`` the
-    targets' (the sources' when None). Mis-shaped margins or singles raise
+    ``cols`` (T, m) valid target margins, whose total is their row sum; the
+    stack is trusted, where ``fit`` checks its one problem first. For
+    ``csa``, ``singles`` holds the sources' single men (T, n) and women
+    (T, m), and ``target_singles`` the targets' (the sources' when None). Mis-shaped margins or singles raise
     :class:`ShapeError`, as in ``fit``. Instance ``t`` of the result is what
     ``fit`` returns on problem ``t``, bit for bit, or the error it raises:
     fitted counts that are no table's (non-finite, say) fail with the

@@ -42,7 +42,7 @@ import numpy as np
 from . import counterfactual as cf
 from . import indicators as ind
 from .errors import InfeasibilityError, UndefinedIndicatorError
-from .tables import Marginals, _block_sum, homogamy_shares, lattice, pam_counts
+from .tables import _block_sum, homogamy_shares, lattice, pam_counts
 
 SATISFIED = "satisfied-on-sample"
 COUNTEREXAMPLE = "counterexample-found"
@@ -584,7 +584,7 @@ def _score_lattices(evaluate, criterion: str, keys: list[tuple]) -> dict:
 def _lattice_of(rows: tuple, cols: tuple) -> np.ndarray:
     """The read-only lattice of one margin pair, enumerated once per process
     (AC6/AC7 margins are capped, so the pairs are finitely many)."""
-    points = lattice(Marginals(rows, cols), cap=20)
+    points = lattice(rows, cols, cap=20)
     points.flags.writeable = False
     return points
 
@@ -707,31 +707,26 @@ class _MethodStack:
                 **{name: values[t].tolist() for name, values in self.params.items()}}
 
 
-def _one(*values) -> tuple:
-    """Each of ``values`` as a float stack of one."""
-    return tuple(np.array([v], dtype=float) for v in values)
-
-
 def _singles_of_one(payload: Mapping[str, object]):
     """A witness table's singles as stacks of one, or None without."""
     if "single_men" not in payload:
         return None
-    return _one(payload["single_men"], payload["single_women"])
+    return cf._as_stack(payload["single_men"], payload["single_women"])
 
 
 def _stack_of_one(w: Mapping[str, object]) -> _MethodStack:
     """A sampled method witness's problem as a stack of one."""
     source, singles = w["source"], _singles_of_one(w["source"])
     if "target" in w:  # AC10: the target table, and partitions cut in two
-        counts, target = _one(source["counts"], w["target"]["counts"])
+        counts, target = cf._as_stack(source["counts"], w["target"]["counts"])
         cuts = {f"{axis}_cut": np.array([len(w[f"{axis}_partition"][0])])
                 for axis in ("row", "col")}
         return _MethodStack(counts, target.sum(axis=-1), target.sum(axis=-2), singles,
                             _singles_of_one(w["target"]), cuts, target)
     return _MethodStack(
-        *_one(source["counts"], w["target_rows"], w["target_cols"]), singles,
-        _one(*w["target_singles"]) if singles else None,
-        {name: _one(w[name])[0] for name in ("alpha", "diagonal") if name in w},
+        *cf._as_stack(source["counts"], w["target_rows"], w["target_cols"]), singles,
+        cf._as_stack(*w["target_singles"]) if singles else None,
+        {name: cf._as_stack(w[name])[0] for name in ("alpha", "diagonal") if name in w},
     )
 
 
@@ -1037,7 +1032,7 @@ def replay_witness(report: CriterionReport) -> float:
     tag = w["indicator"]
     evaluate = _evaluator(tag, w["criterion"])
     if kind == "maximum":
-        reference, better = _one(w["reference"]["counts"], w["better"]["counts"])
+        reference, better = cf._as_stack(w["reference"]["counts"], w["better"]["counts"])
         values, undefined = evaluate(reference, None)
         if undefined[0]:
             raise UndefinedIndicatorError("indicator undefined on the reference")
@@ -1045,7 +1040,7 @@ def replay_witness(report: CriterionReport) -> float:
         if math.isnan(drop):
             raise UndefinedIndicatorError("indicator undefined on the better table")
         return float(drop)
-    (counts,), singles = _one(w["subject"]["counts"]), _singles_of_one(w["subject"])
+    (counts,), singles = cf._as_stack(w["subject"]["counts"]), _singles_of_one(w["subject"])
     base, undefined = _base_values(evaluate, tag, w.get("compare_transposed", False),
                                    counts, singles)
     if undefined[0]:

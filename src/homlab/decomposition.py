@@ -17,36 +17,21 @@ reports the cross term separately; swapping the generations then negates
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .counterfactual import _METHODS, fit_stack
+from .counterfactual import fit_stack
 from .errors import ShapeError
 from .indicators import PAPER_INTEGER
-from .tables import ContingencyTable, TableWithSingles, couples_of, homogamy_share, homogamy_shares
+from .tables import ContingencyTable, _as_stack, _check_vectors, homogamy_shares
 
 SEQUENTIAL = "sequential"
 WITH_INTERACTION = "with-interaction"
 SCHEMES = (SEQUENTIAL, WITH_INTERACTION)
-# the value columns of decomposition.csv, in DecompositionResult's order
+# the value columns of decomposition.csv, and the keys of what decompose returns
 DECOMPOSITION_COLUMNS = ("share_early", "share_late", "share_counterfactual", "nonstructural",
                          "structural", "interaction")
-
-
-@dataclass(frozen=True)
-class DecompositionResult:
-    """Shares and effects for one generation pair and one method."""
-
-    method: str
-    scheme: str
-    share_early: float
-    share_late: float
-    share_counterfactual: float
-    nonstructural_effect: float
-    structural_effect: float
-    interaction_effect: float | None = None
 
 
 def _fitted_shares(method, sources, targets, singles, target_singles, rounding, tol,
@@ -97,48 +82,56 @@ def _decompose_columns(early, late, method, scheme, rounding, tol, max_iter, sin
 
 
 def decompose(
-    early: ContingencyTable | TableWithSingles,
-    late: ContingencyTable | TableWithSingles,
+    early: ContingencyTable,
+    late: ContingencyTable,
     method: str = "nm",
     scheme: str = SEQUENTIAL,
     rounding: str = PAPER_INTEGER,
     tol: float = 1e-10,
     max_iter: int = 10000,
-) -> DecompositionResult:
+    singles=None,
+) -> dict[str, float | None]:
     """Split the change in homogamy share between two generations.
 
     The counterfactual table carries the late generation's sorting on the
     early generation's marginals, so
 
-    * ``nonstructural_effect = share(counterfactual) - share(early)``;
-    * ``sequential``: ``structural_effect`` is the remainder, and the two
-      effects add up to ``share(late) - share(early)`` exactly;
-    * ``with-interaction``: ``structural_effect`` is instead evaluated at the
+    * ``nonstructural = share(counterfactual) - share(early)``;
+    * ``sequential``: ``structural`` is the remainder, and the two effects
+      add up to ``share(late) - share(early)`` exactly;
+    * ``with-interaction``: ``structural`` is instead evaluated at the
       early sorting (fitting the early table onto the late marginals) and
-      ``interaction_effect`` is the residual cross term.
+      ``interaction`` is the residual cross term (None under
+      ``sequential``).
 
-    The pair is checked first: the category labels of its two tables, the
-    square tables the share needs, and for ``csa`` the early singles. It is
-    then :func:`_decompose_columns` on stacks of one, and raises that pair's
-    error.
+    ``singles``, which ``csa`` needs, holds each side's (single men, single
+    women), early first. Returns the :data:`DECOMPOSITION_COLUMNS` by name.
+    The pair is checked first: each side's singles, the scheme, the
+    category labels of its two tables, the square tables the share needs,
+    and for ``csa`` the early singles. It is then :func:`_decompose_columns`
+    on stacks of one, and raises that pair's error.
     """
+    sides = singles or (None, None)
+    for table, side in zip((early, late), sides):
+        _check_vectors(table.counts.shape, singles=side)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
-    early_c, late_c = couples_of(early), couples_of(late)
-    if early_c.row_labels != late_c.row_labels or early_c.col_labels != late_c.col_labels:
+    if early.row_labels != late.row_labels or early.col_labels != late.col_labels:
         raise ShapeError("generation tables must share category labels")
-    for side in (early_c, late_c):
-        if not side.is_square():
-            homogamy_share(side)  # raises the share's ShapeError
-    singles = [(t.single_men[None], t.single_women[None])
-               if isinstance(t, TableWithSingles) else None for t in (early, late)]
-    if singles[0] is None and method == "csa":
+    for table in (early, late):
+        if not table.is_square():
+            raise ShapeError(
+                f"homogamy share needs a square table, got {table.n_rows}x{table.n_cols}"
+            )
+    if sides[0] is None and method == "csa":
         raise ShapeError("the surplus-based method needs singles on both sides")
-    columns, (error,) = _decompose_columns(early_c.counts[None], late_c.counts[None], method,
-                                           scheme, rounding, tol, max_iter, singles)
+    columns, (error,) = _decompose_columns(
+        early.counts[None], late.counts[None], method, scheme, rounding, tol, max_iter,
+        [None if side is None else _as_stack(*side) for side in sides],
+    )
     if error is not None:
         raise error
-    return DecompositionResult(_METHODS[method][0], scheme, *(v[0] for v in columns.values()))
+    return {name: values[0] for name, values in columns.items()}
 
 
 def decade_label(start_year: int) -> str:

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GllUndefinedError, ShapeError, UndefinedIndicatorError
-from .tables import ContingencyTable, TableWithSingles, _block_sum, couples_of
+from .tables import ContingencyTable, _as_stack, _block_sum, _check_vectors
 
 PAPER_INTEGER = "paper-integer"
 CONTINUOUS = "continuous"
@@ -254,29 +254,31 @@ def _surplus(counts, single_men, single_women):
     return counts / np.where(undefined[..., None, None], np.nan, denom), undefined
 
 
-def evaluate(tag: str, subject, rounding: str = PAPER_INTEGER) -> np.ndarray:
-    """The indicator ``tag`` of a table, or a table with singles, as a flat
-    vector: :func:`evaluate_stack` on a stack of one.
+def evaluate(
+    tag: str, table: ContingencyTable, rounding: str = PAPER_INTEGER, singles=None
+) -> np.ndarray:
+    """The indicator ``tag`` of a table as a flat vector:
+    :func:`evaluate_stack` on a stack of one.
 
     Matrix-valued measures flatten row-major; ``reg`` gives ``(beta_wm,
     beta_mw)``, ``msp`` the aggregate parameter, and ``det`` works on any
-    square table. ``msm`` needs the singles of a
-    :class:`~homlab.tables.TableWithSingles`; every other tag reads its
-    couples. ``rounding`` applies to the LL family, and every tag refuses
-    an unknown mode after its shape checks. Where the stack marks the table
-    undefined, the measure's own UndefinedIndicatorError is raised.
+    square table. ``msm`` needs ``singles``, the table's (single men,
+    single women) per category, which every other tag ignores; given
+    singles are checked first, for every tag
+    (:func:`~homlab.tables._check_vectors`). ``rounding`` applies to the LL
+    family, and every tag refuses an unknown mode after its shape checks.
+    Where the stack marks the table undefined, the measure's own
+    UndefinedIndicatorError is raised.
     """
-    couples = couples_of(subject)
+    _check_vectors(table.counts.shape, singles=singles)
     if tag == "gll":
-        return gll(couples, rounding).ravel()
-    singles = None
-    if tag == "msm":
-        if not isinstance(subject, TableWithSingles):
-            raise UndefinedIndicatorError("surplus matrix needs singles counts")
-        singles = (subject.single_men[None], subject.single_women[None])
-    values, undefined = evaluate_stack(tag, couples.counts[None], rounding, singles)
+        return gll(table, rounding).ravel()
+    if tag == "msm" and singles is None:
+        raise UndefinedIndicatorError("surplus matrix needs singles counts")
+    values, undefined = evaluate_stack(tag, table.counts[None], rounding,
+                                       None if singles is None else _as_stack(*singles))
     if undefined[0]:
-        raise _undefined_error(tag, couples.counts)
+        raise _undefined_error(tag, table.counts)
     return values[0]
 
 

@@ -705,8 +705,7 @@ def income_decade_deltas(
 ) -> dict[tuple[str, str], float]:
     """Change in the top decile share per (state, decade)."""
     deltas = {}
-    states = {state for state, _ in income}
-    for state in states:
+    for state in sorted({state for state, _ in income}):
         for early_year, late_year in zip(waves, waves[1:]):
             a = income.get((state, early_year))
             b = income.get((state, late_year))

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -23,7 +23,6 @@ from .errors import (
     DegenerateInputError,
     EnumerationCapError,
     PartitionError,
-    ShapeError,
     TableError,
 )
 
@@ -83,21 +82,8 @@ class ContingencyTable:
     def n_cols(self) -> int:
         return self.counts.shape[1]
 
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
-
-    def scaled(self, factor: float) -> "ContingencyTable":
-        return ContingencyTable(self.counts * factor, self.row_labels, self.col_labels)
-
-    def transposed(self) -> "ContingencyTable":
-        return ContingencyTable(self.counts.T, self.col_labels, self.row_labels)
-
-    def with_counts(self, counts) -> "ContingencyTable":
-        return ContingencyTable(counts, self.row_labels, self.col_labels)
 
 
 def _refused(counts: np.ndarray) -> np.ndarray:
@@ -127,65 +113,25 @@ def _counts_error(counts: np.ndarray) -> TableError | None:
     return TableError("at least one count must be positive")
 
 
-@dataclass(frozen=True)
-class TableWithSingles:
-    """A couples table plus single men / single women counts per category."""
-
-    couples: ContingencyTable
-    single_men: np.ndarray
-    single_women: np.ndarray
-
-    def __post_init__(self):
-        men = _frozen_array(self.single_men)
-        women = _frozen_array(self.single_women)
-        if men.ndim != 1 or men.shape[0] != self.couples.n_rows:
+def _check_vectors(shape=None, margins=None, singles=None):
+    """Raise the :class:`TableError` of library inputs that no table has:
+    ``singles`` (single men, single women) that are not one nonnegative
+    count per category of a table of ``shape`` (n, m), and target
+    ``margins`` (row sums, column sums) that are not vectors, are negative
+    or not finite, or whose column sums miss the row sums' total by more
+    than 1e-9 of it. ``fit``, ``evaluate``, ``decompose`` and ``lattice``
+    check here before any stacked work; the stacked functions trust their
+    inputs."""
+    if singles is not None:
+        men, women = (np.asarray(values, dtype=float) for values in singles)
+        if men.ndim != 1 or men.shape[0] != shape[0]:
             raise TableError("single_men must have one entry per husband category")
-        if women.ndim != 1 or women.shape[0] != self.couples.n_cols:
+        if women.ndim != 1 or women.shape[0] != shape[1]:
             raise TableError("single_women must have one entry per wife category")
         if np.any(men < 0) or np.any(women < 0):
             raise TableError("singles counts must be nonnegative")
-        object.__setattr__(self, "single_men", men)
-        object.__setattr__(self, "single_women", women)
-
-    def men_population(self) -> np.ndarray:
-        """Total marriageable men per category: in couples plus single."""
-        return self.couples.counts.sum(axis=1) + self.single_men
-
-    def women_population(self) -> np.ndarray:
-        return self.couples.counts.sum(axis=0) + self.single_women
-
-    def scaled(self, factor: float) -> "TableWithSingles":
-        return TableWithSingles(
-            self.couples.scaled(factor),
-            self.single_men * factor,
-            self.single_women * factor,
-        )
-
-    def transposed(self) -> "TableWithSingles":
-        return TableWithSingles(
-            self.couples.transposed(), self.single_women, self.single_men
-        )
-
-
-def couples_of(subject: ContingencyTable | TableWithSingles) -> ContingencyTable:
-    """The couples table of a table with or without singles."""
-    return subject.couples if isinstance(subject, TableWithSingles) else subject
-
-
-@dataclass(frozen=True)
-class Marginals:
-    """Row sums, column sums and grand total of a table (the structural factor).
-
-    ``total`` is the row sums' total; the column sums must add up to it.
-    """
-
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        rows = _frozen_array(self.row_sums)
-        cols = _frozen_array(self.col_sums)
+    if margins is not None:
+        rows, cols = (np.asarray(values, dtype=float) for values in margins)
         if rows.ndim != 1 or cols.ndim != 1:
             raise TableError("marginal sums must be vectors")
         # fmin skips NaN and the initial 0 covers empty vectors, so this is
@@ -198,14 +144,11 @@ class Marginals:
             raise TableError("marginal sums must be finite")
         if abs(col_total - total) > _REL_TOL * max(abs(total), 1.0):
             raise TableError("column sums do not add up to the total")
-        object.__setattr__(self, "row_sums", rows)
-        object.__setattr__(self, "col_sums", cols)
-        object.__setattr__(self, "total", total)
 
 
-def marginals(table: ContingencyTable) -> Marginals:
-    """Row sums, column sums and grand total of ``table``."""
-    return Marginals(table.counts.sum(axis=1), table.counts.sum(axis=0))
+def _as_stack(*arrays):
+    """Each array as a float stack of one."""
+    return tuple(np.asarray(a, dtype=float)[None] for a in arrays)
 
 
 def _validate_partition(partition: Sequence[Iterable[int]], size: int, axis: str):
@@ -306,16 +249,8 @@ def homogamy_shares(counts: np.ndarray) -> np.ndarray:
     return np.trace(counts, axis1=-2, axis2=-1) / counts.sum(axis=(-2, -1))
 
 
-def homogamy_share(table: ContingencyTable) -> float:
-    """Fraction of couples on the diagonal (same category for both partners)."""
-    if not table.is_square():
-        raise ShapeError(
-            f"homogamy share needs a square table, got {table.n_rows}x{table.n_cols}"
-        )
-    return float(homogamy_shares(table.counts))
-
-
-def _integer_vector(values: np.ndarray, what: str) -> list[int]:
+def _integer_vector(values, what: str) -> list[int]:
+    values = np.asarray(values, dtype=float)
     rounded = np.rint(values)
     if (np.abs(values - rounded) > 1e-9).any():
         raise DegenerateInputError(f"{what} must be integers for enumeration")
@@ -333,8 +268,9 @@ def _compositions(amount: int, parts: int) -> np.ndarray:
     return np.concatenate([heads[keep], (amount - sums[keep])[:, None]], axis=1)
 
 
-def lattice(marg: Marginals, cap: int = 40) -> np.ndarray:
-    """All nonnegative integer tables with the given marginals, stacked.
+def lattice(rows, cols, cap: int = 40) -> np.ndarray:
+    """All nonnegative integer tables with row sums ``rows`` and column sums
+    ``cols``, stacked.
 
     The lattice points of the transportation polytope as one integer array
     of shape ``(T, n, m)``, in lexicographic order of their row-major cells.
@@ -343,10 +279,12 @@ def lattice(marg: Marginals, cap: int = 40) -> np.ndarray:
     the last row is what remains. Intended as a brute-force oracle for
     criteria checks on tiny instances; totals above ``cap`` (default 40) are
     refused because the polytope size explodes, and a zero total is refused
-    because its only point is not a table.
+    because its only point is not a table. The margins are checked first,
+    as every library entry point checks them.
     """
-    rows = _integer_vector(marg.row_sums, "row sums")
-    cols = _integer_vector(marg.col_sums, "column sums")
+    _check_vectors(margins=(rows, cols))
+    rows = _integer_vector(rows, "row sums")
+    cols = _integer_vector(cols, "column sums")
     total = sum(rows)
     if total != sum(cols):
         raise DegenerateInputError("row and column sums disagree")

@@ -27,10 +27,11 @@ from homlab.io import (
     load_couples,
     load_income,
 )
-from homlab.tables import ContingencyTable, TableWithSingles, marginals, pam_counts, random_counts
+from homlab.tables import ContingencyTable, pam_counts, random_counts
 from homlab.trend import score
 
 from test_indicators import integer_benchmark_tables, kernel_outputs
+from test_tables import margins
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,65 +84,65 @@ def _feasible_instances(rng, method, count=200):
     out = []
     while len(out) < count:
         src = table(rng.integers(1, 51, size=(2, 2)))
-        tgt = marginals(table(rng.integers(1, 51, size=(2, 2))))
+        tgt = margins(table(rng.integers(1, 51, size=(2, 2))))
+        singles = None
         if method == "csa":
-            src = TableWithSingles(
-                src,
+            singles = (
                 rng.integers(1, 51, size=2).astype(float),
                 rng.integers(1, 51, size=2).astype(float),
             )
         try:
-            result = fit(method, src, tgt, tol=1e-12)
+            result = fit(method, src, *tgt, tol=1e-12, singles=singles)
         except (InfeasibilityError, UndefinedWeightError):
             continue
-        out.append((src, tgt, result))
+        out.append((src, singles, tgt, result))
     return out
 
 
 def _assert_marginals(result, target, csa_singles=None):
-    got = marginals(result.table)
+    got = margins(table(result.counts[0]))
     if csa_singles is not None:
-        men = np.array(result.diagnostics["single_men"])
-        women = np.array(result.diagnostics["single_women"])
-        men_pop = men + result.table.counts.sum(axis=1)
-        women_pop = women + result.table.counts.sum(axis=0)
-        want_men = target.row_sums + csa_singles[0]
-        want_women = target.col_sums + csa_singles[1]
+        men = np.array(result.extra["single_men"][0])
+        women = np.array(result.extra["single_women"][0])
+        men_pop = men + result.counts[0].sum(axis=1)
+        women_pop = women + result.counts[0].sum(axis=0)
+        want_men = target[0] + csa_singles[0]
+        want_women = target[1] + csa_singles[1]
         assert np.allclose(men_pop, want_men, rtol=1e-9, atol=1e-9)
         assert np.allclose(women_pop, want_women, rtol=1e-9, atol=1e-9)
     else:
-        assert np.allclose(got.row_sums, target.row_sums, rtol=1e-9, atol=1e-9)
-        assert np.allclose(got.col_sums, target.col_sums, rtol=1e-9, atol=1e-9)
+        assert np.allclose(got[0], target[0], rtol=1e-9, atol=1e-9)
+        assert np.allclose(got[1], target[1], rtol=1e-9, atol=1e-9)
 
 
-def _assert_factor(method, src, tgt, result):
+def _assert_factor(method, src, singles, tgt, result):
+    fitted = table(result.counts[0])
     if method == "ipf":
-        assert evaluate("or", result.table)[0] == pytest.approx(
+        assert evaluate("or", fitted)[0] == pytest.approx(
             evaluate("or", src)[0], rel=1e-9
         )
     elif method == "mdba":
         (a, b), (c, d) = src.counts
-        want = (a * d - b * c) * (tgt.total / src.total) ** 2
-        (a, b), (c, d) = result.table.counts
+        want = (a * d - b * c) * (float(tgt[0].sum()) / float(src.counts.sum())) ** 2
+        (a, b), (c, d) = result.counts[0]
         assert a * d - b * c == pytest.approx(want, rel=1e-9, abs=1e-9)
     elif method == "meda":
-        own = fit("meda", result.table, marginals(result.table)).diagnostics["v"]
+        own = fit("meda", fitted, *margins(fitted)).extra["v"][0]
         assert own == pytest.approx(
-            result.diagnostics["v"], rel=1e-9, abs=1e-9
+            result.extra["v"][0], rel=1e-9, abs=1e-9
         )
     elif method == "nm":
         assert np.allclose(
-            gll(result.table, PAPER_INTEGER), gll(src, PAPER_INTEGER),
+            gll(fitted, PAPER_INTEGER), gll(src, PAPER_INTEGER),
             rtol=1e-9, atol=1e-9,
         )
     elif method == "csa":
-        refit = TableWithSingles(
-            result.table,
-            np.array(result.diagnostics["single_men"]),
-            np.array(result.diagnostics["single_women"]),
-        )
+        refit = evaluate("msm", fitted, singles=(
+            np.array(result.extra["single_men"][0]),
+            np.array(result.extra["single_women"][0]),
+        ))
         assert np.allclose(
-            evaluate("msm", refit), evaluate("msm", src),
+            refit, evaluate("msm", src, singles=singles),
             rtol=1e-9, atol=1e-9,
         )
 
@@ -151,21 +152,12 @@ def test_counterfactual_contracts():
     start = time.perf_counter()
     for method in ("ipf", "mdba", "meda", "nm", "csa"):
         rng = np.random.default_rng([2025, len(method)])
-        for src, tgt, result in _feasible_instances(rng, method):
-            singles = (
-                (src.single_men, src.single_women) if method == "csa" else None
-            )
+        for src, singles, tgt, result in _feasible_instances(rng, method):
             _assert_marginals(result, tgt, csa_singles=singles)
-            _assert_factor(method, src, tgt, result)
-            own = marginals(
-                src.couples if isinstance(src, TableWithSingles) else src
-            )
-            fixpoint = fit(method, src, own, tol=1e-13)
-            source_counts = (
-                src.couples.counts if isinstance(src, TableWithSingles) else src.counts
-            )
+            _assert_factor(method, src, singles, tgt, result)
+            fixpoint = fit(method, src, *margins(src), tol=1e-13, singles=singles)
             assert np.allclose(
-                fixpoint.table.counts, source_counts, atol=1e-9, rtol=1e-9
+                fixpoint.counts[0], src.counts, atol=1e-9, rtol=1e-9
             )
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
@@ -181,13 +173,13 @@ def test_nm_meda_coincidence():
     done = 0
     while done < 200:
         src = integer_benchmark_tables(rng, 1)[0]
-        tgt = marginals(integer_benchmark_tables(rng, 1)[0])
+        tgt = margins(integer_benchmark_tables(rng, 1)[0])
         try:
-            nm = fit("nm", src, tgt)
-            meda = fit("meda", src, tgt)
+            nm = fit("nm", src, *tgt)
+            meda = fit("meda", src, *tgt)
         except (InfeasibilityError, UndefinedWeightError):
             continue
-        assert np.allclose(nm.table.counts, meda.table.counts, atol=1e-9)
+        assert np.allclose(nm.counts[0], meda.counts[0], atol=1e-9)
         done += 1
 
 
@@ -196,10 +188,10 @@ def test_projection_weight_brute_force():
     rng = np.random.default_rng(99)
     for _ in range(20):
         src = table(rng.integers(1, 51, size=(2, 2)))
-        m = marginals(src)
-        rnd = random_counts(m.row_sums, m.col_sums, m.total)
-        pam = pam_counts(m.row_sums[None], m.col_sums[None])[0]
-        v = fit("meda", src, m).diagnostics["v"]
+        rows, cols = margins(src)
+        rnd = random_counts(rows, cols, float(rows.sum()))
+        pam = pam_counts(rows[None], cols[None])[0]
+        v = fit("meda", src, rows, cols).extra["v"][0]
 
         def distance(weight):
             blend = (1 - weight) * rnd + weight * pam
@@ -305,10 +297,10 @@ def test_decomposition_additivity_and_divergence():
                     result = decompose(early, late, method, scheme, tol=1e-12)
                 except InfeasibilityError:
                     continue
-                delta = result.share_late - result.share_early
-                total = result.nonstructural_effect + result.structural_effect
+                delta = result["share_late"] - result["share_early"]
+                total = result["nonstructural"] + result["structural"]
                 if scheme == WITH_INTERACTION:
-                    total += result.interaction_effect
+                    total += result["interaction"]
                 assert total == pytest.approx(delta, abs=1e-12)
                 done += 1
 
@@ -316,8 +308,8 @@ def test_decomposition_additivity_and_divergence():
     panel = load_couples(FIXTURES / "divergence_couples.csv", config)
     early, late = (ContingencyTable(panel.counts[panel.index[("Example", year)]], panel.labels,
                                     panel.labels) for year in (1980, 1990))
-    ipf_effect = decompose(early, late, "ipf", SEQUENTIAL).nonstructural_effect
-    nm_effect = decompose(early, late, "nm", SEQUENTIAL).nonstructural_effect
+    ipf_effect = decompose(early, late, "ipf", SEQUENTIAL)["nonstructural"]
+    nm_effect = decompose(early, late, "nm", SEQUENTIAL)["nonstructural"]
     assert ipf_effect < -0.01 and nm_effect > 0.01
 
 

@@ -22,15 +22,8 @@ from homlab.errors import (
     UndefinedWeightError,
 )
 from homlab.indicators import CONTINUOUS, PAPER_INTEGER, evaluate, gll
-from homlab.tables import (
-    ContingencyTable,
-    Marginals,
-    TableWithSingles,
-    marginals,
-    merge_categories,
-    pam_counts,
-    random_counts,
-)
+from homlab.tables import ContingencyTable, merge_categories, pam_counts, random_counts
+from test_tables import margins
 
 
 def table(counts):
@@ -44,16 +37,18 @@ def random_positive(rng, shape=(2, 2)):
     return table(rng.integers(1, 51, size=shape))
 
 
-def random_target(rng, shape=(2, 2)) -> Marginals:
-    return marginals(random_positive(rng, shape))
+def random_target(rng, shape=(2, 2)):
+    return margins(random_positive(rng, shape))
 
 
-def random_table(m: Marginals) -> ContingencyTable:
-    return table(random_counts(m.row_sums, m.col_sums, m.total))
+def random_table(target) -> ContingencyTable:
+    rows, cols = (np.asarray(sums, dtype=float) for sums in target)
+    return table(random_counts(rows, cols, rows.sum()))
 
 
-def pam_table(m: Marginals) -> ContingencyTable:
-    return table(pam_counts(m.row_sums[None], m.col_sums[None])[0])
+def pam_table(target) -> ContingencyTable:
+    rows, cols = (np.asarray(sums, dtype=float) for sums in target)
+    return table(pam_counts(rows[None], cols[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +62,8 @@ def test_survival_grid_roundtrip():
     for _ in range(20):
         t = random_positive(rng, (3, 4))
         for rounding in (PAPER_INTEGER, CONTINUOUS):
-            result = fit("nm", t, marginals(t), rounding)
-            assert np.allclose(result.table.counts, t.counts)
+            result = fit("nm", t, *margins(t), rounding)
+            assert np.allclose(result.counts[0], t.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -76,35 +71,35 @@ def test_survival_grid_roundtrip():
 # ---------------------------------------------------------------------------
 
 def test_ipf_fixpoint():
-    result = fit("ipf", BASE, marginals(BASE))
-    assert result.iterations == 0
-    assert np.array_equal(result.table.counts, BASE.counts)
+    result = fit("ipf", BASE, *margins(BASE))
+    assert result.iterations[0] == 0
+    assert np.array_equal(result.counts[0], BASE.counts)
 
 
 def test_ipf_known_solution():
-    result = fit("ipf", BASE, Marginals([60, 40], [50, 50]))
-    assert np.allclose(result.table.counts, [[40, 20], [10, 30]], atol=1e-8)
-    assert evaluate("or", result.table)[0] == pytest.approx(6.0, rel=1e-9)
+    result = fit("ipf", BASE, [60, 40], [50, 50])
+    assert np.allclose(result.counts[0], [[40, 20], [10, 30]], atol=1e-8)
+    assert evaluate("or", table(result.counts[0]))[0] == pytest.approx(6.0, rel=1e-9)
 
 
 def test_ipf_scaling_target():
-    result = fit("ipf", BASE, Marginals([100, 100], [120, 80]))
-    assert np.allclose(result.table.counts, 2 * BASE.counts, atol=1e-8)
+    result = fit("ipf", BASE, [100, 100], [120, 80])
+    assert np.allclose(result.counts[0], 2 * BASE.counts, atol=1e-8)
 
 
 def test_ipf_preserves_zeros():
     src = table([[10, 0], [5, 25]])
-    result = fit("ipf", src, Marginals([10, 30], [12, 28]))
-    assert result.table.counts[0, 1] == 0.0
-    got = marginals(result.table)
-    assert np.allclose(got.row_sums, [10, 30], atol=1e-8)
-    assert np.allclose(got.col_sums, [12, 28], atol=1e-8)
+    result = fit("ipf", src, [10, 30], [12, 28])
+    assert result.counts[0][0, 1] == 0.0
+    got = margins(table(result.counts[0]))
+    assert np.allclose(got[0], [10, 30], atol=1e-8)
+    assert np.allclose(got[1], [12, 28], atol=1e-8)
 
 
 def test_ipf_zero_pattern_infeasible():
     src = table([[10, 0], [5, 0]])  # second wife category empty
     with pytest.raises(InfeasibilityError):
-        fit("ipf", src, Marginals([10, 10], [10, 10]))
+        fit("ipf", src, [10, 10], [10, 10])
 
 
 def test_ipf_nonconvergence_guard():
@@ -113,30 +108,48 @@ def test_ipf_nonconvergence_guard():
     src = table([[5, 0, 0], [0, 5, 0], [0, 0, 5]])
     for max_iter in (50, 0):
         with pytest.raises(InfeasibilityError, match=r"rows \[0\] reach only columns \[0\]"):
-            fit("ipf", src, Marginals([10, 5, 5], [5, 10, 5]), tol=1e-12, max_iter=max_iter)
+            fit("ipf", src, [10, 5, 5], [5, 10, 5], tol=1e-12, max_iter=max_iter)
     # reachable only as cell (0,1) tends to zero: the raking loop must hit
     # the iteration cap
     src = table([[5, 5], [0, 5]])
     with pytest.raises(ConvergenceError):
-        fit("ipf", src, Marginals([5, 10], [5, 10]), tol=1e-12, max_iter=50)
+        fit("ipf", src, [5, 10], [5, 10], tol=1e-12, max_iter=50)
 
 
 def test_ipf_refuses_margins_whose_totals_disagree_before_any_sweep(monkeypatch):
-    # the column sums exceed the row sums by 5e-8, within Marginals' relative
-    # tolerance but above (n + m) * tol: raking to tol can never converge
+    # the column sums exceed the row sums by 5e-8, within the margins check's
+    # relative tolerance but above n * tol: raking to tol can never converge
     sweeps = []
     sweep = cf._sweep
     monkeypatch.setattr(cf, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
     with pytest.raises(InfeasibilityError,
                        match=r"row and column sums differ by 5e-08") as raised:
-        fit("ipf", BASE, Marginals([50, 50], [60, 40 + 5e-8]))
+        fit("ipf", BASE, [50, 50], [60, 40 + 5e-8])
     assert raised.value.context["gap"] == pytest.approx(-5e-8)
     assert sweeps == []
-    # a gap of 1e-10 is inside the bound of 4e-10, and split over the rows
+    # a gap of 1e-10 is inside the bound of 2e-10, and split over the rows
     # it leaves each within tol: the sweeps converge
-    result = fit("ipf", BASE, Marginals([50, 50], [55, 45 + 1e-10]))
-    assert sweeps and result.max_marginal_error <= 1e-10
-    assert np.allclose(result.table.counts.sum(axis=0), [55, 45])
+    result = fit("ipf", BASE, [50, 50], [55, 45 + 1e-10])
+    assert sweeps and result.residual[0] <= 1e-10
+    assert np.allclose(result.counts[0].sum(axis=0), [55, 45])
+
+
+def test_ipf_refuses_a_gap_above_n_tol_before_any_sweep(monkeypatch):
+    # every sweep ends on exact column sums, so the two row errors add up to
+    # the gap and the residual stays at or above gap / 2: a gap of 3e-10 is
+    # inside (n + m) * tol = 4e-10 but no sweep brings it within tol
+    sweeps = []
+    sweep = cf._sweep
+    monkeypatch.setattr(cf, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+    with pytest.raises(InfeasibilityError,
+                       match=r"row and column sums differ by 2\.99991e-10$"):
+        fit("ipf", BASE, [50, 50], [55, 45 + 3e-10])
+    assert sweeps == []
+
+
+def test_ipf_fits_a_gap_just_inside_n_tol():
+    result = fit("ipf", BASE, [50, 50], [55, 45 + 1.9e-10])
+    assert 0 < result.iterations[0] < 100 and result.residual[0] <= 1e-10
 
 
 @pytest.mark.parametrize("k,error", [(12, InfeasibilityError), (13, ConvergenceError)])
@@ -147,21 +160,22 @@ def test_ipf_reachability_check_stops_at_twelve_categories(k, error):
     rows = [10] + [5] * (k - 2) + [0]
     cols = [5] * (k - 2) + [10, 0]
     with pytest.raises(error):
-        fit("ipf", src, Marginals(rows, cols), max_iter=5)
+        fit("ipf", src, rows, cols, max_iter=5)
 
 
 def reference_ipf(source, target, tol, max_iter):
     """The sweep loop before unreachable targets were rejected up front:
     every sweep recomputes the row sums it divides by."""
     counts = source.counts.astype(float).copy()
-    if np.any((counts.sum(axis=1) == 0) & (target.row_sums > 0)):
+    row_sums, col_sums = target
+    if np.any((counts.sum(axis=1) == 0) & (row_sums > 0)):
         raise InfeasibilityError("a target row is positive but the source row is all zeros")
-    if np.any((counts.sum(axis=0) == 0) & (target.col_sums > 0)):
+    if np.any((counts.sum(axis=0) == 0) & (col_sums > 0)):
         raise InfeasibilityError("a target column is positive but the source column is all zeros")
 
     def marginal_error():
-        row_err = np.abs(counts.sum(axis=1) - target.row_sums).max()
-        col_err = np.abs(counts.sum(axis=0) - target.col_sums).max()
+        row_err = np.abs(counts.sum(axis=1) - row_sums).max()
+        col_err = np.abs(counts.sum(axis=0) - col_sums).max()
         return float(max(row_err, col_err))
 
     err = marginal_error()
@@ -170,9 +184,9 @@ def reference_ipf(source, target, tol, max_iter):
         if iterations >= max_iter:
             raise ConvergenceError(f"residual {err:.3g}")
         rs = counts.sum(axis=1)
-        counts *= np.divide(target.row_sums, rs, out=np.zeros_like(rs), where=rs > 0)[:, None]
+        counts *= np.divide(row_sums, rs, out=np.zeros_like(rs), where=rs > 0)[:, None]
         cs = counts.sum(axis=0)
-        counts *= np.divide(target.col_sums, cs, out=np.zeros_like(cs), where=cs > 0)[None, :]
+        counts *= np.divide(col_sums, cs, out=np.zeros_like(cs), where=cs > 0)[None, :]
         iterations += 1
         err = marginal_error()
     return counts, iterations, err
@@ -188,9 +202,9 @@ def test_ipf_matches_the_sweep_loop_reference_with_zero_cells():
         if not counts.any():
             continue
         total = int(rng.integers(40, 200))
-        target = Marginals(
-            _random_positive_split(rng, total, shape[0]),
-            _random_positive_split(rng, total, shape[1]),
+        target = (
+            np.asarray(_random_positive_split(rng, total, shape[0]), dtype=float),
+            np.asarray(_random_positive_split(rng, total, shape[1]), dtype=float),
         )
         src = table(counts)
         try:
@@ -199,10 +213,10 @@ def test_ipf_matches_the_sweep_loop_reference_with_zero_cells():
             expected = None
         except InfeasibilityError as exc:
             with pytest.raises(InfeasibilityError, match=str(exc)):
-                fit("ipf", src, target, tol=1e-12, max_iter=300)
+                fit("ipf", src, *target, tol=1e-12, max_iter=300)
             continue
         try:
-            result = fit("ipf", src, target, tol=1e-12, max_iter=300)
+            result = fit("ipf", src, *target, tol=1e-12, max_iter=300)
         except InfeasibilityError:
             assert expected is None
             outcomes["rejected"] += 1
@@ -213,9 +227,9 @@ def test_ipf_matches_the_sweep_loop_reference_with_zero_cells():
             continue
         assert expected is not None
         counts_ref, iterations, err = expected
-        assert result.table.counts.tobytes() == counts_ref.tobytes()
-        assert result.iterations == iterations
-        assert result.max_marginal_error == err
+        assert result.counts[0].tobytes() == counts_ref.tobytes()
+        assert result.iterations[0] == iterations
+        assert result.residual[0] == err
         outcomes["same"] += 1
     assert outcomes["same"] > 100 and outcomes["rejected"] > 50 and outcomes["capped"], outcomes
 
@@ -225,10 +239,10 @@ def test_ipf_matches_marginals_on_random_pairs():
     for _ in range(50):
         src = random_positive(rng, (3, 3))
         target = random_target(rng, (3, 3))
-        result = fit("ipf", src, target, tol=1e-12)
-        got = marginals(result.table)
-        assert np.allclose(got.row_sums, target.row_sums, rtol=1e-9)
-        assert np.allclose(got.col_sums, target.col_sums, rtol=1e-9)
+        result = fit("ipf", src, *target, tol=1e-12)
+        got = margins(table(result.counts[0]))
+        assert np.allclose(got[0], target[0], rtol=1e-9)
+        assert np.allclose(got[1], target[1], rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +250,33 @@ def test_ipf_matches_marginals_on_random_pairs():
 # ---------------------------------------------------------------------------
 
 def test_mdba_known_solution():
-    result = fit("mdba", BASE, Marginals([40, 60], [50, 50]))
-    assert np.allclose(result.table.counts, [[30, 10], [20, 40]])
+    result = fit("mdba", BASE, [40, 60], [50, 50])
+    assert np.allclose(result.counts[0], [[30, 10], [20, 40]])
 
 
 def test_mdba_fixpoint_and_rescaling():
-    assert np.allclose(fit("mdba", BASE, marginals(BASE)).table.counts, BASE.counts)
-    doubled = fit("mdba", BASE, Marginals([100, 100], [120, 80]))
-    assert np.allclose(doubled.table.counts, 2 * BASE.counts)
+    assert np.allclose(fit("mdba", BASE, *margins(BASE)).counts[0], BASE.counts)
+    doubled = fit("mdba", BASE, [100, 100], [120, 80])
+    assert np.allclose(doubled.counts[0], 2 * BASE.counts)
 
 
 def test_mdba_zero_determinant_gives_independence():
     indep = table([[24, 16], [36, 24]])
-    target = Marginals([30, 70], [40, 60])
-    result = fit("mdba", indep, target)
-    assert np.allclose(result.table.counts, random_table(target).counts)
+    target = ([30, 70], [40, 60])
+    result = fit("mdba", indep, *target)
+    assert np.allclose(result.counts[0], random_table(target).counts)
 
 
 def test_mdba_infeasible_signals():
     src = table([[10, 30], [30, 30]])
     with pytest.raises(InfeasibilityError):
-        fit("mdba", src, Marginals([10, 90], [10, 90]))
+        fit("mdba", src, [10, 90], [10, 90])
 
 
 def test_mdba_rejects_larger_tables():
     with pytest.raises(ShapeError):
         fit("mdba", table([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
-            Marginals([6, 15, 24], [12, 15, 18]))
+            [6, 15, 24], [12, 15, 18])
 
 
 # ---------------------------------------------------------------------------
@@ -270,33 +284,33 @@ def test_mdba_rejects_larger_tables():
 # ---------------------------------------------------------------------------
 
 def test_meda_known_solution():
-    result = fit("meda", BASE, Marginals([40, 60], [50, 50]))
-    assert result.diagnostics["v"] == pytest.approx(0.5)
-    assert np.allclose(result.table.counts, [[30, 10], [20, 40]])
+    result = fit("meda", BASE, [40, 60], [50, 50])
+    assert result.extra["v"][0] == pytest.approx(0.5)
+    assert np.allclose(result.counts[0], [[30, 10], [20, 40]])
 
 
 def test_meda_projects_onto_endpoints():
-    m = marginals(BASE)
-    target = Marginals([40, 60], [50, 50])
-    at_random = fit("meda", random_table(m), target)
-    assert at_random.diagnostics["v"] == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(at_random.table.counts, random_table(target).counts)
-    at_pam = fit("meda", pam_table(m), target)
-    assert at_pam.diagnostics["v"] == pytest.approx(1.0)
-    assert np.allclose(at_pam.table.counts, pam_table(target).counts)
+    m = margins(BASE)
+    target = ([40, 60], [50, 50])
+    at_random = fit("meda", random_table(m), *target)
+    assert at_random.extra["v"][0] == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(at_random.counts[0], random_table(target).counts)
+    at_pam = fit("meda", pam_table(m), *target)
+    assert at_pam.extra["v"][0] == pytest.approx(1.0)
+    assert np.allclose(at_pam.counts[0], pam_table(target).counts)
 
 
 def test_meda_degenerate_weight():
     # one-sided margins make the random and assortative benchmarks coincide
     src = table([[30, 20], [0, 0]])
     with pytest.raises(UndefinedWeightError):
-        fit("meda", src, Marginals([10, 10], [10, 10]))
+        fit("meda", src, [10, 10], [10, 10])
 
 
 def test_meda_infeasibility_reports_weight():
     src = table([[10, 30], [30, 30]])
     with pytest.raises(InfeasibilityError) as err:
-        fit("meda", src, Marginals([10, 90], [10, 90]))
+        fit("meda", src, [10, 90], [10, 90])
     assert err.value.context["v"] == pytest.approx(-0.25)
 
 
@@ -306,10 +320,10 @@ def test_meda_weight_brute_force_grid():
     rng = np.random.default_rng(17)
     for _ in range(20):
         src = random_positive(rng)
-        m = marginals(src)
+        m = margins(src)
         rnd = random_table(m).counts
         pam = pam_table(m).counts
-        v = fit("meda", src, m).diagnostics["v"]  # the weight on its own margins
+        v = fit("meda", src, *m).extra["v"][0]  # the weight on its own margins
 
         def distance(weight):
             return float(((src.counts - ((1 - weight) * rnd + weight * pam)) ** 2).sum())
@@ -326,26 +340,26 @@ def test_meda_weight_brute_force_grid():
 # ---------------------------------------------------------------------------
 
 def test_nm_known_solution():
-    result = fit("nm", BASE, Marginals([40, 60], [50, 50]))
-    assert np.allclose(result.table.counts, [[30, 10], [20, 40]])
-    check = gll(result.table)
+    result = fit("nm", BASE, [40, 60], [50, 50])
+    assert np.allclose(result.counts[0], [[30, 10], [20, 40]])
+    check = gll(table(result.counts[0]))
     assert check[0, 0] == pytest.approx(0.5)
 
 
 def test_nm_fixpoint():
-    result = fit("nm", BASE, marginals(BASE))
-    assert np.allclose(result.table.counts, BASE.counts, atol=1e-9)
+    result = fit("nm", BASE, *margins(BASE))
+    assert np.allclose(result.counts[0], BASE.counts, atol=1e-9)
 
 
 def test_nm_perfect_sorting_moves_to_pam():
-    result = fit("nm", table([[50, 0], [0, 50]]), Marginals([30, 70], [70, 30]))
-    assert np.allclose(result.table.counts, [[30, 0], [40, 30]])
+    result = fit("nm", table([[50, 0], [0, 50]]), [30, 70], [70, 30])
+    assert np.allclose(result.counts[0], [[30, 0], [40, 30]])
 
 
 def test_nm_infeasible_signals_with_cell():
     src = table([[10, 30], [30, 30]])
     with pytest.raises(InfeasibilityError) as err:
-        fit("nm", src, Marginals([10, 90], [10, 90]))
+        fit("nm", src, [10, 90], [10, 90])
     assert err.value.context["cell"] == (0, 0)
     assert err.value.context["value"] == pytest.approx(-1.25)
 
@@ -357,12 +371,12 @@ def test_nm_decomposition_example():
     early = table([[40, 10], [20, 30]])
     late = table([[20, 20], [10, 50]])
     assert gll(late)[0, 0] == pytest.approx(8 / 18)
-    result = fit("nm", late, marginals(early))
-    assert gll(result.table)[0, 0] == pytest.approx(8 / 18, abs=1e-12)
-    got = marginals(result.table)
-    assert np.allclose(got.row_sums, [50, 50])
-    assert np.allclose(got.col_sums, [60, 40])
-    share = np.trace(result.table.counts) / 100
+    result = fit("nm", late, *margins(early))
+    assert gll(table(result.counts[0]))[0, 0] == pytest.approx(8 / 18, abs=1e-12)
+    got = margins(table(result.counts[0]))
+    assert np.allclose(got[0], [50, 50])
+    assert np.allclose(got[1], [60, 40])
+    share = np.trace(result.counts[0]) / 100
     assert share == pytest.approx(61 / 90, abs=1e-12)
 
 
@@ -373,15 +387,15 @@ def test_nm_preserves_full_gll_matrix():
         src = random_positive(rng, (3, 4))
         target = random_target(rng, (3, 4))
         try:
-            result = fit("nm", src, target, CONTINUOUS)
+            result = fit("nm", src, *target, CONTINUOUS)
         except InfeasibilityError:
             continue
         assert np.allclose(
-            gll(result.table, CONTINUOUS), gll(src, CONTINUOUS), atol=1e-9
+            gll(table(result.counts[0]), CONTINUOUS), gll(src, CONTINUOUS), atol=1e-9
         )
-        got = marginals(result.table)
-        assert np.allclose(got.row_sums, target.row_sums, rtol=1e-9)
-        assert np.allclose(got.col_sums, target.col_sums, rtol=1e-9)
+        got = margins(table(result.counts[0]))
+        assert np.allclose(got[0], target[0], rtol=1e-9)
+        assert np.allclose(got[1], target[1], rtol=1e-9)
         done += 1
 
 
@@ -393,17 +407,17 @@ def test_nm_continuous_commutes_with_merging():
         target_table = random_positive(rng, (3, 3))
         parts = [(0,), (1, 2)]
         try:
-            fine = fit("nm", src, marginals(target_table), CONTINUOUS)
+            fine = fit("nm", src, *margins(target_table), CONTINUOUS)
             coarse = fit(
                 "nm",
                 merge_categories(src, parts, parts),
-                marginals(merge_categories(target_table, parts, parts)),
+                *margins(merge_categories(target_table, parts, parts)),
                 CONTINUOUS,
             )
         except InfeasibilityError:
             continue
-        merged_fine = merge_categories(fine.table, parts, parts)
-        assert np.allclose(merged_fine.counts, coarse.table.counts, atol=1e-9)
+        merged_fine = merge_categories(table(fine.counts[0]), parts, parts)
+        assert np.allclose(merged_fine.counts, coarse.counts[0], atol=1e-9)
         done += 1
 
 
@@ -414,15 +428,15 @@ def test_ipf_fails_merge_commutation_somewhere():
         src = random_positive(rng, (3, 3))
         target_table = random_positive(rng, (3, 3))
         parts = [(0,), (1, 2)]
-        fine = fit("ipf", src, marginals(target_table), tol=1e-12)
+        fine = fit("ipf", src, *margins(target_table), tol=1e-12)
         coarse = fit(
             "ipf",
             merge_categories(src, parts, parts),
-            marginals(merge_categories(target_table, parts, parts)),
+            *margins(merge_categories(target_table, parts, parts)),
             tol=1e-12,
         )
-        merged = merge_categories(fine.table, parts, parts)
-        worst = max(worst, float(np.abs(merged.counts - coarse.table.counts).max()))
+        merged = merge_categories(table(fine.counts[0]), parts, parts)
+        worst = max(worst, float(np.abs(merged.counts - coarse.counts[0]).max()))
     assert worst > 1e-3
 
 
@@ -431,15 +445,21 @@ def test_ipf_fails_merge_commutation_somewhere():
 # ---------------------------------------------------------------------------
 
 def couples_with_singles():
-    return TableWithSingles(table([[4, 2], [2, 8]]), [1, 2], [1, 2])
+    """A couples table, its (single men, single women) and its (men, women)
+    populations, couples plus singles."""
+    couples, singles = table([[4, 2], [2, 8]]), (np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    populations = (couples.counts.sum(axis=1) + singles[0],
+                   couples.counts.sum(axis=0) + singles[1])
+    return couples, singles, populations
 
 
-def csa_onto(tws, men, women):
-    """The CSA fit of ``tws`` onto the target populations ``men`` and
-    ``women``. The fit reads only couples plus singles, so the target
-    couple margins are zero and every target member is counted single."""
-    no_couples = Marginals(np.zeros(len(men)), np.zeros(len(women)))
-    return fit("csa", tws, no_couples, target_singles=(men, women))
+def csa_onto(couples, singles, men, women):
+    """The CSA fit of ``couples`` with ``singles`` onto the target
+    populations ``men`` and ``women``. The fit reads only couples plus
+    singles, so the target couple margins are zero and every target member
+    is counted single."""
+    return fit("csa", couples, np.zeros(len(men)), np.zeros(len(women)), singles=singles,
+               target_singles=(men, women))
 
 
 def solve_csa(msm, men, women, tol=1e-11, max_iter=10000):
@@ -455,10 +475,10 @@ def solve_csa(msm, men, women, tol=1e-11, max_iter=10000):
 
 
 def test_csa_fixpoint():
-    tws = couples_with_singles()
-    result = fit("csa", tws, marginals(tws.couples))
-    assert np.allclose(result.table.counts, tws.couples.counts, atol=1e-8)
-    assert np.allclose(result.diagnostics["single_men"], tws.single_men, atol=1e-8)
+    couples, singles, _ = couples_with_singles()
+    result = fit("csa", couples, *margins(couples), singles=singles)
+    assert np.allclose(result.counts[0], couples.counts, atol=1e-8)
+    assert np.allclose(result.extra["single_men"][0], singles[0], atol=1e-8)
 
 
 def test_csa_zero_surplus_leaves_everyone_single():
@@ -471,25 +491,24 @@ def test_csa_zero_surplus_leaves_everyone_single():
 
 
 def test_csa_preserves_surplus_matrix():
-    tws = couples_with_singles()
-    result = csa_onto(tws, 2 * tws.men_population(), 2 * tws.women_population())
-    refit = TableWithSingles(
-        result.table,
-        np.array(result.diagnostics["single_men"]),
-        np.array(result.diagnostics["single_women"]),
-    )
+    couples, singles, (men, women) = couples_with_singles()
+    result = csa_onto(couples, singles, 2 * men, 2 * women)
+    refit = evaluate("msm", table(result.counts[0]), singles=(
+        np.array(result.extra["single_men"][0]),
+        np.array(result.extra["single_women"][0]),
+    ))
     assert np.allclose(
-        evaluate("msm", refit), evaluate("msm", tws), atol=1e-9
+        refit, evaluate("msm", couples, singles=singles), atol=1e-9
     )
 
 
 def test_csa_against_grid_search_oracle():
     """Coarse-to-fine grid search over the men's singles vector, solving the
     women's side exactly, must land on the fixed point's singles."""
-    tws = couples_with_singles()
-    msm = evaluate("msm", tws).reshape(tws.couples.counts.shape)
-    men = 2 * tws.men_population()
-    women = 2 * tws.women_population()
+    couples, singles, (men, women) = couples_with_singles()
+    msm = evaluate("msm", couples, singles=singles).reshape(couples.counts.shape)
+    men = 2 * men
+    women = 2 * women
 
     def residual(mu_m):
         x = np.sqrt(mu_m)
@@ -512,16 +531,16 @@ def test_csa_against_grid_search_oracle():
         span = (hi - lo) / 8
         lo = np.maximum(center - span, 1e-6)
         hi = center + span
-    fitted = csa_onto(tws, men, women)
+    fitted = csa_onto(couples, singles, men, women)
     assert np.allclose(
-        np.array(best[1]), fitted.diagnostics["single_men"], atol=1e-3
+        np.array(best[1]), fitted.extra["single_men"][0], atol=1e-3
     )
 
 
 def test_csa_rejects_nonpositive_targets():
-    tws = couples_with_singles()
+    couples, singles, _ = couples_with_singles()
     with pytest.raises(DegenerateInputError, match="target populations must be strictly"):
-        csa_onto(tws, np.array([0.0, 5.0]), np.array([5.0, 5.0]))
+        csa_onto(couples, singles, np.array([0.0, 5.0]), np.array([5.0, 5.0]))
     # and the kernel refuses a negative or non-finite surplus matrix
     for bad in (-0.5, np.inf, np.nan):
         msm = np.array([[1.0, bad], [0.5, 2.0]])
@@ -530,21 +549,19 @@ def test_csa_rejects_nonpositive_targets():
 
 
 def test_csa_newton_takes_few_steps():
-    tws = couples_with_singles()
+    couples, singles, (men, women) = couples_with_singles()
     for scale in (1, 2, 1000):
-        result = csa_onto(
-            tws, scale * tws.men_population(), tws.women_population()
-        )
-        assert 1 <= result.iterations <= 10
+        result = csa_onto(couples, singles, scale * men, women)
+        assert 1 <= result.iterations[0] <= 10
 
 
 def test_csa_nonconvergence_names_the_residual():
-    tws = couples_with_singles()
+    couples, singles, (men, women) = couples_with_singles()
     with pytest.raises(ConvergenceError, match=r"in 1 iterations \(residual "):
         solve_csa(
-            evaluate("msm", tws).reshape(tws.couples.counts.shape),
-            2 * tws.men_population(),
-            tws.women_population(),
+            evaluate("msm", couples, singles=singles).reshape(couples.counts.shape),
+            2 * men,
+            women,
             max_iter=1,
         )
 
@@ -662,8 +679,8 @@ def test_fixpoint_property(method):
     rng = np.random.default_rng(101)
     for _ in range(40):
         src = random_positive(rng)
-        result = fit(method, src, marginals(src), tol=1e-12)
-        assert np.allclose(result.table.counts, src.counts, atol=1e-9)
+        result = fit(method, src, *margins(src), tol=1e-12)
+        assert np.allclose(result.counts[0], src.counts, atol=1e-9)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -674,28 +691,28 @@ def test_marginal_matching(method):
         src = random_positive(rng)
         target = random_target(rng)
         try:
-            result = fit(method, src, target, tol=1e-12)
+            result = fit(method, src, *target, tol=1e-12)
         except InfeasibilityError:
             continue
-        got = marginals(result.table)
-        assert np.allclose(got.row_sums, target.row_sums, rtol=1e-9, atol=1e-9)
-        assert np.allclose(got.col_sums, target.col_sums, rtol=1e-9, atol=1e-9)
+        got = margins(table(result.counts[0]))
+        assert np.allclose(got[0], target[0], rtol=1e-9, atol=1e-9)
+        assert np.allclose(got[1], target[1], rtol=1e-9, atol=1e-9)
         done += 1
 
 
 def test_dispatcher_rejects_unknown_method():
     with pytest.raises(ValueError):
-        fit("raking", BASE, marginals(BASE))
+        fit("raking", BASE, *margins(BASE))
     # the library takes the canonical lower-case tags only; RunConfig is
     # where a user's tag is lowered
     for tag in ("IPF", " ipf"):
         with pytest.raises(ValueError, match=f"^unknown method tag: {tag!r}$"):
-            fit(tag, BASE, marginals(BASE))
+            fit(tag, BASE, *margins(BASE))
 
 
 def test_dispatcher_csa_requires_singles():
     with pytest.raises(ShapeError):
-        fit("csa", BASE, marginals(BASE))
+        fit("csa", BASE, *margins(BASE))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +726,7 @@ def integer_benchmark_instance(rng):
 
     src = integer_benchmark_tables(rng, 1)[0]
     tgt = integer_benchmark_tables(rng, 1)[0]
-    return src, marginals(tgt)
+    return src, margins(tgt)
 
 
 def test_nm_meda_coincide_on_integer_benchmarks():
@@ -718,11 +735,11 @@ def test_nm_meda_coincide_on_integer_benchmarks():
     while done < 50:
         src, target = integer_benchmark_instance(rng)
         try:
-            nm = fit("nm", src, target, PAPER_INTEGER)
-            meda = fit("meda", src, target)
+            nm = fit("nm", src, *target, PAPER_INTEGER)
+            meda = fit("meda", src, *target)
         except (InfeasibilityError, UndefinedWeightError):
             continue
-        assert np.allclose(nm.table.counts, meda.table.counts, atol=1e-9)
+        assert np.allclose(nm.counts[0], meda.counts[0], atol=1e-9)
         done += 1
 
 
@@ -752,12 +769,10 @@ def _assert_stack_matches_single_fits(method, counts, rows, cols, singles,
                       target_singles=target_singles, **options)
     raised = set()
     for t in range(len(counts)):
-        source = table(counts[t])
-        if method == "csa":
-            source = TableWithSingles(source, singles[0][t], singles[1][t])
+        source_singles = (singles[0][t], singles[1][t]) if method == "csa" else None
         ts = (target_singles[0][t], target_singles[1][t])
         try:
-            single = fit(method, source, Marginals(rows[t], cols[t]),
+            single = fit(method, table(counts[t]), rows[t], cols[t], singles=source_singles,
                          target_singles=ts, **options)
         except Exception as exc:  # the outcome is the class and the message
             assert type(stack.errors[t]) is type(exc), (method, t, exc)
@@ -765,12 +780,11 @@ def _assert_stack_matches_single_fits(method, counts, rows, cols, singles,
             raised.add(type(exc))
             continue
         assert stack.errors[t] is None, (method, t, stack.errors[t])
-        assert stack.counts[t].tobytes() == single.table.counts.tobytes()
-        assert stack.iterations[t] == single.iterations
-        assert stack.residual[t] == single.max_marginal_error
-        for name, value in single.diagnostics.items():
-            if name in stack.extra:
-                assert np.array(value).tobytes() == stack.extra[name][t].tobytes()
+        assert stack.counts[t].tobytes() == single.counts[0].tobytes()
+        assert stack.iterations[t] == single.iterations[0]
+        assert stack.residual[t] == single.residual[0]
+        for name, value in single.extra.items():
+            assert value[0].tobytes() == stack.extra[name][t].tobytes()
     return raised
 
 
@@ -802,7 +816,7 @@ def test_mis_shaped_problems_raise_shape_error_in_fit_and_fit_stack(method):
     counts = np.array([[[10.0, 5.0], [5.0, 10.0]]])
     even, short = np.array([[15.0, 15.0]]), np.array([[30.0]])
     singles = (np.array([[3.0, 4.0]]), np.array([[5.0, 6.0]]))
-    source = TableWithSingles(table(counts[0]), singles[0][0], singles[1][0])
+    source, source_singles = table(counts[0]), (singles[0][0], singles[1][0])
     # (target rows, target cols, target singles)
     problems = [(short, even, None), (even, short, None)]
     if method == "csa":
@@ -816,7 +830,7 @@ def test_mis_shaped_problems_raise_shape_error_in_fit_and_fit_stack(method):
             fit_stack(method, counts, rows, cols, singles=singles,
                       target_singles=target_singles)
         with pytest.raises(ShapeError, match=message):
-            fit(method, source, Marginals(rows[0], cols[0]), target_singles=(
+            fit(method, source, rows[0], cols[0], singles=source_singles, target_singles=(
                 None if target_singles is None else tuple(s[0] for s in target_singles)))
     if method == "csa":  # the sources' singles too
         with pytest.raises(ShapeError, match="disagree in shape"):

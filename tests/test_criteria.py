@@ -34,19 +34,10 @@ from homlab.errors import (
     UndefinedIndicatorError,
 )
 from homlab.indicators import CONTINUOUS, evaluate, evaluate_stack
-from homlab.tables import (
-    ContingencyTable,
-    Marginals,
-    TableWithSingles,
-    couples_of,
-    homogamy_share,
-    lattice,
-    marginals,
-    merge_categories,
-    pam_counts,
-)
+from homlab.tables import ContingencyTable, homogamy_shares, lattice, merge_categories, pam_counts
 
 from test_indicators import kernel_outputs
+from test_tables import margins
 
 
 def table(counts):
@@ -54,11 +45,21 @@ def table(counts):
 
 
 def table_payload(subject) -> dict:
-    """A table's, or a table with singles', witness payload."""
-    if isinstance(subject, TableWithSingles):
-        return criteria._payload(subject.couples.counts,
-                                 (subject.single_men, subject.single_women))
-    return criteria._payload(subject.counts)
+    """A (table, singles) subject's witness payload; singles may be None."""
+    couples, singles = subject
+    return criteria._payload(couples.counts, singles)
+
+
+def scaled_subject(subject, r):
+    """A (table, singles) subject with every count multiplied by ``r``."""
+    couples, singles = subject
+    return table(couples.counts * r), singles and (singles[0] * r, singles[1] * r)
+
+
+def transposed_subject(subject):
+    """A (table, singles) subject with the sexes swapped."""
+    couples, singles = subject
+    return table(couples.counts.T), singles and singles[::-1]
 
 
 BASE = table([[40, 10], [20, 30]])
@@ -339,8 +340,10 @@ def test_catalog_is_covered():
 
 
 def _ref_fit(method, source, target, singles):
-    return cf.fit(method, source, target, rounding=CONTINUOUS, tol=1e-12,
-                  target_singles=singles)
+    """The fit of the (table, singles) ``source`` onto the (rows, cols)
+    ``target`` and the target ``singles``."""
+    return cf.fit(method, source[0], *target, rounding=CONTINUOUS, tol=1e-12,
+                  singles=source[1], target_singles=singles)
 
 
 def _ref_instance(rng, method):
@@ -348,11 +351,11 @@ def _ref_instance(rng, method):
     the same stream after every infeasible or undefined base fit."""
     with_singles = method == "csa"
     for _ in range(200):
-        source = table(rng.integers(1, 51, size=(2, 2)))
+        source = (table(rng.integers(1, 51, size=(2, 2))), None)
         if with_singles:
-            source = TableWithSingles(source, rng.integers(1, 51, size=2) * 1.0,
-                                      rng.integers(1, 51, size=2) * 1.0)
-        target = marginals(table(rng.integers(1, 51, size=(2, 2))))
+            source = (source[0], (rng.integers(1, 51, size=2) * 1.0,
+                                  rng.integers(1, 51, size=2) * 1.0))
+        target = margins(table(rng.integers(1, 51, size=(2, 2))))
         singles = None
         if with_singles:
             singles = (rng.integers(1, 51, size=2) * 1.0, rng.integers(1, 51, size=2) * 1.0)
@@ -364,35 +367,32 @@ def _ref_instance(rng, method):
 
 
 def _ref_gap(criterion, method, source, target, singles, base, params):
-    couples = base.table.counts
+    couples = base.counts[0]
+    rows, cols = target
+    total = float(rows.sum())
     if criterion == "AC2":
         r = params["alpha"]
-        scaled = _ref_fit(method, source.scaled(r),
-                          Marginals(target.row_sums * r, target.col_sums * r),
-                          None if singles is None else (singles[0] * r, singles[1] * r))
-        total = max(float((target.row_sums * r).sum()), 1.0)
-        return float(np.abs(scaled.table.counts - couples * r).max() / total)
+        scaled_fit = _ref_fit(method, scaled_subject(source, r), (rows * r, cols * r),
+                              None if singles is None else (singles[0] * r, singles[1] * r))
+        scaled_total = max(float((rows * r).sum()), 1.0)
+        return float(np.abs(scaled_fit.counts[0] - couples * r).max() / scaled_total)
     if criterion == "AC3":
-        swapped = _ref_fit(method, source.transposed(),
-                           Marginals(target.col_sums, target.row_sums),
+        swapped = _ref_fit(method, transposed_subject(source), (cols, rows),
                            None if singles is None else singles[::-1])
-        return float(np.abs(swapped.table.counts - couples.T).max() / max(target.total, 1.0))
+        return float(np.abs(swapped.counts[0] - couples.T).max() / max(total, 1.0))
     if criterion == "AC5":
         if method == "csa":
-            men_gap = np.abs(np.array(base.diagnostics["single_men"]) + couples.sum(axis=1)
-                             - target.row_sums - singles[0]).max()
-            women_gap = np.abs(np.array(base.diagnostics["single_women"])
-                               + couples.sum(axis=0) - target.col_sums - singles[1]).max()
-            return max(men_gap, women_gap) / max(target.total, 1.0)
-        err = max(np.abs(couples.sum(axis=1) - target.row_sums).max(),
-                  np.abs(couples.sum(axis=0) - target.col_sums).max())
-        return float(err) / max(target.total, 1.0)
-    bumped_couples = couples_of(source).counts + np.diag(params["diagonal"])
-    bumped = table(bumped_couples)
-    if singles is not None:
-        bumped = TableWithSingles(bumped, source.single_men, source.single_women)
+            men_gap = np.abs(base.extra["single_men"][0] + couples.sum(axis=1)
+                             - rows - singles[0]).max()
+            women_gap = np.abs(base.extra["single_women"][0]
+                               + couples.sum(axis=0) - cols - singles[1]).max()
+            return max(men_gap, women_gap) / max(total, 1.0)
+        err = max(np.abs(couples.sum(axis=1) - rows).max(),
+                  np.abs(couples.sum(axis=0) - cols).max())
+        return float(err) / max(total, 1.0)
+    bumped = (table(source[0].counts + np.diag(params["diagonal"])), source[1])
     bumped_fit = _ref_fit(method, bumped, target, singles)
-    return homogamy_share(base.table) - homogamy_share(bumped_fit.table)
+    return float(homogamy_shares(couples)) - float(homogamy_shares(bumped_fit.counts[0]))
 
 
 def _reference_method_check(criterion, method, sample_count, seed):
@@ -412,8 +412,8 @@ def _reference_method_check(criterion, method, sample_count, seed):
             continue
         if violation > criteria.VIOLATION_TOL:
             payload = {"source": table_payload(source),
-                       "target_rows": target.row_sums.tolist(),
-                       "target_cols": target.col_sums.tolist(), **params}
+                       "target_rows": target[0].tolist(),
+                       "target_cols": target[1].tolist(), **params}
             if singles is not None:
                 payload["target_singles"] = [s.tolist() for s in singles]
             witness = {"kind": criteria._METHOD_CHECKS[criterion].kind, **payload,
@@ -458,10 +458,11 @@ def test_stacked_method_cells_keep_witnesses_when_every_gap_counts(monkeypatch):
 
 
 def _ref_merge_table(rng, shape, with_singles):
+    """A (table, singles) subject; singles are drawn only ``with_singles``."""
     counts = table(rng.integers(1, 51, size=shape))
     if not with_singles:
-        return counts
-    return TableWithSingles(counts, *(rng.integers(1, 51, size=k) * 1.0 for k in shape))
+        return counts, None
+    return counts, tuple(rng.integers(1, 51, size=k) * 1.0 for k in shape)
 
 
 def _ref_two_blocks(rng, size):
@@ -480,31 +481,31 @@ def _reference_merge_check(method, sample_count, seed):
         return np.array([values[list(block)].sum() for block in partition])
 
     def merge(subject, row_part, col_part):
-        couples = merge_categories(couples_of(subject), row_part, col_part)
+        couples, singles = subject
+        couples = merge_categories(couples, row_part, col_part)
         if not with_singles:
-            return couples
-        return TableWithSingles(couples, merged(subject.single_men, row_part),
-                                merged(subject.single_women, col_part))
+            return couples, None
+        return couples, (merged(singles[0], row_part), merged(singles[1], col_part))
 
     for i in range(sample_count):
         shape = (3, 3) if rng.integers(0, 2) else (4, 3)
         source = _ref_merge_table(rng, shape, with_singles)
         target = _ref_merge_table(rng, shape, with_singles)
         row_part, col_part = _ref_two_blocks(rng, shape[0]), _ref_two_blocks(rng, shape[1])
-        margins = marginals(couples_of(target))
-        singles = (target.single_men, target.single_women) if with_singles else None
+        rows, cols = margins(target[0])
+        singles = target[1]
         try:
-            full = _ref_fit(method, source, margins, singles)
+            full = _ref_fit(method, source, (rows, cols), singles)
             coarse = _ref_fit(
                 method, merge(source, row_part, col_part),
-                Marginals(merged(margins.row_sums, row_part), merged(margins.col_sums, col_part)),
+                (merged(rows, row_part), merged(cols, col_part)),
                 singles and (merged(singles[0], row_part), merged(singles[1], col_part)),
             )
         except (InfeasibilityError, UndefinedIndicatorError):
             continue
         violation = float(
-            np.abs(merge_categories(full.table, row_part, col_part).counts
-                   - coarse.table.counts).max() / max(margins.total, 1.0)
+            np.abs(merge_categories(table(full.counts[0]), row_part, col_part).counts
+                   - coarse.counts[0]).max() / max(float(rows.sum()), 1.0)
         )
         if violation > criteria.VIOLATION_TOL:
             witness = {"kind": "method-merge", "source": table_payload(source),
@@ -558,9 +559,10 @@ def test_stacked_merge_cell_raises_the_loops_fit_error(monkeypatch, max_iter, to
 
 
 def _ref_evaluator(tag, criterion):
+    """The indicator on a (table, singles) subject."""
     if tag == "msp" and criterion in ("AC4", "AC5.1", "AC5.2", "AC5.3"):
-        return lambda s: np.array([kernel_outputs("msp", couples_of(s))[0]])
-    return lambda s: evaluate(tag, s, CONTINUOUS)
+        return lambda s: np.array([kernel_outputs("msp", s[0])[0]])
+    return lambda s: evaluate(tag, s[0], CONTINUOUS, s[1])
 
 
 def _ref_random_table(rng, evaluator, shape, with_singles):
@@ -570,10 +572,10 @@ def _ref_random_table(rng, evaluator, shape, with_singles):
         counts = rng.integers(0, 51, size=shape)
         if not counts.any():
             continue
-        subject = table(counts)
+        subject = (table(counts), None)
         if with_singles:
-            subject = TableWithSingles(subject, rng.integers(1, 51, size=shape[0]),
-                                       rng.integers(1, 51, size=shape[1]))
+            subject = (subject[0], (rng.integers(1, 51, size=shape[0]).astype(float),
+                                    rng.integers(1, 51, size=shape[1]).astype(float)))
         try:
             evaluator(subject)
         except UndefinedIndicatorError:
@@ -607,17 +609,19 @@ def _ref_transforms(criterion, rng, counts):
 
 
 def _ref_variant(subject, label, params):
-    couples = couples_of(subject)
+    """The (table, singles) variant ``label`` of a subject; a raked or
+    rotated table has no singles."""
+    couples, singles = subject
     if label == "transpose":
-        return subject.transposed()
+        return transposed_subject(subject)
     if label == "scale":
-        return subject.scaled(params["alpha"])
+        return scaled_subject(subject, params["alpha"])
     if label == "rake":
-        target = Marginals(params["rows"], params["cols"])
-        return cf.fit("ipf", couples, target, tol=1e-12).table
+        fitted = cf.fit("ipf", couples, params["rows"], params["cols"], tol=1e-12)
+        return table(fitted.counts[0]), None
     (a, b), (c, d) = couples.counts
     if label == "rotate-categories":
-        return table([[d, c], [b, a]])
+        return table([[d, c], [b, a]]), None
     al = params["alpha"]
     cells = {
         "type1-row": [[a, b], [al * c, al * d]],
@@ -625,9 +629,7 @@ def _ref_variant(subject, label, params):
         "type2-row": [[(1 - al) * a, (1 - al) * b], [c + al * a, d + al * b]],
         "type2-col": [[(1 - al) * a, b + al * a], [(1 - al) * c, d + al * c]],
     }[label]
-    if isinstance(subject, TableWithSingles):
-        return TableWithSingles(table(cells), subject.single_men, subject.single_women)
-    return table(cells)
+    return table(cells), singles
 
 
 def _ref_small_marginals(rng, n):
@@ -641,7 +643,7 @@ def _ref_small_marginals(rng, n):
         elif diff < 0:
             rows[int(rng.integers(0, n))] += -diff
         if rows.sum() <= total_cap and np.all(rows > 0) and np.all(cols > 0):
-            return Marginals(rows.astype(float), cols.astype(float))
+            return rows.astype(float), cols.astype(float)
 
 
 def _ref_max_check(criterion, tag, sample_count, rng, evaluator):
@@ -655,14 +657,14 @@ def _ref_max_check(criterion, tag, sample_count, rng, evaluator):
                 diag = rng.integers(1, 9, size=n)
             reference = table(np.diag(diag))
         else:
-            m = _ref_small_marginals(rng, n)
-            reference = table(pam_counts(m.row_sums[None], m.col_sums[None])[0])
+            rows, cols = _ref_small_marginals(rng, n)
+            reference = table(pam_counts(rows[None], cols[None])[0])
         try:
-            ref_value = evaluator(reference)
+            ref_value = evaluator((reference, None))
         except UndefinedIndicatorError:
             continue
         checked += 1
-        points = lattice(marginals(reference), cap=20)
+        points = lattice(*margins(reference), cap=20)
         values, undefined = evaluate_stack(tag, points, CONTINUOUS)
         drops = np.where(undefined, np.nan, criteria._one_sided_drop(values, ref_value))
         above = np.flatnonzero(drops > criteria.VIOLATION_TOL)
@@ -691,15 +693,13 @@ def _reference_indicator_check(criterion, tag, sample_count, seed):
     drop = criteria._one_sided_drop
     for i in range(sample_count):
         subject = _ref_random_table(rng, evaluator, shapes[i % len(shapes)], tag == "msm")
-        couples = couples_of(subject)
+        couples = subject[0]
         base = evaluator(subject)
         witness = {"criterion": criterion, "indicator": tag,
                    "subject": table_payload(subject)}
         if criterion == "AC8.1":
             diagonal = rng.integers(1, 51, size=2).astype(float).tolist()
-            bumped = table(couples.counts + np.diag(diagonal))
-            if isinstance(subject, TableWithSingles):
-                bumped = TableWithSingles(bumped, subject.single_men, subject.single_women)
+            bumped = (table(couples.counts + np.diag(diagonal)), subject[1])
             try:
                 violation = float(drop(base, evaluator(bumped)))
             except UndefinedIndicatorError:
@@ -903,7 +903,7 @@ def test_each_cached_lattice_is_its_fresh_enumeration():
     for criterion in ("AC6", "AC7"):
         for n in (2, 3):
             for rows, cols in _margin_keys(criterion, n):
-                fresh = lattice(Marginals(np.array(rows, float), np.array(cols, float)), cap=20)
+                fresh = lattice(np.array(rows, float), np.array(cols, float), cap=20)
                 _same(criteria._lattice_of(rows, cols), fresh)
 
 

@@ -13,8 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from homlab.cli import _fmt, _write_json, main
-from homlab.counterfactual import METHOD_TAGS, CounterfactualResult, fit
-from homlab.decomposition import DecompositionResult, _decompose_columns, cumulate, decompose
+from homlab.counterfactual import METHOD_TAGS, fit
+from homlab.decomposition import _decompose_columns, cumulate, decompose
 from homlab.errors import DataError, GllUndefinedError, HomlabError, ShapeError, TableError
 from homlab.indicators import PAPER_INTEGER, SCALAR_TAGS, evaluate, gll
 from homlab.io import (
@@ -32,16 +32,10 @@ from homlab.io import (
     load_singles,
     trend_series,
 )
-from homlab.tables import (
-    ContingencyTable,
-    Marginals,
-    TableWithSingles,
-    couples_of,
-    homogamy_share,
-    marginals,
-    merge_categories,
-)
+from homlab.tables import ContingencyTable, homogamy_shares, merge_categories
 from homlab.trend import DecadeChange, TrendStats, score
+
+from test_tables import margins
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -708,62 +702,76 @@ def test_measure_can_be_an_indicator(tmp_path):
 # the stacked decade pass against the per-pair loop it replaced
 # ---------------------------------------------------------------------------
 
+def _share(table):
+    """The homogamy share of one table, as a float; a non-square table has
+    none."""
+    if not table.is_square():
+        raise ShapeError(f"homogamy share needs a square table, got {table.n_rows}x{table.n_cols}")
+    return float(homogamy_shares(table.counts))
+
+
+def _subject(table, pools=None):
+    """A (table, singles) subject: its (single men, single women) as float
+    vectors, or None."""
+    return table, None if pools is None else tuple(np.asarray(p, dtype=float) for p in pools)
+
+
 def _reference_fit(source, target, method, rounding, tol, max_iter):
-    """``method``'s single-table fit of ``source`` onto the couple margins
-    of ``target`` and, for ``csa``, onto its singles."""
-    singles = ((target.single_men, target.single_women)
-               if isinstance(target, TableWithSingles) else None)
-    return fit(method, source, marginals(couples_of(target)), rounding=rounding, tol=tol,
-               max_iter=max_iter, target_singles=singles)
+    """``method``'s single-table fit of the (table, singles) ``source`` onto
+    the couple margins of the (table, singles) ``target`` and, for ``csa``,
+    onto its singles."""
+    return fit(method, source[0], *margins(target[0]), rounding=rounding, tol=tol,
+               max_iter=max_iter, singles=source[1], target_singles=target[1])
 
 
 def _reference_decompose(early, late, method, scheme, rounding, tol, max_iter):
-    """One pair decomposed with one single-table fit per direction."""
-    early_c, late_c = couples_of(early), couples_of(late)
+    """One pair of (table, singles) subjects decomposed with one single-table
+    fit per direction: the decomposition columns by name."""
+    early_c, late_c = early[0], late[0]
     if early_c.row_labels != late_c.row_labels or early_c.col_labels != late_c.col_labels:
         raise ShapeError("generation tables must share category labels")
-    share_early = homogamy_share(early_c)
-    share_late = homogamy_share(late_c)
+    share_early = _share(early_c)
+    share_late = _share(late_c)
     counter = _reference_fit(late, early, method, rounding, tol, max_iter)
-    share_cf = homogamy_share(counter.table)
+    share_cf = float(homogamy_shares(counter.counts[0]))
     nonstructural = share_cf - share_early
     delta = share_late - share_early
     if scheme == "sequential":
-        return DecompositionResult(counter.method, scheme, share_early, share_late,
-                                   share_cf, nonstructural, share_late - share_cf)
+        values = (share_early, share_late, share_cf, nonstructural, share_late - share_cf, None)
+        return dict(zip(DECOMPOSITION_COLUMNS, values))
     reverse = _reference_fit(early, late, method, rounding, tol, max_iter)
-    structural = homogamy_share(reverse.table) - share_early
-    return DecompositionResult(counter.method, scheme, share_early, share_late,
-                               share_cf, nonstructural, structural,
-                               delta - nonstructural - structural)
+    structural = float(homogamy_shares(reverse.counts[0])) - share_early
+    values = (share_early, share_late, share_cf, nonstructural, structural,
+              delta - nonstructural - structural)
+    return dict(zip(DECOMPOSITION_COLUMNS, values))
 
 
 def _reference_dichotomize(subject, scheme):
-    """One table, with or without its singles, cut by the per-table merges."""
+    """One (table, singles) subject cut by the per-table merges."""
     if scheme == "three":
         return subject
-    table = couples_of(subject)
+    table, singles = subject
     if table.n_rows != 3 or table.n_cols != 3:
         raise DataError(f"the {scheme!r} divide needs a three-level table, "
                         f"got {table.n_rows}x{table.n_cols}")
     parts = {"hs": [(0,), (1, 2)], "college": [(0, 1), (2,)]}[scheme]
     merged = merge_categories(table, parts, parts)
-    if not isinstance(subject, TableWithSingles):
-        return merged
-    return TableWithSingles(merged, *([pool[list(block)].sum() for block in parts]
-                                      for pool in (subject.single_men, subject.single_women)))
+    if singles is None:
+        return _subject(merged)
+    return _subject(merged, ([pool[list(block)].sum() for block in parts] for pool in singles))
 
 
 def _with_singles(panel, unit, year):
     """A state's wave with its singles, or None without them; the national
     aggregate has none."""
     pools = panel.singles.get((unit, year)) if (unit, year) in panel.index else None
-    return None if pools is None else TableWithSingles(_unit_table(panel, unit, year), *pools)
+    return None if pools is None else _subject(_unit_table(panel, unit, year), pools)
 
 
 def _reference_cut(panel, config, unit, year, method=""):
-    """One present wave cut alone, as ``method`` takes it."""
-    subject = _unit_table(panel, unit, year)
+    """One present wave cut alone, as ``method`` takes it: a (table,
+    singles) subject."""
+    subject = _subject(_unit_table(panel, unit, year))
     if method == "csa":
         subject = _with_singles(panel, unit, year)
         if subject is None:
@@ -807,7 +815,7 @@ def _reference_changes(panel, config, unit_list):
                 changes.append(DecadeChange(unit, decade, None,
                                             reason=f"{type(exc).__name__}: {exc}"))
                 continue
-            changes.append(DecadeChange(unit, decade, float(result.nonstructural_effect)))
+            changes.append(DecadeChange(unit, decade, float(result["nonstructural"])))
             details[(unit, decade)] = result
     return changes, details
 
@@ -903,7 +911,7 @@ def test_stacked_decade_pass_matches_the_per_pair_loop_bit_for_bit(method):
             assert [_bits(c) for c in changes] == [_bits(c) for c in expected], config
             # the six values of each decomposed pair, after its method and scheme
             assert list(_decomposed(changes, columns).items()) == [
-                (key, _bits(d)[2:]) for key, d in expected_details.items()], config
+                (key, _float_bits(d.values())) for key, d in expected_details.items()], config
             reasons |= {c.reason for c in changes if not c.valid}
     for prefix in STRESS_REASONS[method]:
         assert any(reason.startswith(prefix) for reason in reasons), prefix
@@ -914,14 +922,15 @@ def test_stacked_decade_pass_matches_the_per_pair_loop_bit_for_bit(method):
 # ---------------------------------------------------------------------------
 
 def _same_cut(got, expected):
-    """Two cuts with equal labels and the same float bytes, singles too."""
-    assert type(got) is type(expected)
-    table, reference = couples_of(got), couples_of(expected)
+    """Two (table, singles) cuts with equal labels and the same float bytes,
+    singles too."""
+    (table, singles), (reference, reference_singles) = got, expected
     assert (table.row_labels, table.col_labels) == (reference.row_labels, reference.col_labels)
     assert table.counts.tobytes() == reference.counts.tobytes()
-    if isinstance(expected, TableWithSingles):
-        assert got.single_men.tobytes() == expected.single_men.tobytes()
-        assert got.single_women.tobytes() == expected.single_women.tobytes()
+    assert (singles is None) == (reference_singles is None)
+    if reference_singles is not None:
+        assert singles[0].tobytes() == reference_singles[0].tobytes()
+        assert singles[1].tobytes() == reference_singles[1].tobytes()
 
 
 @pytest.mark.parametrize("categories", ["three", "hs", "college"])
@@ -944,22 +953,21 @@ def test_the_run_cut_matches_the_per_table_merges_bit_for_bit(categories):
                         assert type(error) is DataError and str(error) == str(exc)
                         continue
                     assert cut.errors[row] is None
-                    got = ContingencyTable(cut.counts[row], cut.labels, cut.labels)
-                    if cut.singles is not None:
-                        got = TableWithSingles(got, *(pool[row] for pool in cut.singles))
+                    got = _subject(ContingencyTable(cut.counts[row], cut.labels, cut.labels),
+                                   cut.singles and [pool[row] for pool in cut.singles])
                     _same_cut(got, expected)
-                    share = homogamy_share(couples_of(expected))
+                    share = _share(expected[0])
                     assert np.float64(cut.shares[row]).tobytes() == np.float64(share).tobytes()
 
 
-def _stacked(tables):
-    """The couples counts of ``tables`` as one stack, and their (single men,
-    single women) stacks, or None unless every table carries singles."""
-    counts = np.stack([couples_of(t).counts for t in tables])
-    if not all(isinstance(t, TableWithSingles) for t in tables):
+def _stacked(subjects):
+    """The counts of the (table, singles) ``subjects`` as one stack, and
+    their (single men, single women) stacks, or None unless every table
+    carries singles."""
+    counts = np.stack([t.counts for t, _ in subjects])
+    if any(singles is None for _, singles in subjects):
         return counts, None
-    return counts, tuple(np.stack([getattr(t, name) for t in tables])
-                         for name in ("single_men", "single_women"))
+    return counts, tuple(np.stack(pools) for pools in zip(*(s for _, s in subjects)))
 
 
 def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch):
@@ -983,7 +991,7 @@ def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch
     def share(fits, k, source):  # the per-pair share of one fitted problem
         if fits.errors[k] is not None:
             raise fits.errors[k]
-        return homogamy_share(couples_of(source).with_counts(fits.counts[k]))
+        return _share(ContingencyTable(fits.counts[k]))
 
     monkeypatch.setattr(homlab.counterfactual, "_settled", spoiled)
     panel = stress_panel()
@@ -1005,7 +1013,7 @@ def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch
         assert len(fitted) == (2 if scheme == "with-interaction" else 1)
         for k, ((early, late), error, *values) in enumerate(
                 zip(pairs, errors, *columns.values())):
-            share_early, share_late = (homogamy_share(couples_of(t)) for t in (early, late))
+            share_early, share_late = (_share(t) for t, _ in (early, late))
             try:
                 share_cf = share(fitted[0], k, late)
                 structural = (share_late - share_cf if len(fitted) == 1
@@ -1026,22 +1034,18 @@ def test_stacked_fitted_shares_match_the_per_pair_shares_bit_for_bit(monkeypatch
 
 @pytest.mark.parametrize("method", ["ipf", "nm"])
 def test_cli_decomposition_path_builds_no_result_objects(tmp_path, monkeypatch, method):
-    # decompose and trend carry the stacked fits to the writers as columns:
-    # no DecompositionResult per pair, and still one fit_stack per direction
+    # decompose and trend carry the stacked fits to the writers as columns,
+    # one fit_stack per direction; the library's decompose returns the same
+    # columns as plain floats
     import homlab.decomposition
 
-    built, fits = [], []
-    result_class, original_fit_stack = DecompositionResult, homlab.decomposition.fit_stack
-
-    def counting_result(*args, **kwargs):
-        built.append(args)
-        return result_class(*args, **kwargs)
+    fits = []
+    original_fit_stack = homlab.decomposition.fit_stack
 
     def counting_fit_stack(*args, **kwargs):
         fits.append(args[0])
         return original_fit_stack(*args, **kwargs)
 
-    monkeypatch.setattr(homlab.decomposition, "DecompositionResult", counting_result)
     monkeypatch.setattr(homlab.decomposition, "fit_stack", counting_fit_stack)
     directions = 2 if RunConfig(method=method).resolved_scheme == "with-interaction" else 1
     for command in ("decompose", "trend"):
@@ -1051,10 +1055,10 @@ def test_cli_decomposition_path_builds_no_result_objects(tmp_path, monkeypatch, 
             "--couples", FIXTURES / "synthetic_panel.csv", "--out", out)
         assert any(out.iterdir())
         assert fits == [method] * directions, command
-    assert built == []
-    # the counter sees the result decompose builds
+    fits.clear()
     table = ContingencyTable(np.array([[40.0, 10.0], [20.0, 30.0]]))
-    assert decompose(table, table, method) is not None and len(built) == 1
+    result = decompose(table, table, method)  # sequential: one direction
+    assert tuple(result) == DECOMPOSITION_COLUMNS and fits == [method]
 
 
 def test_cli_data_paths_and_ac12_build_no_table_object(tmp_path, monkeypatch):
@@ -1112,10 +1116,11 @@ def test_cli_data_paths_and_ac12_build_no_table_object(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _reference_scalar_value(tag, cut, rounding):
-    """A scalar indicator's reported value on one cut wave, evaluated alone."""
-    if cut.n_rows != 2:
+    """A scalar indicator's reported value on one cut wave, a (table,
+    singles) subject, evaluated alone."""
+    if cut[0].n_rows != 2:
         raise DataError("scalar indicators need a two-level divide")
-    return float(evaluate(tag, cut, rounding)[0])
+    return float(evaluate(tag, cut[0], rounding)[0])
 
 
 def _reference_rows(panel, config):
@@ -1127,10 +1132,10 @@ def _reference_rows(panel, config):
             if isinstance(cut, Exception):
                 rows.append({**row, "share": "", **dict.fromkeys(SCALAR_TAGS, "")})
                 continue
-            row["share"] = homogamy_share(cut) if cut.is_square() else ""
+            row["share"] = _share(cut[0]) if cut[0].is_square() else ""
             if config.categories == "three":
                 try:
-                    values = gll(cut, config.rounding)
+                    values = gll(cut[0], config.rounding)
                 except GllUndefinedError as exc:
                     values = exc.partial
                 for (j, k), value in np.ndenumerate(values):
@@ -1287,7 +1292,7 @@ def _reference_series(panel, config):
         if len(present) < 2:
             continue
         try:
-            anchor = homogamy_share(_reference_cut(panel, config, unit, present[0]))
+            anchor = _share(_reference_cut(panel, config, unit, present[0])[0])
         except HomlabError:
             anchor = None
         effects = {c.decade: c.delta if c.valid else None for c in unit_changes}
@@ -2107,12 +2112,16 @@ def _reference_counterfactual(panel, config, state, years):
     except HomlabError as exc:
         return {**payload, "feasible": False,
                 "error": {"type": type(exc).__name__, "detail": str(exc)}}
-    assert result.method == payload["method"]
-    return {**payload, "row_labels": list(result.table.row_labels),
-            "col_labels": list(result.table.col_labels),
-            "counts": [[float(x) for x in row] for row in result.table.counts],
-            "iterations": result.iterations, "max_marginal_error": result.max_marginal_error,
-            "feasible": True, "diagnostics": dict(result.diagnostics)}
+    # the options each method reports, then its kernel's extra values
+    options = {"ipf": {"tol": config.tol}, "nm": {"rounding": config.rounding}}
+    diagnostics = {**options.get(config.method, {}),
+                   **{name: values[0].tolist() for name, values in result.extra.items()}}
+    return {**payload, "row_labels": list(late[0].row_labels),
+            "col_labels": list(late[0].col_labels),
+            "counts": [[float(x) for x in row] for row in result.counts[0]],
+            "iterations": int(result.iterations[0]),
+            "max_marginal_error": float(result.residual[0]),
+            "feasible": True, "diagnostics": diagnostics}
 
 
 @pytest.mark.parametrize("categories", ["three", "hs", "college"])
@@ -2187,25 +2196,24 @@ def test_the_cli_picks_one_blas_thread_unless_told_otherwise(preset, expected):
 
 # the library surface: what the CLI, the criteria and the README use
 EXPORTED = [
-    "CONTINUOUS", "ContingencyTable", "CounterfactualResult", "DecadeChange",
-    "DecompositionResult", "Marginals", "PAPER_INTEGER", "TableWithSingles", "TrendStats",
-    "decompose", "evaluate", "fit", "gll", "homogamy_share", "marginals", "merge_categories",
-    "score",
+    "CONTINUOUS", "ContingencyTable", "DecadeChange", "PAPER_INTEGER", "TrendStats",
+    "decompose", "evaluate", "fit", "gll", "merge_categories", "score",
 ]
 
 # the per-table entry points that the kernels replaced, by module
 DELETED = {
     "counterfactual": ("SurvivalGrid", "csa_fit", "csa_solve", "ipf_fit", "mdba_fit",
-                       "meda_fit", "meda_weight", "nm_fit"),
+                       "meda_fit", "meda_weight", "nm_fit", "CounterfactualResult", "_result"),
     "indicators": ("aggregate_2x2", "odds_ratio", "determinant", "covariance", "correlation",
                    "regression", "aggregate_msp", "v_value", "ll_simplified",
                    "surplus_matrix", "RegressionPair", "MspComponents",
                    "LiuLuDecomposition", "SurplusMatrix", "_outputs"),
-    "decomposition": ("decompose_counts",),
+    "decomposition": ("decompose_counts", "DecompositionResult"),
     "trend": ("classify_u_shape", "_u_shape_flag", "income_consistency"),
-    "tables": ("enumerate_tables", "merge_with_singles", "pam_match", "random_match"),
+    "tables": ("enumerate_tables", "merge_with_singles", "pam_match", "random_match",
+               "TableWithSingles", "couples_of", "Marginals", "marginals", "homogamy_share"),
     "io": ("EXCLUDED", "unit_decade_changes", "write_couples"),
-    "criteria": ("MarginalPerturbation", "apply_perturbation"),
+    "criteria": ("MarginalPerturbation", "apply_perturbation", "_one"),
 }
 
 
@@ -2233,12 +2241,13 @@ def test_the_replaced_entry_points_are_gone():
             with pytest.raises(AttributeError):
                 getattr(owner, name)
     assert not hasattr(PanelDataset, "unit_table")
-    assert not hasattr(Marginals, "n_rows") and not hasattr(Marginals, "n_cols")
+    for name in ("scaled", "transposed", "with_counts", "total"):
+        assert not hasattr(ContingencyTable, name), name
 
 
 def test_derived_values_are_no_constructor_arguments():
-    derived = {DecadeChange: ("valid",), TrendStats: ("n_s", "n_total"), Marginals: ("total",),
-               CounterfactualResult: ("feasible",), PanelDataset: ("waves", "states")}
+    derived = {DecadeChange: ("valid",), TrendStats: ("n_s", "n_total"),
+               PanelDataset: ("waves", "states")}
     for cls, names in derived.items():
         assert not set(names) & set(inspect.signature(cls).parameters), cls
     # a stale positional call fails, and binds nothing to the next field

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from homlab.counterfactual import fit
+from homlab.decomposition import decompose
 from homlab.errors import (
     DegenerateInputError,
     EnumerationCapError,
@@ -10,16 +12,12 @@ from homlab.errors import (
     ShapeError,
     TableError,
 )
-from homlab.indicators import _split_sums
+from homlab.indicators import _split_sums, evaluate
 from homlab.tables import (
     ContingencyTable,
-    Marginals,
-    TableWithSingles,
     _block_sum,
-    homogamy_share,
     homogamy_shares,
     lattice,
-    marginals,
     merge_categories,
     pam_counts,
     random_counts,
@@ -28,6 +26,11 @@ from homlab.tables import (
 
 def table(counts, rows=(), cols=()):
     return ContingencyTable(np.array(counts, dtype=float), rows, cols)
+
+
+def margins(table):
+    """A table's row sums and column sums, as a fit takes its target margins."""
+    return table.counts.sum(axis=1), table.counts.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +68,37 @@ def test_counts_are_immutable():
         t.counts[0, 0] = 9
 
 
+def singles_entry_points(t, singles):
+    """Each library call that takes the singles of ``t``, on ``singles``."""
+    return [
+        lambda: fit("csa", t, *margins(t), singles=singles),
+        lambda: evaluate("msm", t, singles=singles),
+        lambda: evaluate("or", t, singles=singles),
+        lambda: decompose(t, t, "csa", singles=(singles, ([1, 1], [1, 1]))),
+        lambda: decompose(t, t, "ipf", singles=(([1, 1], [1, 1]), singles)),
+    ]
+
+
 def test_singles_dimensions_checked():
-    with pytest.raises(TableError):
-        TableWithSingles(table([[1, 2], [3, 4]]), [1], [1, 2])
-    with pytest.raises(TableError,
-                       match="^single_women must have one entry per wife category$"):
-        TableWithSingles(table([[1, 2], [3, 4]]), [1, 2], [1])
-    with pytest.raises(TableError):
-        TableWithSingles(table([[1, 2], [3, 4]]), [1, -2], [1, 2])
+    t = table([[1, 2], [3, 4]])
+    for call in singles_entry_points(t, ([1], [1, 2])):
+        with pytest.raises(TableError,
+                           match="^single_men must have one entry per husband category$"):
+            call()
+    for call in singles_entry_points(t, ([1, 2], [1])):
+        with pytest.raises(TableError,
+                           match="^single_women must have one entry per wife category$"):
+            call()
+    for call in singles_entry_points(t, ([1, -2], [1, 2])):
+        with pytest.raises(TableError, match="^singles counts must be nonnegative$"):
+            call()
 
 
 def test_marginals_consistency_checked():
     with pytest.raises(TableError):
-        Marginals([10, 10], [5, 5])
+        fit("ipf", table([[5, 5], [5, 5]]), [10, 10], [5, 5])
+    with pytest.raises(TableError):
+        lattice([10, 10], [5, 5])
 
 
 NAN, INF = float("nan"), float("inf")
@@ -118,28 +139,12 @@ def test_table_validation_messages(counts, message):
     ],
 )
 def test_marginals_validation_messages(rows, cols, message):
-    with pytest.raises(TableError) as info:
-        Marginals(rows, cols)
-    assert str(info.value) == message
-
-
-# ---------------------------------------------------------------------------
-# marginals
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "counts,rows,cols,total",
-    [
-        ([[40, 10], [20, 30]], [50, 50], [60, 40], 100),
-        ([[0, 5], [5, 0]], [5, 5], [5, 5], 10),
-        ([[10, 0], [5, 5], [0, 10]], [10, 10, 10], [15, 15], 30),
-    ],
-)
-def test_marginals(counts, rows, cols, total):
-    m = marginals(table(counts))
-    assert m.row_sums.tolist() == rows
-    assert m.col_sums.tolist() == cols
-    assert m.total == total
+    # a fit and the lattice refuse the margins before any stacked work
+    for call in (lambda: fit("ipf", table([[1, 1], [1, 1]]), rows, cols),
+                 lambda: lattice(rows, cols)):
+        with pytest.raises(TableError) as info:
+            call()
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +196,11 @@ def test_merge_commutes_with_marginals():
     for _ in range(50):
         t = table(rng.integers(0, 20, size=(4, 3)) + np.eye(4, 3))
         merged = merge_categories(t, [(0, 1), (2, 3)], [(0,), (1, 2)])
-        m = marginals(t)
-        mm = marginals(merged)
-        assert mm.row_sums.tolist() == [
-            m.row_sums[0] + m.row_sums[1],
-            m.row_sums[2] + m.row_sums[3],
-        ]
-        assert mm.col_sums.tolist() == [m.col_sums[0], m.col_sums[1] + m.col_sums[2]]
-        assert mm.total == m.total
+        rows, cols = margins(t)
+        merged_rows, merged_cols = margins(merged)
+        assert merged_rows.tolist() == [rows[0] + rows[1], rows[2] + rows[3]]
+        assert merged_cols.tolist() == [cols[0], cols[1] + cols[2]]
+        assert merged_rows.sum() == rows.sum()
 
 
 def merged_pool(values, partition):
@@ -207,16 +209,13 @@ def merged_pool(values, partition):
 
 
 def test_merge_with_singles_sums_pools():
-    tws = TableWithSingles(
-        table([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), [1, 2, 3], [4, 5, 6]
-    )
+    couples = table([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    men, women = np.array([1.0, 2, 3]), np.array([4.0, 5, 6])
     rows, cols = [(0, 1), (2,)], [(0,), (1, 2)]
-    merged = TableWithSingles(merge_categories(tws.couples, rows, cols),
-                              merged_pool(tws.single_men, rows),
-                              merged_pool(tws.single_women, cols))
-    assert merged.couples.counts.tolist() == [[5, 16], [7, 17]]
-    assert merged.single_men.tolist() == [3, 3]
-    assert merged.single_women.tolist() == [4, 11]
+    merged = merge_categories(couples, rows, cols)
+    assert merged.counts.tolist() == [[5, 16], [7, 17]]
+    assert merged_pool(men, rows) == [3, 3]
+    assert merged_pool(women, cols) == [4, 11]
 
 
 # The block summations that the one kernel replaced, kept as references.
@@ -342,10 +341,8 @@ def test_pam_match_examples():
 def test_matchings_reject_zero_total():
     # the matchings are built on margins that a fit has checked: the
     # projection fit, which builds both, refuses a zero target total
-    from homlab.counterfactual import fit
-
     with pytest.raises(DegenerateInputError, match="target total must be positive"):
-        fit("meda", table([[40, 10], [20, 30]]), Marginals([0.0, 0.0], [0.0, 0.0]))
+        fit("meda", table([[40, 10], [20, 30]]), [0.0, 0.0], [0.0, 0.0])
 
 
 def test_matchings_reproduce_marginals():
@@ -368,14 +365,15 @@ def test_matchings_reproduce_marginals():
 # ---------------------------------------------------------------------------
 
 def test_homogamy_share_values():
-    assert homogamy_share(table([[40, 10], [20, 30]])) == pytest.approx(0.70)
-    assert homogamy_share(table([[7, 0], [0, 3]])) == 1.0
-    assert homogamy_share(table([[0, 5], [5, 0]])) == 0.0
+    assert homogamy_shares(table([[40, 10], [20, 30]]).counts) == pytest.approx(0.70)
+    assert homogamy_shares(table([[7, 0], [0, 3]]).counts) == 1.0
+    assert homogamy_shares(table([[0, 5], [5, 0]]).counts) == 0.0
 
 
 def test_homogamy_share_needs_square():
-    with pytest.raises(ShapeError):
-        homogamy_share(table([[1, 2], [3, 4], [5, 6]]))
+    t = table([[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(ShapeError, match="^homogamy share needs a square table, got 3x2$"):
+        decompose(t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -413,27 +411,27 @@ def count_tables_by_generating_function(rows, cols):
 
 
 def test_enumerate_examples():
-    assert len(lattice(Marginals([1, 1], [1, 1]))) == 2
-    assert len(lattice(Marginals([2, 2], [2, 2]))) == 3
-    only = lattice(Marginals([2, 0], [1, 1]))
+    assert len(lattice([1, 1], [1, 1])) == 2
+    assert len(lattice([2, 2], [2, 2])) == 3
+    only = lattice([2, 0], [1, 1])
     assert only.tolist() == [[[1, 1], [0, 0]]]
 
 
 def test_enumerate_cap_guard():
     with pytest.raises(EnumerationCapError):
-        lattice(Marginals([30, 30], [30, 30]))
+        lattice([30, 30], [30, 30])
 
 
 def test_enumerate_requires_integers():
     with pytest.raises(DegenerateInputError):
-        lattice(Marginals([1.5, 0.5], [1.0, 1.0]))
+        lattice([1.5, 0.5], [1.0, 1.0])
 
 
 def test_enumerate_refuses_disagreeing_sums():
-    # Marginals accepts a gap of up to 1e-9 of the total; the lattice needs
-    # equal integer sums
+    # the margins check accepts a gap of up to 1e-9 of the total; the
+    # lattice needs equal integer sums
     with pytest.raises(DegenerateInputError, match="^row and column sums disagree$"):
-        lattice(Marginals([1e12, 0], [1e12 + 500, 0]))
+        lattice([1e12, 0], [1e12 + 500, 0])
 
 
 def test_enumerate_count_matches_generating_function():
@@ -450,8 +448,7 @@ def test_enumerate_count_matches_generating_function():
             rows[0] += -diff
         if rows.sum() == 0 or rows.sum() > 16:
             continue
-        marg = Marginals(rows.astype(float), cols.astype(float))
-        points = lattice(marg)
+        points = lattice(rows.astype(float), cols.astype(float))
         assert len(points) == count_tables_by_generating_function(
             rows.tolist(), cols.tolist()
         )
@@ -507,8 +504,7 @@ def test_lattice_is_the_recursive_enumeration_in_its_order():
         if rows.sum() == 0:
             continue
         zero_margins += (rows == 0).any() or (cols == 0).any()
-        marg = Marginals(rows.astype(float), cols.astype(float))
-        points = lattice(marg, cap=40)
+        points = lattice(rows.astype(float), cols.astype(float), cap=40)
         expected = recursive_enumeration(rows.tolist(), cols.tolist())
         assert points.dtype.kind == "i"
         assert points.shape == (len(expected), n, m)
@@ -518,12 +514,12 @@ def test_lattice_is_the_recursive_enumeration_in_its_order():
 
 def test_enumeration_guards():
     with pytest.raises(EnumerationCapError):
-        lattice(Marginals([3, 3], [3, 3]), cap=5)
-    assert len(lattice(Marginals([3, 2], [2, 3]), cap=5)) == 3
+        lattice([3, 3], [3, 3], cap=5)
+    assert len(lattice([3, 2], [2, 3], cap=5)) == 3
     with pytest.raises(DegenerateInputError):
-        lattice(Marginals([1.5, 0.5], [1.0, 1.0]))
+        lattice([1.5, 0.5], [1.0, 1.0])
     with pytest.raises(DegenerateInputError):
-        lattice(Marginals([0, 0], [0, 0]))
+        lattice([0, 0], [0, 0])
 
 
 def test_pam_maximizes_homogamy_when_distributions_coincide():
@@ -536,10 +532,10 @@ def test_pam_maximizes_homogamy_when_distributions_coincide():
         rows = rng.integers(1, 5, size=n)
         if rows.sum() > 20:
             continue
-        marg = Marginals(rows.astype(float), rows.astype(float))
-        best = homogamy_share(table(_pam_cells(rows, rows)))
+        best = homogamy_shares(table(_pam_cells(rows, rows)).counts)
         assert best == 1.0
-        assert (homogamy_shares(lattice(marg, cap=20)) <= best + 1e-12).all()
+        points = lattice(rows.astype(float), rows.astype(float), cap=20)
+        assert (homogamy_shares(points) <= best + 1e-12).all()
 
 
 def test_pam_maximizes_survival_sums():
@@ -557,6 +553,6 @@ def test_pam_maximizes_survival_sums():
             cols[0] += diff
         elif diff < 0:
             rows[0] += -diff
-        marg = Marginals(rows.astype(float), cols.astype(float))
         pam_grid = survival(np.array(_pam_cells(rows, cols)))
-        assert np.all(survival(lattice(marg, cap=20)) <= pam_grid + 1e-12)
+        points = lattice(rows.astype(float), cols.astype(float), cap=20)
+        assert np.all(survival(points) <= pam_grid + 1e-12)
