@@ -558,12 +558,13 @@ def fit(
     For ``csa``, ``singles`` holds the source's single men and single women
     per category, and the target populations are the target margins plus
     ``target_singles`` (the source's own singles when None); the fitted
-    singles travel in ``extra``. The margins and the source's singles are
+    singles travel in ``extra``. The margins and both sets of singles are
     checked first (:func:`~homlab.tables._check_vectors`). This is then
     :func:`fit_stack` on a stack of one, whose :class:`FitStack` it returns,
     or whose error it raises.
     """
     _check_vectors(source.counts.shape, (rows, cols), singles)
+    _check_vectors(singles=target_singles)  # their shape is fit_stack's ShapeError
     pools = [None if pair is None else _as_stack(*pair) for pair in (singles, target_singles)]
     fits = fit_stack(method, source.counts[None], *_as_stack(rows, cols), rounding, tol,
                      max_iter, *pools)

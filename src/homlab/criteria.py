@@ -194,33 +194,38 @@ def _first_hit(rng, sample_count: int, draw, bases, scan):
     That loop redraws a sample while its base is rejected (200 times at
     most), draws the criterion's parameters and stops at the first
     violation. A round draws samples in stream order as if every base were
-    accepted: ``draw(rng, start, size)`` gives them and the generator state
-    where each one's redraw starts. ``bases(batch)`` gives the bases and one
-    error per sample (None if accepted); ``scan(batch, base, accepted)``
-    gives ``(t, hit)`` of the first violation among the accepted samples,
-    or None, raising what the loop would raise there. At the first rejected
-    base the generator goes back to the redraw; a base error the loop would
-    not skip is raised. Rounds start at one sample and double while no base
-    is rejected.
+    accepted: ``draw(rng, start, size)`` gives them. ``bases(batch)`` gives
+    the bases and one error per sample up to the first rejected one (None
+    if accepted); ``scan(batch, base, accepted)`` gives ``(t, hit)`` of the
+    first violation among the accepted samples, or None, raising what the
+    loop would raise there. A base error the loop would not skip is raised.
+    At a rejected base the generator goes back to the state read before the
+    round, and ``draw(rng, start, t + 1, replay=True)`` redraws the accepted
+    samples and the base of the rejected one ``t``, where its redraw
+    starts. Rounds start at eight samples and double while no base is
+    rejected.
     """
-    done, size, rejected = 0, 1, 0
+    done, size, rejected = 0, 8, 0
     while done < sample_count:
-        batch, states = draw(rng, done, min(size, sample_count - done))
+        state = rng.bit_generator.state
+        batch = draw(rng, done, min(size, sample_count - done))
         base, errors = bases(batch)
         failed = [t for t, error in enumerate(errors) if error is not None]
-        accepted = failed[0] if failed else len(states)
+        accepted = failed[0] if failed else len(errors)
         found = scan(batch, base, accepted)
         if found is not None:
             return done + found[0] + 1, found[1]
-        done, size = done + accepted, 2 * size
+        size *= 2
         if failed:
             if not isinstance(errors[accepted], _SKIPPED):
                 raise errors[accepted]
             rejected = rejected + 1 if accepted == 0 else 1
             if rejected == 200:
                 raise RuntimeError("could not draw a valid random instance")  # pragma: no cover
-            rng.bit_generator.state = states[accepted]
-            size = max(2 * accepted, 1)
+            rng.bit_generator.state = state
+            draw(rng, done, accepted + 1, replay=True)
+            size = max(2 * accepted, 8)
+        done += accepted
     return None
 
 
@@ -228,58 +233,100 @@ def _first_hit(rng, sample_count: int, draw, bases, scan):
 # indicator checks
 # ---------------------------------------------------------------------------
 
-# A drawn indicator sample is a tuple: its couples (n, m), its (single men,
-# single women) for ``msm`` or None, and the criterion's transforms of it,
-# each a label and its parameters.
+@functools.cache
+def _table_lows(shape: tuple, with_singles: bool, diagonal: bool) -> np.ndarray:
+    """The lower bounds, below 51 each, of one indicator sample's integer
+    draws in stream order: its cells from 0, for ``msm`` its single men and
+    women from 1, and with ``diagonal`` the couples added to each diagonal
+    cell from 1."""
+    n, m = shape
+    lows = np.repeat([0, 1, 1], [n * m, (n + m) * with_singles, n * diagonal])
+    lows.flags.writeable = False
+    return lows
 
-def _draw_tables(rng, start, size, shapes, with_singles, transforms):
+
+def _draw_tables(rng, start, size, shapes, with_singles, transforms, replay=False):
     """Samples ``start`` to ``start + size - 1``, drawn in stream order as if
-    the indicator were defined on every table: cells uniform on [0, 50] (an
-    all-zero table is redrawn at once), for ``msm`` single men then single
-    women uniform on [1, 50] in one draw, then the transforms; and the state
-    after each table, where a rejected table's redraw starts."""
-    drawn, states = [], []
-    for i in range(start, start + size):
-        shape = shapes[i % len(shapes)]
-        counts = rng.integers(0, 51, size=shape)
-        while not np.count_nonzero(counts):
-            counts = rng.integers(0, 51, size=shape)
-        singles = None
-        if with_singles:
-            pooled = rng.integers(1, 51, size=sum(shape)).astype(float)
-            singles = (pooled[:shape[0]], pooled[shape[0]:])
-        states.append(rng.bit_generator.state)
-        drawn.append((counts.astype(float), singles, transforms(rng, counts)))
-    return drawn, states
+    the indicator were defined on every table: cells uniform on [0, 50], for
+    ``msm`` single men then single women uniform on [1, 50], then the
+    transforms. ``transforms`` draws one table's transforms, each a label and
+    its parameters, or names the one transform of every sample; then its
+    integer parameters (``diagonal``'s added couples, uniform on [1, 50])
+    and the tables are drawn in one call for the round. Lemire's bounded
+    draws take the generator's words one value at a time, so one call with
+    per-value bounds leaves the values and the state of the per-sample calls.
+
+    Returns per shape the positions of its samples and their couples and
+    singles (None without) stacks; per transform label and shape, the rows
+    of that stack, the index of the transform within its sample and the
+    parameters as arrays; and the samples drawn. A round ends at its first
+    all-zero table, which is drawn but not stacked, so it is rejected.
+    With ``replay`` the last sample's cells are drawn and, unless all zero,
+    its singles, where its redraw starts; nothing is returned.
+    """
+    p = len(shapes)
+    cycle = [shapes[(start + k) % p] for k in range(p)]
+    units = [_table_lows(shape, with_singles, transforms == "diagonal") for shape in cycle]
+    full = size - replay
+    if isinstance(transforms, str):
+        count = full // p * sum(map(len, units)) + sum(map(len, units[:full % p]))
+        values, drawn = rng.integers(np.resize(np.concatenate(units), count), 51), None
+    else:
+        values, drawn = [], []
+        for t in range(full):
+            (n, m), draws = cycle[t % p], rng.integers(units[t % p], 51)
+            values.append(draws)
+            drawn.append(transforms(rng, draws[:n * m].reshape(n, m)))
+    if replay:
+        shape = cycle[full % p]
+        if rng.integers(0, 51, size=shape).any() and with_singles:
+            rng.integers(1, 51, size=sum(shape))
+        return None
+    ends = np.cumsum([0, *map(len, units)])
+    table = np.zeros((-(-size // p), ends[-1]))
+    table.ravel()[:ends[-1] * (size // p) + ends[size % p]] = (
+        values if drawn is None else np.concatenate(values))
+    zero = [k + p * np.flatnonzero(~table[:, ends[k]:ends[k] + n * m].any(axis=1))
+            for k, (n, m) in enumerate(cycle)]
+    count = min([size, *(int(z[0]) for z in zero if z.size)])
+    groups, stacks, items = [], {}, {}
+    for k, (n, m) in enumerate(cycle[:count]):
+        ix = np.arange(k, count, p)
+        cols = table[:len(ix), ends[k]:ends[k + 1]]
+        men, women = cols[:, n * m:n * m + n], cols[:, n * m + n:n * m + n + m]
+        groups.append((ix, cols[:, :n * m].reshape(-1, n, m), (men, women) if with_singles else None))
+        if drawn is None:
+            params = {"diagonal": cols[:, n * m + (n + m) * with_singles:]}
+            stacks[transforms, k] = (np.arange(len(ix)), np.zeros(len(ix), int),
+                                     params if transforms == "diagonal" else {})
+    for t, sample in enumerate(drawn[:count] if drawn else ()):
+        for j, (label, params) in enumerate(sample):
+            items.setdefault((label, t % p), []).append((t // p, j, params))
+    for key, rows in items.items():
+        stacks[key] = (np.array([r for r, _, _ in rows]), np.array([j for _, j, _ in rows]),
+                       {name: np.array([q[name] for *_, q in rows]) for name in rows[0][2]})
+    return groups, stacks, size
 
 
-def _stacks(drawn: list[tuple], ix: list[int]):
-    """Couples and singles (or None) stacks of the samples ``ix``, all of
-    one shape."""
-    counts = np.array([drawn[t][0] for t in ix])
-    if drawn[ix[0]][1] is None:
-        return counts, None
-    return counts, tuple(np.array(s) for s in zip(*(drawn[t][1] for t in ix)))
-
-
-def _variants(label: str, counts, singles, params: list[dict]):
-    """The transform ``label`` of a stack of samples of one shape, with one
-    parameter dict per sample: the variants' couples and singles (None
-    without), and per sample None or the error of a rake whose fit fails."""
+def _variants(label: str, counts, singles, params: Mapping[str, np.ndarray]):
+    """The transform ``label`` of a stack of samples of one shape, with each
+    parameter an array of one entry per sample: the variants' couples and
+    singles (None without), and per sample None or the error of a rake
+    whose fit fails."""
     errors = [None] * len(counts)
     if label == "transpose":
         return np.swapaxes(counts, -1, -2), singles and singles[::-1], errors
     if label == "rotate-categories":  # the couples alone, as a plain table
         return counts[:, ::-1, ::-1], None, errors
     if label == "diagonal":
-        diagonal = np.array([p["diagonal"] for p in params])
+        diagonal = np.asarray(params["diagonal"], dtype=float)
         return counts + diagonal[:, :, None] * np.eye(counts.shape[-1]), singles, errors
     if label == "rake":
-        rows, cols = (np.array([p[k] for p in params], dtype=float) for k in ("rows", "cols"))
+        rows, cols = (np.asarray(params[k], dtype=float) for k in ("rows", "cols"))
         fits = cf.fit_stack("ipf", counts, rows, cols, tol=1e-12)
         failed = np.array([e is not None for e in fits.errors])
         return np.where(failed[:, None, None], counts, fits.counts), None, list(fits.errors)
-    alpha = np.array([p["alpha"] for p in params])
+    alpha = np.asarray(params["alpha"], dtype=float)
     if label == "scale":
         r = alpha[:, None]
         return counts * r[..., None], singles and (singles[0] * r, singles[1] * r), errors
@@ -315,13 +362,14 @@ def _base_values(evaluate, tag: str, transposed: bool, counts, singles):
 
 @dataclass(frozen=True)
 class _IndicatorCheck:
-    """One sampled indicator criterion: the draw of a table's transforms,
-    the matrix-valued tags that also draw 3x3 tables (compared against
+    """One sampled indicator criterion: the draw of a table's transforms or
+    the label of its one transform (see :func:`_draw_tables`), the
+    matrix-valued tags that also draw 3x3 tables (compared against
     their transposed base when ``transposed``), the criterion's note after
     the tag's own, the note that stands in when neither has one, and the
     witness kind (a ``monotonicity`` check carries no notes)."""
 
-    transforms: Callable[[np.random.Generator, np.ndarray], list[tuple[str, dict]]]
+    transforms: Callable[[np.random.Generator, np.ndarray], list[tuple[str, dict]]] | str
     matrix_tags: tuple[str, ...] = ()
     transposed: bool = False
     notes: str = ""
@@ -366,34 +414,43 @@ def _sampled_indicator_check(criterion, tag, sample_count, seed) -> CriterionRep
     transposed = check.transposed and tag in check.matrix_tags
     shapes = ((2, 2), (3, 3)) if tag in check.matrix_tags else ((2, 2),)
 
-    def draw(rng, start, size):
-        return _draw_tables(rng, start, size, shapes, tag == "msm", check.transforms)
+    def draw(rng, start, size, replay=False):
+        return _draw_tables(rng, start, size, shapes, tag == "msm", check.transforms, replay)
 
-    def bases(drawn):
-        values, errors = [None] * len(drawn), [None] * len(drawn)
-        for ix in _grouped(counts.shape for counts, _, _ in drawn):
-            stacked, undefined = _base_values(evaluate, tag, transposed, *_stacks(drawn, ix))
-            for t, value, bad in zip(ix, stacked, undefined):
-                values[t] = value
-                errors[t] = UndefinedIndicatorError("indicator undefined") if bad else None
+    def bases(batch):
+        groups, _, size = batch
+        values, errors = [], [None] * sum(len(ix) for ix, _, _ in groups)
+        for ix, counts, singles in groups:
+            stacked, undefined = _base_values(evaluate, tag, transposed, counts, singles)
+            values.append(stacked)
+            for t in ix[undefined]:
+                errors[t] = UndefinedIndicatorError("indicator undefined")
+        if len(errors) < size:  # the round ended at an all-zero table
+            errors.append(UndefinedIndicatorError("indicator undefined"))
         return values, errors
 
-    def scan(drawn, values, accepted):
-        items = [(t, j, label, params) for t in range(accepted)
-                 for j, (label, params) in enumerate(drawn[t][2])]
+    def scan(batch, values, accepted):
+        groups, stacks, _ = batch
         hits = []
-        for group in _grouped((drawn[t][0].shape, label) for t, _, label, _ in items):
-            ix = [items[i][0] for i in group]
+        for (label, g), (rows, js, params) in stacks.items():
+            ix, counts, singles = groups[g]
+            keep = ix[rows] < accepted
+            rows, js, params = rows[keep], js[keep], {k: v[keep] for k, v in params.items()}
+            if not rows.size:
+                continue
             violations, errors = _indicator_violations(
-                evaluate, items[group[0]][2], *_stacks(drawn, ix),
-                np.array([values[t] for t in ix]), [items[i][3] for i in group],
+                evaluate, label, counts[rows], singles and tuple(s[rows] for s in singles),
+                values[g][rows], params,
             )
-            hits += [(*items[i], float(v)) for i, v, error in zip(group, violations, errors)
+            hits += [(int(ix[r]), j, g, r, label, params, i, float(v))
+                     for i, (r, j, v, error) in enumerate(zip(rows, js, violations, errors))
                      if error is None and v > VIOLATION_TOL]
         if not hits:
             return None
-        t, _, label, params, violation = min(hits)
-        return t, (_payload(*drawn[t][:2]), label, params, violation)
+        t, _, g, r, label, params, i, violation = min(hits)
+        _, counts, singles = groups[g]
+        subject = _payload(counts[r], singles and tuple(s[r] for s in singles))
+        return t, (subject, label, {k: v[i].tolist() for k, v in params.items()}, violation)
 
     notes = _indicator_notes(check, tag)
     found = _first_hit(_rng_for(seed, criterion, tag), sample_count, draw, bases, scan)
@@ -411,17 +468,8 @@ def _sampled_indicator_check(criterion, tag, sample_count, seed) -> CriterionRep
 
 # Parameter draws of a criterion, given the shape of the drawn table.
 
-def _no_params(rng, shape: tuple) -> dict:
-    return {}
-
-
 def _scale_params(rng, shape: tuple) -> dict:
     return {"alpha": float(rng.uniform(0.2, 5.0))}
-
-
-def _diagonal_params(rng, shape: tuple) -> dict:
-    diagonal = rng.integers(1, 51, size=shape[0]).astype(float)
-    return {"diagonal": diagonal.tolist()}
 
 
 def _cut_params(rng, shape: tuple) -> dict:
@@ -458,11 +506,11 @@ _INDICATOR_CHECKS = {
     "AC2": _IndicatorCheck(
         lambda rng, counts: [("scale", _scale_params(rng, counts.shape))], ("gll",)),
     "AC3": _IndicatorCheck(
-        lambda rng, counts: [("transpose", {})], ("gll", "msm"), transposed=True,
+        "transpose", ("gll", "msm"), transposed=True,
         fallback_notes="matrix-valued measures compare against the "
         "transposed original",
     ),
-    "AC4": _IndicatorCheck(lambda rng, counts: [("rotate-categories", {})]),
+    "AC4": _IndicatorCheck("rotate-categories"),
     "AC5.1": _IndicatorCheck(_alpha_transforms("type1", 0.2, 3.0)),
     "AC5.2": _IndicatorCheck(_alpha_transforms("type2", 0.05, 0.95)),
     "AC5.3": _IndicatorCheck(
@@ -474,10 +522,7 @@ _INDICATOR_CHECKS = {
     # checked on 2x2 tables, where the claim lives for every measure (on
     # finer tables an added same-type couple can land off the diagonal of
     # an asymmetric coarsening and genuinely lower that split's value)
-    "AC8.1": _IndicatorCheck(
-        lambda rng, counts: [("diagonal", _diagonal_params(rng, counts.shape))],
-        kind="monotonicity",
-    ),
+    "AC8.1": _IndicatorCheck("diagonal", kind="monotonicity"),
 }
 
 
@@ -504,7 +549,7 @@ def _max_criterion_check(
         keys = [_draw_margins(rng, criterion, sizes[i % len(sizes)])
                 for i in range(start, start + size)]
         drawn.extend(keys)
-        return keys, [None] * size
+        return keys
 
     def bases(keys):
         new = [key for key in dict.fromkeys(keys) if key not in scored]
@@ -643,19 +688,20 @@ SIC_TARGET_COLS = (10.0, 90.0)
 SIC_SINGLES = (10.0, 10.0)
 
 
-def _draw_problem(rng, shape, with_singles: bool) -> tuple:
-    """One method problem, (source cells, source singles, target cells,
-    target singles), in one draw uniform on [1, 50]: the source's cells and,
-    with singles, its single men and single women per category (else None),
-    then the target's the same way."""
+def _problem_stack(values: np.ndarray, shape, with_singles: bool, params) -> _MethodStack:
+    """Method problems of one shape from their draws, a row each, with the
+    parameters ``params`` (one array per name): the source's cells and,
+    with singles, its single men and single women per category (else
+    None), then the target's the same way."""
     n, m = shape
-    part = n * m + (n + m if with_singles else 0)
-    drawn = rng.integers(1, 51, size=2 * part).astype(float)
+    part = n * m + (n + m) * with_singles
     problem = []
-    for half in (drawn[:part], drawn[part:]):
-        singles = (half[n * m:n * m + n], half[n * m + n:]) if with_singles else None
-        problem += [half[:n * m].reshape(shape), singles]
-    return tuple(problem)
+    for half in (values[:, :part], values[:, part:2 * part]):
+        singles = (half[:, n * m:n * m + n], half[:, n * m + n:part]) if with_singles else None
+        problem += [half[:, :n * m].reshape(-1, n, m), singles]
+    counts, singles, targets, target_singles = problem
+    return _MethodStack(counts, targets.sum(axis=-1), targets.sum(axis=-2), singles,
+                        target_singles, params, targets)
 
 
 # Base and variant fits that raise these are rejected or skipped samples;
@@ -824,28 +870,29 @@ def _merge_gap(method, inst: _MethodStack, base: cf.FitStack):
 @dataclass(frozen=True)
 class _MethodCheck:
     """One sampled method criterion: witness kind, gap function, the draw
-    of its own parameters after the problem, the report notes, and the
+    of its own parameters after the problem (or None, or ``diagonal`` for
+    the couples added to each diagonal cell), the report notes, and the
     draw of each problem's shape before it. Without one, the problems are
     2x2 and one whose base fit is infeasible or undefined is redrawn; AC10
     draws 3x3 or 4x3 problems and redraws none."""
 
     kind: str
     gap: Callable
-    params: Callable[[np.random.Generator, tuple], dict]
+    params: Callable[[np.random.Generator, tuple], dict] | str | None
     notes: str = ""
     shape: Callable[[np.random.Generator], tuple] | None = None
 
 
 _METHOD_CHECKS = {
     "AC2": _MethodCheck("method-scale", _scale_gap, _scale_params),
-    "AC3": _MethodCheck("method-transpose", _transpose_gap, _no_params),
+    "AC3": _MethodCheck("method-transpose", _transpose_gap, None),
     "AC5": _MethodCheck(
-        "method-marginals", _marginals_gap, _no_params,
+        "method-marginals", _marginals_gap, None,
         notes="each method controls for marginal changes by construction; "
         "checked as reproduction of the target margins",
     ),
     "AC8.1": _MethodCheck(
-        "method-monotonicity", _monotonicity_gap, _diagonal_params,
+        "method-monotonicity", _monotonicity_gap, "diagonal",
         notes="checked on the implied counterfactual homogamy share",
     ),
     "AC10": _MethodCheck(
@@ -857,36 +904,37 @@ _METHOD_CHECKS = {
 }
 
 
-def _method_stack(problems, params) -> _MethodStack:
-    """The stack of drawn method problems of one shape, each (source cells,
-    source singles, target cells, target singles; singles None without),
-    with one parameter dict per problem."""
-    counts, singles, targets, target_singles = zip(*problems)
-
-    def pairs(stacked):
-        return None if stacked[0] is None else tuple(np.array(s) for s in zip(*stacked))
-
-    targets = np.array(targets)
-    return _MethodStack(
-        np.array(counts), targets.sum(axis=-1), targets.sum(axis=-2),
-        pairs(singles), pairs(target_singles),
-        {name: np.array([p[name] for p in params]) for name in params[0]}, targets,
-    )
-
-
-def _draw_samples(rng, method, check: _MethodCheck, size: int):
+def _draw_samples(rng, method, check: _MethodCheck, size: int, replay=False):
     """Draw ``size`` samples in stream order, as if every base fit were
-    feasible: each one's problem, drawn by :func:`_draw_problem` as
-    :func:`_method_stack` takes it, and parameters, and the generator state
-    before each parameter draw, where a rejected sample's redraw starts."""
+    feasible: each one's problem, uniform on [1, 50] as
+    :func:`_problem_stack` reads it, then its parameters. Without a shape
+    or parameter draw (2x2 problems, and ``diagonal``'s added couples
+    uniform on [1, 50]) the round is one generator call, as in
+    :func:`_draw_tables`. Returns per shape the positions of its samples
+    and their stack; with ``replay`` the last sample is drawn without its
+    parameters, where its redraw starts, and nothing is returned."""
     with_singles = method == "csa"
-    drawn, states = [], []
-    for _ in range(size):
+    width = 2 * (4 + 4 * with_singles)  # a 2x2 problem's draws
+    if check.shape is None and not callable(check.params):
+        extra = 2 * (check.params == "diagonal")
+        if replay:
+            rng.integers(1, 51, size=(size - 1) * (width + extra) + width)
+            return None
+        values = rng.integers(1, 51, size=(size, width + extra)).astype(float)
+        params = {"diagonal": values[:, width:]} if extra else {}
+        return [(np.arange(size), _problem_stack(values, (2, 2), with_singles, params))]
+    drawn = []
+    for t in range(size):
         shape = check.shape(rng) if check.shape else (2, 2)
-        problem = _draw_problem(rng, shape, with_singles)
-        states.append(rng.bit_generator.state)
-        drawn.append((problem, check.params(rng, shape)))
-    return drawn, states
+        width = 2 * (shape[0] * shape[1] + sum(shape) * with_singles)
+        problem = rng.integers(1, 51, size=width).astype(float)
+        if replay and t == size - 1:
+            return None
+        drawn.append((shape, problem, check.params(rng, shape)))
+    return [(np.array(ix), _problem_stack(
+        np.array([drawn[t][1] for t in ix]), drawn[ix[0]][0], with_singles,
+        {name: np.array([drawn[t][2][name] for t in ix]) for name in drawn[ix[0]][2]},
+    )) for ix in _grouped(shape for shape, _, _ in drawn)]
 
 
 def _sampled_method_check(criterion, method, sample_count, seed) -> CriterionReport:
@@ -900,18 +948,16 @@ def _sampled_method_check(criterion, method, sample_count, seed) -> CriterionRep
     fit error is raised at its sample."""
     check = _METHOD_CHECKS[criterion]
 
-    def draw(rng, start, size):
-        return _draw_samples(rng, method, check, size)
+    def draw(rng, start, size, replay=False):
+        return _draw_samples(rng, method, check, size, replay)
 
-    def bases(drawn):
-        groups = []
-        for ix in _grouped(problem[0].shape for problem, _ in drawn):
-            inst = _method_stack(*zip(*(drawn[t] for t in ix)))
-            groups.append((ix, inst, inst.fit(method)))
+    def bases(batch):
+        groups = [(ix, inst, inst.fit(method)) for ix, inst in batch]
         # 2x2 problems make one stack, in sample order; AC10 redraws none
-        return groups, groups[0][2].errors if check.shape is None else [None] * len(drawn)
+        return groups, (groups[0][2].errors if check.shape is None
+                        else [None] * sum(len(ix) for ix, _ in batch))
 
-    def scan(drawn, groups, accepted):
+    def scan(batch, groups, accepted):
         samples = {}
         for ix, inst, base in groups:
             gaps, errors = check.gap(method, inst, base)
@@ -1049,7 +1095,8 @@ def replay_witness(report: CriterionReport) -> float:
         label, params = "diagonal", {"diagonal": w["diagonal"]}
     else:
         label, params = w["transform"], w["params"]
-    violations, errors = _indicator_violations(evaluate, label, counts, singles, base, [params])
+    violations, errors = _indicator_violations(
+        evaluate, label, counts, singles, base, {k: np.array([v]) for k, v in params.items()})
     if errors[0] is not None:
         raise errors[0]
     return float(violations[0])

@@ -115,19 +115,21 @@ def _counts_error(counts: np.ndarray) -> TableError | None:
 
 def _check_vectors(shape=None, margins=None, singles=None):
     """Raise the :class:`TableError` of library inputs that no table has:
-    ``singles`` (single men, single women) that are not one nonnegative
-    count per category of a table of ``shape`` (n, m), and target
+    ``singles`` (single men, single women) that are not one finite,
+    nonnegative count per category of a table of ``shape`` (n, m), and target
     ``margins`` (row sums, column sums) that are not vectors, are negative
     or not finite, or whose column sums miss the row sums' total by more
-    than 1e-9 of it. ``fit``, ``evaluate``, ``decompose`` and ``lattice``
-    check here before any stacked work; the stacked functions trust their
-    inputs."""
+    than 1e-9 of it; without ``shape``, only the singles' values are
+    checked. ``fit``, ``evaluate``, ``decompose`` and ``lattice`` check here
+    before any stacked work; the stacked functions trust their inputs."""
     if singles is not None:
         men, women = (np.asarray(values, dtype=float) for values in singles)
-        if men.ndim != 1 or men.shape[0] != shape[0]:
+        if shape and (men.ndim != 1 or men.shape[0] != shape[0]):
             raise TableError("single_men must have one entry per husband category")
-        if women.ndim != 1 or women.shape[0] != shape[1]:
+        if shape and (women.ndim != 1 or women.shape[0] != shape[1]):
             raise TableError("single_women must have one entry per wife category")
+        if not (np.isfinite(men).all() and np.isfinite(women).all()):
+            raise TableError("singles counts must be finite")
         if np.any(men < 0) or np.any(women < 0):
             raise TableError("singles counts must be nonnegative")
     if margins is not None:

@@ -548,6 +548,21 @@ def test_csa_rejects_nonpositive_targets():
             solve_csa(msm, np.array([5.0, 5.0]), np.array([5.0, 5.0]))
 
 
+@pytest.mark.parametrize("bad,message", [
+    (([-4, 5], [3, 3]), "nonnegative"), (([5, 5], [3, np.nan]), "finite"),
+    (([np.inf, 5], [3, 3]), "finite"),
+])
+def test_fit_checks_target_singles_as_it_checks_singles(bad, message):
+    # the target singles used to go unchecked: negative ones were fitted
+    # onto target populations of fewer single men than the couples' margin
+    couples, singles = table([[40, 10], [20, 30]]), ([5, 5], [5, 5])
+    for method in METHOD_TAGS:
+        with pytest.raises(TableError, match=f"^singles counts must be {message}$"):
+            fit(method, couples, [50, 50], [60, 40], singles=singles, target_singles=bad)
+    with pytest.raises(TableError, match=f"^singles counts must be {message}$"):
+        fit("csa", couples, [50, 50], [60, 40], singles=bad)
+
+
 def test_csa_newton_takes_few_steps():
     couples, singles, (men, women) = couples_with_singles()
     for scale in (1, 2, 1000):

@@ -71,7 +71,7 @@ BASE = table([[40, 10], [20, 30]])
 
 def perturbed(label, alpha, counts):
     """The checks' variant ``label`` of one table's cells."""
-    variant, _, _ = criteria._variants(label, np.array(counts)[None], None, [{"alpha": alpha}])
+    variant, _, _ = criteria._variants(label, np.array(counts)[None], None, {"alpha": np.array([alpha])})
     return variant[0].tolist()
 
 
@@ -457,6 +457,29 @@ def test_stacked_method_cells_keep_witnesses_when_every_gap_counts(monkeypatch):
                 )
 
 
+@pytest.mark.parametrize("criterion,method,tol", [
+    ("AC3", "mdba", VIOLATION_TOL), ("AC8.1", "nm", VIOLATION_TOL), ("AC8.1", "nm", -0.003),
+])
+def test_high_rejection_method_cells_keep_the_per_sample_stream(monkeypatch, criterion, method,
+                                                                tol):
+    # mdba and nm reject an infeasible base every 10-30 samples, so a
+    # 200-sample cell replays its rounds several times; counting a rise of
+    # the homogamy share below 0.003 as a violation, AC8.1|nm finds its
+    # witness after some of those replays (samples 45 and 187)
+    monkeypatch.setattr(criteria, "VIOLATION_TOL", tol)
+    replays, draw = [], criteria._draw_samples
+
+    def counted(rng, method, check, size, replay=False):
+        replays.append(replay)
+        return draw(rng, method, check, size, replay)
+
+    monkeypatch.setattr(criteria, "_draw_samples", counted)
+    for seed in range(4):
+        got = check_method(criterion, method, 200, seed)
+        assert got == _reference_method_check(criterion, method, 200, seed), seed
+    assert sum(replays) >= 4
+
+
 def _ref_merge_table(rng, shape, with_singles):
     """A (table, singles) subject; singles are drawn only ``with_singles``."""
     counts = table(rng.integers(1, 51, size=shape))
@@ -597,6 +620,9 @@ def _ref_transforms(criterion, rng, counts):
         return [("transpose", {})]
     if criterion == "AC4":
         return [("rotate-categories", {})]
+    if criterion == "AC8.1":
+        diagonal = rng.integers(1, 51, size=counts.shape[0]).astype(float)
+        return [("diagonal", {"diagonal": diagonal.tolist()})]
     if criterion in ("AC5.1", "AC5.2"):
         kind, low, high = ("type1", 0.2, 3.0) if criterion == "AC5.1" else ("type2", 0.05, 0.95)
         alpha = float(rng.uniform(low, high))
@@ -772,14 +798,79 @@ def test_stacked_indicator_cell_finds_a_late_witness_after_rejections(monkeypatc
     assert replay_witness(got) == got.witness["violation"]
 
 
+class _ZeroingGenerator:
+    """A generator stub whose bounded integers at the stream positions
+    ``zeros`` come out 0, to force all-zero tables; its position in the
+    stream is part of its state, so a restored state draws them again."""
+
+    def __init__(self, rng, zeros):
+        self.rng, self.zeros, self.drawn, self.zeroed = rng, zeros, 0, 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state, self.drawn
+
+    @state.setter
+    def state(self, state):
+        self.rng.bit_generator.state, self.drawn = state
+
+    def integers(self, low, high, size=None):
+        values = np.array(self.rng.integers(low, high, size))
+        positions = self.drawn + np.arange(values.size).reshape(values.shape)
+        hit = np.isin(positions, list(self.zeros))
+        values[hit] = 0
+        self.drawn, self.zeroed = self.drawn + values.size, self.zeroed + hit.sum()
+        return values
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
+@pytest.mark.parametrize("criterion,tag,tol", [
+    ("AC3", "or", VIOLATION_TOL), ("AC3", "msm", VIOLATION_TOL), ("AC4", "v", VIOLATION_TOL),
+    ("AC8.1", "cov", VIOLATION_TOL), ("AC8.1", "msm", VIOLATION_TOL),
+    ("AC2", "msm", 1e-15), ("AC2", "ll", 1e-15),
+])
+def test_an_all_zero_table_is_redrawn_as_the_per_sample_loop_redraws_it(monkeypatch, criterion,
+                                                                         tag, tol):
+    # the stub zeroes the cells of the first or the third table: the loop
+    # redraws it at once, before its singles, and a round ends there and
+    # replays up to its cells. AC8.1|cov, and AC2|msm and AC2|ll at 1e-15
+    # (rounding), find their witnesses late, so the stream after the zero
+    # table shows in them
+    monkeypatch.setattr(criteria, "VIOLATION_TOL", tol)
+    check = criteria._INDICATOR_CHECKS[criterion]
+    shapes = ((2, 2), (3, 3)) if tag in check.matrix_tags else ((2, 2),)
+    ends = np.cumsum([0] + [len(criteria._table_lows(shape, tag == "msm", False))
+                            + 2 * (check.transforms == "diagonal") for shape in shapes * 2])
+    rng_for = criteria._rng_for
+    for sample in (0, 2):
+        n, m = shapes[sample % len(shapes)]
+        stubs = []
+
+        def stubbed(seed, criterion, subject):
+            zeros = set(range(ends[sample], ends[sample] + n * m))
+            stubs.append(_ZeroingGenerator(rng_for(seed, criterion, subject), zeros))
+            return stubs[-1]
+
+        monkeypatch.setattr(criteria, "_rng_for", stubbed)
+        for seed in range(3):
+            for samples in (3, 7, 200):
+                got = check_indicator(criterion, tag, samples, seed)
+                assert got == _reference_indicator_check(criterion, tag, samples, seed)
+        assert all(stub.zeroed for stub in stubs)
+
+
 # ---------------------------------------------------------------------------
-# merged draws against the per-call draws they replace
+# block draws against the per-call draws they replace
 # ---------------------------------------------------------------------------
 
 # Lemire's bounded draw takes its words from the bit generator one value at
-# a time, so one call of size a + b gives the values, and leaves the state,
-# of two calls of sizes a and b with the same bounds. These copies make one
-# call per block, as the criteria drew before the calls were merged.
+# a time and buffers nothing between calls, for any range below 2**32. So
+# one call with per-value bounds gives the values, and leaves the state, of
+# one call per block with the same bounds. These copies make one call per
+# block, as the criteria drew before the calls were merged.
 
 def _reference_draw_problem(rng, shape, with_singles):
     problem = []
@@ -810,19 +901,75 @@ def _reference_draw_margins(rng, criterion, n):
             return tuple(rows.tolist()), tuple(cols.tolist())
 
 
-def _reference_draw_tables(rng, start, size, shapes, with_singles, transforms):
-    drawn, states = [], []
+def _reference_draw_tables(rng, criterion, start, size, shapes):
+    """``msm`` samples as the per-sample loop draws them: (cells, singles,
+    transforms)."""
+    drawn = []
     for i in range(start, start + size):
         shape = shapes[i % len(shapes)]
         counts = rng.integers(0, 51, size=shape)
         while not counts.any():
             counts = rng.integers(0, 51, size=shape)
-        singles = None
+        singles = tuple(rng.integers(1, 51, size=k).astype(float) for k in shape)
+        drawn.append((counts.astype(float), singles, _ref_transforms(criterion, rng, counts)))
+    return drawn
+
+
+def _table_calls(rng, shape, with_singles, diagonal):
+    """One indicator sample's integer draws, one call per block."""
+    draws = [rng.integers(0, 51, size=shape).ravel()]
+    if with_singles:
+        draws += [rng.integers(1, 51, size=k) for k in shape]
+    if diagonal:
+        draws.append(rng.integers(1, 51, size=shape[0]))
+    return draws
+
+
+def _problem_calls(rng, with_singles, diagonal):
+    """One 2x2 method sample's integer draws, one call per block."""
+    draws = []
+    for _ in ("source", "target"):
+        draws.append(rng.integers(1, 51, size=(2, 2)).ravel())
         if with_singles:
-            singles = tuple(rng.integers(1, 51, size=k).astype(float) for k in shape)
-        states.append(rng.bit_generator.state)
-        drawn.append((counts.astype(float), singles, transforms(rng, counts)))
-    return drawn, states
+            draws += [rng.integers(1, 51, size=2) for _ in ("men", "women")]
+    if diagonal:
+        draws.append(rng.integers(1, 51, size=2))
+    return draws
+
+
+# (shapes, with singles, with added diagonal couples) of every block-drawn
+# indicator cell, and of the 2x2 method problems with and without both
+BLOCK_LAYOUTS = sorted({
+    (((2, 2), (3, 3)) if tag in check.matrix_tags else ((2, 2),), tag == "msm",
+     check.transforms == "diagonal")
+    for criterion, check in criteria._INDICATOR_CHECKS.items()
+    if isinstance(check.transforms, str)
+    for tag in INDICATOR_TAGS if (criterion, tag) not in criteria.NA_CELLS
+})
+STREAM_LAYOUTS = [("tables", *layout) for layout in BLOCK_LAYOUTS] + [
+    ("problems", ((2, 2),), with_singles, diagonal)
+    for with_singles in (False, True) for diagonal in (False, True)
+]
+
+
+@pytest.mark.parametrize("kind,shapes,with_singles,diagonal", STREAM_LAYOUTS)
+def test_one_bounds_array_call_keeps_the_per_sample_stream(kind, shapes, with_singles, diagonal):
+    # numpy's own property, which every block-drawn round relies on
+    for start in (0, 1):
+        kinds = [shapes[i % len(shapes)] for i in range(start, start + 9)]
+        if kind == "tables":
+            lows = np.concatenate([criteria._table_lows(shape, with_singles, diagonal)
+                                   for shape in kinds])
+            _assert_same_stream(
+                lambda rng: rng.integers(lows, 51),
+                lambda rng: np.concatenate([draws for shape in kinds for draws in
+                                            _table_calls(rng, shape, with_singles, diagonal)]))
+        else:
+            width = 2 * (4 + 4 * with_singles) + 2 * diagonal
+            _assert_same_stream(
+                lambda rng: rng.integers(1, 51, size=(9, width)).ravel(),
+                lambda rng: np.concatenate([draws for _ in kinds for draws in
+                                            _problem_calls(rng, with_singles, diagonal)]))
 
 
 def _same(got, want):
@@ -855,8 +1002,31 @@ def _assert_same_stream(draw, reference):
 @pytest.mark.parametrize("with_singles", [False, True])
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3)])
 def test_a_method_problem_is_drawn_on_the_per_call_stream(shape, with_singles):
-    _assert_same_stream(lambda rng: criteria._draw_problem(rng, shape, with_singles),
-                        lambda rng: _reference_draw_problem(rng, shape, with_singles))
+    # 2x2 problems without a parameter draw come in one call per round;
+    # the others one problem at a time, each after its shape draw
+    if shape == (2, 2):
+        check = criteria._MethodCheck("probe", None, None)
+    else:
+        check = criteria._MethodCheck("probe", None, lambda rng, shape: {},
+                                      shape=lambda rng: shape)
+
+    def draw(rng):
+        [(ix, inst)] = criteria._draw_samples(rng, "csa" if with_singles else "ipf", check, 6)
+        return (ix.tolist(), inst.counts, inst.singles, inst.targets, inst.target_singles,
+                inst.rows, inst.cols)
+
+    def reference(rng):
+        counts, singles, targets, target_singles = zip(
+            *(_reference_draw_problem(rng, shape, with_singles) for _ in range(6)))
+
+        def pairs(stacked):
+            return None if stacked[0] is None else tuple(np.array(s) for s in zip(*stacked))
+
+        targets = np.array(targets)
+        return (list(range(6)), np.array(counts), pairs(singles), targets, pairs(target_singles),
+                targets.sum(axis=-1), targets.sum(axis=-2))
+
+    _assert_same_stream(draw, reference)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -867,14 +1037,57 @@ def test_margins_are_drawn_on_the_per_call_stream(criterion, n):
     _assert_same_stream(draws(criteria._draw_margins), draws(_reference_draw_margins))
 
 
+def _batch_samples(batch):
+    """A :func:`criteria._draw_tables` batch as the per-sample loop's
+    (cells, singles, transforms), with each parameter as drawn."""
+    groups, stacks, size = batch
+    samples = {}
+    for ix, counts, singles in groups:
+        for r, t in enumerate(ix):
+            samples[int(t)] = (counts[r], singles and tuple(s[r] for s in singles), [])
+    for (label, g), (rows, js, params) in stacks.items():
+        for i, (r, j) in enumerate(zip(rows, js)):
+            transform = (label, {k: v[i].tolist() for k, v in params.items()})
+            samples[int(groups[g][0][r])][2].insert(j, transform)
+    assert len(samples) == size
+    return [samples[t] for t in range(size)]
+
+
 @pytest.mark.parametrize("criterion", ["AC2", "AC3", "AC5.1", "AC8.1"])
 def test_msm_tables_are_drawn_on_the_per_call_stream(criterion):
+    # AC2 and AC5.1 draw their float parameters per sample; AC3 and AC8.1
+    # draw a round in one call
     transforms = criteria._INDICATOR_CHECKS[criterion].transforms
     shapes = ((2, 2), (3, 3))
     for start in (0, 1):
         _assert_same_stream(
-            lambda rng: criteria._draw_tables(rng, start, 6, shapes, True, transforms),
-            lambda rng: _reference_draw_tables(rng, start, 6, shapes, True, transforms))
+            lambda rng: _batch_samples(
+                criteria._draw_tables(rng, start, 6, shapes, True, transforms)),
+            lambda rng: _reference_draw_tables(rng, criterion, start, 6, shapes))
+
+
+@pytest.mark.parametrize("shapes,with_singles,diagonal", BLOCK_LAYOUTS)
+def test_a_block_round_ends_at_an_all_zero_table_and_replays_up_to_its_cells(
+        shapes, with_singles, diagonal):
+    transforms = "diagonal" if diagonal else "transpose"
+    for zero in (0, 2):
+        kinds = [shapes[i % len(shapes)] for i in range(zero + 1)]
+        ends = np.cumsum([0] + [len(criteria._table_lows(shape, with_singles, diagonal))
+                                for shape in kinds])
+        zeros = set(range(ends[zero], ends[zero] + kinds[zero][0] * kinds[zero][1]))
+        for seed in range(10):
+            rng = _ZeroingGenerator(np.random.default_rng(seed), zeros)
+            state = rng.bit_generator.state
+            groups, _, size = criteria._draw_tables(rng, 0, 6, shapes, with_singles, transforms)
+            assert size == 6 and sorted(t for ix, _, _ in groups for t in ix) == list(range(zero))
+            rng.bit_generator.state = state
+            criteria._draw_tables(rng, 0, zero + 1, shapes, with_singles, transforms, replay=True)
+            # the per-sample loop: the accepted tables, then the zero one's cells
+            ref = _ZeroingGenerator(np.random.default_rng(seed), zeros)
+            for shape in kinds[:zero]:
+                _table_calls(ref, shape, with_singles, diagonal)
+            assert not ref.integers(0, 51, size=kinds[zero]).any()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _margin_keys(criterion, n, seeds=range(10)):

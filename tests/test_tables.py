@@ -94,6 +94,17 @@ def test_singles_dimensions_checked():
             call()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_singles_are_refused(bad):
+    # NaN < 0 is false, so a sign test alone let NaN singles through: the
+    # surplus matrix came out NaN where it should have been refused
+    t = table([[40, 10], [20, 30]])
+    for singles in (([bad, 5], [3, 3]), ([5, 5], [3, bad])):
+        for call in singles_entry_points(t, singles):
+            with pytest.raises(TableError, match="^singles counts must be finite$"):
+                call()
+
+
 def test_marginals_consistency_checked():
     with pytest.raises(TableError):
         fit("ipf", table([[5, 5], [5, 5]]), [10, 10], [5, 5])
