@@ -110,7 +110,8 @@ def _ll_benchmark(cd, bd, total, rounding: str):
     elementwise on arrays of splits; the ``nm`` fit inverts LL through the
     same two numbers.
     """
-    r = cd * bd / total
+    # 0, not 0 / 0, on an empty table; no positive float is below 5e-324
+    r = cd * bd / np.maximum(total, 5e-324)
     rho = np.floor(r) if rounding == PAPER_INTEGER else r
     return r, rho, np.minimum(bd, cd)
 
@@ -120,10 +121,10 @@ def _ll(a, b, c, d, rounding: str):
 
     Returns ``(r, rho, d_max, value, undefined)`` with ``value = (d - rho) /
     (d_max - rho)``; ``undefined`` marks the splits where that denominator is
-    zero, and ``value`` is NaN there. The operation order is the one of the
-    scalar formula, so a split gives the same bits whether it is evaluated
-    alone or with the others. A split with fewer high-high couples than
-    ``rho`` gets the signed (negative) value.
+    zero, as on an empty table, and ``value`` is NaN there. The operation
+    order is the one of the scalar formula, so a split gives the same bits
+    whether it is evaluated alone or with the others. A split with fewer
+    high-high couples than ``rho`` gets the signed (negative) value.
     """
     _check_rounding(rounding)
     cd = c + d

@@ -20,9 +20,10 @@ physical line, as do bytes that are not UTF-8 and a field longer than
 ``csv.field_size_limit()``; of several bad lines, the first is reported.
 Each file is read column by column; only a refused line's number is looked
 up, by a second scan, and couples and singles counts are summed by
-``np.bincount``. The pipeline stays columnar to the writers: a run's waves
-are gathered by row index into one stack, and the decade pass and the
-indicators return columns aligned with the rows of their CSV files.
+``np.bincount``. Each loader's arrays are cached (:func:`_cached`), so a file
+is parsed once. The pipeline stays columnar to the writers: a run's waves are
+gathered by row index into one stack, and the decade pass and the indicators
+return columns aligned with the rows of their CSV files.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import csv
 import dataclasses
 import json
 import operator
+import os
+import zlib
 from dataclasses import KW_ONLY, dataclass, field
 from functools import partial
 from numbers import Integral, Real
@@ -309,21 +312,61 @@ def _parse_columns(path: str | Path, required: tuple[str, ...], parsers,
     return parsed
 
 
+def _cached(path: str | Path, settings: list, parse) -> tuple[list, np.ndarray]:
+    """``parse()``'s (keys, array), kept in ``$XDG_CACHE_HOME/homlab`` (else
+    ``~/.cache/homlab``) for the next run. An entry holds the file's bytes,
+    ``settings``, the field size limit and a digest of this module's source,
+    and is served only when all of them match, byte for byte. Only a parse
+    that succeeds is stored; an unusable cache is passed by: the file is parsed."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    folder = Path(root if os.path.isabs(root) else os.path.expanduser("~/.cache"), "homlab")
+    try:  # a pipe is read once, by the parse
+        if not (folder.is_absolute() and os.path.isfile(path)):
+            return parse()
+        data = Path(path).read_bytes()
+        source = zlib.crc32(Path(__file__).read_bytes())
+        head = json.dumps([*settings, csv.field_size_limit(), source, len(data)])
+    except OSError:
+        return parse()
+    prefix = head.encode() + b"\n" + data
+    entry = folder / f"{zlib.crc32(prefix):08x}"
+    try:
+        stored = entry.read_bytes()
+        if stored.startswith(prefix):
+            line, _, values = stored[len(prefix):].partition(b"\n")
+            shape, keys = json.loads(line)
+            keys = [(state, year) for state, year in keys]
+            return keys, np.frombuffer(values, "<f8").reshape(shape).astype(float)
+    except (OSError, ValueError, TypeError):  # a missing, unreadable or corrupt entry
+        pass
+    keys, array = parse()
+    try:
+        if Path(path).read_bytes() == data:  # not changed while it was parsed
+            folder.mkdir(mode=0o700, parents=True, exist_ok=True)
+            temp = folder / f".{entry.name}.{os.getpid()}"
+            temp.write_bytes(prefix + json.dumps([array.shape, keys]).encode() + b"\n"
+                             + array.astype("<f8").tobytes())
+            os.replace(temp, entry)
+    except OSError:
+        pass
+    return keys, array
+
+
 def _summed(path: str | Path, required: tuple[str, ...], parsers,
-            cells) -> tuple[dict, np.ndarray]:
+            cells) -> tuple[list, np.ndarray]:
     """Each line's count added to its cell of an array of ``cells`` per
     distinct (state, year), by one ``np.bincount`` over the cells' flat
     indices. The columns are ``year``, ``state``, the cell's indices and
     ``count``, checked by ``parsers`` as :func:`_parse_columns` does.
-    Returns each (state, year) with its row, in order of first appearance,
-    and the array (keys, *cells)."""
+    Returns each (state, year), in order of first appearance, and the array
+    (keys, *cells)."""
     years, states, *cell, counts = _parse_columns(path, required, parsers)
     keys = {key: i for i, key in enumerate(dict.fromkeys(zip(states, years)))}
     rows = list(map(keys.__getitem__, zip(states, years)))
     shape = (len(keys), *cells)
     flat = np.ravel_multi_index(tuple(np.array(c, dtype=np.intp) for c in (rows, *cell)), shape)
     summed = np.bincount(flat, np.array(counts, dtype=float), minlength=np.prod(shape))
-    return keys, summed.astype(float, copy=False).reshape(shape)  # float with no lines too
+    return list(keys), summed.astype(float, copy=False).reshape(shape)  # float with no lines too
 
 
 def _parse_count(value: str, path, lineno) -> int:
@@ -378,8 +421,10 @@ def load_couples(path: str | Path, config: RunConfig | None = None) -> PanelData
     k = len(config.labels)
     category = partial(_parse_label, labels=config.labels,
                        detail=f" (configured: {list(config.labels)})")
-    keys, grid = _summed(path, _COUPLES, (partial(_parse_year, waves=config.waves), _parse_state,
-                                          category, category, _parse_count), (k, k))
+    parsers = (partial(_parse_year, waves=config.waves), _parse_state, category, category,
+               _parse_count)
+    keys, grid = _cached(path, [_COUPLES, config.waves, config.labels],
+                         partial(_summed, path, _COUPLES, parsers, (k, k)))
     kept = grid.any(axis=(1, 2))
     index = {key: i for i, key in enumerate(key for key, keep in zip(keys, kept) if keep)}
     return PanelDataset(grid[kept], index, config.labels,
@@ -411,10 +456,13 @@ def load_income(path: str | Path) -> dict[tuple[str, int], float]:
     """Top decile share per (state, year), read column by column; a
     repeated (state, year) is refused. US rows are read, though no output
     uses them."""
-    states, years, shares = _parse_columns(path, _INCOME, (
-        lambda value, *_: value.strip(), _parse_income, partial(_parse_income, kind=float)),
-        _income_refused)
-    return dict(zip(zip(states, years), shares))
+    def parse():
+        states, years, shares = _parse_columns(path, _INCOME, (
+            lambda value, *_: value.strip(), _parse_income, partial(_parse_income, kind=float)),
+            _income_refused)
+        return list(zip(states, years)), np.array(shares, dtype=float)
+    keys, shares = _cached(path, [_INCOME], parse)
+    return dict(zip(keys, shares.tolist()))
 
 
 def load_singles(
@@ -423,10 +471,11 @@ def load_singles(
     """Single men / single women counts per (state, year), read column by
     column into one (keys, sex, category) array."""
     config = config or RunConfig()
-    keys, pools = _summed(path, _SINGLES, (
-        partial(_parse_year, waves=config.waves), _parse_state, _parse_sex,
-        partial(_parse_label, labels=config.labels), _parse_count), (2, len(config.labels)))
-    return {key: (pools[i, 0], pools[i, 1]) for key, i in keys.items()}
+    parsers = (partial(_parse_year, waves=config.waves), _parse_state, _parse_sex,
+               partial(_parse_label, labels=config.labels), _parse_count)
+    keys, pools = _cached(path, [_SINGLES, config.waves, config.labels],
+                          partial(_summed, path, _SINGLES, parsers, (2, len(config.labels))))
+    return {key: (pools[i, 0], pools[i, 1]) for i, key in enumerate(keys)}
 
 
 def format_number(x: float) -> str:

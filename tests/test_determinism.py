@@ -2,7 +2,10 @@
 
 The jobs are those of CI's "Hash-seed determinism" step. Each run goes
 through ``cli.main`` in process, in a fresh interpreter, so that
-``PYTHONHASHSEED`` and the CPU-affinity mask apply to the whole run.
+``PYTHONHASHSEED`` and the CPU-affinity mask apply to the whole run. As in
+CI, both hash seeds share a fresh cache of parsed inputs: the first run
+fills it and the second reads it, so the comparison is also one of a cold
+cache against a warm one.
 """
 
 import json
@@ -60,11 +63,12 @@ def jobs(config: Path):
     ]
 
 
-def run(out: Path, job_list, hash_seed: str, one_cpu: bool = False) -> dict:
-    """Every output file of ``job_list`` run in a fresh interpreter, by its
-    path under ``out``, as bytes."""
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+def run(out: Path, job_list, hash_seed: str, cache: Path, one_cpu: bool = False) -> dict:
+    """Every output file of ``job_list`` run in a fresh interpreter, with
+    ``cache`` as its ``XDG_CACHE_HOME``, by its path under ``out``, as bytes."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, XDG_CACHE_HOME=str(cache),
+               PYTHONPATH=os.pathsep.join(
+                   [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     subprocess.run([sys.executable, "-c", RUNNER, str(out), json.dumps(job_list),
                     "1" if one_cpu else "0"],
                    env=env, check=True, capture_output=True, timeout=300)
@@ -76,12 +80,14 @@ def test_outputs_do_not_depend_on_the_hash_seed_or_the_cpu_count(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text('{"labels": ["L", "H"]}', encoding="utf-8")
     job_list = jobs(config)
-    first = run(tmp_path / "hash-seed-1", job_list, "1")
+    cache = tmp_path / "cache"
+    first = run(tmp_path / "hash-seed-1", job_list, "1", cache)
     assert {name.split("/")[0] for name in first} == {name for name, _ in job_list}
-    assert run(tmp_path / "hash-seed-2", job_list, "2") == first
+    assert list((cache / "homlab").iterdir())  # the second run reads what the first parsed
+    assert run(tmp_path / "hash-seed-2", job_list, "2", cache) == first
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("this platform cannot pin a process to one CPU")
     # criteria pinned to one CPU runs every cell in one process
-    one_cpu = run(tmp_path / "one-cpu", [CRITERIA], "1", one_cpu=True)
+    one_cpu = run(tmp_path / "one-cpu", [CRITERIA], "1", cache, one_cpu=True)
     assert one_cpu == {name: data for name, data in first.items()
                        if name.startswith("criteria/")}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -541,6 +542,26 @@ def test_registry_raises_what_the_direct_measure_raises(tag):
             if isinstance(got, tuple):
                 raised.add(got[1])
     assert raised == UNDEFINED_MESSAGES[tag]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("tag", INDICATOR_TAGS)
+def test_an_all_zero_table_is_undefined_without_a_warning(tag, k):
+    # as CI runs the suite, with a RuntimeWarning as an error: ll and gll
+    # once divided zero by zero here
+    zeros, live = np.zeros((1, k, k)), np.arange(1.0, k * k + 1).reshape(1, k, k)
+    singles = (np.ones((2, k)), np.ones((2, k)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if k == 3 and tag in SCALAR_TAGS and tag != "det":
+            with pytest.raises(ShapeError):
+                evaluate_stack(tag, zeros)
+            return
+        values, undefined = evaluate_stack(tag, np.concatenate([zeros, live]),
+                                           singles=singles)
+        alone, _ = evaluate_stack(tag, live, singles=(singles[0][:1], singles[1][:1]))
+    assert undefined.tolist() == [tag not in ("det", "msm"), False]
+    assert values[1].tobytes() == alone[0].tobytes()  # the empty table changes no other
 
 
 def _reference_outputs(tag, subject, rounding):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import homlab.io
 from homlab.cli import _fmt, _write_json, main
 from homlab.counterfactual import METHOD_TAGS, fit
 from homlab.decomposition import _decompose_columns, cumulate, decompose
@@ -547,6 +548,174 @@ def test_loaders_report_the_first_bad_line_and_its_first_bad_field(
     with pytest.raises(DataError) as info:
         loader(path, config)
     assert str(info.value).startswith(f"{path}: line 3: {lines[-1][1]}")
+
+
+# ---------------------------------------------------------------------------
+# the cache of parsed inputs
+# ---------------------------------------------------------------------------
+
+LOADERS = {
+    "couples": (load_couples, "synthetic_panel.csv"),
+    "singles": (load_singles, "synthetic_singles.csv"),
+    "income": (lambda path, config: load_income(path), "synthetic_income.csv"),
+}
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A fresh, empty cache root; ``reads`` counts the files parsed."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    reads = []
+    read_rows = homlab.io._read_rows
+    monkeypatch.setattr(homlab.io, "_read_rows",
+                        lambda path, required: reads.append(path) or read_rows(path, required))
+    return tmp_path / "xdg" / "homlab", reads
+
+
+def _loaded(result):
+    """A loader's result as comparable parts: each key in order, with its
+    arrays' values and dtypes."""
+    if isinstance(result, PanelDataset):
+        return (list(result.index), result.counts.tolist(), result.counts.dtype,
+                {year: total.tolist() for year, total in result.national_counts.items()})
+    return [(key, [(np.asarray(a).tolist(), np.asarray(a).dtype, type(a)) for a in (
+        value if isinstance(value, tuple) else (value,))]) for key, value in result.items()]
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_each_loader_parses_a_file_once(tmp_path, cache, name):
+    folder, reads = cache
+    load, fixture = LOADERS[name]
+    path = write(tmp_path / fixture, (FIXTURES / fixture).read_text(encoding="utf-8"))
+    config = RunConfig(**TWO_LEVEL)
+    first = load(path, config)
+    assert len(reads) == 1 and len(list(folder.iterdir())) == 1
+    assert oct(folder.stat().st_mode & 0o777) == oct(0o700)
+    again = load(path, config)
+    assert len(reads) == 1  # served from the cache
+    assert _loaded(again) == _loaded(first)
+    # the same bytes at another path are the same entry
+    other = write(tmp_path / f"copy-{fixture}", path.read_text(encoding="utf-8"))
+    assert _loaded(load(other, config)) == _loaded(first) and len(reads) == 1
+
+
+def test_new_bytes_at_the_same_path_are_parsed(tmp_path, cache):
+    _, reads = cache
+    header = "year,state,husband_edu,wife_edu,count\n"
+    path = write(tmp_path / "couples.csv", header + "1960,Iowa,L,L,40\n1960,Iowa,H,H,30\n")
+    config = RunConfig(**TWO_LEVEL)
+    assert load_couples(path, config).counts.tolist() == [[[40, 0], [0, 30]]]
+    write(path, header + "1960,Iowa,L,L,41\n1960,Iowa,H,H,30\n")
+    assert load_couples(path, config).counts.tolist() == [[[41, 0], [0, 30]]]
+    assert len(reads) == 2
+
+
+def test_other_labels_or_waves_are_not_served_an_entry(tmp_path, cache):
+    _, reads = cache
+    path = write(tmp_path / "couples.csv", "year,state,husband_edu,wife_edu,count\n"
+                 "1960,Iowa,L,H,40\n1970,Iowa,H,H,30\n")
+    low_first = RunConfig(labels=["L", "H"], waves=[1960, 1970])
+    assert load_couples(path, low_first).counts.tolist() == [[[0, 40], [0, 0]],
+                                                             [[0, 0], [0, 30]]]
+    high_first = RunConfig(labels=["H", "L"], waves=[1960, 1970])
+    assert load_couples(path, high_first).counts.tolist() == [[[0, 0], [40, 0]],
+                                                              [[30, 0], [0, 0]]]
+    with pytest.raises(DataError, match="year 1970 not in configured waves"):
+        load_couples(path, RunConfig(labels=["L", "H"], waves=[1960]))
+    assert len(reads) == 3
+    # and the singles file of the same bytes is parsed by its own loader
+    singles = write(tmp_path / "singles.csv", "year,state,sex,edu,count\n1960,Iowa,m,L,4\n")
+    for config in (low_first, high_first, RunConfig(labels=["L", "H"], waves=[1960, 1980])):
+        assert [pool.tolist() for pool in load_singles(singles, config)[("Iowa", 1960)]] == \
+            [[4, 0] if config.labels[0] == "L" else [0, 4], [0, 0]]
+    assert len(reads) == 6
+
+
+def test_a_file_that_changes_while_it_is_parsed_is_not_stored(tmp_path, cache, monkeypatch):
+    folder, _ = cache
+    header = "year,state,husband_edu,wife_edu,count\n"
+    before, during = header + "1960,Iowa,L,L,40\n", header + "1960,Iowa,L,L,41\n"
+    path = write(tmp_path / "couples.csv", before)
+    read_rows = homlab.io._read_rows
+
+    def rewritten(path, required):  # the file changes after the cache read it
+        write(path, during)
+        return read_rows(path, required)
+
+    monkeypatch.setattr(homlab.io, "_read_rows", rewritten)
+    config = RunConfig(**TWO_LEVEL)
+    assert load_couples(path, config).counts.tolist() == [[[41, 0], [0, 0]]]
+    assert not (folder.exists() and any(folder.iterdir()))
+    monkeypatch.setattr(homlab.io, "_read_rows", read_rows)
+    write(path, before)  # its first bytes are not served what the parse read
+    assert load_couples(path, config).counts.tolist() == [[[40, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_a_refused_file_is_refused_again_and_leaves_no_entry(tmp_path, cache, name):
+    folder, reads = cache
+    load, fixture = LOADERS[name]
+    lines = (FIXTURES / fixture).read_text(encoding="utf-8").splitlines()
+    path = write(tmp_path / fixture, "\n".join([*lines[:3], lines[3] + "x"]) + "\n")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DataError) as info:
+            load(path, RunConfig(**TWO_LEVEL))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and "line 4" in messages[0]
+    assert len(reads) == 2 and not (folder.exists() and any(folder.iterdir()))
+
+
+@pytest.mark.parametrize("spoil", [  # an entry, and the bytes of the file it is of
+    lambda entry, data: entry[:len(entry) // 2],
+    lambda entry, data: entry[:-3],  # inside the array
+    lambda entry, data: entry[:entry.index(data) + len(data) + 9],  # inside the keys
+    lambda entry, data: entry.replace(b"Alabama", b"Alabamb"),  # another file's entry
+    lambda entry, data: b"",
+    lambda entry, data: b"\x00garbage\n" * 40,
+], ids=["half", "array", "keys", "another-file", "empty", "garbage"])
+@pytest.mark.parametrize("name", LOADERS)
+def test_a_spoiled_entry_is_parsed_again_and_rewritten(tmp_path, cache, name, spoil):
+    folder, reads = cache
+    load, fixture = LOADERS[name]
+    path = write(tmp_path / fixture, (FIXTURES / fixture).read_text(encoding="utf-8"))
+    config = RunConfig(**TWO_LEVEL)
+    first = load(path, config)
+    [entry] = folder.iterdir()
+    stored = entry.read_bytes()
+    entry.write_bytes(spoil(stored, path.read_bytes()))
+    assert _loaded(load(path, config)) == _loaded(first)
+    assert len(reads) == 2 and entry.read_bytes() == stored
+    assert list(folder.iterdir()) == [entry]  # no temporary file is left
+
+
+@pytest.mark.parametrize("blocked", ["root", "folder"])
+def test_a_file_in_the_cache_path_leaves_the_outputs_as_they_are(tmp_path, monkeypatch,
+                                                                  blocked):
+    data = ("--couples", FIXTURES / "synthetic_panel.csv",
+            "--singles", FIXTURES / "synthetic_singles.csv",
+            "--income", FIXTURES / "synthetic_income.csv")
+    cfg = config_file(tmp_path)
+
+    def outputs(name: str) -> dict:
+        out = tmp_path / name
+        cli("trend", "--config", cfg, "--method", "csa", *data, "--out", out / "trend")
+        cli("indicators", "--config", cfg, data[0], data[1], "--out", out / "indicators")
+        return {path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    cold, warm = outputs("cold"), outputs("warm")
+    assert warm == cold and len(list((tmp_path / "xdg" / "homlab").iterdir())) == 3
+    blocker = tmp_path / "blocker" / "xdg"
+    blocker.parent.mkdir()
+    if blocked == "folder":  # the root holds a file where the cache's folder goes
+        blocker.mkdir()
+        blocker = blocker / "homlab"
+    blocker.write_bytes(b"not a folder")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker if blocked == "root" else blocker.parent))
+    assert outputs("blocked") == cold
+    assert blocker.read_bytes() == b"not a folder"
 
 
 # ---------------------------------------------------------------------------
